@@ -22,8 +22,8 @@ from .spectra import (BbmSlope, HamiltonianEigensystem, KreinClassification,
                       SpectralReport, bbm_slope, classify_krein,
                       constrained_quantity, constrained_quantity_sandwiched,
                       generalized_kernel_dim, hamiltonian_eigensystem,
-                      hamiltonian_spectrum, sandwich_hamiltonian_spectrum,
-                      slope_analytic, symmetric_spectrum)
+                      sandwich_hamiltonian_spectrum, slope_analytic,
+                      symmetric_spectrum)
 from .verdicts import (DEGENERATE, STABLE, UNSTABLE, CheckReport,
                        KreinIndexResult, NumericsConfig, SweepResult,
                        bbm_verdict, default_grid, kdv_verdict, self_check,

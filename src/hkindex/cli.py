@@ -7,7 +7,8 @@ shortest-round-trip float formatting, so identical configurations produce
 byte-identical files.
 
 Exit codes: 0 success, 1 numerical failure, 2 accuracy warning,
-3 theory-consistency failure, 64 usage error.
+3 theory-consistency failure, 64 usage error.  A sweep exits 3 if any
+point failed a theory-consistency check, else 1 if any point failed.
 """
 
 from __future__ import annotations
@@ -75,8 +76,7 @@ class RunConfig:
                                  solver_tol=self.tol)
 
     def grid(self) -> sp.SpectralGrid:
-        n, l = vd.default_grid(self.s if self.s is not None else 2.0)
-        return sp.make_grid(self.n or n, self.half_length or l)
+        return self.numerics().grid_for(self.s if self.s is not None else 2.0)
 
 
 def build_parser() -> _Parser:
@@ -87,7 +87,7 @@ def build_parser() -> _Parser:
                                 parser_class=_Parser)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", choices=[wv.FKDV, wv.FBBM, SCHRODINGER])
+    common.add_argument("--model", choices=[*wv.MODELS, SCHRODINGER])
     common.add_argument("--s", type=float, help="dispersion exponent in (0, 2]")
     common.add_argument("--p", type=float, help="nonlinearity exponent")
     common.add_argument("--c", type=float, help="wave speed")
@@ -151,23 +151,21 @@ def _require(cfg: RunConfig, *names) -> None:
 
 def validate_wave_params(cfg: RunConfig) -> None:
     """Verdict preconditions, checked up front (exit 1 on violation)."""
+    if cfg.model not in wv.MODELS:
+        raise UsageError("this command supports --model fkdv or fbbm")
     _require(cfg, "s", "p")
     wv._check_exponents(cfg.s, cfg.p)
+    model = wv.MODELS[cfg.model]
     if cfg.c is None:
-        cfg.c = 1.0 if cfg.model == wv.FKDV else 2.0
-    if cfg.model == wv.FKDV and not cfg.c > 0:
-        raise ValueError(f"fKdV waves need c > 0, got {cfg.c}")
-    if cfg.model == wv.FBBM and not cfg.c > 1:
-        raise ValueError(f"fBBM waves need c > 1, got {cfg.c}")
+        cfg.c = model.default_speed
+    model.check_speed(cfg.c)
 
 
 def _solve_wave(cfg: RunConfig) -> wv.WaveProfile:
     grid = cfg.grid()
     opts = wv.SolverOptions(tol=cfg.tol)
     Q = wv.solve_ground_state(cfg.s, cfg.p, grid, opts)
-    if cfg.model == wv.FKDV:
-        return wv.kdv_wave(Q, cfg.c)
-    return wv.bbm_wave(Q, cfg.c)
+    return getattr(wv, f"{wv.MODELS[cfg.model].kind}_wave")(Q, cfg.c)
 
 
 def cmd_solve_wave(cfg: RunConfig) -> int:
@@ -181,10 +179,8 @@ def cmd_solve_wave(cfg: RunConfig) -> int:
 
 
 def _run_verdict(cfg: RunConfig) -> vd.PipelineData:
-    if cfg.model == SCHRODINGER:
-        raise UsageError("this command supports --model fkdv or fbbm")
     validate_wave_params(cfg)
-    runner = vd.kdv_verdict if cfg.model == wv.FKDV else vd.bbm_verdict
+    runner = getattr(vd, f"{wv.MODELS[cfg.model].kind}_verdict")
     return runner(cfg.s, cfg.p, cfg.c, cfg.numerics(), keep_pipeline=True)
 
 
@@ -200,11 +196,11 @@ def cmd_index(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     _require(cfg, "axis", "start", "stop", "steps")
-    if cfg.model == SCHRODINGER:
+    if cfg.model not in wv.MODELS:
         raise UsageError("sweep supports --model fkdv or fbbm")
     fixed = {"s": cfg.s, "p": cfg.p, "c": cfg.c}
     if fixed["c"] is None and cfg.axis != "c":
-        fixed["c"] = 1.0 if cfg.model == wv.FKDV else 2.0
+        fixed["c"] = wv.MODELS[cfg.model].default_speed
     for name in ("s", "p", "c"):
         if name != cfg.axis and fixed[name] is None:
             raise UsageError(f"missing required parameter --{name}")
@@ -213,6 +209,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                       s=fixed["s"], p=fixed["p"], c=fixed["c"],
                       model=cfg.model, numerics=cfg.numerics())
     rows = []
+    failed = [pt for pt in result.points if pt.result is None]
     for pt in result.points:
         if pt.result is not None:
             r = pt.result
@@ -233,7 +230,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     else:
         print("no verdict flip in range")
     print(f"wrote {path}")
-    return EXIT_OK
+    if failed:
+        print(f"{len(failed)} of {len(result.points)} sweep points failed",
+              file=sys.stderr)
+    if any(pt.theory_violation for pt in failed):
+        return EXIT_THEORY
+    return EXIT_NUMERICAL if failed else EXIT_OK
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
@@ -262,10 +264,8 @@ def cmd_dump_operator(cfg: RunConfig) -> int:
     else:
         validate_wave_params(cfg)
         profile = _solve_wave(cfg)
-        if cfg.model == wv.FKDV:
-            operator = op.kdv_linearization(profile)
-        else:
-            operator = op.bbm_linearization(profile)
+        kind = wv.MODELS[cfg.model].kind
+        operator = getattr(op, f"{kind}_linearization")(profile)
     matrix = op.assemble(operator)
     bin_path, json_path = op.save_matrix(
         matrix, os.path.join(cfg.out, "operator.bin"))

@@ -17,29 +17,21 @@ def format_float(x) -> str:
 
 
 def atomic_write_text(path, text: str) -> str:
-    path = str(path)
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
+    return _atomic_write(path, text, "w")
 
 
 def atomic_write_bytes(path, payload: bytes) -> str:
+    return _atomic_write(path, payload, "wb")
+
+
+def _atomic_write(path, data, mode: str) -> str:
     path = str(path)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+        with os.fdopen(fd, mode) as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

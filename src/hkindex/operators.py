@@ -23,8 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelMismatchError
-from .spectral import TWO_PI, RealField, SpectralGrid, same_grid
-from .waves import FBBM, FKDV, NORMALIZED, WaveProfile, clamped_power
+from .spectral import (TWO_PI, RealField, SpectralGrid, fractional_symbol,
+                       regularized_quarter_root_multiplier, same_grid)
+from .waves import (FBBM, FKDV, MODELS, NORMALIZED, Model, WaveProfile,
+                    clamped_power)
 
 SYMMETRY_TOL = 1e-10
 
@@ -49,16 +51,17 @@ def real_fourier_basis(grid: SpectralGrid) -> np.ndarray:
     return phi
 
 
-def basis_frequencies(grid: SpectralGrid) -> np.ndarray:
-    """|xi| for each basis column: [0, xi_1, xi_1, ..., xi_{n/2}]."""
-    n, l = grid.n, grid.half_length
-    freqs = np.empty(n)
-    freqs[0] = 0.0
+def on_basis(grid: SpectralGrid, symbol: np.ndarray) -> np.ndarray:
+    """Diagonal, in the real-Fourier basis, of the even multiplier whose
+    symbol is given in the grid's fftfreq layout."""
+    n = grid.n
+    diag = np.empty(n)
+    diag[0] = symbol[0]
     k = np.arange(1, n // 2)
-    freqs[2 * k - 1] = k / (2.0 * l)
-    freqs[2 * k] = k / (2.0 * l)
-    freqs[n - 1] = n / (4.0 * l)
-    return freqs
+    diag[2 * k - 1] = symbol[k]
+    diag[2 * k] = symbol[k]
+    diag[n - 1] = symbol[n // 2]
+    return diag
 
 
 def pair_frequencies(grid: SpectralGrid) -> np.ndarray:
@@ -127,17 +130,6 @@ class LinOperator:
         object.__setattr__(self, "multiplier_symbol", sym)
         object.__setattr__(self, "potential", pot)
 
-    def symbol_on_basis(self) -> np.ndarray:
-        """Diagonal of the multiplier part in the real-Fourier basis."""
-        n = self.grid.n
-        diag = np.empty(n)
-        diag[0] = self.multiplier_symbol[0]
-        k = np.arange(1, n // 2)
-        diag[2 * k - 1] = self.multiplier_symbol[k]
-        diag[2 * k] = self.multiplier_symbol[k]
-        diag[n - 1] = self.multiplier_symbol[n // 2]
-        return diag
-
     def apply(self, f: RealField) -> RealField:
         if not same_grid(self.grid, f.grid):
             raise ValueError("operator and field live on different grids")
@@ -149,43 +141,37 @@ def assemble(op: LinOperator) -> DenseMatrix:
     """Dense symmetric matrix of op in the real-Fourier basis."""
     phi = real_fourier_basis(op.grid)
     a = op.grid.spacing * (phi.T @ (op.potential[:, None] * phi))
-    a[np.diag_indices_from(a)] += op.symbol_on_basis()
+    a[np.diag_indices_from(a)] += on_basis(op.grid, op.multiplier_symbol)
     a = 0.5 * (a + a.T)
     return DenseMatrix(a, grid=op.grid, label=op.label)
 
 
-def _fractional_symbol(grid: SpectralGrid, s: float) -> np.ndarray:
-    return np.abs(TWO_PI * grid.wavenumbers) ** s if s > 0 else np.ones(grid.n)
-
-
 def kdv_linearization(U: WaveProfile) -> LinOperator:
-    """L_c = |d|^s + c - (p+1) U_c^p about an fKdV wave (or normalized Q)."""
-    if U.model == NORMALIZED:
-        c = 1.0
-    elif U.model == FKDV:
-        c = U.c
-    else:
-        raise ModelMismatchError(
-            f"kdv_linearization needs an fKdV or normalized profile, got {U.model!r}")
-    sym = _fractional_symbol(U.grid, U.s) + c
-    pot = -(U.p + 1.0) * clamped_power(U.values, U.p, U.peak)
-    return LinOperator(U.grid, sym, pot,
-                       label=f"kdv-lin(s={U.s:g},p={U.p:g},c={c:g})",
-                       kind="kdv", s=U.s, c=c)
+    """L_c = |d|^s + c - (p+1) U_c^p about an fKdV wave (or normalized Q,
+    the fKdV wave of speed 1)."""
+    return _linearization(MODELS[FKDV], U, accepted=(FKDV, NORMALIZED))
 
 
 def bbm_linearization(U: WaveProfile) -> LinOperator:
     """L_0 = c|d|^s + (c-1) - (p+1) U_c^p about an fBBM wave."""
-    if U.model != FBBM:
+    return _linearization(MODELS[FBBM], U, accepted=(FBBM,))
+
+
+def _linearization(model: Model, U: WaveProfile, accepted: tuple) -> LinOperator:
+    """a(c) |d|^s + b(c) - (p+1) U^p with (a, b) = model.coefficients(c)."""
+    if U.model not in accepted:
         raise ModelMismatchError(
-            f"bbm_linearization needs an fBBM profile, got {U.model!r}")
-    if not U.c > 1.0:
-        raise ModelMismatchError("BBM linearization needs c > 1")
-    sym = U.c * _fractional_symbol(U.grid, U.s) + (U.c - 1.0)
+            f"{model.kind}_linearization needs a profile of model "
+            f"{' or '.join(accepted)}, got {U.model!r}")
+    if not U.c > model.speed_floor:
+        raise ModelMismatchError(
+            f"{model.kind}_linearization needs c > {model.speed_floor:g}")
+    a, b = model.coefficients(U.c)
+    sym = a * fractional_symbol(U.grid, U.s) + b
     pot = -(U.p + 1.0) * clamped_power(U.values, U.p, U.peak)
     return LinOperator(U.grid, sym, pot,
-                       label=f"bbm-lin(s={U.s:g},p={U.p:g},c={U.c:g})",
-                       kind="bbm", s=U.s, c=U.c)
+                       label=f"{model.kind}-lin(s={U.s:g},p={U.p:g},c={U.c:g})",
+                       kind=model.kind, s=U.s, c=U.c)
 
 
 def schrodinger_operator(V: RealField, c: float) -> LinOperator:
@@ -197,7 +183,7 @@ def schrodinger_operator(V: RealField, c: float) -> LinOperator:
     if vmax > 0 and float(np.max(np.abs(V.values[outer]))) > 1e-6 * vmax:
         warnings.warn("Schroedinger potential decays slowly on this box",
                       stacklevel=2)
-    sym = (TWO_PI * V.grid.wavenumbers) ** 2 + c
+    sym = fractional_symbol(V.grid, 2.0) + c
     return LinOperator(V.grid, sym, -V.values,
                        label=f"schrodinger(c={c:g})", kind="schrodinger",
                        s=2.0, c=c)
@@ -209,29 +195,29 @@ def sandwich(L: LinOperator, eps: float) -> DenseMatrix:
     eps = 0 gives |d|^(1/2) L |d|^(1/2); its zero-mode row and column
     vanish structurally.
     """
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    a = assemble(L).entries
-    freqs = basis_frequencies(L.grid)
-    r = ((TWO_PI * freqs) ** 2 + eps ** 2) ** 0.25
-    out = r[:, None] * a * r[None, :]
-    out = 0.5 * (out + out.T)
-    return DenseMatrix(out, grid=L.grid,
-                       label=f"sandwich(eps={eps:g})[{L.label}]")
+    quarter = regularized_quarter_root_multiplier(L.grid, eps).symbol_values.real
+    return congruence(assemble(L), quarter, f"sandwich(eps={eps:g})")
+
+
+def symmetrizing_weight(grid: SpectralGrid, s: float) -> np.ndarray:
+    """Symbol of (I+M)^(-1/2), M = |d|^s, in the grid's fftfreq layout."""
+    return (1.0 + fractional_symbol(grid, s)) ** -0.5
 
 
 def bbm_symmetrize(L0: LinOperator) -> DenseMatrix:
     """(I+M)^(-1/2) L0 (I+M)^(-1/2) with M = |d|^s, as a dense matrix."""
-    if L0.kind != "bbm":
+    if L0.kind != MODELS[FBBM].kind:
         raise ModelMismatchError("bbm_symmetrize expects a BBM linearization")
     if L0.s is None:
         raise ValueError("operator does not carry its dispersion exponent")
-    a = assemble(L0).entries
-    freqs = basis_frequencies(L0.grid)
-    b = (1.0 + (TWO_PI * freqs) ** L0.s) ** -0.5
-    out = b[:, None] * a * b[None, :]
-    out = 0.5 * (out + out.T)
-    return DenseMatrix(out, grid=L0.grid, label=f"bbm-sym[{L0.label}]")
+    return congruence(assemble(L0), symmetrizing_weight(L0.grid, L0.s), "bbm-sym")
+
+
+def congruence(A: DenseMatrix, symbol: np.ndarray, name: str) -> DenseMatrix:
+    """R A R for the even multiplier R with the given fftfreq-layout symbol."""
+    r = on_basis(A.grid, symbol)
+    out = r[:, None] * A.entries * r[None, :]
+    return DenseMatrix(0.5 * (out + out.T), grid=A.grid, label=f"{name}[{A.label}]")
 
 
 def save_matrix(dm: DenseMatrix, bin_path, json_path=None) -> tuple:

@@ -26,8 +26,9 @@ import scipy.linalg
 from .errors import FredholmViolationError
 from .operators import DenseMatrix, LinOperator, assemble, pair_frequencies, \
     symmetry_defect, to_coords, from_coords, SYMMETRY_TOL
-from .spectral import (TWO_PI, RealField, antiderivative_multiplier,
-                       apply_multiplier)
+from .spectral import (TWO_PI, RealField, SpectralGrid,
+                       antiderivative_multiplier, apply_multiplier,
+                       regularized_quarter_root_multiplier)
 
 # defaults from the tolerance policy: scale-relative thresholds survive
 # rescaling of the wave speed.  The Hamiltonian re/im tolerances sit at
@@ -91,10 +92,6 @@ def symmetric_spectrum(A: DenseMatrix, zero_tol: float | None = None) -> Spectra
     return report_from_eig(A, w, v, zero_tol)
 
 
-def negative_count(A: DenseMatrix, zero_tol: float | None = None) -> int:
-    return symmetric_spectrum(A, zero_tol).negative_count
-
-
 def _anchor_to_edge(grid, values: np.ndarray) -> np.ndarray:
     """Shift by the edge plateau so the antiderivative decays at the box
     boundary, matching the line-problem branch.  The mean-zero branch of
@@ -128,17 +125,18 @@ def _pseudo_solve_quadratic(w: np.ndarray, v: np.ndarray, rhs_coords: np.ndarray
     return float(np.sum(proj[kept] ** 2 / w[kept]))
 
 
-def constrained_quantity(L: LinOperator, psi0: RealField,
+def constrained_quantity(L: LinOperator | DenseMatrix, psi0: RealField,
                          zero_tol: float | None = None,
                          eig: tuple | None = None) -> float:
     """<L^-1 (d^-1 psi0), d^-1 psi0> via the spectral pseudo-inverse.
 
-    The antiderivative is pinned to its decaying branch; the solve drops
-    the numerically computed kernel directions and verifies the Fredholm
+    eig, when given, is the eigensystem (w, v) of the assembled L; then
+    nothing is assembled and L may be that matrix itself.  The
+    antiderivative is pinned to its decaying branch; the solve drops the
+    numerically computed kernel directions and verifies the Fredholm
     compatibility of the right-hand side first.
     """
-    A = assemble(L)
-    w, v = eig if eig is not None else sym_eig(A)
+    w, v = eig if eig is not None else sym_eig(assemble(L))
     rhs = decaying_antiderivative(psi0)
     coords = to_coords(L.grid, rhs.values)
     scale = float(np.max(np.abs(w)))
@@ -160,7 +158,7 @@ def constrained_quantity_sandwiched(L: LinOperator, psi0: RealField, eps: float,
 
     grid = L.grid
     xi = grid.wavenumbers
-    quarter = ((TWO_PI * xi) ** 2 + eps ** 2) ** 0.25
+    quarter = regularized_quarter_root_multiplier(grid, eps).symbol_values.real
     sym = np.zeros(grid.n, dtype=complex)
     nz = quarter > 0
     # |d| d^-1 has symbol i*sign(xi); zero mode and Nyquist are dropped
@@ -236,12 +234,19 @@ def restricted(A: DenseMatrix) -> np.ndarray:
     return A.entries[1:-1, 1:-1]
 
 
-def _rotation_product(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """D M for the block-diagonal skew D with 2x2 rotation blocks."""
-    out = np.empty_like(m)
-    out[0::2, :] = -weights[:, None] * m[1::2, :]
-    out[1::2, :] = weights[:, None] * m[0::2, :]
-    return out
+def _restricted_product(A: DenseMatrix, weights: np.ndarray | None = None):
+    """(A_r, D A_r) on the restricted subspace, where D is block diagonal
+    with 2x2 rotation blocks weights_k [[0, -1], [1, 0]]: by default the
+    derivative, weights 2*pi*xi_k; unit weights give the Hilbert transform."""
+    if A.grid is None:
+        raise ValueError("Hamiltonian product needs the grid reference")
+    a_r = restricted(A)
+    if weights is None:
+        weights = TWO_PI * pair_frequencies(A.grid)
+    da = np.empty_like(a_r)
+    da[0::2, :] = -weights[:, None] * a_r[1::2, :]
+    da[1::2, :] = weights[:, None] * a_r[0::2, :]
+    return a_r, da
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,17 +267,13 @@ def _quadruple_defect(eigs: np.ndarray, scale: float) -> float:
     return float(dist.max()) / scale
 
 
-def hamiltonian_eigensystem(A: DenseMatrix, kind: str = "kdv") -> HamiltonianEigensystem:
-    if kind not in ("kdv", "bbm"):
-        raise ValueError(f"unknown Hamiltonian kind {kind!r}")
-    if A.grid is None:
-        raise ValueError("Hamiltonian product needs the grid reference")
+def hamiltonian_eigensystem(A: DenseMatrix) -> HamiltonianEigensystem:
+    """Eigenvalues, sorted by (imag, real), and eigenvectors of the
+    restricted D A."""
     defect = symmetry_defect(A.entries)
     if defect > SYMMETRY_TOL:
         raise ValueError(f"symmetric factor has asymmetry defect {defect:.2e}")
-    a_r = restricted(A)
-    weights = TWO_PI * pair_frequencies(A.grid)
-    da = _rotation_product(a_r, weights)
+    a_r, da = _restricted_product(A)
     eigs, vecs = scipy.linalg.eig(da, check_finite=False)
     order = np.lexsort((eigs.real, eigs.imag))
     eigs, vecs = eigs[order], vecs[:, order]
@@ -282,24 +283,10 @@ def hamiltonian_eigensystem(A: DenseMatrix, kind: str = "kdv") -> HamiltonianEig
         scale=scale, quadruple_defect=_quadruple_defect(eigs, scale))
 
 
-def hamiltonian_spectrum(A: DenseMatrix, kind: str = "kdv") -> np.ndarray:
-    """Eigenvalues of the restricted D A, sorted by (imag, real)."""
-    ham = hamiltonian_eigensystem(A, kind)
-    if ham.quadruple_defect > 1e-6:
-        warnings.warn(
-            f"Hamiltonian spectrum breaks quadruple symmetry by "
-            f"{ham.quadruple_defect:.2e} (relative)", stacklevel=2)
-    return ham.eigenvalues
-
-
 def sandwich_hamiltonian_spectrum(S: DenseMatrix) -> np.ndarray:
     """Eigenvalues of J S on the restricted subspace (the reformulated
     problem, where the skew factor is the bounded Hilbert transform)."""
-    if S.grid is None:
-        raise ValueError("needs the grid reference")
-    s_r = restricted(S)
-    weights = np.ones(s_r.shape[0] // 2)
-    js = _rotation_product(s_r, weights)
+    _, js = _restricted_product(S, np.ones(S.order // 2 - 1))
     eigs = scipy.linalg.eigvals(js, check_finite=False)
     order = np.lexsort((eigs.real, eigs.imag))
     return eigs[order]
@@ -444,25 +431,27 @@ def classify_krein(ham: HamiltonianEigensystem,
         classes=tuple(classes), form_values=forms)
 
 
-def gkernel_floor(L: LinOperator) -> float:
+def gkernel_floor(grid: SpectralGrid, symbol: np.ndarray) -> float:
     """Magnitude of the first constant-coefficient Hamiltonian mode,
-    2*pi*xi_1 * m(xi_1): the spectral resolution of the box."""
-    xi1 = 1.0 / (2.0 * L.grid.half_length)
-    return TWO_PI * xi1 * float(L.multiplier_symbol[1])
+    2*pi*xi_1 * symbol(xi_1), for the fftfreq-layout symbol of the
+    symmetric factor's constant-coefficient part (m w^2 for a factor
+    W L W with multiplier m and weight w): the spectral resolution of the
+    box."""
+    xi1 = 1.0 / (2.0 * grid.half_length)
+    return TWO_PI * xi1 * float(symbol[1])
 
 
 def generalized_kernel_dim(L: LinOperator, tol: float = GKERNEL_FRACTION) -> int:
     """Algebraic multiplicity of 0 in the restricted D A spectrum.
 
-    Counts eigenvalues with |lambda| <= tol * gkernel_floor(L): anything
+    Counts eigenvalues with |lambda| <= tol * gkernel_floor: anything
     below a fixed fraction of the box's first dispersion mode is
     indistinguishable from zero at this truncation.
     """
-    a_r = restricted(assemble(L))
-    weights = TWO_PI * pair_frequencies(L.grid)
-    da = _rotation_product(a_r, weights)
+    _, da = _restricted_product(assemble(L))
     eigs = scipy.linalg.eigvals(da, check_finite=False)
-    return int(np.count_nonzero(np.abs(eigs) <= tol * gkernel_floor(L)))
+    floor = gkernel_floor(L.grid, L.multiplier_symbol)
+    return int(np.count_nonzero(np.abs(eigs) <= tol * floor))
 
 
 def spectrum_rows(ham: HamiltonianEigensystem, cls: KreinClassification) -> list:

@@ -84,10 +84,6 @@ class RealField:
         object.__setattr__(self, "values", values)
 
 
-def field(grid: SpectralGrid, values) -> RealField:
-    return RealField(grid, np.asarray(values, dtype=float))
-
-
 @dataclass(frozen=True, eq=False)
 class Multiplier:
     """A Fourier multiplier m(xi_k) stored in the grid's fftfreq layout.
@@ -153,12 +149,12 @@ def fractional_derivative_multiplier(grid: SpectralGrid, s: float) -> Multiplier
     """
     if s < 0:
         raise ValueError(f"fractional order must be >= 0, got {s}")
-    absxi = np.abs(grid.wavenumbers)
-    if s == 0:
-        sym = np.ones(grid.n)
-    else:
-        sym = (TWO_PI * absxi) ** s
-    return Multiplier(grid, sym, symbol_name=f"|d|^{s:g}")
+    return Multiplier(grid, fractional_symbol(grid, s), symbol_name=f"|d|^{s:g}")
+
+
+def fractional_symbol(grid: SpectralGrid, s: float) -> np.ndarray:
+    """The symbol (2*pi*|xi|)^s in the grid's fftfreq layout (ones at s = 0)."""
+    return np.abs(TWO_PI * grid.wavenumbers) ** s if s > 0 else np.ones(grid.n)
 
 
 def hilbert_multiplier(grid: SpectralGrid) -> Multiplier:
@@ -211,10 +207,6 @@ def inner_product(f: RealField, g: RealField) -> float:
     if not same_grid(f.grid, g.grid):
         raise GridMismatchError("fields live on different grids")
     return float(f.grid.spacing * np.dot(f.values, g.values))
-
-
-def norm(f: RealField) -> float:
-    return float(np.sqrt(f.grid.spacing) * np.linalg.norm(f.values))
 
 
 def transform(f: RealField) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Top-level stability verdicts.
 
-For each wave the pipeline runs: ground-state solve, rescale, linearize,
-inertia counts, constrained quantity, direct Hamiltonian spectrum with
-Krein classification.  The index identity
+One pipeline serves every row of the model table (waves.MODELS): ground-
+state solve, rescale, linearize, inertia counts, constrained quantity,
+direct Hamiltonian spectrum with Krein classification.  The index identity
 
     K_Ham = n(L) - (1 if d/dc <U_c, U_c> > 0 else 0)        (KdV)
     K_Ham = n(L0) - (1 if d/dc <(I+M) U_c, U_c> > 0 else 0) (BBM)
@@ -27,7 +27,7 @@ from . import operators as op
 from . import spectra as spc
 from . import spectral as sp
 from . import waves as wv
-from .errors import TheoryConsistencyError
+from .errors import ConvergenceError, TheoryConsistencyError
 
 STABLE = "STABLE"
 UNSTABLE = "UNSTABLE"
@@ -61,17 +61,13 @@ class NumericsConfig:
     n: int | None = None
     half_length: float | None = None
     solver_tol: float | None = None
-    max_iters: int = 500
-    zero_tol_rel: float = spc.ZERO_TOL_REL
-    degeneracy_band_rel: float = DEGENERACY_BAND_REL
-    bbm_dc: float | None = None
 
     def grid_for(self, s: float) -> sp.SpectralGrid:
         n, l = default_grid(s)
         return sp.make_grid(self.n or n, self.half_length or l)
 
     def solver_options(self) -> wv.SolverOptions:
-        return wv.SolverOptions(max_iters=self.max_iters, tol=self.solver_tol)
+        return wv.SolverOptions(tol=self.solver_tol)
 
 
 @dataclass(frozen=True)
@@ -110,10 +106,6 @@ class PipelineData:
     result: KreinIndexResult
 
 
-def _sign_is_positive(x: float) -> bool:
-    return x > 0.0
-
-
 def _resolve_verdict(n_L: int, slope: float, slope_ref: float, band: float,
                      cls: spc.KreinClassification, label: str,
                      check_reference_sign: bool):
@@ -124,7 +116,7 @@ def _resolve_verdict(n_L: int, slope: float, slope_ref: float, band: float,
         notes.append(f"degenerate: |slope| within band {band:.2e} "
                      f"(numerical {slope:+.3e}, reference {slope_ref:+.3e})")
         return cls.k_direct, DEGENERATE, notes
-    if _sign_is_positive(slope) != _sign_is_positive(slope_ref):
+    if (slope > 0) != (slope_ref > 0):
         msg = (f"slope sign unresolved for {label}: numerical {slope:+.3e} "
                f"vs reference {slope_ref:+.3e}")
         if check_reference_sign:
@@ -157,105 +149,90 @@ def kdv_verdict(s: float, p: float, c: float,
                 numerics: NumericsConfig | None = None,
                 keep_pipeline: bool = False):
     """Full stability pipeline for the fractional KdV wave of speed c."""
-    if not c > 0:
-        raise ValueError(f"fKdV waves need c > 0, got {c}")
-    cfg = numerics or NumericsConfig()
-    grid = cfg.grid_for(s)
-    Q = wv.solve_ground_state(s, p, grid, cfg.solver_options())
-    U = wv.kdv_wave(Q, c)
-    L = op.kdv_linearization(U)
-    A = op.assemble(L)
-    w, v = spc.sym_eig(A)
-    zero_tol = cfg.zero_tol_rel * float(np.max(np.abs(w)))
-    n_L = int(np.count_nonzero(w < -zero_tol))
-
-    psi0 = sp.apply_multiplier(sp.derivative_multiplier(grid), U.as_field())
-    d = spc.constrained_quantity(L, psi0, zero_tol=zero_tol, eig=(w, v))
-    slope = -2.0 * d
-    slope_ref = spc.slope_analytic(s, p, c, wv.squared_norm(Q))
-    band = cfg.degeneracy_band_rel * wv.squared_norm(U) / c
-
-    ham = spc.hamiltonian_eigensystem(A, kind="kdv")
-    cls = spc.classify_krein(
-        ham, zero_floor=spc.GKERNEL_FRACTION * spc.gkernel_floor(L))
-    K_formula, verdict, notes = _resolve_verdict(
-        n_L, slope, slope_ref, band, cls, L.label, check_reference_sign=False)
-    if U.truncation_warning:
-        notes.append("wave carries a truncation warning on this box")
-
-    result = KreinIndexResult(
-        s=s, p=p, c=c, model=wv.FKDV, n_L=n_L, d=d, slope=slope,
-        slope_reference=slope_ref, K_formula=K_formula,
-        k_r=cls.k_r, k_c=cls.k_c, k_i_minus=cls.k_i_minus,
-        K_direct=cls.k_direct, verdict=verdict, diagnostics=tuple(notes))
-    if keep_pipeline:
-        return PipelineData(grid, Q, U, L, A, ham, cls, result)
-    return result
+    return _verdict(wv.MODELS[wv.FKDV], s, p, c, numerics, keep_pipeline)
 
 
 def bbm_verdict(s: float, p: float, c: float,
                 numerics: NumericsConfig | None = None,
                 keep_pipeline: bool = False):
     """Full stability pipeline for the fractional BBM wave of speed c > 1."""
-    if not c > 1.0:
-        raise ValueError(f"fBBM waves need c > 1, got {c}")
-    cfg = numerics or NumericsConfig()
-    grid = cfg.grid_for(s)
-    Q = wv.solve_ground_state(s, p, grid, cfg.solver_options())
-    U = wv.bbm_wave(Q, c)
-    L0 = op.bbm_linearization(U)
-    A0 = op.assemble(L0)
-    w0, _ = spc.sym_eig(A0)
-    zero_tol0 = cfg.zero_tol_rel * float(np.max(np.abs(w0)))
-    n_L0 = int(np.count_nonzero(w0 < -zero_tol0))
+    return _verdict(wv.MODELS[wv.FBBM], s, p, c, numerics, keep_pipeline)
 
-    S = op.bbm_symmetrize(L0)
-    wS, vS = spc.sym_eig(S)
-    zero_tolS = cfg.zero_tol_rel * float(np.max(np.abs(wS)))
-    n_S = int(np.count_nonzero(wS < -zero_tolS))
-    if n_S != n_L0:
-        raise TheoryConsistencyError(
-            f"symmetrization changed the negative count: n(L0)={n_L0}, "
-            f"n(sym)={n_S}")
 
-    # psi0 for the symmetrized problem is (I+M)^(1/2) dU; its antiderivative
-    # is (I+M)^(1/2) U, so the constrained quantity reproduces
-    # -1/2 d/dc <(I+M) U_c, U_c>.
-    sqrt_im = sp.Multiplier(
-        grid, (1.0 + np.abs(2.0 * np.pi * grid.wavenumbers) ** s) ** 0.5,
-        symbol_name="sqrt(I+M)")
-    dU = sp.apply_multiplier(sp.derivative_multiplier(grid), U.as_field())
-    psi0 = sp.apply_multiplier(sqrt_im, dU)
-    rhs = spc.decaying_antiderivative(psi0)
-    coords = op.to_coords(grid, rhs.values)
-    d = spc._pseudo_solve_quadratic(wS, vS, coords, zero_tolS, S.label)
-    slope = -2.0 * d
+def _inertia(A: op.DenseMatrix) -> tuple:
+    """(eigensystem, zero tolerance, negative count) of a symmetric matrix."""
+    w, v = spc.sym_eig(A)
+    zero_tol = spc.ZERO_TOL_REL * float(np.max(np.abs(w)))
+    return (w, v), zero_tol, int(np.count_nonzero(w < -zero_tol))
 
-    dc = cfg.bbm_dc if cfg.bbm_dc is not None else min(0.01, (c - 1.0) / 10.0)
-    slopes = spc.bbm_slope(lambda cc: wv.bbm_wave(Q, cc), c, dc, Q)
-    slope_ref = slopes.closed_form
-    band = cfg.degeneracy_band_rel * wv.squared_norm(U) / c
 
-    xi1 = 2.0 * np.pi / (2.0 * grid.half_length)
-    floor = xi1 * L0.multiplier_symbol[1] / (1.0 + (xi1) ** s)
-    ham = spc.hamiltonian_eigensystem(S, kind="bbm")
-    cls = spc.classify_krein(ham, zero_floor=spc.GKERNEL_FRACTION * floor)
-    K_formula, verdict, notes = _resolve_verdict(
-        n_L0, slope, slope_ref, band, cls, L0.label, check_reference_sign=True)
+def _reference_slope(model: wv.Model, wave, Q: wv.WaveProfile, c: float):
+    """(reference slope, notes): the scaling law, or the closed form checked
+    against a centered finite difference of the wave family."""
+    if model.slope_reference == wv.SCALING_LAW:
+        return spc.slope_analytic(Q.s, Q.p, c, wv.squared_norm(Q)), []
+    dc = min(0.01, (c - model.speed_floor) / 10.0)
+    slopes = spc.bbm_slope(lambda cc: wave(Q, cc), c, dc, Q)
+    notes = []
     if slopes.step_warning:
         notes.append(
             f"finite-difference slope {slopes.finite_difference:+.4e} differs "
             f"from the closed form {slopes.closed_form:+.4e} by more than 5%")
+    return slopes.closed_form, notes
+
+
+def _verdict(model: wv.Model, s: float, p: float, c: float,
+             numerics: NumericsConfig | None, keep_pipeline: bool):
+    """The verdict pipeline for one row of the model table."""
+    model.check_speed(c)
+    cfg = numerics or NumericsConfig()
+    grid = cfg.grid_for(s)
+    Q = wv.solve_ground_state(s, p, grid, cfg.solver_options())
+    wave = getattr(wv, f"{model.kind}_wave")
+    U = wave(Q, c)
+    L = getattr(op, f"{model.kind}_linearization")(U)
+    A = op.assemble(L)
+    eig, zero_tol, n_L = _inertia(A)
+    psi0 = sp.apply_multiplier(sp.derivative_multiplier(grid), U.as_field())
+    weight = np.ones(grid.n)
+    if model.weighted:
+        # S = W L W with W = (I+M)^(-1/2) is congruent to L, so the two
+        # negative counts agree (Sylvester).  psi0 for S is W^-1 dU; its
+        # antiderivative is W^-1 U, so the constrained quantity reproduces
+        # -1/2 d/dc <(I+M) U_c, U_c>.
+        weight = op.symmetrizing_weight(grid, s)
+        del eig  # the eigenvectors of L are not needed: free them first
+        A = op.congruence(A, weight, f"{model.kind}-sym")
+        eig, zero_tol, n_S = _inertia(A)
+        if n_S != n_L:
+            raise TheoryConsistencyError(
+                f"symmetrization changed the negative count: n(L0)={n_L}, "
+                f"n(sym)={n_S}")
+        psi0 = sp.apply_multiplier(
+            sp.Multiplier(grid, 1.0 / weight, symbol_name="sqrt(I+M)"), psi0)
+    d = spc.constrained_quantity(A, psi0, zero_tol=zero_tol, eig=eig)
+    slope = -2.0 * d
+
+    slope_ref, slope_notes = _reference_slope(model, wave, Q, c)
+    band = DEGENERACY_BAND_REL * wv.squared_norm(U) / c
+
+    ham = spc.hamiltonian_eigensystem(A)
+    floor = spc.gkernel_floor(grid, L.multiplier_symbol * weight ** 2)
+    cls = spc.classify_krein(ham, zero_floor=spc.GKERNEL_FRACTION * floor)
+    K_formula, verdict, notes = _resolve_verdict(
+        n_L, slope, slope_ref, band, cls, L.label,
+        check_reference_sign=model.reference_sign_raises)
+    notes += slope_notes
     if U.truncation_warning:
         notes.append("wave carries a truncation warning on this box")
 
     result = KreinIndexResult(
-        s=s, p=p, c=c, model=wv.FBBM, n_L=n_L0, d=d, slope=slope,
+        s=s, p=p, c=c, model=model.name, n_L=n_L, d=d, slope=slope,
         slope_reference=slope_ref, K_formula=K_formula,
         k_r=cls.k_r, k_c=cls.k_c, k_i_minus=cls.k_i_minus,
         K_direct=cls.k_direct, verdict=verdict, diagnostics=tuple(notes))
     if keep_pipeline:
-        return PipelineData(grid, Q, U, L0, S, ham, cls, result)
+        return PipelineData(grid, Q, U, L, A, ham, cls, result)
     return result
 
 
@@ -269,6 +246,7 @@ class SweepPoint:
     c: float
     result: KreinIndexResult | None
     error: str = ""
+    theory_violation: bool = False   # the error is a TheoryConsistencyError
 
 
 @dataclass(frozen=True)
@@ -283,19 +261,23 @@ def sweep(axis: str, start: float, stop: float, steps: int,
           numerics: NumericsConfig | None = None) -> SweepResult:
     """Run the verdict pipeline along one parameter axis.
 
-    Failed points are recorded and skipped; the flip bracket is the pair
+    Points that fail numerically or break a theory check are recorded and
+    skipped; any other exception propagates.  The flip bracket is the pair
     (last STABLE value, first UNSTABLE value) along the axis, with any
     DEGENERATE points allowed in between.
     """
     if axis not in (AXIS_P, AXIS_C, AXIS_S):
         raise ValueError(f"unknown sweep axis {axis!r}")
+    if model not in wv.MODELS:
+        raise ValueError(f"unknown model {model!r}")
     if steps < 1:
         values = np.array([])
     elif steps == 1:
         values = np.array([start])
     else:
         values = np.linspace(start, stop, steps)
-    runner = kdv_verdict if model == wv.FKDV else bbm_verdict
+    # looked up at call time, so a patched module attribute applies
+    runner = globals()[f"{wv.MODELS[model].kind}_verdict"]
     points = []
     for value in values:
         params = {"s": s, "p": p, "c": c}
@@ -303,9 +285,12 @@ def sweep(axis: str, start: float, stop: float, steps: int,
         try:
             res = runner(params["s"], params["p"], params["c"], numerics)
             points.append(SweepPoint(params["s"], params["p"], params["c"], res))
-        except Exception as exc:  # failures are data, the sweep continues
-            points.append(SweepPoint(params["s"], params["p"], params["c"],
-                                     None, error=f"{type(exc).__name__}: {exc}"))
+        except (ValueError, ConvergenceError, TheoryConsistencyError) as exc:
+            # failures are data, the sweep continues
+            points.append(SweepPoint(
+                params["s"], params["p"], params["c"], None,
+                error=f"{type(exc).__name__}: {exc}",
+                theory_violation=isinstance(exc, TheoryConsistencyError)))
     verdicts = [pt.result.verdict if pt.result else None for pt in points]
     bracket = None
     first_unstable = next((i for i, v in enumerate(verdicts) if v == UNSTABLE), None)

@@ -1,12 +1,12 @@
-"""Solitary-wave profiles.
+"""Solitary-wave profiles and the model table.
 
 The normalized ground state Q solves |d|^s Q + Q - Q^(p+1) = 0 and is
-computed by Petviashvili iteration.  Traveling waves are obtained from Q
-by the exact rescalings
+computed by Petviashvili iteration.  A traveling wave of speed c solves
 
-    KdV:  U_c(x) = c^(1/p) Q(c^(1/s) x)            (speed c > 0)
-    BBM:  U_c(x) = (c-1)^(1/p) Q([(c-1)/c]^(1/s) x) (speed c > 1)
+    a(c) |d|^s U + b(c) U - U^(p+1) = 0,   (a, b) = (1, c) for fKdV,
+                                           (a, b) = (c, c-1) for fBBM,
 
+and is obtained from Q by the exact rescaling U_c(x) = b^(1/p) Q((b/a)^(1/s) x),
 evaluated by spectral interpolation.  Closed-form references: the gKdV
 (s = 2) soliton family and the Benjamin-Ono Lorentzian.
 """
@@ -16,16 +16,57 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ModelMismatchError
 from .spectral import (RealField, SpectralGrid, apply_multiplier,
-                       fractional_derivative_multiplier, inner_product)
+                       fractional_derivative_multiplier, fractional_symbol,
+                       inner_product)
 
 FKDV = "fkdv"
 FBBM = "fbbm"
 NORMALIZED = "normalized"
+
+# slope references of the index formula
+SCALING_LAW = "scaling-law"    # spectra.slope_analytic
+CLOSED_FORM = "closed-form"    # spectra.bbm_slope
+
+
+@dataclass(frozen=True)
+class Model:
+    """One row of the model table: everything model-specific in a verdict.
+
+    kind names the public functions that serve the model,
+    waves.<kind>_wave, operators.<kind>_linearization and
+    verdicts.<kind>_verdict.  Callers look them up by name when they run,
+    so wrappers or patches installed on those module attributes apply.
+    """
+
+    name: str
+    kind: str
+    coefficients: Callable[[float], tuple]  # c -> (a(c), b(c))
+    speed_floor: float           # waves exist for c > speed_floor
+    default_speed: float
+    weighted: bool               # (I+M)^-1 J L becomes J (W L W), W = (I+M)^(-1/2)
+    slope_reference: str         # SCALING_LAW or CLOSED_FORM
+    reference_sign_raises: bool  # a slope-sign clash with the reference raises
+
+    def check_speed(self, c: float) -> None:
+        if not c > self.speed_floor:
+            raise ValueError(
+                f"{self.name} waves need c > {self.speed_floor:g}, got {c}")
+
+
+MODELS = {
+    FKDV: Model(FKDV, "kdv", lambda c: (1.0, c), speed_floor=0.0,
+                default_speed=1.0, weighted=False, slope_reference=SCALING_LAW,
+                reference_sign_raises=False),
+    FBBM: Model(FBBM, "bbm", lambda c: (c, c - 1.0), speed_floor=1.0,
+                default_speed=2.0, weighted=True, slope_reference=CLOSED_FORM,
+                reference_sign_raises=True),
+}
 
 # boundary_value / peak above this taints the profile with a truncation flag
 DECAY_RATIO_LIMIT = 1e-3
@@ -46,12 +87,15 @@ def default_tol(s: float) -> float:
     return 1e-10 if s == 2.0 else 1e-8
 
 
+# width of the Gaussian that seeds the Petviashvili iteration
+SEED_WIDTH = 2.0
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     max_iters: int = 500
     tol: float | None = None       # residual sup-norm target; None = per-s default
     gamma: float | None = None     # stabilizing exponent; None = (p+1)/p
-    seed_width: float = 2.0        # width of the Gaussian seed
 
     def resolve(self, s: float, p: float) -> "SolverOptions":
         tol = self.tol if self.tol is not None else default_tol(s)
@@ -60,7 +104,7 @@ class SolverOptions:
             raise ValueError("tol must be positive")
         if not 1.0 < gamma < 3.0:
             raise ValueError(f"stabilizing exponent must be in (1, 3), got {gamma}")
-        return SolverOptions(self.max_iters, tol, gamma, self.seed_width)
+        return SolverOptions(self.max_iters, tol, gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,18 +176,12 @@ def _evenness_defect(values: np.ndarray) -> float:
     return float(np.max(np.abs(values - reflected))) / scale
 
 
-def _kdv_residual(grid: SpectralGrid, values: np.ndarray, s: float, p: float,
-                  c: float) -> np.ndarray:
+def _residual(grid: SpectralGrid, values: np.ndarray, s: float, p: float,
+              a: float, b: float) -> np.ndarray:
+    """a |d|^s U + b U - U^(p+1) at the samples U = values."""
     m = fractional_derivative_multiplier(grid, s)
     disp = apply_multiplier(m, RealField(grid, values)).values
-    return disp + c * values - clamped_power(values, p + 1.0, float(np.max(np.abs(values))))
-
-
-def _bbm_residual(grid: SpectralGrid, values: np.ndarray, s: float, p: float,
-                  c: float) -> np.ndarray:
-    m = fractional_derivative_multiplier(grid, s)
-    disp = apply_multiplier(m, RealField(grid, values)).values
-    return c * disp + (c - 1.0) * values - clamped_power(
+    return a * disp + b * values - clamped_power(
         values, p + 1.0, float(np.max(np.abs(values))))
 
 
@@ -167,10 +205,8 @@ def _petviashvili(s: float, p: float, speed: float, grid: SpectralGrid,
     factor S_k = <(|d|^s + speed) U_k, U_k> / <U_k^{p+1}, U_k>; the peak is
     recentered to x = 0 after every step.
     """
-    x = grid.nodes
-    sym = np.abs(2.0 * np.pi * grid.wavenumbers) ** s if s > 0 else np.ones(grid.n)
-    denom = sym + speed
-    u = np.exp(-((x / opts.seed_width) ** 2))
+    denom = fractional_symbol(grid, s) + speed
+    u = np.exp(-((grid.nodes / SEED_WIDTH) ** 2))
     notes: tuple = ()
     last_res = math.inf
     factor = math.nan
@@ -187,7 +223,7 @@ def _petviashvili(s: float, p: float, speed: float, grid: SpectralGrid,
         factor = lin_inner / rhs_inner
         u = factor ** opts.gamma * np.fft.ifft(np.fft.fft(nonlin) / denom).real
         u = np.roll(u, grid.n // 2 - int(np.argmax(u)))
-        residual = _kdv_residual(grid, u, s, p, speed)
+        residual = _residual(grid, u, s, p, 1.0, speed)
         last_res = float(np.max(np.abs(residual)))
         if last_res <= opts.tol:
             return u, last_res, factor, notes
@@ -207,7 +243,7 @@ def solve_ground_state(s: float, p: float, grid: SpectralGrid,
     opts = (opts or SolverOptions()).resolve(s, p)
     values, res, factor, notes = _petviashvili(s, p, 1.0, grid, opts)
     _check_shape_invariants(values, factor)
-    residual = _kdv_residual(grid, values, s, p, 1.0)
+    residual = _residual(grid, values, s, p, 1.0, 1.0)
     return _finalize(grid, values, s, p, 1.0, NORMALIZED, residual, opts.tol, notes)
 
 
@@ -215,12 +251,11 @@ def solve_traveling_wave(s: float, p: float, c: float, grid: SpectralGrid,
                          opts: SolverOptions | None = None) -> WaveProfile:
     """Direct solve of |d|^s U + c U - U^(p+1) = 0 at speed c > 0."""
     _check_exponents(s, p)
-    if not c > 0:
-        raise ValueError(f"wave speed must be positive, got {c}")
+    MODELS[FKDV].check_speed(c)
     opts = (opts or SolverOptions()).resolve(s, p)
     values, res, factor, notes = _petviashvili(s, p, c, grid, opts)
     _check_shape_invariants(values, factor)
-    residual = _kdv_residual(grid, values, s, p, c)
+    residual = _residual(grid, values, s, p, 1.0, c)
     return _finalize(grid, values, s, p, c, FKDV, residual, opts.tol, notes)
 
 
@@ -281,32 +316,30 @@ def _stretched_samples(Q: WaveProfile, stretch: float) -> np.ndarray:
 
 
 def kdv_wave(Q: WaveProfile, c: float) -> WaveProfile:
-    """Rescale the normalized ground state to the fKdV wave of speed c."""
-    if Q.model != NORMALIZED:
-        raise ValueError("kdv_wave expects the normalized ground state")
-    if not c > 0:
-        raise ValueError(f"wave speed must be positive, got {c}")
-    grid, s, p = Q.grid, Q.s, Q.p
-    if c == 1.0:
-        values = Q.values.copy()
-    else:
-        values = c ** (1.0 / p) * _stretched_samples(Q, c ** (1.0 / s))
-    residual = _kdv_residual(grid, values, s, p, c)
-    profile = _finalize(grid, values, s, p, c, FKDV, residual, Q.residual_tol, Q.notes)
-    return _enforce_scaled_residual(profile)
+    """Rescale the normalized ground state to the fKdV wave of speed c > 0."""
+    return _rescale(MODELS[FKDV], Q, c)
 
 
 def bbm_wave(Q: WaveProfile, c: float) -> WaveProfile:
     """Rescale the normalized ground state to the fBBM wave of speed c > 1."""
+    return _rescale(MODELS[FBBM], Q, c)
+
+
+def _rescale(model: Model, Q: WaveProfile, c: float) -> WaveProfile:
+    """U_c(x) = b^(1/p) Q((b/a)^(1/s) x) with (a, b) = model.coefficients(c)."""
     if Q.model != NORMALIZED:
-        raise ValueError("bbm_wave expects the normalized ground state")
-    if not c > 1.0:
-        raise ValueError(f"BBM waves need c > 1, got {c}")
+        raise ModelMismatchError(
+            f"{model.kind}_wave expects the normalized ground state")
+    model.check_speed(c)
     grid, s, p = Q.grid, Q.s, Q.p
-    stretch = ((c - 1.0) / c) ** (1.0 / s)  # < 1: stays inside the box
-    values = (c - 1.0) ** (1.0 / p) * _stretched_samples(Q, stretch)
-    residual = _bbm_residual(grid, values, s, p, c)
-    profile = _finalize(grid, values, s, p, c, FBBM, residual, Q.residual_tol, Q.notes)
+    a, b = model.coefficients(c)
+    if a == 1.0 and b == 1.0:
+        values = Q.values.copy()
+    else:
+        values = b ** (1.0 / p) * _stretched_samples(Q, (b / a) ** (1.0 / s))
+    residual = _residual(grid, values, s, p, a, b)
+    profile = _finalize(grid, values, s, p, c, model.name, residual,
+                        Q.residual_tol, Q.notes)
     return _enforce_scaled_residual(profile)
 
 
@@ -360,7 +393,7 @@ def sech_profile(grid: SpectralGrid, p: float, c: float) -> WaveProfile:
     x = grid.nodes
     amp = (c * (p + 2.0) / 2.0) ** (1.0 / p)
     values = amp * (1.0 / np.cosh(0.5 * p * np.sqrt(c) * x)) ** (2.0 / p)
-    residual = _kdv_residual(grid, values, 2.0, p, c)
+    residual = _residual(grid, values, 2.0, p, 1.0, c)
     return _finalize(grid, values, 2.0, p, c, FKDV, residual, tol=1e-10)
 
 

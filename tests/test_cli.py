@@ -92,6 +92,20 @@ class TestSweepCommand:
         assert len(lines) == 2
         assert "STABLE" in lines[1]
 
+    def test_theory_violation_exits_3(self, tmp_path, capsys, monkeypatch):
+        from hkindex.errors import TheoryConsistencyError
+
+        def boom(*args, **kwargs):
+            raise TheoryConsistencyError("index identity violated (test)")
+
+        monkeypatch.setattr(cli.vd, "kdv_verdict", boom)
+        code = run(["sweep", "--model", "fkdv", "--axis", "p", "--from", "2",
+                    "--to", "3", "--steps", "2", "--s", "2", "--c", "1",
+                    "--out", str(tmp_path)])
+        assert code == 3
+        rows = open(tmp_path / "sweep.csv").read().strip().split("\n")[1:]
+        assert len(rows) == 2 and all(",ERROR," in row for row in rows)
+
     def test_missing_axis_is_usage_error(self, tmp_path):
         code = run(["sweep", "--model", "fkdv", "--s", "2", "--p", "2",
                     "--out", str(tmp_path)])

@@ -89,7 +89,9 @@ class TestBbmLinearization:
 class TestSandwich:
     def test_identity_gives_abs_derivative(self, grid_small):
         S = op.sandwich(make_identity_operator(grid_small), 0.0)
-        expected = 2.0 * np.pi * op.basis_frequencies(grid_small)
+        # basis column j carries |xi| = ((j + 1) // 2) / (2l)
+        k = (np.arange(grid_small.n) + 1) // 2
+        expected = 2.0 * np.pi * k / (2.0 * grid_small.half_length)
         assert np.max(np.abs(S.entries - np.diag(expected))) <= 1e-12
 
     def test_negative_count_preserved(self, grid40, q22):

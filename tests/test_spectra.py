@@ -127,7 +127,7 @@ class TestBbmSlope:
 class TestHamiltonianSpectrum:
     def test_identity_gives_derivative_spectrum(self, grid_small):
         eye = op.DenseMatrix(np.eye(grid_small.n), grid=grid_small)
-        eigs = spc.hamiltonian_spectrum(eye)
+        eigs = spc.hamiltonian_eigensystem(eye).eigenvalues
         expected = 2.0 * np.pi * op.pair_frequencies(grid_small)
         got = np.sort(eigs.imag[eigs.imag > 0])
         assert np.allclose(got, expected, rtol=1e-12)

@@ -84,9 +84,21 @@ class TestSweep:
         errors = [pt for pt in res.points if pt.result is None]
         assert errors and "p_max" in errors[-1].error
 
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a numerical failure")
+
+        monkeypatch.setattr(vd, "kdv_verdict", broken)
+        with pytest.raises(TypeError):
+            vd.sweep("p", 2.0, 3.0, 2, s=2.0, p=0.0, c=1.0)
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError):
             vd.sweep("q", 0.0, 1.0, 2, s=2.0, p=2.0, c=1.0)
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ValueError):
+            vd.sweep("p", 0.0, 1.0, 2, s=2.0, p=2.0, c=1.0, model="kdv")
 
     def test_flip_bracket_spans_threshold(self):
         cheap = vd.NumericsConfig(n=512, half_length=30.0)
