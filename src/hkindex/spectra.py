@@ -12,7 +12,10 @@ three kinds of quantities:
 
 In the real-Fourier basis the restricted derivative is block diagonal
 with 2x2 rotation blocks 2*pi*xi_k [[0, -1], [1, 0]] on each (cos, sin)
-pair, so forming D A costs O(n^2).
+pair, so forming D A costs O(n^2).  Every wave is even, so the symmetric
+factor is block diagonal by parity (cosines, sines): each symmetric solve
+runs on the two half-order blocks, and the Hamiltonian spectrum comes from
+the half-order product of the two blocks whose eigenvalues are lambda^2.
 """
 
 from __future__ import annotations
@@ -51,6 +54,78 @@ GKERNEL_FRACTION = 0.75
 ANCHOR_FRACTION = 0.02
 
 
+# ---------------------------------------------------------------------------
+# Parity layout: every wave is even, so an even potential never couples the
+# cosines to the sines and every dense solve splits into two half-order ones
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class ParityBlocks:
+    """A symmetric matrix as its diagonal blocks over the parity layout:
+    (even, odd) for a matrix on a grid, one block of everything for a
+    matrix without one (it has no Fourier layout)."""
+    matrix: DenseMatrix
+    index: tuple                     # basis indices of each block
+    blocks: tuple                    # matrix[index, index] of each block
+
+
+def parity_blocks(A: DenseMatrix) -> ParityBlocks:
+    """Split A by parity, after checking once that A is symmetric and that
+    the block coupling the parities is below SYMMETRY_TOL relative to
+    max|A|: dropping it moves an eigenvalue no more than the asymmetry
+    already accepted."""
+    entries = A.entries
+    defect = symmetry_defect(entries)
+    if defect > SYMMETRY_TOL:
+        raise ValueError(f"matrix {A.label!r} is not symmetric "
+                         f"(defect {defect:.2e})")
+    if A.grid is None:
+        index = (np.arange(A.order),)
+    else:
+        # even: the constant, the cosines and the Nyquist cosine
+        # [0, 1, 3, ..., n-3, n-1]; odd: the sines [2, 4, ..., n-2]
+        n = A.order
+        index = (np.r_[0, 1:n - 1:2, n - 1], np.arange(2, n - 1, 2))
+        cross = float(np.max(np.abs(entries[np.ix_(*index)]), initial=0.0))
+        scale = float(np.max(np.abs(entries)))
+        if cross > SYMMETRY_TOL * scale:
+            raise ValueError(
+                f"matrix {A.label!r} couples the even and odd modes "
+                f"(relative cross block {cross / scale:.2e}): the "
+                f"linearization is not about an even wave")
+    return ParityBlocks(A, index, tuple(entries[np.ix_(i, i)] for i in index))
+
+
+def sym_eig(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full symmetric eigendecomposition of one parity block."""
+    return scipy.linalg.eigh(block)
+
+
+@dataclass(frozen=True, eq=False)
+class BlockEigensystem:
+    """Eigenpairs of each parity block.  The zero tolerance is global,
+    ZERO_TOL_REL * max|w| over all blocks, unless given."""
+    index: tuple                     # basis indices of each block
+    values: tuple                    # ascending eigenvalues of each block
+    vectors: tuple                   # eigenvector columns of each block
+    zero_tol: float
+
+    @property
+    def negative_count(self) -> int:
+        return sum(int(np.count_nonzero(w < -self.zero_tol)) for w in self.values)
+
+
+def block_eigensystem(P: ParityBlocks,
+                      zero_tol: float | None = None) -> BlockEigensystem:
+    pairs = [sym_eig(block) for block in P.blocks]
+    values = tuple(w for w, _ in pairs)
+    if zero_tol is None:
+        zero_tol = ZERO_TOL_REL * max(
+            (float(np.max(np.abs(w))) for w in values if w.size), default=0.0)
+    return BlockEigensystem(P.index, values, tuple(v for _, v in pairs),
+                            zero_tol)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralReport:
     label: str
@@ -61,35 +136,23 @@ class SpectralReport:
     kernel_vectors: tuple
 
 
-def sym_eig(A: DenseMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Full symmetric eigendecomposition; rejects non-symmetric input."""
-    defect = symmetry_defect(A.entries)
-    if defect > SYMMETRY_TOL:
-        raise ValueError(f"matrix {A.label!r} is not symmetric "
-                         f"(defect {defect:.2e})")
-    return scipy.linalg.eigh(A.entries)
-
-
-def report_from_eig(A: DenseMatrix, w: np.ndarray, v: np.ndarray,
-                    zero_tol: float | None = None) -> SpectralReport:
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    tol = zero_tol if zero_tol is not None else ZERO_TOL_REL * scale
-    negative = int(np.count_nonzero(w < -tol))
-    kernel_mask = np.abs(w) <= tol
-    if A.grid is not None:
-        kernel_vectors = tuple(from_coords(A.grid, v[:, i])
-                               for i in np.nonzero(kernel_mask)[0])
-    else:
-        kernel_vectors = tuple(v[:, i] for i in np.nonzero(kernel_mask)[0])
-    return SpectralReport(label=A.label, eigenvalues=w, zero_tol=tol,
-                          negative_count=negative,
-                          kernel_dim=int(np.count_nonzero(kernel_mask)),
-                          kernel_vectors=kernel_vectors)
-
-
 def symmetric_spectrum(A: DenseMatrix, zero_tol: float | None = None) -> SpectralReport:
-    w, v = sym_eig(A)
-    return report_from_eig(A, w, v, zero_tol)
+    """Inertia, ascending eigenvalues and kernel of a symmetric matrix
+    (kernel vectors as grid samples when A lives on a grid)."""
+    eig = block_eigensystem(parity_blocks(A), zero_tol)
+    kernel_vectors = []
+    for idx, w, v in zip(eig.index, eig.values, eig.vectors):
+        for i in np.nonzero(np.abs(w) <= eig.zero_tol)[0]:
+            coords = np.zeros(A.order)
+            coords[idx] = v[:, i]
+            kernel_vectors.append(coords if A.grid is None
+                                  else from_coords(A.grid, coords))
+    return SpectralReport(label=A.label,
+                          eigenvalues=np.sort(np.concatenate(eig.values)),
+                          zero_tol=eig.zero_tol,
+                          negative_count=eig.negative_count,
+                          kernel_dim=len(kernel_vectors),
+                          kernel_vectors=tuple(kernel_vectors))
 
 
 def _anchor_to_edge(grid, values: np.ndarray) -> np.ndarray:
@@ -106,42 +169,52 @@ def decaying_antiderivative(psi0: RealField) -> RealField:
     return RealField(psi0.grid, _anchor_to_edge(psi0.grid, w.values))
 
 
-def _pseudo_solve_quadratic(w: np.ndarray, v: np.ndarray, rhs_coords: np.ndarray,
-                            zero_tol_abs: float, label: str) -> float:
-    """<A^+ rhs, rhs> with eigendirections |lambda| <= tol dropped."""
-    proj = v.T @ rhs_coords
+def _pseudo_solve_quadratic(eig: BlockEigensystem, rhs_coords: np.ndarray,
+                            label: str) -> float:
+    """<A^+ rhs, rhs> with eigendirections |lambda| <= zero_tol dropped.
+
+    A direction is reached by the right-hand side when its overlap exceeds
+    1e-6 ||rhs||, with the norm of the whole right-hand side: a block's
+    own share of an even right-hand side can be pure round-off.  A reached
+    kernel direction violates the Fredholm condition; a reached kept
+    direction with |lambda| < 1e3 zero_tol makes the solve near-singular.
+    """
+    tol = eig.zero_tol
     rhs_norm = float(np.linalg.norm(rhs_coords))
-    kernel = np.abs(w) <= zero_tol_abs
-    bad = kernel & (np.abs(proj) > 1e-6 * rhs_norm)
-    if np.any(bad):
-        worst = float(np.max(np.abs(proj[bad]))) / max(rhs_norm, 1e-300)
+    total, worst, near_singular = 0.0, 0.0, False
+    for idx, w, v in zip(eig.index, eig.values, eig.vectors):
+        proj = v.T @ rhs_coords[idx]
+        reached = np.abs(proj) > 1e-6 * rhs_norm
+        kernel = np.abs(w) <= tol
+        if np.any(kernel & reached):
+            worst = max(worst, float(np.max(np.abs(proj[kernel & reached]))))
+        kept = ~kernel
+        near_singular |= bool(np.any(kept & reached & (np.abs(w) < 1e3 * tol)))
+        total += float(np.sum(proj[kept] ** 2 / w[kept]))
+    if worst > 0.0:
         raise FredholmViolationError(
             f"right-hand side is not orthogonal to the kernel of {label!r} "
-            f"(relative overlap {worst:.2e})")
-    kept = ~kernel
-    if np.any(np.abs(w[kept]) < 1e3 * zero_tol_abs):
+            f"(relative overlap {worst / max(rhs_norm, 1e-300):.2e})")
+    if near_singular:
         warnings.warn(f"near-singular constrained solve for {label!r}",
                       stacklevel=3)
-    return float(np.sum(proj[kept] ** 2 / w[kept]))
+    return total
 
 
 def constrained_quantity(L: LinOperator | DenseMatrix, psi0: RealField,
-                         zero_tol: float | None = None,
-                         eig: tuple | None = None) -> float:
+                         eig: BlockEigensystem | None = None) -> float:
     """<L^-1 (d^-1 psi0), d^-1 psi0> via the spectral pseudo-inverse.
 
-    eig, when given, is the eigensystem (w, v) of the assembled L; then
+    eig, when given, is the block eigensystem of the assembled L; then
     nothing is assembled and L may be that matrix itself.  The
     antiderivative is pinned to its decaying branch; the solve drops the
     numerically computed kernel directions and verifies the Fredholm
     compatibility of the right-hand side first.
     """
-    w, v = eig if eig is not None else sym_eig(assemble(L))
+    if eig is None:
+        eig = block_eigensystem(parity_blocks(assemble(L)))
     rhs = decaying_antiderivative(psi0)
-    coords = to_coords(L.grid, rhs.values)
-    scale = float(np.max(np.abs(w)))
-    tol = zero_tol if zero_tol is not None else ZERO_TOL_REL * scale
-    return _pseudo_solve_quadratic(w, v, coords, tol, L.label)
+    return _pseudo_solve_quadratic(eig, to_coords(L.grid, rhs.values), L.label)
 
 
 def constrained_quantity_sandwiched(L: LinOperator, psi0: RealField, eps: float,
@@ -168,11 +241,8 @@ def constrained_quantity_sandwiched(L: LinOperator, psi0: RealField, eps: float,
                    adjointness="skew")
     g = apply_multiplier(m, psi0)
     S = sandwich(L, eps)
-    w, v = sym_eig(S)
-    coords = to_coords(grid, g.values)
-    scale = float(np.max(np.abs(w)))
-    tol = zero_tol if zero_tol is not None else ZERO_TOL_REL * scale
-    return _pseudo_solve_quadratic(w, v, coords, tol, S.label)
+    eig = block_eigensystem(parity_blocks(S), zero_tol)
+    return _pseudo_solve_quadratic(eig, to_coords(grid, g.values), S.label)
 
 
 def slope_analytic(s: float, p: float, c: float, q_norm_sq: float) -> float:
@@ -235,9 +305,9 @@ def restricted(A: DenseMatrix) -> np.ndarray:
 
 
 def _restricted_product(A: DenseMatrix, weights: np.ndarray | None = None):
-    """(A_r, D A_r) on the restricted subspace, where D is block diagonal
-    with 2x2 rotation blocks weights_k [[0, -1], [1, 0]]: by default the
-    derivative, weights 2*pi*xi_k; unit weights give the Hilbert transform."""
+    """D A on the restricted subspace, where D is block diagonal with 2x2
+    rotation blocks weights_k [[0, -1], [1, 0]]: by default the derivative,
+    weights 2*pi*xi_k; unit weights give the Hilbert transform."""
     if A.grid is None:
         raise ValueError("Hamiltonian product needs the grid reference")
     a_r = restricted(A)
@@ -246,50 +316,147 @@ def _restricted_product(A: DenseMatrix, weights: np.ndarray | None = None):
     da = np.empty_like(a_r)
     da[0::2, :] = -weights[:, None] * a_r[1::2, :]
     da[1::2, :] = weights[:, None] * a_r[0::2, :]
-    return a_r, da
+    return da
+
+
+def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z for a real matrix a and a complex block z, as real products
+    that skip a zero part of z (real roots have real x and, on the
+    imaginary axis, purely imaginary y)."""
+    out = np.zeros((a.shape[0], z.shape[1]), dtype=complex)
+    if np.any(z.real):
+        out.real = a @ z.real
+    if np.any(z.imag):
+        out.imag = a @ z.imag
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianEigensystem:
-    eigenvalues: np.ndarray          # complex, length n-2
-    vectors: np.ndarray              # complex columns, matching order
-    a_restricted: np.ndarray         # the symmetric factor on the subspace
-    grid: object
+    """Spectrum of the restricted D A, each eigenvector held as the pair
+    (x, y) of its cosine and sine coordinates.
+
+    D maps cosines to sines, so D A v = lambda v reads
+    -W A_sin y = lambda x and W A_cos x = lambda y: lambda^2 is an
+    eigenvalue mu of the half-order M = -(W A_sin)(W A_cos).  A half-order
+    solve keeps one x per root mu, shared by lambda = +-sqrt(mu), and
+    recovers y = W A_cos x / lambda on demand; a full-order solve keeps y.
+    """
+    eigenvalues: np.ndarray          # complex, length n-2, sorted by (imag, real)
+    a_cos: np.ndarray                # cosine block of the restricted factor
+    a_sin: np.ndarray                # sine block of the restricted factor
+    weights: np.ndarray              # W = 2*pi*xi_k, D on the (cos, sin) pairs
     scale: float                     # max |lambda|
-    quadruple_defect: float          # distance from {-conj(lambda)} closure
+    zero_floor: float                # |lambda| <= zero_floor counts as zero
+    x: np.ndarray                    # cosine parts, complex columns
+    column: np.ndarray               # column of x for each eigenvalue
+    y: np.ndarray | None = None      # sine parts (full order), matching order
+
+    def pairs(self, idx: np.ndarray) -> tuple:
+        """(x, y, A_cos x, A_sin y) for the eigenvalues idx."""
+        x = self.x[:, self.column[idx]]
+        ax = _real_times(self.a_cos, x)
+        if self.y is None:
+            y = self.weights[:, None] * ax / self.eigenvalues[idx]
+        else:
+            y = self.y[:, idx]
+        return x, y, ax, _real_times(self.a_sin, y)
 
 
-def _quadruple_defect(eigs: np.ndarray, scale: float) -> float:
-    if eigs.size == 0 or scale == 0.0:
-        return 0.0
-    mirror = -np.conj(eigs)
-    dist = np.abs(eigs[:, None] - mirror[None, :]).min(axis=1)
-    return float(dist.max()) / scale
+def _zero_bucket(eigs: np.ndarray, re_tol: float, im_tol: float,
+                 zero_floor: float) -> np.ndarray:
+    return ((np.abs(eigs.real) <= re_tol) & (np.abs(eigs.imag) <= im_tol)) \
+        | (np.abs(eigs) <= zero_floor)
 
 
-def hamiltonian_eigensystem(A: DenseMatrix) -> HamiltonianEigensystem:
+def _scale(eigs: np.ndarray) -> float:
+    return float(np.max(np.abs(eigs))) if eigs.size else 0.0
+
+
+def _factor(P: ParityBlocks) -> tuple:
+    """(A_cos, A_sin, W): the restricted blocks and the weights of D."""
+    if P.matrix.grid is None:
+        raise ValueError("Hamiltonian product needs the grid reference")
+    return (P.blocks[0][1:-1, 1:-1], P.blocks[1],
+            TWO_PI * pair_frequencies(P.matrix.grid))
+
+
+def _sorted(eigs: np.ndarray) -> np.ndarray:
+    return np.lexsort((eigs.real, eigs.imag))
+
+
+def hamiltonian_eigensystem(A: DenseMatrix | ParityBlocks,
+                            zero_floor: float = 0.0) -> HamiltonianEigensystem:
     """Eigenvalues, sorted by (imag, real), and eigenvectors of the
-    restricted D A."""
-    defect = symmetry_defect(A.entries)
-    if defect > SYMMETRY_TOL:
-        raise ValueError(f"symmetric factor has asymmetry defect {defect:.2e}")
-    a_r, da = _restricted_product(A)
-    eigs, vecs = scipy.linalg.eig(da, check_finite=False)
-    order = np.lexsort((eigs.real, eigs.imag))
-    eigs, vecs = eigs[order], vecs[:, order]
-    scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
+    restricted D A; |lambda| <= zero_floor counts as zero.
+
+    The half-order solve squares the spectrum, which costs about
+    sqrt(eps) * scale of absolute accuracy in lambda.  Its result is kept
+    when ten times that stays within zero_floor and no eigenvalue outside
+    the zero bucket comes from a non-real mu, whose square root could land
+    off an axis by the noise; otherwise the full-order D A is solved.
+    """
+    P = A if isinstance(A, ParityBlocks) else parity_blocks(A)
+    a_cos, a_sin, weights = _factor(P)
+    m = (weights[:, None] * a_sin) @ (weights[:, None] * a_cos)
+    m *= -1.0
+    mu, x = scipy.linalg.eig(m, overwrite_a=True, check_finite=False)
+    root = np.sqrt(mu)
+    # 0 - root, not -root, so that zero parts print as 0.0, not -0.0
+    eigs = np.concatenate([root, 0.0 - root])
+    column = np.tile(np.arange(mu.size), 2)
+    scale = _scale(eigs)
+    zero = _zero_bucket(eigs, RE_TOL_REL * scale, IM_TOL_REL * scale,
+                        zero_floor)
+    noise = float(np.sqrt(np.finfo(float).eps)) * scale
+    if 10.0 * noise > zero_floor or np.any(~zero & (mu[column].imag != 0.0)):
+        del m, x  # free the half-order solve first
+        return _full_order(P, zero_floor)
+    order = _sorted(eigs)
     return HamiltonianEigensystem(
-        eigenvalues=eigs, vectors=vecs, a_restricted=a_r, grid=A.grid,
-        scale=scale, quadruple_defect=_quadruple_defect(eigs, scale))
+        eigenvalues=eigs[order], a_cos=a_cos, a_sin=a_sin, weights=weights,
+        scale=scale, zero_floor=zero_floor, x=x, column=column[order])
+
+
+def _full_order(P: ParityBlocks, zero_floor: float) -> HamiltonianEigensystem:
+    """The eigensystem from one eig of the full-order restricted D A, whose
+    rows interleave (cos, sin) pairs."""
+    a_cos, a_sin, weights = _factor(P)
+    eigs, v = scipy.linalg.eig(_restricted_product(P.matrix),
+                               overwrite_a=True, check_finite=False)
+    order = _sorted(eigs)
+    eigs, v = eigs[order], v[:, order]
+    return HamiltonianEigensystem(
+        eigenvalues=eigs, a_cos=a_cos, a_sin=a_sin, weights=weights,
+        scale=_scale(eigs), zero_floor=zero_floor, x=v[0::2],
+        column=np.arange(eigs.size), y=v[1::2])
+
+
+def eigenpair_residual(ham: HamiltonianEigensystem,
+                       cls: KreinClassification) -> float:
+    """max ||D A v - lambda v|| / (scale ||v||) over the eigenvalues
+    outside the zero bucket, in blocks of 256 so that no full-order
+    eigenvector matrix is formed."""
+    idx = np.nonzero(np.asarray(cls.classes) != CLASS_ZERO)[0]
+    w = ham.weights[:, None]
+    worst = 0.0
+    for start in range(0, idx.size, 256):
+        part = idx[start:start + 256]
+        x, y, ax, ay = ham.pairs(part)
+        lam = ham.eigenvalues[part]
+        res = np.abs(-w * ay - lam * x) ** 2 + np.abs(w * ax - lam * y) ** 2
+        norm = np.abs(x) ** 2 + np.abs(y) ** 2
+        rel = np.sqrt(np.sum(res, axis=0) / np.sum(norm, axis=0))
+        worst = max(worst, float(np.max(rel)) / ham.scale)
+    return worst
 
 
 def sandwich_hamiltonian_spectrum(S: DenseMatrix) -> np.ndarray:
     """Eigenvalues of J S on the restricted subspace (the reformulated
     problem, where the skew factor is the bounded Hilbert transform)."""
-    _, js = _restricted_product(S, np.ones(S.order // 2 - 1))
+    js = _restricted_product(S, np.ones(S.order // 2 - 1))
     eigs = scipy.linalg.eigvals(js, check_finite=False)
-    order = np.lexsort((eigs.real, eigs.imag))
-    return eigs[order]
+    return eigs[_sorted(eigs)]
 
 
 CLASS_ZERO = "ZERO"
@@ -334,8 +501,7 @@ def _cluster_indices(values: np.ndarray, gap: float) -> list:
 def classify_krein(ham: HamiltonianEigensystem,
                    re_tol: float | None = None,
                    im_tol: float | None = None,
-                   sig_tol: float | None = None,
-                   zero_floor: float = 0.0) -> KreinClassification:
+                   sig_tol: float | None = None) -> KreinClassification:
     """Sort the Hamiltonian eigenvalues into Krein buckets.
 
     k_r counts real eigenvalues in the right half-plane, k_c complex ones
@@ -345,24 +511,26 @@ def classify_krein(ham: HamiltonianEigensystem,
     carry equal counts) and form values within sig_tol of zero land in the
     indeterminate list rather than being counted.
 
-    zero_floor widens the zero bucket to |lambda| <= zero_floor: callers
-    pass a fraction of the box's first dispersion mode so that sub-box-
-    resolution eigenvalues (the generalized-kernel group and its
-    truncation-split debris) are never misread as unstable modes.
+    The eigensystem's zero_floor widens the zero bucket to
+    |lambda| <= zero_floor: callers pass a fraction of the box's first
+    dispersion mode so that sub-box-resolution eigenvalues (the
+    generalized-kernel group and its truncation-split debris) are never
+    misread as unstable modes.
     """
     eigs = ham.eigenvalues
     scale = ham.scale if ham.scale > 0 else 1.0
     re_tol = RE_TOL_REL * scale if re_tol is None else re_tol
     im_tol = IM_TOL_REL * scale if im_tol is None else im_tol
     if sig_tol is None:
-        sig_tol = SIG_TOL_REL * float(np.linalg.norm(ham.a_restricted, 1))
+        # the 1-norm of the restricted factor, block diagonal by parity
+        sig_tol = SIG_TOL_REL * max(float(np.linalg.norm(ham.a_cos, 1)),
+                                    float(np.linalg.norm(ham.a_sin, 1)))
 
     classes = np.empty(len(eigs), dtype=object)
     forms = np.full(len(eigs), np.nan)
 
     re, im = eigs.real, eigs.imag
-    zero = ((np.abs(re) <= re_tol) & (np.abs(im) <= im_tol)) \
-        | (np.abs(eigs) <= zero_floor)
+    zero = _zero_bucket(eigs, re_tol, im_tol, ham.zero_floor)
     real_like = (np.abs(im) <= im_tol) & ~zero
     complex_like = (np.abs(re) > re_tol) & (np.abs(im) > im_tol) & ~zero
     imag_like = (np.abs(re) <= re_tol) & (np.abs(im) > im_tol) & ~zero
@@ -382,20 +550,21 @@ def classify_krein(ham: HamiltonianEigensystem,
     neg_total = 0
     upper_classes: dict = {}
     if upper.size:
-        vec_u = ham.vectors[:, upper]
-        av = ham.a_restricted @ vec_u
+        x, y, ax, ay = ham.pairs(upper)
         gap = max(im_tol, 1e-9 * scale)
         for cluster in _cluster_indices(im[upper], gap):
             members = [upper[i] for i in cluster]
             if len(cluster) == 1:
-                v = vec_u[:, cluster[0]]
-                denom = float(np.real(np.vdot(v, v)))
-                vals = np.array([float(np.real(np.vdot(v, av[:, cluster[0]]))) / denom])
+                j = cluster[0]
+                denom = float(np.real(np.vdot(x[:, j], x[:, j])
+                                      + np.vdot(y[:, j], y[:, j])))
+                form = np.vdot(x[:, j], ax[:, j]) + np.vdot(y[:, j], ay[:, j])
+                vals = np.array([float(np.real(form)) / denom])
             else:
-                vc = vec_u[:, cluster]
-                g = vc.conj().T @ av[:, cluster]
+                xc, yc = x[:, cluster], y[:, cluster]
+                g = xc.conj().T @ ax[:, cluster] + yc.conj().T @ ay[:, cluster]
                 g = 0.5 * (g + g.conj().T)
-                gram = vc.conj().T @ vc
+                gram = xc.conj().T @ xc + yc.conj().T @ yc
                 vals = scipy.linalg.eigh(g, 0.5 * (gram + gram.conj().T),
                                          eigvals_only=True)
             vals = np.sort(vals)
@@ -448,10 +617,9 @@ def generalized_kernel_dim(L: LinOperator, tol: float = GKERNEL_FRACTION) -> int
     below a fixed fraction of the box's first dispersion mode is
     indistinguishable from zero at this truncation.
     """
-    _, da = _restricted_product(assemble(L))
-    eigs = scipy.linalg.eigvals(da, check_finite=False)
-    floor = gkernel_floor(L.grid, L.multiplier_symbol)
-    return int(np.count_nonzero(np.abs(eigs) <= tol * floor))
+    floor = tol * gkernel_floor(L.grid, L.multiplier_symbol)
+    ham = hamiltonian_eigensystem(assemble(L), zero_floor=floor)
+    return int(np.count_nonzero(np.abs(ham.eigenvalues) <= floor))
 
 
 def spectrum_rows(ham: HamiltonianEigensystem, cls: KreinClassification) -> list:

@@ -3,10 +3,18 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hkindex import spectral as sp
 from hkindex import verdicts as vd
 from hkindex import waves as wv
+
+
+# property tests run the same bounded set of examples on every run, so
+# there is no example database to keep
+settings.register_profile("hkindex", derandomize=True, deadline=None,
+                          max_examples=40, database=None)
+settings.load_profile("hkindex")
 
 
 def random_mean_zero(grid, rng):

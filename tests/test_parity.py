@@ -1,0 +1,217 @@
+"""The parity split against the dense full-order path.
+
+Every solve of the verdict pipeline runs on the even (cosine) and odd
+(sine) blocks of the symmetric factor.  The full-order solves stay as the
+reference: one eigh of A, written out here, and one eig of the restricted
+D A, which is also the Hamiltonian fallback.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
+
+from hkindex import operators as op
+from hkindex import spectra as spc
+from hkindex import spectral as sp
+from hkindex import verdicts as vd
+from hkindex import waves as wv
+from hkindex.errors import FredholmViolationError
+
+from conftest import quiet
+
+REGRESSION_CASES = [(wv.FKDV, 2.0, 2.0, 1.0), (wv.FKDV, 2.0, 5.0, 1.0),
+                    (wv.FBBM, 2.0, 2.0, 2.0)]
+SMALL = vd.NumericsConfig(n=512, half_length=30.0)
+
+
+def dense_inertia(A: op.DenseMatrix):
+    """(negative count, kernel dimension, eigenpairs) from one full eigh."""
+    w, v = scipy.linalg.eigh(A.entries)
+    tol = spc.ZERO_TOL_REL * float(np.max(np.abs(w)))
+    return (int(np.count_nonzero(w < -tol)),
+            int(np.count_nonzero(np.abs(w) <= tol)), (w, v, tol))
+
+
+def dense_hamiltonian_eigenvalues(A: op.DenseMatrix) -> np.ndarray:
+    return scipy.linalg.eigvals(spc._restricted_product(A))
+
+
+def nearest_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest distance from a point of either set to the other set."""
+    gaps = np.abs(a[:, None] - b[None, :])
+    return float(max(gaps.min(axis=1).max(), gaps.min(axis=0).max()))
+
+
+@pytest.fixture(scope="module", params=REGRESSION_CASES,
+                ids=lambda c: "-".join(map(str, c)))
+def small_pipeline(request):
+    model, s, p, c = request.param
+    with quiet():
+        data = getattr(vd, f"{wv.MODELS[model].kind}_verdict")(
+            s, p, c, SMALL, keep_pipeline=True)
+    return wv.MODELS[model], data
+
+
+class TestAgainstDensePath:
+    def test_counts_and_constrained_quantity(self, small_pipeline):
+        model, data = small_pipeline
+        n_neg, kernel, (w, v, tol) = dense_inertia(data.matrix)
+        report = spc.symmetric_spectrum(data.matrix)
+        assert data.result.n_L == report.negative_count == n_neg
+        assert report.kernel_dim == kernel
+        psi0 = sp.apply_multiplier(sp.derivative_multiplier(data.grid),
+                                   data.wave.as_field())
+        if model.weighted:
+            weight = op.symmetrizing_weight(data.grid, data.wave.s)
+            psi0 = sp.apply_multiplier(
+                sp.Multiplier(data.grid, 1.0 / weight, "sqrt(I+M)"), psi0)
+        rhs = spc.decaying_antiderivative(psi0)
+        proj = v.T @ op.to_coords(data.grid, rhs.values)
+        kept = np.abs(w) > tol
+        d_dense = float(np.sum(proj[kept] ** 2 / w[kept]))
+        assert data.result.d == pytest.approx(d_dense, rel=1e-10, abs=0.0)
+
+    def test_hamiltonian_spectrum_and_classes(self, small_pipeline):
+        _, data = small_pipeline
+        ham, cls = data.eigensystem, data.classification
+        assert ham.y is None
+        dense = spc._full_order(spc.parity_blocks(data.matrix), ham.zero_floor)
+        dense_cls = spc.classify_krein(dense)
+        assert cls.classes == dense_cls.classes
+        assert (cls.k_r, cls.k_c, cls.k_i_minus) == \
+            (dense_cls.k_r, dense_cls.k_c, dense_cls.k_i_minus)
+        big = np.abs(dense.eigenvalues) > 1e-3 * dense.scale
+        rel = np.abs(ham.eigenvalues[big] - dense.eigenvalues[big]) \
+            / np.abs(dense.eigenvalues[big])
+        assert rel.max() <= 1e-9
+        forms = np.isfinite(dense_cls.form_values)
+        assert np.array_equal(forms, np.isfinite(cls.form_values))
+        assert np.array_equal(np.sign(cls.form_values[forms]),
+                              np.sign(dense_cls.form_values[forms]))
+
+
+class TestParityGuard:
+    def test_odd_perturbation_rejected(self, grid_small):
+        x = grid_small.nodes
+        even = 2.0 / np.cosh(x) ** 2
+        L = op.schrodinger_operator(
+            sp.RealField(grid_small, even + 1e-6 * x * np.exp(-x ** 2)), 0.5)
+        with pytest.raises(ValueError, match="even and odd"):
+            spc.symmetric_spectrum(op.assemble(L))
+        with pytest.raises(ValueError, match="even and odd"):
+            spc.hamiltonian_eigensystem(op.assemble(L))
+
+    def test_matrix_without_grid_is_one_block(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((6, 6))
+        blocks = spc.parity_blocks(op.DenseMatrix(a + a.T))
+        assert len(blocks.blocks) == 1
+        assert np.array_equal(blocks.blocks[0], a + a.T)
+
+
+def diagonal_on_grid(diag: np.ndarray) -> op.DenseMatrix:
+    return op.DenseMatrix(np.diag(diag), grid=sp.make_grid(len(diag), 5.0))
+
+
+class TestPseudoSolve:
+    def test_fredholm_threshold_uses_the_whole_rhs_norm(self):
+        # kernel on the first sine (index 2); the right-hand side is the
+        # first cosine plus a 1e-7 sine share, below 1e-6 of the whole
+        # norm, though all of the odd block's own norm
+        diag = np.ones(8)
+        diag[2] = 0.0
+        eig = spc.block_eigensystem(spc.parity_blocks(diagonal_on_grid(diag)))
+        rhs = np.zeros(8)
+        rhs[1], rhs[2] = 1.0, 1e-7
+        assert spc._pseudo_solve_quadratic(eig, rhs, "diag") == \
+            pytest.approx(1.0, rel=1e-12)
+        rhs[2] = 1e-5
+        with pytest.raises(FredholmViolationError):
+            spc._pseudo_solve_quadratic(eig, rhs, "diag")
+
+    def test_near_singular_warning_needs_a_reached_direction(self):
+        # first cosine (index 1) kept but near-singular: 5e-8 against the
+        # zero tolerance 1e-8
+        diag = np.ones(8)
+        diag[1] = 5e-8
+        eig = spc.block_eigensystem(spc.parity_blocks(diagonal_on_grid(diag)))
+        rhs = np.zeros(8)
+        rhs[3] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spc._pseudo_solve_quadratic(eig, rhs, "diag") == 1.0
+        rhs[1] = 1.0
+        with pytest.warns(UserWarning, match="near-singular"):
+            spc._pseudo_solve_quadratic(eig, rhs, "diag")
+
+    def test_bbm_translation_mode_does_not_warn(self):
+        # the odd translation eigenvalue sits just above the zero tolerance
+        # but an even right-hand side never reaches it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = vd.bbm_verdict(1.5, 1.0, 1.5,
+                                 vd.NumericsConfig(n=512, half_length=100.0))
+        assert res.K_direct == 0
+
+
+class TestFallbackSelection:
+    def test_squaring_noise_against_the_zero_floor(self, grid_small):
+        sym = np.abs(2 * np.pi * grid_small.wavenumbers) ** 2 + 1.0
+        A = op.assemble(op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
+                                       label="positive", kind="custom"))
+        noise = np.sqrt(np.finfo(float).eps) * spc.hamiltonian_eigensystem(A).scale
+        kept = spc.hamiltonian_eigensystem(A, 20.0 * noise)
+        full = spc.hamiltonian_eigensystem(A, 5.0 * noise)
+        assert kept.y is None and full.y is not None
+        assert spc.hamiltonian_eigensystem(A).y is not None
+        assert nearest_distance(kept.eigenvalues, full.eigenvalues) \
+            <= 1e-9 * full.scale
+
+    def test_non_real_root_outside_the_zero_bucket(self):
+        # A_cos = diag(1, -1, 2) and A_sin coupling the first two sines:
+        # -(W A_sin)(W A_cos) has the roots +-i w1 w2, a complex quadruple
+        grid = sp.make_grid(8, 2.0)
+        a = np.eye(8)
+        a[np.ix_([1, 3, 5], [1, 3, 5])] = np.diag([1.0, -1.0, 2.0])
+        a[np.ix_([2, 4, 6], [2, 4, 6])] = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+        A = op.DenseMatrix(a, grid=grid)
+        ham = spc.hamiltonian_eigensystem(A, 1e-3)
+        assert ham.y is not None
+        assert nearest_distance(ham.eigenvalues,
+                                dense_hamiltonian_eigenvalues(A)) <= 1e-12
+        assert spc.classify_krein(ham).k_c == 2
+
+
+@st.composite
+def even_operators(draw):
+    """A linearization |2 pi xi|^s + c + V on n <= 64 points with a random
+    even potential V."""
+    n = draw(st.sampled_from([8, 16, 32, 64]))
+    grid = sp.make_grid(n, draw(st.floats(2.0, 20.0)))
+    s = draw(st.floats(0.5, 2.0))
+    c = draw(st.floats(0.1, 2.0))
+    raw = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=n,
+                                 max_size=n)))
+    potential = 0.5 * (raw + raw[np.r_[0, n - 1:0:-1]])
+    sym = sp.fractional_symbol(grid, s) + c
+    return op.assemble(op.LinOperator(grid, sym, potential, label="random"))
+
+
+@given(even_operators())
+def test_block_inertia_equals_full_inertia(A):
+    n_neg, kernel, _ = dense_inertia(A)
+    report = spc.symmetric_spectrum(A)
+    assert (report.negative_count, report.kernel_dim) == (n_neg, kernel)
+
+
+@given(even_operators())
+def test_block_hamiltonian_spectrum_equals_dense(A):
+    dense = dense_hamiltonian_eigenvalues(A)
+    scale = float(np.max(np.abs(dense)))
+    noise = np.sqrt(np.finfo(float).eps) * scale
+    ham = spc.hamiltonian_eigensystem(A, 20.0 * noise)
+    assert nearest_distance(ham.eigenvalues, dense) <= 10.0 * noise

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -145,9 +147,20 @@ class TestHamiltonianSpectrum:
         assert len(pos_real) == 1
         assert pos_real[0].imag == pytest.approx(0.0, abs=re_tol)
 
-    def test_quadruple_symmetry(self, pipeline22, pipeline25):
-        assert pipeline22.eigensystem.quadruple_defect <= 1e-6
-        assert pipeline25.eigensystem.quadruple_defect <= 1e-6
+    def test_eigenpair_residual(self, pipeline22, pipeline25):
+        for data in (pipeline22, pipeline25):
+            assert data.eigensystem.y is None
+            assert spc.eigenpair_residual(
+                data.eigensystem, data.classification) <= 1e-6
+
+    def test_residual_flags_corrupted_eigenvector(self, pipeline25):
+        ham, cls = pipeline25.eigensystem, pipeline25.classification
+        unstable = cls.classes.index(spc.CLASS_REAL_POS)
+        x = ham.x.copy()
+        x[:, ham.column[unstable]] = np.random.default_rng(0).standard_normal(
+            x.shape[0])
+        corrupted = dataclasses.replace(ham, x=x)
+        assert spc.eigenpair_residual(corrupted, cls) > 1e-2
 
     def test_sandwich_equivalence(self, pipeline22):
         S = op.sandwich(pipeline22.operator, 0.0)
@@ -190,9 +203,9 @@ class TestClassifyKrein:
         sym = np.abs(2 * np.pi * grid_small.wavenumbers) ** 2 + 1.0
         L = op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
                            label="positive", kind="custom")
-        ham = spc.hamiltonian_eigensystem(op.assemble(L))
-        floor = 2.0 * np.max(np.abs(ham.eigenvalues))
-        cls = spc.classify_krein(ham, zero_floor=floor)
+        A = op.assemble(L)
+        floor = 2.0 * spc.hamiltonian_eigensystem(A).scale
+        cls = spc.classify_krein(spc.hamiltonian_eigensystem(A, floor))
         assert all(c == spc.CLASS_ZERO for c in cls.classes)
         assert cls.k_direct == 0
 
