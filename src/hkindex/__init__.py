@@ -9,13 +9,13 @@ from .spectral import (Multiplier, RealField, SpectralGrid,
                        antiderivative_multiplier, apply_multiplier,
                        derivative_multiplier, fourier_pairing,
                        fractional_derivative_multiplier, hilbert_multiplier,
-                       inner_product, inverse_transform, make_grid,
+                       inner_product, make_grid,
                        regularized_quarter_root_multiplier, transform)
 from .waves import (FBBM, FKDV, NORMALIZED, SolverOptions, WaveProfile,
                     bbm_wave, bo_profile, kdv_wave, load_profile, p_max,
                     save_profile, sech_profile, solve_ground_state,
-                    solve_traveling_wave, squared_norm)
-from .operators import (DenseMatrix, LinOperator, assemble,
+                    squared_norm)
+from .operators import (DenseMatrix, LinOperator, ParityBlocks, assemble,
                         bbm_linearization, bbm_symmetrize, kdv_linearization,
                         sandwich, save_matrix, schrodinger_operator)
 from .spectra import (BbmSlope, HamiltonianEigensystem, KreinClassification,

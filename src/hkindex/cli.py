@@ -266,7 +266,8 @@ def cmd_dump_operator(cfg: RunConfig) -> int:
         profile = _solve_wave(cfg)
         kind = wv.MODELS[cfg.model].kind
         operator = getattr(op, f"{kind}_linearization")(profile)
-    matrix = op.assemble(operator)
+    # the blocks coupling the parities are written as zeros
+    matrix = op.assemble(operator).dense()
     bin_path, json_path = op.save_matrix(
         matrix, os.path.join(cfg.out, "operator.bin"))
     print(f"wrote {bin_path} and {json_path} (order {matrix.order})")

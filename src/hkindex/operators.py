@@ -1,4 +1,4 @@
-"""Dense assembly of the self-adjoint linearized operators.
+"""Assembly of the self-adjoint linearized operators.
 
 Matrices are expressed in the orthonormal real-Fourier basis of the grid
 
@@ -8,11 +8,21 @@ Matrices are expressed in the orthonormal real-Fourier basis of the grid
       cos(2 pi xi_{n/2-1} x)/sqrt(l), sin(2 pi xi_{n/2-1} x)/sqrt(l),
       cos(2 pi xi_{n/2} x)/sqrt(2l) ]
 
-in which every even real multiplier is diagonal, the skew derivative acts
-by 2x2 rotation blocks on each (cos, sin) pair, and a pointwise potential
-becomes a dense symmetric block via the conjugated sampling matrix.  The
-basis is orthonormal for the trapezoid inner product, so coordinate dot
-products equal L2 pairings.
+in which every even real multiplier is diagonal and the skew derivative
+acts by 2x2 rotation blocks on each (cos, sin) pair.  The basis is
+orthonormal for the trapezoid inner product, so coordinate dot products
+equal L2 pairings.
+
+Every wave is even, so an operator is assembled as its two parity blocks:
+the even block over the constant, the cosines and the Nyquist cosine
+(modes k = 0 .. n/2) and the odd block over the sines (k = 1 .. n/2-1).
+A pointwise potential V enters through the trapezoid sums
+
+    C_q + i S_q = h sum_j V_j exp(2i pi xi_q x_j),
+
+one FFT of V.  Since cos a cos b = (cos(a-b) + cos(a+b))/2, each block is
+a Toeplitz-plus-Hankel matrix in C_q; the block coupling the parities is
+formed from S_q, which an even V leaves at round-off, and is only checked.
 """
 
 from __future__ import annotations
@@ -21,47 +31,21 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import hankel, toeplitz
 
 from .errors import ModelMismatchError
-from .spectral import (TWO_PI, RealField, SpectralGrid, fractional_symbol,
+from .spectral import (RealField, SpectralGrid, fractional_symbol,
                        regularized_quarter_root_multiplier, same_grid)
 from .waves import (FBBM, FKDV, MODELS, NORMALIZED, Model, WaveProfile,
                     clamped_power)
 
 SYMMETRY_TOL = 1e-10
 
-_BASIS_CACHE: dict = {}
 
-
-def real_fourier_basis(grid: SpectralGrid) -> np.ndarray:
-    """n x n matrix whose columns are the orthonormal basis samples."""
-    key = (grid.n, grid.half_length)
-    cached = _BASIS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    n, l, x = grid.n, grid.half_length, grid.nodes
-    phi = np.empty((n, n))
-    phi[:, 0] = 1.0 / np.sqrt(2.0 * l)
-    for k in range(1, n // 2):
-        theta = TWO_PI * (k / (2.0 * l)) * x
-        phi[:, 2 * k - 1] = np.cos(theta) / np.sqrt(l)
-        phi[:, 2 * k] = np.sin(theta) / np.sqrt(l)
-    phi[:, n - 1] = np.cos(TWO_PI * (n / (4.0 * l)) * x) / np.sqrt(2.0 * l)
-    _BASIS_CACHE[key] = phi
-    return phi
-
-
-def on_basis(grid: SpectralGrid, symbol: np.ndarray) -> np.ndarray:
-    """Diagonal, in the real-Fourier basis, of the even multiplier whose
-    symbol is given in the grid's fftfreq layout."""
-    n = grid.n
-    diag = np.empty(n)
-    diag[0] = symbol[0]
-    k = np.arange(1, n // 2)
-    diag[2 * k - 1] = symbol[k]
-    diag[2 * k] = symbol[k]
-    diag[n - 1] = symbol[n // 2]
-    return diag
+def parity_index(n: int) -> tuple:
+    """Basis indices of the even modes [0, 1, 3, ..., n-3, n-1] (constant,
+    cosines, Nyquist) and of the odd modes [2, 4, ..., n-2] (sines)."""
+    return np.r_[0, 1:n - 1:2, n - 1], np.arange(2, n - 1, 2)
 
 
 def pair_frequencies(grid: SpectralGrid) -> np.ndarray:
@@ -69,12 +53,33 @@ def pair_frequencies(grid: SpectralGrid) -> np.ndarray:
     return np.arange(1, grid.n // 2) / (2.0 * grid.half_length)
 
 
+def _mode_norms(grid: SpectralGrid) -> np.ndarray:
+    """Normalization of the cosine of mode k = 0 .. n/2: 1/sqrt(2l) at the
+    constant and the Nyquist mode, 1/sqrt(l) in between."""
+    nu = np.full(grid.n // 2 + 1, 1.0 / np.sqrt(grid.half_length))
+    nu[[0, -1]] = 1.0 / np.sqrt(2.0 * grid.half_length)
+    return nu
+
+
 def to_coords(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
-    return grid.spacing * (real_fourier_basis(grid).T @ values)
+    """Real-Fourier coordinates h phi^T values of grid samples."""
+    f = np.fft.rfft(values) * (grid.spacing * _mode_norms(grid))
+    f[1::2] *= -1.0  # the phase (-1)^k of mode k at x_0 = -l
+    coords = np.empty(grid.n)
+    coords[0], coords[-1] = f[0].real, f[-1].real
+    coords[1:-1:2] = f[1:-1].real
+    coords[2:-1:2] = -f[1:-1].imag
+    return coords
 
 
 def from_coords(grid: SpectralGrid, coords: np.ndarray) -> np.ndarray:
-    return real_fourier_basis(grid) @ coords
+    """Grid samples phi coords of real-Fourier coordinates."""
+    z = np.empty(grid.n // 2 + 1, dtype=complex)
+    z[0], z[-1] = coords[0], coords[-1]
+    z[1:-1] = 0.5 * (coords[1:-1:2] - 1j * coords[2:-1:2])
+    z *= grid.n * _mode_norms(grid)
+    z[1::2] *= -1.0
+    return np.fft.irfft(z, grid.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +106,77 @@ def symmetry_defect(entries: np.ndarray) -> float:
     if scale == 0.0:
         return 0.0
     return float(np.max(np.abs(entries - entries.T))) / scale
+
+
+def check_parity_coupling(label: str, cross: float, scale: float) -> None:
+    """Raise unless the block coupling the parities is at most SYMMETRY_TOL
+    relative to max|A|: dropping it moves an eigenvalue no more than the
+    asymmetry already accepted."""
+    if cross > SYMMETRY_TOL * scale:
+        raise ValueError(
+            f"matrix {label!r} couples the even and odd modes "
+            f"(relative cross block {cross / scale:.2e}): the "
+            f"linearization is not about an even wave")
+
+
+@dataclass(frozen=True, eq=False)
+class ParityBlocks:
+    """A symmetric matrix in the real-Fourier basis as its diagonal blocks
+    over the parity layout: (even, odd) on a grid, one block of everything
+    for a matrix without one (it has no Fourier layout).
+
+    coupling, when set, is (S, r_even, r_odd) with S_q, q = 0 .. n, from
+    the FFT of the potential (S_{-q} = -S_q): the dropped block coupling
+    the parities is r_even[a] (S_{a+b} - S_{a-b}) r_odd[b] / 2 over the
+    even modes a and the odd modes b, kept so that a congruence checks it
+    again.
+    """
+    blocks: tuple
+    grid: SpectralGrid | None = None
+    label: str = ""
+    coupling: tuple | None = None
+
+    @property
+    def order(self) -> int:
+        return sum(block.shape[0] for block in self.blocks)
+
+    @property
+    def index(self) -> tuple:
+        """Basis indices of each block."""
+        if self.grid is None:
+            return (np.arange(self.order),)
+        return parity_index(self.grid.n)
+
+    def dense(self) -> DenseMatrix:
+        """The full matrix, with zeros coupling the parities."""
+        entries = np.zeros((self.order, self.order))
+        for idx, block in zip(self.index, self.blocks):
+            entries[np.ix_(idx, idx)] = block
+        return DenseMatrix(entries, grid=self.grid, label=self.label)
+
+
+def _max_abs(a: np.ndarray) -> float:
+    return max(float(a.max()), -float(a.min()))
+
+
+def _cross_block(coupling: tuple) -> np.ndarray:
+    """The block coupling the even modes a (rows) to the odd modes b,
+    r_even[a] (S_{a+b} - S_{a-b}) r_odd[b] / 2: S_{a+b} is a Hankel matrix
+    in S, S_{a-b} a Toeplitz one."""
+    s, r_even, r_odd = coupling
+    m = r_even.size - 1
+    cross = hankel(s[1:m + 2], s[m + 1:2 * m]) \
+        - toeplitz(np.r_[-s[1], s[:m]], -s[1:m])
+    cross *= 0.5 * r_even[:, None]
+    cross *= r_odd
+    return cross
+
+
+def _check_coupling(P: ParityBlocks) -> None:
+    if P.coupling is not None:
+        cross = _max_abs(_cross_block(P.coupling))
+        check_parity_coupling(P.label, cross,
+                              max(cross, *(_max_abs(b) for b in P.blocks)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,13 +213,33 @@ class LinOperator:
         return RealField(f.grid, out + self.potential * f.values)
 
 
-def assemble(op: LinOperator) -> DenseMatrix:
-    """Dense symmetric matrix of op in the real-Fourier basis."""
-    phi = real_fourier_basis(op.grid)
-    a = op.grid.spacing * (phi.T @ (op.potential[:, None] * phi))
-    a[np.diag_indices_from(a)] += on_basis(op.grid, op.multiplier_symbol)
-    a = 0.5 * (a + a.T)
-    return DenseMatrix(a, grid=op.grid, label=op.label)
+def assemble(op: LinOperator) -> ParityBlocks:
+    """The parity blocks of op in the real-Fourier basis, from one FFT of
+    its potential; ValueError if the potential couples the parities."""
+    grid = op.grid
+    m = grid.n // 2
+    # G_q = h sum_j V_j exp(2i pi xi_q x_j), q = 0 .. n (n-periodic in q)
+    g = grid.spacing * grid.n * np.fft.ifft(op.potential)
+    g[1::2] *= -1.0
+    g = np.append(g, g[0])
+    c = g.real
+    # nu_a nu_b (C_|a-b| + C_a+b) / 2 on the even modes a, b = 0 .. m,
+    # scaled in place by rows and columns alike so that the block stays
+    # exactly symmetric
+    even = toeplitz(c[:m + 1]) + hankel(c[:m + 1], c[m:])
+    even *= 0.5 / grid.half_length
+    even[[0, -1]] *= np.sqrt(0.5)
+    even[:, [0, -1]] *= np.sqrt(0.5)
+    # (C_|a-b| - C_a+b) / (2l) on the odd modes a, b = 1 .. m-1
+    odd = toeplitz(c[:m - 1]) - hankel(c[2:m + 1], c[m:2 * m - 1])
+    odd *= 0.5 / grid.half_length
+    even[np.diag_indices_from(even)] += op.multiplier_symbol[:m + 1]
+    odd[np.diag_indices_from(odd)] += op.multiplier_symbol[1:m]
+    nu = _mode_norms(grid)
+    P = ParityBlocks((even, odd), grid, op.label,
+                     coupling=(g.imag, nu, np.full(m - 1, nu[1])))
+    _check_coupling(P)
+    return P
 
 
 def kdv_linearization(U: WaveProfile) -> LinOperator:
@@ -189,14 +285,14 @@ def schrodinger_operator(V: RealField, c: float) -> LinOperator:
                        s=2.0, c=c)
 
 
-def sandwich(L: LinOperator, eps: float) -> DenseMatrix:
-    """(-d^2 + eps^2)^(1/4) L (-d^2 + eps^2)^(1/4) as a dense matrix.
+def sandwich(A: ParityBlocks, eps: float) -> ParityBlocks:
+    """(-d^2 + eps^2)^(1/4) L (-d^2 + eps^2)^(1/4) from A = assemble(L).
 
     eps = 0 gives |d|^(1/2) L |d|^(1/2); its zero-mode row and column
     vanish structurally.
     """
-    quarter = regularized_quarter_root_multiplier(L.grid, eps).symbol_values.real
-    return congruence(assemble(L), quarter, f"sandwich(eps={eps:g})")
+    quarter = regularized_quarter_root_multiplier(A.grid, eps).symbol_values.real
+    return congruence(A, quarter, f"sandwich(eps={eps:g})")
 
 
 def symmetrizing_weight(grid: SpectralGrid, s: float) -> np.ndarray:
@@ -204,20 +300,28 @@ def symmetrizing_weight(grid: SpectralGrid, s: float) -> np.ndarray:
     return (1.0 + fractional_symbol(grid, s)) ** -0.5
 
 
-def bbm_symmetrize(L0: LinOperator) -> DenseMatrix:
-    """(I+M)^(-1/2) L0 (I+M)^(-1/2) with M = |d|^s, as a dense matrix."""
+def bbm_symmetrize(L0: LinOperator, A: ParityBlocks) -> ParityBlocks:
+    """(I+M)^(-1/2) L0 (I+M)^(-1/2) with M = |d|^s, from A = assemble(L0)."""
     if L0.kind != MODELS[FBBM].kind:
         raise ModelMismatchError("bbm_symmetrize expects a BBM linearization")
     if L0.s is None:
         raise ValueError("operator does not carry its dispersion exponent")
-    return congruence(assemble(L0), symmetrizing_weight(L0.grid, L0.s), "bbm-sym")
+    return congruence(A, symmetrizing_weight(A.grid, L0.s), "bbm-sym")
 
 
-def congruence(A: DenseMatrix, symbol: np.ndarray, name: str) -> DenseMatrix:
+def congruence(A: ParityBlocks, symbol: np.ndarray, name: str) -> ParityBlocks:
     """R A R for the even multiplier R with the given fftfreq-layout symbol."""
-    r = on_basis(A.grid, symbol)
-    out = r[:, None] * A.entries * r[None, :]
-    return DenseMatrix(0.5 * (out + out.T), grid=A.grid, label=f"{name}[{A.label}]")
+    m = A.grid.n // 2
+    r_even, r_odd = symbol[:m + 1], symbol[1:m]
+    blocks = tuple(block * np.outer(r, r)
+                   for block, r in zip(A.blocks, (r_even, r_odd)))
+    coupling = None
+    if A.coupling is not None:
+        s, c_even, c_odd = A.coupling
+        coupling = (s, c_even * r_even, c_odd * r_odd)
+    out = ParityBlocks(blocks, A.grid, f"{name}[{A.label}]", coupling)
+    _check_coupling(out)
+    return out
 
 
 def save_matrix(dm: DenseMatrix, bin_path, json_path=None) -> tuple:

@@ -13,9 +13,10 @@ three kinds of quantities:
 In the real-Fourier basis the restricted derivative is block diagonal
 with 2x2 rotation blocks 2*pi*xi_k [[0, -1], [1, 0]] on each (cos, sin)
 pair, so forming D A costs O(n^2).  Every wave is even, so the symmetric
-factor is block diagonal by parity (cosines, sines): each symmetric solve
-runs on the two half-order blocks, and the Hamiltonian spectrum comes from
-the half-order product of the two blocks whose eigenvalues are lambda^2.
+factor is block diagonal by parity (cosines, sines) and is assembled as
+its two blocks: each symmetric solve runs on the two half-order blocks,
+and the Hamiltonian spectrum comes from the half-order product of the two
+blocks whose eigenvalues are lambda^2.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ import numpy as np
 import scipy.linalg
 
 from .errors import FredholmViolationError
-from .operators import DenseMatrix, LinOperator, assemble, pair_frequencies, \
-    symmetry_defect, to_coords, from_coords, SYMMETRY_TOL
+from .operators import (SYMMETRY_TOL, DenseMatrix, LinOperator, ParityBlocks,
+                        assemble, check_parity_coupling, from_coords,
+                        pair_frequencies, parity_index, symmetry_defect,
+                        to_coords)
 from .spectral import (TWO_PI, RealField, SpectralGrid,
                        antiderivative_multiplier, apply_multiplier,
                        regularized_quarter_root_multiplier)
@@ -59,41 +62,25 @@ ANCHOR_FRACTION = 0.02
 # cosines to the sines and every dense solve splits into two half-order ones
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ParityBlocks:
-    """A symmetric matrix as its diagonal blocks over the parity layout:
-    (even, odd) for a matrix on a grid, one block of everything for a
-    matrix without one (it has no Fourier layout)."""
-    matrix: DenseMatrix
-    index: tuple                     # basis indices of each block
-    blocks: tuple                    # matrix[index, index] of each block
-
-
-def parity_blocks(A: DenseMatrix) -> ParityBlocks:
-    """Split A by parity, after checking once that A is symmetric and that
-    the block coupling the parities is below SYMMETRY_TOL relative to
-    max|A|: dropping it moves an eigenvalue no more than the asymmetry
-    already accepted."""
+def parity_blocks(A: DenseMatrix | ParityBlocks) -> ParityBlocks:
+    """A split by parity.  Assembled operators come as blocks already; a
+    matrix from elsewhere is checked once for symmetry and for a block
+    coupling the parities below SYMMETRY_TOL relative to max|A|."""
+    if isinstance(A, ParityBlocks):
+        return A
     entries = A.entries
     defect = symmetry_defect(entries)
     if defect > SYMMETRY_TOL:
         raise ValueError(f"matrix {A.label!r} is not symmetric "
                          f"(defect {defect:.2e})")
     if A.grid is None:
-        index = (np.arange(A.order),)
-    else:
-        # even: the constant, the cosines and the Nyquist cosine
-        # [0, 1, 3, ..., n-3, n-1]; odd: the sines [2, 4, ..., n-2]
-        n = A.order
-        index = (np.r_[0, 1:n - 1:2, n - 1], np.arange(2, n - 1, 2))
-        cross = float(np.max(np.abs(entries[np.ix_(*index)]), initial=0.0))
-        scale = float(np.max(np.abs(entries)))
-        if cross > SYMMETRY_TOL * scale:
-            raise ValueError(
-                f"matrix {A.label!r} couples the even and odd modes "
-                f"(relative cross block {cross / scale:.2e}): the "
-                f"linearization is not about an even wave")
-    return ParityBlocks(A, index, tuple(entries[np.ix_(i, i)] for i in index))
+        return ParityBlocks((entries,), label=A.label)
+    index = parity_index(A.order)
+    check_parity_coupling(
+        A.label, float(np.max(np.abs(entries[np.ix_(*index)]), initial=0.0)),
+        float(np.max(np.abs(entries))))
+    return ParityBlocks(tuple(entries[np.ix_(i, i)] for i in index),
+                        A.grid, A.label)
 
 
 def sym_eig(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,10 +123,12 @@ class SpectralReport:
     kernel_vectors: tuple
 
 
-def symmetric_spectrum(A: DenseMatrix, zero_tol: float | None = None) -> SpectralReport:
+def symmetric_spectrum(A: DenseMatrix | ParityBlocks,
+                       zero_tol: float | None = None) -> SpectralReport:
     """Inertia, ascending eigenvalues and kernel of a symmetric matrix
     (kernel vectors as grid samples when A lives on a grid)."""
-    eig = block_eigensystem(parity_blocks(A), zero_tol)
+    A = parity_blocks(A)
+    eig = block_eigensystem(A, zero_tol)
     kernel_vectors = []
     for idx, w, v in zip(eig.index, eig.values, eig.vectors):
         for i in np.nonzero(np.abs(w) <= eig.zero_tol)[0]:
@@ -201,7 +190,7 @@ def _pseudo_solve_quadratic(eig: BlockEigensystem, rhs_coords: np.ndarray,
     return total
 
 
-def constrained_quantity(L: LinOperator | DenseMatrix, psi0: RealField,
+def constrained_quantity(L: LinOperator | ParityBlocks, psi0: RealField,
                          eig: BlockEigensystem | None = None) -> float:
     """<L^-1 (d^-1 psi0), d^-1 psi0> via the spectral pseudo-inverse.
 
@@ -212,14 +201,15 @@ def constrained_quantity(L: LinOperator | DenseMatrix, psi0: RealField,
     compatibility of the right-hand side first.
     """
     if eig is None:
-        eig = block_eigensystem(parity_blocks(assemble(L)))
+        eig = block_eigensystem(assemble(L))
     rhs = decaying_antiderivative(psi0)
     return _pseudo_solve_quadratic(eig, to_coords(L.grid, rhs.values), L.label)
 
 
-def constrained_quantity_sandwiched(L: LinOperator, psi0: RealField, eps: float,
+def constrained_quantity_sandwiched(A: ParityBlocks, psi0: RealField, eps: float,
                                     zero_tol: float | None = None) -> float:
-    """The same quantity computed through the regularized sandwich,
+    """The same quantity computed through the regularized sandwich of the
+    assembled operator A = assemble(L),
 
         <(Lsand_eps)^-1 g_eps, g_eps>,
         g_eps = (-d^2+eps^2)^(-1/4) |d| d^-1 psi0,
@@ -229,7 +219,7 @@ def constrained_quantity_sandwiched(L: LinOperator, psi0: RealField, eps: float,
     from .operators import sandwich
     from .spectral import Multiplier
 
-    grid = L.grid
+    grid = A.grid
     xi = grid.wavenumbers
     quarter = regularized_quarter_root_multiplier(grid, eps).symbol_values.real
     sym = np.zeros(grid.n, dtype=complex)
@@ -240,8 +230,8 @@ def constrained_quantity_sandwiched(L: LinOperator, psi0: RealField, eps: float,
     m = Multiplier(grid, sym, symbol_name=f"reg-quarter-inv-J(eps={eps:g})",
                    adjointness="skew")
     g = apply_multiplier(m, psi0)
-    S = sandwich(L, eps)
-    eig = block_eigensystem(parity_blocks(S), zero_tol)
+    S = sandwich(A, eps)
+    eig = block_eigensystem(S, zero_tol)
     return _pseudo_solve_quadratic(eig, to_coords(grid, g.values), S.label)
 
 
@@ -265,7 +255,10 @@ def bbm_slope(u_family, c: float, dc: float, normalized) -> BbmSlope:
     family, and the closed form in terms of the normalized state
 
         (c-1)^(2/p-1/s-1) c^(1/s-2) / (p s) *
-        ( [(4-p)sc + 2(s-1)p] <Q,Q> + [2sc + (s-1)p] <|d|^(s/2) Q, |d|^(s/2) Q> ).
+        ( c (2sc - p) <Q,Q> + (c-1) (2sc + (s-1)p) <|d|^(s/2) Q, |d|^(s/2) Q> ),
+
+    the c-derivative of <(I+M) U_c, U_c> = (c-1)^(2/p) (c/(c-1))^(1/s)
+    (<Q,Q> + (c-1)/c <|d|^(s/2) Q, |d|^(s/2) Q>).
 
     A mismatch beyond 5 percent flags the step as too large.
     """
@@ -287,8 +280,8 @@ def bbm_slope(u_family, c: float, dc: float, normalized) -> BbmSlope:
         fractional_derivative_multiplier(normalized.grid, s / 2.0), qf)
     qq = inner_product(qf, qf)
     hq = inner_product(half_q, half_q)
-    bracket = ((4.0 - p) * s * c + 2.0 * (s - 1.0) * p) * qq \
-        + (2.0 * s * c + (s - 1.0) * p) * hq
+    bracket = c * (2.0 * s * c - p) * qq \
+        + (c - 1.0) * (2.0 * s * c + (s - 1.0) * p) * hq
     closed = (c - 1.0) ** (2.0 / p - 1.0 / s - 1.0) * c ** (1.0 / s - 2.0) \
         * bracket / (p * s)
     mismatch = abs(fd - closed) > 0.05 * max(abs(fd), abs(closed), 1e-300)
@@ -299,23 +292,17 @@ def bbm_slope(u_family, c: float, dc: float, normalized) -> BbmSlope:
 # Hamiltonian product (d/dx) L on the mean-zero, Nyquist-free subspace
 # ---------------------------------------------------------------------------
 
-def restricted(A: DenseMatrix) -> np.ndarray:
-    """Drop the zero-mode and Nyquist rows/columns (indices 0 and n-1)."""
-    return A.entries[1:-1, 1:-1]
-
-
-def _restricted_product(A: DenseMatrix, weights: np.ndarray | None = None):
-    """D A on the restricted subspace, where D is block diagonal with 2x2
-    rotation blocks weights_k [[0, -1], [1, 0]]: by default the derivative,
-    weights 2*pi*xi_k; unit weights give the Hilbert transform."""
-    if A.grid is None:
-        raise ValueError("Hamiltonian product needs the grid reference")
-    a_r = restricted(A)
-    if weights is None:
-        weights = TWO_PI * pair_frequencies(A.grid)
-    da = np.empty_like(a_r)
-    da[0::2, :] = -weights[:, None] * a_r[1::2, :]
-    da[1::2, :] = weights[:, None] * a_r[0::2, :]
+def _restricted_product(P: ParityBlocks, weights: np.ndarray | None = None):
+    """D A on the restricted subspace, rows and columns interleaving the
+    (cos, sin) pairs, where D is block diagonal with 2x2 rotation blocks
+    weights_k [[0, -1], [1, 0]]: by default the derivative, weights
+    2*pi*xi_k; unit weights give the Hilbert transform."""
+    a_cos, a_sin, w = _factor(P)
+    if weights is not None:
+        w = weights
+    da = np.zeros((2 * w.size, 2 * w.size))
+    da[0::2, 1::2] = -w[:, None] * a_sin
+    da[1::2, 0::2] = w[:, None] * a_cos
     return da
 
 
@@ -375,14 +362,33 @@ def _scale(eigs: np.ndarray) -> float:
 
 def _factor(P: ParityBlocks) -> tuple:
     """(A_cos, A_sin, W): the restricted blocks and the weights of D."""
-    if P.matrix.grid is None:
+    if P.grid is None:
         raise ValueError("Hamiltonian product needs the grid reference")
     return (P.blocks[0][1:-1, 1:-1], P.blocks[1],
-            TWO_PI * pair_frequencies(P.matrix.grid))
+            TWO_PI * pair_frequencies(P.grid))
 
 
 def _sorted(eigs: np.ndarray) -> np.ndarray:
     return np.lexsort((eigs.real, eigs.imag))
+
+
+def _unresolved_on_imaginary_axis(eigs: np.ndarray, scale: float,
+                                  zero_floor: float) -> np.ndarray:
+    """eigs with each one in the zero bucket and below the squaring noise
+    sqrt(eps) * scale moved onto the imaginary axis, i |lambda| times the
+    sign of its imaginary part, or of its real part when that is zero.
+
+    A generalized-kernel pair splits by about that noise in either solve,
+    and whether it comes out real or imaginary is a rounding error that
+    flips with the BLAS thread count; both solves report it the same way.
+    """
+    noise = float(np.sqrt(np.finfo(float).eps)) * scale
+    moved = np.abs(eigs) <= min(noise, zero_floor)
+    side = np.where(eigs.imag != 0.0, np.sign(eigs.imag), np.sign(eigs.real))
+    eigs = eigs.copy()
+    eigs.imag[moved] = side[moved] * np.abs(eigs[moved])
+    eigs.real[moved] = 0.0
+    return eigs
 
 
 def hamiltonian_eigensystem(A: DenseMatrix | ParityBlocks,
@@ -395,8 +401,10 @@ def hamiltonian_eigensystem(A: DenseMatrix | ParityBlocks,
     when ten times that stays within zero_floor and no eigenvalue outside
     the zero bucket comes from a non-real mu, whose square root could land
     off an axis by the noise; otherwise the full-order D A is solved.
+    Either way a zero-bucket eigenvalue below the noise is reported on the
+    imaginary axis.
     """
-    P = A if isinstance(A, ParityBlocks) else parity_blocks(A)
+    P = parity_blocks(A)
     a_cos, a_sin, weights = _factor(P)
     m = (weights[:, None] * a_sin) @ (weights[:, None] * a_cos)
     m *= -1.0
@@ -412,6 +420,7 @@ def hamiltonian_eigensystem(A: DenseMatrix | ParityBlocks,
     if 10.0 * noise > zero_floor or np.any(~zero & (mu[column].imag != 0.0)):
         del m, x  # free the half-order solve first
         return _full_order(P, zero_floor)
+    eigs = _unresolved_on_imaginary_axis(eigs, scale, zero_floor)
     order = _sorted(eigs)
     return HamiltonianEigensystem(
         eigenvalues=eigs[order], a_cos=a_cos, a_sin=a_sin, weights=weights,
@@ -422,8 +431,9 @@ def _full_order(P: ParityBlocks, zero_floor: float) -> HamiltonianEigensystem:
     """The eigensystem from one eig of the full-order restricted D A, whose
     rows interleave (cos, sin) pairs."""
     a_cos, a_sin, weights = _factor(P)
-    eigs, v = scipy.linalg.eig(_restricted_product(P.matrix),
+    eigs, v = scipy.linalg.eig(_restricted_product(P),
                                overwrite_a=True, check_finite=False)
+    eigs = _unresolved_on_imaginary_axis(eigs, _scale(eigs), zero_floor)
     order = _sorted(eigs)
     eigs, v = eigs[order], v[:, order]
     return HamiltonianEigensystem(
@@ -451,7 +461,7 @@ def eigenpair_residual(ham: HamiltonianEigensystem,
     return worst
 
 
-def sandwich_hamiltonian_spectrum(S: DenseMatrix) -> np.ndarray:
+def sandwich_hamiltonian_spectrum(S: ParityBlocks) -> np.ndarray:
     """Eigenvalues of J S on the restricted subspace (the reformulated
     problem, where the skew factor is the bounded Hilbert transform)."""
     js = _restricted_product(S, np.ones(S.order // 2 - 1))

@@ -220,13 +220,6 @@ def transform(f: RealField) -> np.ndarray:
     return f.grid.spacing * phase * np.fft.fft(f.values)
 
 
-def inverse_transform(grid: SpectralGrid, coeffs: np.ndarray) -> RealField:
-    k = np.rint(grid.wavenumbers * 2.0 * grid.half_length).astype(int)
-    phase = np.where(k % 2 == 0, 1.0, -1.0)
-    values = np.fft.ifft(coeffs * phase / grid.spacing).real
-    return RealField(grid, values)
-
-
 def fourier_pairing(grid: SpectralGrid, c: np.ndarray, d: np.ndarray) -> float:
     """Fourier-side pairing sum(c * conj(d)) * dxi; equals inner_product by
     the discrete Plancherel identity."""

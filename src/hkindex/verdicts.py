@@ -100,7 +100,7 @@ class PipelineData:
     normalized: wv.WaveProfile
     wave: wv.WaveProfile
     operator: op.LinOperator
-    matrix: op.DenseMatrix       # the symmetric factor fed to D (.)
+    matrix: op.ParityBlocks      # the symmetric factor fed to D (.)
     eigensystem: spc.HamiltonianEigensystem
     classification: spc.KreinClassification
     result: KreinIndexResult
@@ -185,8 +185,7 @@ def _verdict(model: wv.Model, s: float, p: float, c: float,
     U = wave(Q, c)
     L = getattr(op, f"{model.kind}_linearization")(U)
     A = op.assemble(L)
-    blocks = spc.parity_blocks(A)
-    eig = spc.block_eigensystem(blocks)
+    eig = spc.block_eigensystem(A)
     n_L = eig.negative_count
     psi0 = sp.apply_multiplier(sp.derivative_multiplier(grid), U.as_field())
     weight = np.ones(grid.n)
@@ -196,10 +195,9 @@ def _verdict(model: wv.Model, s: float, p: float, c: float,
         # antiderivative is W^-1 U, so the constrained quantity reproduces
         # -1/2 d/dc <(I+M) U_c, U_c>.
         weight = op.symmetrizing_weight(grid, s)
-        del blocks, eig  # the blocks and eigenvectors of L are not needed
-        A = op.congruence(A, weight, f"{model.kind}-sym")
-        blocks = spc.parity_blocks(A)
-        eig = spc.block_eigensystem(blocks)
+        del eig  # the eigenvectors of L are not needed
+        A = op.bbm_symmetrize(L, A)
+        eig = spc.block_eigensystem(A)
         if eig.negative_count != n_L:
             raise TheoryConsistencyError(
                 f"symmetrization changed the negative count: n(L0)={n_L}, "
@@ -214,7 +212,7 @@ def _verdict(model: wv.Model, s: float, p: float, c: float,
 
     floor = spc.gkernel_floor(grid, L.multiplier_symbol * weight ** 2)
     ham = spc.hamiltonian_eigensystem(
-        blocks, zero_floor=spc.GKERNEL_FRACTION * floor)
+        A, zero_floor=spc.GKERNEL_FRACTION * floor)
     cls = spc.classify_krein(ham)
     K_formula, verdict, notes = _resolve_verdict(
         n_L, slope, slope_ref, band, cls, L.label,
@@ -326,16 +324,16 @@ def _nearest_relative_distance(a: np.ndarray, b: np.ndarray, cut: float) -> floa
     return float(max(np.min(np.abs(b[None, :] - a[:, None]), axis=1) / np.abs(a)))
 
 
-def _check_sandwich_counts(entries, L, expected):
+def _check_sandwich_counts(entries, A, expected):
     for eps in (0.0, 1e-3, 1e-2, 1e-1):
-        count = spc.symmetric_spectrum(op.sandwich(L, eps)).negative_count
+        count = spc.symmetric_spectrum(op.sandwich(A, eps)).negative_count
         entries.append(CheckEntry(
             f"n(sandwich eps={eps:g}) == {expected}", count == expected,
             f"count={count}"))
 
 
-def _check_eps_limit(entries, L, psi0):
-    values = [spc.constrained_quantity_sandwiched(L, psi0, eps)
+def _check_eps_limit(entries, A, psi0):
+    values = [spc.constrained_quantity_sandwiched(A, psi0, eps)
               for eps in (1e-1, 1e-2, 1e-3)]
     signs_ok = len({v > 0 for v in values}) == 1
     shrink = abs(values[2] - values[1]) <= abs(values[1] - values[0])
@@ -358,11 +356,12 @@ def _gkdv_case(p_exp: float, expected_K: int) -> CheckReport:
             res.K_formula == res.K_direct == expected_K,
             f"K_formula={res.K_formula}, K_direct={res.K_direct}"))
         entries.append(CheckEntry("n(L) == 1", res.n_L == 1, f"n={res.n_L}"))
-        _check_sandwich_counts(entries, data.operator, res.n_L)
+        # an fKdV pipeline keeps the assembled L itself
+        _check_sandwich_counts(entries, data.matrix, res.n_L)
         dim = spc.generalized_kernel_dim(data.operator)
         entries.append(CheckEntry("generalized kernel dim == 2", dim == 2,
                                   f"dim={dim}"))
-        sand = spc.sandwich_hamiltonian_spectrum(op.sandwich(data.operator, 0.0))
+        sand = spc.sandwich_hamiltonian_spectrum(op.sandwich(data.matrix, 0.0))
         dist = _nearest_relative_distance(
             data.eigensystem.eigenvalues, sand, cut=1e-3 * data.eigensystem.scale)
         entries.append(CheckEntry(
@@ -374,7 +373,7 @@ def _gkdv_case(p_exp: float, expected_K: int) -> CheckReport:
             f"max ||D A v - lambda v|| / (scale ||v||) {residual:.2e}"))
         psi0 = sp.apply_multiplier(
             sp.derivative_multiplier(data.grid), data.wave.as_field())
-        _check_eps_limit(entries, data.operator, psi0)
+        _check_eps_limit(entries, data.matrix, psi0)
         entries.append(_identity_entry(data.grid))
     return CheckReport(case=f"gkdv-p{p_exp:g}", entries=tuple(entries))
 
@@ -420,8 +419,8 @@ def _schrodinger_case() -> CheckReport:
     entries = []
     grid = sp.make_grid(1024, 40.0)
     V = sp.RealField(grid, 2.0 / np.cosh(grid.nodes) ** 2)
-    L = op.schrodinger_operator(V, 0.5)
-    rep = spc.symmetric_spectrum(op.assemble(L))
+    A = op.assemble(op.schrodinger_operator(V, 0.5))
+    rep = spc.symmetric_spectrum(A)
     entries.append(CheckEntry("n(L) == 1 for -d2 + 1/2 - 2 sech^2",
                               rep.negative_count == 1,
                               f"n={rep.negative_count}"))
@@ -429,7 +428,7 @@ def _schrodinger_case() -> CheckReport:
     entries.append(CheckEntry(
         "lowest eigenvalue at c - 1 = -0.5", abs(lowest + 0.5) <= 1e-6,
         f"lambda_min={lowest:.8f}"))
-    _check_sandwich_counts(entries, L, rep.negative_count)
+    _check_sandwich_counts(entries, A, rep.negative_count)
     return CheckReport(case="schrodinger-sech2", entries=tuple(entries))
 
 

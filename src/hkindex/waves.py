@@ -247,18 +247,6 @@ def solve_ground_state(s: float, p: float, grid: SpectralGrid,
     return _finalize(grid, values, s, p, 1.0, NORMALIZED, residual, opts.tol, notes)
 
 
-def solve_traveling_wave(s: float, p: float, c: float, grid: SpectralGrid,
-                         opts: SolverOptions | None = None) -> WaveProfile:
-    """Direct solve of |d|^s U + c U - U^(p+1) = 0 at speed c > 0."""
-    _check_exponents(s, p)
-    MODELS[FKDV].check_speed(c)
-    opts = (opts or SolverOptions()).resolve(s, p)
-    values, res, factor, notes = _petviashvili(s, p, c, grid, opts)
-    _check_shape_invariants(values, factor)
-    residual = _residual(grid, values, s, p, 1.0, c)
-    return _finalize(grid, values, s, p, c, FKDV, residual, opts.tol, notes)
-
-
 def _check_exponents(s: float, p: float) -> None:
     if not 0.0 < s <= 2.0:
         raise ValueError(f"dispersion exponent must lie in (0, 2], got {s}")

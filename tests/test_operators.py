@@ -1,3 +1,7 @@
+import gc
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,10 @@ from hkindex import spectral as sp
 from hkindex import waves as wv
 from hkindex.errors import ModelMismatchError
 
+from conftest import quiet
+from dense_reference import (dense_congruence, dense_matrix,
+                             real_fourier_basis)
+
 
 def make_identity_operator(grid, kind="custom", s=None):
     return op.LinOperator(grid, np.ones(grid.n), np.zeros(grid.n),
@@ -15,7 +23,7 @@ def make_identity_operator(grid, kind="custom", s=None):
 
 class TestBasis:
     def test_orthonormal(self, grid_small):
-        phi = op.real_fourier_basis(grid_small)
+        phi = real_fourier_basis(grid_small)
         gram = grid_small.spacing * phi.T @ phi
         assert np.max(np.abs(gram - np.eye(grid_small.n))) <= 1e-12
 
@@ -60,7 +68,7 @@ class TestKdvLinearization:
 
     def test_assembled_matrix_is_symmetric(self, grid40, q22):
         A = op.assemble(op.kdv_linearization(wv.kdv_wave(q22, 1.0)))
-        assert op.symmetry_defect(A.entries) <= 1e-10
+        assert all(op.symmetry_defect(block) == 0.0 for block in A.blocks)
 
 
 class TestBbmLinearization:
@@ -88,21 +96,21 @@ class TestBbmLinearization:
 
 class TestSandwich:
     def test_identity_gives_abs_derivative(self, grid_small):
-        S = op.sandwich(make_identity_operator(grid_small), 0.0)
+        S = op.sandwich(op.assemble(make_identity_operator(grid_small)), 0.0)
         # basis column j carries |xi| = ((j + 1) // 2) / (2l)
         k = (np.arange(grid_small.n) + 1) // 2
         expected = 2.0 * np.pi * k / (2.0 * grid_small.half_length)
-        assert np.max(np.abs(S.entries - np.diag(expected))) <= 1e-12
+        assert np.max(np.abs(S.dense().entries - np.diag(expected))) <= 1e-12
 
     def test_negative_count_preserved(self, grid40, q22):
-        L = op.kdv_linearization(wv.kdv_wave(q22, 1.0))
-        n_plain = spc.symmetric_spectrum(op.assemble(L)).negative_count
-        n_sand = spc.symmetric_spectrum(op.sandwich(L, 0.0)).negative_count
+        A = op.assemble(op.kdv_linearization(wv.kdv_wave(q22, 1.0)))
+        n_plain = spc.symmetric_spectrum(A).negative_count
+        n_sand = spc.symmetric_spectrum(op.sandwich(A, 0.0)).negative_count
         assert n_plain == n_sand == 1
 
     def test_kernel_vector_annihilated(self, grid40, q22):
         L = op.kdv_linearization(wv.kdv_wave(q22, 1.0))
-        S = op.sandwich(L, 0.0)
+        S = op.sandwich(op.assemble(L), 0.0).dense()
         dq = sp.apply_multiplier(sp.derivative_multiplier(grid40), q22.as_field())
         xi = grid40.wavenumbers
         halfinv = np.zeros(grid40.n)
@@ -121,8 +129,9 @@ class TestSandwich:
         sym = np.abs(2 * np.pi * grid_small.wavenumbers) ** 2 + c
         L0 = op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
                             label="const-coeff", kind="custom")
+        A = op.assemble(L0)
         for eps in (1e-3, 1e-2, 1e-1):
-            S = op.sandwich(L0, eps)
+            S = op.sandwich(A, eps)
             smallest = spc.symmetric_spectrum(S).eigenvalues[0]
             assert smallest >= c * eps * (1.0 - 1e-6)
 
@@ -133,13 +142,13 @@ class TestBbmSymmetrize:
         sym = 1.0 + np.abs(2 * np.pi * grid_small.wavenumbers) ** s
         L0 = op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
                             label="I+M", kind="bbm", s=s, c=2.0)
-        S = op.bbm_symmetrize(L0)
-        assert np.max(np.abs(S.entries - np.eye(grid_small.n))) <= 1e-12
+        S = op.bbm_symmetrize(L0, op.assemble(L0))
+        assert np.max(np.abs(S.dense().entries - np.eye(grid_small.n))) <= 1e-12
 
     def test_kernel_vector_annihilated(self, grid40, q22):
         u = wv.bbm_wave(q22, 2.0)
         L0 = op.bbm_linearization(u)
-        S = op.bbm_symmetrize(L0)
+        S = op.bbm_symmetrize(L0, op.assemble(L0)).dense()
         du = sp.apply_multiplier(sp.derivative_multiplier(grid40), u.as_field())
         sqrt_im = sp.Multiplier(
             grid40, (1.0 + np.abs(2 * np.pi * grid40.wavenumbers) ** u.s) ** 0.5,
@@ -152,14 +161,15 @@ class TestBbmSymmetrize:
 
     def test_negative_count_preserved(self, grid40, q22):
         L0 = op.bbm_linearization(wv.bbm_wave(q22, 2.0))
-        n0 = spc.symmetric_spectrum(op.assemble(L0)).negative_count
-        ns = spc.symmetric_spectrum(op.bbm_symmetrize(L0)).negative_count
+        A = op.assemble(L0)
+        n0 = spc.symmetric_spectrum(A).negative_count
+        ns = spc.symmetric_spectrum(op.bbm_symmetrize(L0, A)).negative_count
         assert n0 == ns == 1
 
     def test_kdv_operator_rejected(self, grid40, q22):
         L = op.kdv_linearization(wv.kdv_wave(q22, 1.0))
         with pytest.raises(ModelMismatchError):
-            op.bbm_symmetrize(L)
+            op.bbm_symmetrize(L, op.assemble(L))
 
 
 class TestSchrodinger:
@@ -178,8 +188,8 @@ class TestSchrodinger:
 
     def test_sandwich_preserves_count(self, grid40):
         V = sp.RealField(grid40, 2.0 / np.cosh(grid40.nodes) ** 2)
-        L = op.schrodinger_operator(V, 0.5)
-        assert spc.symmetric_spectrum(op.sandwich(L, 0.0)).negative_count == 1
+        A = op.assemble(op.schrodinger_operator(V, 0.5))
+        assert spc.symmetric_spectrum(op.sandwich(A, 0.0)).negative_count == 1
 
     def test_slow_decay_warns(self, grid_small):
         V = sp.RealField(grid_small, 1.0 / (1.0 + grid_small.nodes ** 2))
@@ -190,10 +200,119 @@ class TestSchrodinger:
 class TestMatrixDump:
     def test_round_trip(self, tmp_path, grid_small):
         L = make_identity_operator(grid_small)
-        dm = op.assemble(L)
+        dm = op.assemble(L).dense()
         bin_path, json_path = op.save_matrix(dm, tmp_path / "operator.bin")
-        import json
         header = json.load(open(json_path))
         assert header["order"] == grid_small.n
         data = np.fromfile(bin_path, dtype="<f8").reshape(header["order"], -1)
         assert np.array_equal(data, dm.entries)
+
+
+ORACLE_GRIDS = {256: sp.make_grid(256, 15.0), 512: sp.make_grid(512, 30.0)}
+
+
+def _oracle_case(name, grid):
+    """(blocks from assemble and congruence, the same matrix through the
+    basis matrix) for one operator of the pipeline."""
+    if name == "schrodinger":
+        V = sp.RealField(grid, 2.0 / np.cosh(grid.nodes) ** 2)
+        L = op.schrodinger_operator(V, 0.5)
+        return op.assemble(L), dense_matrix(L)
+    if name == "fbbm-sym":
+        with quiet():
+            q = wv.solve_ground_state(1.5, 1.0, grid)
+            L0 = op.bbm_linearization(wv.bbm_wave(q, 1.5))
+        weight = op.symmetrizing_weight(grid, 1.5)
+        return (op.bbm_symmetrize(L0, op.assemble(L0)),
+                dense_congruence(dense_matrix(L0), weight))
+    p = 5.0 if name == "fkdv-p5" else 2.0
+    L = op.kdv_linearization(wv.kdv_wave(wv.solve_ground_state(2.0, p, grid), 1.0))
+    if not name.startswith("sandwich"):
+        return op.assemble(L), dense_matrix(L)
+    eps = float(name.split("=")[1])
+    quarter = sp.regularized_quarter_root_multiplier(grid, eps).symbol_values.real
+    return (op.sandwich(op.assemble(L), eps),
+            dense_congruence(dense_matrix(L), quarter))
+
+
+def _relative_mismatch(blocks, dense):
+    ref = dense.entries
+    return float(np.max(np.abs(blocks.dense().entries - ref))
+                 / np.max(np.abs(ref)))
+
+
+class TestFftAssembly:
+    @pytest.mark.parametrize("n", sorted(ORACLE_GRIDS))
+    @pytest.mark.parametrize("name", ["fkdv-p2", "fkdv-p5", "fbbm-sym",
+                                      "schrodinger", "sandwich-eps=0",
+                                      "sandwich-eps=0.01"])
+    def test_blocks_match_the_basis_matrix(self, name, n):
+        blocks, dense = _oracle_case(name, ORACLE_GRIDS[n])
+        assert [b.shape[0] for b in blocks.blocks] == [n // 2 + 1, n // 2 - 1]
+        # the dense cross block, dropped by the blocks, is round-off too
+        assert _relative_mismatch(blocks, dense) <= 1e-13
+
+    @pytest.mark.parametrize("n", sorted(ORACLE_GRIDS))
+    def test_coordinates_match_the_basis_matrix(self, n):
+        grid = ORACLE_GRIDS[n]
+        phi = real_fourier_basis(grid)
+        rng = np.random.default_rng(n)
+        values, coords = rng.standard_normal(n), rng.standard_normal(n)
+        expected = grid.spacing * (phi.T @ values)
+        assert np.max(np.abs(op.to_coords(grid, values) - expected)) \
+            <= 1e-12 * np.max(np.abs(expected))
+        expected = phi @ coords
+        assert np.max(np.abs(op.from_coords(grid, coords) - expected)) \
+            <= 1e-12 * np.max(np.abs(expected))
+        assert np.max(np.abs(op.to_coords(grid, op.from_coords(grid, coords))
+                             - coords)) <= 1e-12 * np.max(np.abs(coords))
+
+    def test_guard_reads_the_cross_block_of_the_basis_matrix(self, monkeypatch):
+        # an odd perturbation: the cross block formed from S_q, and the
+        # guard's ratio max|cross| / max|A|, are the dense matrix's, also
+        # after a congruence
+        grid = ORACLE_GRIDS[256]
+        x = grid.nodes
+        V = sp.RealField(grid, 2.0 / np.cosh(x) ** 2 + 1e-3 * x * np.exp(-x ** 2))
+        L = op.schrodinger_operator(V, 0.5)
+        quarter = sp.regularized_quarter_root_multiplier(grid, 0.0).symbol_values.real
+        dense = dense_matrix(L).entries
+        sandwiched = dense_congruence(dense_matrix(L), quarter).entries
+        even, odd = op.parity_index(grid.n)
+        with pytest.raises(ValueError, match="couples the even and odd modes"):
+            op.assemble(L)
+        monkeypatch.setattr(op, "SYMMETRY_TOL", 1.0)
+        A = op.assemble(L)
+        S = op.sandwich(A, 0.0)
+        monkeypatch.undo()
+        for blocks, ref in ((A, dense), (S, sandwiched)):
+            cross = ref[np.ix_(even, odd)]
+            assert np.max(np.abs(op._cross_block(blocks.coupling) - cross)) \
+                <= 1e-13 * np.max(np.abs(ref))
+            # a congruence checks the cross block again
+            ratio = np.max(np.abs(cross)) / np.max(np.abs(ref))
+            with pytest.raises(ValueError, match=f"cross block {ratio:.2e}"):
+                op.congruence(blocks, np.ones(grid.n), "unit")
+
+    def test_assembly_keeps_no_state_per_grid(self):
+        def run(n, l):
+            grid = sp.make_grid(n, l)
+            V = sp.RealField(grid, 2.0 / np.cosh(grid.nodes) ** 2)
+            A = op.assemble(op.schrodinger_operator(V, 0.5))
+            op.from_coords(grid, op.to_coords(grid, V.values))
+            return A.order
+
+        run(64, 10.0)  # first calls may import and cache module state
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            orders = [run(n, l) for n, l in ((256, 20.0), (512, 30.0),
+                                              (1024, 40.0))]
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert orders == [256, 512, 1024]
+        # a cached n x n basis would keep 8 n^2 bytes per grid (8 MB at 1024)
+        assert left <= 64 * 1024

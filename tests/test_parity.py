@@ -2,15 +2,15 @@
 
 Every solve of the verdict pipeline runs on the even (cosine) and odd
 (sine) blocks of the symmetric factor.  The full-order solves stay as the
-reference: one eigh of A, written out here, and one eig of the restricted
-D A, which is also the Hamiltonian fallback.
+reference: one eigh of A and one eig of the restricted D A, both in
+dense_reference, and the full-order eig of spectra, which is also the
+Hamiltonian fallback.
 """
 
 import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,22 +22,12 @@ from hkindex import waves as wv
 from hkindex.errors import FredholmViolationError
 
 from conftest import quiet
+from dense_reference import (dense_congruence, dense_hamiltonian_eigenvalues,
+                             dense_inertia, dense_matrix)
 
 REGRESSION_CASES = [(wv.FKDV, 2.0, 2.0, 1.0), (wv.FKDV, 2.0, 5.0, 1.0),
                     (wv.FBBM, 2.0, 2.0, 2.0)]
 SMALL = vd.NumericsConfig(n=512, half_length=30.0)
-
-
-def dense_inertia(A: op.DenseMatrix):
-    """(negative count, kernel dimension, eigenpairs) from one full eigh."""
-    w, v = scipy.linalg.eigh(A.entries)
-    tol = spc.ZERO_TOL_REL * float(np.max(np.abs(w)))
-    return (int(np.count_nonzero(w < -tol)),
-            int(np.count_nonzero(np.abs(w) <= tol)), (w, v, tol))
-
-
-def dense_hamiltonian_eigenvalues(A: op.DenseMatrix) -> np.ndarray:
-    return scipy.linalg.eigvals(spc._restricted_product(A))
 
 
 def nearest_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -56,10 +46,20 @@ def small_pipeline(request):
     return wv.MODELS[model], data
 
 
+def dense_factor(model, data) -> op.DenseMatrix:
+    """The pipeline's symmetric factor, assembled through the basis matrix
+    and, for a weighted model, congruent by (I+M)^(-1/2) on the full
+    matrix, cross block included."""
+    A = dense_matrix(data.operator)
+    if model.weighted:
+        A = dense_congruence(A, op.symmetrizing_weight(data.grid, data.wave.s))
+    return A
+
+
 class TestAgainstDensePath:
     def test_counts_and_constrained_quantity(self, small_pipeline):
         model, data = small_pipeline
-        n_neg, kernel, (w, v, tol) = dense_inertia(data.matrix)
+        n_neg, kernel, (w, v, tol) = dense_inertia(dense_factor(model, data))
         report = spc.symmetric_spectrum(data.matrix)
         assert data.result.n_L == report.negative_count == n_neg
         assert report.kernel_dim == kernel
@@ -76,10 +76,11 @@ class TestAgainstDensePath:
         assert data.result.d == pytest.approx(d_dense, rel=1e-10, abs=0.0)
 
     def test_hamiltonian_spectrum_and_classes(self, small_pipeline):
-        _, data = small_pipeline
+        model, data = small_pipeline
         ham, cls = data.eigensystem, data.classification
         assert ham.y is None
-        dense = spc._full_order(spc.parity_blocks(data.matrix), ham.zero_floor)
+        reference = dense_factor(model, data)
+        dense = spc._full_order(spc.parity_blocks(reference), ham.zero_floor)
         dense_cls = spc.classify_krein(dense)
         assert cls.classes == dense_cls.classes
         assert (cls.k_r, cls.k_c, cls.k_i_minus) == \
@@ -92,6 +93,11 @@ class TestAgainstDensePath:
         assert np.array_equal(forms, np.isfinite(cls.form_values))
         assert np.array_equal(np.sign(cls.form_values[forms]),
                               np.sign(dense_cls.form_values[forms]))
+        eigs = dense_hamiltonian_eigenvalues(reference)
+        eigs = eigs[np.abs(eigs) > 1e-3 * dense.scale]
+        assert np.count_nonzero(big) == eigs.size
+        gaps = np.abs(ham.eigenvalues[:, None] - eigs[None, :]).min(axis=0)
+        assert np.max(gaps / np.abs(eigs)) <= 1e-9
 
 
 class TestParityGuard:
@@ -185,6 +191,19 @@ class TestFallbackSelection:
                                 dense_hamiltonian_eigenvalues(A)) <= 1e-12
         assert spc.classify_krein(ham).k_c == 2
 
+    def test_sub_noise_roots_reported_on_the_imaginary_axis(self):
+        # scale 1: the squaring noise is sqrt(eps) = 1.5e-8
+        eigs = np.array([1e-9, -1e-9, 1e-9 + 2e-9j, -1e-9 - 2e-9j, 2e-9j,
+                         1e-6, 0.5j, 1.0], dtype=complex)
+        out = spc._unresolved_on_imaginary_axis(eigs, 1.0, 1e-2)
+        moved = np.abs(eigs[2])
+        assert np.array_equal(out, [1e-9j, -1e-9j, moved * 1j, -moved * 1j,
+                                    2e-9j, 1e-6, 0.5j, 1.0])
+        assert not np.any(np.signbit(out.real))
+        # only zero-bucket eigenvalues move, so no class can change
+        assert np.array_equal(
+            spc._unresolved_on_imaginary_axis(eigs, 1.0, 1e-10), eigs)
+
 
 @st.composite
 def even_operators(draw):
@@ -198,20 +217,26 @@ def even_operators(draw):
                                  max_size=n)))
     potential = 0.5 * (raw + raw[np.r_[0, n - 1:0:-1]])
     sym = sp.fractional_symbol(grid, s) + c
-    return op.assemble(op.LinOperator(grid, sym, potential, label="random"))
+    return op.LinOperator(grid, sym, potential, label="random")
 
 
 @given(even_operators())
-def test_block_inertia_equals_full_inertia(A):
-    n_neg, kernel, _ = dense_inertia(A)
-    report = spc.symmetric_spectrum(A)
+def test_assembled_blocks_equal_the_basis_matrix(L):
+    blocks, dense = op.assemble(L).dense().entries, dense_matrix(L).entries
+    assert np.max(np.abs(blocks - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@given(even_operators())
+def test_block_inertia_equals_full_inertia(L):
+    n_neg, kernel, _ = dense_inertia(dense_matrix(L))
+    report = spc.symmetric_spectrum(op.assemble(L))
     assert (report.negative_count, report.kernel_dim) == (n_neg, kernel)
 
 
 @given(even_operators())
-def test_block_hamiltonian_spectrum_equals_dense(A):
-    dense = dense_hamiltonian_eigenvalues(A)
+def test_block_hamiltonian_spectrum_equals_dense(L):
+    dense = dense_hamiltonian_eigenvalues(dense_matrix(L))
     scale = float(np.max(np.abs(dense)))
     noise = np.sqrt(np.finfo(float).eps) * scale
-    ham = spc.hamiltonian_eigensystem(A, 20.0 * noise)
+    ham = spc.hamiltonian_eigensystem(op.assemble(L), 20.0 * noise)
     assert nearest_distance(ham.eigenvalues, dense) <= 10.0 * noise

@@ -101,6 +101,12 @@ class TestBbmSlope:
         assert res.closed_form > 0
         assert not res.step_warning
 
+    @pytest.mark.parametrize("c", [1.5, 2.0, 3.0])
+    def test_closed_form_matches_finite_difference_off_c2(self, q22, c):
+        res = spc.bbm_slope(lambda cc: wv.bbm_wave(q22, cc), c, 0.01, q22)
+        # the centred difference is accurate to O(dc^2) ~ 1e-5 relative
+        assert res.closed_form == pytest.approx(res.finite_difference, rel=1e-4)
+
     def test_s1_reduction_drops_s_minus_one_terms(self, grid_s1):
         q = wv.solve_ground_state(1.0, 2.0, grid_s1)
         qf = q.as_field()
@@ -110,9 +116,9 @@ class TestBbmSlope:
         hq = sp.inner_product(half, half)
         c = 2.0
         res = spc.bbm_slope(lambda cc: wv.bbm_wave(q, cc), c, 0.01, q)
-        # at s=1 the bracket reduces to (4-p)c<Q,Q> + 2c<|d|^(1/2)Q, .>
+        # at s=1 the bracket reduces to c(2c-p)<Q,Q> + 2c(c-1)<|d|^(1/2)Q, .>
         reduced = (c - 1.0) ** (2.0 / q.p - 1.0 / q.s - 1.0) * c ** (1.0 / q.s - 2.0) \
-            * ((4.0 - q.p) * c * qq + 2.0 * c * hq) / q.p
+            * (c * (2.0 * c - q.p) * qq + 2.0 * c * (c - 1.0) * hq) / q.p
         assert res.closed_form == pytest.approx(reduced, rel=1e-12)
 
     def test_s2_p4_bracket_positive(self, grid40):
@@ -163,7 +169,7 @@ class TestHamiltonianSpectrum:
         assert spc.eigenpair_residual(corrupted, cls) > 1e-2
 
     def test_sandwich_equivalence(self, pipeline22):
-        S = op.sandwich(pipeline22.operator, 0.0)
+        S = op.sandwich(pipeline22.matrix, 0.0)
         sand = spc.sandwich_hamiltonian_spectrum(S)
         ham = pipeline22.eigensystem
         cut = 1e-3 * ham.scale
@@ -235,6 +241,6 @@ class TestEpsilonChain:
             pipeline22.wave.as_field())
         with quiet():
             values = [spc.constrained_quantity_sandwiched(
-                pipeline22.operator, psi0, eps) for eps in (1e-1, 1e-2, 1e-3)]
+                pipeline22.matrix, psi0, eps) for eps in (1e-1, 1e-2, 1e-3)]
         assert all(v < 0 for v in values)
         assert abs(values[2] - values[1]) <= abs(values[1] - values[0])

@@ -7,6 +7,13 @@ from hkindex.errors import GridMismatchError, NonIntegrableInputError
 from conftest import random_mean_zero
 
 
+def inverse_transform(grid, coeffs):
+    """Samples whose continuum-scaled spectrum sp.transform is coeffs."""
+    k = np.rint(grid.wavenumbers * 2.0 * grid.half_length).astype(int)
+    phase = np.where(k % 2 == 0, 1.0, -1.0)
+    return np.fft.ifft(coeffs * phase / grid.spacing).real
+
+
 class TestMakeGrid:
     def test_example_8_points(self):
         g = sp.make_grid(8, 4.0)
@@ -181,8 +188,8 @@ class TestTransformRoundTrip:
     def test_round_trip(self, grid_small):
         rng = np.random.default_rng(8)
         f = sp.RealField(grid_small, rng.standard_normal(grid_small.n))
-        back = sp.inverse_transform(grid_small, sp.transform(f))
-        assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+        back = inverse_transform(grid_small, sp.transform(f))
+        assert np.max(np.abs(back - f.values)) <= 1e-12 * np.max(np.abs(f.values))
 
     def test_centered_even_profile_has_real_spectrum(self, grid_small):
         f = sp.RealField(grid_small, np.exp(-grid_small.nodes ** 2))
