@@ -15,11 +15,11 @@ from .waves import (FBBM, FKDV, NORMALIZED, SolverOptions, WaveProfile,
                     bbm_wave, bo_profile, kdv_wave, load_profile, p_max,
                     save_profile, sech_profile, solve_ground_state,
                     squared_norm)
-from .operators import (DenseMatrix, LinOperator, ParityBlocks, assemble,
+from .operators import (LinOperator, ParityBlocks, assemble,
                         bbm_linearization, bbm_symmetrize, kdv_linearization,
                         sandwich, save_matrix, schrodinger_operator)
 from .spectra import (BbmSlope, HamiltonianEigensystem, KreinClassification,
-                      SpectralReport, bbm_slope, classify_krein,
+                      SymmetricSpectrum, bbm_slope, classify_krein,
                       constrained_quantity, constrained_quantity_sandwiched,
                       generalized_kernel_dim, hamiltonian_eigensystem,
                       sandwich_hamiltonian_spectrum, slope_analytic,

@@ -42,6 +42,15 @@ SWEEP_HEADER = ["s", "p", "c", "model", "n_L", "slope", "K_formula",
                 "k_r", "k_c", "k_i_minus", "verdict", "status"]
 SPECTRUM_HEADER = ["re", "im", "class", "krein_form_value"]
 
+# each setting's type as its flag parses it, and the choices of the flags
+# that have them; a config file may hold exactly these settings
+SETTINGS = {"model": str, "s": float, "p": float, "c": float, "n": int,
+            "half_length": float, "tol": float, "out": str, "format": str,
+            "axis": str, "start": float, "stop": float, "steps": int,
+            "case": str}
+CHOICES = {"model": [*wv.MODELS, SCHRODINGER], "format": ["csv", "json"],
+           "axis": [vd.AXIS_P, vd.AXIS_C, vd.AXIS_S]}
+
 
 class UsageError(Exception):
     pass
@@ -87,7 +96,7 @@ def build_parser() -> _Parser:
                                 parser_class=_Parser)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", choices=[*wv.MODELS, SCHRODINGER])
+    common.add_argument("--model", choices=CHOICES["model"])
     common.add_argument("--s", type=float, help="dispersion exponent in (0, 2]")
     common.add_argument("--p", type=float, help="nonlinearity exponent")
     common.add_argument("--c", type=float, help="wave speed")
@@ -97,7 +106,7 @@ def build_parser() -> _Parser:
     common.add_argument("--tol", type=float, help="wave solver tolerance")
     common.add_argument("--out", help="output directory (default '.')")
     common.add_argument("--config", help="JSON config file; flags override it")
-    common.add_argument("--format", choices=["csv", "json"],
+    common.add_argument("--format", choices=CHOICES["format"],
                         help="tabular output format (default csv)")
 
     sub.add_parser("solve-wave", parents=[common],
@@ -106,7 +115,7 @@ def build_parser() -> _Parser:
                    help="run the full index pipeline, write the result JSON")
     sweep_p = sub.add_parser("sweep", parents=[common],
                              help="run verdicts along one parameter axis")
-    sweep_p.add_argument("--axis", choices=["p", "c", "s"])
+    sweep_p.add_argument("--axis", choices=CHOICES["axis"])
     sweep_p.add_argument("--from", type=float, dest="start")
     sweep_p.add_argument("--to", type=float, dest="stop")
     sweep_p.add_argument("--steps", type=int)
@@ -132,15 +141,35 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"cannot read config file: {exc}")
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}")
+        _check_config(file_values)
     cfg = RunConfig(command=args.command)
-    for key in ("model", "s", "p", "c", "n", "half_length", "tol", "out",
-                "format", "axis", "start", "stop", "steps", "case"):
+    for key in SETTINGS:
         value = getattr(args, key, None)
         if value is None:
             value = file_values.get(key)
         if value is not None:
             setattr(cfg, key, value)
     return cfg
+
+
+def _check_config(values) -> None:
+    """Raise UsageError unless the config file holds a JSON object of
+    settings, each of its flag's type (an integer passes as a float, a
+    boolean never) and among its flag's choices."""
+    if not isinstance(values, dict):
+        raise UsageError("config file must hold a JSON object")
+    for key, value in values.items():
+        if key not in SETTINGS:
+            raise UsageError(f"unknown config key {key!r}; known keys: "
+                             f"{', '.join(SETTINGS)}")
+        kind = SETTINGS[key]
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise UsageError(f"config key {key!r} must be of type "
+                             f"{kind.__name__}, got {value!r}")
+        if value not in CHOICES.get(key, [value]):
+            raise UsageError(f"config key {key!r} must be one of "
+                             f"{', '.join(CHOICES[key])}, got {value!r}")
 
 
 def _require(cfg: RunConfig, *names) -> None:
@@ -196,6 +225,8 @@ def cmd_index(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     _require(cfg, "axis", "start", "stop", "steps")
+    if cfg.steps < 1:
+        raise UsageError(f"--steps must be at least 1, got {cfg.steps}")
     if cfg.model not in wv.MODELS:
         raise UsageError("sweep supports --model fkdv or fbbm")
     fixed = {"s": cfg.s, "p": cfg.p, "c": cfg.c}
@@ -267,7 +298,7 @@ def cmd_dump_operator(cfg: RunConfig) -> int:
         kind = wv.MODELS[cfg.model].kind
         operator = getattr(op, f"{kind}_linearization")(profile)
     # the blocks coupling the parities are written as zeros
-    matrix = op.assemble(operator).dense()
+    matrix = op.assemble(operator)
     bin_path, json_path = op.save_matrix(
         matrix, os.path.join(cfg.out, "operator.bin"))
     print(f"wrote {bin_path} and {json_path} (order {matrix.order})")

@@ -13,16 +13,20 @@ acts by 2x2 rotation blocks on each (cos, sin) pair.  The basis is
 orthonormal for the trapezoid inner product, so coordinate dot products
 equal L2 pairings.
 
-Every wave is even, so an operator is assembled as its two parity blocks:
-the even block over the constant, the cosines and the Nyquist cosine
-(modes k = 0 .. n/2) and the odd block over the sines (k = 1 .. n/2-1).
-A pointwise potential V enters through the trapezoid sums
+Every wave is even, so an operator is assembled as its two parity blocks
+(ParityBlocks, the only matrix type of the package): the even block over
+the constant, the cosines and the Nyquist cosine (modes k = 0 .. n/2) and
+the odd block over the sines (k = 1 .. n/2-1).  Coordinates come in the
+same layout, one vector per parity; the interleaved order above is only
+the layout of a dumped matrix.  A pointwise potential V enters through
+the trapezoid sums
 
     C_q + i S_q = h sum_j V_j exp(2i pi xi_q x_j),
 
 one FFT of V.  Since cos a cos b = (cos(a-b) + cos(a+b))/2, each block is
-a Toeplitz-plus-Hankel matrix in C_q; the block coupling the parities is
-formed from S_q, which an even V leaves at round-off, and is only checked.
+a Toeplitz-plus-Hankel matrix in C_q, exactly symmetric as built; the
+block coupling the parities is formed from S_q, which an even V leaves at
+round-off, and is only checked.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import numpy as np
 from scipy.linalg import hankel, toeplitz
 
 from .errors import ModelMismatchError
+from .io_utils import atomic_write_bytes, write_json
 from .spectral import (RealField, SpectralGrid, fractional_symbol,
                        regularized_quarter_root_multiplier, same_grid)
 from .waves import (FBBM, FKDV, MODELS, NORMALIZED, Model, WaveProfile,
@@ -61,69 +66,19 @@ def _mode_norms(grid: SpectralGrid) -> np.ndarray:
     return nu
 
 
-def to_coords(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
-    """Real-Fourier coordinates h phi^T values of grid samples."""
+def to_coords(grid: SpectralGrid, values: np.ndarray) -> tuple:
+    """Real-Fourier coordinates h phi^T values of grid samples, as the
+    vectors over the even modes (constant, cosines, Nyquist) and over the
+    odd modes (sines)."""
     f = np.fft.rfft(values) * (grid.spacing * _mode_norms(grid))
     f[1::2] *= -1.0  # the phase (-1)^k of mode k at x_0 = -l
-    coords = np.empty(grid.n)
-    coords[0], coords[-1] = f[0].real, f[-1].real
-    coords[1:-1:2] = f[1:-1].real
-    coords[2:-1:2] = -f[1:-1].imag
-    return coords
-
-
-def from_coords(grid: SpectralGrid, coords: np.ndarray) -> np.ndarray:
-    """Grid samples phi coords of real-Fourier coordinates."""
-    z = np.empty(grid.n // 2 + 1, dtype=complex)
-    z[0], z[-1] = coords[0], coords[-1]
-    z[1:-1] = 0.5 * (coords[1:-1:2] - 1j * coords[2:-1:2])
-    z *= grid.n * _mode_norms(grid)
-    z[1::2] *= -1.0
-    return np.fft.irfft(z, grid.n)
-
-
-@dataclass(frozen=True, eq=False)
-class DenseMatrix:
-    entries: np.ndarray
-    grid: SpectralGrid | None = None
-    label: str = ""
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("DenseMatrix needs a square array")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("DenseMatrix entries must be finite")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
-
-
-def symmetry_defect(entries: np.ndarray) -> float:
-    scale = float(np.max(np.abs(entries)))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(entries - entries.T))) / scale
-
-
-def check_parity_coupling(label: str, cross: float, scale: float) -> None:
-    """Raise unless the block coupling the parities is at most SYMMETRY_TOL
-    relative to max|A|: dropping it moves an eigenvalue no more than the
-    asymmetry already accepted."""
-    if cross > SYMMETRY_TOL * scale:
-        raise ValueError(
-            f"matrix {label!r} couples the even and odd modes "
-            f"(relative cross block {cross / scale:.2e}): the "
-            f"linearization is not about an even wave")
+    return f.real.copy(), -f[1:-1].imag
 
 
 @dataclass(frozen=True, eq=False)
 class ParityBlocks:
-    """A symmetric matrix in the real-Fourier basis as its diagonal blocks
-    over the parity layout: (even, odd) on a grid, one block of everything
-    for a matrix without one (it has no Fourier layout).
+    """A symmetric matrix in the real-Fourier basis of a grid as its
+    diagonal blocks (even, odd) over the parity layout.
 
     coupling, when set, is (S, r_even, r_odd) with S_q, q = 0 .. n, from
     the FFT of the potential (S_{-q} = -S_q): the dropped block coupling
@@ -132,7 +87,7 @@ class ParityBlocks:
     again.
     """
     blocks: tuple
-    grid: SpectralGrid | None = None
+    grid: SpectralGrid
     label: str = ""
     coupling: tuple | None = None
 
@@ -140,19 +95,13 @@ class ParityBlocks:
     def order(self) -> int:
         return sum(block.shape[0] for block in self.blocks)
 
-    @property
-    def index(self) -> tuple:
-        """Basis indices of each block."""
-        if self.grid is None:
-            return (np.arange(self.order),)
-        return parity_index(self.grid.n)
-
-    def dense(self) -> DenseMatrix:
-        """The full matrix, with zeros coupling the parities."""
+    def dense(self) -> np.ndarray:
+        """The full matrix in the interleaved basis order, with zeros
+        coupling the parities."""
         entries = np.zeros((self.order, self.order))
-        for idx, block in zip(self.index, self.blocks):
+        for idx, block in zip(parity_index(self.grid.n), self.blocks):
             entries[np.ix_(idx, idx)] = block
-        return DenseMatrix(entries, grid=self.grid, label=self.label)
+        return entries
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -173,10 +122,18 @@ def _cross_block(coupling: tuple) -> np.ndarray:
 
 
 def _check_coupling(P: ParityBlocks) -> None:
-    if P.coupling is not None:
-        cross = _max_abs(_cross_block(P.coupling))
-        check_parity_coupling(P.label, cross,
-                              max(cross, *(_max_abs(b) for b in P.blocks)))
+    """Raise unless the block coupling the parities is at most SYMMETRY_TOL
+    relative to max|A|: dropping it moves an eigenvalue no more than the
+    asymmetry already accepted."""
+    if P.coupling is None:
+        return
+    cross = _max_abs(_cross_block(P.coupling))
+    scale = max(cross, *(_max_abs(b) for b in P.blocks))
+    if cross > SYMMETRY_TOL * scale:
+        raise ValueError(
+            f"matrix {P.label!r} couples the even and odd modes "
+            f"(relative cross block {cross / scale:.2e}): the "
+            f"linearization is not about an even wave")
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,17 +281,17 @@ def congruence(A: ParityBlocks, symbol: np.ndarray, name: str) -> ParityBlocks:
     return out
 
 
-def save_matrix(dm: DenseMatrix, bin_path, json_path=None) -> tuple:
-    """Raw row-major float64 dump plus a JSON header (order, label)."""
-    from .io_utils import atomic_write_bytes, write_json
-
+def save_matrix(P: ParityBlocks, bin_path) -> tuple:
+    """Raw row-major float64 dump of P.dense() plus a JSON header (order,
+    label, grid) beside it, the .bin suffix replaced by .json."""
+    entries = P.dense()
+    if not np.all(np.isfinite(entries)):
+        raise ValueError(f"matrix {P.label!r} has non-finite entries")
     bin_path = str(bin_path)
-    atomic_write_bytes(bin_path, np.ascontiguousarray(dm.entries, dtype="<f8").tobytes())
-    if json_path is None:
-        json_path = (bin_path[:-4] if bin_path.endswith(".bin") else bin_path) + ".json"
-    header = {"order": dm.order, "label": dm.label, "dtype": "float64-le",
-              "layout": "row-major"}
-    if dm.grid is not None:
-        header["grid"] = {"n": dm.grid.n, "half_length": dm.grid.half_length}
-    write_json(json_path, header)
-    return bin_path, str(json_path)
+    atomic_write_bytes(bin_path, np.ascontiguousarray(entries, dtype="<f8").tobytes())
+    json_path = (bin_path[:-4] if bin_path.endswith(".bin") else bin_path) + ".json"
+    write_json(json_path, {"order": P.order, "label": P.label,
+                           "dtype": "float64-le", "layout": "row-major",
+                           "grid": {"n": P.grid.n,
+                                    "half_length": P.grid.half_length}})
+    return bin_path, json_path

@@ -1,9 +1,11 @@
 """Eigenvalue computations for the stability pipeline.
 
-Symmetric matrices (assembled in the orthonormal real-Fourier basis) feed
-three kinds of quantities:
+Every function takes the parity blocks of a symmetric matrix
+(operators.ParityBlocks, built by assemble or a congruence) or a result
+derived from them.  They feed three kinds of quantities:
 
-* inertia-style counts n(.) and kernels, from a dense symmetric solve;
+* inertia-style counts n(.) and kernels, from one symmetric solve per
+  block;
 * the constrained quantity <L^-1 w, w> with w the decaying antiderivative
   of the kernel generator, via a spectral pseudo-inverse;
 * the spectrum of the Hamiltonian product (d/dx) L on the subspace where
@@ -12,11 +14,10 @@ three kinds of quantities:
 
 In the real-Fourier basis the restricted derivative is block diagonal
 with 2x2 rotation blocks 2*pi*xi_k [[0, -1], [1, 0]] on each (cos, sin)
-pair, so forming D A costs O(n^2).  Every wave is even, so the symmetric
-factor is block diagonal by parity (cosines, sines) and is assembled as
-its two blocks: each symmetric solve runs on the two half-order blocks,
-and the Hamiltonian spectrum comes from the half-order product of the two
-blocks whose eigenvalues are lambda^2.
+pair, so it maps the cosines to the sines: the Hamiltonian spectrum comes
+from the half-order product of the two blocks, whose eigenvalues are
+lambda^2, or from the full-order restricted D A when squaring would cost
+too much accuracy.
 """
 
 from __future__ import annotations
@@ -28,12 +29,10 @@ import numpy as np
 import scipy.linalg
 
 from .errors import FredholmViolationError
-from .operators import (SYMMETRY_TOL, DenseMatrix, LinOperator, ParityBlocks,
-                        assemble, check_parity_coupling, from_coords,
-                        pair_frequencies, parity_index, symmetry_defect,
-                        to_coords)
-from .spectral import (TWO_PI, RealField, SpectralGrid,
+from .operators import ParityBlocks, pair_frequencies, sandwich, to_coords
+from .spectral import (TWO_PI, Multiplier, RealField, SpectralGrid,
                        antiderivative_multiplier, apply_multiplier,
+                       fractional_derivative_multiplier, inner_product,
                        regularized_quarter_root_multiplier)
 
 # defaults from the tolerance policy: scale-relative thresholds survive
@@ -57,42 +56,15 @@ GKERNEL_FRACTION = 0.75
 ANCHOR_FRACTION = 0.02
 
 
-# ---------------------------------------------------------------------------
-# Parity layout: every wave is even, so an even potential never couples the
-# cosines to the sines and every dense solve splits into two half-order ones
-# ---------------------------------------------------------------------------
-
-def parity_blocks(A: DenseMatrix | ParityBlocks) -> ParityBlocks:
-    """A split by parity.  Assembled operators come as blocks already; a
-    matrix from elsewhere is checked once for symmetry and for a block
-    coupling the parities below SYMMETRY_TOL relative to max|A|."""
-    if isinstance(A, ParityBlocks):
-        return A
-    entries = A.entries
-    defect = symmetry_defect(entries)
-    if defect > SYMMETRY_TOL:
-        raise ValueError(f"matrix {A.label!r} is not symmetric "
-                         f"(defect {defect:.2e})")
-    if A.grid is None:
-        return ParityBlocks((entries,), label=A.label)
-    index = parity_index(A.order)
-    check_parity_coupling(
-        A.label, float(np.max(np.abs(entries[np.ix_(*index)]), initial=0.0)),
-        float(np.max(np.abs(entries))))
-    return ParityBlocks(tuple(entries[np.ix_(i, i)] for i in index),
-                        A.grid, A.label)
-
-
 def sym_eig(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full symmetric eigendecomposition of one parity block."""
     return scipy.linalg.eigh(block)
 
 
 @dataclass(frozen=True, eq=False)
-class BlockEigensystem:
-    """Eigenpairs of each parity block.  The zero tolerance is global,
-    ZERO_TOL_REL * max|w| over all blocks, unless given."""
-    index: tuple                     # basis indices of each block
+class SymmetricSpectrum:
+    """Eigenpairs of the even and odd blocks.  The zero tolerance is
+    global, ZERO_TOL_REL * max|w| over both blocks."""
     values: tuple                    # ascending eigenvalues of each block
     vectors: tuple                   # eigenvector columns of each block
     zero_tol: float
@@ -101,47 +73,24 @@ class BlockEigensystem:
     def negative_count(self) -> int:
         return sum(int(np.count_nonzero(w < -self.zero_tol)) for w in self.values)
 
+    @property
+    def kernel_dim(self) -> int:
+        return sum(int(np.count_nonzero(np.abs(w) <= self.zero_tol))
+                   for w in self.values)
 
-def block_eigensystem(P: ParityBlocks,
-                      zero_tol: float | None = None) -> BlockEigensystem:
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """The eigenvalues of both blocks, ascending."""
+        return np.sort(np.concatenate(self.values))
+
+
+def symmetric_spectrum(P: ParityBlocks) -> SymmetricSpectrum:
+    """Inertia, eigenvalues and eigenvectors of a symmetric matrix, one
+    eigh per parity block."""
     pairs = [sym_eig(block) for block in P.blocks]
     values = tuple(w for w, _ in pairs)
-    if zero_tol is None:
-        zero_tol = ZERO_TOL_REL * max(
-            (float(np.max(np.abs(w))) for w in values if w.size), default=0.0)
-    return BlockEigensystem(P.index, values, tuple(v for _, v in pairs),
-                            zero_tol)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralReport:
-    label: str
-    eigenvalues: np.ndarray
-    zero_tol: float
-    negative_count: int
-    kernel_dim: int
-    kernel_vectors: tuple
-
-
-def symmetric_spectrum(A: DenseMatrix | ParityBlocks,
-                       zero_tol: float | None = None) -> SpectralReport:
-    """Inertia, ascending eigenvalues and kernel of a symmetric matrix
-    (kernel vectors as grid samples when A lives on a grid)."""
-    A = parity_blocks(A)
-    eig = block_eigensystem(A, zero_tol)
-    kernel_vectors = []
-    for idx, w, v in zip(eig.index, eig.values, eig.vectors):
-        for i in np.nonzero(np.abs(w) <= eig.zero_tol)[0]:
-            coords = np.zeros(A.order)
-            coords[idx] = v[:, i]
-            kernel_vectors.append(coords if A.grid is None
-                                  else from_coords(A.grid, coords))
-    return SpectralReport(label=A.label,
-                          eigenvalues=np.sort(np.concatenate(eig.values)),
-                          zero_tol=eig.zero_tol,
-                          negative_count=eig.negative_count,
-                          kernel_dim=len(kernel_vectors),
-                          kernel_vectors=tuple(kernel_vectors))
+    zero_tol = ZERO_TOL_REL * max(float(np.max(np.abs(w))) for w in values)
+    return SymmetricSpectrum(values, tuple(v for _, v in pairs), zero_tol)
 
 
 def _anchor_to_edge(grid, values: np.ndarray) -> np.ndarray:
@@ -158,9 +107,10 @@ def decaying_antiderivative(psi0: RealField) -> RealField:
     return RealField(psi0.grid, _anchor_to_edge(psi0.grid, w.values))
 
 
-def _pseudo_solve_quadratic(eig: BlockEigensystem, rhs_coords: np.ndarray,
+def _pseudo_solve_quadratic(eig: SymmetricSpectrum, rhs: tuple,
                             label: str) -> float:
-    """<A^+ rhs, rhs> with eigendirections |lambda| <= zero_tol dropped.
+    """<A^+ rhs, rhs> with eigendirections |lambda| <= zero_tol dropped,
+    for the right-hand side given by its (even, odd) coordinates.
 
     A direction is reached by the right-hand side when its overlap exceeds
     1e-6 ||rhs||, with the norm of the whole right-hand side: a block's
@@ -169,10 +119,10 @@ def _pseudo_solve_quadratic(eig: BlockEigensystem, rhs_coords: np.ndarray,
     direction with |lambda| < 1e3 zero_tol makes the solve near-singular.
     """
     tol = eig.zero_tol
-    rhs_norm = float(np.linalg.norm(rhs_coords))
+    rhs_norm = float(np.linalg.norm(np.concatenate(rhs)))
     total, worst, near_singular = 0.0, 0.0, False
-    for idx, w, v in zip(eig.index, eig.values, eig.vectors):
-        proj = v.T @ rhs_coords[idx]
+    for w, v, part in zip(eig.values, eig.vectors, rhs):
+        proj = v.T @ part
         reached = np.abs(proj) > 1e-6 * rhs_norm
         kernel = np.abs(w) <= tol
         if np.any(kernel & reached):
@@ -190,24 +140,21 @@ def _pseudo_solve_quadratic(eig: BlockEigensystem, rhs_coords: np.ndarray,
     return total
 
 
-def constrained_quantity(L: LinOperator | ParityBlocks, psi0: RealField,
-                         eig: BlockEigensystem | None = None) -> float:
-    """<L^-1 (d^-1 psi0), d^-1 psi0> via the spectral pseudo-inverse.
+def constrained_quantity(A: ParityBlocks, psi0: RealField,
+                         eig: SymmetricSpectrum) -> float:
+    """<L^-1 (d^-1 psi0), d^-1 psi0> via the spectral pseudo-inverse, from
+    the symmetric spectrum eig of A = assemble(L).
 
-    eig, when given, is the block eigensystem of the assembled L; then
-    nothing is assembled and L may be that matrix itself.  The
-    antiderivative is pinned to its decaying branch; the solve drops the
-    numerically computed kernel directions and verifies the Fredholm
+    The antiderivative is pinned to its decaying branch; the solve drops
+    the numerically computed kernel directions and verifies the Fredholm
     compatibility of the right-hand side first.
     """
-    if eig is None:
-        eig = block_eigensystem(assemble(L))
     rhs = decaying_antiderivative(psi0)
-    return _pseudo_solve_quadratic(eig, to_coords(L.grid, rhs.values), L.label)
+    return _pseudo_solve_quadratic(eig, to_coords(A.grid, rhs.values), A.label)
 
 
-def constrained_quantity_sandwiched(A: ParityBlocks, psi0: RealField, eps: float,
-                                    zero_tol: float | None = None) -> float:
+def constrained_quantity_sandwiched(A: ParityBlocks, psi0: RealField,
+                                    eps: float) -> float:
     """The same quantity computed through the regularized sandwich of the
     assembled operator A = assemble(L),
 
@@ -216,9 +163,6 @@ def constrained_quantity_sandwiched(A: ParityBlocks, psi0: RealField, eps: float
 
     which is how the eps-independence of the index is checked.
     """
-    from .operators import sandwich
-    from .spectral import Multiplier
-
     grid = A.grid
     xi = grid.wavenumbers
     quarter = regularized_quarter_root_multiplier(grid, eps).symbol_values.real
@@ -231,8 +175,8 @@ def constrained_quantity_sandwiched(A: ParityBlocks, psi0: RealField, eps: float
                    adjointness="skew")
     g = apply_multiplier(m, psi0)
     S = sandwich(A, eps)
-    eig = block_eigensystem(S, zero_tol)
-    return _pseudo_solve_quadratic(eig, to_coords(grid, g.values), S.label)
+    return _pseudo_solve_quadratic(symmetric_spectrum(S),
+                                   to_coords(grid, g.values), S.label)
 
 
 def slope_analytic(s: float, p: float, c: float, q_norm_sq: float) -> float:
@@ -262,7 +206,6 @@ def bbm_slope(u_family, c: float, dc: float, normalized) -> BbmSlope:
 
     A mismatch beyond 5 percent flags the step as too large.
     """
-    from .spectral import fractional_derivative_multiplier, inner_product
     if not c - dc > 1.0:
         raise ValueError("finite-difference stencil leaves the range c > 1")
 
@@ -362,8 +305,6 @@ def _scale(eigs: np.ndarray) -> float:
 
 def _factor(P: ParityBlocks) -> tuple:
     """(A_cos, A_sin, W): the restricted blocks and the weights of D."""
-    if P.grid is None:
-        raise ValueError("Hamiltonian product needs the grid reference")
     return (P.blocks[0][1:-1, 1:-1], P.blocks[1],
             TWO_PI * pair_frequencies(P.grid))
 
@@ -391,8 +332,8 @@ def _unresolved_on_imaginary_axis(eigs: np.ndarray, scale: float,
     return eigs
 
 
-def hamiltonian_eigensystem(A: DenseMatrix | ParityBlocks,
-                            zero_floor: float = 0.0) -> HamiltonianEigensystem:
+def hamiltonian_eigensystem(P: ParityBlocks,
+                            zero_floor: float) -> HamiltonianEigensystem:
     """Eigenvalues, sorted by (imag, real), and eigenvectors of the
     restricted D A; |lambda| <= zero_floor counts as zero.
 
@@ -404,7 +345,6 @@ def hamiltonian_eigensystem(A: DenseMatrix | ParityBlocks,
     Either way a zero-bucket eigenvalue below the noise is reported on the
     imaginary axis.
     """
-    P = parity_blocks(A)
     a_cos, a_sin, weights = _factor(P)
     m = (weights[:, None] * a_sin) @ (weights[:, None] * a_cos)
     m *= -1.0
@@ -508,10 +448,7 @@ def _cluster_indices(values: np.ndarray, gap: float) -> list:
     return clusters
 
 
-def classify_krein(ham: HamiltonianEigensystem,
-                   re_tol: float | None = None,
-                   im_tol: float | None = None,
-                   sig_tol: float | None = None) -> KreinClassification:
+def classify_krein(ham: HamiltonianEigensystem) -> KreinClassification:
     """Sort the Hamiltonian eigenvalues into Krein buckets.
 
     k_r counts real eigenvalues in the right half-plane, k_c complex ones
@@ -519,7 +456,9 @@ def classify_krein(ham: HamiltonianEigensystem,
     classified by the sign of the Hermitian form <A v, v> on their
     eigenspace; negative directions double into k_i_minus (conjugate pairs
     carry equal counts) and form values within sig_tol of zero land in the
-    indeterminate list rather than being counted.
+    indeterminate list rather than being counted.  re_tol and im_tol are
+    RE_TOL_REL and IM_TOL_REL times max|lambda|, sig_tol is SIG_TOL_REL
+    times the 1-norm of the restricted factor.
 
     The eigensystem's zero_floor widens the zero bucket to
     |lambda| <= zero_floor: callers pass a fraction of the box's first
@@ -529,12 +468,11 @@ def classify_krein(ham: HamiltonianEigensystem,
     """
     eigs = ham.eigenvalues
     scale = ham.scale if ham.scale > 0 else 1.0
-    re_tol = RE_TOL_REL * scale if re_tol is None else re_tol
-    im_tol = IM_TOL_REL * scale if im_tol is None else im_tol
-    if sig_tol is None:
-        # the 1-norm of the restricted factor, block diagonal by parity
-        sig_tol = SIG_TOL_REL * max(float(np.linalg.norm(ham.a_cos, 1)),
-                                    float(np.linalg.norm(ham.a_sin, 1)))
+    re_tol = RE_TOL_REL * scale
+    im_tol = IM_TOL_REL * scale
+    # the 1-norm of the restricted factor, block diagonal by parity
+    sig_tol = SIG_TOL_REL * max(float(np.linalg.norm(ham.a_cos, 1)),
+                                float(np.linalg.norm(ham.a_sin, 1)))
 
     classes = np.empty(len(eigs), dtype=object)
     forms = np.full(len(eigs), np.nan)
@@ -620,16 +558,15 @@ def gkernel_floor(grid: SpectralGrid, symbol: np.ndarray) -> float:
     return TWO_PI * xi1 * float(symbol[1])
 
 
-def generalized_kernel_dim(L: LinOperator, tol: float = GKERNEL_FRACTION) -> int:
+def generalized_kernel_dim(ham: HamiltonianEigensystem) -> int:
     """Algebraic multiplicity of 0 in the restricted D A spectrum.
 
-    Counts eigenvalues with |lambda| <= tol * gkernel_floor: anything
-    below a fixed fraction of the box's first dispersion mode is
-    indistinguishable from zero at this truncation.
+    Counts eigenvalues with |lambda| <= ham.zero_floor: the pipeline sets
+    that floor to GKERNEL_FRACTION * gkernel_floor, and anything below a
+    fixed fraction of the box's first dispersion mode is indistinguishable
+    from zero at this truncation.
     """
-    floor = tol * gkernel_floor(L.grid, L.multiplier_symbol)
-    ham = hamiltonian_eigensystem(assemble(L), zero_floor=floor)
-    return int(np.count_nonzero(np.abs(ham.eigenvalues) <= floor))
+    return int(np.count_nonzero(np.abs(ham.eigenvalues) <= ham.zero_floor))
 
 
 def spectrum_rows(ham: HamiltonianEigensystem, cls: KreinClassification) -> list:

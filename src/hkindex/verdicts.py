@@ -19,6 +19,7 @@ and exempt from the identity check.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,10 +88,6 @@ class KreinIndexResult:
     K_direct: int
     verdict: str
     diagnostics: tuple = ()
-
-    @property
-    def K_Ham(self) -> int:
-        return self.K_direct
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +182,7 @@ def _verdict(model: wv.Model, s: float, p: float, c: float,
     U = wave(Q, c)
     L = getattr(op, f"{model.kind}_linearization")(U)
     A = op.assemble(L)
-    eig = spc.block_eigensystem(A)
+    eig = spc.symmetric_spectrum(A)
     n_L = eig.negative_count
     psi0 = sp.apply_multiplier(sp.derivative_multiplier(grid), U.as_field())
     weight = np.ones(grid.n)
@@ -197,14 +194,14 @@ def _verdict(model: wv.Model, s: float, p: float, c: float,
         weight = op.symmetrizing_weight(grid, s)
         del eig  # the eigenvectors of L are not needed
         A = op.bbm_symmetrize(L, A)
-        eig = spc.block_eigensystem(A)
+        eig = spc.symmetric_spectrum(A)
         if eig.negative_count != n_L:
             raise TheoryConsistencyError(
                 f"symmetrization changed the negative count: n(L0)={n_L}, "
                 f"n(sym)={eig.negative_count}")
         psi0 = sp.apply_multiplier(
             sp.Multiplier(grid, 1.0 / weight, symbol_name="sqrt(I+M)"), psi0)
-    d = spc.constrained_quantity(A, psi0, eig=eig)
+    d = spc.constrained_quantity(A, psi0, eig)
     slope = -2.0 * d
 
     slope_ref, slope_notes = _reference_slope(model, wave, Q, c)
@@ -344,11 +341,9 @@ def _check_eps_limit(entries, A, psi0):
 
 
 def _gkdv_case(p_exp: float, expected_K: int) -> CheckReport:
-    import warnings as _warnings
-
     entries = []
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         data = kdv_verdict(2.0, p_exp, 1.0, keep_pipeline=True)
         res = data.result
         entries.append(CheckEntry(
@@ -358,7 +353,7 @@ def _gkdv_case(p_exp: float, expected_K: int) -> CheckReport:
         entries.append(CheckEntry("n(L) == 1", res.n_L == 1, f"n={res.n_L}"))
         # an fKdV pipeline keeps the assembled L itself
         _check_sandwich_counts(entries, data.matrix, res.n_L)
-        dim = spc.generalized_kernel_dim(data.operator)
+        dim = spc.generalized_kernel_dim(data.eigensystem)
         entries.append(CheckEntry("generalized kernel dim == 2", dim == 2,
                                   f"dim={dim}"))
         sand = spc.sandwich_hamiltonian_spectrum(op.sandwich(data.matrix, 0.0))
@@ -386,11 +381,7 @@ def _identity_entry(grid) -> CheckEntry:
     Ai = sp.antiderivative_multiplier(grid)
     absd = sp.fractional_derivative_multiplier(grid, 1.0)
     for _ in range(20):
-        raw = rng.standard_normal(grid.n)
-        coeff = np.fft.fft(raw)
-        coeff[0] = 0.0
-        coeff[grid.nyquist_index] = 0.0
-        f = sp.RealField(grid, np.fft.ifft(coeff).real)
+        f = _mean_zero_field(rng, grid)
         scale = float(np.max(np.abs(f.values)))
         jj = sp.apply_multiplier(J, sp.apply_multiplier(J, f))
         worst = max(worst, float(np.max(np.abs(jj.values + f.values))) / scale)
@@ -400,7 +391,7 @@ def _identity_entry(grid) -> CheckEntry:
                     / max(1e-300, float(np.max(np.abs(d1.values)))))
         rt = sp.apply_multiplier(D, sp.apply_multiplier(Ai, f))
         worst = max(worst, float(np.max(np.abs(rt.values - f.values))) / scale)
-        g = sp.RealField(grid, np.fft.ifft(_zeroed(rng, grid)).real)
+        g = _mean_zero_field(rng, grid)
         lhs = sp.inner_product(f, g)
         rhs = sp.fourier_pairing(grid, sp.transform(f), sp.transform(g))
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
@@ -408,11 +399,12 @@ def _identity_entry(grid) -> CheckEntry:
                       worst <= 1e-10, f"worst relative defect {worst:.2e}")
 
 
-def _zeroed(rng, grid):
+def _mean_zero_field(rng, grid) -> sp.RealField:
+    """A random field with no mean and no Nyquist content."""
     coeff = np.fft.fft(rng.standard_normal(grid.n))
     coeff[0] = 0.0
     coeff[grid.nyquist_index] = 0.0
-    return coeff
+    return sp.RealField(grid, np.fft.ifft(coeff).real)
 
 
 def _schrodinger_case() -> CheckReport:
@@ -433,18 +425,16 @@ def _schrodinger_case() -> CheckReport:
 
 
 def _bo_case() -> CheckReport:
-    import warnings as _warnings
-
     entries = []
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         data = kdv_verdict(1.0, 1.0, 1.0, keep_pipeline=True)
         res = data.result
         entries.append(CheckEntry(
             "kdv_verdict(1,1,1): STABLE with K_Ham == 0",
             res.verdict == STABLE and res.K_direct == 0,
             f"verdict={res.verdict}, K={res.K_direct}"))
-        dim = spc.generalized_kernel_dim(data.operator)
+        dim = spc.generalized_kernel_dim(data.eigensystem)
         entries.append(CheckEntry("generalized kernel dim == 2", dim == 2,
                                   f"dim={dim}"))
         grid = data.grid

@@ -21,9 +21,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, ModelMismatchError
+from .io_utils import atomic_write_text, format_float
 from .spectral import (RealField, SpectralGrid, apply_multiplier,
                        fractional_derivative_multiplier, fractional_symbol,
-                       inner_product)
+                       inner_product, make_grid)
 
 FKDV = "fkdv"
 FBBM = "fbbm"
@@ -393,8 +394,6 @@ def squared_norm(profile: WaveProfile) -> float:
 
 def save_profile(profile: WaveProfile, csv_path) -> tuple:
     """Write (x, U) CSV plus a JSON metadata sidecar next to it."""
-    from .io_utils import atomic_write_text, format_float
-
     csv_path = str(csv_path)
     lines = ["x,U"]
     for x, u in zip(profile.grid.nodes, profile.values):
@@ -406,8 +405,6 @@ def save_profile(profile: WaveProfile, csv_path) -> tuple:
 
 
 def load_profile(csv_path) -> WaveProfile:
-    from .spectral import make_grid
-
     csv_path = str(csv_path)
     json_path = csv_path[:-4] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
     with open(json_path) as fh:

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from hkindex import operators as op
 from hkindex import spectral as sp
 from hkindex import verdicts as vd
 from hkindex import waves as wv
+
+from dense_reference import split_parity
 
 
 # property tests run the same bounded set of examples on every run, so
@@ -24,6 +27,12 @@ def random_mean_zero(grid, rng):
     coeff[0] = 0.0
     coeff[grid.n // 2] = 0.0
     return sp.RealField(grid, np.fft.ifft(coeff).real)
+
+
+def diagonal_on_grid(diag) -> op.ParityBlocks:
+    """The parity blocks of diag(diag), in the interleaved basis order, on
+    a grid of len(diag) points."""
+    return split_parity(np.diag(diag), sp.make_grid(len(diag), 5.0))
 
 
 @contextmanager

@@ -3,8 +3,11 @@
 The real-Fourier basis as an n x n matrix of samples, an operator
 assembled as h phi^T (V phi) plus its multiplier diagonal, congruences by
 an even multiplier on the full matrix, one full-order eigh, and the
-full-order restricted D A formed from the dense entries.  All of them cost
-O(n^3) or O(n^2) memory and run in the tests only.
+full-order restricted D A formed from the dense entries.  Dense matrices
+are plain arrays in the interleaved basis order of operators; split_parity
+turns one into the ParityBlocks the package works on, and from_coords is
+the inverse of operators.to_coords.  All of them cost O(n^3) or O(n^2)
+memory and run in the tests only.
 """
 
 import numpy as np
@@ -28,6 +31,37 @@ def real_fourier_basis(grid) -> np.ndarray:
     return phi
 
 
+def from_coords(grid, coords: tuple) -> np.ndarray:
+    """Grid samples phi coords of the (even, odd) real-Fourier coordinates
+    that operators.to_coords returns."""
+    even, odd = coords
+    z = even.astype(complex)
+    z[1:-1] = 0.5 * (z[1:-1] - 1j * odd)
+    z *= grid.n * op._mode_norms(grid)
+    z[1::2] *= -1.0
+    return np.fft.irfft(z, grid.n)
+
+
+def interleave(coords: tuple) -> np.ndarray:
+    """The (even, odd) coordinates in the interleaved basis order."""
+    out = np.empty(sum(part.size for part in coords))
+    for idx, part in zip(op.parity_index(out.size), coords):
+        out[idx] = part
+    return out
+
+
+def split_parity(entries: np.ndarray, grid, label: str = "") -> op.ParityBlocks:
+    """The parity blocks of a dense matrix, after asserting that it is
+    symmetric and that the block coupling the parities is at most
+    SYMMETRY_TOL relative to max|A|."""
+    scale = float(np.max(np.abs(entries)))
+    assert np.max(np.abs(entries - entries.T)) <= op.SYMMETRY_TOL * scale
+    even, odd = op.parity_index(grid.n)
+    assert np.max(np.abs(entries[np.ix_(even, odd)])) <= op.SYMMETRY_TOL * scale
+    return op.ParityBlocks((entries[np.ix_(even, even)],
+                            entries[np.ix_(odd, odd)]), grid, label)
+
+
 def on_basis(grid, symbol: np.ndarray) -> np.ndarray:
     """Diagonal, in the real-Fourier basis, of the even multiplier whose
     symbol is given in the grid's fftfreq layout."""
@@ -41,39 +75,39 @@ def on_basis(grid, symbol: np.ndarray) -> np.ndarray:
     return diag
 
 
-def dense_matrix(L: op.LinOperator) -> op.DenseMatrix:
+def dense_matrix(L: op.LinOperator) -> np.ndarray:
     """L in the real-Fourier basis, through the basis matrix."""
     phi = real_fourier_basis(L.grid)
     a = L.grid.spacing * (phi.T @ (L.potential[:, None] * phi))
     a[np.diag_indices_from(a)] += on_basis(L.grid, L.multiplier_symbol)
-    return op.DenseMatrix(0.5 * (a + a.T), grid=L.grid, label=L.label)
+    return 0.5 * (a + a.T)
 
 
-def dense_congruence(A: op.DenseMatrix, symbol: np.ndarray) -> op.DenseMatrix:
+def dense_congruence(a: np.ndarray, grid, symbol: np.ndarray) -> np.ndarray:
     """R A R for the even multiplier R with the given fftfreq-layout symbol."""
-    r = on_basis(A.grid, symbol)
-    out = r[:, None] * A.entries * r[None, :]
-    return op.DenseMatrix(0.5 * (out + out.T), grid=A.grid, label=A.label)
+    r = on_basis(grid, symbol)
+    out = r[:, None] * a * r[None, :]
+    return 0.5 * (out + out.T)
 
 
-def dense_inertia(A: op.DenseMatrix):
+def dense_inertia(a: np.ndarray):
     """(negative count, kernel dimension, eigenpairs) from one full eigh."""
-    w, v = scipy.linalg.eigh(A.entries)
+    w, v = scipy.linalg.eigh(a)
     tol = spc.ZERO_TOL_REL * float(np.max(np.abs(w)))
     return (int(np.count_nonzero(w < -tol)),
             int(np.count_nonzero(np.abs(w) <= tol)), (w, v, tol))
 
 
-def dense_restricted_product(A: op.DenseMatrix) -> np.ndarray:
+def dense_restricted_product(a: np.ndarray, grid) -> np.ndarray:
     """D A with the zero-mode and Nyquist rows and columns dropped, D the
     derivative's 2x2 rotation blocks 2 pi xi_k [[0, -1], [1, 0]]."""
-    a_r = A.entries[1:-1, 1:-1]
-    weights = TWO_PI * op.pair_frequencies(A.grid)
+    a_r = a[1:-1, 1:-1]
+    weights = TWO_PI * op.pair_frequencies(grid)
     da = np.empty_like(a_r)
     da[0::2, :] = -weights[:, None] * a_r[1::2, :]
     da[1::2, :] = weights[:, None] * a_r[0::2, :]
     return da
 
 
-def dense_hamiltonian_eigenvalues(A: op.DenseMatrix) -> np.ndarray:
-    return scipy.linalg.eigvals(dense_restricted_product(A))
+def dense_hamiltonian_eigenvalues(a: np.ndarray, grid) -> np.ndarray:
+    return scipy.linalg.eigvals(dense_restricted_product(a, grid))

@@ -72,6 +72,7 @@ def test_criterion_01_closed_form_waves(grid40, q22):
            + ", ".join(f"{r:.1e}" for r in residuals))
 
 
+@pytest.mark.slow
 def test_criterion_02_gkdv_dichotomy(dichotomy, dichotomy_sweep):
     problems = []
     for p in (1.0, 2.0, 3.0):
@@ -88,6 +89,7 @@ def test_criterion_02_gkdv_dichotomy(dichotomy, dichotomy_sweep):
            "; ".join(problems) or f"bracket={bracket}")
 
 
+@pytest.mark.slow
 def test_criterion_03_fractional_threshold(fractional_sweeps):
     problems = []
     details = []
@@ -108,6 +110,7 @@ def test_criterion_03_fractional_threshold(fractional_sweeps):
            "; ".join(problems or details))
 
 
+@pytest.mark.slow
 def test_criterion_04_index_identity(dichotomy, dichotomy_sweep,
                                      fractional_sweeps, bbm_cases):
     # every non-degenerate pipeline asserts K_formula == K_direct internally
@@ -178,12 +181,15 @@ def test_criterion_06_bbm_consistency(bbm_cases):
 
 
 def test_criterion_07_generalized_kernel(pipeline22):
-    dim_regular = spc.generalized_kernel_dim(pipeline22.operator)
+    dim_regular = spc.generalized_kernel_dim(pipeline22.eigensystem)
     grid = sp.make_grid(2048, 50.0)
     q = wv.solve_ground_state(1.0, 2.0, grid,
                               wv.SolverOptions(tol=1e-11, max_iters=2000))
     L = op.kdv_linearization(wv.kdv_wave(q, 1.0))
-    dim_borderline = spc.generalized_kernel_dim(L)
+    # the pipeline's zero floor: a fraction of the box's first mode
+    floor = spc.GKERNEL_FRACTION * spc.gkernel_floor(grid, L.multiplier_symbol)
+    dim_borderline = spc.generalized_kernel_dim(
+        spc.hamiltonian_eigensystem(op.assemble(L), floor))
     ok = dim_regular == 2 and dim_borderline >= 3
     report(7, "generalized kernel: 2 regular, >= 3 at the p = 2s borderline",
            ok, f"regular={dim_regular}, borderline={dim_borderline}")

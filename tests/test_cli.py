@@ -187,6 +187,36 @@ class TestConfigFile:
         code = run(["index", "--config", str(config), "--out", str(tmp_path)])
         assert code == 64
 
+    @pytest.mark.parametrize("values, message", [
+        ({"s": "2", "p": 2}, "'s' must be of type float"),
+        ([{"s": 2, "p": 2}], "must hold a JSON object"),
+        ({"s": 2, "p": 2, "n": "512"}, "'n' must be of type int"),
+        ({"s": 2, "p": 2, "n": 512.0}, "'n' must be of type int"),
+        ({"s": 2, "p": 2, "halflength": 30}, "unknown config key 'halflength'"),
+        ({"s": True, "p": 2}, "'s' must be of type float"),
+        ({"s": 2, "p": 2, "model": "kdv"}, "'model' must be one of"),
+        ({"s": 2, "p": 2, "format": "xml"}, "'format' must be one of"),
+        ({"s": 2, "p": 2, "axis": "q"}, "'axis' must be one of"),
+        ({"s": 2, "p": 2, "out": 3}, "'out' must be of type str"),
+    ], ids=["string-number", "list", "string-int", "float-int", "unknown-key",
+            "bool", "model-choice", "format-choice", "axis-choice", "out-type"])
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, values,
+                                             message):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(values))
+        code = run(["index", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 64
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "index.json").exists()
+
+    def test_sweep_without_steps_is_usage_error(self, tmp_path, capsys):
+        code = run(["sweep", "--model", "fkdv", "--axis", "p", "--from", "2",
+                    "--to", "3", "--steps", "0", "--s", "2", "--c", "1",
+                    "--out", str(tmp_path)])
+        assert code == 64
+        assert "--steps must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestSelfCheckCommand:
     def test_unknown_case_exits_64(self, capsys):

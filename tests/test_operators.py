@@ -12,8 +12,8 @@ from hkindex import waves as wv
 from hkindex.errors import ModelMismatchError
 
 from conftest import quiet
-from dense_reference import (dense_congruence, dense_matrix,
-                             real_fourier_basis)
+from dense_reference import (dense_congruence, dense_matrix, from_coords,
+                             interleave, real_fourier_basis)
 
 
 def make_identity_operator(grid, kind="custom", s=None):
@@ -30,14 +30,15 @@ class TestBasis:
     def test_coords_round_trip(self, grid_small):
         rng = np.random.default_rng(0)
         v = rng.standard_normal(grid_small.n)
-        back = op.from_coords(grid_small, op.to_coords(grid_small, v))
+        back = from_coords(grid_small, op.to_coords(grid_small, v))
         assert np.max(np.abs(back - v)) <= 1e-12 * np.max(np.abs(v))
 
     def test_coordinate_dot_equals_l2_pairing(self, grid_small):
         rng = np.random.default_rng(1)
         f = rng.standard_normal(grid_small.n)
         g = rng.standard_normal(grid_small.n)
-        lhs = float(np.dot(op.to_coords(grid_small, f), op.to_coords(grid_small, g)))
+        lhs = sum(float(np.dot(cf, cg)) for cf, cg in
+                  zip(op.to_coords(grid_small, f), op.to_coords(grid_small, g)))
         rhs = grid_small.spacing * float(np.dot(f, g))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -67,8 +68,12 @@ class TestKdvLinearization:
             op.kdv_linearization(bbm)
 
     def test_assembled_matrix_is_symmetric(self, grid40, q22):
+        # assemble and every congruence build exactly symmetric blocks
         A = op.assemble(op.kdv_linearization(wv.kdv_wave(q22, 1.0)))
-        assert all(op.symmetry_defect(block) == 0.0 for block in A.blocks)
+        L0 = op.bbm_linearization(wv.bbm_wave(q22, 2.0))
+        for P in (A, op.sandwich(A, 0.0), op.sandwich(A, 1e-2),
+                  op.bbm_symmetrize(L0, op.assemble(L0))):
+            assert all(np.array_equal(block, block.T) for block in P.blocks)
 
 
 class TestBbmLinearization:
@@ -100,7 +105,7 @@ class TestSandwich:
         # basis column j carries |xi| = ((j + 1) // 2) / (2l)
         k = (np.arange(grid_small.n) + 1) // 2
         expected = 2.0 * np.pi * k / (2.0 * grid_small.half_length)
-        assert np.max(np.abs(S.dense().entries - np.diag(expected))) <= 1e-12
+        assert np.max(np.abs(S.dense() - np.diag(expected))) <= 1e-12
 
     def test_negative_count_preserved(self, grid40, q22):
         A = op.assemble(op.kdv_linearization(wv.kdv_wave(q22, 1.0)))
@@ -118,9 +123,9 @@ class TestSandwich:
         halfinv[nz] = (2 * np.pi * np.abs(xi[nz])) ** -0.5
         kv = sp.apply_multiplier(
             sp.Multiplier(grid40, halfinv, "|d|^-1/2"), dq)
-        coords = op.to_coords(grid40, kv.values)
-        rel = np.linalg.norm(S.entries @ coords) / (
-            np.linalg.norm(S.entries, 1) * np.linalg.norm(coords))
+        coords = interleave(op.to_coords(grid40, kv.values))
+        rel = np.linalg.norm(S @ coords) / (
+            np.linalg.norm(S, 1) * np.linalg.norm(coords))
         assert rel <= 1e-6
 
     def test_spectral_floor_for_positive_eps(self, grid_small):
@@ -143,7 +148,7 @@ class TestBbmSymmetrize:
         L0 = op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
                             label="I+M", kind="bbm", s=s, c=2.0)
         S = op.bbm_symmetrize(L0, op.assemble(L0))
-        assert np.max(np.abs(S.dense().entries - np.eye(grid_small.n))) <= 1e-12
+        assert np.max(np.abs(S.dense() - np.eye(grid_small.n))) <= 1e-12
 
     def test_kernel_vector_annihilated(self, grid40, q22):
         u = wv.bbm_wave(q22, 2.0)
@@ -154,9 +159,9 @@ class TestBbmSymmetrize:
             grid40, (1.0 + np.abs(2 * np.pi * grid40.wavenumbers) ** u.s) ** 0.5,
             "sqrt(I+M)")
         kv = sp.apply_multiplier(sqrt_im, du)
-        coords = op.to_coords(grid40, kv.values)
-        rel = np.linalg.norm(S.entries @ coords) / (
-            np.linalg.norm(S.entries, 1) * np.linalg.norm(coords))
+        coords = interleave(op.to_coords(grid40, kv.values))
+        rel = np.linalg.norm(S @ coords) / (
+            np.linalg.norm(S, 1) * np.linalg.norm(coords))
         assert rel <= 1e-6
 
     def test_negative_count_preserved(self, grid40, q22):
@@ -199,13 +204,22 @@ class TestSchrodinger:
 
 class TestMatrixDump:
     def test_round_trip(self, tmp_path, grid_small):
-        L = make_identity_operator(grid_small)
-        dm = op.assemble(L).dense()
-        bin_path, json_path = op.save_matrix(dm, tmp_path / "operator.bin")
+        A = op.assemble(make_identity_operator(grid_small))
+        bin_path, json_path = op.save_matrix(A, tmp_path / "operator.bin")
         header = json.load(open(json_path))
         assert header["order"] == grid_small.n
         data = np.fromfile(bin_path, dtype="<f8").reshape(header["order"], -1)
-        assert np.array_equal(data, dm.entries)
+        assert np.array_equal(data, A.dense())
+
+    def test_non_finite_entries_rejected(self, tmp_path, grid_small):
+        L = make_identity_operator(grid_small)
+        potential = L.potential.copy()
+        potential[3] = np.nan
+        A = op.assemble(op.LinOperator(grid_small, L.multiplier_symbol,
+                                       potential, label="nan"))
+        with pytest.raises(ValueError, match="non-finite"):
+            op.save_matrix(A, tmp_path / "operator.bin")
+        assert not (tmp_path / "operator.bin").exists()
 
 
 ORACLE_GRIDS = {256: sp.make_grid(256, 15.0), 512: sp.make_grid(512, 30.0)}
@@ -224,7 +238,7 @@ def _oracle_case(name, grid):
             L0 = op.bbm_linearization(wv.bbm_wave(q, 1.5))
         weight = op.symmetrizing_weight(grid, 1.5)
         return (op.bbm_symmetrize(L0, op.assemble(L0)),
-                dense_congruence(dense_matrix(L0), weight))
+                dense_congruence(dense_matrix(L0), grid, weight))
     p = 5.0 if name == "fkdv-p5" else 2.0
     L = op.kdv_linearization(wv.kdv_wave(wv.solve_ground_state(2.0, p, grid), 1.0))
     if not name.startswith("sandwich"):
@@ -232,13 +246,12 @@ def _oracle_case(name, grid):
     eps = float(name.split("=")[1])
     quarter = sp.regularized_quarter_root_multiplier(grid, eps).symbol_values.real
     return (op.sandwich(op.assemble(L), eps),
-            dense_congruence(dense_matrix(L), quarter))
+            dense_congruence(dense_matrix(L), grid, quarter))
 
 
 def _relative_mismatch(blocks, dense):
-    ref = dense.entries
-    return float(np.max(np.abs(blocks.dense().entries - ref))
-                 / np.max(np.abs(ref)))
+    return float(np.max(np.abs(blocks.dense() - dense))
+                 / np.max(np.abs(dense)))
 
 
 class TestFftAssembly:
@@ -259,13 +272,16 @@ class TestFftAssembly:
         rng = np.random.default_rng(n)
         values, coords = rng.standard_normal(n), rng.standard_normal(n)
         expected = grid.spacing * (phi.T @ values)
-        assert np.max(np.abs(op.to_coords(grid, values) - expected)) \
-            <= 1e-12 * np.max(np.abs(expected))
+        assert np.max(np.abs(interleave(op.to_coords(grid, values))
+                             - expected)) <= 1e-12 * np.max(np.abs(expected))
+        even, odd = op.parity_index(n)
+        parts = coords[even], coords[odd]
         expected = phi @ coords
-        assert np.max(np.abs(op.from_coords(grid, coords) - expected)) \
+        assert np.max(np.abs(from_coords(grid, parts) - expected)) \
             <= 1e-12 * np.max(np.abs(expected))
-        assert np.max(np.abs(op.to_coords(grid, op.from_coords(grid, coords))
-                             - coords)) <= 1e-12 * np.max(np.abs(coords))
+        back = op.to_coords(grid, from_coords(grid, parts))
+        assert np.max(np.abs(interleave(back) - coords)) \
+            <= 1e-12 * np.max(np.abs(coords))
 
     def test_guard_reads_the_cross_block_of_the_basis_matrix(self, monkeypatch):
         # an odd perturbation: the cross block formed from S_q, and the
@@ -276,8 +292,8 @@ class TestFftAssembly:
         V = sp.RealField(grid, 2.0 / np.cosh(x) ** 2 + 1e-3 * x * np.exp(-x ** 2))
         L = op.schrodinger_operator(V, 0.5)
         quarter = sp.regularized_quarter_root_multiplier(grid, 0.0).symbol_values.real
-        dense = dense_matrix(L).entries
-        sandwiched = dense_congruence(dense_matrix(L), quarter).entries
+        dense = dense_matrix(L)
+        sandwiched = dense_congruence(dense, grid, quarter)
         even, odd = op.parity_index(grid.n)
         with pytest.raises(ValueError, match="couples the even and odd modes"):
             op.assemble(L)
@@ -299,7 +315,7 @@ class TestFftAssembly:
             grid = sp.make_grid(n, l)
             V = sp.RealField(grid, 2.0 / np.cosh(grid.nodes) ** 2)
             A = op.assemble(op.schrodinger_operator(V, 0.5))
-            op.from_coords(grid, op.to_coords(grid, V.values))
+            op.to_coords(grid, V.values)
             return A.order
 
         run(64, 10.0)  # first calls may import and cache module state

@@ -21,9 +21,10 @@ from hkindex import verdicts as vd
 from hkindex import waves as wv
 from hkindex.errors import FredholmViolationError
 
-from conftest import quiet
+from conftest import diagonal_on_grid, quiet
 from dense_reference import (dense_congruence, dense_hamiltonian_eigenvalues,
-                             dense_inertia, dense_matrix)
+                             dense_inertia, dense_matrix, interleave,
+                             split_parity)
 
 REGRESSION_CASES = [(wv.FKDV, 2.0, 2.0, 1.0), (wv.FKDV, 2.0, 5.0, 1.0),
                     (wv.FBBM, 2.0, 2.0, 2.0)]
@@ -46,13 +47,14 @@ def small_pipeline(request):
     return wv.MODELS[model], data
 
 
-def dense_factor(model, data) -> op.DenseMatrix:
+def dense_factor(model, data) -> np.ndarray:
     """The pipeline's symmetric factor, assembled through the basis matrix
     and, for a weighted model, congruent by (I+M)^(-1/2) on the full
     matrix, cross block included."""
     A = dense_matrix(data.operator)
     if model.weighted:
-        A = dense_congruence(A, op.symmetrizing_weight(data.grid, data.wave.s))
+        A = dense_congruence(A, data.grid,
+                             op.symmetrizing_weight(data.grid, data.wave.s))
     return A
 
 
@@ -70,7 +72,7 @@ class TestAgainstDensePath:
             psi0 = sp.apply_multiplier(
                 sp.Multiplier(data.grid, 1.0 / weight, "sqrt(I+M)"), psi0)
         rhs = spc.decaying_antiderivative(psi0)
-        proj = v.T @ op.to_coords(data.grid, rhs.values)
+        proj = v.T @ interleave(op.to_coords(data.grid, rhs.values))
         kept = np.abs(w) > tol
         d_dense = float(np.sum(proj[kept] ** 2 / w[kept]))
         assert data.result.d == pytest.approx(d_dense, rel=1e-10, abs=0.0)
@@ -80,7 +82,8 @@ class TestAgainstDensePath:
         ham, cls = data.eigensystem, data.classification
         assert ham.y is None
         reference = dense_factor(model, data)
-        dense = spc._full_order(spc.parity_blocks(reference), ham.zero_floor)
+        dense = spc._full_order(split_parity(reference, data.grid),
+                                ham.zero_floor)
         dense_cls = spc.classify_krein(dense)
         assert cls.classes == dense_cls.classes
         assert (cls.k_r, cls.k_c, cls.k_i_minus) == \
@@ -93,7 +96,7 @@ class TestAgainstDensePath:
         assert np.array_equal(forms, np.isfinite(cls.form_values))
         assert np.array_equal(np.sign(cls.form_values[forms]),
                               np.sign(dense_cls.form_values[forms]))
-        eigs = dense_hamiltonian_eigenvalues(reference)
+        eigs = dense_hamiltonian_eigenvalues(reference, data.grid)
         eigs = eigs[np.abs(eigs) > 1e-3 * dense.scale]
         assert np.count_nonzero(big) == eigs.size
         gaps = np.abs(ham.eigenvalues[:, None] - eigs[None, :]).min(axis=0)
@@ -107,20 +110,12 @@ class TestParityGuard:
         L = op.schrodinger_operator(
             sp.RealField(grid_small, even + 1e-6 * x * np.exp(-x ** 2)), 0.5)
         with pytest.raises(ValueError, match="even and odd"):
-            spc.symmetric_spectrum(op.assemble(L))
-        with pytest.raises(ValueError, match="even and odd"):
-            spc.hamiltonian_eigensystem(op.assemble(L))
-
-    def test_matrix_without_grid_is_one_block(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((6, 6))
-        blocks = spc.parity_blocks(op.DenseMatrix(a + a.T))
-        assert len(blocks.blocks) == 1
-        assert np.array_equal(blocks.blocks[0], a + a.T)
+            op.assemble(L)
 
 
-def diagonal_on_grid(diag: np.ndarray) -> op.DenseMatrix:
-    return op.DenseMatrix(np.diag(diag), grid=sp.make_grid(len(diag), 5.0))
+def parity_rhs(rhs: np.ndarray) -> tuple:
+    even, odd = op.parity_index(rhs.size)
+    return rhs[even], rhs[odd]
 
 
 class TestPseudoSolve:
@@ -130,29 +125,30 @@ class TestPseudoSolve:
         # norm, though all of the odd block's own norm
         diag = np.ones(8)
         diag[2] = 0.0
-        eig = spc.block_eigensystem(spc.parity_blocks(diagonal_on_grid(diag)))
+        eig = spc.symmetric_spectrum(diagonal_on_grid(diag))
         rhs = np.zeros(8)
         rhs[1], rhs[2] = 1.0, 1e-7
-        assert spc._pseudo_solve_quadratic(eig, rhs, "diag") == \
+        assert spc._pseudo_solve_quadratic(eig, parity_rhs(rhs), "diag") == \
             pytest.approx(1.0, rel=1e-12)
         rhs[2] = 1e-5
         with pytest.raises(FredholmViolationError):
-            spc._pseudo_solve_quadratic(eig, rhs, "diag")
+            spc._pseudo_solve_quadratic(eig, parity_rhs(rhs), "diag")
 
     def test_near_singular_warning_needs_a_reached_direction(self):
         # first cosine (index 1) kept but near-singular: 5e-8 against the
         # zero tolerance 1e-8
         diag = np.ones(8)
         diag[1] = 5e-8
-        eig = spc.block_eigensystem(spc.parity_blocks(diagonal_on_grid(diag)))
+        eig = spc.symmetric_spectrum(diagonal_on_grid(diag))
         rhs = np.zeros(8)
         rhs[3] = 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert spc._pseudo_solve_quadratic(eig, rhs, "diag") == 1.0
+            assert spc._pseudo_solve_quadratic(
+                eig, parity_rhs(rhs), "diag") == 1.0
         rhs[1] = 1.0
         with pytest.warns(UserWarning, match="near-singular"):
-            spc._pseudo_solve_quadratic(eig, rhs, "diag")
+            spc._pseudo_solve_quadratic(eig, parity_rhs(rhs), "diag")
 
     def test_bbm_translation_mode_does_not_warn(self):
         # the odd translation eigenvalue sits just above the zero tolerance
@@ -169,11 +165,12 @@ class TestFallbackSelection:
         sym = np.abs(2 * np.pi * grid_small.wavenumbers) ** 2 + 1.0
         A = op.assemble(op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
                                        label="positive", kind="custom"))
-        noise = np.sqrt(np.finfo(float).eps) * spc.hamiltonian_eigensystem(A).scale
+        noise = np.sqrt(np.finfo(float).eps) \
+            * spc.hamiltonian_eigensystem(A, 0.0).scale
         kept = spc.hamiltonian_eigensystem(A, 20.0 * noise)
         full = spc.hamiltonian_eigensystem(A, 5.0 * noise)
         assert kept.y is None and full.y is not None
-        assert spc.hamiltonian_eigensystem(A).y is not None
+        assert spc.hamiltonian_eigensystem(A, 0.0).y is not None
         assert nearest_distance(kept.eigenvalues, full.eigenvalues) \
             <= 1e-9 * full.scale
 
@@ -184,11 +181,10 @@ class TestFallbackSelection:
         a = np.eye(8)
         a[np.ix_([1, 3, 5], [1, 3, 5])] = np.diag([1.0, -1.0, 2.0])
         a[np.ix_([2, 4, 6], [2, 4, 6])] = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
-        A = op.DenseMatrix(a, grid=grid)
-        ham = spc.hamiltonian_eigensystem(A, 1e-3)
+        ham = spc.hamiltonian_eigensystem(split_parity(a, grid), 1e-3)
         assert ham.y is not None
-        assert nearest_distance(ham.eigenvalues,
-                                dense_hamiltonian_eigenvalues(A)) <= 1e-12
+        dense = dense_hamiltonian_eigenvalues(a, grid)
+        assert nearest_distance(ham.eigenvalues, dense) <= 1e-12
         assert spc.classify_krein(ham).k_c == 2
 
     def test_sub_noise_roots_reported_on_the_imaginary_axis(self):
@@ -222,7 +218,7 @@ def even_operators(draw):
 
 @given(even_operators())
 def test_assembled_blocks_equal_the_basis_matrix(L):
-    blocks, dense = op.assemble(L).dense().entries, dense_matrix(L).entries
+    blocks, dense = op.assemble(L).dense(), dense_matrix(L)
     assert np.max(np.abs(blocks - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
@@ -235,7 +231,7 @@ def test_block_inertia_equals_full_inertia(L):
 
 @given(even_operators())
 def test_block_hamiltonian_spectrum_equals_dense(L):
-    dense = dense_hamiltonian_eigenvalues(dense_matrix(L))
+    dense = dense_hamiltonian_eigenvalues(dense_matrix(L), L.grid)
     scale = float(np.max(np.abs(dense)))
     noise = np.sqrt(np.finfo(float).eps) * scale
     ham = spc.hamiltonian_eigensystem(op.assemble(L), 20.0 * noise)

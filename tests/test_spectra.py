@@ -9,25 +9,24 @@ from hkindex import spectral as sp
 from hkindex import waves as wv
 from hkindex.errors import FredholmViolationError
 
-from conftest import quiet
+from conftest import diagonal_on_grid, quiet
+from dense_reference import from_coords
 
 
 class TestSymmetricSpectrum:
     def test_identity_matrix(self):
-        rep = spc.symmetric_spectrum(op.DenseMatrix(np.eye(5)))
+        rep = spc.symmetric_spectrum(diagonal_on_grid(np.ones(8)))
         assert rep.negative_count == 0
         assert rep.kernel_dim == 0
+        assert np.array_equal(rep.eigenvalues, np.ones(8))
 
     def test_small_diagonal(self):
         rep = spc.symmetric_spectrum(
-            op.DenseMatrix(np.diag([-1.0, 0.0, 2.0])), zero_tol=1e-8)
+            diagonal_on_grid([-1.0, 0.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
         assert rep.negative_count == 1
         assert rep.kernel_dim == 1
-
-    def test_nonsymmetric_rejected(self):
-        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="not symmetric"):
-            spc.symmetric_spectrum(op.DenseMatrix(bad))
+        assert rep.zero_tol == pytest.approx(2e-8)
+        assert rep.eigenvalues[:2].tolist() == [-1.0, 0.0]
 
     def test_kdv_kernel_vector_aligned_with_derivative(self, pipeline22):
         rep = spc.symmetric_spectrum(pipeline22.matrix)
@@ -36,9 +35,18 @@ class TestSymmetricSpectrum:
         dq = sp.apply_multiplier(
             sp.derivative_multiplier(pipeline22.grid),
             pipeline22.wave.as_field()).values
-        kv = rep.kernel_vectors[0]
+        # the kernel lies in the odd block, as dQ is odd
+        w, v = rep.values[1], rep.vectors[1]
+        (i,) = np.nonzero(np.abs(w) <= rep.zero_tol)[0]
+        kv = from_coords(pipeline22.grid,
+                         (np.zeros(rep.values[0].size), v[:, i]))
         cosine = abs(np.dot(kv, dq)) / (np.linalg.norm(kv) * np.linalg.norm(dq))
         assert cosine >= 1.0 - 1e-6
+
+
+@pytest.fixture(scope="module")
+def spectrum22(pipeline22):
+    return spc.symmetric_spectrum(pipeline22.matrix)
 
 
 class TestConstrainedQuantity:
@@ -54,19 +62,19 @@ class TestConstrainedQuantity:
     def test_borderline_family_value_is_small(self):
         grid = sp.make_grid(2048, 100.0)
         q = wv.solve_ground_state(1.0, 2.0, grid)
-        L = op.kdv_linearization(wv.kdv_wave(q, 1.0))
+        A = op.assemble(op.kdv_linearization(wv.kdv_wave(q, 1.0)))
         psi0 = sp.apply_multiplier(sp.derivative_multiplier(grid), q.as_field())
         with quiet():
-            d = spc.constrained_quantity(L, psi0)
+            d = spc.constrained_quantity(A, psi0, spc.symmetric_spectrum(A))
         assert abs(d) <= 1e-3
 
-    def test_nonzero_mean_psi0_rejected(self, pipeline22):
+    def test_nonzero_mean_psi0_rejected(self, pipeline22, spectrum22):
         from hkindex.errors import NonIntegrableInputError
         psi0 = sp.RealField(pipeline22.grid, pipeline22.wave.values)
         with pytest.raises(NonIntegrableInputError):
-            spc.constrained_quantity(pipeline22.operator, psi0)
+            spc.constrained_quantity(pipeline22.matrix, psi0, spectrum22)
 
-    def test_fredholm_violation_detected(self, pipeline22):
+    def test_fredholm_violation_detected(self, pipeline22, spectrum22):
         # an even mean-zero psi0 has an odd antiderivative, overlapping the
         # odd kernel vector dQ
         grid = pipeline22.grid
@@ -74,7 +82,7 @@ class TestConstrainedQuantity:
         psi0 = sp.RealField(grid, values - np.mean(values))
         with pytest.raises(FredholmViolationError):
             with quiet():
-                spc.constrained_quantity(pipeline22.operator, psi0)
+                spc.constrained_quantity(pipeline22.matrix, psi0, spectrum22)
 
 
 class TestSlopeAnalytic:
@@ -134,8 +142,9 @@ class TestBbmSlope:
 
 class TestHamiltonianSpectrum:
     def test_identity_gives_derivative_spectrum(self, grid_small):
-        eye = op.DenseMatrix(np.eye(grid_small.n), grid=grid_small)
-        eigs = spc.hamiltonian_eigensystem(eye).eigenvalues
+        m = grid_small.n // 2
+        eye = op.ParityBlocks((np.eye(m + 1), np.eye(m - 1)), grid_small)
+        eigs = spc.hamiltonian_eigensystem(eye, 0.0).eigenvalues
         expected = 2.0 * np.pi * op.pair_frequencies(grid_small)
         got = np.sort(eigs.imag[eigs.imag > 0])
         assert np.allclose(got, expected, rtol=1e-12)
@@ -194,7 +203,7 @@ class TestClassifyKrein:
         sym = np.abs(2 * np.pi * grid_small.wavenumbers) ** 2 + 1.0
         L = op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
                            label="positive", kind="custom")
-        ham = spc.hamiltonian_eigensystem(op.assemble(L))
+        ham = spc.hamiltonian_eigensystem(op.assemble(L), 0.0)
         cls = spc.classify_krein(ham)
         assert cls.k_i_minus == 0
         assert cls.k_r == 0 and cls.k_c == 0
@@ -210,28 +219,36 @@ class TestClassifyKrein:
         L = op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
                            label="positive", kind="custom")
         A = op.assemble(L)
-        floor = 2.0 * spc.hamiltonian_eigensystem(A).scale
+        floor = 2.0 * spc.hamiltonian_eigensystem(A, 0.0).scale
         cls = spc.classify_krein(spc.hamiltonian_eigensystem(A, floor))
         assert all(c == spc.CLASS_ZERO for c in cls.classes)
         assert cls.k_direct == 0
 
 
+def kernel_eigensystem(L: op.LinOperator) -> spc.HamiltonianEigensystem:
+    """The Hamiltonian eigensystem of a bare operator with the pipeline's
+    zero floor, a fraction of the box's first dispersion mode."""
+    floor = spc.gkernel_floor(L.grid, L.multiplier_symbol)
+    return spc.hamiltonian_eigensystem(op.assemble(L),
+                                       spc.GKERNEL_FRACTION * floor)
+
+
 class TestGeneralizedKernel:
     def test_regular_wave_has_dimension_two(self, pipeline22):
-        assert spc.generalized_kernel_dim(pipeline22.operator) == 2
+        assert spc.generalized_kernel_dim(pipeline22.eigensystem) == 2
 
     def test_invertible_product_has_dimension_zero(self, grid_small):
         sym = np.abs(2 * np.pi * grid_small.wavenumbers) ** 2 + 0.5
         L = op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
                            label="V=0", kind="custom")
-        assert spc.generalized_kernel_dim(L) == 0
+        assert spc.generalized_kernel_dim(kernel_eigensystem(L)) == 0
 
     def test_borderline_family_at_least_three(self):
         grid = sp.make_grid(2048, 50.0)
         q = wv.solve_ground_state(1.0, 2.0, grid,
                                   wv.SolverOptions(tol=1e-11, max_iters=2000))
         L = op.kdv_linearization(wv.kdv_wave(q, 1.0))
-        assert spc.generalized_kernel_dim(L) >= 3
+        assert spc.generalized_kernel_dim(kernel_eigensystem(L)) >= 3
 
 
 class TestEpsilonChain:

@@ -144,3 +144,17 @@ class TestSelfCheck:
     def test_bo_case_passes(self):
         report = vd.self_check("bo")
         assert report.passed, [e for e in report.entries if not e.passed]
+
+    def test_gkdv_case_reuses_the_pipeline_spectrum(self, monkeypatch):
+        # the generalized kernel is counted on the verdict's eigensystem:
+        # one assembly and one Hamiltonian solve for the whole case
+        calls = {"assemble": 0, "hamiltonian_eigensystem": 0}
+        for module, name in ((vd.op, "assemble"),
+                             (vd.spc, "hamiltonian_eigensystem")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(module, name, counted)
+        report = vd.self_check("gkdv-p2")
+        assert report.passed, [e for e in report.entries if not e.passed]
+        assert calls == {"assemble": 1, "hamiltonian_eigensystem": 1}
