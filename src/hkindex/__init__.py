@@ -12,7 +12,7 @@ from .spectral import (Multiplier, RealField, SpectralGrid,
                        inner_product, make_grid,
                        regularized_quarter_root_multiplier, transform)
 from .waves import (FBBM, FKDV, NORMALIZED, SolverOptions, WaveProfile,
-                    bbm_wave, bo_profile, kdv_wave, load_profile, p_max,
+                    bbm_wave, bo_profile, kdv_wave, p_max,
                     save_profile, sech_profile, solve_ground_state,
                     squared_norm)
 from .operators import (LinOperator, ParityBlocks, assemble,

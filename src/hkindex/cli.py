@@ -130,7 +130,8 @@ def build_parser() -> _Parser:
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    """Merge CLI flags over the JSON config file over defaults."""
+    """Merge CLI flags over the JSON config file over defaults; UsageError
+    for a malformed file or a value the grid or the solver rejects."""
     file_values = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -149,6 +150,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             value = file_values.get(key)
         if value is not None:
             setattr(cfg, key, value)
+    try:
+        cfg.grid()
+        cfg.numerics().solver_options()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return cfg
 
 
@@ -191,9 +197,8 @@ def validate_wave_params(cfg: RunConfig) -> None:
 
 
 def _solve_wave(cfg: RunConfig) -> wv.WaveProfile:
-    grid = cfg.grid()
-    opts = wv.SolverOptions(tol=cfg.tol)
-    Q = wv.solve_ground_state(cfg.s, cfg.p, grid, opts)
+    Q = wv.solve_ground_state(cfg.s, cfg.p, cfg.grid(),
+                              cfg.numerics().solver_options())
     return getattr(wv, f"{wv.MODELS[cfg.model].kind}_wave")(Q, cfg.c)
 
 
@@ -287,8 +292,6 @@ def cmd_dump_operator(cfg: RunConfig) -> int:
     if cfg.model == SCHRODINGER:
         if cfg.c is None:
             cfg.c = 0.5
-        if cfg.s is None:
-            cfg.s = 2.0
         grid = cfg.grid()
         V = sp.RealField(grid, 2.0 / np.cosh(grid.nodes) ** 2)
         operator = op.schrodinger_operator(V, cfg.c)

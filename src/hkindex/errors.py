@@ -12,10 +12,9 @@ class NonIntegrableInputError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to reach its residual target."""
 
-    def __init__(self, message, last_residual=None, iterations=None):
+    def __init__(self, message, last_residual=None):
         super().__init__(message)
         self.last_residual = last_residual
-        self.iterations = iterations
 
 
 class ModelMismatchError(ValueError):

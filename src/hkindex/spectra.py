@@ -14,10 +14,10 @@ derived from them.  They feed three kinds of quantities:
 
 In the real-Fourier basis the restricted derivative is block diagonal
 with 2x2 rotation blocks 2*pi*xi_k [[0, -1], [1, 0]] on each (cos, sin)
-pair, so it maps the cosines to the sines: the Hamiltonian spectrum comes
+pair, so it maps the cosines to the sines: a Hamiltonian spectrum comes
 from the half-order product of the two blocks, whose eigenvalues are
 lambda^2, or from the full-order restricted D A when squaring would cost
-too much accuracy.
+too much accuracy.  J S, with unit weights, takes the half-order route.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import FredholmViolationError
-from .operators import ParityBlocks, pair_frequencies, sandwich, to_coords
+from .operators import ParityBlocks, pair_frequencies, to_coords
 from .spectral import (TWO_PI, Multiplier, RealField, SpectralGrid,
                        antiderivative_multiplier, apply_multiplier,
                        fractional_derivative_multiplier, inner_product,
@@ -102,7 +102,7 @@ def _anchor_to_edge(grid, values: np.ndarray) -> np.ndarray:
     return values - float(np.mean(values[edge]))
 
 
-def decaying_antiderivative(psi0: RealField) -> RealField:
+def _decaying_antiderivative(psi0: RealField) -> RealField:
     w = apply_multiplier(antiderivative_multiplier(psi0.grid), psi0)
     return RealField(psi0.grid, _anchor_to_edge(psi0.grid, w.values))
 
@@ -149,14 +149,15 @@ def constrained_quantity(A: ParityBlocks, psi0: RealField,
     the numerically computed kernel directions and verifies the Fredholm
     compatibility of the right-hand side first.
     """
-    rhs = decaying_antiderivative(psi0)
+    rhs = _decaying_antiderivative(psi0)
     return _pseudo_solve_quadratic(eig, to_coords(A.grid, rhs.values), A.label)
 
 
 def constrained_quantity_sandwiched(A: ParityBlocks, psi0: RealField,
-                                    eps: float) -> float:
+                                    eps: float, eig: SymmetricSpectrum) -> float:
     """The same quantity computed through the regularized sandwich of the
-    assembled operator A = assemble(L),
+    assembled operator A = assemble(L), from the symmetric spectrum eig of
+    sandwich(A, eps),
 
         <(Lsand_eps)^-1 g_eps, g_eps>,
         g_eps = (-d^2+eps^2)^(-1/4) |d| d^-1 psi0,
@@ -174,9 +175,8 @@ def constrained_quantity_sandwiched(A: ParityBlocks, psi0: RealField,
     m = Multiplier(grid, sym, symbol_name=f"reg-quarter-inv-J(eps={eps:g})",
                    adjointness="skew")
     g = apply_multiplier(m, psi0)
-    S = sandwich(A, eps)
-    return _pseudo_solve_quadratic(symmetric_spectrum(S),
-                                   to_coords(grid, g.values), S.label)
+    return _pseudo_solve_quadratic(eig, to_coords(grid, g.values),
+                                   f"sandwich(eps={eps:g})[{A.label}]")
 
 
 def slope_analytic(s: float, p: float, c: float, q_norm_sq: float) -> float:
@@ -234,20 +234,6 @@ def bbm_slope(u_family, c: float, dc: float, normalized) -> BbmSlope:
 # ---------------------------------------------------------------------------
 # Hamiltonian product (d/dx) L on the mean-zero, Nyquist-free subspace
 # ---------------------------------------------------------------------------
-
-def _restricted_product(P: ParityBlocks, weights: np.ndarray | None = None):
-    """D A on the restricted subspace, rows and columns interleaving the
-    (cos, sin) pairs, where D is block diagonal with 2x2 rotation blocks
-    weights_k [[0, -1], [1, 0]]: by default the derivative, weights
-    2*pi*xi_k; unit weights give the Hilbert transform."""
-    a_cos, a_sin, w = _factor(P)
-    if weights is not None:
-        w = weights
-    da = np.zeros((2 * w.size, 2 * w.size))
-    da[0::2, 1::2] = -w[:, None] * a_sin
-    da[1::2, 0::2] = w[:, None] * a_cos
-    return da
-
 
 def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     """a @ z for a real matrix a and a complex block z, as real products
@@ -332,6 +318,20 @@ def _unresolved_on_imaginary_axis(eigs: np.ndarray, scale: float,
     return eigs
 
 
+def _half_order(a_cos: np.ndarray, a_sin: np.ndarray, weights: np.ndarray,
+                vectors: bool) -> tuple:
+    """The eigenvalues mu of M = -(W A_sin)(W A_cos), their eigenvectors if
+    asked (else None), and the roots +sqrt(mu) followed by -sqrt(mu)."""
+    m = (weights[:, None] * a_sin) @ (weights[:, None] * a_cos)
+    m *= -1.0
+    out = scipy.linalg.eig(m, right=vectors, overwrite_a=True,
+                           check_finite=False)
+    mu, x = out if vectors else (out, None)
+    root = np.sqrt(mu)
+    # 0 - root, not -root, so that zero parts print as 0.0, not -0.0
+    return mu, x, np.concatenate([root, 0.0 - root])
+
+
 def hamiltonian_eigensystem(P: ParityBlocks,
                             zero_floor: float) -> HamiltonianEigensystem:
     """Eigenvalues, sorted by (imag, real), and eigenvectors of the
@@ -346,19 +346,14 @@ def hamiltonian_eigensystem(P: ParityBlocks,
     imaginary axis.
     """
     a_cos, a_sin, weights = _factor(P)
-    m = (weights[:, None] * a_sin) @ (weights[:, None] * a_cos)
-    m *= -1.0
-    mu, x = scipy.linalg.eig(m, overwrite_a=True, check_finite=False)
-    root = np.sqrt(mu)
-    # 0 - root, not -root, so that zero parts print as 0.0, not -0.0
-    eigs = np.concatenate([root, 0.0 - root])
+    mu, x, eigs = _half_order(a_cos, a_sin, weights, vectors=True)
     column = np.tile(np.arange(mu.size), 2)
     scale = _scale(eigs)
     zero = _zero_bucket(eigs, RE_TOL_REL * scale, IM_TOL_REL * scale,
                         zero_floor)
     noise = float(np.sqrt(np.finfo(float).eps)) * scale
     if 10.0 * noise > zero_floor or np.any(~zero & (mu[column].imag != 0.0)):
-        del m, x  # free the half-order solve first
+        del x  # free the half-order eigenvectors first
         return _full_order(P, zero_floor)
     eigs = _unresolved_on_imaginary_axis(eigs, scale, zero_floor)
     order = _sorted(eigs)
@@ -369,10 +364,12 @@ def hamiltonian_eigensystem(P: ParityBlocks,
 
 def _full_order(P: ParityBlocks, zero_floor: float) -> HamiltonianEigensystem:
     """The eigensystem from one eig of the full-order restricted D A, whose
-    rows interleave (cos, sin) pairs."""
+    rows and columns interleave the (cos, sin) pairs."""
     a_cos, a_sin, weights = _factor(P)
-    eigs, v = scipy.linalg.eig(_restricted_product(P),
-                               overwrite_a=True, check_finite=False)
+    da = np.zeros((2 * weights.size, 2 * weights.size))
+    da[0::2, 1::2] = -weights[:, None] * a_sin
+    da[1::2, 0::2] = weights[:, None] * a_cos
+    eigs, v = scipy.linalg.eig(da, overwrite_a=True, check_finite=False)
     eigs = _unresolved_on_imaginary_axis(eigs, _scale(eigs), zero_floor)
     order = _sorted(eigs)
     eigs, v = eigs[order], v[:, order]
@@ -403,9 +400,11 @@ def eigenpair_residual(ham: HamiltonianEigensystem,
 
 def sandwich_hamiltonian_spectrum(S: ParityBlocks) -> np.ndarray:
     """Eigenvalues of J S on the restricted subspace (the reformulated
-    problem, where the skew factor is the bounded Hilbert transform)."""
-    js = _restricted_product(S, np.ones(S.order // 2 - 1))
-    eigs = scipy.linalg.eigvals(js, check_finite=False)
+    problem, where the skew factor is the bounded Hilbert transform), from
+    the half-order product with unit weights: J S is similar to D A through
+    |d|^(1/2), and squaring costs about eps (scale / |lambda|)^2 relative."""
+    a_cos, a_sin, _ = _factor(S)
+    eigs = _half_order(a_cos, a_sin, np.ones(a_sin.shape[0]), vectors=False)[2]
     return eigs[_sorted(eigs)]
 
 

@@ -65,7 +65,8 @@ class NumericsConfig:
 
     def grid_for(self, s: float) -> sp.SpectralGrid:
         n, l = default_grid(s)
-        return sp.make_grid(self.n or n, self.half_length or l)
+        return sp.make_grid(n if self.n is None else self.n,
+                            l if self.half_length is None else self.half_length)
 
     def solver_options(self) -> wv.SolverOptions:
         return wv.SolverOptions(tol=self.solver_tol)
@@ -94,7 +95,6 @@ class KreinIndexResult:
 class PipelineData:
     """Intermediate objects of a verdict run, for reuse by the CLI."""
     grid: sp.SpectralGrid
-    normalized: wv.WaveProfile
     wave: wv.WaveProfile
     operator: op.LinOperator
     matrix: op.ParityBlocks      # the symmetric factor fed to D (.)
@@ -224,7 +224,7 @@ def _verdict(model: wv.Model, s: float, p: float, c: float,
         k_r=cls.k_r, k_c=cls.k_c, k_i_minus=cls.k_i_minus,
         K_direct=cls.k_direct, verdict=verdict, diagnostics=tuple(notes))
     if keep_pipeline:
-        return PipelineData(grid, Q, U, L, A, ham, cls, result)
+        return PipelineData(grid, U, L, A, ham, cls, result)
     return result
 
 
@@ -256,18 +256,15 @@ def sweep(axis: str, start: float, stop: float, steps: int,
     Points that fail numerically or break a theory check are recorded and
     skipped; any other exception propagates.  The flip bracket is the pair
     (last STABLE value, first UNSTABLE value) along the axis, with any
-    DEGENERATE points allowed in between.
+    DEGENERATE points allowed in between.  Fewer than one step is an error.
     """
     if axis not in (AXIS_P, AXIS_C, AXIS_S):
         raise ValueError(f"unknown sweep axis {axis!r}")
     if model not in wv.MODELS:
         raise ValueError(f"unknown model {model!r}")
     if steps < 1:
-        values = np.array([])
-    elif steps == 1:
-        values = np.array([start])
-    else:
-        values = np.linspace(start, stop, steps)
+        raise ValueError(f"a sweep needs at least 1 step, got {steps}")
+    values = np.linspace(start, stop, steps)
     # looked up at call time, so a patched module attribute applies
     runner = globals()[f"{wv.MODELS[model].kind}_verdict"]
     points = []
@@ -321,23 +318,13 @@ def _nearest_relative_distance(a: np.ndarray, b: np.ndarray, cut: float) -> floa
     return float(max(np.min(np.abs(b[None, :] - a[:, None]), axis=1) / np.abs(a)))
 
 
-def _check_sandwich_counts(entries, A, expected):
-    for eps in (0.0, 1e-3, 1e-2, 1e-1):
-        count = spc.symmetric_spectrum(op.sandwich(A, eps)).negative_count
-        entries.append(CheckEntry(
-            f"n(sandwich eps={eps:g}) == {expected}", count == expected,
-            f"count={count}"))
+SANDWICH_EPS = (0.0, 1e-3, 1e-2, 1e-1)
 
 
-def _check_eps_limit(entries, A, psi0):
-    values = [spc.constrained_quantity_sandwiched(A, psi0, eps)
-              for eps in (1e-1, 1e-2, 1e-3)]
-    signs_ok = len({v > 0 for v in values}) == 1
-    shrink = abs(values[2] - values[1]) <= abs(values[1] - values[0])
-    entries.append(CheckEntry(
-        "eps-limit of constrained quantity: stable sign, shrinking steps",
-        signs_ok and shrink,
-        "values " + ", ".join(f"{v:+.5f}" for v in values)))
+def _count_entry(eps: float, eig, expected: int) -> CheckEntry:
+    count = eig.negative_count
+    return CheckEntry(f"n(sandwich eps={eps:g}) == {expected}",
+                      count == expected, f"count={count}")
 
 
 def _gkdv_case(p_exp: float, expected_K: int) -> CheckReport:
@@ -351,12 +338,22 @@ def _gkdv_case(p_exp: float, expected_K: int) -> CheckReport:
             res.K_formula == res.K_direct == expected_K,
             f"K_formula={res.K_formula}, K_direct={res.K_direct}"))
         entries.append(CheckEntry("n(L) == 1", res.n_L == 1, f"n={res.n_L}"))
-        # an fKdV pipeline keeps the assembled L itself
-        _check_sandwich_counts(entries, data.matrix, res.n_L)
+        psi0 = sp.apply_multiplier(
+            sp.derivative_multiplier(data.grid), data.wave.as_field())
+        # data.matrix is L itself (fKdV); each sandwich serves two checks
+        values = {}
+        for eps in SANDWICH_EPS:
+            S = op.sandwich(data.matrix, eps)
+            eig = spc.symmetric_spectrum(S)
+            entries.append(_count_entry(eps, eig, res.n_L))
+            if eps == 0.0:
+                sand = spc.sandwich_hamiltonian_spectrum(S)
+            else:
+                values[eps] = spc.constrained_quantity_sandwiched(
+                    data.matrix, psi0, eps, eig)
         dim = spc.generalized_kernel_dim(data.eigensystem)
         entries.append(CheckEntry("generalized kernel dim == 2", dim == 2,
                                   f"dim={dim}"))
-        sand = spc.sandwich_hamiltonian_spectrum(op.sandwich(data.matrix, 0.0))
         dist = _nearest_relative_distance(
             data.eigensystem.eigenvalues, sand, cut=1e-3 * data.eigensystem.scale)
         entries.append(CheckEntry(
@@ -366,9 +363,11 @@ def _gkdv_case(p_exp: float, expected_K: int) -> CheckReport:
         entries.append(CheckEntry(
             "Hamiltonian eigenpair residual <= 1e-6", residual <= 1e-6,
             f"max ||D A v - lambda v|| / (scale ||v||) {residual:.2e}"))
-        psi0 = sp.apply_multiplier(
-            sp.derivative_multiplier(data.grid), data.wave.as_field())
-        _check_eps_limit(entries, data.matrix, psi0)
+        q = [values[eps] for eps in (1e-1, 1e-2, 1e-3)]
+        entries.append(CheckEntry(
+            "eps-limit of constrained quantity: stable sign, shrinking steps",
+            len({v > 0 for v in q}) == 1 and abs(q[2] - q[1]) <= abs(q[1] - q[0]),
+            "values " + ", ".join(f"{v:+.5f}" for v in q)))
         entries.append(_identity_entry(data.grid))
     return CheckReport(case=f"gkdv-p{p_exp:g}", entries=tuple(entries))
 
@@ -420,7 +419,9 @@ def _schrodinger_case() -> CheckReport:
     entries.append(CheckEntry(
         "lowest eigenvalue at c - 1 = -0.5", abs(lowest + 0.5) <= 1e-6,
         f"lambda_min={lowest:.8f}"))
-    _check_sandwich_counts(entries, A, rep.negative_count)
+    for eps in SANDWICH_EPS:
+        eig = spc.symmetric_spectrum(op.sandwich(A, eps))
+        entries.append(_count_entry(eps, eig, rep.negative_count))
     return CheckReport(case="schrodinger-sech2", entries=tuple(entries))
 
 
@@ -458,18 +459,17 @@ def _bo_case() -> CheckReport:
     return CheckReport(case="bo", entries=tuple(entries))
 
 
-SELF_CHECK_CASES = ("gkdv-p2", "gkdv-p5", "schrodinger-sech2", "bo")
+SELF_CHECK_CASES = {
+    "gkdv-p2": lambda: _gkdv_case(2.0, expected_K=0),
+    "gkdv-p5": lambda: _gkdv_case(5.0, expected_K=1),
+    "schrodinger-sech2": _schrodinger_case,
+    "bo": _bo_case,
+}
 
 
 def self_check(case: str) -> CheckReport:
     """Packaged theory-consistency assertions for a named test case."""
-    if case == "gkdv-p2":
-        return _gkdv_case(2.0, expected_K=0)
-    if case == "gkdv-p5":
-        return _gkdv_case(5.0, expected_K=1)
-    if case == "schrodinger-sech2":
-        return _schrodinger_case()
-    if case == "bo":
-        return _bo_case()
-    raise KeyError(f"unknown self-check case {case!r}; "
-                   f"known cases: {', '.join(SELF_CHECK_CASES)}")
+    if case not in SELF_CHECK_CASES:
+        raise KeyError(f"unknown self-check case {case!r}; "
+                       f"known cases: {', '.join(SELF_CHECK_CASES)}")
+    return SELF_CHECK_CASES[case]()

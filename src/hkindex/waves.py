@@ -24,7 +24,7 @@ from .errors import ConvergenceError, ModelMismatchError
 from .io_utils import atomic_write_text, format_float
 from .spectral import (RealField, SpectralGrid, apply_multiplier,
                        fractional_derivative_multiplier, fractional_symbol,
-                       inner_product, make_grid)
+                       inner_product)
 
 FKDV = "fkdv"
 FBBM = "fbbm"
@@ -96,16 +96,17 @@ SEED_WIDTH = 2.0
 class SolverOptions:
     max_iters: int = 500
     tol: float | None = None       # residual sup-norm target; None = per-s default
-    gamma: float | None = None     # stabilizing exponent; None = (p+1)/p
+
+    def __post_init__(self):
+        if self.tol is not None and not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
 
     def resolve(self, s: float, p: float) -> "SolverOptions":
-        tol = self.tol if self.tol is not None else default_tol(s)
-        gamma = self.gamma if self.gamma is not None else (p + 1.0) / p
-        if not tol > 0:
-            raise ValueError("tol must be positive")
-        if not 1.0 < gamma < 3.0:
-            raise ValueError(f"stabilizing exponent must be in (1, 3), got {gamma}")
-        return SolverOptions(self.max_iters, tol, gamma)
+        """tol resolved for s; ValueError unless (p+1)/p lies in (1, 3)."""
+        if not 1.0 < (p + 1.0) / p < 3.0:
+            raise ValueError(f"the Petviashvili exponent (p+1)/p must lie in "
+                             f"(1, 3), which needs p > 1/2; got p={p:g}")
+        return replace(self, tol=default_tol(s) if self.tol is None else self.tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,9 +204,10 @@ def _petviashvili(s: float, p: float, speed: float, grid: SpectralGrid,
     """Fixed-point iteration for |d|^s U + speed*U - U^(p+1) = 0.
 
     U_{k+1} = S_k^gamma (|d|^s + speed)^{-1} U_k^{p+1} with the stabilizing
-    factor S_k = <(|d|^s + speed) U_k, U_k> / <U_k^{p+1}, U_k>; the peak is
-    recentered to x = 0 after every step.
+    factor S_k = <(|d|^s + speed) U_k, U_k> / <U_k^{p+1}, U_k> and
+    gamma = (p+1)/p; the peak is recentered to x = 0 after every step.
     """
+    gamma = (p + 1.0) / p
     denom = fractional_symbol(grid, s) + speed
     u = np.exp(-((grid.nodes / SEED_WIDTH) ** 2))
     notes: tuple = ()
@@ -222,7 +224,7 @@ def _petviashvili(s: float, p: float, speed: float, grid: SpectralGrid,
             raise ConvergenceError("Petviashvili factor lost positivity",
                                    last_residual=last_res)
         factor = lin_inner / rhs_inner
-        u = factor ** opts.gamma * np.fft.ifft(np.fft.fft(nonlin) / denom).real
+        u = factor ** gamma * np.fft.ifft(np.fft.fft(nonlin) / denom).real
         u = np.roll(u, grid.n // 2 - int(np.argmax(u)))
         residual = _residual(grid, u, s, p, 1.0, speed)
         last_res = float(np.max(np.abs(residual)))
@@ -231,7 +233,7 @@ def _petviashvili(s: float, p: float, speed: float, grid: SpectralGrid,
     raise ConvergenceError(
         f"Petviashvili did not reach tol={opts.tol:g} in {opts.max_iters} "
         f"iterations (last residual {last_res:.3e})",
-        last_residual=last_res, iterations=opts.max_iters)
+        last_residual=last_res)
 
 
 def solve_ground_state(s: float, p: float, grid: SpectralGrid,
@@ -402,17 +404,3 @@ def save_profile(profile: WaveProfile, csv_path) -> tuple:
     json_path = csv_path[:-4] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
     atomic_write_text(json_path, json.dumps(profile.metadata(), indent=2) + "\n")
     return csv_path, json_path
-
-
-def load_profile(csv_path) -> WaveProfile:
-    csv_path = str(csv_path)
-    json_path = csv_path[:-4] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
-    with open(json_path) as fh:
-        meta = json.load(fh)
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    grid = make_grid(meta["grid"]["n"], meta["grid"]["half_length"])
-    return WaveProfile(
-        grid=grid, values=data[:, 1], s=meta["s"], p=meta["p"], c=meta["c"],
-        model=meta["model"], residual_norm=meta["residual_norm"],
-        boundary_value=meta["boundary_value"], residual_tol=meta["residual_tol"],
-        truncation_warning=meta["truncation_warning"], notes=tuple(meta["notes"]))

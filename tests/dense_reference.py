@@ -3,11 +3,11 @@
 The real-Fourier basis as an n x n matrix of samples, an operator
 assembled as h phi^T (V phi) plus its multiplier diagonal, congruences by
 an even multiplier on the full matrix, one full-order eigh, and the
-full-order restricted D A formed from the dense entries.  Dense matrices
-are plain arrays in the interleaved basis order of operators; split_parity
-turns one into the ParityBlocks the package works on, and from_coords is
-the inverse of operators.to_coords.  All of them cost O(n^3) or O(n^2)
-memory and run in the tests only.
+full-order restricted D A and J S formed from the dense entries.  Dense
+matrices are plain arrays in the interleaved basis order of operators;
+split_parity turns one into the ParityBlocks the package works on, and
+from_coords is the inverse of operators.to_coords.  All of them cost
+O(n^3) or O(n^2) memory and run in the tests only.
 """
 
 import numpy as np
@@ -98,11 +98,15 @@ def dense_inertia(a: np.ndarray):
             int(np.count_nonzero(np.abs(w) <= tol)), (w, v, tol))
 
 
-def dense_restricted_product(a: np.ndarray, grid) -> np.ndarray:
+def dense_restricted_product(a: np.ndarray, grid,
+                             weights: np.ndarray | None = None) -> np.ndarray:
     """D A with the zero-mode and Nyquist rows and columns dropped, D the
-    derivative's 2x2 rotation blocks 2 pi xi_k [[0, -1], [1, 0]]."""
+    2x2 rotation blocks weights_k [[0, -1], [1, 0]]: by default the
+    derivative's 2 pi xi_k; unit weights give the Hilbert transform J of
+    the sandwiched problem J S."""
     a_r = a[1:-1, 1:-1]
-    weights = TWO_PI * op.pair_frequencies(grid)
+    if weights is None:
+        weights = TWO_PI * op.pair_frequencies(grid)
     da = np.empty_like(a_r)
     da[0::2, :] = -weights[:, None] * a_r[1::2, :]
     da[1::2, :] = weights[:, None] * a_r[0::2, :]
@@ -111,3 +115,9 @@ def dense_restricted_product(a: np.ndarray, grid) -> np.ndarray:
 
 def dense_hamiltonian_eigenvalues(a: np.ndarray, grid) -> np.ndarray:
     return scipy.linalg.eigvals(dense_restricted_product(a, grid))
+
+
+def dense_sandwich_hamiltonian_eigenvalues(s: np.ndarray, grid) -> np.ndarray:
+    """Eigenvalues of the full-order restricted J S for a dense S."""
+    return scipy.linalg.eigvals(
+        dense_restricted_product(s, grid, np.ones(grid.n // 2 - 1)))

@@ -30,6 +30,27 @@ class TestSolveWave:
         assert code == 1
         assert "p_max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n", "513", "grid size must be an even integer >= 8, got 513"),
+        ("--half-length", "-3", "half_length must be positive, got -3.0"),
+        ("--tol", "-1", "tol must be positive, got -1.0"),
+    ], ids=["n", "half-length", "tol"])
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, flag,
+                                              value, message):
+        code = run(["solve-wave", "--model", "fkdv", "--s", "2", "--p", "2",
+                    flag, value, "--out", str(tmp_path)])
+        assert code == 64
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "wave.csv").exists()
+
+    def test_p_below_half_exits_1(self, tmp_path, capsys):
+        # the Petviashvili exponent (p+1)/p leaves (1, 3): a numerical
+        # failure of the solver, not a usage error
+        code = run(["solve-wave", "--model", "fkdv", "--s", "2", "--p", "0.4",
+                    "--out", str(tmp_path)])
+        assert code == 1
+        assert "got p=0.4" in capsys.readouterr().err
+
     def test_missing_p_is_usage_error(self, tmp_path, capsys):
         code = run(["solve-wave", "--model", "fkdv", "--s", "2",
                     "--out", str(tmp_path)])
@@ -198,8 +219,12 @@ class TestConfigFile:
         ({"s": 2, "p": 2, "format": "xml"}, "'format' must be one of"),
         ({"s": 2, "p": 2, "axis": "q"}, "'axis' must be one of"),
         ({"s": 2, "p": 2, "out": 3}, "'out' must be of type str"),
+        ({"s": 2, "p": 2, "n": 513}, "grid size must be an even integer"),
+        ({"s": 2, "p": 2, "half_length": -3}, "half_length must be positive"),
+        ({"s": 2, "p": 2, "tol": -1}, "tol must be positive"),
     ], ids=["string-number", "list", "string-int", "float-int", "unknown-key",
-            "bool", "model-choice", "format-choice", "axis-choice", "out-type"])
+            "bool", "model-choice", "format-choice", "axis-choice", "out-type",
+            "n-range", "half-length-range", "tol-range"])
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, values,
                                              message):
         config = tmp_path / "run.json"

@@ -2,7 +2,7 @@
 
 Every solve of the verdict pipeline runs on the even (cosine) and odd
 (sine) blocks of the symmetric factor.  The full-order solves stay as the
-reference: one eigh of A and one eig of the restricted D A, both in
+reference: one eigh of A and one eig of the restricted D A or J S, all in
 dense_reference, and the full-order eig of spectra, which is also the
 Hamiltonian fallback.
 """
@@ -23,8 +23,9 @@ from hkindex.errors import FredholmViolationError
 
 from conftest import diagonal_on_grid, quiet
 from dense_reference import (dense_congruence, dense_hamiltonian_eigenvalues,
-                             dense_inertia, dense_matrix, interleave,
-                             split_parity)
+                             dense_inertia, dense_matrix,
+                             dense_sandwich_hamiltonian_eigenvalues,
+                             interleave, split_parity)
 
 REGRESSION_CASES = [(wv.FKDV, 2.0, 2.0, 1.0), (wv.FKDV, 2.0, 5.0, 1.0),
                     (wv.FBBM, 2.0, 2.0, 2.0)]
@@ -71,7 +72,7 @@ class TestAgainstDensePath:
             weight = op.symmetrizing_weight(data.grid, data.wave.s)
             psi0 = sp.apply_multiplier(
                 sp.Multiplier(data.grid, 1.0 / weight, "sqrt(I+M)"), psi0)
-        rhs = spc.decaying_antiderivative(psi0)
+        rhs = spc._decaying_antiderivative(psi0)
         proj = v.T @ interleave(op.to_coords(data.grid, rhs.values))
         kept = np.abs(w) > tol
         d_dense = float(np.sum(proj[kept] ** 2 / w[kept]))
@@ -236,3 +237,17 @@ def test_block_hamiltonian_spectrum_equals_dense(L):
     noise = np.sqrt(np.finfo(float).eps) * scale
     ham = spc.hamiltonian_eigensystem(op.assemble(L), 20.0 * noise)
     assert nearest_distance(ham.eigenvalues, dense) <= 10.0 * noise
+
+
+@given(even_operators())
+def test_sandwich_hamiltonian_spectrum_equals_dense(L):
+    # J S from the half-order product against the full-order J S of the
+    # sandwich formed on the dense matrix
+    quarter = sp.regularized_quarter_root_multiplier(L.grid, 0.0)
+    dense = dense_sandwich_hamiltonian_eigenvalues(
+        dense_congruence(dense_matrix(L), L.grid,
+                         quarter.symbol_values.real), L.grid)
+    scale = float(np.max(np.abs(dense)))
+    noise = np.sqrt(np.finfo(float).eps) * scale
+    half = spc.sandwich_hamiltonian_spectrum(op.sandwich(op.assemble(L), 0.0))
+    assert nearest_distance(half, dense) <= 10.0 * noise

@@ -258,6 +258,8 @@ class TestEpsilonChain:
             pipeline22.wave.as_field())
         with quiet():
             values = [spc.constrained_quantity_sandwiched(
-                pipeline22.matrix, psi0, eps) for eps in (1e-1, 1e-2, 1e-3)]
+                pipeline22.matrix, psi0, eps, spc.symmetric_spectrum(
+                    op.sandwich(pipeline22.matrix, eps)))
+                for eps in (1e-1, 1e-2, 1e-3)]
         assert all(v < 0 for v in values)
         assert abs(values[2] - values[1]) <= abs(values[1] - values[0])

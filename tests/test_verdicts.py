@@ -1,5 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hkindex import verdicts as vd
 from hkindex import waves as wv
@@ -66,10 +69,10 @@ class TestBbmVerdict:
 
 
 class TestSweep:
-    def test_empty_range(self):
-        res = vd.sweep("p", 1.0, 2.0, 0, s=2.0, p=0.0, c=1.0)
-        assert res.points == ()
-        assert res.flip_bracket is None
+    @pytest.mark.parametrize("steps", [0, -4])
+    def test_empty_range_rejected(self, steps):
+        with pytest.raises(ValueError, match="at least 1 step"):
+            vd.sweep("p", 1.0, 2.0, steps, s=2.0, p=0.0, c=1.0)
 
     def test_single_point(self, pipeline22):
         cheap = vd.NumericsConfig(n=512, half_length=30.0)
@@ -146,15 +149,39 @@ class TestSelfCheck:
         assert report.passed, [e for e in report.entries if not e.passed]
 
     def test_gkdv_case_reuses_the_pipeline_spectrum(self, monkeypatch):
-        # the generalized kernel is counted on the verdict's eigensystem:
-        # one assembly and one Hamiltonian solve for the whole case
-        calls = {"assemble": 0, "hamiltonian_eigensystem": 0}
-        for module, name in ((vd.op, "assemble"),
-                             (vd.spc, "hamiltonian_eigensystem")):
-            def counted(*args, _fn=getattr(module, name), _name=name, **kw):
-                calls[_name] += 1
-                return _fn(*args, **kw)
-            monkeypatch.setattr(module, name, counted)
+        # the generalized kernel is counted on the verdict's eigensystem,
+        # and each sandwich and its spectrum serve every check that reads
+        # them: one assembly, one Hamiltonian solve, four sandwiches and
+        # their four spectra besides L's own
+        calls = dict.fromkeys(["assemble", "hamiltonian_eigensystem",
+                               "sandwich", "symmetric_spectrum"], 0)
+        for fn in (vd.op.assemble, vd.spc.hamiltonian_eigensystem,
+                   vd.op.sandwich, vd.spc.symmetric_spectrum):
+            count_calls(monkeypatch, fn, calls)
+        # every nonsymmetric eigensolve is a half-order one, order n/2 - 1:
+        # the D A of the verdict and the J S of the equivalence check
+        orders = []
+        for name in ("eig", "eigvals"):
+            def recorded(a, *args, _fn=getattr(scipy.linalg, name), **kw):
+                orders.append(a.shape[0])
+                return _fn(a, *args, **kw)
+            monkeypatch.setattr(scipy.linalg, name, recorded)
         report = vd.self_check("gkdv-p2")
         assert report.passed, [e for e in report.entries if not e.passed]
-        assert calls == {"assemble": 1, "hamiltonian_eigensystem": 1}
+        assert calls == {"assemble": 1, "hamiltonian_eigensystem": 1,
+                         "sandwich": 4, "symmetric_spectrum": 5}
+        n = vd.default_grid(2.0)[0]
+        assert orders == [n // 2 - 1] * 2
+
+
+def count_calls(monkeypatch, fn, calls) -> None:
+    """Count the calls of fn in calls[fn.__name__], under every name that
+    binds it in a module of the package."""
+    def counted(*args, **kw):
+        calls[fn.__name__] += 1
+        return fn(*args, **kw)
+    for modname, module in list(sys.modules.items()):
+        if modname == "hkindex" or modname.startswith("hkindex."):
+            for name, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, name, counted)

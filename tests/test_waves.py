@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -60,8 +62,8 @@ class TestGroundState:
     def test_solver_options_validation(self):
         with pytest.raises(ValueError):
             wv.SolverOptions(tol=-1.0).resolve(2.0, 2.0)
-        with pytest.raises(ValueError):
-            wv.SolverOptions(gamma=5.0).resolve(2.0, 2.0)
+        with pytest.raises(ValueError, match="p > 1/2; got p=0.4"):
+            wv.SolverOptions().resolve(2.0, 0.4)
 
     def test_stabilizing_factor_settles_at_one(self, grid40):
         opts = wv.SolverOptions().resolve(2.0, 2.0)
@@ -157,11 +159,13 @@ class TestSechProfile:
 class TestSerialization:
     def test_round_trip(self, tmp_path, q22):
         csv_path, json_path = wv.save_profile(q22, tmp_path / "wave.csv")
-        back = wv.load_profile(csv_path)
-        assert np.array_equal(back.values, q22.values)
-        assert back.s == q22.s and back.p == q22.p and back.c == q22.c
-        assert back.model == q22.model
-        assert back.residual_norm == q22.residual_norm
+        values = np.loadtxt(csv_path, delimiter=",", skiprows=1)[:, 1]
+        with open(json_path) as fh:
+            meta = json.load(fh)
+        assert np.array_equal(values, q22.values)
+        assert meta["s"] == q22.s and meta["p"] == q22.p and meta["c"] == q22.c
+        assert meta["model"] == q22.model
+        assert meta["residual_norm"] == q22.residual_norm
 
     def test_csv_shape(self, tmp_path, q22):
         csv_path, _ = wv.save_profile(q22, tmp_path / "wave.csv")
