@@ -123,7 +123,9 @@ def build_parser() -> _Parser:
                    help="export the classified Hamiltonian spectrum")
     sub.add_parser("dump-operator", parents=[common],
                    help="dump the assembled operator matrix (binary + header)")
-    check_p = sub.add_parser("self-check", parents=[common],
+    # each case runs on its own fixed grid, so no shared flag applies, and
+    # without abbreviations --c is not read as --case
+    check_p = sub.add_parser("self-check", allow_abbrev=False,
                              help="run packaged theory-consistency assertions")
     check_p.add_argument("--case", help="named case, e.g. gkdv-p2")
     return parser
@@ -202,6 +204,11 @@ def _solve_wave(cfg: RunConfig) -> wv.WaveProfile:
     return getattr(wv, f"{wv.MODELS[cfg.model].kind}_wave")(Q, cfg.c)
 
 
+def _exit_code(wave: wv.WaveProfile) -> int:
+    """Accuracy warning when the wave's tails do not fit the box."""
+    return EXIT_ACCURACY if wave.truncation_warning else EXIT_OK
+
+
 def cmd_solve_wave(cfg: RunConfig) -> int:
     validate_wave_params(cfg)
     profile = _solve_wave(cfg)
@@ -209,7 +216,7 @@ def cmd_solve_wave(cfg: RunConfig) -> int:
         profile, os.path.join(cfg.out, "wave.csv"))
     print(f"wrote {csv_path} and {json_path} "
           f"(residual {profile.residual_norm:.3e})")
-    return EXIT_ACCURACY if profile.truncation_warning else EXIT_OK
+    return _exit_code(profile)
 
 
 def _run_verdict(cfg: RunConfig) -> vd.PipelineData:
@@ -225,7 +232,7 @@ def cmd_index(cfg: RunConfig) -> int:
     payload["diagnostics"] = list(res.diagnostics)
     write_json(os.path.join(cfg.out, "index.json"), payload)
     print(f"K_Ham={res.K_direct} verdict={res.verdict}")
-    return EXIT_OK
+    return _exit_code(data.wave)
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -285,7 +292,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
                          SPECTRUM_HEADER, rows)
     print(f"K_Ham={data.result.K_direct} verdict={data.result.verdict}")
     print(f"wrote {path}")
-    return EXIT_OK
+    return _exit_code(data.wave)
 
 
 def cmd_dump_operator(cfg: RunConfig) -> int:

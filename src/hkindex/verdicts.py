@@ -1,8 +1,9 @@
 """Top-level stability verdicts.
 
 One pipeline serves every row of the model table (waves.MODELS): ground-
-state solve, rescale, linearize, inertia counts, constrained quantity,
-direct Hamiltonian spectrum with Krein classification.  The index identity
+state solve, wave solve at speed c, linearize, inertia counts, constrained
+quantity, direct Hamiltonian spectrum with Krein classification.  The
+index identity
 
     K_Ham = n(L) - (1 if d/dc <U_c, U_c> > 0 else 0)        (KdV)
     K_Ham = n(L0) - (1 if d/dc <(I+M) U_c, U_c> > 0 else 0) (BBM)

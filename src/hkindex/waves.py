@@ -6,9 +6,10 @@ computed by Petviashvili iteration.  A traveling wave of speed c solves
     a(c) |d|^s U + b(c) U - U^(p+1) = 0,   (a, b) = (1, c) for fKdV,
                                            (a, b) = (c, c-1) for fBBM,
 
-and is obtained from Q by the exact rescaling U_c(x) = b^(1/p) Q((b/a)^(1/s) x),
-evaluated by spectral interpolation.  Closed-form references: the gKdV
-(s = 2) soliton family and the Benjamin-Ono Lorentzian.
+and is computed by the same iteration at its own (a, b), on the grid of Q.
+On the line U_c(x) = b^(1/p) Q((b/a)^(1/s) x); the iteration's seed is
+scaled the same way.  Closed-form references: the gKdV (s = 2) soliton
+family and the Benjamin-Ono Lorentzian.
 """
 
 from __future__ import annotations
@@ -199,17 +200,21 @@ def _finalize(grid, values, s, p, c, model, residual, tol, notes=()) -> WaveProf
                        residual_tol=tol, truncation_warning=warn, notes=notes)
 
 
-def _petviashvili(s: float, p: float, speed: float, grid: SpectralGrid,
-                  opts: SolverOptions) -> tuple[np.ndarray, float, float, tuple]:
-    """Fixed-point iteration for |d|^s U + speed*U - U^(p+1) = 0.
+def _petviashvili(s: float, p: float, a: float, b: float, grid: SpectralGrid,
+                  opts: SolverOptions) -> tuple[np.ndarray, float, tuple]:
+    """Fixed-point iteration for a |d|^s U + b U - U^(p+1) = 0.
 
-    U_{k+1} = S_k^gamma (|d|^s + speed)^{-1} U_k^{p+1} with the stabilizing
-    factor S_k = <(|d|^s + speed) U_k, U_k> / <U_k^{p+1}, U_k> and
+    U_{k+1} = S_k^gamma (a |d|^s + b)^{-1} U_k^{p+1} with the stabilizing
+    factor S_k = <(a |d|^s + b) U_k, U_k> / <U_k^{p+1}, U_k> and
     gamma = (p+1)/p; the peak is recentered to x = 0 after every step.
+    The Gaussian seed has width SEED_WIDTH (a/b)^(1/s), the image of the
+    ground-state seed under the scaling U(x) = b^(1/p) Q((b/a)^(1/s) x)
+    (the iteration does not see the seed's amplitude).
     """
     gamma = (p + 1.0) / p
-    denom = fractional_symbol(grid, s) + speed
-    u = np.exp(-((grid.nodes / SEED_WIDTH) ** 2))
+    denom = a * fractional_symbol(grid, s) + b
+    width = SEED_WIDTH * (a / b) ** (1.0 / s)
+    u = np.exp(-((grid.nodes / width) ** 2))
     notes: tuple = ()
     last_res = math.inf
     factor = math.nan
@@ -226,10 +231,10 @@ def _petviashvili(s: float, p: float, speed: float, grid: SpectralGrid,
         factor = lin_inner / rhs_inner
         u = factor ** gamma * np.fft.ifft(np.fft.fft(nonlin) / denom).real
         u = np.roll(u, grid.n // 2 - int(np.argmax(u)))
-        residual = _residual(grid, u, s, p, 1.0, speed)
+        residual = _residual(grid, u, s, p, a, b)
         last_res = float(np.max(np.abs(residual)))
         if last_res <= opts.tol:
-            return u, last_res, factor, notes
+            return u, factor, notes
     raise ConvergenceError(
         f"Petviashvili did not reach tol={opts.tol:g} in {opts.max_iters} "
         f"iterations (last residual {last_res:.3e})",
@@ -244,10 +249,18 @@ def solve_ground_state(s: float, p: float, grid: SpectralGrid,
     """
     _check_exponents(s, p)
     opts = (opts or SolverOptions()).resolve(s, p)
-    values, res, factor, notes = _petviashvili(s, p, 1.0, grid, opts)
+    return _solve(grid, s, p, 1.0, NORMALIZED, (1.0, 1.0), opts)
+
+
+def _solve(grid: SpectralGrid, s: float, p: float, c: float, model: str,
+           coefficients: tuple, opts: SolverOptions) -> WaveProfile:
+    """The even positive solution of a |d|^s U + b U - U^(p+1) = 0 with
+    (a, b) = coefficients, labelled with the speed c and the model name."""
+    a, b = coefficients
+    values, factor, notes = _petviashvili(s, p, a, b, grid, opts)
     _check_shape_invariants(values, factor)
-    residual = _residual(grid, values, s, p, 1.0, 1.0)
-    return _finalize(grid, values, s, p, 1.0, NORMALIZED, residual, opts.tol, notes)
+    residual = _residual(grid, values, s, p, a, b)
+    return _finalize(grid, values, s, p, c, model, residual, opts.tol, notes)
 
 
 def _check_exponents(s: float, p: float) -> None:
@@ -271,83 +284,28 @@ def _check_shape_invariants(values: np.ndarray, factor: float) -> None:
             f"stabilizing factor {factor} did not settle at 1")
 
 
-def resample(f: RealField, targets: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of f at arbitrary points.
-
-    The interpolant is 2l-periodic, so arguments outside [-l, l) wrap.
-    """
-    grid = f.grid
-    coeff = np.fft.fft(f.values)
-    xi = grid.wavenumbers
-    out = np.empty(len(targets))
-    shifted = np.asarray(targets, dtype=float) + grid.half_length
-    block = max(1, (1 << 22) // grid.n)  # cap the phase matrix at ~64 MB
-    for start in range(0, len(targets), block):
-        sl = slice(start, start + block)
-        phases = np.exp(2j * np.pi * np.outer(shifted[sl], xi))
-        out[sl] = (phases @ coeff).real / grid.n
-    return out
-
-
-def _stretched_samples(Q: WaveProfile, stretch: float) -> np.ndarray:
-    """Q(stretch * x) on the grid.  Inside the box this is the trig
-    interpolant; beyond it the periodic alias would fold the peak back in
-    (exactly so when stretch*l is a multiple of 2l), so the samples
-    continue along the algebraic tail law Q ~ |x|^-(1+s) instead."""
-    grid = Q.grid
-    y = stretch * grid.nodes
-    inside = np.abs(y) < grid.half_length
-    values = np.empty(grid.n)
-    values[inside] = resample(Q.as_field(), y[inside])
-    if not np.all(inside):
-        edge = float(Q.values[0])  # sample at x = -l
-        decay = (grid.half_length / np.abs(y[~inside])) ** (Q.s + 1.0)
-        values[~inside] = edge * decay
-    return values
-
-
 def kdv_wave(Q: WaveProfile, c: float) -> WaveProfile:
-    """Rescale the normalized ground state to the fKdV wave of speed c > 0."""
-    return _rescale(MODELS[FKDV], Q, c)
+    """The fKdV wave of speed c > 0 on the grid of the normalized state Q."""
+    return _traveling_wave(MODELS[FKDV], Q, c)
 
 
 def bbm_wave(Q: WaveProfile, c: float) -> WaveProfile:
-    """Rescale the normalized ground state to the fBBM wave of speed c > 1."""
-    return _rescale(MODELS[FBBM], Q, c)
+    """The fBBM wave of speed c > 1 on the grid of the normalized state Q."""
+    return _traveling_wave(MODELS[FBBM], Q, c)
 
 
-def _rescale(model: Model, Q: WaveProfile, c: float) -> WaveProfile:
-    """U_c(x) = b^(1/p) Q((b/a)^(1/s) x) with (a, b) = model.coefficients(c)."""
+def _traveling_wave(model: Model, Q: WaveProfile, c: float) -> WaveProfile:
+    """Solve at (a, b) = model.coefficients(c) with Q's grid, exponents and
+    tolerance; at (a, b) = (1, 1) the wave is Q."""
     if Q.model != NORMALIZED:
         raise ModelMismatchError(
             f"{model.kind}_wave expects the normalized ground state")
     model.check_speed(c)
-    grid, s, p = Q.grid, Q.s, Q.p
-    a, b = model.coefficients(c)
-    if a == 1.0 and b == 1.0:
-        values = Q.values.copy()
-    else:
-        values = b ** (1.0 / p) * _stretched_samples(Q, (b / a) ** (1.0 / s))
-    residual = _residual(grid, values, s, p, a, b)
-    profile = _finalize(grid, values, s, p, c, model.name, residual,
-                        Q.residual_tol, Q.notes)
-    return _enforce_scaled_residual(profile)
-
-
-def _enforce_scaled_residual(profile: WaveProfile) -> WaveProfile:
-    # A rescaled wave inherits the solver residual, amplified by c-powers
-    # and by seam effects from the algebraic tails; flag rather than fail
-    # when the bound is only lost through truncation.
-    bound = 10.0 * profile.residual_tol
-    if profile.residual_norm <= bound:
-        return profile
-    tail_floor = 10.0 * profile.boundary_value * max(profile.c, 1.0)
-    if profile.residual_norm <= max(bound, tail_floor):
-        return replace(profile, truncation_warning=True,
-                       notes=profile.notes + ("truncation: rescaled residual above 10x tol",))
-    raise ConvergenceError(
-        f"rescaled profile residual {profile.residual_norm:.3e} exceeds both "
-        f"10x solver tol and the truncation floor")
+    coefficients = model.coefficients(c)
+    if coefficients == (1.0, 1.0):
+        return replace(Q, values=Q.values.copy(), c=c, model=model.name)
+    return _solve(Q.grid, Q.s, Q.p, c, model.name, coefficients,
+                  SolverOptions(tol=Q.residual_tol))
 
 
 def bo_profile(grid: SpectralGrid, c: float) -> WaveProfile:

@@ -133,6 +133,24 @@ class TestSweepCommand:
         assert code == 64
 
 
+# s = 1.5, p = 2 is STABLE; its algebraic tails do not fit a box of
+# half-length 10, while the s = 2 sech tails do
+TRUNCATED_BOX = ["--model", "fkdv", "--p", "2", "--c", "1", "--n", "256",
+                 "--half-length", "10"]
+
+
+@pytest.mark.parametrize("command, output", [("index", "index.json"),
+                                             ("spectrum", "spectrum.csv")])
+@pytest.mark.parametrize("s, code", [("1.5", 2), ("2", 0)],
+                         ids=["truncated", "decayed"])
+def test_truncation_warning_sets_exit_code(tmp_path, capsys, command, output,
+                                           s, code):
+    assert run([command, "--s", s, *TRUNCATED_BOX,
+                "--out", str(tmp_path)]) == code
+    assert "verdict=STABLE" in capsys.readouterr().out
+    assert (tmp_path / output).exists()
+
+
 class TestSpectrumCommand:
     def test_determinism_byte_identical(self, tmp_path, capsys):
         args = ["spectrum", "--model", "fkdv", "--s", "2", "--p", "2",
@@ -246,6 +264,15 @@ class TestConfigFile:
 class TestSelfCheckCommand:
     def test_unknown_case_exits_64(self, capsys):
         assert run(["self-check", "--case", "nope"]) == 64
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "64"), ("--half-length", "5"), ("--tol", "1e-6"),
+        ("--s", "1"), ("--p", "2"), ("--c", "2")])
+    def test_grid_and_wave_flags_are_usage_errors(self, capsys, flag, value):
+        # every case runs on its own fixed grid and parameters
+        assert run(["self-check", "--case", "schrodinger-sech2",
+                    flag, value]) == 64
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_schrodinger_case_exits_0(self, capsys):
         assert run(["self-check", "--case", "schrodinger-sech2"]) == 0

@@ -24,10 +24,10 @@ PINNED = {
         "slope": -0.24290032239760437, "slope_reference": -0.2429003221796189,
         "verdict": "UNSTABLE"},
     ("fbbm", 2.0, 2.0, 2.0): {
-        "K_direct": 0, "K_formula": 0, "c": 2.0, "d": -2.710575992346179,
-        "diagnostics": ["wave carries a truncation warning on this box"],
+        "K_direct": 0, "K_formula": 0, "c": 2.0, "d": -2.71057598657475,
+        "diagnostics": [],
         "k_c": 0, "k_i_minus": 0, "k_r": 0, "model": "fbbm", "n_L": 1,
-        "p": 2.0, "s": 2.0, "slope": 5.421151984692358,
+        "p": 2.0, "s": 2.0, "slope": 5.4211519731495,
         "slope_reference": 5.421151989106281, "verdict": "STABLE"},
 }
 

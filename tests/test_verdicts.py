@@ -42,6 +42,19 @@ class TestKdvVerdict:
         assert (res1.n_L, res1.K_formula) == (res2.n_L, res2.K_formula)
         assert res2.verdict == vd.STABLE
 
+    @pytest.mark.parametrize("s, p, c, verdict, k_r", [
+        (0.75, 1.0, 1.5, vd.STABLE, 0),
+        (2.0, 5.0, 0.5, vd.UNSTABLE, 1),
+        (2.0, 4.1, 3.0, vd.UNSTABLE, 1),
+    ])
+    def test_verdict_away_from_unit_speed(self, s, p, c, verdict, k_r):
+        # each wave is solved at its own speed, so its linearization is
+        # taken about a solution of the equation on the box
+        with quiet():
+            res = vd.kdv_verdict(s, p, c)
+        assert res.verdict == verdict
+        assert res.K_formula == res.K_direct == res.k_r == k_r
+
     def test_parity_odd_index_has_real_mode(self, pipeline25):
         res = pipeline25.result
         assert res.K_formula % 2 == 1
