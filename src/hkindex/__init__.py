@@ -13,8 +13,7 @@ from .spectral import (Multiplier, RealField, SpectralGrid,
                        regularized_quarter_root_multiplier, transform)
 from .waves import (FBBM, FKDV, NORMALIZED, SolverOptions, WaveProfile,
                     bbm_wave, bo_profile, kdv_wave, p_max,
-                    save_profile, sech_profile, solve_ground_state,
-                    squared_norm)
+                    save_profile, solve_ground_state, squared_norm)
 from .operators import (LinOperator, ParityBlocks, assemble,
                         bbm_linearization, bbm_symmetrize, kdv_linearization,
                         sandwich, save_matrix, schrodinger_operator)
@@ -23,7 +22,7 @@ from .spectra import (BbmSlope, HamiltonianEigensystem, KreinClassification,
                       constrained_quantity, constrained_quantity_sandwiched,
                       generalized_kernel_dim, hamiltonian_eigensystem,
                       sandwich_hamiltonian_spectrum, slope_analytic,
-                      symmetric_spectrum)
+                      symmetric_eigenvalues, symmetric_spectrum)
 from .verdicts import (DEGENERATE, STABLE, UNSTABLE, CheckReport,
                        KreinIndexResult, NumericsConfig, SweepResult,
                        bbm_verdict, default_grid, kdv_verdict, self_check,

@@ -40,7 +40,7 @@ from scipy.linalg import hankel, toeplitz
 from .errors import ModelMismatchError
 from .io_utils import atomic_write_bytes, write_json
 from .spectral import (RealField, SpectralGrid, fractional_symbol,
-                       regularized_quarter_root_multiplier, same_grid)
+                       regularized_quarter_root_multiplier)
 from .waves import (FBBM, FKDV, MODELS, NORMALIZED, Model, WaveProfile,
                     clamped_power)
 
@@ -162,12 +162,6 @@ class LinOperator:
             raise ValueError("multiplier symbol must be even in xi")
         object.__setattr__(self, "multiplier_symbol", sym)
         object.__setattr__(self, "potential", pot)
-
-    def apply(self, f: RealField) -> RealField:
-        if not same_grid(self.grid, f.grid):
-            raise ValueError("operator and field live on different grids")
-        out = np.fft.ifft(self.multiplier_symbol * np.fft.fft(f.values)).real
-        return RealField(f.grid, out + self.potential * f.values)
 
 
 def assemble(op: LinOperator) -> ParityBlocks:

@@ -5,7 +5,7 @@ Every function takes the parity blocks of a symmetric matrix
 derived from them.  They feed three kinds of quantities:
 
 * inertia-style counts n(.) and kernels, from one symmetric solve per
-  block;
+  block (eigenvalues only where only the inertia is read);
 * the constrained quantity <L^-1 w, w> with w the decaying antiderivative
   of the kernel generator, via a spectral pseudo-inverse;
 * the spectrum of the Hamiltonian product (d/dx) L on the subspace where
@@ -14,10 +14,13 @@ derived from them.  They feed three kinds of quantities:
 
 In the real-Fourier basis the restricted derivative is block diagonal
 with 2x2 rotation blocks 2*pi*xi_k [[0, -1], [1, 0]] on each (cos, sin)
-pair, so it maps the cosines to the sines: a Hamiltonian spectrum comes
-from the half-order product of the two blocks, whose eigenvalues are
-lambda^2, or from the full-order restricted D A when squaring would cost
-too much accuracy.  J S, with unit weights, takes the half-order route.
+pair, so it maps the cosines to the sines.  A Hamiltonian spectrum comes
+from one of two routes.  When the odd block is positive semidefinite, as
+it is for every ground state, lambda^2 = -nu for the eigenvalues nu of a
+symmetric matrix of order n/2-1 minus the odd kernel, built on the odd
+block's eigenpairs; otherwise, or when squaring would cost too much
+accuracy, from the full-order restricted D A.  J S, with unit weights,
+takes the same routes.
 """
 
 from __future__ import annotations
@@ -56,17 +59,21 @@ GKERNEL_FRACTION = 0.75
 ANCHOR_FRACTION = 0.02
 
 
-def sym_eig(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full symmetric eigendecomposition of one parity block."""
-    return scipy.linalg.eigh(block)
+def sym_eig(block: np.ndarray, vectors: bool) -> tuple:
+    """Ascending eigenvalues of one parity block, and their eigenvector
+    columns if asked (else None)."""
+    if vectors:
+        return scipy.linalg.eigh(block)
+    return scipy.linalg.eigh(block, eigvals_only=True), None
 
 
 @dataclass(frozen=True, eq=False)
 class SymmetricSpectrum:
-    """Eigenpairs of the even and odd blocks.  The zero tolerance is
-    global, ZERO_TOL_REL * max|w| over both blocks."""
+    """Eigenvalues, and eigenvectors unless only the inertia is read, of
+    the even and odd blocks.  The zero tolerance is global,
+    ZERO_TOL_REL * max|w| over both blocks."""
     values: tuple                    # ascending eigenvalues of each block
-    vectors: tuple                   # eigenvector columns of each block
+    vectors: tuple | None            # eigenvector columns of each block
     zero_tol: float
 
     @property
@@ -84,13 +91,21 @@ class SymmetricSpectrum:
         return np.sort(np.concatenate(self.values))
 
 
+def _spectrum(P: ParityBlocks, vectors: bool) -> SymmetricSpectrum:
+    values, vecs = zip(*(sym_eig(block, vectors) for block in P.blocks))
+    zero_tol = ZERO_TOL_REL * max(float(np.max(np.abs(w))) for w in values)
+    return SymmetricSpectrum(values, vecs if vectors else None, zero_tol)
+
+
 def symmetric_spectrum(P: ParityBlocks) -> SymmetricSpectrum:
     """Inertia, eigenvalues and eigenvectors of a symmetric matrix, one
     eigh per parity block."""
-    pairs = [sym_eig(block) for block in P.blocks]
-    values = tuple(w for w, _ in pairs)
-    zero_tol = ZERO_TOL_REL * max(float(np.max(np.abs(w))) for w in values)
-    return SymmetricSpectrum(values, tuple(v for _, v in pairs), zero_tol)
+    return _spectrum(P, vectors=True)
+
+
+def symmetric_eigenvalues(P: ParityBlocks) -> SymmetricSpectrum:
+    """The same without eigenvectors, for counts that read nothing else."""
+    return _spectrum(P, vectors=False)
 
 
 def _anchor_to_edge(grid, values: np.ndarray) -> np.ndarray:
@@ -118,6 +133,9 @@ def _pseudo_solve_quadratic(eig: SymmetricSpectrum, rhs: tuple,
     kernel direction violates the Fredholm condition; a reached kept
     direction with |lambda| < 1e3 zero_tol makes the solve near-singular.
     """
+    if eig.vectors is None:
+        raise ValueError(f"the constrained solve for {label!r} needs "
+                         "eigenvectors; it got an eigenvalues-only spectrum")
     tol = eig.zero_tol
     rhs_norm = float(np.linalg.norm(np.concatenate(rhs)))
     total, worst, near_singular = 0.0, 0.0, False
@@ -235,58 +253,33 @@ def bbm_slope(u_family, c: float, dc: float, normalized) -> BbmSlope:
 # Hamiltonian product (d/dx) L on the mean-zero, Nyquist-free subspace
 # ---------------------------------------------------------------------------
 
-def _real_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """a @ z for a real matrix a and a complex block z, as real products
-    that skip a zero part of z (real roots have real x and, on the
-    imaginary axis, purely imaginary y)."""
-    out = np.zeros((a.shape[0], z.shape[1]), dtype=complex)
-    if np.any(z.real):
-        out.real = a @ z.real
-    if np.any(z.imag):
-        out.imag = a @ z.imag
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class HamiltonianEigensystem:
     """Spectrum of the restricted D A, each eigenvector held as the pair
-    (x, y) of its cosine and sine coordinates.
-
-    D maps cosines to sines, so D A v = lambda v reads
-    -W A_sin y = lambda x and W A_cos x = lambda y: lambda^2 is an
-    eigenvalue mu of the half-order M = -(W A_sin)(W A_cos).  A half-order
-    solve keeps one x per root mu, shared by lambda = +-sqrt(mu), and
-    recovers y = W A_cos x / lambda on demand; a full-order solve keeps y.
-    """
+    (x, y) of its cosine and sine coordinates: D A v = lambda v reads
+    -W A_sin y = lambda x and W A_cos x = lambda y.  The symmetric route
+    keeps one real pair (x, u = y / lambda) per lambda^2, shared by
+    +-lambda, with a zero column for the kernel pair; the full-order solve
+    keeps complex x and y per eigenvalue."""
     eigenvalues: np.ndarray          # complex, length n-2, sorted by (imag, real)
     a_cos: np.ndarray                # cosine block of the restricted factor
     a_sin: np.ndarray                # sine block of the restricted factor
     weights: np.ndarray              # W = 2*pi*xi_k, D on the (cos, sin) pairs
     scale: float                     # max |lambda|
     zero_floor: float                # |lambda| <= zero_floor counts as zero
-    x: np.ndarray                    # cosine parts, complex columns
-    column: np.ndarray               # column of x for each eigenvalue
-    y: np.ndarray | None = None      # sine parts (full order), matching order
+    x: np.ndarray                    # cosine parts
+    column: np.ndarray               # column of x (and u) for each eigenvalue
+    u: np.ndarray | None = None      # symmetric route: sine parts over lambda
+    y: np.ndarray | None = None      # full order: sine parts, matching order
 
     def pairs(self, idx: np.ndarray) -> tuple:
         """(x, y, A_cos x, A_sin y) for the eigenvalues idx."""
         x = self.x[:, self.column[idx]]
-        ax = _real_times(self.a_cos, x)
-        if self.y is None:
-            y = self.weights[:, None] * ax / self.eigenvalues[idx]
-        else:
+        if self.y is not None:
             y = self.y[:, idx]
-        return x, y, ax, _real_times(self.a_sin, y)
-
-
-def _zero_bucket(eigs: np.ndarray, re_tol: float, im_tol: float,
-                 zero_floor: float) -> np.ndarray:
-    return ((np.abs(eigs.real) <= re_tol) & (np.abs(eigs.imag) <= im_tol)) \
-        | (np.abs(eigs) <= zero_floor)
-
-
-def _scale(eigs: np.ndarray) -> float:
-    return float(np.max(np.abs(eigs))) if eigs.size else 0.0
+            return x, y, self.a_cos @ x, self.a_sin @ y
+        lam, u = self.eigenvalues[idx], self.u[:, self.column[idx]]
+        return x, lam * u, self.a_cos @ x, lam * (self.a_sin @ u)
 
 
 def _factor(P: ParityBlocks) -> tuple:
@@ -318,64 +311,94 @@ def _unresolved_on_imaginary_axis(eigs: np.ndarray, scale: float,
     return eigs
 
 
-def _half_order(a_cos: np.ndarray, a_sin: np.ndarray, weights: np.ndarray,
-                vectors: bool) -> tuple:
-    """The eigenvalues mu of M = -(W A_sin)(W A_cos), their eigenvectors if
-    asked (else None), and the roots +sqrt(mu) followed by -sqrt(mu)."""
-    m = (weights[:, None] * a_sin) @ (weights[:, None] * a_cos)
-    m *= -1.0
-    out = scipy.linalg.eig(m, right=vectors, overwrite_a=True,
-                           check_finite=False)
-    mu, x = out if vectors else (out, None)
-    root = np.sqrt(mu)
+def _odd_factor(eig: SymmetricSpectrum, weights: np.ndarray):
+    """(R, w_+, V_0): W A_sin W = R R^T with R = W V_+ diag(sqrt(w_+)) over
+    the odd eigenpairs above the zero tolerance, V_0 the kernel that R
+    deflates; None when the odd block has a negative eigenvalue."""
+    w, v = eig.values[1], eig.vectors[1]
+    if np.any(w < -eig.zero_tol):
+        return None
+    kept = w > eig.zero_tol
+    r = v[:, kept] * weights[:, None]
+    r *= np.sqrt(w[kept])
+    return r, w[kept], v[:, ~kept]
+
+
+def _roots(nu: np.ndarray, kernel_dim: int) -> np.ndarray:
+    """lambda = +sqrt(-nu), then -sqrt(-nu), then kernel_dim pairs at 0."""
+    root = np.sqrt((-nu).astype(complex))
     # 0 - root, not -root, so that zero parts print as 0.0, not -0.0
-    return mu, x, np.concatenate([root, 0.0 - root])
+    return np.concatenate([root, 0.0 - root, np.zeros(2 * kernel_dim)])
 
 
-def hamiltonian_eigensystem(P: ParityBlocks,
+def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
                             zero_floor: float) -> HamiltonianEigensystem:
     """Eigenvalues, sorted by (imag, real), and eigenvectors of the
-    restricted D A; |lambda| <= zero_floor counts as zero.
+    restricted D A, given the symmetric spectrum eig of A; |lambda| <=
+    zero_floor counts as zero.
 
-    The half-order solve squares the spectrum, which costs about
-    sqrt(eps) * scale of absolute accuracy in lambda.  Its result is kept
-    when ten times that stays within zero_floor and no eigenvalue outside
-    the zero bucket comes from a non-real mu, whose square root could land
-    off an axis by the noise; otherwise the full-order D A is solved.
-    Either way a zero-bucket eigenvalue below the noise is reported on the
-    imaginary axis.
-    """
+    With W A_sin W = R R^T, lambda^2 = -nu for the eigenpairs (nu, z) of
+    T = R^T A_cos R, and x = R z.  y = lambda u solves -W A_sin y =
+    lambda x, u = -A_sin^+ W^-1 x plus the kernel share that W A_cos x =
+    lambda y fixes (dividing W A_cos x by lambda would amplify the error
+    of x by scale / |lambda|).  Real roots are refined by the two-sided
+    Rayleigh quotient.  nu carries about eps scale^2 of absolute error,
+    lambda sqrt(eps) scale: the full-order D A is solved instead when ten
+    times that exceeds zero_floor or the odd block is indefinite.  A
+    zero-bucket eigenvalue below that noise goes on the imaginary axis."""
     a_cos, a_sin, weights = _factor(P)
-    mu, x, eigs = _half_order(a_cos, a_sin, weights, vectors=True)
-    column = np.tile(np.arange(mu.size), 2)
-    scale = _scale(eigs)
-    zero = _zero_bucket(eigs, RE_TOL_REL * scale, IM_TOL_REL * scale,
-                        zero_floor)
-    noise = float(np.sqrt(np.finfo(float).eps)) * scale
-    if 10.0 * noise > zero_floor or np.any(~zero & (mu[column].imag != 0.0)):
-        del x  # free the half-order eigenvectors first
-        return _full_order(P, zero_floor)
-    eigs = _unresolved_on_imaginary_axis(eigs, scale, zero_floor)
+    factor = _odd_factor(eig, weights)
+    if factor is None:
+        return _full_order(a_cos, a_sin, weights, zero_floor)
+    r, w, kernel = factor
+    # divide and conquer: faster than the default here, for an n^2 workspace
+    nu, z = scipy.linalg.eigh(r.T @ (a_cos @ r), overwrite_a=True,
+                              check_finite=False, driver="evd")
+    scale = float(np.sqrt(np.max(np.abs(nu), initial=0.0)))
+    if 10.0 * float(np.sqrt(np.finfo(float).eps)) * scale > zero_floor:
+        del r, z  # free the symmetric route's matrices first
+        return _full_order(a_cos, a_sin, weights, zero_floor)
+    k, t = kernel.shape[1], nu.size
+    # one zero column past the last, for the kernel pair
+    z = np.hstack([z, np.zeros((t, 1))])
+    x = r @ z
+    r /= weights[:, None]
+    r /= w
+    u = r @ z  # V_+ diag(w_+)^(-1/2) z
+    del r, z
+    u *= -1.0
+    share = (a_cos @ (weights[:, None] * kernel)).T @ x[:, :t]
+    u[:, :t] -= kernel @ (share / nu)
+    # A (x, -y) is a left eigenvector for a real lambda, so the two-sided
+    # Rayleigh quotient's error is quadratic in that of the vectors
+    real = np.nonzero(nu < -zero_floor ** 2)[0]
+    lam, xr, ur = np.sqrt(-nu[real]), x[:, real], u[:, real]
+    ax, au = a_cos @ xr, a_sin @ ur
+    nu[real] = -(2.0 * lam * np.sum(ax * weights[:, None] * au, axis=0) / (
+        np.sum(xr * ax, axis=0) - lam ** 2 * np.sum(ur * au, axis=0))) ** 2
+    eigs = _unresolved_on_imaginary_axis(_roots(nu, k), scale, zero_floor)
+    column = np.concatenate([np.arange(t), np.arange(t), np.full(2 * k, t)])
     order = _sorted(eigs)
     return HamiltonianEigensystem(
         eigenvalues=eigs[order], a_cos=a_cos, a_sin=a_sin, weights=weights,
-        scale=scale, zero_floor=zero_floor, x=x, column=column[order])
+        scale=scale, zero_floor=zero_floor, x=x, column=column[order], u=u)
 
 
-def _full_order(P: ParityBlocks, zero_floor: float) -> HamiltonianEigensystem:
+def _full_order(a_cos: np.ndarray, a_sin: np.ndarray, weights: np.ndarray,
+                zero_floor: float) -> HamiltonianEigensystem:
     """The eigensystem from one eig of the full-order restricted D A, whose
     rows and columns interleave the (cos, sin) pairs."""
-    a_cos, a_sin, weights = _factor(P)
     da = np.zeros((2 * weights.size, 2 * weights.size))
     da[0::2, 1::2] = -weights[:, None] * a_sin
     da[1::2, 0::2] = weights[:, None] * a_cos
     eigs, v = scipy.linalg.eig(da, overwrite_a=True, check_finite=False)
-    eigs = _unresolved_on_imaginary_axis(eigs, _scale(eigs), zero_floor)
+    scale = float(np.max(np.abs(eigs), initial=0.0))
+    eigs = _unresolved_on_imaginary_axis(eigs, scale, zero_floor)
     order = _sorted(eigs)
     eigs, v = eigs[order], v[:, order]
     return HamiltonianEigensystem(
         eigenvalues=eigs, a_cos=a_cos, a_sin=a_sin, weights=weights,
-        scale=_scale(eigs), zero_floor=zero_floor, x=v[0::2],
+        scale=scale, zero_floor=zero_floor, x=v[0::2],
         column=np.arange(eigs.size), y=v[1::2])
 
 
@@ -398,13 +421,20 @@ def eigenpair_residual(ham: HamiltonianEigensystem,
     return worst
 
 
-def sandwich_hamiltonian_spectrum(S: ParityBlocks) -> np.ndarray:
+def sandwich_hamiltonian_spectrum(S: ParityBlocks,
+                                  eig: SymmetricSpectrum) -> np.ndarray:
     """Eigenvalues of J S on the restricted subspace (the reformulated
-    problem, where the skew factor is the bounded Hilbert transform), from
-    the half-order product with unit weights: J S is similar to D A through
-    |d|^(1/2), and squaring costs about eps (scale / |lambda|)^2 relative."""
+    problem: J S is similar to D A through |d|^(1/2)), given the symmetric
+    spectrum eig of S: hamiltonian_eigensystem's two routes with unit
+    weights, eigenvalues only."""
     a_cos, a_sin, _ = _factor(S)
-    eigs = _half_order(a_cos, a_sin, np.ones(a_sin.shape[0]), vectors=False)[2]
+    ones = np.ones(a_sin.shape[0])
+    factor = _odd_factor(eig, ones)
+    if factor is None:
+        return _full_order(a_cos, a_sin, ones, 0.0).eigenvalues
+    r, _, kernel = factor
+    eigs = _roots(scipy.linalg.eigvalsh(r.T @ (a_cos @ r), overwrite_a=True,
+                                        check_finite=False), kernel.shape[1])
     return eigs[_sorted(eigs)]
 
 
@@ -436,15 +466,8 @@ class KreinClassification:
 
 def _cluster_indices(values: np.ndarray, gap: float) -> list:
     """Group sorted positions whose consecutive difference is <= gap."""
-    clusters, current = [], [0]
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] <= gap:
-            current.append(i)
-        else:
-            clusters.append(current)
-            current = [i]
-    clusters.append(current)
-    return clusters
+    return np.split(np.arange(values.size),
+                    np.nonzero(np.diff(values) > gap)[0] + 1)
 
 
 def classify_krein(ham: HamiltonianEigensystem) -> KreinClassification:
@@ -477,7 +500,8 @@ def classify_krein(ham: HamiltonianEigensystem) -> KreinClassification:
     forms = np.full(len(eigs), np.nan)
 
     re, im = eigs.real, eigs.imag
-    zero = _zero_bucket(eigs, re_tol, im_tol, ham.zero_floor)
+    zero = ((np.abs(re) <= re_tol) & (np.abs(im) <= im_tol)) \
+        | (np.abs(eigs) <= ham.zero_floor)
     real_like = (np.abs(im) <= im_tol) & ~zero
     complex_like = (np.abs(re) > re_tol) & (np.abs(im) > im_tol) & ~zero
     imag_like = (np.abs(re) <= re_tol) & (np.abs(im) > im_tol) & ~zero
@@ -570,7 +594,6 @@ def generalized_kernel_dim(ham: HamiltonianEigensystem) -> int:
 
 def spectrum_rows(ham: HamiltonianEigensystem, cls: KreinClassification) -> list:
     """(re, im, class, krein_form_value) rows for the CSV export."""
-    rows = []
-    for lam, label, form in zip(ham.eigenvalues, cls.classes, cls.form_values):
-        rows.append((float(lam.real), float(lam.imag), str(label), float(form)))
-    return rows
+    return [(float(lam.real), float(lam.imag), str(label), float(form))
+            for lam, label, form in zip(ham.eigenvalues, cls.classes,
+                                        cls.form_values)]

@@ -183,8 +183,6 @@ def _verdict(model: wv.Model, s: float, p: float, c: float,
     U = wave(Q, c)
     L = getattr(op, f"{model.kind}_linearization")(U)
     A = op.assemble(L)
-    eig = spc.symmetric_spectrum(A)
-    n_L = eig.negative_count
     psi0 = sp.apply_multiplier(sp.derivative_multiplier(grid), U.as_field())
     weight = np.ones(grid.n)
     if model.weighted:
@@ -192,16 +190,18 @@ def _verdict(model: wv.Model, s: float, p: float, c: float,
         # negative counts agree (Sylvester).  psi0 for S is W^-1 dU; its
         # antiderivative is W^-1 U, so the constrained quantity reproduces
         # -1/2 d/dc <(I+M) U_c, U_c>.
+        n_L = spc.symmetric_eigenvalues(A).negative_count
         weight = op.symmetrizing_weight(grid, s)
-        del eig  # the eigenvectors of L are not needed
         A = op.bbm_symmetrize(L, A)
-        eig = spc.symmetric_spectrum(A)
-        if eig.negative_count != n_L:
-            raise TheoryConsistencyError(
-                f"symmetrization changed the negative count: n(L0)={n_L}, "
-                f"n(sym)={eig.negative_count}")
         psi0 = sp.apply_multiplier(
             sp.Multiplier(grid, 1.0 / weight, symbol_name="sqrt(I+M)"), psi0)
+    eig = spc.symmetric_spectrum(A)
+    if not model.weighted:
+        n_L = eig.negative_count
+    elif eig.negative_count != n_L:
+        raise TheoryConsistencyError(
+            f"symmetrization changed the negative count: n(L0)={n_L}, "
+            f"n(sym)={eig.negative_count}")
     d = spc.constrained_quantity(A, psi0, eig)
     slope = -2.0 * d
 
@@ -210,7 +210,7 @@ def _verdict(model: wv.Model, s: float, p: float, c: float,
 
     floor = spc.gkernel_floor(grid, L.multiplier_symbol * weight ** 2)
     ham = spc.hamiltonian_eigensystem(
-        A, zero_floor=spc.GKERNEL_FRACTION * floor)
+        A, eig, zero_floor=spc.GKERNEL_FRACTION * floor)
     cls = spc.classify_krein(ham)
     K_formula, verdict, notes = _resolve_verdict(
         n_L, slope, slope_ref, band, cls, L.label,
@@ -348,7 +348,7 @@ def _gkdv_case(p_exp: float, expected_K: int) -> CheckReport:
             eig = spc.symmetric_spectrum(S)
             entries.append(_count_entry(eps, eig, res.n_L))
             if eps == 0.0:
-                sand = spc.sandwich_hamiltonian_spectrum(S)
+                sand = spc.sandwich_hamiltonian_spectrum(S, eig)
             else:
                 values[eps] = spc.constrained_quantity_sandwiched(
                     data.matrix, psi0, eps, eig)
@@ -412,7 +412,7 @@ def _schrodinger_case() -> CheckReport:
     grid = sp.make_grid(1024, 40.0)
     V = sp.RealField(grid, 2.0 / np.cosh(grid.nodes) ** 2)
     A = op.assemble(op.schrodinger_operator(V, 0.5))
-    rep = spc.symmetric_spectrum(A)
+    rep = spc.symmetric_eigenvalues(A)
     entries.append(CheckEntry("n(L) == 1 for -d2 + 1/2 - 2 sech^2",
                               rep.negative_count == 1,
                               f"n={rep.negative_count}"))
@@ -421,7 +421,7 @@ def _schrodinger_case() -> CheckReport:
         "lowest eigenvalue at c - 1 = -0.5", abs(lowest + 0.5) <= 1e-6,
         f"lambda_min={lowest:.8f}"))
     for eps in SANDWICH_EPS:
-        eig = spc.symmetric_spectrum(op.sandwich(A, eps))
+        eig = spc.symmetric_eigenvalues(op.sandwich(A, eps))
         entries.append(_count_entry(eps, eig, rep.negative_count))
     return CheckReport(case="schrodinger-sech2", entries=tuple(entries))
 

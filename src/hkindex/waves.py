@@ -8,8 +8,8 @@ computed by Petviashvili iteration.  A traveling wave of speed c solves
 
 and is computed by the same iteration at its own (a, b), on the grid of Q.
 On the line U_c(x) = b^(1/p) Q((b/a)^(1/s) x); the iteration's seed is
-scaled the same way.  Closed-form references: the gKdV (s = 2) soliton
-family and the Benjamin-Ono Lorentzian.
+scaled the same way.  Closed-form reference: the Benjamin-Ono
+Lorentzian.
 """
 
 from __future__ import annotations
@@ -328,22 +328,6 @@ def bo_profile(grid: SpectralGrid, c: float) -> WaveProfile:
     return _finalize(grid, values, 1.0, 1.0, c, FKDV, residual,
                      tol=max(res_norm, 1e-14),
                      notes=("closed form: half-nonlinearity normalization",))
-
-
-def sech_profile(grid: SpectralGrid, p: float, c: float) -> WaveProfile:
-    """Classical gKdV (s = 2) soliton
-
-        U_c(x) = c^(1/p) ((p+2)/2)^(1/p) sech^(2/p)(p sqrt(c) x / 2),
-
-    which satisfies -U'' + cU - U^(p+1) = 0 exactly.
-    """
-    if not (p > 0 and c > 0):
-        raise ValueError("sech_profile needs p > 0 and c > 0")
-    x = grid.nodes
-    amp = (c * (p + 2.0) / 2.0) ** (1.0 / p)
-    values = amp * (1.0 / np.cosh(0.5 * p * np.sqrt(c) * x)) ** (2.0 / p)
-    residual = _residual(grid, values, 2.0, p, 1.0, c)
-    return _finalize(grid, values, 2.0, p, c, FKDV, residual, tol=1e-10)
 
 
 def squared_norm(profile: WaveProfile) -> float:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from hkindex import operators as op
+from hkindex import spectra as spc
 from hkindex import spectral as sp
 from hkindex import verdicts as vd
 from hkindex import waves as wv
@@ -33,6 +34,31 @@ def diagonal_on_grid(diag) -> op.ParityBlocks:
     """The parity blocks of diag(diag), in the interleaved basis order, on
     a grid of len(diag) points."""
     return split_parity(np.diag(diag), sp.make_grid(len(diag), 5.0))
+
+
+def sech_profile(grid, p: float, c: float) -> wv.WaveProfile:
+    """Classical gKdV (s = 2) soliton
+
+        U_c(x) = c^(1/p) ((p+2)/2)^(1/p) sech^(2/p)(p sqrt(c) x / 2),
+
+    which satisfies -U'' + cU - U^(p+1) = 0 exactly."""
+    x = grid.nodes
+    amp = (c * (p + 2.0) / 2.0) ** (1.0 / p)
+    values = amp * (1.0 / np.cosh(0.5 * p * np.sqrt(c) * x)) ** (2.0 / p)
+    residual = wv._residual(grid, values, 2.0, p, 1.0, c)
+    return wv._finalize(grid, values, 2.0, p, c, wv.FKDV, residual, tol=1e-10)
+
+
+def apply(L: op.LinOperator, f: sp.RealField) -> sp.RealField:
+    """L f = m(|d|) f + V f, through the FFT."""
+    out = np.fft.ifft(L.multiplier_symbol * np.fft.fft(f.values)).real
+    return sp.RealField(f.grid, out + L.potential * f.values)
+
+
+def eigensystem(A: op.ParityBlocks, zero_floor: float):
+    """The Hamiltonian eigensystem of A, from A's symmetric spectrum."""
+    return spc.hamiltonian_eigensystem(A, spc.symmetric_spectrum(A),
+                                       zero_floor)
 
 
 @contextmanager

@@ -14,7 +14,7 @@ from hkindex import spectral as sp
 from hkindex import verdicts as vd
 from hkindex import waves as wv
 
-from conftest import quiet, random_mean_zero
+from conftest import eigensystem, quiet, random_mean_zero, sech_profile
 
 
 def report(num, name, ok, detail=""):
@@ -64,7 +64,7 @@ def bbm_cases():
 def test_criterion_01_closed_form_waves(grid40, q22):
     exact = np.sqrt(2.0) / np.cosh(grid40.nodes)
     wave_err = float(np.max(np.abs(q22.values - exact)))
-    residuals = [wv.sech_profile(grid40, p, 1.0).residual_norm
+    residuals = [sech_profile(grid40, p, 1.0).residual_norm
                  for p in (1.0, 2.0, 3.0)]
     ok = wave_err <= 1e-8 and all(r <= 1e-10 for r in residuals)
     report(1, "closed-form wave reproduction", ok,
@@ -154,11 +154,12 @@ def test_criterion_05_sandwich_equivalences(pipeline22, pipeline25, grid40):
     problems = []
     for name, (L, expected) in cases.items():
         A = op.assemble(L)
-        n_plain = spc.symmetric_spectrum(A).negative_count
+        n_plain = spc.symmetric_eigenvalues(A).negative_count
         if n_plain != expected:
             problems.append(f"{name}: n(L)={n_plain}")
         for eps in (0.0, 1e-3, 1e-2, 1e-1):
-            n_sand = spc.symmetric_spectrum(op.sandwich(A, eps)).negative_count
+            n_sand = spc.symmetric_eigenvalues(
+                op.sandwich(A, eps)).negative_count
             if n_sand != expected:
                 problems.append(f"{name}: n(eps={eps:g})={n_sand}")
     report(5, "sandwich count equalities n(L) = n(Ls) = n(Ls_eps)",
@@ -189,7 +190,7 @@ def test_criterion_07_generalized_kernel(pipeline22):
     # the pipeline's zero floor: a fraction of the box's first mode
     floor = spc.GKERNEL_FRACTION * spc.gkernel_floor(grid, L.multiplier_symbol)
     dim_borderline = spc.generalized_kernel_dim(
-        spc.hamiltonian_eigensystem(op.assemble(L), floor))
+        eigensystem(op.assemble(L), floor))
     ok = dim_regular == 2 and dim_borderline >= 3
     report(7, "generalized kernel: 2 regular, >= 3 at the p = 2s borderline",
            ok, f"regular={dim_regular}, borderline={dim_borderline}")

@@ -21,7 +21,7 @@ from hkindex import verdicts as vd
 from hkindex import waves as wv
 from hkindex.errors import FredholmViolationError
 
-from conftest import diagonal_on_grid, quiet
+from conftest import diagonal_on_grid, eigensystem, quiet
 from dense_reference import (dense_congruence, dense_hamiltonian_eigenvalues,
                              dense_inertia, dense_matrix,
                              dense_sandwich_hamiltonian_eigenvalues,
@@ -83,10 +83,19 @@ class TestAgainstDensePath:
         ham, cls = data.eigensystem, data.classification
         assert ham.y is None
         reference = dense_factor(model, data)
-        dense = spc._full_order(split_parity(reference, data.grid),
-                                ham.zero_floor)
+        dense = spc._full_order(
+            *spc._factor(split_parity(reference, data.grid)), ham.zero_floor)
         dense_cls = spc.classify_krein(dense)
-        assert cls.classes == dense_cls.classes
+        # the symmetric route reports the deflated kernel pair at 0, among
+        # the real eigenvalues, where the dense solve splits it to
+        # +-delta i: the ZERO rows may sort elsewhere, so they are counted,
+        # and every other row is compared in order
+        classes = np.array(cls.classes)
+        dense_classes = np.array(dense_cls.classes)
+        zero, dense_zero = (classes == spc.CLASS_ZERO,
+                            dense_classes == spc.CLASS_ZERO)
+        assert np.count_nonzero(zero) == np.count_nonzero(dense_zero)
+        assert np.array_equal(classes[~zero], dense_classes[~dense_zero])
         assert (cls.k_r, cls.k_c, cls.k_i_minus) == \
             (dense_cls.k_r, dense_cls.k_c, dense_cls.k_i_minus)
         big = np.abs(dense.eigenvalues) > 1e-3 * dense.scale
@@ -102,6 +111,22 @@ class TestAgainstDensePath:
         assert np.count_nonzero(big) == eigs.size
         gaps = np.abs(ham.eigenvalues[:, None] - eigs[None, :]).min(axis=0)
         assert np.max(gaps / np.abs(eigs)) <= 1e-9
+
+    def test_unstable_eigenvalue_near_threshold(self):
+        # gKdV p = 4.1 on the default grid: the unstable lambda ~ 0.047 sits
+        # at 7e-7 of max|lambda|, where squaring costs the most accuracy.
+        # The root of T alone is about 1e-6 off; the two-sided Rayleigh
+        # quotient brings it to about 1e-8
+        with quiet():
+            data = vd.kdv_verdict(2.0, 4.1, 1.0, keep_pipeline=True)
+        ham, cls = data.eigensystem, data.classification
+        dense = spc._full_order(*spc._factor(data.matrix), ham.zero_floor)
+        dense_cls = spc.classify_krein(dense)
+        got = ham.eigenvalues[np.array(cls.classes) == spc.CLASS_REAL_POS]
+        want = dense.eigenvalues[
+            np.array(dense_cls.classes) == spc.CLASS_REAL_POS]
+        assert got.size == want.size == 1
+        assert abs(got[0] - want[0]) <= 1e-7 * abs(want[0])
 
 
 class TestParityGuard:
@@ -135,6 +160,11 @@ class TestPseudoSolve:
         with pytest.raises(FredholmViolationError):
             spc._pseudo_solve_quadratic(eig, parity_rhs(rhs), "diag")
 
+    def test_eigenvalues_only_spectrum_rejected(self):
+        eig = spc.symmetric_eigenvalues(diagonal_on_grid(np.ones(8)))
+        with pytest.raises(ValueError, match="needs eigenvectors"):
+            spc._pseudo_solve_quadratic(eig, parity_rhs(np.ones(8)), "diag")
+
     def test_near_singular_warning_needs_a_reached_direction(self):
         # first cosine (index 1) kept but near-singular: 5e-8 against the
         # zero tolerance 1e-8
@@ -166,23 +196,37 @@ class TestFallbackSelection:
         sym = np.abs(2 * np.pi * grid_small.wavenumbers) ** 2 + 1.0
         A = op.assemble(op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
                                        label="positive", kind="custom"))
-        noise = np.sqrt(np.finfo(float).eps) \
-            * spc.hamiltonian_eigensystem(A, 0.0).scale
-        kept = spc.hamiltonian_eigensystem(A, 20.0 * noise)
-        full = spc.hamiltonian_eigensystem(A, 5.0 * noise)
+        noise = np.sqrt(np.finfo(float).eps) * eigensystem(A, 0.0).scale
+        kept = eigensystem(A, 20.0 * noise)
+        full = eigensystem(A, 5.0 * noise)
         assert kept.y is None and full.y is not None
-        assert spc.hamiltonian_eigensystem(A, 0.0).y is not None
+        assert eigensystem(A, 0.0).y is not None
         assert nearest_distance(kept.eigenvalues, full.eigenvalues) \
             <= 1e-9 * full.scale
 
+    def test_indefinite_odd_block_takes_the_full_order(self):
+        # A_sin = diag(-1, 1, 1) has no square root: lambda = +-w1 is real
+        # and the other roots are imaginary, all on the axes
+        grid = sp.make_grid(8, 2.0)
+        a = np.eye(8)
+        a[np.ix_([1, 3, 5], [1, 3, 5])] = np.diag([1.0, 2.0, 3.0])
+        a[np.ix_([2, 4, 6], [2, 4, 6])] = np.diag([-1.0, 1.0, 1.0])
+        ham = eigensystem(split_parity(a, grid), 1e-3)
+        assert ham.y is not None
+        dense = dense_hamiltonian_eigenvalues(a, grid)
+        assert nearest_distance(ham.eigenvalues, dense) <= 1e-12
+        cls = spc.classify_krein(ham)
+        assert (cls.k_r, cls.k_c, cls.k_i_minus) == (1, 0, 0)
+
     def test_non_real_root_outside_the_zero_bucket(self):
-        # A_cos = diag(1, -1, 2) and A_sin coupling the first two sines:
-        # -(W A_sin)(W A_cos) has the roots +-i w1 w2, a complex quadruple
+        # A_cos = diag(1, -1, 2) and A_sin coupling the first two sines
+        # (indefinite, so the full order is solved): -(W A_sin)(W A_cos)
+        # has the roots +-i w1 w2, a complex quadruple
         grid = sp.make_grid(8, 2.0)
         a = np.eye(8)
         a[np.ix_([1, 3, 5], [1, 3, 5])] = np.diag([1.0, -1.0, 2.0])
         a[np.ix_([2, 4, 6], [2, 4, 6])] = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
-        ham = spc.hamiltonian_eigensystem(split_parity(a, grid), 1e-3)
+        ham = eigensystem(split_parity(a, grid), 1e-3)
         assert ham.y is not None
         dense = dense_hamiltonian_eigenvalues(a, grid)
         assert nearest_distance(ham.eigenvalues, dense) <= 1e-12
@@ -235,19 +279,21 @@ def test_block_hamiltonian_spectrum_equals_dense(L):
     dense = dense_hamiltonian_eigenvalues(dense_matrix(L), L.grid)
     scale = float(np.max(np.abs(dense)))
     noise = np.sqrt(np.finfo(float).eps) * scale
-    ham = spc.hamiltonian_eigensystem(op.assemble(L), 20.0 * noise)
+    ham = eigensystem(op.assemble(L), 20.0 * noise)
     assert nearest_distance(ham.eigenvalues, dense) <= 10.0 * noise
 
 
 @given(even_operators())
 def test_sandwich_hamiltonian_spectrum_equals_dense(L):
-    # J S from the half-order product against the full-order J S of the
-    # sandwich formed on the dense matrix
+    # J S from the symmetric route (or the full order, when the odd block
+    # is indefinite) against the full-order J S of the sandwich formed on
+    # the dense matrix
     quarter = sp.regularized_quarter_root_multiplier(L.grid, 0.0)
     dense = dense_sandwich_hamiltonian_eigenvalues(
         dense_congruence(dense_matrix(L), L.grid,
                          quarter.symbol_values.real), L.grid)
     scale = float(np.max(np.abs(dense)))
     noise = np.sqrt(np.finfo(float).eps) * scale
-    half = spc.sandwich_hamiltonian_spectrum(op.sandwich(op.assemble(L), 0.0))
+    S = op.sandwich(op.assemble(L), 0.0)
+    half = spc.sandwich_hamiltonian_spectrum(S, spc.symmetric_spectrum(S))
     assert nearest_distance(half, dense) <= 10.0 * noise

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hkindex import operators as op
 from hkindex import spectra as spc
@@ -9,7 +11,7 @@ from hkindex import spectral as sp
 from hkindex import waves as wv
 from hkindex.errors import FredholmViolationError
 
-from conftest import diagonal_on_grid, quiet
+from conftest import diagonal_on_grid, eigensystem, quiet
 from dense_reference import from_coords
 
 
@@ -42,6 +44,16 @@ class TestSymmetricSpectrum:
                          (np.zeros(rep.values[0].size), v[:, i]))
         cosine = abs(np.dot(kv, dq)) / (np.linalg.norm(kv) * np.linalg.norm(dq))
         assert cosine >= 1.0 - 1e-6
+
+    def test_eigenvalues_only_keeps_the_counts(self, pipeline22):
+        full = spc.symmetric_spectrum(pipeline22.matrix)
+        rep = spc.symmetric_eigenvalues(pipeline22.matrix)
+        assert rep.vectors is None
+        assert (rep.negative_count, rep.kernel_dim) == \
+            (full.negative_count, full.kernel_dim)
+        assert rep.zero_tol == pytest.approx(full.zero_tol, rel=1e-12)
+        assert np.max(np.abs(rep.eigenvalues - full.eigenvalues)) \
+            <= 1e-10 * np.max(np.abs(full.eigenvalues))
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +156,8 @@ class TestHamiltonianSpectrum:
     def test_identity_gives_derivative_spectrum(self, grid_small):
         m = grid_small.n // 2
         eye = op.ParityBlocks((np.eye(m + 1), np.eye(m - 1)), grid_small)
-        eigs = spc.hamiltonian_eigensystem(eye, 0.0).eigenvalues
+        eigs = spc.hamiltonian_eigensystem(
+            eye, spc.symmetric_spectrum(eye), 0.0).eigenvalues
         expected = 2.0 * np.pi * op.pair_frequencies(grid_small)
         got = np.sort(eigs.imag[eigs.imag > 0])
         assert np.allclose(got, expected, rtol=1e-12)
@@ -179,7 +192,7 @@ class TestHamiltonianSpectrum:
 
     def test_sandwich_equivalence(self, pipeline22):
         S = op.sandwich(pipeline22.matrix, 0.0)
-        sand = spc.sandwich_hamiltonian_spectrum(S)
+        sand = spc.sandwich_hamiltonian_spectrum(S, spc.symmetric_spectrum(S))
         ham = pipeline22.eigensystem
         cut = 1e-3 * ham.scale
         a = ham.eigenvalues[np.abs(ham.eigenvalues) > cut]
@@ -203,7 +216,7 @@ class TestClassifyKrein:
         sym = np.abs(2 * np.pi * grid_small.wavenumbers) ** 2 + 1.0
         L = op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
                            label="positive", kind="custom")
-        ham = spc.hamiltonian_eigensystem(op.assemble(L), 0.0)
+        ham = eigensystem(op.assemble(L), 0.0)
         cls = spc.classify_krein(ham)
         assert cls.k_i_minus == 0
         assert cls.k_r == 0 and cls.k_c == 0
@@ -219,18 +232,32 @@ class TestClassifyKrein:
         L = op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
                            label="positive", kind="custom")
         A = op.assemble(L)
-        floor = 2.0 * spc.hamiltonian_eigensystem(A, 0.0).scale
-        cls = spc.classify_krein(spc.hamiltonian_eigensystem(A, floor))
+        floor = 2.0 * eigensystem(A, 0.0).scale
+        cls = spc.classify_krein(eigensystem(A, floor))
         assert all(c == spc.CLASS_ZERO for c in cls.classes)
         assert cls.k_direct == 0
+
+
+@given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=30),
+       st.floats(0.0, 2.0))
+def test_clusters_match_a_running_scan(values, gap):
+    values = np.sort(values)
+    clusters, current = [], [0]
+    for i in range(1, values.size):
+        if values[i] - values[i - 1] <= gap:
+            current.append(i)
+        else:
+            clusters.append(current)
+            current = [i]
+    clusters.append(current)
+    assert [c.tolist() for c in spc._cluster_indices(values, gap)] == clusters
 
 
 def kernel_eigensystem(L: op.LinOperator) -> spc.HamiltonianEigensystem:
     """The Hamiltonian eigensystem of a bare operator with the pipeline's
     zero floor, a fraction of the box's first dispersion mode."""
     floor = spc.gkernel_floor(L.grid, L.multiplier_symbol)
-    return spc.hamiltonian_eigensystem(op.assemble(L),
-                                       spc.GKERNEL_FRACTION * floor)
+    return eigensystem(op.assemble(L), spc.GKERNEL_FRACTION * floor)
 
 
 class TestGeneralizedKernel:

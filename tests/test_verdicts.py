@@ -1,4 +1,6 @@
+import gc
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +110,31 @@ class TestSweep:
         with pytest.raises(TypeError):
             vd.sweep("p", 2.0, 3.0, 2, s=2.0, p=0.0, c=1.0)
 
+    def test_memory_bounded_across_points(self, monkeypatch):
+        # no eigensystem outlives its point: the traced peak after ten
+        # points is within 10 % of the peak after two
+        small = vd.NumericsConfig(n=256, half_length=30.0)
+        verdict, peaks = vd.kdv_verdict, []
+
+        def recorded(*args):
+            res = verdict(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return res
+
+        monkeypatch.setattr(vd, "kdv_verdict", recorded)
+        with quiet():
+            verdict(2.0, 2.0, 1.0, small)  # first calls may fill caches
+            gc.collect()
+            tracemalloc.start()
+            try:
+                res = vd.sweep("p", 2.0, 3.0, 10, s=2.0, p=0.0, c=1.0,
+                               numerics=small)
+            finally:
+                tracemalloc.stop()
+        assert all(pt.result is not None for pt in res.points)
+        assert len(peaks) == 10
+        assert peaks[9] <= 1.1 * peaks[1]
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError):
             vd.sweep("q", 0.0, 1.0, 2, s=2.0, p=2.0, c=1.0)
@@ -171,8 +198,8 @@ class TestSelfCheck:
         for fn in (vd.op.assemble, vd.spc.hamiltonian_eigensystem,
                    vd.op.sandwich, vd.spc.symmetric_spectrum):
             count_calls(monkeypatch, fn, calls)
-        # every nonsymmetric eigensolve is a half-order one, order n/2 - 1:
-        # the D A of the verdict and the J S of the equivalence check
+        # no nonsymmetric eigensolve: the D A of the verdict and the J S of
+        # the equivalence check both take the symmetric route
         orders = []
         for name in ("eig", "eigvals"):
             def recorded(a, *args, _fn=getattr(scipy.linalg, name), **kw):
@@ -183,8 +210,7 @@ class TestSelfCheck:
         assert report.passed, [e for e in report.entries if not e.passed]
         assert calls == {"assemble": 1, "hamiltonian_eigensystem": 1,
                          "sandwich": 4, "symmetric_spectrum": 5}
-        n = vd.default_grid(2.0)[0]
-        assert orders == [n // 2 - 1] * 2
+        assert orders == []
 
 
 def count_calls(monkeypatch, fn, calls) -> None:

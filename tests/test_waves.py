@@ -7,6 +7,8 @@ from hkindex import spectral as sp
 from hkindex import waves as wv
 from hkindex.errors import ConvergenceError
 
+from conftest import sech_profile
+
 
 class TestGroundState:
     def test_s2_p2_matches_sqrt2_sech(self, grid40, q22):
@@ -91,7 +93,7 @@ class TestKdvWave:
     def test_matches_sech_soliton(self, grid40, p, c):
         q = wv.solve_ground_state(2.0, p, grid40)
         u = wv.kdv_wave(q, c)
-        exact = wv.sech_profile(grid40, p, c)
+        exact = sech_profile(grid40, p, c)
         assert np.max(np.abs(u.values - exact.values)) <= 1e-10 * exact.peak
 
     def test_matches_half_bo_lorentzian(self, grid_s1):
@@ -147,17 +149,17 @@ class TestBoProfile:
 class TestSechProfile:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_residuals(self, grid40, p):
-        prof = wv.sech_profile(grid40, p, 1.0)
+        prof = sech_profile(grid40, p, 1.0)
         assert prof.residual_norm <= 1e-10
 
     def test_peak_formula(self, grid40):
         for p, c in ((1.0, 1.0), (2.0, 1.0), (3.0, 2.0)):
-            prof = wv.sech_profile(grid40, p, c)
+            prof = sech_profile(grid40, p, c)
             assert prof.peak == pytest.approx(
                 (c * (p + 2.0) / 2.0) ** (1.0 / p), rel=1e-12)
 
     def test_p2_is_sqrt2_sech(self, grid40):
-        prof = wv.sech_profile(grid40, 2.0, 1.0)
+        prof = sech_profile(grid40, 2.0, 1.0)
         exact = np.sqrt(2.0) / np.cosh(grid40.nodes)
         assert np.max(np.abs(prof.values - exact)) <= 1e-12
 
