@@ -13,7 +13,8 @@ from .spectral import (Multiplier, RealField, SpectralGrid,
                        regularized_quarter_root_multiplier, transform)
 from .waves import (FBBM, FKDV, NORMALIZED, SolverOptions, WaveProfile,
                     bbm_wave, bo_profile, kdv_wave, p_max,
-                    save_profile, solve_ground_state, squared_norm)
+                    save_profile, solve_ground_state, solve_traveling_wave,
+                    squared_norm)
 from .operators import (LinOperator, ParityBlocks, assemble,
                         bbm_linearization, bbm_symmetrize, kdv_linearization,
                         sandwich, save_matrix, schrodinger_operator)

@@ -199,9 +199,8 @@ def validate_wave_params(cfg: RunConfig) -> None:
 
 
 def _solve_wave(cfg: RunConfig) -> wv.WaveProfile:
-    Q = wv.solve_ground_state(cfg.s, cfg.p, cfg.grid(),
-                              cfg.numerics().solver_options())
-    return getattr(wv, f"{wv.MODELS[cfg.model].kind}_wave")(Q, cfg.c)
+    return wv.solve_traveling_wave(cfg.model, cfg.s, cfg.p, cfg.c, cfg.grid(),
+                                   cfg.numerics().solver_options())
 
 
 def _exit_code(wave: wv.WaveProfile) -> int:

@@ -4,10 +4,13 @@ Every function takes the parity blocks of a symmetric matrix
 (operators.ParityBlocks, built by assemble or a congruence) or a result
 derived from them.  They feed three kinds of quantities:
 
-* inertia-style counts n(.) and kernels, from one symmetric solve per
-  block (eigenvalues only where only the inertia is read);
+* inertia-style counts n(.) and kernels, from one symmetric eigensolve
+  per block, eigenvalues only except for the odd block of a spectrum the
+  Hamiltonian route reads;
 * the constrained quantity <L^-1 w, w> with w the decaying antiderivative
-  of the kernel generator, via a spectral pseudo-inverse;
+  of the kernel generator, via a spectral pseudo-inverse: one symmetric
+  linear solve per block that has no eigenvalue near zero, the block's
+  eigenpairs otherwise;
 * the spectrum of the Hamiltonian product (d/dx) L on the subspace where
   the derivative is invertible (zero mode and Nyquist column removed),
   with Krein-signature classification of the imaginary eigenvalues.
@@ -58,6 +61,10 @@ GKERNEL_FRACTION = 0.75
 # edge fraction used to pin the antiderivative to its decaying branch
 ANCHOR_FRACTION = 0.02
 
+# eigenvector columns per product where a loop over eigenvalues bounds the
+# temporaries to n x _COLUMN_BLOCK instead of n x n
+_COLUMN_BLOCK = 256
+
 
 def sym_eig(block: np.ndarray, vectors: bool) -> tuple:
     """Ascending eigenvalues of one parity block, and their eigenvector
@@ -69,21 +76,19 @@ def sym_eig(block: np.ndarray, vectors: bool) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class SymmetricSpectrum:
-    """Eigenvalues, and eigenvectors unless only the inertia is read, of
-    the even and odd blocks.  The zero tolerance is global,
-    ZERO_TOL_REL * max|w| over both blocks."""
+    """Eigenvalues of the even and odd blocks, and the odd block's
+    eigenvectors unless only the inertia is read; the even block never
+    keeps its vectors (the constrained solve reads that block itself).
+    The zero tolerance is global, ZERO_TOL_REL * max|w| over both
+    blocks."""
     values: tuple                    # ascending eigenvalues of each block
-    vectors: tuple | None            # eigenvector columns of each block
+    vectors: tuple | None            # (None, odd eigenvector columns)
     zero_tol: float
+    blocks: tuple                    # the (even, odd) blocks themselves
 
     @property
     def negative_count(self) -> int:
         return sum(int(np.count_nonzero(w < -self.zero_tol)) for w in self.values)
-
-    @property
-    def kernel_dim(self) -> int:
-        return sum(int(np.count_nonzero(np.abs(w) <= self.zero_tol))
-                   for w in self.values)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -91,21 +96,24 @@ class SymmetricSpectrum:
         return np.sort(np.concatenate(self.values))
 
 
-def _spectrum(P: ParityBlocks, vectors: bool) -> SymmetricSpectrum:
-    values, vecs = zip(*(sym_eig(block, vectors) for block in P.blocks))
+def _spectrum(P: ParityBlocks, odd_vectors: bool) -> SymmetricSpectrum:
+    values, vecs = zip(*(sym_eig(block, want) for block, want
+                         in zip(P.blocks, (False, odd_vectors))))
     zero_tol = ZERO_TOL_REL * max(float(np.max(np.abs(w))) for w in values)
-    return SymmetricSpectrum(values, vecs if vectors else None, zero_tol)
+    return SymmetricSpectrum(values, vecs if odd_vectors else None, zero_tol,
+                             P.blocks)
 
 
 def symmetric_spectrum(P: ParityBlocks) -> SymmetricSpectrum:
-    """Inertia, eigenvalues and eigenvectors of a symmetric matrix, one
-    eigh per parity block."""
-    return _spectrum(P, vectors=True)
+    """Inertia and eigenvalues of a symmetric matrix, one eigh per parity
+    block, with the odd block's eigenvectors (the symmetric Hamiltonian
+    route builds on them)."""
+    return _spectrum(P, odd_vectors=True)
 
 
 def symmetric_eigenvalues(P: ParityBlocks) -> SymmetricSpectrum:
     """The same without eigenvectors, for counts that read nothing else."""
-    return _spectrum(P, vectors=False)
+    return _spectrum(P, odd_vectors=False)
 
 
 def _anchor_to_edge(grid, values: np.ndarray) -> np.ndarray:
@@ -132,6 +140,9 @@ def _pseudo_solve_quadratic(eig: SymmetricSpectrum, rhs: tuple,
     own share of an even right-hand side can be pure round-off.  A reached
     kernel direction violates the Fredholm condition; a reached kept
     direction with |lambda| < 1e3 zero_tol makes the solve near-singular.
+    A block without eigenvectors and with no eigenvalue below 1e3 zero_tol
+    can do neither, so its share is one symmetric linear solve; any other
+    block without eigenvectors has its eigenpairs computed here.
     """
     if eig.vectors is None:
         raise ValueError(f"the constrained solve for {label!r} needs "
@@ -139,7 +150,13 @@ def _pseudo_solve_quadratic(eig: SymmetricSpectrum, rhs: tuple,
     tol = eig.zero_tol
     rhs_norm = float(np.linalg.norm(np.concatenate(rhs)))
     total, worst, near_singular = 0.0, 0.0, False
-    for w, v, part in zip(eig.values, eig.vectors, rhs):
+    for block, w, v, part in zip(eig.blocks, eig.values, eig.vectors, rhs):
+        if v is None and np.min(np.abs(w)) >= 1e3 * tol:
+            total += float(part @ scipy.linalg.solve(
+                block, part, assume_a="sym", check_finite=False))
+            continue
+        if v is None:
+            w, v = sym_eig(block, vectors=True)
         proj = v.T @ part
         reached = np.abs(proj) > 1e-6 * rhs_norm
         kernel = np.abs(w) <= tol
@@ -405,13 +422,13 @@ def _full_order(a_cos: np.ndarray, a_sin: np.ndarray, weights: np.ndarray,
 def eigenpair_residual(ham: HamiltonianEigensystem,
                        cls: KreinClassification) -> float:
     """max ||D A v - lambda v|| / (scale ||v||) over the eigenvalues
-    outside the zero bucket, in blocks of 256 so that no full-order
+    outside the zero bucket, _COLUMN_BLOCK at a time so that no full-order
     eigenvector matrix is formed."""
     idx = np.nonzero(np.asarray(cls.classes) != CLASS_ZERO)[0]
     w = ham.weights[:, None]
     worst = 0.0
-    for start in range(0, idx.size, 256):
-        part = idx[start:start + 256]
+    for start in range(0, idx.size, _COLUMN_BLOCK):
+        part = idx[start:start + _COLUMN_BLOCK]
         x, y, ax, ay = ham.pairs(part)
         lam = ham.eigenvalues[part]
         res = np.abs(-w * ay - lam * x) ** 2 + np.abs(w * ax - lam * y) ** 2
@@ -470,6 +487,59 @@ def _cluster_indices(values: np.ndarray, gap: float) -> list:
                     np.nonzero(np.diff(values) > gap)[0] + 1)
 
 
+def _complex_forms(ham: HamiltonianEigensystem, upper: np.ndarray,
+                   clusters: list) -> np.ndarray:
+    """Krein form values of the eigenvalues upper, grouped into clusters
+    of positions in upper, from complex eigenvectors: <A v, v> / <v, v>
+    for a singleton, the eigenvalues of the Hermitian Gram pencil on the
+    cluster's span otherwise, ascending within each cluster."""
+    x, y, ax, ay = ham.pairs(upper)
+    out = np.empty(upper.size)
+    for cluster in clusters:
+        if cluster.size == 1:
+            j = cluster[0]
+            denom = float(np.real(np.vdot(x[:, j], x[:, j])
+                                  + np.vdot(y[:, j], y[:, j])))
+            form = np.vdot(x[:, j], ax[:, j]) + np.vdot(y[:, j], ay[:, j])
+            out[j] = float(np.real(form)) / denom
+        else:
+            xc, yc = x[:, cluster], y[:, cluster]
+            g = xc.conj().T @ ax[:, cluster] + yc.conj().T @ ay[:, cluster]
+            g = 0.5 * (g + g.conj().T)
+            gram = xc.conj().T @ xc + yc.conj().T @ yc
+            out[cluster] = np.sort(scipy.linalg.eigh(
+                g, 0.5 * (gram + gram.conj().T), eigvals_only=True))
+    return out
+
+
+def _real_forms(ham: HamiltonianEigensystem, upper: np.ndarray,
+                clusters: list) -> np.ndarray:
+    """The same on the symmetric route, in real arithmetic.  The
+    eigenvector of lambda = i omega is (x, i omega u) with x and u real,
+    so <A v, v> / <v, v> = (x.A_cos x + omega^2 u.A_sin u) /
+    (|x|^2 + omega^2 |u|^2), and the Gram pencil of a cluster is real
+    symmetric in the columns (x, omega u).  Singletons are evaluated
+    _COLUMN_BLOCK columns at a time."""
+    omega, cols = ham.eigenvalues.imag[upper], ham.column[upper]
+    out = np.empty(upper.size)
+    single = np.array([c[0] for c in clusters if c.size == 1], dtype=int)
+    for start in range(0, single.size, _COLUMN_BLOCK):
+        j = single[start:start + _COLUMN_BLOCK]
+        x, u, w2 = ham.x[:, cols[j]], ham.u[:, cols[j]], omega[j] ** 2
+        form = np.sum(x * (ham.a_cos @ x), axis=0) \
+            + w2 * np.sum(u * (ham.a_sin @ u), axis=0)
+        out[j] = form / (np.sum(x * x, axis=0) + w2 * np.sum(u * u, axis=0))
+    for cluster in clusters:
+        if cluster.size > 1:
+            x = ham.x[:, cols[cluster]]
+            u = ham.u[:, cols[cluster]] * omega[cluster]
+            g = x.T @ (ham.a_cos @ x) + u.T @ (ham.a_sin @ u)
+            gram = x.T @ x + u.T @ u
+            out[cluster] = scipy.linalg.eigh(
+                0.5 * (g + g.T), 0.5 * (gram + gram.T), eigvals_only=True)
+    return out
+
+
 def classify_krein(ham: HamiltonianEigensystem) -> KreinClassification:
     """Sort the Hamiltonian eigenvalues into Krein buckets.
 
@@ -519,38 +589,19 @@ def classify_krein(ham: HamiltonianEigensystem) -> KreinClassification:
 
     indeterminate = []
     neg_total = 0
-    upper_classes: dict = {}
     if upper.size:
-        x, y, ax, ay = ham.pairs(upper)
-        gap = max(im_tol, 1e-9 * scale)
-        for cluster in _cluster_indices(im[upper], gap):
-            members = [upper[i] for i in cluster]
-            if len(cluster) == 1:
-                j = cluster[0]
-                denom = float(np.real(np.vdot(x[:, j], x[:, j])
-                                      + np.vdot(y[:, j], y[:, j])))
-                form = np.vdot(x[:, j], ax[:, j]) + np.vdot(y[:, j], ay[:, j])
-                vals = np.array([float(np.real(form)) / denom])
+        clusters = _cluster_indices(im[upper], max(im_tol, 1e-9 * scale))
+        krein_forms = _real_forms if ham.u is not None else _complex_forms
+        for idx, val in zip(upper, krein_forms(ham, upper, clusters)):
+            forms[idx] = val
+            if val < -sig_tol:
+                classes[idx] = CLASS_IMAG_NEG
+                neg_total += 1
+            elif val > sig_tol:
+                classes[idx] = CLASS_IMAG_POS
             else:
-                xc, yc = x[:, cluster], y[:, cluster]
-                g = xc.conj().T @ ax[:, cluster] + yc.conj().T @ ay[:, cluster]
-                g = 0.5 * (g + g.conj().T)
-                gram = xc.conj().T @ xc + yc.conj().T @ yc
-                vals = scipy.linalg.eigh(g, 0.5 * (gram + gram.conj().T),
-                                         eigvals_only=True)
-            vals = np.sort(vals)
-            for idx, val in zip(members, vals):
-                forms[idx] = val
-                if val < -sig_tol:
-                    upper_classes[idx] = CLASS_IMAG_NEG
-                    neg_total += 1
-                elif val > sig_tol:
-                    upper_classes[idx] = CLASS_IMAG_POS
-                else:
-                    upper_classes[idx] = CLASS_INDET
-                    indeterminate.append((complex(eigs[idx]), float(val)))
-    for idx, label in upper_classes.items():
-        classes[idx] = label
+                classes[idx] = CLASS_INDET
+                indeterminate.append((complex(eigs[idx]), float(val)))
 
     # conjugate partners inherit the class and form value positionally:
     # sorting the lower half by |Im| aligns it with the upper half

@@ -247,15 +247,27 @@ def solve_ground_state(s: float, p: float, grid: SpectralGrid,
 
     Requires 0 < s <= 2 and 0 < p < p_max(s).
     """
-    _check_exponents(s, p)
-    opts = (opts or SolverOptions()).resolve(s, p)
     return _solve(grid, s, p, 1.0, NORMALIZED, (1.0, 1.0), opts)
 
 
+def solve_traveling_wave(model: str, s: float, p: float, c: float,
+                         grid: SpectralGrid,
+                         opts: SolverOptions | None = None) -> WaveProfile:
+    """The wave of speed c of the named row of MODELS, solved at its own
+    (a, b) = coefficients(c) on grid, with the exponent window and the
+    tolerance default of solve_ground_state; no ground state is solved."""
+    row = MODELS[model]
+    row.check_speed(c)
+    return _solve(grid, s, p, c, row.name, row.coefficients(c), opts)
+
+
 def _solve(grid: SpectralGrid, s: float, p: float, c: float, model: str,
-           coefficients: tuple, opts: SolverOptions) -> WaveProfile:
+           coefficients: tuple, opts: SolverOptions | None) -> WaveProfile:
     """The even positive solution of a |d|^s U + b U - U^(p+1) = 0 with
-    (a, b) = coefficients, labelled with the speed c and the model name."""
+    (a, b) = coefficients, labelled with the speed c and the model name,
+    after checking the exponents and resolving the tolerance."""
+    _check_exponents(s, p)
+    opts = (opts or SolverOptions()).resolve(s, p)
     a, b = coefficients
     values, factor, notes = _petviashvili(s, p, a, b, grid, opts)
     _check_shape_invariants(values, factor)
@@ -295,17 +307,15 @@ def bbm_wave(Q: WaveProfile, c: float) -> WaveProfile:
 
 
 def _traveling_wave(model: Model, Q: WaveProfile, c: float) -> WaveProfile:
-    """Solve at (a, b) = model.coefficients(c) with Q's grid, exponents and
-    tolerance; at (a, b) = (1, 1) the wave is Q."""
+    """The wave with Q's grid, exponents and tolerance; at
+    (a, b) = (1, 1) the wave is Q."""
     if Q.model != NORMALIZED:
         raise ModelMismatchError(
             f"{model.kind}_wave expects the normalized ground state")
-    model.check_speed(c)
-    coefficients = model.coefficients(c)
-    if coefficients == (1.0, 1.0):
+    if model.coefficients(c) == (1.0, 1.0):
         return replace(Q, values=Q.values.copy(), c=c, model=model.name)
-    return _solve(Q.grid, Q.s, Q.p, c, model.name, coefficients,
-                  SolverOptions(tol=Q.residual_tol))
+    return solve_traveling_wave(model.name, Q.s, Q.p, c, Q.grid,
+                                SolverOptions(tol=Q.residual_tol))
 
 
 def bo_profile(grid: SpectralGrid, c: float) -> WaveProfile:

@@ -2,7 +2,8 @@
 
 The real-Fourier basis as an n x n matrix of samples, an operator
 assembled as h phi^T (V phi) plus its multiplier diagonal, congruences by
-an even multiplier on the full matrix, one full-order eigh, and the
+an even multiplier on the full matrix, one full-order eigh, the
+constrained quantity from each block's eigenvectors, and the
 full-order restricted D A and J S formed from the dense entries.  Dense
 matrices are plain arrays in the interleaved basis order of operators;
 split_parity turns one into the ParityBlocks the package works on, and
@@ -96,6 +97,19 @@ def dense_inertia(a: np.ndarray):
     tol = spc.ZERO_TOL_REL * float(np.max(np.abs(w)))
     return (int(np.count_nonzero(w < -tol)),
             int(np.count_nonzero(np.abs(w) <= tol)), (w, v, tol))
+
+
+def eigenvector_pseudo_quadratic(blocks: tuple, zero_tol: float,
+                                 rhs: tuple) -> float:
+    """<A^+ rhs, rhs> from the full eigendecomposition of each parity
+    block, directions with |w| <= zero_tol dropped."""
+    total = 0.0
+    for block, part in zip(blocks, rhs):
+        w, v = scipy.linalg.eigh(block)
+        proj = v.T @ part
+        kept = np.abs(w) > zero_tol
+        total += float(np.sum(proj[kept] ** 2 / w[kept]))
+    return total
 
 
 def dense_restricted_product(a: np.ndarray, grid,

@@ -7,10 +7,13 @@ dense_reference, and the full-order eig of spectra, which is also the
 Hamiltonian fallback.
 """
 
+import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -20,12 +23,14 @@ from hkindex import spectral as sp
 from hkindex import verdicts as vd
 from hkindex import waves as wv
 from hkindex.errors import FredholmViolationError
+from hkindex.spectral import TWO_PI
 
-from conftest import diagonal_on_grid, eigensystem, quiet
+from conftest import diagonal_on_grid, eigensystem, kernel_dim, quiet
 from dense_reference import (dense_congruence, dense_hamiltonian_eigenvalues,
                              dense_inertia, dense_matrix,
                              dense_sandwich_hamiltonian_eigenvalues,
-                             interleave, split_parity)
+                             eigenvector_pseudo_quadratic, interleave,
+                             split_parity)
 
 REGRESSION_CASES = [(wv.FKDV, 2.0, 2.0, 1.0), (wv.FKDV, 2.0, 5.0, 1.0),
                     (wv.FBBM, 2.0, 2.0, 2.0)]
@@ -59,21 +64,27 @@ def dense_factor(model, data) -> np.ndarray:
     return A
 
 
+def constrained_rhs(model, data) -> tuple:
+    """The (even, odd) coordinates of the constrained solve's right-hand
+    side, the decaying antiderivative of psi0 (weighted for fBBM)."""
+    psi0 = sp.apply_multiplier(sp.derivative_multiplier(data.grid),
+                               data.wave.as_field())
+    if model.weighted:
+        weight = op.symmetrizing_weight(data.grid, data.wave.s)
+        psi0 = sp.apply_multiplier(
+            sp.Multiplier(data.grid, 1.0 / weight, "sqrt(I+M)"), psi0)
+    rhs = spc._decaying_antiderivative(psi0)
+    return op.to_coords(data.grid, rhs.values)
+
+
 class TestAgainstDensePath:
     def test_counts_and_constrained_quantity(self, small_pipeline):
         model, data = small_pipeline
         n_neg, kernel, (w, v, tol) = dense_inertia(dense_factor(model, data))
         report = spc.symmetric_spectrum(data.matrix)
         assert data.result.n_L == report.negative_count == n_neg
-        assert report.kernel_dim == kernel
-        psi0 = sp.apply_multiplier(sp.derivative_multiplier(data.grid),
-                                   data.wave.as_field())
-        if model.weighted:
-            weight = op.symmetrizing_weight(data.grid, data.wave.s)
-            psi0 = sp.apply_multiplier(
-                sp.Multiplier(data.grid, 1.0 / weight, "sqrt(I+M)"), psi0)
-        rhs = spc._decaying_antiderivative(psi0)
-        proj = v.T @ interleave(op.to_coords(data.grid, rhs.values))
+        assert kernel_dim(report) == kernel
+        proj = v.T @ interleave(constrained_rhs(model, data))
         kept = np.abs(w) > tol
         d_dense = float(np.sum(proj[kept] ** 2 / w[kept]))
         assert data.result.d == pytest.approx(d_dense, rel=1e-10, abs=0.0)
@@ -127,6 +138,124 @@ class TestAgainstDensePath:
             np.array(dense_cls.classes) == spc.CLASS_REAL_POS]
         assert got.size == want.size == 1
         assert abs(got[0] - want[0]) <= 1e-7 * abs(want[0])
+
+
+# (model, s, p, c, half_length) at n = 512: the p = 4.1 box is the
+# smallest whose zero floor stays below the unstable eigenvalue
+INDEX_CASES = [(wv.FKDV, 2.0, 2.0, 1.0, 30.0), (wv.FKDV, 2.0, 5.0, 1.0, 30.0),
+               (wv.FKDV, 2.0, 4.1, 1.0, 56.0), (wv.FBBM, 1.5, 1.0, 1.5, 100.0)]
+
+
+@pytest.fixture(scope="module", params=INDEX_CASES,
+                ids=lambda c: "-".join(map(str, c[:4])))
+def spied_pipeline(request):
+    """(model, pipeline, eigh calls): every scipy.linalg.eigh call of one
+    verdict, as (matrix, keyword arguments)."""
+    model, s, p, c, half_length = request.param
+    calls = []
+
+    def spy(a, *args, _eigh=scipy.linalg.eigh, **kw):
+        calls.append((a, kw))
+        return _eigh(a, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp, quiet():
+        mp.setattr(scipy.linalg, "eigh", spy)
+        data = getattr(vd, f"{wv.MODELS[model].kind}_verdict")(
+            s, p, c, vd.NumericsConfig(n=512, half_length=half_length),
+            keep_pipeline=True)
+    return wv.MODELS[model], data, calls
+
+
+def complex_reference(ham: spc.HamiltonianEigensystem):
+    """The symmetric-route eigensystem as the full-order solve holds it,
+    complex (x, y = lambda u) per eigenvalue, so that classify_krein
+    takes its complex path."""
+    return dataclasses.replace(
+        ham, x=ham.x[:, ham.column], y=ham.eigenvalues * ham.u[:, ham.column],
+        u=None, column=np.arange(ham.eigenvalues.size))
+
+
+def assert_same_classification(cls, ref) -> None:
+    assert cls.classes == ref.classes
+    assert (cls.k_r, cls.k_c, cls.k_i_minus) == \
+        (ref.k_r, ref.k_c, ref.k_i_minus)
+    assert [lam for lam, _ in cls.indeterminate] == \
+        [lam for lam, _ in ref.indeterminate]
+    assert np.allclose([f for _, f in cls.indeterminate],
+                       [f for _, f in ref.indeterminate], rtol=1e-12, atol=0)
+    forms = np.isfinite(ref.form_values)
+    assert np.array_equal(forms, np.isfinite(cls.form_values))
+    assert np.all(np.abs(cls.form_values[forms] - ref.form_values[forms])
+                  <= 1e-12 * np.abs(ref.form_values[forms]))
+
+
+class TestEvenBlockSolve:
+    def test_matches_the_eigenvector_path(self, spied_pipeline):
+        model, data, _ = spied_pipeline
+        eig = spc.symmetric_spectrum(data.matrix)
+        reference = eigenvector_pseudo_quadratic(
+            data.matrix.blocks, eig.zero_tol, constrained_rhs(model, data))
+        assert data.result.d == pytest.approx(reference, rel=1e-10, abs=0.0)
+
+    def test_eigenvectors_of_the_odd_block_only(self, spied_pipeline):
+        # one eigh with vectors on a parity block (the odd one, which
+        # builds R) and one on T; the even block is read for eigenvalues
+        _, data, calls = spied_pipeline
+        even, odd = data.matrix.blocks
+        with_vectors = [(a, kw) for a, kw in calls
+                        if not kw.get("eigvals_only", False)]
+        assert len(with_vectors) == 2
+        assert with_vectors[0][0] is odd
+        assert with_vectors[1][1].get("driver") == "evd"
+        assert any(a is even and kw.get("eigvals_only") for a, kw in calls)
+
+
+def repeated_imaginary_pair() -> op.ParityBlocks:
+    """A_sin = I and W A_cos W with the eigenvalues 1, 2, 2, 3 .. 6 in a
+    random basis: lambda = +-i sqrt(2) is a double pair on the symmetric
+    route."""
+    grid = sp.make_grid(16, 2.0)
+    weights = TWO_PI * op.pair_frequencies(grid)
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((7, 7)))
+    m = (q * np.array([1.0, 2.0, 2.0, 3.0, 4.0, 5.0, 6.0])) @ q.T
+    even = np.eye(9)
+    even[1:-1, 1:-1] = 0.5 * (m + m.T) / np.outer(weights, weights)
+    return op.ParityBlocks((even, np.eye(7)), grid, "repeated")
+
+
+class TestRealKreinForms:
+    def test_match_the_complex_forms(self, spied_pipeline):
+        _, data, _ = spied_pipeline
+        ham = data.eigensystem
+        assert ham.u is not None
+        assert_same_classification(data.classification,
+                                   spc.classify_krein(complex_reference(ham)))
+
+    def test_cluster_of_a_repeated_eigenvalue(self):
+        ham = eigensystem(repeated_imaginary_pair(), 1e-3)
+        assert ham.u is not None
+        double = np.abs(ham.eigenvalues - np.sqrt(2.0) * 1j) <= 1e-12
+        assert np.count_nonzero(double) == 2
+        cls = spc.classify_krein(ham)
+        assert_same_classification(cls,
+                                   spc.classify_krein(complex_reference(ham)))
+        assert cls.classes.count(spc.CLASS_IMAG_POS) == 14
+
+    def test_no_square_temporaries(self, q22):
+        # the complex path held x, y, A_cos x and A_sin y for every
+        # eigenvalue in the upper half, about 8 n/2 x n/2 real arrays;
+        # the real forms go _COLUMN_BLOCK columns at a time
+        L = op.kdv_linearization(wv.kdv_wave(q22, 1.0))
+        floor = spc.gkernel_floor(q22.grid, L.multiplier_symbol)
+        ham = eigensystem(op.assemble(L), spc.GKERNEL_FRACTION * floor)
+        assert ham.u is not None and q22.grid.n == 1024
+        tracemalloc.start()
+        try:
+            spc.classify_krein(ham)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * ham.x.nbytes
 
 
 class TestParityGuard:
@@ -271,7 +400,7 @@ def test_assembled_blocks_equal_the_basis_matrix(L):
 def test_block_inertia_equals_full_inertia(L):
     n_neg, kernel, _ = dense_inertia(dense_matrix(L))
     report = spc.symmetric_spectrum(op.assemble(L))
-    assert (report.negative_count, report.kernel_dim) == (n_neg, kernel)
+    assert (report.negative_count, kernel_dim(report)) == (n_neg, kernel)
 
 
 @given(even_operators())

@@ -11,7 +11,7 @@ from hkindex import spectral as sp
 from hkindex import waves as wv
 from hkindex.errors import FredholmViolationError
 
-from conftest import diagonal_on_grid, eigensystem, quiet
+from conftest import diagonal_on_grid, eigensystem, kernel_dim, quiet
 from dense_reference import from_coords
 
 
@@ -19,21 +19,21 @@ class TestSymmetricSpectrum:
     def test_identity_matrix(self):
         rep = spc.symmetric_spectrum(diagonal_on_grid(np.ones(8)))
         assert rep.negative_count == 0
-        assert rep.kernel_dim == 0
+        assert kernel_dim(rep) == 0
         assert np.array_equal(rep.eigenvalues, np.ones(8))
 
     def test_small_diagonal(self):
         rep = spc.symmetric_spectrum(
             diagonal_on_grid([-1.0, 0.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
         assert rep.negative_count == 1
-        assert rep.kernel_dim == 1
+        assert kernel_dim(rep) == 1
         assert rep.zero_tol == pytest.approx(2e-8)
         assert rep.eigenvalues[:2].tolist() == [-1.0, 0.0]
 
     def test_kdv_kernel_vector_aligned_with_derivative(self, pipeline22):
         rep = spc.symmetric_spectrum(pipeline22.matrix)
         assert rep.negative_count == 1
-        assert rep.kernel_dim == 1
+        assert kernel_dim(rep) == 1
         dq = sp.apply_multiplier(
             sp.derivative_multiplier(pipeline22.grid),
             pipeline22.wave.as_field()).values
@@ -49,8 +49,8 @@ class TestSymmetricSpectrum:
         full = spc.symmetric_spectrum(pipeline22.matrix)
         rep = spc.symmetric_eigenvalues(pipeline22.matrix)
         assert rep.vectors is None
-        assert (rep.negative_count, rep.kernel_dim) == \
-            (full.negative_count, full.kernel_dim)
+        assert (rep.negative_count, kernel_dim(rep)) == \
+            (full.negative_count, kernel_dim(full))
         assert rep.zero_tol == pytest.approx(full.zero_tol, rel=1e-12)
         assert np.max(np.abs(rep.eigenvalues - full.eigenvalues)) \
             <= 1e-10 * np.max(np.abs(full.eigenvalues))

@@ -206,11 +206,25 @@ class TestSelfCheck:
                 orders.append(a.shape[0])
                 return _fn(a, *args, **kw)
             monkeypatch.setattr(scipy.linalg, name, recorded)
+        # eigenvectors: the odd block of L and of each sandwich, T of the
+        # verdict, and the even block of each eps > 0 sandwich, whose
+        # near-zero eigenvalue sends its constrained solve to the
+        # eigenvector path
+        with_vectors = []
+
+        def eigh(a, *args, _fn=scipy.linalg.eigh, **kw):
+            if not kw.get("eigvals_only", False):
+                with_vectors.append(a.shape[0])
+            return _fn(a, *args, **kw)
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh)
         report = vd.self_check("gkdv-p2")
         assert report.passed, [e for e in report.entries if not e.passed]
         assert calls == {"assemble": 1, "hamiltonian_eigensystem": 1,
                          "sandwich": 4, "symmetric_spectrum": 5}
         assert orders == []
+        n = vd.default_grid(2.0)[0]
+        assert sorted(with_vectors) == \
+            [n // 2 - 2] + [n // 2 - 1] * 5 + [n // 2 + 1] * 3
 
 
 def count_calls(monkeypatch, fn, calls) -> None:

@@ -125,6 +125,23 @@ class TestBbmWave:
             wv.bbm_wave(q22, 1.0)
 
 
+class TestSolveTravelingWave:
+    @pytest.mark.parametrize("model, c", [(wv.FKDV, 1.0), (wv.FKDV, 1.7),
+                                          (wv.FBBM, 2.0)])
+    def test_same_wave_as_from_the_ground_state(self, grid40, q22, model, c):
+        # no ground state is solved, yet every field of the profile agrees
+        u = wv.solve_traveling_wave(model, 2.0, 2.0, c, grid40)
+        ref = getattr(wv, f"{wv.MODELS[model].kind}_wave")(q22, c)
+        assert np.array_equal(u.values, ref.values)
+        assert u.metadata() == ref.metadata()
+
+    def test_checks_speed_and_exponents(self, grid40):
+        with pytest.raises(ValueError, match="c > 1"):
+            wv.solve_traveling_wave(wv.FBBM, 2.0, 2.0, 1.0, grid40)
+        with pytest.raises(ValueError, match="p_max"):
+            wv.solve_traveling_wave(wv.FKDV, 0.5, 3.0, 1.0, grid40)
+
+
 class TestBoProfile:
     def test_peak_and_half_peak(self):
         g = sp.make_grid(1000, 100.0)  # h = 0.2 puts these x = 1/c on the grid
