@@ -23,7 +23,8 @@ it is for every ground state, lambda^2 = -nu for the eigenvalues nu of a
 symmetric matrix of order n/2-1 minus the odd kernel, built on the odd
 block's eigenpairs; otherwise, or when squaring would cost too much
 accuracy, from the full-order restricted D A.  J S, with unit weights,
-takes the same routes.
+takes the same routes.  Both routes hold an eigenvector of lambda as
+(x, lambda u), so one evaluator gives every Krein form.
 """
 
 from __future__ import annotations
@@ -76,13 +77,12 @@ def sym_eig(block: np.ndarray, vectors: bool) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class SymmetricSpectrum:
-    """Eigenvalues of the even and odd blocks, and the odd block's
-    eigenvectors unless only the inertia is read; the even block never
-    keeps its vectors (the constrained solve reads that block itself).
-    The zero tolerance is global, ZERO_TOL_REL * max|w| over both
-    blocks."""
+    """Eigenvalues of the even and odd blocks, the odd block's eigenvectors
+    (None when only the inertia is read), and the blocks themselves, which
+    the constrained solve reads where it has no vectors.  The zero
+    tolerance is global, ZERO_TOL_REL * max|w| over both blocks."""
     values: tuple                    # ascending eigenvalues of each block
-    vectors: tuple | None            # (None, odd eigenvector columns)
+    odd_vectors: np.ndarray | None   # odd eigenvector columns, or None
     zero_tol: float
     blocks: tuple                    # the (even, odd) blocks themselves
 
@@ -97,11 +97,11 @@ class SymmetricSpectrum:
 
 
 def _spectrum(P: ParityBlocks, odd_vectors: bool) -> SymmetricSpectrum:
-    values, vecs = zip(*(sym_eig(block, want) for block, want
-                         in zip(P.blocks, (False, odd_vectors))))
-    zero_tol = ZERO_TOL_REL * max(float(np.max(np.abs(w))) for w in values)
-    return SymmetricSpectrum(values, vecs if odd_vectors else None, zero_tol,
-                             P.blocks)
+    even, _ = sym_eig(P.blocks[0], vectors=False)
+    odd, vecs = sym_eig(P.blocks[1], odd_vectors)
+    zero_tol = ZERO_TOL_REL * max(float(np.max(np.abs(even))),
+                                  float(np.max(np.abs(odd))))
+    return SymmetricSpectrum((even, odd), vecs, zero_tol, P.blocks)
 
 
 def symmetric_spectrum(P: ParityBlocks) -> SymmetricSpectrum:
@@ -144,13 +144,11 @@ def _pseudo_solve_quadratic(eig: SymmetricSpectrum, rhs: tuple,
     can do neither, so its share is one symmetric linear solve; any other
     block without eigenvectors has its eigenpairs computed here.
     """
-    if eig.vectors is None:
-        raise ValueError(f"the constrained solve for {label!r} needs "
-                         "eigenvectors; it got an eigenvalues-only spectrum")
     tol = eig.zero_tol
     rhs_norm = float(np.linalg.norm(np.concatenate(rhs)))
     total, worst, near_singular = 0.0, 0.0, False
-    for block, w, v, part in zip(eig.blocks, eig.values, eig.vectors, rhs):
+    for block, w, v, part in zip(eig.blocks, eig.values,
+                                 (None, eig.odd_vectors), rhs):
         if v is None and np.min(np.abs(w)) >= 1e3 * tol:
             total += float(part @ scipy.linalg.solve(
                 block, part, assume_a="sym", check_finite=False))
@@ -272,12 +270,13 @@ def bbm_slope(u_family, c: float, dc: float, normalized) -> BbmSlope:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianEigensystem:
-    """Spectrum of the restricted D A, each eigenvector held as the pair
-    (x, y) of its cosine and sine coordinates: D A v = lambda v reads
-    -W A_sin y = lambda x and W A_cos x = lambda y.  The symmetric route
-    keeps one real pair (x, u = y / lambda) per lambda^2, shared by
-    +-lambda, with a zero column for the kernel pair; the full-order solve
-    keeps complex x and y per eigenvalue."""
+    """Spectrum of the restricted D A, each eigenvector held as its cosine
+    coordinates x and its sine coordinates y = lambda u: D A v = lambda v
+    reads -W A_sin y = lambda x and W A_cos x = lambda y.  Eigenvalue i
+    reads the columns column[i] of x and u.  The symmetric route keeps one
+    real pair per lambda^2, shared by +-lambda, with a zero column for the
+    kernel pair; the full-order solve keeps one complex pair per
+    eigenvalue, its u unread where lambda = 0 (the zero bucket)."""
     eigenvalues: np.ndarray          # complex, length n-2, sorted by (imag, real)
     a_cos: np.ndarray                # cosine block of the restricted factor
     a_sin: np.ndarray                # sine block of the restricted factor
@@ -285,17 +284,13 @@ class HamiltonianEigensystem:
     scale: float                     # max |lambda|
     zero_floor: float                # |lambda| <= zero_floor counts as zero
     x: np.ndarray                    # cosine parts
-    column: np.ndarray               # column of x (and u) for each eigenvalue
-    u: np.ndarray | None = None      # symmetric route: sine parts over lambda
-    y: np.ndarray | None = None      # full order: sine parts, matching order
+    u: np.ndarray                    # sine parts over lambda
+    column: np.ndarray               # column of x and u for each eigenvalue
 
     def pairs(self, idx: np.ndarray) -> tuple:
         """(x, y, A_cos x, A_sin y) for the eigenvalues idx."""
-        x = self.x[:, self.column[idx]]
-        if self.y is not None:
-            y = self.y[:, idx]
-            return x, y, self.a_cos @ x, self.a_sin @ y
-        lam, u = self.eigenvalues[idx], self.u[:, self.column[idx]]
+        lam = self.eigenvalues[idx]
+        x, u = self.x[:, self.column[idx]], self.u[:, self.column[idx]]
         return x, lam * u, self.a_cos @ x, lam * (self.a_sin @ u)
 
 
@@ -332,7 +327,7 @@ def _odd_factor(eig: SymmetricSpectrum, weights: np.ndarray):
     """(R, w_+, V_0): W A_sin W = R R^T with R = W V_+ diag(sqrt(w_+)) over
     the odd eigenpairs above the zero tolerance, V_0 the kernel that R
     deflates; None when the odd block has a negative eigenvalue."""
-    w, v = eig.values[1], eig.vectors[1]
+    w, v = eig.values[1], eig.odd_vectors
     if np.any(w < -eig.zero_tol):
         return None
     kept = w > eig.zero_tol
@@ -398,13 +393,14 @@ def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
     order = _sorted(eigs)
     return HamiltonianEigensystem(
         eigenvalues=eigs[order], a_cos=a_cos, a_sin=a_sin, weights=weights,
-        scale=scale, zero_floor=zero_floor, x=x, column=column[order], u=u)
+        scale=scale, zero_floor=zero_floor, x=x, u=u, column=column[order])
 
 
 def _full_order(a_cos: np.ndarray, a_sin: np.ndarray, weights: np.ndarray,
                 zero_floor: float) -> HamiltonianEigensystem:
     """The eigensystem from one eig of the full-order restricted D A, whose
-    rows and columns interleave the (cos, sin) pairs."""
+    rows and columns interleave the (cos, sin) pairs; the sine rows are
+    divided by lambda in place."""
     da = np.zeros((2 * weights.size, 2 * weights.size))
     da[0::2, 1::2] = -weights[:, None] * a_sin
     da[1::2, 0::2] = weights[:, None] * a_cos
@@ -413,10 +409,11 @@ def _full_order(a_cos: np.ndarray, a_sin: np.ndarray, weights: np.ndarray,
     eigs = _unresolved_on_imaginary_axis(eigs, scale, zero_floor)
     order = _sorted(eigs)
     eigs, v = eigs[order], v[:, order]
+    v[1::2] /= np.where(eigs != 0, eigs, 1)
     return HamiltonianEigensystem(
         eigenvalues=eigs, a_cos=a_cos, a_sin=a_sin, weights=weights,
-        scale=scale, zero_floor=zero_floor, x=v[0::2],
-        column=np.arange(eigs.size), y=v[1::2])
+        scale=scale, zero_floor=zero_floor, x=v[0::2], u=v[1::2],
+        column=np.arange(eigs.size))
 
 
 def eigenpair_residual(ham: HamiltonianEigensystem,
@@ -487,56 +484,33 @@ def _cluster_indices(values: np.ndarray, gap: float) -> list:
                     np.nonzero(np.diff(values) > gap)[0] + 1)
 
 
-def _complex_forms(ham: HamiltonianEigensystem, upper: np.ndarray,
-                   clusters: list) -> np.ndarray:
+def _krein_forms(ham: HamiltonianEigensystem, upper: np.ndarray,
+                 clusters: list) -> np.ndarray:
     """Krein form values of the eigenvalues upper, grouped into clusters
-    of positions in upper, from complex eigenvectors: <A v, v> / <v, v>
-    for a singleton, the eigenvalues of the Hermitian Gram pencil on the
-    cluster's span otherwise, ascending within each cluster."""
-    x, y, ax, ay = ham.pairs(upper)
-    out = np.empty(upper.size)
-    for cluster in clusters:
-        if cluster.size == 1:
-            j = cluster[0]
-            denom = float(np.real(np.vdot(x[:, j], x[:, j])
-                                  + np.vdot(y[:, j], y[:, j])))
-            form = np.vdot(x[:, j], ax[:, j]) + np.vdot(y[:, j], ay[:, j])
-            out[j] = float(np.real(form)) / denom
-        else:
-            xc, yc = x[:, cluster], y[:, cluster]
-            g = xc.conj().T @ ax[:, cluster] + yc.conj().T @ ay[:, cluster]
-            g = 0.5 * (g + g.conj().T)
-            gram = xc.conj().T @ xc + yc.conj().T @ yc
-            out[cluster] = np.sort(scipy.linalg.eigh(
-                g, 0.5 * (gram + gram.conj().T), eigvals_only=True))
-    return out
-
-
-def _real_forms(ham: HamiltonianEigensystem, upper: np.ndarray,
-                clusters: list) -> np.ndarray:
-    """The same on the symmetric route, in real arithmetic.  The
-    eigenvector of lambda = i omega is (x, i omega u) with x and u real,
-    so <A v, v> / <v, v> = (x.A_cos x + omega^2 u.A_sin u) /
-    (|x|^2 + omega^2 |u|^2), and the Gram pencil of a cluster is real
-    symmetric in the columns (x, omega u).  Singletons are evaluated
-    _COLUMN_BLOCK columns at a time."""
-    omega, cols = ham.eigenvalues.imag[upper], ham.column[upper]
+    of positions in upper.  The eigenvector of lambda is (x, lambda u), so
+    a singleton's <A v, v> / <v, v> is (x^H A_cos x + |lambda|^2 u^H A_sin
+    u) / (|x|^2 + |lambda|^2 |u|^2), evaluated _COLUMN_BLOCK columns at a
+    time; a cluster takes the eigenvalues of the Hermitian Gram pencil on
+    its span, ascending.  On the symmetric route x and u are real, and so
+    is the arithmetic of the singletons."""
+    lam2, cols = np.abs(ham.eigenvalues[upper]) ** 2, ham.column[upper]
     out = np.empty(upper.size)
     single = np.array([c[0] for c in clusters if c.size == 1], dtype=int)
     for start in range(0, single.size, _COLUMN_BLOCK):
         j = single[start:start + _COLUMN_BLOCK]
-        x, u, w2 = ham.x[:, cols[j]], ham.u[:, cols[j]], omega[j] ** 2
-        form = np.sum(x * (ham.a_cos @ x), axis=0) \
-            + w2 * np.sum(u * (ham.a_sin @ u), axis=0)
-        out[j] = form / (np.sum(x * x, axis=0) + w2 * np.sum(u * u, axis=0))
+        x, u, w2 = ham.x[:, cols[j]], ham.u[:, cols[j]], lam2[j]
+        form = np.sum(x.conj() * (ham.a_cos @ x), axis=0).real \
+            + w2 * np.sum(u.conj() * (ham.a_sin @ u), axis=0).real
+        out[j] = form / (np.sum(x.conj() * x, axis=0).real
+                         + w2 * np.sum(u.conj() * u, axis=0).real)
     for cluster in clusters:
         if cluster.size > 1:
-            x = ham.x[:, cols[cluster]]
-            u = ham.u[:, cols[cluster]] * omega[cluster]
-            g = x.T @ (ham.a_cos @ x) + u.T @ (ham.a_sin @ u)
-            gram = x.T @ x + u.T @ u
+            x, y, ax, ay = ham.pairs(upper[cluster])
+            g = x.conj().T @ ax + y.conj().T @ ay
+            gram = x.conj().T @ x + y.conj().T @ y
             out[cluster] = scipy.linalg.eigh(
-                0.5 * (g + g.T), 0.5 * (gram + gram.T), eigvals_only=True)
+                0.5 * (g + g.conj().T), 0.5 * (gram + gram.conj().T),
+                eigvals_only=True)
     return out
 
 
@@ -591,8 +565,7 @@ def classify_krein(ham: HamiltonianEigensystem) -> KreinClassification:
     neg_total = 0
     if upper.size:
         clusters = _cluster_indices(im[upper], max(im_tol, 1e-9 * scale))
-        krein_forms = _real_forms if ham.u is not None else _complex_forms
-        for idx, val in zip(upper, krein_forms(ham, upper, clusters)):
+        for idx, val in zip(upper, _krein_forms(ham, upper, clusters)):
             forms[idx] = val
             if val < -sig_tol:
                 classes[idx] = CLASS_IMAG_NEG

@@ -50,7 +50,8 @@ def make_grid(n: int, half_length: float) -> SpectralGrid:
     """Build the collocation grid x_j = -l + j*h with h = 2l/n.
 
     n must be even (the transforms assume a paired +/- mode layout plus
-    one unpaired Nyquist mode) and at least 8; half_length must be > 0.
+    one unpaired Nyquist mode) and at least 8; half_length must be > 0
+    and small enough that the spacing is finite.
     """
     if n != int(n) or n % 2 != 0 or n < 8:
         raise ValueError(f"grid size must be an even integer >= 8, got {n}")
@@ -59,6 +60,8 @@ def make_grid(n: int, half_length: float) -> SpectralGrid:
     n = int(n)
     half_length = float(half_length)
     spacing = 2.0 * half_length / n
+    if not np.isfinite(spacing):
+        raise ValueError(f"half_length must be finite, got {half_length}")
     nodes = -half_length + spacing * np.arange(n)
     wavenumbers = np.fft.fftfreq(n, d=spacing)
     return SpectralGrid(n=n, half_length=half_length, spacing=spacing,

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, ModelMismatchError
-from .io_utils import atomic_write_text, format_float
+from .io_utils import atomic_write_text, write_csv
 from .spectral import (RealField, SpectralGrid, apply_multiplier,
                        fractional_derivative_multiplier, fractional_symbol,
                        inner_product)
@@ -56,9 +56,9 @@ class Model:
     reference_sign_raises: bool  # a slope-sign clash with the reference raises
 
     def check_speed(self, c: float) -> None:
-        if not c > self.speed_floor:
-            raise ValueError(
-                f"{self.name} waves need c > {self.speed_floor:g}, got {c}")
+        if not self.speed_floor < c < math.inf:
+            raise ValueError(f"{self.name} waves need a finite "
+                             f"c > {self.speed_floor:g}, got {c}")
 
 
 MODELS = {
@@ -101,6 +101,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.tol is not None and not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.tol is not None and not self.tol < math.inf:
+            raise ValueError(f"tol must be finite, got {self.tol}")
 
     def resolve(self, s: float, p: float) -> "SolverOptions":
         """tol resolved for s; ValueError unless (p+1)/p lies in (1, 3)."""
@@ -349,10 +351,8 @@ def squared_norm(profile: WaveProfile) -> float:
 def save_profile(profile: WaveProfile, csv_path) -> tuple:
     """Write (x, U) CSV plus a JSON metadata sidecar next to it."""
     csv_path = str(csv_path)
-    lines = ["x,U"]
-    for x, u in zip(profile.grid.nodes, profile.values):
-        lines.append(f"{format_float(x)},{format_float(u)}")
-    atomic_write_text(csv_path, "\n".join(lines) + "\n")
+    write_csv(csv_path, ["x", "U"],
+              zip(profile.grid.nodes.tolist(), profile.values.tolist()))
     json_path = csv_path[:-4] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
     atomic_write_text(json_path, json.dumps(profile.metadata(), indent=2) + "\n")
     return csv_path, json_path

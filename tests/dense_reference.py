@@ -3,13 +3,16 @@
 The real-Fourier basis as an n x n matrix of samples, an operator
 assembled as h phi^T (V phi) plus its multiplier diagonal, congruences by
 an even multiplier on the full matrix, one full-order eigh, the
-constrained quantity from each block's eigenvectors, and the
-full-order restricted D A and J S formed from the dense entries.  Dense
+constrained quantity from each block's eigenvectors, the
+full-order restricted D A and J S formed from the dense entries, and the
+Krein forms in complex arithmetic on whole eigenvectors.  Dense
 matrices are plain arrays in the interleaved basis order of operators;
 split_parity turns one into the ParityBlocks the package works on, and
 from_coords is the inverse of operators.to_coords.  All of them cost
 O(n^3) or O(n^2) memory and run in the tests only.
 """
+
+from unittest import mock
 
 import numpy as np
 import scipy.linalg
@@ -129,6 +132,40 @@ def dense_restricted_product(a: np.ndarray, grid,
 
 def dense_hamiltonian_eigenvalues(a: np.ndarray, grid) -> np.ndarray:
     return scipy.linalg.eigvals(dense_restricted_product(a, grid))
+
+
+def complex_krein_forms(ham: spc.HamiltonianEigensystem, upper: np.ndarray,
+                        clusters: list) -> np.ndarray:
+    """spectra._krein_forms from the complex eigenvectors (x, y = lambda u):
+    (vdot(x, A_cos x) + vdot(y, A_sin y)) / (|x|^2 + |y|^2) for a
+    singleton, the eigenvalues of the Hermitian Gram pencil on the
+    cluster's span otherwise, ascending within each cluster."""
+    cols = ham.column[upper]
+    x = ham.x[:, cols].astype(complex)
+    y = ham.eigenvalues[upper] * ham.u[:, cols]
+    ax, ay = ham.a_cos @ x, ham.a_sin @ y
+    out = np.empty(upper.size)
+    for cluster in clusters:
+        if cluster.size == 1:
+            j = cluster[0]
+            denom = float(np.real(np.vdot(x[:, j], x[:, j])
+                                  + np.vdot(y[:, j], y[:, j])))
+            form = np.vdot(x[:, j], ax[:, j]) + np.vdot(y[:, j], ay[:, j])
+            out[j] = float(np.real(form)) / denom
+        else:
+            xc, yc = x[:, cluster], y[:, cluster]
+            g = xc.conj().T @ ax[:, cluster] + yc.conj().T @ ay[:, cluster]
+            gram = xc.conj().T @ xc + yc.conj().T @ yc
+            out[cluster] = np.sort(scipy.linalg.eigh(
+                0.5 * (g + g.conj().T), 0.5 * (gram + gram.conj().T),
+                eigvals_only=True))
+    return out
+
+
+def reference_classification(ham: spc.HamiltonianEigensystem):
+    """classify_krein with its forms from complex_krein_forms."""
+    with mock.patch.object(spc, "_krein_forms", complex_krein_forms):
+        return spc.classify_krein(ham)
 
 
 def dense_sandwich_hamiltonian_eigenvalues(s: np.ndarray, grid) -> np.ndarray:

@@ -34,13 +34,25 @@ class TestSolveWave:
         ("--n", "513", "grid size must be an even integer >= 8, got 513"),
         ("--half-length", "-3", "half_length must be positive, got -3.0"),
         ("--tol", "-1", "tol must be positive, got -1.0"),
-    ], ids=["n", "half-length", "tol"])
+        ("--half-length", "inf", "half_length must be finite, got inf"),
+        ("--half-length", "1e308", "half_length must be finite, got 1e+308"),
+        ("--tol", "inf", "tol must be finite, got inf"),
+    ], ids=["n", "half-length", "tol", "half-length-inf", "spacing-overflow",
+            "tol-inf"])
     def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, flag,
                                               value, message):
         code = run(["solve-wave", "--model", "fkdv", "--s", "2", "--p", "2",
                     flag, value, "--out", str(tmp_path)])
         assert code == 64
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "wave.csv").exists()
+
+    def test_infinite_speed_exits_1(self, tmp_path, capsys):
+        # like c = 0, a speed outside the model's range fails the solve
+        code = run(["solve-wave", "--model", "fkdv", "--s", "2", "--p", "2",
+                    "--c", "inf", "--out", str(tmp_path)])
+        assert code == 1
+        assert "need a finite c > 0, got inf" in capsys.readouterr().err
         assert not (tmp_path / "wave.csv").exists()
 
     def test_p_below_half_exits_1(self, tmp_path, capsys):

@@ -30,7 +30,7 @@ from dense_reference import (dense_congruence, dense_hamiltonian_eigenvalues,
                              dense_inertia, dense_matrix,
                              dense_sandwich_hamiltonian_eigenvalues,
                              eigenvector_pseudo_quadratic, interleave,
-                             split_parity)
+                             reference_classification, split_parity)
 
 REGRESSION_CASES = [(wv.FKDV, 2.0, 2.0, 1.0), (wv.FKDV, 2.0, 5.0, 1.0),
                     (wv.FBBM, 2.0, 2.0, 2.0)]
@@ -92,7 +92,7 @@ class TestAgainstDensePath:
     def test_hamiltonian_spectrum_and_classes(self, small_pipeline):
         model, data = small_pipeline
         ham, cls = data.eigensystem, data.classification
-        assert ham.y is None
+        assert not np.iscomplexobj(ham.x)
         reference = dense_factor(model, data)
         dense = spc._full_order(
             *spc._factor(split_parity(reference, data.grid)), ham.zero_floor)
@@ -167,12 +167,17 @@ def spied_pipeline(request):
 
 
 def complex_reference(ham: spc.HamiltonianEigensystem):
-    """The symmetric-route eigensystem as the full-order solve holds it,
-    complex (x, y = lambda u) per eigenvalue, so that classify_krein
-    takes its complex path."""
-    return dataclasses.replace(
-        ham, x=ham.x[:, ham.column], y=ham.eigenvalues * ham.u[:, ham.column],
-        u=None, column=np.arange(ham.eigenvalues.size))
+    """A complex copy of the eigensystem in the same layout, each column of
+    x and u turned by its own phase, so that classify_krein evaluates the
+    same forms in complex arithmetic."""
+    phase = np.exp(1j * np.linspace(0.1, 3.0, ham.x.shape[1]))
+    return dataclasses.replace(ham, x=ham.x * phase, u=ham.u * phase)
+
+
+def full_order(P: op.ParityBlocks, zero_floor: float):
+    """The eigensystem of P from the full-order solve, whatever the
+    symmetric route would do."""
+    return spc._full_order(*spc._factor(P), zero_floor)
 
 
 def assert_same_classification(cls, ref) -> None:
@@ -227,18 +232,20 @@ class TestRealKreinForms:
     def test_match_the_complex_forms(self, spied_pipeline):
         _, data, _ = spied_pipeline
         ham = data.eigensystem
-        assert ham.u is not None
-        assert_same_classification(data.classification,
-                                   spc.classify_krein(complex_reference(ham)))
+        assert not np.iscomplexobj(ham.x)
+        for ref in (spc.classify_krein(complex_reference(ham)),
+                    reference_classification(ham)):
+            assert_same_classification(data.classification, ref)
 
     def test_cluster_of_a_repeated_eigenvalue(self):
         ham = eigensystem(repeated_imaginary_pair(), 1e-3)
-        assert ham.u is not None
+        assert not np.iscomplexobj(ham.x)
         double = np.abs(ham.eigenvalues - np.sqrt(2.0) * 1j) <= 1e-12
         assert np.count_nonzero(double) == 2
         cls = spc.classify_krein(ham)
-        assert_same_classification(cls,
-                                   spc.classify_krein(complex_reference(ham)))
+        for ref in (spc.classify_krein(complex_reference(ham)),
+                    reference_classification(ham)):
+            assert_same_classification(cls, ref)
         assert cls.classes.count(spc.CLASS_IMAG_POS) == 14
 
     def test_no_square_temporaries(self, q22):
@@ -248,7 +255,7 @@ class TestRealKreinForms:
         L = op.kdv_linearization(wv.kdv_wave(q22, 1.0))
         floor = spc.gkernel_floor(q22.grid, L.multiplier_symbol)
         ham = eigensystem(op.assemble(L), spc.GKERNEL_FRACTION * floor)
-        assert ham.u is not None and q22.grid.n == 1024
+        assert not np.iscomplexobj(ham.x) and q22.grid.n == 1024
         tracemalloc.start()
         try:
             spc.classify_krein(ham)
@@ -256,6 +263,84 @@ class TestRealKreinForms:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * ham.x.nbytes
+
+
+def positive_operator() -> op.ParityBlocks:
+    """|2 pi xi|^2 + 1 on 256 points: every eigenvalue of D A imaginary."""
+    grid = sp.make_grid(256, 30.0)
+    sym = np.abs(2 * np.pi * grid.wavenumbers) ** 2 + 1.0
+    return op.assemble(op.LinOperator(grid, sym, np.zeros(grid.n),
+                                      label="positive", kind="custom"))
+
+
+def pair_blocks(cos_diag: list, sin_block) -> tuple:
+    """(a, grid): the identity on 8 points with the given diagonal on the
+    cosines and the given block on the sines."""
+    grid = sp.make_grid(8, 2.0)
+    a = np.eye(8)
+    a[np.ix_([1, 3, 5], [1, 3, 5])] = np.diag(cos_diag)
+    a[np.ix_([2, 4, 6], [2, 4, 6])] = sin_block
+    return a, grid
+
+
+# A_sin = diag(-1, 1, 1) has no square root: lambda = +-w1 is real and the
+# other roots are imaginary, all on the axes
+INDEFINITE_ODD_BLOCK = ([1.0, 2.0, 3.0], np.diag([-1.0, 1.0, 1.0]))
+# A_cos = diag(1, -1, 2) and A_sin coupling the first two sines
+# (indefinite, so the full order is solved): -(W A_sin)(W A_cos) has the
+# roots +-i w1 w2, a complex quadruple
+NON_REAL_ROOT = ([1.0, -1.0, 2.0], [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+
+FULL_ORDER_CASES = {
+    "positive": positive_operator,
+    "indefinite-odd-block": lambda: split_parity(
+        *pair_blocks(*INDEFINITE_ODD_BLOCK)),
+    "non-real-root": lambda: split_parity(*pair_blocks(*NON_REAL_ROOT)),
+    "repeated-pair": repeated_imaginary_pair,
+}
+
+
+class TestFullOrderKreinForms:
+    @pytest.mark.parametrize("case", FULL_ORDER_CASES)
+    def test_small_matrices_match_the_oracle(self, case):
+        ham = full_order(FULL_ORDER_CASES[case](), 1e-3)
+        assert np.iscomplexobj(ham.x)
+        cls = spc.classify_krein(ham)
+        assert np.any(np.isfinite(cls.form_values))
+        assert_same_classification(cls, reference_classification(ham))
+
+    def test_repeated_pair_at_full_order(self):
+        ham = full_order(repeated_imaginary_pair(), 1e-3)
+        cls = spc.classify_krein(ham)
+        double = np.abs(ham.eigenvalues - np.sqrt(2.0) * 1j) <= 1e-12
+        assert np.count_nonzero(double) == 2
+        assert cls.classes.count(spc.CLASS_IMAG_POS) == 14
+
+    @pytest.mark.parametrize("p", [2.0, 5.0])
+    def test_verdicts_match_the_oracle(self, p):
+        with quiet():
+            data = vd.kdv_verdict(2.0, p, 1.0, SMALL, keep_pipeline=True)
+        ham = full_order(data.matrix, data.eigensystem.zero_floor)
+        cls = spc.classify_krein(ham)
+        assert_same_classification(cls, reference_classification(ham))
+        ref = data.classification
+        assert (cls.k_r, cls.k_c, cls.k_i_minus) == \
+            (ref.k_r, ref.k_c, ref.k_i_minus)
+
+    def test_no_square_temporaries(self, q22):
+        # the forms read x and u _COLUMN_BLOCK columns at a time, so the
+        # traced peak stays below two cosine halves of the eigenvectors
+        L = op.kdv_linearization(wv.kdv_wave(q22, 1.0))
+        floor = spc.gkernel_floor(q22.grid, L.multiplier_symbol)
+        ham = full_order(op.assemble(L), spc.GKERNEL_FRACTION * floor)
+        assert np.iscomplexobj(ham.x) and q22.grid.n == 1024
+        tracemalloc.start()
+        try:
+            spc.classify_krein(ham)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * ham.x.nbytes
 
 
 class TestParityGuard:
@@ -289,10 +374,16 @@ class TestPseudoSolve:
         with pytest.raises(FredholmViolationError):
             spc._pseudo_solve_quadratic(eig, parity_rhs(rhs), "diag")
 
-    def test_eigenvalues_only_spectrum_rejected(self):
-        eig = spc.symmetric_eigenvalues(diagonal_on_grid(np.ones(8)))
-        with pytest.raises(ValueError, match="needs eigenvectors"):
-            spc._pseudo_solve_quadratic(eig, parity_rhs(np.ones(8)), "diag")
+    def test_eigenvalues_only_spectrum_gives_the_same_d(self, small_pipeline):
+        # the odd block of an eigenvalues-only spectrum takes the
+        # solve-or-eigenpairs rule of the even block
+        model, data = small_pipeline
+        rhs = constrained_rhs(model, data)
+        bare = spc.symmetric_eigenvalues(data.matrix)
+        assert bare.odd_vectors is None
+        with quiet():
+            d = spc._pseudo_solve_quadratic(bare, rhs, data.matrix.label)
+        assert d == pytest.approx(data.result.d, rel=1e-10, abs=0.0)
 
     def test_near_singular_warning_needs_a_reached_direction(self):
         # first cosine (index 1) kept but near-singular: 5e-8 against the
@@ -321,42 +412,29 @@ class TestPseudoSolve:
 
 
 class TestFallbackSelection:
-    def test_squaring_noise_against_the_zero_floor(self, grid_small):
-        sym = np.abs(2 * np.pi * grid_small.wavenumbers) ** 2 + 1.0
-        A = op.assemble(op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
-                                       label="positive", kind="custom"))
+    def test_squaring_noise_against_the_zero_floor(self):
+        A = positive_operator()
         noise = np.sqrt(np.finfo(float).eps) * eigensystem(A, 0.0).scale
         kept = eigensystem(A, 20.0 * noise)
         full = eigensystem(A, 5.0 * noise)
-        assert kept.y is None and full.y is not None
-        assert eigensystem(A, 0.0).y is not None
+        assert not np.iscomplexobj(kept.x) and np.iscomplexobj(full.x)
+        assert np.iscomplexobj(eigensystem(A, 0.0).x)
         assert nearest_distance(kept.eigenvalues, full.eigenvalues) \
             <= 1e-9 * full.scale
 
     def test_indefinite_odd_block_takes_the_full_order(self):
-        # A_sin = diag(-1, 1, 1) has no square root: lambda = +-w1 is real
-        # and the other roots are imaginary, all on the axes
-        grid = sp.make_grid(8, 2.0)
-        a = np.eye(8)
-        a[np.ix_([1, 3, 5], [1, 3, 5])] = np.diag([1.0, 2.0, 3.0])
-        a[np.ix_([2, 4, 6], [2, 4, 6])] = np.diag([-1.0, 1.0, 1.0])
+        a, grid = pair_blocks(*INDEFINITE_ODD_BLOCK)
         ham = eigensystem(split_parity(a, grid), 1e-3)
-        assert ham.y is not None
+        assert np.iscomplexobj(ham.x)
         dense = dense_hamiltonian_eigenvalues(a, grid)
         assert nearest_distance(ham.eigenvalues, dense) <= 1e-12
         cls = spc.classify_krein(ham)
         assert (cls.k_r, cls.k_c, cls.k_i_minus) == (1, 0, 0)
 
     def test_non_real_root_outside_the_zero_bucket(self):
-        # A_cos = diag(1, -1, 2) and A_sin coupling the first two sines
-        # (indefinite, so the full order is solved): -(W A_sin)(W A_cos)
-        # has the roots +-i w1 w2, a complex quadruple
-        grid = sp.make_grid(8, 2.0)
-        a = np.eye(8)
-        a[np.ix_([1, 3, 5], [1, 3, 5])] = np.diag([1.0, -1.0, 2.0])
-        a[np.ix_([2, 4, 6], [2, 4, 6])] = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+        a, grid = pair_blocks(*NON_REAL_ROOT)
         ham = eigensystem(split_parity(a, grid), 1e-3)
-        assert ham.y is not None
+        assert np.iscomplexobj(ham.x)
         dense = dense_hamiltonian_eigenvalues(a, grid)
         assert nearest_distance(ham.eigenvalues, dense) <= 1e-12
         assert spc.classify_krein(ham).k_c == 2
