@@ -4,7 +4,8 @@ operator assembly, Krein-signature spectra, and index-vs-spectrum verdicts."""
 
 from .errors import (ConvergenceError, FredholmViolationError,
                      GridMismatchError, ModelMismatchError,
-                     NonIntegrableInputError, TheoryConsistencyError)
+                     NonIntegrableInputError, TheoryConsistencyError,
+                     UnresolvedEigenvalueError)
 from .spectral import (Multiplier, RealField, SpectralGrid,
                        antiderivative_multiplier, apply_multiplier,
                        derivative_multiplier, fourier_pairing,

@@ -31,3 +31,8 @@ class TheoryConsistencyError(RuntimeError):
     This signals a numerics bug, not a property of the wave: the count
     identity holds whenever the pipeline is computing what it claims to.
     """
+
+
+class UnresolvedEigenvalueError(ValueError):
+    """A Hamiltonian eigenvalue lies too close to a classification threshold
+    for the eigensolver's accuracy to decide its class."""

@@ -17,14 +17,16 @@ derived from them.  They feed three kinds of quantities:
 
 In the real-Fourier basis the restricted derivative is block diagonal
 with 2x2 rotation blocks 2*pi*xi_k [[0, -1], [1, 0]] on each (cos, sin)
-pair, so it maps the cosines to the sines.  A Hamiltonian spectrum comes
-from one of two routes.  When the odd block is positive semidefinite, as
-it is for every ground state, lambda^2 = -nu for the eigenvalues nu of a
-symmetric matrix of order n/2-1 minus the odd kernel, built on the odd
-block's eigenpairs; otherwise, or when squaring would cost too much
-accuracy, from the full-order restricted D A.  J S, with unit weights,
-takes the same routes.  Both routes hold an eigenvector of lambda as
-(x, lambda u), so one evaluator gives every Krein form.
+pair, so it maps the cosines to the sines.  A Hamiltonian spectrum has one
+route: the odd block is positive semidefinite, as it is for every ground
+state, so lambda^2 = -nu for the eigenvalues nu of one symmetric matrix
+of order n/2-1 minus the odd kernel, built on the odd block's eigenpairs.
+An indefinite odd block raises TheoryConsistencyError.  nu carries an
+absolute error of about one noise unit eps max|nu|; a nu within
+NOISE_BAND units of a threshold that decides its class raises
+UnresolvedEigenvalueError.  J S, with unit weights, takes the same route.
+An eigenvector of lambda is held as the real pair (x, u) of (x, lambda
+u), so one evaluator gives every Krein form in real arithmetic.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import FredholmViolationError
+from .errors import (FredholmViolationError, TheoryConsistencyError,
+                     UnresolvedEigenvalueError)
 from .operators import ParityBlocks, pair_frequencies, to_coords
 from .spectral import (TWO_PI, Multiplier, RealField, SpectralGrid,
                        antiderivative_multiplier, apply_multiplier,
@@ -58,6 +61,13 @@ SIG_TOL_REL = 1e-8
 # detached zero group of the borderline p = 2s families (a released pair
 # sits at ~0.6x the first mode) while the regular ladder starts at >= 1x.
 GKERNEL_FRACTION = 0.75
+
+# half-width, in noise units eps max|nu|, of the band around the
+# thresholds +-zero_floor^2 in which a Hamiltonian nu = -lambda^2 is refused.
+# Against the full-order eigenvalues at s = 2, the error of nu is at most
+# 1.1 units where |nu| <= 1e-4 max|nu| (grids (1024, 10) to (2048, 80)),
+# and the nu nearest a threshold lies 12.6 units out at (4096, 80), p = 2.
+NOISE_BAND = 10.0
 
 # edge fraction used to pin the antiderivative to its decaying branch
 ANCHOR_FRACTION = 0.02
@@ -273,10 +283,9 @@ class HamiltonianEigensystem:
     """Spectrum of the restricted D A, each eigenvector held as its cosine
     coordinates x and its sine coordinates y = lambda u: D A v = lambda v
     reads -W A_sin y = lambda x and W A_cos x = lambda y.  Eigenvalue i
-    reads the columns column[i] of x and u.  The symmetric route keeps one
-    real pair per lambda^2, shared by +-lambda, with a zero column for the
-    kernel pair; the full-order solve keeps one complex pair per
-    eigenvalue, its u unread where lambda = 0 (the zero bucket)."""
+    reads the columns column[i] of x and u, both real: one pair per
+    lambda^2 = -nu, shared by +-lambda, and a zero column for the kernel
+    pair.  Every lambda is real or imaginary."""
     eigenvalues: np.ndarray          # complex, length n-2, sorted by (imag, real)
     a_cos: np.ndarray                # cosine block of the restricted factor
     a_sin: np.ndarray                # sine block of the restricted factor
@@ -288,8 +297,10 @@ class HamiltonianEigensystem:
     column: np.ndarray               # column of x and u for each eigenvalue
 
     def pairs(self, idx: np.ndarray) -> tuple:
-        """(x, y, A_cos x, A_sin y) for the eigenvalues idx."""
-        lam = self.eigenvalues[idx]
+        """(x, |lambda| u, A_cos x, |lambda| A_sin u) for the eigenvalues
+        idx: the eigenvector (x, lambda u) with the phase lambda / |lambda|
+        taken off its sine part, so that every entry is real."""
+        lam = np.abs(self.eigenvalues[idx])
         x, u = self.x[:, self.column[idx]], self.u[:, self.column[idx]]
         return x, lam * u, self.a_cos @ x, lam * (self.a_sin @ u)
 
@@ -304,32 +315,19 @@ def _sorted(eigs: np.ndarray) -> np.ndarray:
     return np.lexsort((eigs.real, eigs.imag))
 
 
-def _unresolved_on_imaginary_axis(eigs: np.ndarray, scale: float,
-                                  zero_floor: float) -> np.ndarray:
-    """eigs with each one in the zero bucket and below the squaring noise
-    sqrt(eps) * scale moved onto the imaginary axis, i |lambda| times the
-    sign of its imaginary part, or of its real part when that is zero.
-
-    A generalized-kernel pair splits by about that noise in either solve,
-    and whether it comes out real or imaginary is a rounding error that
-    flips with the BLAS thread count; both solves report it the same way.
-    """
-    noise = float(np.sqrt(np.finfo(float).eps)) * scale
-    moved = np.abs(eigs) <= min(noise, zero_floor)
-    side = np.where(eigs.imag != 0.0, np.sign(eigs.imag), np.sign(eigs.real))
-    eigs = eigs.copy()
-    eigs.imag[moved] = side[moved] * np.abs(eigs[moved])
-    eigs.real[moved] = 0.0
-    return eigs
-
-
-def _odd_factor(eig: SymmetricSpectrum, weights: np.ndarray):
+def _odd_factor(eig: SymmetricSpectrum, weights: np.ndarray,
+                label: str) -> tuple:
     """(R, w_+, V_0): W A_sin W = R R^T with R = W V_+ diag(sqrt(w_+)) over
     the odd eigenpairs above the zero tolerance, V_0 the kernel that R
-    deflates; None when the odd block has a negative eigenvalue."""
+    deflates.  A ground state's odd block, and every even congruence of
+    it, is positive semidefinite with the kernel Q' (Frank and Lenzmann,
+    Acta Math. 210, 2013): a negative eigenvalue there is a theory failure.
+    """
     w, v = eig.values[1], eig.odd_vectors
     if np.any(w < -eig.zero_tol):
-        return None
+        raise TheoryConsistencyError(
+            f"the odd block of {label!r} has the eigenvalue {w[0]:.3e} below "
+            f"-zero_tol = {-eig.zero_tol:.3e}: it is not positive semidefinite")
     kept = w > eig.zero_tol
     r = v[:, kept] * weights[:, None]
     r *= np.sqrt(w[kept])
@@ -354,22 +352,30 @@ def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
     lambda x, u = -A_sin^+ W^-1 x plus the kernel share that W A_cos x =
     lambda y fixes (dividing W A_cos x by lambda would amplify the error
     of x by scale / |lambda|).  Real roots are refined by the two-sided
-    Rayleigh quotient.  nu carries about eps scale^2 of absolute error,
-    lambda sqrt(eps) scale: the full-order D A is solved instead when ten
-    times that exceeds zero_floor or the odd block is indefinite.  A
-    zero-bucket eigenvalue below that noise goes on the imaginary axis."""
+    Rayleigh quotient.
+
+    nu carries an absolute error of about one noise unit eps max|nu|, so
+    lambda about eps max|nu| / |lambda|.  A nu within NOISE_BAND units of
+    +-zero_floor^2, where its class would change, raises
+    UnresolvedEigenvalueError; a zero-bucket nu below one unit goes on the
+    imaginary axis.  An indefinite odd block raises
+    TheoryConsistencyError."""
     a_cos, a_sin, weights = _factor(P)
-    factor = _odd_factor(eig, weights)
-    if factor is None:
-        return _full_order(a_cos, a_sin, weights, zero_floor)
-    r, w, kernel = factor
+    r, w, kernel = _odd_factor(eig, weights, P.label)
     # divide and conquer: faster than the default here, for an n^2 workspace
     nu, z = scipy.linalg.eigh(r.T @ (a_cos @ r), overwrite_a=True,
                               check_finite=False, driver="evd")
-    scale = float(np.sqrt(np.max(np.abs(nu), initial=0.0)))
-    if 10.0 * float(np.sqrt(np.finfo(float).eps)) * scale > zero_floor:
-        del r, z  # free the symmetric route's matrices first
-        return _full_order(a_cos, a_sin, weights, zero_floor)
+    top = float(np.max(np.abs(nu), initial=0.0))
+    noise, scale = float(np.finfo(float).eps) * top, float(np.sqrt(top))
+    # the distance to the nearer of +-zero_floor^2; where the zero bucket is
+    # narrower than the band, the band also covers the threshold 0
+    gap = np.abs(np.abs(nu) - zero_floor ** 2)
+    if np.any(gap <= NOISE_BAND * noise):
+        i = int(np.argmin(gap))
+        raise UnresolvedEigenvalueError(
+            f"{P.label!r}: lambda^2 = {-nu[i]:.6e} lies {gap[i] / noise:.2f} "
+            f"noise units (eps max|nu| = {noise:.2e}) from +-zero_floor^2 = "
+            f"{zero_floor ** 2:.6e}; its class cannot be read on this grid")
     k, t = kernel.shape[1], nu.size
     # one zero column past the last, for the kernel pair
     z = np.hstack([z, np.zeros((t, 1))])
@@ -388,7 +394,11 @@ def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
     ax, au = a_cos @ xr, a_sin @ ur
     nu[real] = -(2.0 * lam * np.sum(ax * weights[:, None] * au, axis=0) / (
         np.sum(xr * ax, axis=0) - lam ** 2 * np.sum(ur * au, axis=0))) ** 2
-    eigs = _unresolved_on_imaginary_axis(_roots(nu, k), scale, zero_floor)
+    # a generalized-kernel pair splits by about one noise unit, to the real
+    # or the imaginary axis by a rounding that changes with the BLAS thread
+    # count: a zero-bucket nu below one unit goes on the imaginary axis
+    nu = np.where(np.abs(nu) <= min(noise, zero_floor ** 2), np.abs(nu), nu)
+    eigs = _roots(nu, k)
     column = np.concatenate([np.arange(t), np.arange(t), np.full(2 * k, t)])
     order = _sorted(eigs)
     return HamiltonianEigensystem(
@@ -396,41 +406,22 @@ def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
         scale=scale, zero_floor=zero_floor, x=x, u=u, column=column[order])
 
 
-def _full_order(a_cos: np.ndarray, a_sin: np.ndarray, weights: np.ndarray,
-                zero_floor: float) -> HamiltonianEigensystem:
-    """The eigensystem from one eig of the full-order restricted D A, whose
-    rows and columns interleave the (cos, sin) pairs; the sine rows are
-    divided by lambda in place."""
-    da = np.zeros((2 * weights.size, 2 * weights.size))
-    da[0::2, 1::2] = -weights[:, None] * a_sin
-    da[1::2, 0::2] = weights[:, None] * a_cos
-    eigs, v = scipy.linalg.eig(da, overwrite_a=True, check_finite=False)
-    scale = float(np.max(np.abs(eigs), initial=0.0))
-    eigs = _unresolved_on_imaginary_axis(eigs, scale, zero_floor)
-    order = _sorted(eigs)
-    eigs, v = eigs[order], v[:, order]
-    v[1::2] /= np.where(eigs != 0, eigs, 1)
-    return HamiltonianEigensystem(
-        eigenvalues=eigs, a_cos=a_cos, a_sin=a_sin, weights=weights,
-        scale=scale, zero_floor=zero_floor, x=v[0::2], u=v[1::2],
-        column=np.arange(eigs.size))
-
-
 def eigenpair_residual(ham: HamiltonianEigensystem,
                        cls: KreinClassification) -> float:
     """max ||D A v - lambda v|| / (scale ||v||) over the eigenvalues
     outside the zero bucket, _COLUMN_BLOCK at a time so that no full-order
-    eigenvector matrix is formed."""
+    eigenvector matrix is formed.  With the real pairs, the residual is
+    (W A_sin y + |lambda| x, W A_cos x - lambda^2 / |lambda| y)."""
     idx = np.nonzero(np.asarray(cls.classes) != CLASS_ZERO)[0]
     w = ham.weights[:, None]
     worst = 0.0
     for start in range(0, idx.size, _COLUMN_BLOCK):
         part = idx[start:start + _COLUMN_BLOCK]
         x, y, ax, ay = ham.pairs(part)
-        lam = ham.eigenvalues[part]
-        res = np.abs(-w * ay - lam * x) ** 2 + np.abs(w * ax - lam * y) ** 2
-        norm = np.abs(x) ** 2 + np.abs(y) ** 2
-        rel = np.sqrt(np.sum(res, axis=0) / np.sum(norm, axis=0))
+        lam = np.abs(ham.eigenvalues[part])
+        turn = np.where(ham.eigenvalues[part].imag == 0.0, lam, -lam)
+        res = (w * ay + lam * x) ** 2 + (w * ax - turn * y) ** 2
+        rel = np.sqrt(np.sum(res, axis=0) / np.sum(x * x + y * y, axis=0))
         worst = max(worst, float(np.max(rel)) / ham.scale)
     return worst
 
@@ -439,14 +430,11 @@ def sandwich_hamiltonian_spectrum(S: ParityBlocks,
                                   eig: SymmetricSpectrum) -> np.ndarray:
     """Eigenvalues of J S on the restricted subspace (the reformulated
     problem: J S is similar to D A through |d|^(1/2)), given the symmetric
-    spectrum eig of S: hamiltonian_eigensystem's two routes with unit
-    weights, eigenvalues only."""
+    spectrum eig of S: hamiltonian_eigensystem's solve with unit weights,
+    eigenvalues only.  An indefinite odd block raises
+    TheoryConsistencyError."""
     a_cos, a_sin, _ = _factor(S)
-    ones = np.ones(a_sin.shape[0])
-    factor = _odd_factor(eig, ones)
-    if factor is None:
-        return _full_order(a_cos, a_sin, ones, 0.0).eigenvalues
-    r, _, kernel = factor
+    r, _, kernel = _odd_factor(eig, np.ones(a_sin.shape[0]), S.label)
     eigs = _roots(scipy.linalg.eigvalsh(r.T @ (a_cos @ r), overwrite_a=True,
                                         check_finite=False), kernel.shape[1])
     return eigs[_sorted(eigs)]
@@ -488,29 +476,26 @@ def _krein_forms(ham: HamiltonianEigensystem, upper: np.ndarray,
                  clusters: list) -> np.ndarray:
     """Krein form values of the eigenvalues upper, grouped into clusters
     of positions in upper.  The eigenvector of lambda is (x, lambda u), so
-    a singleton's <A v, v> / <v, v> is (x^H A_cos x + |lambda|^2 u^H A_sin
+    a singleton's <A v, v> / <v, v> is (x^T A_cos x + |lambda|^2 u^T A_sin
     u) / (|x|^2 + |lambda|^2 |u|^2), evaluated _COLUMN_BLOCK columns at a
-    time; a cluster takes the eigenvalues of the Hermitian Gram pencil on
-    its span, ascending.  On the symmetric route x and u are real, and so
-    is the arithmetic of the singletons."""
+    time; a cluster takes the eigenvalues of the Gram pencil of the real
+    pairs on its span, ascending."""
     lam2, cols = np.abs(ham.eigenvalues[upper]) ** 2, ham.column[upper]
     out = np.empty(upper.size)
     single = np.array([c[0] for c in clusters if c.size == 1], dtype=int)
     for start in range(0, single.size, _COLUMN_BLOCK):
         j = single[start:start + _COLUMN_BLOCK]
         x, u, w2 = ham.x[:, cols[j]], ham.u[:, cols[j]], lam2[j]
-        form = np.sum(x.conj() * (ham.a_cos @ x), axis=0).real \
-            + w2 * np.sum(u.conj() * (ham.a_sin @ u), axis=0).real
-        out[j] = form / (np.sum(x.conj() * x, axis=0).real
-                         + w2 * np.sum(u.conj() * u, axis=0).real)
+        form = np.sum(x * (ham.a_cos @ x), axis=0) \
+            + w2 * np.sum(u * (ham.a_sin @ u), axis=0)
+        out[j] = form / (np.sum(x * x, axis=0) + w2 * np.sum(u * u, axis=0))
     for cluster in clusters:
         if cluster.size > 1:
             x, y, ax, ay = ham.pairs(upper[cluster])
-            g = x.conj().T @ ax + y.conj().T @ ay
-            gram = x.conj().T @ x + y.conj().T @ y
+            g = x.T @ ax + y.T @ ay
+            gram = x.T @ x + y.T @ y
             out[cluster] = scipy.linalg.eigh(
-                0.5 * (g + g.conj().T), 0.5 * (gram + gram.conj().T),
-                eigvals_only=True)
+                0.5 * (g + g.T), 0.5 * (gram + gram.T), eigvals_only=True)
     return out
 
 

@@ -4,8 +4,10 @@ The real-Fourier basis as an n x n matrix of samples, an operator
 assembled as h phi^T (V phi) plus its multiplier diagonal, congruences by
 an even multiplier on the full matrix, one full-order eigh, the
 constrained quantity from each block's eigenvectors, the
-full-order restricted D A and J S formed from the dense entries, and the
-Krein forms in complex arithmetic on whole eigenvectors.  Dense
+full-order restricted D A and J S formed from the dense entries, the
+Hamiltonian eigensystem from one eig of full order (the oracle of the
+symmetric route of spectra), and the Krein forms in complex arithmetic
+on whole eigenvectors.  Dense
 matrices are plain arrays in the interleaved basis order of operators;
 split_parity turns one into the ParityBlocks the package works on, and
 from_coords is the inverse of operators.to_coords.  All of them cost
@@ -132,6 +134,33 @@ def dense_restricted_product(a: np.ndarray, grid,
 
 def dense_hamiltonian_eigenvalues(a: np.ndarray, grid) -> np.ndarray:
     return scipy.linalg.eigvals(dense_restricted_product(a, grid))
+
+
+def full_order(P: op.ParityBlocks,
+               zero_floor: float) -> spc.HamiltonianEigensystem:
+    """The eigensystem of the restricted D A from one eig of full order,
+    in the layout of spectra.HamiltonianEigensystem but complex: one
+    column of x and u per eigenvalue, the sine rows divided by lambda in
+    place (u unread in the zero bucket).  A zero-bucket eigenvalue below
+    sqrt(eps) max|lambda| goes on the imaginary axis, i |lambda| times the
+    sign of its imaginary part, or of its real part when that is zero.
+    Its Krein forms are complex: classify it by reference_classification."""
+    a_cos, a_sin, weights = spc._factor(P)
+    da = dense_restricted_product(P.dense(), P.grid, weights)
+    eigs, v = scipy.linalg.eig(da, overwrite_a=True, check_finite=False)
+    scale = float(np.max(np.abs(eigs), initial=0.0))
+    moved = np.abs(eigs) <= min(np.sqrt(np.finfo(float).eps) * scale,
+                                zero_floor)
+    side = np.where(eigs.imag != 0.0, np.sign(eigs.imag), np.sign(eigs.real))
+    eigs.imag[moved] = side[moved] * np.abs(eigs[moved])
+    eigs.real[moved] = 0.0
+    order = spc._sorted(eigs)
+    eigs, v = eigs[order], v[:, order]
+    v[1::2] /= np.where(eigs != 0, eigs, 1)
+    return spc.HamiltonianEigensystem(
+        eigenvalues=eigs, a_cos=a_cos, a_sin=a_sin, weights=weights,
+        scale=scale, zero_floor=zero_floor, x=v[0::2], u=v[1::2],
+        column=np.arange(eigs.size))
 
 
 def complex_krein_forms(ham: spc.HamiltonianEigensystem, upper: np.ndarray,

@@ -182,6 +182,17 @@ class TestSpectrumCommand:
         classes = [r.split(",")[2] for r in rows]
         assert classes.count("REAL_POS") == 1
 
+    def test_fine_grid_unstable_has_one_real_pos_row(self, tmp_path, capsys):
+        # n = 1024 on a box of 10: the squaring noise against the zero
+        # floor is larger than on the default grid
+        code = run(["spectrum", "--model", "fkdv", "--s", "2", "--p", "5",
+                    "--c", "1", "--n", "1024", "--half-length", "10",
+                    "--out", str(tmp_path)])
+        assert code == 0
+        rows = open(tmp_path / "spectrum.csv").read().strip().split("\n")[1:]
+        classes = [r.split(",")[2] for r in rows]
+        assert classes.count("REAL_POS") == 1
+
     def test_stable_has_no_unstable_rows(self, tmp_path, capsys):
         code = run(["spectrum", "--model", "fkdv", "--s", "2", "--p", "2",
                     "--c", "1", "--n", "512", "--half-length", "30",

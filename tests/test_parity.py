@@ -2,12 +2,14 @@
 
 Every solve of the verdict pipeline runs on the even (cosine) and odd
 (sine) blocks of the symmetric factor.  The full-order solves stay as the
-reference: one eigh of A and one eig of the restricted D A or J S, all in
-dense_reference, and the full-order eig of spectra, which is also the
-Hamiltonian fallback.
+reference, all in dense_reference: one eigh of A, one eig of the
+restricted D A or J S, and the full-order Hamiltonian eigensystem with
+complex Krein forms.  spectra has one Hamiltonian route, lambda^2 = -nu
+from a symmetric solve.  It raises TheoryConsistencyError for an
+indefinite odd block, and UnresolvedEigenvalueError for a nu within
+NOISE_BAND noise units eps max|nu| of a threshold that decides a class.
 """
 
-import dataclasses
 import tracemalloc
 import warnings
 
@@ -22,15 +24,17 @@ from hkindex import spectra as spc
 from hkindex import spectral as sp
 from hkindex import verdicts as vd
 from hkindex import waves as wv
-from hkindex.errors import FredholmViolationError
+from hkindex.errors import (FredholmViolationError, TheoryConsistencyError,
+                            UnresolvedEigenvalueError)
 from hkindex.spectral import TWO_PI
 
 from conftest import diagonal_on_grid, eigensystem, kernel_dim, quiet
 from dense_reference import (dense_congruence, dense_hamiltonian_eigenvalues,
                              dense_inertia, dense_matrix,
                              dense_sandwich_hamiltonian_eigenvalues,
-                             eigenvector_pseudo_quadratic, interleave,
-                             reference_classification, split_parity)
+                             eigenvector_pseudo_quadratic, full_order,
+                             interleave, reference_classification,
+                             split_parity)
 
 REGRESSION_CASES = [(wv.FKDV, 2.0, 2.0, 1.0), (wv.FKDV, 2.0, 5.0, 1.0),
                     (wv.FBBM, 2.0, 2.0, 2.0)]
@@ -41,6 +45,39 @@ def nearest_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Largest distance from a point of either set to the other set."""
     gaps = np.abs(a[:, None] - b[None, :])
     return float(max(gaps.min(axis=1).max(), gaps.min(axis=0).max()))
+
+
+def indefinite_odd_block(P: op.ParityBlocks) -> bool:
+    """The odd block has an eigenvalue below -zero_tol."""
+    eig = spc.symmetric_spectrum(P)
+    return bool(np.any(eig.values[1] < -eig.zero_tol))
+
+
+def assert_matches_oracle(ham, cls, oracle):
+    """The counts and the classes outside the zero bucket of ham and cls
+    equal those of the full-order oracle, classified through
+    reference_classification, and the eigenvalues above 1e-3 scale agree
+    within 1e-9 relative.  Returns the oracle's classification.
+
+    The symmetric route reports the deflated kernel pair at 0, among the
+    real eigenvalues, where the oracle splits it to +-delta i: the ZERO
+    rows may sort elsewhere, so they are counted, and every other row is
+    compared in order."""
+    ref = reference_classification(oracle)
+    classes, ref_classes = np.array(cls.classes), np.array(ref.classes)
+    zero, ref_zero = (classes == spc.CLASS_ZERO,
+                      ref_classes == spc.CLASS_ZERO)
+    assert np.count_nonzero(zero) == np.count_nonzero(ref_zero)
+    assert np.array_equal(classes[~zero], ref_classes[~ref_zero])
+    assert (cls.k_r, cls.k_c, cls.k_i_minus) == \
+        (ref.k_r, ref.k_c, ref.k_i_minus)
+    cut = 1e-3 * oracle.scale
+    got = ham.eigenvalues[np.abs(ham.eigenvalues) > cut]
+    want = oracle.eigenvalues[np.abs(oracle.eigenvalues) > cut]
+    assert got.size == want.size
+    gaps = np.abs(got[:, None] - want[None, :]).min(axis=0)
+    assert np.max(gaps / np.abs(want)) <= 1e-9
+    return ref
 
 
 @pytest.fixture(scope="module", params=REGRESSION_CASES,
@@ -94,21 +131,8 @@ class TestAgainstDensePath:
         ham, cls = data.eigensystem, data.classification
         assert not np.iscomplexobj(ham.x)
         reference = dense_factor(model, data)
-        dense = spc._full_order(
-            *spc._factor(split_parity(reference, data.grid)), ham.zero_floor)
-        dense_cls = spc.classify_krein(dense)
-        # the symmetric route reports the deflated kernel pair at 0, among
-        # the real eigenvalues, where the dense solve splits it to
-        # +-delta i: the ZERO rows may sort elsewhere, so they are counted,
-        # and every other row is compared in order
-        classes = np.array(cls.classes)
-        dense_classes = np.array(dense_cls.classes)
-        zero, dense_zero = (classes == spc.CLASS_ZERO,
-                            dense_classes == spc.CLASS_ZERO)
-        assert np.count_nonzero(zero) == np.count_nonzero(dense_zero)
-        assert np.array_equal(classes[~zero], dense_classes[~dense_zero])
-        assert (cls.k_r, cls.k_c, cls.k_i_minus) == \
-            (dense_cls.k_r, dense_cls.k_c, dense_cls.k_i_minus)
+        dense = full_order(split_parity(reference, data.grid), ham.zero_floor)
+        dense_cls = assert_matches_oracle(ham, cls, dense)
         big = np.abs(dense.eigenvalues) > 1e-3 * dense.scale
         rel = np.abs(ham.eigenvalues[big] - dense.eigenvalues[big]) \
             / np.abs(dense.eigenvalues[big])
@@ -131,8 +155,8 @@ class TestAgainstDensePath:
         with quiet():
             data = vd.kdv_verdict(2.0, 4.1, 1.0, keep_pipeline=True)
         ham, cls = data.eigensystem, data.classification
-        dense = spc._full_order(*spc._factor(data.matrix), ham.zero_floor)
-        dense_cls = spc.classify_krein(dense)
+        dense = full_order(data.matrix, ham.zero_floor)
+        dense_cls = reference_classification(dense)
         got = ham.eigenvalues[np.array(cls.classes) == spc.CLASS_REAL_POS]
         want = dense.eigenvalues[
             np.array(dense_cls.classes) == spc.CLASS_REAL_POS]
@@ -164,20 +188,6 @@ def spied_pipeline(request):
             s, p, c, vd.NumericsConfig(n=512, half_length=half_length),
             keep_pipeline=True)
     return wv.MODELS[model], data, calls
-
-
-def complex_reference(ham: spc.HamiltonianEigensystem):
-    """A complex copy of the eigensystem in the same layout, each column of
-    x and u turned by its own phase, so that classify_krein evaluates the
-    same forms in complex arithmetic."""
-    phase = np.exp(1j * np.linspace(0.1, 3.0, ham.x.shape[1]))
-    return dataclasses.replace(ham, x=ham.x * phase, u=ham.u * phase)
-
-
-def full_order(P: op.ParityBlocks, zero_floor: float):
-    """The eigensystem of P from the full-order solve, whatever the
-    symmetric route would do."""
-    return spc._full_order(*spc._factor(P), zero_floor)
 
 
 def assert_same_classification(cls, ref) -> None:
@@ -233,9 +243,8 @@ class TestRealKreinForms:
         _, data, _ = spied_pipeline
         ham = data.eigensystem
         assert not np.iscomplexobj(ham.x)
-        for ref in (spc.classify_krein(complex_reference(ham)),
-                    reference_classification(ham)):
-            assert_same_classification(data.classification, ref)
+        assert_same_classification(data.classification,
+                                   reference_classification(ham))
 
     def test_cluster_of_a_repeated_eigenvalue(self):
         ham = eigensystem(repeated_imaginary_pair(), 1e-3)
@@ -243,9 +252,7 @@ class TestRealKreinForms:
         double = np.abs(ham.eigenvalues - np.sqrt(2.0) * 1j) <= 1e-12
         assert np.count_nonzero(double) == 2
         cls = spc.classify_krein(ham)
-        for ref in (spc.classify_krein(complex_reference(ham)),
-                    reference_classification(ham)):
-            assert_same_classification(cls, ref)
+        assert_same_classification(cls, reference_classification(ham))
         assert cls.classes.count(spc.CLASS_IMAG_POS) == 14
 
     def test_no_square_temporaries(self, q22):
@@ -287,8 +294,8 @@ def pair_blocks(cos_diag: list, sin_block) -> tuple:
 # other roots are imaginary, all on the axes
 INDEFINITE_ODD_BLOCK = ([1.0, 2.0, 3.0], np.diag([-1.0, 1.0, 1.0]))
 # A_cos = diag(1, -1, 2) and A_sin coupling the first two sines
-# (indefinite, so the full order is solved): -(W A_sin)(W A_cos) has the
-# roots +-i w1 w2, a complex quadruple
+# (indefinite): -(W A_sin)(W A_cos) has the roots +-i w1 w2, a complex
+# quadruple
 NON_REAL_ROOT = ([1.0, -1.0, 2.0], [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
 
 FULL_ORDER_CASES = {
@@ -303,15 +310,23 @@ FULL_ORDER_CASES = {
 class TestFullOrderKreinForms:
     @pytest.mark.parametrize("case", FULL_ORDER_CASES)
     def test_small_matrices_match_the_oracle(self, case):
-        ham = full_order(FULL_ORDER_CASES[case](), 1e-3)
-        assert np.iscomplexobj(ham.x)
-        cls = spc.classify_krein(ham)
-        assert np.any(np.isfinite(cls.form_values))
-        assert_same_classification(cls, reference_classification(ham))
+        # the symmetric route where the odd block is positive semidefinite,
+        # a theory-consistency failure where it is not
+        P = FULL_ORDER_CASES[case]()
+        oracle = full_order(P, 1e-3)
+        assert np.iscomplexobj(oracle.x)
+        assert np.any(np.isfinite(
+            reference_classification(oracle).form_values))
+        if indefinite_odd_block(P):
+            with pytest.raises(TheoryConsistencyError, match="odd block"):
+                eigensystem(P, 1e-3)
+        else:
+            ham = eigensystem(P, 1e-3)
+            assert_matches_oracle(ham, spc.classify_krein(ham), oracle)
 
     def test_repeated_pair_at_full_order(self):
         ham = full_order(repeated_imaginary_pair(), 1e-3)
-        cls = spc.classify_krein(ham)
+        cls = reference_classification(ham)
         double = np.abs(ham.eigenvalues - np.sqrt(2.0) * 1j) <= 1e-12
         assert np.count_nonzero(double) == 2
         assert cls.classes.count(spc.CLASS_IMAG_POS) == 14
@@ -320,27 +335,8 @@ class TestFullOrderKreinForms:
     def test_verdicts_match_the_oracle(self, p):
         with quiet():
             data = vd.kdv_verdict(2.0, p, 1.0, SMALL, keep_pipeline=True)
-        ham = full_order(data.matrix, data.eigensystem.zero_floor)
-        cls = spc.classify_krein(ham)
-        assert_same_classification(cls, reference_classification(ham))
-        ref = data.classification
-        assert (cls.k_r, cls.k_c, cls.k_i_minus) == \
-            (ref.k_r, ref.k_c, ref.k_i_minus)
-
-    def test_no_square_temporaries(self, q22):
-        # the forms read x and u _COLUMN_BLOCK columns at a time, so the
-        # traced peak stays below two cosine halves of the eigenvectors
-        L = op.kdv_linearization(wv.kdv_wave(q22, 1.0))
-        floor = spc.gkernel_floor(q22.grid, L.multiplier_symbol)
-        ham = full_order(op.assemble(L), spc.GKERNEL_FRACTION * floor)
-        assert np.iscomplexobj(ham.x) and q22.grid.n == 1024
-        tracemalloc.start()
-        try:
-            spc.classify_krein(ham)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * ham.x.nbytes
+        oracle = full_order(data.matrix, data.eigensystem.zero_floor)
+        assert_matches_oracle(data.eigensystem, data.classification, oracle)
 
 
 class TestParityGuard:
@@ -411,46 +407,122 @@ class TestPseudoSolve:
         assert res.K_direct == 0
 
 
-class TestFallbackSelection:
-    def test_squaring_noise_against_the_zero_floor(self):
-        A = positive_operator()
-        noise = np.sqrt(np.finfo(float).eps) * eigensystem(A, 0.0).scale
-        kept = eigensystem(A, 20.0 * noise)
-        full = eigensystem(A, 5.0 * noise)
-        assert not np.iscomplexobj(kept.x) and np.iscomplexobj(full.x)
-        assert np.iscomplexobj(eigensystem(A, 0.0).x)
-        assert nearest_distance(kept.eigenvalues, full.eigenvalues) \
-            <= 1e-9 * full.scale
+def prescribed_nu(nu: list) -> op.ParityBlocks:
+    """A_sin = I and W A_cos W = diag(nu) on 2 len(nu) + 2 points: T is
+    diag(nu) to rounding, so lambda^2 = -nu."""
+    grid = sp.make_grid(2 * len(nu) + 2, 2.0)
+    weights = TWO_PI * op.pair_frequencies(grid)
+    even = np.eye(len(nu) + 2)
+    even[1:-1, 1:-1] = np.diag(nu) / np.outer(weights, weights)
+    return op.ParityBlocks((even, np.eye(len(nu))), grid, "prescribed")
 
-    def test_indefinite_odd_block_takes_the_full_order(self):
+
+EPS = float(np.finfo(float).eps)
+
+
+class TestFallbackSelection:
+    """Inputs at the edges of the one Hamiltonian route: zero floors
+    against the squaring noise, indefinite odd blocks, and nu near a
+    threshold."""
+
+    def test_squaring_noise_against_the_zero_floor(self):
+        # every nu of the positive operator lies far from +-zero_floor^2,
+        # so each floor keeps the route and the oracle's spectrum
+        A = positive_operator()
+        noise = np.sqrt(EPS) * eigensystem(A, 0.0).scale
+        for floor in (0.0, 5.0 * noise, 20.0 * noise):
+            ham, oracle = eigensystem(A, floor), full_order(A, floor)
+            assert not np.iscomplexobj(ham.x)
+            assert nearest_distance(ham.eigenvalues, oracle.eigenvalues) \
+                <= 1e-9 * oracle.scale
+            assert_matches_oracle(ham, spc.classify_krein(ham), oracle)
+
+    def test_indefinite_odd_block_is_a_theory_failure(self):
         a, grid = pair_blocks(*INDEFINITE_ODD_BLOCK)
-        ham = eigensystem(split_parity(a, grid), 1e-3)
-        assert np.iscomplexobj(ham.x)
+        P = split_parity(a, grid)
+        oracle = full_order(P, 1e-3)
         dense = dense_hamiltonian_eigenvalues(a, grid)
-        assert nearest_distance(ham.eigenvalues, dense) <= 1e-12
-        cls = spc.classify_krein(ham)
-        assert (cls.k_r, cls.k_c, cls.k_i_minus) == (1, 0, 0)
+        assert nearest_distance(oracle.eigenvalues, dense) <= 1e-12
+        ref = reference_classification(oracle)
+        assert (ref.k_r, ref.k_c, ref.k_i_minus) == (1, 0, 0)
+        eig = spc.symmetric_spectrum(P)
+        with pytest.raises(TheoryConsistencyError, match="odd block"):
+            spc.hamiltonian_eigensystem(P, eig, 1e-3)
+        with pytest.raises(TheoryConsistencyError, match="odd block"):
+            spc.sandwich_hamiltonian_spectrum(P, eig)
 
     def test_non_real_root_outside_the_zero_bucket(self):
         a, grid = pair_blocks(*NON_REAL_ROOT)
-        ham = eigensystem(split_parity(a, grid), 1e-3)
-        assert np.iscomplexobj(ham.x)
+        P = split_parity(a, grid)
+        oracle = full_order(P, 1e-3)
         dense = dense_hamiltonian_eigenvalues(a, grid)
-        assert nearest_distance(ham.eigenvalues, dense) <= 1e-12
-        assert spc.classify_krein(ham).k_c == 2
+        assert nearest_distance(oracle.eigenvalues, dense) <= 1e-12
+        assert reference_classification(oracle).k_c == 2
+        with pytest.raises(TheoryConsistencyError, match="odd block"):
+            eigensystem(P, 1e-3)
 
     def test_sub_noise_roots_reported_on_the_imaginary_axis(self):
-        # scale 1: the squaring noise is sqrt(eps) = 1.5e-8
-        eigs = np.array([1e-9, -1e-9, 1e-9 + 2e-9j, -1e-9 - 2e-9j, 2e-9j,
-                         1e-6, 0.5j, 1.0], dtype=complex)
-        out = spc._unresolved_on_imaginary_axis(eigs, 1.0, 1e-2)
-        moved = np.abs(eigs[2])
-        assert np.array_equal(out, [1e-9j, -1e-9j, moved * 1j, -moved * 1j,
-                                    2e-9j, 1e-6, 0.5j, 1.0])
-        assert not np.any(np.signbit(out.real))
-        # only zero-bucket eigenvalues move, so no class can change
-        assert np.array_equal(
-            spc._unresolved_on_imaginary_axis(eigs, 1.0, 1e-10), eigs)
+        # max|nu| = 1, so the noise unit is eps; zero_floor^2 = 1e-2.  Only
+        # -eps/2, in the zero bucket and below one unit, moves
+        nu = [-0.5, -3.0 * EPS, -0.5 * EPS, 0.5 * EPS, 0.25, 0.75, 1.0]
+        eigs = eigensystem(prescribed_nu(nu), 0.1).eigenvalues
+        real = eigs[eigs.imag == 0.0].real
+        assert np.allclose(real, [-np.sqrt(0.5), -np.sqrt(3.0 * EPS),
+                                  np.sqrt(3.0 * EPS), np.sqrt(0.5)],
+                           rtol=1e-12, atol=0.0)
+        imag = eigs[eigs.imag != 0.0]
+        assert np.all(imag.real == 0.0) and not np.any(np.signbit(imag.real))
+        assert np.count_nonzero(np.isclose(
+            np.abs(imag), np.sqrt(0.5 * EPS), rtol=1e-12, atol=0.0)) == 4
+        # with a zero bucket narrower than one unit, the sign of a
+        # sub-noise nu would decide its class: refused instead
+        with pytest.raises(UnresolvedEigenvalueError, match="noise units"):
+            eigensystem(prescribed_nu(nu), 1e-10)
+
+    def test_nu_inside_the_band_raises(self):
+        # zero_floor^2 = 1e-2 and max|nu| = 1: NOISE_BAND eps either side
+        # of +-1e-2 is refused
+        for near in (1e-2 - 3.0 * EPS, -1e-2 + 5.0 * EPS):
+            with pytest.raises(UnresolvedEigenvalueError,
+                               match=r"lambda\^2 = .* lies [2-5]\.\d\d noise"):
+                eigensystem(prescribed_nu([-0.5, near, 0.25, 1.0]), 0.1)
+        ham = eigensystem(prescribed_nu([-0.5, 1e-2 + 11.0 * EPS, 1.0]), 0.1)
+        assert spc.classify_krein(ham).classes.count(spc.CLASS_IMAG_POS) == 4
+
+
+# s = 2 grids finer than the default spacing, on which the squaring noise
+# is a larger share of the zero floor: 10 sqrt(eps) max|lambda| exceeds it
+FINE_GRIDS = [(2.0, 1024, 10.0), (5.0, 1024, 10.0), (5.0, 2048, 40.0)]
+
+
+class TestFinerGrids:
+    @pytest.mark.parametrize("p, n, half_length", FINE_GRIDS)
+    def test_verdict_matches_the_oracle(self, p, n, half_length):
+        with quiet():
+            data = vd.kdv_verdict(2.0, p, 1.0, vd.NumericsConfig(
+                n=n, half_length=half_length), keep_pipeline=True)
+        ham, res = data.eigensystem, data.result
+        assert 10.0 * np.sqrt(EPS) * ham.scale > ham.zero_floor
+        ref = assert_matches_oracle(ham, data.classification,
+                                    full_order(data.matrix, ham.zero_floor))
+        band = vd.DEGENERACY_BAND_REL * wv.squared_norm(data.wave)
+        _, verdict, _ = vd._resolve_verdict(
+            res.n_L, res.slope, res.slope_reference, band, ref,
+            data.matrix.label, check_reference_sign=True)
+        assert verdict == res.verdict
+
+    @pytest.mark.slow
+    def test_unstable_eigenvalue_on_the_doubled_grid(self):
+        with quiet():
+            data = vd.kdv_verdict(2.0, 4.1, 1.0, vd.NumericsConfig(
+                n=4096, half_length=80.0), keep_pipeline=True)
+        res = data.result
+        assert res.verdict == vd.UNSTABLE
+        assert res.K_formula == res.K_direct == 1
+        classes = np.array(data.classification.classes)
+        unstable = data.eigensystem.eigenvalues[classes == spc.CLASS_REAL_POS]
+        assert unstable.size == 1
+        assert abs(unstable[0] - 0.047272) <= 1e-5
 
 
 @st.composite
@@ -483,18 +555,25 @@ def test_block_inertia_equals_full_inertia(L):
 
 @given(even_operators())
 def test_block_hamiltonian_spectrum_equals_dense(L):
+    # a positive semidefinite odd block takes the symmetric route, an
+    # indefinite one is a theory-consistency failure
     dense = dense_hamiltonian_eigenvalues(dense_matrix(L), L.grid)
     scale = float(np.max(np.abs(dense)))
     noise = np.sqrt(np.finfo(float).eps) * scale
-    ham = eigensystem(op.assemble(L), 20.0 * noise)
+    A = op.assemble(L)
+    if indefinite_odd_block(A):
+        with pytest.raises(TheoryConsistencyError, match="odd block"):
+            eigensystem(A, 20.0 * noise)
+        return
+    ham = eigensystem(A, 20.0 * noise)
     assert nearest_distance(ham.eigenvalues, dense) <= 10.0 * noise
 
 
 @given(even_operators())
 def test_sandwich_hamiltonian_spectrum_equals_dense(L):
-    # J S from the symmetric route (or the full order, when the odd block
-    # is indefinite) against the full-order J S of the sandwich formed on
-    # the dense matrix
+    # J S from the symmetric route against the full-order J S of the
+    # sandwich formed on the dense matrix, where the odd block is positive
+    # semidefinite; a theory-consistency failure where it is not
     quarter = sp.regularized_quarter_root_multiplier(L.grid, 0.0)
     dense = dense_sandwich_hamiltonian_eigenvalues(
         dense_congruence(dense_matrix(L), L.grid,
@@ -502,5 +581,10 @@ def test_sandwich_hamiltonian_spectrum_equals_dense(L):
     scale = float(np.max(np.abs(dense)))
     noise = np.sqrt(np.finfo(float).eps) * scale
     S = op.sandwich(op.assemble(L), 0.0)
-    half = spc.sandwich_hamiltonian_spectrum(S, spc.symmetric_spectrum(S))
+    eig = spc.symmetric_spectrum(S)
+    if indefinite_odd_block(S):
+        with pytest.raises(TheoryConsistencyError, match="odd block"):
+            spc.sandwich_hamiltonian_spectrum(S, eig)
+        return
+    half = spc.sandwich_hamiltonian_spectrum(S, eig)
     assert nearest_distance(half, dense) <= 10.0 * noise
