@@ -28,7 +28,7 @@ from . import verdicts as vd
 from . import waves as wv
 from .errors import (ConvergenceError, FredholmViolationError,
                      TheoryConsistencyError)
-from .io_utils import write_csv, write_json
+from .io_utils import write_csv, write_json, write_json_rows
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -262,8 +262,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
             rows.append((pt.s, pt.p, pt.c, cfg.model, -1, float("nan"), -1,
                          -1, -1, -1, "ERROR", pt.error.replace(",", ";")))
     if cfg.format == "json":
-        payload = [dict(zip(SWEEP_HEADER, row)) for row in rows]
-        path = write_json(os.path.join(cfg.out, "sweep.json"), payload)
+        path = write_json_rows(os.path.join(cfg.out, "sweep.json"),
+                               SWEEP_HEADER, rows)
     else:
         path = write_csv(os.path.join(cfg.out, "sweep.csv"), SWEEP_HEADER, rows)
     if result.flip_bracket is not None:
@@ -284,8 +284,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     data = _run_verdict(cfg)
     rows = spc.spectrum_rows(data.eigensystem, data.classification)
     if cfg.format == "json":
-        payload = [dict(zip(SPECTRUM_HEADER, row)) for row in rows]
-        path = write_json(os.path.join(cfg.out, "spectrum.json"), payload)
+        path = write_json_rows(os.path.join(cfg.out, "spectrum.json"),
+                               SPECTRUM_HEADER, rows)
     else:
         path = write_csv(os.path.join(cfg.out, "spectrum.csv"),
                          SPECTRUM_HEADER, rows)

@@ -8,6 +8,7 @@ temporary file in the target directory followed by an atomic rename.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -55,4 +56,14 @@ def write_csv(path, header: list, rows: list) -> str:
 
 
 def write_json(path, payload) -> str:
-    return atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a NaN or infinite float raises ValueError."""
+    return atomic_write_text(path, json.dumps(
+        payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def write_json_rows(path, header: list, rows: list) -> str:
+    """The rows of a CSV table as a JSON list of objects keyed by the
+    header; a non-finite float cell is null."""
+    return write_json(path, [
+        {key: None if isinstance(cell, float) and not math.isfinite(cell)
+         else cell for key, cell in zip(header, row)} for row in rows])

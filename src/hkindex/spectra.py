@@ -25,8 +25,10 @@ An indefinite odd block raises TheoryConsistencyError.  nu carries an
 absolute error of about one noise unit eps max|nu|; a nu within
 NOISE_BAND units of a threshold that decides its class raises
 UnresolvedEigenvalueError.  J S, with unit weights, takes the same route.
-An eigenvector of lambda is held as the real pair (x, u) of (x, lambda
-u), so one evaluator gives every Krein form in real arithmetic.
+Every lambda is real, imaginary or zero, and the pair +-lambda shares one
+eigenvector column, held as the real pair (x, u) of (x, lambda u): each
+column is classified once, from its nu, and one evaluator gives every
+Krein form in real arithmetic.
 """
 
 from __future__ import annotations
@@ -46,12 +48,11 @@ from .spectral import (TWO_PI, Multiplier, RealField, SpectralGrid,
                        regularized_quarter_root_multiplier)
 
 # defaults from the tolerance policy: scale-relative thresholds survive
-# rescaling of the wave speed.  The Hamiltonian re/im tolerances sit at
+# rescaling of the wave speed.  The Hamiltonian zero tolerance sits at
 # 1e-9 * max|lambda|: the dispersion tail makes max|lambda| huge (~xi^(s+1)),
 # so 1e-6 would swallow genuine near-threshold eigenvalues (~5e-2 at p = 4.1,
 # s = 2), while the measured eigensolver noise on real parts is < 1e-11.
 ZERO_TOL_REL = 1e-8
-RE_TOL_REL = 1e-9
 IM_TOL_REL = 1e-9
 SIG_TOL_REL = 1e-8
 
@@ -284,8 +285,8 @@ class HamiltonianEigensystem:
     coordinates x and its sine coordinates y = lambda u: D A v = lambda v
     reads -W A_sin y = lambda x and W A_cos x = lambda y.  Eigenvalue i
     reads the columns column[i] of x and u, both real: one pair per
-    lambda^2 = -nu, shared by +-lambda, and a zero column for the kernel
-    pair.  Every lambda is real or imaginary."""
+    lambda^2 = -nu, shared by +-lambda, and a zero column, nu = 0, for the
+    kernel pair.  Every lambda is real or imaginary."""
     eigenvalues: np.ndarray          # complex, length n-2, sorted by (imag, real)
     a_cos: np.ndarray                # cosine block of the restricted factor
     a_sin: np.ndarray                # sine block of the restricted factor
@@ -295,13 +296,26 @@ class HamiltonianEigensystem:
     x: np.ndarray                    # cosine parts
     u: np.ndarray                    # sine parts over lambda
     column: np.ndarray               # column of x and u for each eigenvalue
+    nu: np.ndarray                   # -lambda^2 of each column
 
-    def pairs(self, idx: np.ndarray) -> tuple:
-        """(x, |lambda| u, A_cos x, |lambda| A_sin u) for the eigenvalues
-        idx: the eigenvector (x, lambda u) with the phase lambda / |lambda|
+    @property
+    def modulus(self) -> np.ndarray:
+        """|lambda| of each column."""
+        return np.sqrt(np.abs(self.nu))
+
+    def split(self) -> tuple:
+        """(real, imaginary): masks of the columns outside the zero bucket
+        |lambda| <= max(IM_TOL_REL max|lambda|, zero_floor), by the sign
+        of nu."""
+        zero = self.modulus <= max(IM_TOL_REL * self.scale, self.zero_floor)
+        return ~zero & (self.nu < 0), ~zero & (self.nu > 0)
+
+    def pairs(self, cols: np.ndarray) -> tuple:
+        """(x, |lambda| u, A_cos x, |lambda| A_sin u) for the columns cols:
+        the eigenvector (x, lambda u) with the phase lambda / |lambda|
         taken off its sine part, so that every entry is real."""
-        lam = np.abs(self.eigenvalues[idx])
-        x, u = self.x[:, self.column[idx]], self.u[:, self.column[idx]]
+        lam = self.modulus[cols]
+        x, u = self.x[:, cols], self.u[:, cols]
         return x, lam * u, self.a_cos @ x, lam * (self.a_sin @ u)
 
 
@@ -403,23 +417,24 @@ def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
     order = _sorted(eigs)
     return HamiltonianEigensystem(
         eigenvalues=eigs[order], a_cos=a_cos, a_sin=a_sin, weights=weights,
-        scale=scale, zero_floor=zero_floor, x=x, u=u, column=column[order])
+        scale=scale, zero_floor=zero_floor, x=x, u=u, column=column[order],
+        nu=np.append(nu, 0.0))
 
 
-def eigenpair_residual(ham: HamiltonianEigensystem,
-                       cls: KreinClassification) -> float:
-    """max ||D A v - lambda v|| / (scale ||v||) over the eigenvalues
-    outside the zero bucket, _COLUMN_BLOCK at a time so that no full-order
-    eigenvector matrix is formed.  With the real pairs, the residual is
-    (W A_sin y + |lambda| x, W A_cos x - lambda^2 / |lambda| y)."""
-    idx = np.nonzero(np.asarray(cls.classes) != CLASS_ZERO)[0]
+def eigenpair_residual(ham: HamiltonianEigensystem) -> float:
+    """max ||D A v - lambda v|| / (scale ||v||) over the columns outside
+    the zero bucket, one per pair +-lambda, _COLUMN_BLOCK at a time so
+    that no full-order eigenvector matrix is formed.  With the real pairs,
+    the residual is (W A_sin y + |lambda| x, W A_cos x + nu / |lambda| y)."""
+    real, imag = ham.split()
+    cols = np.nonzero(real | imag)[0]
     w = ham.weights[:, None]
     worst = 0.0
-    for start in range(0, idx.size, _COLUMN_BLOCK):
-        part = idx[start:start + _COLUMN_BLOCK]
+    for start in range(0, cols.size, _COLUMN_BLOCK):
+        part = cols[start:start + _COLUMN_BLOCK]
         x, y, ax, ay = ham.pairs(part)
-        lam = np.abs(ham.eigenvalues[part])
-        turn = np.where(ham.eigenvalues[part].imag == 0.0, lam, -lam)
+        lam = ham.modulus[part]
+        turn = np.where(real[part], lam, -lam)
         res = (w * ay + lam * x) ** 2 + (w * ax - turn * y) ** 2
         rel = np.sqrt(np.sum(res, axis=0) / np.sum(x * x + y * y, axis=0))
         worst = max(worst, float(np.max(rel)) / ham.scale)
@@ -443,7 +458,6 @@ def sandwich_hamiltonian_spectrum(S: ParityBlocks,
 CLASS_ZERO = "ZERO"
 CLASS_REAL_POS = "REAL_POS"
 CLASS_REAL_NEG = "REAL_NEG"
-CLASS_COMPLEX = "COMPLEX"
 CLASS_IMAG_POS = "IMAG_POS_SIG"
 CLASS_IMAG_NEG = "IMAG_NEG_SIG"
 CLASS_INDET = "INDET"
@@ -452,18 +466,15 @@ CLASS_INDET = "INDET"
 @dataclass(frozen=True, eq=False)
 class KreinClassification:
     k_r: int
-    k_c: int
     k_i_minus: int
     indeterminate: tuple          # (eigenvalue, form value) pairs
-    re_tol: float
-    im_tol: float
     sig_tol: float
     classes: tuple                # one label per eigenvalue (sorted order)
     form_values: np.ndarray       # Krein form value, nan off the imaginary axis
 
     @property
     def k_direct(self) -> int:
-        return self.k_r + self.k_c + self.k_i_minus
+        return self.k_r + self.k_i_minus
 
 
 def _cluster_indices(values: np.ndarray, gap: float) -> list:
@@ -472,16 +483,16 @@ def _cluster_indices(values: np.ndarray, gap: float) -> list:
                     np.nonzero(np.diff(values) > gap)[0] + 1)
 
 
-def _krein_forms(ham: HamiltonianEigensystem, upper: np.ndarray,
+def _krein_forms(ham: HamiltonianEigensystem, cols: np.ndarray,
                  clusters: list) -> np.ndarray:
-    """Krein form values of the eigenvalues upper, grouped into clusters
-    of positions in upper.  The eigenvector of lambda is (x, lambda u), so
-    a singleton's <A v, v> / <v, v> is (x^T A_cos x + |lambda|^2 u^T A_sin
-    u) / (|x|^2 + |lambda|^2 |u|^2), evaluated _COLUMN_BLOCK columns at a
-    time; a cluster takes the eigenvalues of the Gram pencil of the real
-    pairs on its span, ascending."""
-    lam2, cols = np.abs(ham.eigenvalues[upper]) ** 2, ham.column[upper]
-    out = np.empty(upper.size)
+    """Krein form values of the imaginary columns cols, grouped into
+    clusters of positions in cols.  The eigenvector of lambda is
+    (x, lambda u), so a singleton's <A v, v> / <v, v> is (x^T A_cos x +
+    |lambda|^2 u^T A_sin u) / (|x|^2 + |lambda|^2 |u|^2), evaluated
+    _COLUMN_BLOCK columns at a time; a cluster takes the eigenvalues of
+    the Gram pencil of the real pairs on its span, ascending."""
+    lam2 = ham.modulus[cols] ** 2
+    out = np.empty(cols.size)
     single = np.array([c[0] for c in clusters if c.size == 1], dtype=int)
     for start in range(0, single.size, _COLUMN_BLOCK):
         j = single[start:start + _COLUMN_BLOCK]
@@ -491,7 +502,7 @@ def _krein_forms(ham: HamiltonianEigensystem, upper: np.ndarray,
         out[j] = form / (np.sum(x * x, axis=0) + w2 * np.sum(u * u, axis=0))
     for cluster in clusters:
         if cluster.size > 1:
-            x, y, ax, ay = ham.pairs(upper[cluster])
+            x, y, ax, ay = ham.pairs(cols[cluster])
             g = x.T @ ax + y.T @ ay
             gram = x.T @ x + y.T @ y
             out[cluster] = scipy.linalg.eigh(
@@ -500,16 +511,19 @@ def _krein_forms(ham: HamiltonianEigensystem, upper: np.ndarray,
 
 
 def classify_krein(ham: HamiltonianEigensystem) -> KreinClassification:
-    """Sort the Hamiltonian eigenvalues into Krein buckets.
+    """Sort the Hamiltonian eigenvalues into Krein buckets, once per
+    eigenvector column, from the column's nu = -lambda^2.
 
-    k_r counts real eigenvalues in the right half-plane, k_c complex ones
-    there (with conjugates, hence even).  Purely imaginary eigenvalues are
-    classified by the sign of the Hermitian form <A v, v> on their
-    eigenspace; negative directions double into k_i_minus (conjugate pairs
-    carry equal counts) and form values within sig_tol of zero land in the
-    indeterminate list rather than being counted.  re_tol and im_tol are
-    RE_TOL_REL and IM_TOL_REL times max|lambda|, sig_tol is SIG_TOL_REL
-    times the 1-norm of the restricted factor.
+    A column in the zero bucket (HamiltonianEigensystem.split) gives ZERO
+    rows.  A real column, nu < 0, gives a REAL_POS and a REAL_NEG row, and
+    k_r counts these columns.  An imaginary column, nu > 0, is classified
+    by the sign of the form <A v, v> on its eigenspace, a cluster of
+    columns within IM_TOL_REL max|lambda| by the Gram pencil on their
+    span; both rows +-lambda take the column's class and form value.
+    Negative directions double into k_i_minus, and form values within
+    sig_tol of zero land in the indeterminate list rather than being
+    counted.  sig_tol is SIG_TOL_REL times the 1-norm of the restricted
+    factor.
 
     The eigensystem's zero_floor widens the zero bucket to
     |lambda| <= zero_floor: callers pass a fraction of the box's first
@@ -517,67 +531,32 @@ def classify_krein(ham: HamiltonianEigensystem) -> KreinClassification:
     generalized-kernel group and its truncation-split debris) are never
     misread as unstable modes.
     """
-    eigs = ham.eigenvalues
-    scale = ham.scale if ham.scale > 0 else 1.0
-    re_tol = RE_TOL_REL * scale
-    im_tol = IM_TOL_REL * scale
     # the 1-norm of the restricted factor, block diagonal by parity
     sig_tol = SIG_TOL_REL * max(float(np.linalg.norm(ham.a_cos, 1)),
                                 float(np.linalg.norm(ham.a_sin, 1)))
+    real, imag = ham.split()
+    lam = ham.modulus
+    cols = np.nonzero(imag)[0]
+    cols = cols[np.argsort(lam[cols], kind="stable")]
+    forms = np.full(lam.size, np.nan)
+    forms[cols] = _krein_forms(
+        ham, cols, _cluster_indices(lam[cols], IM_TOL_REL * ham.scale))
 
-    classes = np.empty(len(eigs), dtype=object)
-    forms = np.full(len(eigs), np.nan)
-
-    re, im = eigs.real, eigs.imag
-    zero = ((np.abs(re) <= re_tol) & (np.abs(im) <= im_tol)) \
-        | (np.abs(eigs) <= ham.zero_floor)
-    real_like = (np.abs(im) <= im_tol) & ~zero
-    complex_like = (np.abs(re) > re_tol) & (np.abs(im) > im_tol) & ~zero
-    imag_like = (np.abs(re) <= re_tol) & (np.abs(im) > im_tol) & ~zero
-
-    classes[zero] = CLASS_ZERO
-    classes[real_like & (re > 0)] = CLASS_REAL_POS
-    classes[real_like & (re < 0)] = CLASS_REAL_NEG
-    classes[complex_like] = CLASS_COMPLEX
-
-    k_r = int(np.count_nonzero(real_like & (re > re_tol)))
-    k_c = int(np.count_nonzero(complex_like & (re > re_tol)))
-
-    upper = np.nonzero(imag_like & (im > 0))[0]
-    lower = np.nonzero(imag_like & (im < 0))[0]
-
-    indeterminate = []
-    neg_total = 0
-    if upper.size:
-        clusters = _cluster_indices(im[upper], max(im_tol, 1e-9 * scale))
-        for idx, val in zip(upper, _krein_forms(ham, upper, clusters)):
-            forms[idx] = val
-            if val < -sig_tol:
-                classes[idx] = CLASS_IMAG_NEG
-                neg_total += 1
-            elif val > sig_tol:
-                classes[idx] = CLASS_IMAG_POS
-            else:
-                classes[idx] = CLASS_INDET
-                indeterminate.append((complex(eigs[idx]), float(val)))
-
-    # conjugate partners inherit the class and form value positionally:
-    # sorting the lower half by |Im| aligns it with the upper half
-    upper_sorted = upper[np.argsort(im[upper])]
-    lower_sorted = lower[np.argsort(-im[lower])]
-    for lo, up in zip(lower_sorted, upper_sorted):
-        classes[lo] = classes[up]
-        forms[lo] = forms[up]
-    if len(lower_sorted) != len(upper_sorted):
-        warnings.warn("imaginary eigenvalues are not conjugate-paired",
-                      stacklevel=2)
-
-    k_i_minus = 2 * neg_total
+    labels = np.full(lam.size, CLASS_ZERO, dtype=object)
+    labels[real] = CLASS_REAL_POS
+    labels[imag] = CLASS_INDET
+    labels[forms > sig_tol] = CLASS_IMAG_POS
+    labels[forms < -sig_tol] = CLASS_IMAG_NEG
+    classes = labels[ham.column]
+    classes[(classes == CLASS_REAL_POS) & (ham.eigenvalues.real < 0)] = \
+        CLASS_REAL_NEG
     return KreinClassification(
-        k_r=k_r, k_c=k_c, k_i_minus=k_i_minus,
-        indeterminate=tuple(indeterminate),
-        re_tol=float(re_tol), im_tol=float(im_tol), sig_tol=float(sig_tol),
-        classes=tuple(classes), form_values=forms)
+        k_r=int(np.count_nonzero(real)),
+        k_i_minus=2 * int(np.count_nonzero(forms < -sig_tol)),
+        indeterminate=tuple((complex(0.0, lam[j]), float(forms[j]))
+                            for j in cols if labels[j] == CLASS_INDET),
+        sig_tol=float(sig_tol), classes=tuple(classes),
+        form_values=forms[ham.column])
 
 
 def gkernel_floor(grid: SpectralGrid, symbol: np.ndarray) -> float:

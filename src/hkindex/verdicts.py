@@ -10,7 +10,8 @@ index identity
 
 is then asserted against the directly counted k_r + k_c + k_i^-; a
 mismatch is a hard error (the identity is a theorem, so disagreement
-means the numerics are broken, not the wave).
+means the numerics are broken, not the wave).  k_c, the count of complex
+eigenvalues, is 0: the spectrum comes from lambda^2 = -nu with nu real.
 
 Wave families with |slope| inside the degeneracy band (the p = 2s
 borderline, where the generalized kernel grows) are reported DEGENERATE
@@ -126,13 +127,13 @@ def _resolve_verdict(n_L: int, slope: float, slope_ref: float, band: float,
         raise TheoryConsistencyError(
             f"index identity violated for {label}: formula gives {K_formula}, "
             f"direct count gives {cls.k_direct} "
-            f"(k_r={cls.k_r}, k_c={cls.k_c}, k_i-={cls.k_i_minus})")
+            f"(k_r={cls.k_r}, k_i-={cls.k_i_minus})")
     if K_formula % 2 == 1 and cls.k_r < 1:
         raise TheoryConsistencyError(
             f"parity violated for {label}: odd index {K_formula} with k_r=0")
     if K_formula == 0:
         verdict = STABLE
-    elif K_formula % 2 == 1 or cls.k_r + cls.k_c > 0:
+    elif K_formula % 2 == 1 or cls.k_r > 0:
         verdict = UNSTABLE
     else:
         verdict = STABLE
@@ -222,7 +223,8 @@ def _verdict(model: wv.Model, s: float, p: float, c: float,
     result = KreinIndexResult(
         s=s, p=p, c=c, model=model.name, n_L=n_L, d=d, slope=slope,
         slope_reference=slope_ref, K_formula=K_formula,
-        k_r=cls.k_r, k_c=cls.k_c, k_i_minus=cls.k_i_minus,
+        # lambda^2 = -nu with nu real: no lambda is complex
+        k_r=cls.k_r, k_c=0, k_i_minus=cls.k_i_minus,
         K_direct=cls.k_direct, verdict=verdict, diagnostics=tuple(notes))
     if keep_pipeline:
         return PipelineData(grid, U, L, A, ham, cls, result)
@@ -360,7 +362,7 @@ def _gkdv_case(p_exp: float, expected_K: int) -> CheckReport:
         entries.append(CheckEntry(
             "sandwich eigenvalue equivalence <= 1e-6", dist <= 1e-6,
             f"max relative mismatch {dist:.2e}"))
-        residual = spc.eigenpair_residual(data.eigensystem, data.classification)
+        residual = spc.eigenpair_residual(data.eigensystem)
         entries.append(CheckEntry(
             "Hamiltonian eigenpair residual <= 1e-6", residual <= 1e-6,
             f"max ||D A v - lambda v|| / (scale ||v||) {residual:.2e}"))

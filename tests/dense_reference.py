@@ -6,15 +6,17 @@ an even multiplier on the full matrix, one full-order eigh, the
 constrained quantity from each block's eigenvectors, the
 full-order restricted D A and J S formed from the dense entries, the
 Hamiltonian eigensystem from one eig of full order (the oracle of the
-symmetric route of spectra), and the Krein forms in complex arithmetic
-on whole eigenvectors.  Dense
+symmetric route of spectra), the Krein forms in complex arithmetic on
+whole eigenvectors, and the classification of a general complex
+spectrum, one eigenvalue at a time, with a COMPLEX class and k_c.  Dense
 matrices are plain arrays in the interleaved basis order of operators;
 split_parity turns one into the ParityBlocks the package works on, and
 from_coords is the inverse of operators.to_coords.  All of them cost
 O(n^3) or O(n^2) memory and run in the tests only.
 """
 
-from unittest import mock
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -136,15 +138,28 @@ def dense_hamiltonian_eigenvalues(a: np.ndarray, grid) -> np.ndarray:
     return scipy.linalg.eigvals(dense_restricted_product(a, grid))
 
 
-def full_order(P: op.ParityBlocks,
-               zero_floor: float) -> spc.HamiltonianEigensystem:
-    """The eigensystem of the restricted D A from one eig of full order,
-    in the layout of spectra.HamiltonianEigensystem but complex: one
-    column of x and u per eigenvalue, the sine rows divided by lambda in
-    place (u unread in the zero bucket).  A zero-bucket eigenvalue below
-    sqrt(eps) max|lambda| goes on the imaginary axis, i |lambda| times the
-    sign of its imaginary part, or of its real part when that is zero.
-    Its Krein forms are complex: classify it by reference_classification."""
+@dataclass(frozen=True, eq=False)
+class FullOrderEigensystem:
+    """The oracle's eigensystem of the restricted D A: complex eigenvalues
+    sorted by (imag, real), and one complex column of x and u per
+    eigenvalue, in the layout of spectra.HamiltonianEigensystem."""
+    eigenvalues: np.ndarray
+    a_cos: np.ndarray
+    a_sin: np.ndarray
+    scale: float                     # max |lambda|
+    zero_floor: float                # |lambda| <= zero_floor counts as zero
+    x: np.ndarray                    # cosine parts
+    u: np.ndarray                    # sine parts over lambda
+    column: np.ndarray               # column of x and u for each eigenvalue
+
+
+def full_order(P: op.ParityBlocks, zero_floor: float) -> FullOrderEigensystem:
+    """The eigensystem of the restricted D A from one eig of full order:
+    the sine rows divided by lambda in place (u unread in the zero
+    bucket).  A zero-bucket eigenvalue below sqrt(eps) max|lambda| goes on
+    the imaginary axis, i |lambda| times the sign of its imaginary part,
+    or of its real part when that is zero.  Its Krein forms are complex:
+    classify it by reference_classification."""
     a_cos, a_sin, weights = spc._factor(P)
     da = dense_restricted_product(P.dense(), P.grid, weights)
     eigs, v = scipy.linalg.eig(da, overwrite_a=True, check_finite=False)
@@ -157,18 +172,17 @@ def full_order(P: op.ParityBlocks,
     order = spc._sorted(eigs)
     eigs, v = eigs[order], v[:, order]
     v[1::2] /= np.where(eigs != 0, eigs, 1)
-    return spc.HamiltonianEigensystem(
-        eigenvalues=eigs, a_cos=a_cos, a_sin=a_sin, weights=weights,
-        scale=scale, zero_floor=zero_floor, x=v[0::2], u=v[1::2],
+    return FullOrderEigensystem(
+        eigenvalues=eigs, a_cos=a_cos, a_sin=a_sin, scale=scale,
+        zero_floor=zero_floor, x=v[0::2], u=v[1::2],
         column=np.arange(eigs.size))
 
 
-def complex_krein_forms(ham: spc.HamiltonianEigensystem, upper: np.ndarray,
-                        clusters: list) -> np.ndarray:
-    """spectra._krein_forms from the complex eigenvectors (x, y = lambda u):
-    (vdot(x, A_cos x) + vdot(y, A_sin y)) / (|x|^2 + |y|^2) for a
-    singleton, the eigenvalues of the Hermitian Gram pencil on the
-    cluster's span otherwise, ascending within each cluster."""
+def complex_krein_forms(ham, upper: np.ndarray, clusters: list) -> np.ndarray:
+    """Krein forms of the eigenvalues upper from the complex eigenvectors
+    (x, y = lambda u): (vdot(x, A_cos x) + vdot(y, A_sin y)) / (|x|^2 +
+    |y|^2) for a singleton, the eigenvalues of the Hermitian Gram pencil
+    on the cluster's span otherwise, ascending within each cluster."""
     cols = ham.column[upper]
     x = ham.x[:, cols].astype(complex)
     y = ham.eigenvalues[upper] * ham.u[:, cols]
@@ -191,10 +205,90 @@ def complex_krein_forms(ham: spc.HamiltonianEigensystem, upper: np.ndarray,
     return out
 
 
-def reference_classification(ham: spc.HamiltonianEigensystem):
-    """classify_krein with its forms from complex_krein_forms."""
-    with mock.patch.object(spc, "_krein_forms", complex_krein_forms):
-        return spc.classify_krein(ham)
+CLASS_COMPLEX = "COMPLEX"
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceClassification:
+    k_r: int
+    k_c: int
+    k_i_minus: int
+    indeterminate: tuple          # (eigenvalue, form value) pairs
+    sig_tol: float
+    classes: tuple                # one label per eigenvalue (sorted order)
+    form_values: np.ndarray       # Krein form value, nan off the imaginary axis
+
+    @property
+    def k_direct(self) -> int:
+        return self.k_r + self.k_c + self.k_i_minus
+
+
+def reference_classification(ham) -> ReferenceClassification:
+    """Krein buckets of a general complex spectrum, one eigenvalue at a
+    time, for a FullOrderEigensystem or a spectra.HamiltonianEigensystem.
+
+    An eigenvalue is zero within re_tol = im_tol = spectra.IM_TOL_REL
+    max|lambda| of 0 or with |lambda| <= zero_floor.  k_r counts the real
+    eigenvalues in the right half-plane, k_c the complex ones there (with
+    conjugates, hence even).  The imaginary eigenvalues in the upper half
+    plane are clustered within im_tol and take their forms from
+    complex_krein_forms; negative directions double into k_i_minus, and
+    forms within spectra's sig_tol of zero are indeterminate.  The lower
+    half inherits class and form positionally, sorted by |Im|."""
+    eigs = ham.eigenvalues
+    scale = ham.scale if ham.scale > 0 else 1.0
+    re_tol = im_tol = spc.IM_TOL_REL * scale
+    sig_tol = spc.SIG_TOL_REL * max(float(np.linalg.norm(ham.a_cos, 1)),
+                                    float(np.linalg.norm(ham.a_sin, 1)))
+    classes = np.empty(len(eigs), dtype=object)
+    forms = np.full(len(eigs), np.nan)
+
+    re, im = eigs.real, eigs.imag
+    zero = ((np.abs(re) <= re_tol) & (np.abs(im) <= im_tol)) \
+        | (np.abs(eigs) <= ham.zero_floor)
+    real_like = (np.abs(im) <= im_tol) & ~zero
+    complex_like = (np.abs(re) > re_tol) & (np.abs(im) > im_tol) & ~zero
+    imag_like = (np.abs(re) <= re_tol) & (np.abs(im) > im_tol) & ~zero
+
+    classes[zero] = spc.CLASS_ZERO
+    classes[real_like & (re > 0)] = spc.CLASS_REAL_POS
+    classes[real_like & (re < 0)] = spc.CLASS_REAL_NEG
+    classes[complex_like] = CLASS_COMPLEX
+
+    k_r = int(np.count_nonzero(real_like & (re > re_tol)))
+    k_c = int(np.count_nonzero(complex_like & (re > re_tol)))
+
+    upper = np.nonzero(imag_like & (im > 0))[0]
+    lower = np.nonzero(imag_like & (im < 0))[0]
+
+    indeterminate = []
+    neg_total = 0
+    if upper.size:
+        clusters = spc._cluster_indices(im[upper], im_tol)
+        for idx, val in zip(upper, complex_krein_forms(ham, upper, clusters)):
+            forms[idx] = val
+            if val < -sig_tol:
+                classes[idx] = spc.CLASS_IMAG_NEG
+                neg_total += 1
+            elif val > sig_tol:
+                classes[idx] = spc.CLASS_IMAG_POS
+            else:
+                classes[idx] = spc.CLASS_INDET
+                indeterminate.append((complex(eigs[idx]), float(val)))
+
+    upper_sorted = upper[np.argsort(im[upper])]
+    lower_sorted = lower[np.argsort(-im[lower])]
+    for lo, up in zip(lower_sorted, upper_sorted):
+        classes[lo] = classes[up]
+        forms[lo] = forms[up]
+    if len(lower_sorted) != len(upper_sorted):
+        warnings.warn("imaginary eigenvalues are not conjugate-paired",
+                      stacklevel=2)
+
+    return ReferenceClassification(
+        k_r=k_r, k_c=k_c, k_i_minus=2 * neg_total,
+        indeterminate=tuple(indeterminate), sig_tol=float(sig_tol),
+        classes=tuple(classes), form_values=forms)
 
 
 def dense_sandwich_hamiltonian_eigenvalues(s: np.ndarray, grid) -> np.ndarray:

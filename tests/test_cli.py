@@ -212,6 +212,33 @@ class TestSpectrumCommand:
         assert {"re", "im", "class", "krein_form_value"} <= payload[0].keys()
 
 
+def strict_json(path):
+    """The JSON file at path, read by a parser that refuses the NaN and
+    Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(open(path).read(), parse_constant=refuse)
+
+
+def test_json_tables_hold_null_for_non_finite_cells(tmp_path, capsys):
+    # the form value off the imaginary axis, and the slope of a failed
+    # sweep point, are NaN in the CSV tables
+    assert run(["spectrum", "--model", "fkdv", "--s", "2", "--p", "5",
+                "--c", "1", "--n", "512", "--half-length", "30",
+                "--format", "json", "--out", str(tmp_path)]) == 0
+    rows = strict_json(tmp_path / "spectrum.json")
+    off_axis = [r for r in rows if r["class"] in ("REAL_POS", "REAL_NEG",
+                                                  "ZERO")]
+    assert len(off_axis) == 4
+    assert all(r["krein_form_value"] is None for r in off_axis)
+    # p = 3 lies outside the existence window (0, 2) of s = 0.5
+    assert run(["sweep", "--axis", "p", "--from", "3", "--to", "3",
+                "--steps", "1", "--s", "0.5", "--c", "1", "--format", "json",
+                "--out", str(tmp_path)]) == 1
+    (point,) = strict_json(tmp_path / "sweep.json")
+    assert point["verdict"] == "ERROR" and point["slope"] is None
+
+
 class TestDumpOperator:
     def test_schrodinger_dump(self, tmp_path, capsys):
         code = run(["dump-operator", "--model", "schrodinger", "--c", "0.5",

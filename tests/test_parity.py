@@ -10,6 +10,7 @@ indefinite odd block, and UnresolvedEigenvalueError for a nu within
 NOISE_BAND noise units eps max|nu| of a threshold that decides a class.
 """
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -53,24 +54,29 @@ def indefinite_odd_block(P: op.ParityBlocks) -> bool:
     return bool(np.any(eig.values[1] < -eig.zero_tol))
 
 
-def assert_matches_oracle(ham, cls, oracle):
-    """The counts and the classes outside the zero bucket of ham and cls
-    equal those of the full-order oracle, classified through
-    reference_classification, and the eigenvalues above 1e-3 scale agree
-    within 1e-9 relative.  Returns the oracle's classification.
+def assert_same_counts_and_classes(cls, ref) -> None:
+    """The counts and the classes outside the zero bucket of cls equal
+    those of the oracle's classification ref.
 
     The symmetric route reports the deflated kernel pair at 0, among the
     real eigenvalues, where the oracle splits it to +-delta i: the ZERO
     rows may sort elsewhere, so they are counted, and every other row is
     compared in order."""
-    ref = reference_classification(oracle)
     classes, ref_classes = np.array(cls.classes), np.array(ref.classes)
     zero, ref_zero = (classes == spc.CLASS_ZERO,
                       ref_classes == spc.CLASS_ZERO)
     assert np.count_nonzero(zero) == np.count_nonzero(ref_zero)
     assert np.array_equal(classes[~zero], ref_classes[~ref_zero])
-    assert (cls.k_r, cls.k_c, cls.k_i_minus) == \
-        (ref.k_r, ref.k_c, ref.k_i_minus)
+    assert (cls.k_r, 0, cls.k_i_minus) == (ref.k_r, ref.k_c, ref.k_i_minus)
+
+
+def assert_matches_oracle(ham, cls, oracle):
+    """The counts and classes of cls equal those of the full-order
+    oracle, classified through reference_classification, and the
+    eigenvalues above 1e-3 scale agree within 1e-9 relative.  Returns the
+    oracle's classification."""
+    ref = reference_classification(oracle)
+    assert_same_counts_and_classes(cls, ref)
     cut = 1e-3 * oracle.scale
     got = ham.eigenvalues[np.abs(ham.eigenvalues) > cut]
     want = oracle.eigenvalues[np.abs(oracle.eigenvalues) > cut]
@@ -192,8 +198,7 @@ def spied_pipeline(request):
 
 def assert_same_classification(cls, ref) -> None:
     assert cls.classes == ref.classes
-    assert (cls.k_r, cls.k_c, cls.k_i_minus) == \
-        (ref.k_r, ref.k_c, ref.k_i_minus)
+    assert (cls.k_r, 0, cls.k_i_minus) == (ref.k_r, ref.k_c, ref.k_i_minus)
     assert [lam for lam, _ in cls.indeterminate] == \
         [lam for lam, _ in ref.indeterminate]
     assert np.allclose([f for _, f in cls.indeterminate],
@@ -254,6 +259,14 @@ class TestRealKreinForms:
         cls = spc.classify_krein(ham)
         assert_same_classification(cls, reference_classification(ham))
         assert cls.classes.count(spc.CLASS_IMAG_POS) == 14
+
+    def test_cluster_behind_a_real_column(self):
+        # the real column 0 puts each imaginary column one past its
+        # position among the imaginary columns
+        ham = eigensystem(prescribed_nu([-0.5, 2.0, 2.0, 3.0]), 1e-3)
+        cls = spc.classify_krein(ham)
+        assert_same_classification(cls, reference_classification(ham))
+        assert cls.classes.count(spc.CLASS_REAL_POS) == 1
 
     def test_no_square_temporaries(self, q22):
         # the complex path held x, y, A_cos x and A_sin y for every
@@ -479,6 +492,17 @@ class TestFallbackSelection:
         with pytest.raises(UnresolvedEigenvalueError, match="noise units"):
             eigensystem(prescribed_nu(nu), 1e-10)
 
+    def test_scale_relative_zero_bucket_without_a_floor(self):
+        # on the route, a nu below (IM_TOL_REL max|lambda|)^2 lies in the
+        # noise band of any smaller zero floor, so the scale-relative term
+        # of the zero bucket decides alone only once the floor is lowered
+        ham = dataclasses.replace(
+            eigensystem(prescribed_nu([-0.5, 1e-20, 0.25, 1.0]), 0.1),
+            zero_floor=0.0)
+        cls = spc.classify_krein(ham)
+        assert_same_classification(cls, reference_classification(ham))
+        assert cls.classes.count(spc.CLASS_ZERO) == 2
+
     def test_nu_inside_the_band_raises(self):
         # zero_floor^2 = 1e-2 and max|nu| = 1: NOISE_BAND eps either side
         # of +-1e-2 is refused
@@ -555,8 +579,9 @@ def test_block_inertia_equals_full_inertia(L):
 
 @given(even_operators())
 def test_block_hamiltonian_spectrum_equals_dense(L):
-    # a positive semidefinite odd block takes the symmetric route, an
-    # indefinite one is a theory-consistency failure
+    # a positive semidefinite odd block takes the symmetric route, whose
+    # counts and classes match the oracle's; an indefinite one is a
+    # theory-consistency failure
     dense = dense_hamiltonian_eigenvalues(dense_matrix(L), L.grid)
     scale = float(np.max(np.abs(dense)))
     noise = np.sqrt(np.finfo(float).eps) * scale
@@ -567,6 +592,9 @@ def test_block_hamiltonian_spectrum_equals_dense(L):
         return
     ham = eigensystem(A, 20.0 * noise)
     assert nearest_distance(ham.eigenvalues, dense) <= 10.0 * noise
+    assert_same_counts_and_classes(
+        spc.classify_krein(ham),
+        reference_classification(full_order(A, 20.0 * noise)))
 
 
 @given(even_operators())

@@ -178,8 +178,7 @@ class TestHamiltonianSpectrum:
     def test_eigenpair_residual(self, pipeline22, pipeline25):
         for data in (pipeline22, pipeline25):
             assert not np.iscomplexobj(data.eigensystem.x)
-            assert spc.eigenpair_residual(
-                data.eigensystem, data.classification) <= 1e-6
+            assert spc.eigenpair_residual(data.eigensystem) <= 1e-6
 
     def test_residual_flags_corrupted_eigenvector(self, pipeline25):
         ham, cls = pipeline25.eigensystem, pipeline25.classification
@@ -188,7 +187,7 @@ class TestHamiltonianSpectrum:
         x[:, ham.column[unstable]] = np.random.default_rng(0).standard_normal(
             x.shape[0])
         corrupted = dataclasses.replace(ham, x=x)
-        assert spc.eigenpair_residual(corrupted, cls) > 1e-2
+        assert spc.eigenpair_residual(corrupted) > 1e-2
 
     def test_sandwich_equivalence(self, pipeline22):
         S = op.sandwich(pipeline22.matrix, 0.0)
@@ -204,12 +203,12 @@ class TestHamiltonianSpectrum:
 class TestClassifyKrein:
     def test_stable_counts(self, pipeline22):
         cls = pipeline22.classification
-        assert (cls.k_r, cls.k_c, cls.k_i_minus) == (0, 0, 0)
-        assert cls.k_c % 2 == 0 and cls.k_i_minus % 2 == 0
+        assert (cls.k_r, cls.k_i_minus) == (0, 0)
+        assert cls.k_i_minus % 2 == 0
 
     def test_unstable_counts(self, pipeline25):
         cls = pipeline25.classification
-        assert (cls.k_r, cls.k_c, cls.k_i_minus) == (1, 0, 0)
+        assert (cls.k_r, cls.k_i_minus) == (1, 0)
 
     def test_positive_definite_form_gives_no_negative_signature(self, grid_small):
         # multiplier-only operator: A positive definite on the subspace
@@ -219,7 +218,7 @@ class TestClassifyKrein:
         ham = eigensystem(op.assemble(L), 0.0)
         cls = spc.classify_krein(ham)
         assert cls.k_i_minus == 0
-        assert cls.k_r == 0 and cls.k_c == 0
+        assert cls.k_r == 0
         assert all(c in (spc.CLASS_IMAG_POS, spc.CLASS_ZERO) for c in cls.classes)
 
     def test_every_eigenvalue_in_exactly_one_bucket(self, pipeline22):
