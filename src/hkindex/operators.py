@@ -150,7 +150,6 @@ class LinOperator:
     label: str
     kind: str = "custom"
     s: float | None = None
-    c: float | None = None
 
     def __post_init__(self):
         sym = np.asarray(self.multiplier_symbol, dtype=float)
@@ -218,7 +217,7 @@ def _linearization(model: Model, U: WaveProfile, accepted: tuple) -> LinOperator
     pot = -(U.p + 1.0) * clamped_power(U.values, U.p, U.peak)
     return LinOperator(U.grid, sym, pot,
                        label=f"{model.kind}-lin(s={U.s:g},p={U.p:g},c={U.c:g})",
-                       kind=model.kind, s=U.s, c=U.c)
+                       kind=model.kind, s=U.s)
 
 
 def schrodinger_operator(V: RealField, c: float) -> LinOperator:
@@ -233,7 +232,7 @@ def schrodinger_operator(V: RealField, c: float) -> LinOperator:
     sym = fractional_symbol(V.grid, 2.0) + c
     return LinOperator(V.grid, sym, -V.values,
                        label=f"schrodinger(c={c:g})", kind="schrodinger",
-                       s=2.0, c=c)
+                       s=2.0)
 
 
 def sandwich(A: ParityBlocks, eps: float) -> ParityBlocks:

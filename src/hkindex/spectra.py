@@ -24,7 +24,8 @@ of order n/2-1 minus the odd kernel, built on the odd block's eigenpairs.
 An indefinite odd block raises TheoryConsistencyError.  nu carries an
 absolute error of about one noise unit eps max|nu|; a nu within
 NOISE_BAND units of a threshold that decides its class raises
-UnresolvedEigenvalueError.  J S, with unit weights, takes the same route.
+UnresolvedEigenvalueError.  J S is the same solve with unit weights on the
+pairs: it is similar to D A, so it has the same nu and noise unit.
 Every lambda is real, imaginary or zero, and the pair +-lambda shares one
 eigenvector column, held as the real pair (x, u) of (x, lambda u): each
 column is classified once, from its nu, and one evaluator gives every
@@ -48,10 +49,11 @@ from .spectral import (TWO_PI, Multiplier, RealField, SpectralGrid,
                        regularized_quarter_root_multiplier)
 
 # defaults from the tolerance policy: scale-relative thresholds survive
-# rescaling of the wave speed.  The Hamiltonian zero tolerance sits at
-# 1e-9 * max|lambda|: the dispersion tail makes max|lambda| huge (~xi^(s+1)),
-# so 1e-6 would swallow genuine near-threshold eigenvalues (~5e-2 at p = 4.1,
-# s = 2), while the measured eigensolver noise on real parts is < 1e-11.
+# rescaling of the wave speed.  Imaginary eigenvalues within IM_TOL_REL *
+# max|lambda| of each other are one cluster for the Krein forms: the
+# dispersion tail makes max|lambda| huge (~xi^(s+1)), so a wider gap would
+# merge distinct small eigenvalues, while the measured eigensolver noise is
+# < 1e-11 max|lambda|.
 ZERO_TOL_REL = 1e-8
 IM_TOL_REL = 1e-9
 SIG_TOL_REL = 1e-8
@@ -107,24 +109,16 @@ class SymmetricSpectrum:
         return np.sort(np.concatenate(self.values))
 
 
-def _spectrum(P: ParityBlocks, odd_vectors: bool) -> SymmetricSpectrum:
+def symmetric_spectrum(P: ParityBlocks,
+                       odd_vectors: bool = True) -> SymmetricSpectrum:
+    """Inertia and eigenvalues of a symmetric matrix, one eigh per parity
+    block, with the odd block's eigenvectors if odd_vectors: the symmetric
+    Hamiltonian route builds on them, counts read nothing else."""
     even, _ = sym_eig(P.blocks[0], vectors=False)
     odd, vecs = sym_eig(P.blocks[1], odd_vectors)
     zero_tol = ZERO_TOL_REL * max(float(np.max(np.abs(even))),
                                   float(np.max(np.abs(odd))))
     return SymmetricSpectrum((even, odd), vecs, zero_tol, P.blocks)
-
-
-def symmetric_spectrum(P: ParityBlocks) -> SymmetricSpectrum:
-    """Inertia and eigenvalues of a symmetric matrix, one eigh per parity
-    block, with the odd block's eigenvectors (the symmetric Hamiltonian
-    route builds on them)."""
-    return _spectrum(P, odd_vectors=True)
-
-
-def symmetric_eigenvalues(P: ParityBlocks) -> SymmetricSpectrum:
-    """The same without eigenvectors, for counts that read nothing else."""
-    return _spectrum(P, odd_vectors=False)
 
 
 def _anchor_to_edge(grid, values: np.ndarray) -> np.ndarray:
@@ -281,16 +275,17 @@ def bbm_slope(u_family, c: float, dc: float, normalized) -> BbmSlope:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianEigensystem:
-    """Spectrum of the restricted D A, each eigenvector held as its cosine
-    coordinates x and its sine coordinates y = lambda u: D A v = lambda v
-    reads -W A_sin y = lambda x and W A_cos x = lambda y.  Eigenvalue i
-    reads the columns column[i] of x and u, both real: one pair per
-    lambda^2 = -nu, shared by +-lambda, and a zero column, nu = 0, for the
-    kernel pair.  Every lambda is real or imaginary."""
+    """Spectrum of the restricted D A (or J S, unit weights), each
+    eigenvector held as its cosine coordinates x and its sine coordinates
+    y = lambda u: D A v = lambda v reads -W A_sin y = lambda x and
+    W A_cos x = lambda y.  Eigenvalue i reads the columns column[i] of x
+    and u, both real: one pair per lambda^2 = -nu, shared by +-lambda, and
+    a zero column, nu = 0, for the kernel pair.  Every lambda is real or
+    imaginary."""
     eigenvalues: np.ndarray          # complex, length n-2, sorted by (imag, real)
     a_cos: np.ndarray                # cosine block of the restricted factor
     a_sin: np.ndarray                # sine block of the restricted factor
-    weights: np.ndarray              # W = 2*pi*xi_k, D on the (cos, sin) pairs
+    weights: np.ndarray              # W on the (cos, sin) pairs: 2*pi*xi_k for D
     scale: float                     # max |lambda|
     zero_floor: float                # |lambda| <= zero_floor counts as zero
     x: np.ndarray                    # cosine parts
@@ -305,9 +300,8 @@ class HamiltonianEigensystem:
 
     def split(self) -> tuple:
         """(real, imaginary): masks of the columns outside the zero bucket
-        |lambda| <= max(IM_TOL_REL max|lambda|, zero_floor), by the sign
-        of nu."""
-        zero = self.modulus <= max(IM_TOL_REL * self.scale, self.zero_floor)
+        |lambda| <= zero_floor, by the sign of nu."""
+        zero = self.modulus <= self.zero_floor
         return ~zero & (self.nu < 0), ~zero & (self.nu > 0)
 
     def pairs(self, cols: np.ndarray) -> tuple:
@@ -348,18 +342,15 @@ def _odd_factor(eig: SymmetricSpectrum, weights: np.ndarray,
     return r, w[kept], v[:, ~kept]
 
 
-def _roots(nu: np.ndarray, kernel_dim: int) -> np.ndarray:
-    """lambda = +sqrt(-nu), then -sqrt(-nu), then kernel_dim pairs at 0."""
-    root = np.sqrt((-nu).astype(complex))
-    # 0 - root, not -root, so that zero parts print as 0.0, not -0.0
-    return np.concatenate([root, 0.0 - root, np.zeros(2 * kernel_dim)])
-
-
 def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
-                            zero_floor: float) -> HamiltonianEigensystem:
+                            zero_floor: float,
+                            weights: np.ndarray | None = None
+                            ) -> HamiltonianEigensystem:
     """Eigenvalues, sorted by (imag, real), and eigenvectors of the
-    restricted D A, given the symmetric spectrum eig of A; |lambda| <=
-    zero_floor counts as zero.
+    restricted skew product with the weights W on the (cos, sin) pairs,
+    given the symmetric spectrum eig of A; |lambda| <= zero_floor counts
+    as zero.  Weights None are D's, 2*pi*xi_k, for D A; unit weights give
+    the J S of the sandwich.
 
     With W A_sin W = R R^T, lambda^2 = -nu for the eigenpairs (nu, z) of
     T = R^T A_cos R, and x = R z.  y = lambda u solves -W A_sin y =
@@ -374,7 +365,8 @@ def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
     UnresolvedEigenvalueError; a zero-bucket nu below one unit goes on the
     imaginary axis.  An indefinite odd block raises
     TheoryConsistencyError."""
-    a_cos, a_sin, weights = _factor(P)
+    a_cos, a_sin, d_weights = _factor(P)
+    weights = d_weights if weights is None else weights
     r, w, kernel = _odd_factor(eig, weights, P.label)
     # divide and conquer: faster than the default here, for an n^2 workspace
     nu, z = scipy.linalg.eigh(r.T @ (a_cos @ r), overwrite_a=True,
@@ -412,7 +404,9 @@ def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
     # or the imaginary axis by a rounding that changes with the BLAS thread
     # count: a zero-bucket nu below one unit goes on the imaginary axis
     nu = np.where(np.abs(nu) <= min(noise, zero_floor ** 2), np.abs(nu), nu)
-    eigs = _roots(nu, k)
+    root = np.sqrt((-nu).astype(complex))
+    # 0 - root, not -root, so that zero parts print as 0.0, not -0.0
+    eigs = np.concatenate([root, 0.0 - root, np.zeros(2 * k)])
     column = np.concatenate([np.arange(t), np.arange(t), np.full(2 * k, t)])
     order = _sorted(eigs)
     return HamiltonianEigensystem(
@@ -439,20 +433,6 @@ def eigenpair_residual(ham: HamiltonianEigensystem) -> float:
         rel = np.sqrt(np.sum(res, axis=0) / np.sum(x * x + y * y, axis=0))
         worst = max(worst, float(np.max(rel)) / ham.scale)
     return worst
-
-
-def sandwich_hamiltonian_spectrum(S: ParityBlocks,
-                                  eig: SymmetricSpectrum) -> np.ndarray:
-    """Eigenvalues of J S on the restricted subspace (the reformulated
-    problem: J S is similar to D A through |d|^(1/2)), given the symmetric
-    spectrum eig of S: hamiltonian_eigensystem's solve with unit weights,
-    eigenvalues only.  An indefinite odd block raises
-    TheoryConsistencyError."""
-    a_cos, a_sin, _ = _factor(S)
-    r, _, kernel = _odd_factor(eig, np.ones(a_sin.shape[0]), S.label)
-    eigs = _roots(scipy.linalg.eigvalsh(r.T @ (a_cos @ r), overwrite_a=True,
-                                        check_finite=False), kernel.shape[1])
-    return eigs[_sorted(eigs)]
 
 
 CLASS_ZERO = "ZERO"
@@ -572,12 +552,14 @@ def gkernel_floor(grid: SpectralGrid, symbol: np.ndarray) -> float:
 def generalized_kernel_dim(ham: HamiltonianEigensystem) -> int:
     """Algebraic multiplicity of 0 in the restricted D A spectrum.
 
-    Counts eigenvalues with |lambda| <= ham.zero_floor: the pipeline sets
-    that floor to GKERNEL_FRACTION * gkernel_floor, and anything below a
-    fixed fraction of the box's first dispersion mode is indistinguishable
-    from zero at this truncation.
+    Counts the eigenvalues of the zero bucket of HamiltonianEigensystem.split,
+    |lambda| <= ham.zero_floor: the pipeline sets that floor to
+    GKERNEL_FRACTION * gkernel_floor, and anything below a fixed fraction
+    of the box's first dispersion mode is indistinguishable from zero at
+    this truncation.
     """
-    return int(np.count_nonzero(np.abs(ham.eigenvalues) <= ham.zero_floor))
+    real, imag = ham.split()
+    return int(np.count_nonzero(~(real | imag)[ham.column]))
 
 
 def spectrum_rows(ham: HamiltonianEigensystem, cls: KreinClassification) -> list:

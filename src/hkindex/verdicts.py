@@ -191,7 +191,7 @@ def _verdict(model: wv.Model, s: float, p: float, c: float,
         # negative counts agree (Sylvester).  psi0 for S is W^-1 dU; its
         # antiderivative is W^-1 U, so the constrained quantity reproduces
         # -1/2 d/dc <(I+M) U_c, U_c>.
-        n_L = spc.symmetric_eigenvalues(A).negative_count
+        n_L = spc.symmetric_spectrum(A, odd_vectors=False).negative_count
         weight = op.symmetrizing_weight(grid, s)
         A = op.bbm_symmetrize(L, A)
         psi0 = sp.apply_multiplier(
@@ -350,7 +350,10 @@ def _gkdv_case(p_exp: float, expected_K: int) -> CheckReport:
             eig = spc.symmetric_spectrum(S)
             entries.append(_count_entry(eps, eig, res.n_L))
             if eps == 0.0:
-                sand = spc.sandwich_hamiltonian_spectrum(S, eig)
+                # J S: the solve of D A with unit weights
+                sand = spc.hamiltonian_eigensystem(
+                    S, eig, data.eigensystem.zero_floor,
+                    np.ones(S.blocks[1].shape[0])).eigenvalues
             else:
                 values[eps] = spc.constrained_quantity_sandwiched(
                     data.matrix, psi0, eps, eig)
@@ -414,7 +417,7 @@ def _schrodinger_case() -> CheckReport:
     grid = sp.make_grid(1024, 40.0)
     V = sp.RealField(grid, 2.0 / np.cosh(grid.nodes) ** 2)
     A = op.assemble(op.schrodinger_operator(V, 0.5))
-    rep = spc.symmetric_eigenvalues(A)
+    rep = spc.symmetric_spectrum(A, odd_vectors=False)
     entries.append(CheckEntry("n(L) == 1 for -d2 + 1/2 - 2 sech^2",
                               rep.negative_count == 1,
                               f"n={rep.negative_count}"))
@@ -423,7 +426,7 @@ def _schrodinger_case() -> CheckReport:
         "lowest eigenvalue at c - 1 = -0.5", abs(lowest + 0.5) <= 1e-6,
         f"lambda_min={lowest:.8f}"))
     for eps in SANDWICH_EPS:
-        eig = spc.symmetric_eigenvalues(op.sandwich(A, eps))
+        eig = spc.symmetric_spectrum(op.sandwich(A, eps), odd_vectors=False)
         entries.append(_count_entry(eps, eig, rep.negative_count))
     return CheckReport(case="schrodinger-sech2", entries=tuple(entries))
 

@@ -1,5 +1,9 @@
 import json
 import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -328,3 +332,17 @@ class TestSelfCheckCommand:
         assert run(["self-check", "--case", "schrodinger-sech2"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_readme_library_example_runs():
+    # the README's python block, run as a script on the source tree, so
+    # that a renamed public call breaks a test rather than the README
+    (example,) = re.findall(r"```python\n(.*?)```",
+                            (ROOT / "README.md").read_text(), re.S)
+    out = subprocess.run(
+        [sys.executable, "-c", example], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))).stdout
+    assert "1 [-3." in out and "STABLE" in out

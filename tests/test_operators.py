@@ -146,7 +146,7 @@ class TestBbmSymmetrize:
         s = 1.5
         sym = 1.0 + np.abs(2 * np.pi * grid_small.wavenumbers) ** s
         L0 = op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
-                            label="I+M", kind="bbm", s=s, c=2.0)
+                            label="I+M", kind="bbm", s=s)
         S = op.bbm_symmetrize(L0, op.assemble(L0))
         assert np.max(np.abs(S.dense() - np.eye(grid_small.n))) <= 1e-12
 

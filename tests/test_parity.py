@@ -10,7 +10,6 @@ indefinite odd block, and UnresolvedEigenvalueError for a nu within
 NOISE_BAND noise units eps max|nu| of a threshold that decides a class.
 """
 
-import dataclasses
 import tracemalloc
 import warnings
 
@@ -285,6 +284,23 @@ class TestRealKreinForms:
         assert peak <= 3 * ham.x.nbytes
 
 
+class TestSandwichReformulation:
+    def test_j_s_has_the_classes_of_d_a(self, spied_pipeline):
+        # the reformulated problem J S, the sandwich |d|^(1/2) A |d|^(1/2)
+        # with unit weights, keeps the index: its classes, counts and
+        # generalized kernel are those of the verdict's D A
+        _, data, _ = spied_pipeline
+        S = op.sandwich(data.matrix, 0.0)
+        ham = spc.hamiltonian_eigensystem(
+            S, spc.symmetric_spectrum(S), data.eigensystem.zero_floor,
+            np.ones(S.blocks[1].shape[0]))
+        cls, ref = spc.classify_krein(ham), data.classification
+        assert cls.classes == ref.classes
+        assert (cls.k_r, cls.k_i_minus) == (ref.k_r, ref.k_i_minus)
+        assert spc.generalized_kernel_dim(ham) == \
+            cls.classes.count(spc.CLASS_ZERO)
+
+
 def positive_operator() -> op.ParityBlocks:
     """|2 pi xi|^2 + 1 on 256 points: every eigenvalue of D A imaginary."""
     grid = sp.make_grid(256, 30.0)
@@ -388,7 +404,7 @@ class TestPseudoSolve:
         # solve-or-eigenpairs rule of the even block
         model, data = small_pipeline
         rhs = constrained_rhs(model, data)
-        bare = spc.symmetric_eigenvalues(data.matrix)
+        bare = spc.symmetric_spectrum(data.matrix, odd_vectors=False)
         assert bare.odd_vectors is None
         with quiet():
             d = spc._pseudo_solve_quadratic(bare, rhs, data.matrix.label)
@@ -462,7 +478,7 @@ class TestFallbackSelection:
         with pytest.raises(TheoryConsistencyError, match="odd block"):
             spc.hamiltonian_eigensystem(P, eig, 1e-3)
         with pytest.raises(TheoryConsistencyError, match="odd block"):
-            spc.sandwich_hamiltonian_spectrum(P, eig)
+            spc.hamiltonian_eigensystem(P, eig, 1e-3, np.ones(3))
 
     def test_non_real_root_outside_the_zero_bucket(self):
         a, grid = pair_blocks(*NON_REAL_ROOT)
@@ -491,17 +507,6 @@ class TestFallbackSelection:
         # sub-noise nu would decide its class: refused instead
         with pytest.raises(UnresolvedEigenvalueError, match="noise units"):
             eigensystem(prescribed_nu(nu), 1e-10)
-
-    def test_scale_relative_zero_bucket_without_a_floor(self):
-        # on the route, a nu below (IM_TOL_REL max|lambda|)^2 lies in the
-        # noise band of any smaller zero floor, so the scale-relative term
-        # of the zero bucket decides alone only once the floor is lowered
-        ham = dataclasses.replace(
-            eigensystem(prescribed_nu([-0.5, 1e-20, 0.25, 1.0]), 0.1),
-            zero_floor=0.0)
-        cls = spc.classify_krein(ham)
-        assert_same_classification(cls, reference_classification(ham))
-        assert cls.classes.count(spc.CLASS_ZERO) == 2
 
     def test_nu_inside_the_band_raises(self):
         # zero_floor^2 = 1e-2 and max|nu| = 1: NOISE_BAND eps either side
@@ -610,9 +615,10 @@ def test_sandwich_hamiltonian_spectrum_equals_dense(L):
     noise = np.sqrt(np.finfo(float).eps) * scale
     S = op.sandwich(op.assemble(L), 0.0)
     eig = spc.symmetric_spectrum(S)
+    unit = np.ones(S.blocks[1].shape[0])
     if indefinite_odd_block(S):
         with pytest.raises(TheoryConsistencyError, match="odd block"):
-            spc.sandwich_hamiltonian_spectrum(S, eig)
+            spc.hamiltonian_eigensystem(S, eig, 20.0 * noise, unit)
         return
-    half = spc.sandwich_hamiltonian_spectrum(S, eig)
-    assert nearest_distance(half, dense) <= 10.0 * noise
+    half = spc.hamiltonian_eigensystem(S, eig, 20.0 * noise, unit)
+    assert nearest_distance(half.eigenvalues, dense) <= 10.0 * noise

@@ -47,7 +47,7 @@ class TestSymmetricSpectrum:
 
     def test_eigenvalues_only_keeps_the_counts(self, pipeline22):
         full = spc.symmetric_spectrum(pipeline22.matrix)
-        rep = spc.symmetric_eigenvalues(pipeline22.matrix)
+        rep = spc.symmetric_spectrum(pipeline22.matrix, odd_vectors=False)
         assert rep.odd_vectors is None
         assert (rep.negative_count, kernel_dim(rep)) == \
             (full.negative_count, kernel_dim(full))
@@ -191,8 +191,10 @@ class TestHamiltonianSpectrum:
 
     def test_sandwich_equivalence(self, pipeline22):
         S = op.sandwich(pipeline22.matrix, 0.0)
-        sand = spc.sandwich_hamiltonian_spectrum(S, spc.symmetric_spectrum(S))
         ham = pipeline22.eigensystem
+        sand = spc.hamiltonian_eigensystem(
+            S, spc.symmetric_spectrum(S), ham.zero_floor,
+            np.ones(S.blocks[1].shape[0])).eigenvalues
         cut = 1e-3 * ham.scale
         a = ham.eigenvalues[np.abs(ham.eigenvalues) > cut]
         b = sand[np.abs(sand) > cut]

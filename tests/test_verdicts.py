@@ -191,8 +191,8 @@ class TestSelfCheck:
     def test_gkdv_case_reuses_the_pipeline_spectrum(self, monkeypatch):
         # the generalized kernel is counted on the verdict's eigensystem,
         # and each sandwich and its spectrum serve every check that reads
-        # them: one assembly, one Hamiltonian solve, four sandwiches and
-        # their four spectra besides L's own
+        # them: one assembly, two Hamiltonian solves (D L and J S), four
+        # sandwiches and their four spectra besides L's own
         calls = dict.fromkeys(["assemble", "hamiltonian_eigensystem",
                                "sandwich", "symmetric_spectrum"], 0)
         for fn in (vd.op.assemble, vd.spc.hamiltonian_eigensystem,
@@ -207,8 +207,8 @@ class TestSelfCheck:
                 return _fn(a, *args, **kw)
             monkeypatch.setattr(scipy.linalg, name, recorded)
         # eigenvectors: the odd block of L and of each sandwich, T of the
-        # verdict, and the even block of each eps > 0 sandwich, whose
-        # near-zero eigenvalue sends its constrained solve to the
+        # verdict and of J S, and the even block of each eps > 0 sandwich,
+        # whose near-zero eigenvalue sends its constrained solve to the
         # eigenvector path
         with_vectors = []
 
@@ -219,12 +219,12 @@ class TestSelfCheck:
         monkeypatch.setattr(scipy.linalg, "eigh", eigh)
         report = vd.self_check("gkdv-p2")
         assert report.passed, [e for e in report.entries if not e.passed]
-        assert calls == {"assemble": 1, "hamiltonian_eigensystem": 1,
+        assert calls == {"assemble": 1, "hamiltonian_eigensystem": 2,
                          "sandwich": 4, "symmetric_spectrum": 5}
         assert orders == []
         n = vd.default_grid(2.0)[0]
         assert sorted(with_vectors) == \
-            [n // 2 - 2] + [n // 2 - 1] * 5 + [n // 2 + 1] * 3
+            [n // 2 - 2] * 2 + [n // 2 - 1] * 5 + [n // 2 + 1] * 3
 
 
 def count_calls(monkeypatch, fn, calls) -> None:
