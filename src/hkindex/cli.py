@@ -218,20 +218,21 @@ def cmd_solve_wave(cfg: RunConfig) -> int:
     return _exit_code(profile)
 
 
-def _run_verdict(cfg: RunConfig) -> vd.PipelineData:
+def _run_verdict(cfg: RunConfig, keep_pipeline: bool):
     validate_wave_params(cfg)
     runner = getattr(vd, f"{wv.MODELS[cfg.model].kind}_verdict")
-    return runner(cfg.s, cfg.p, cfg.c, cfg.numerics(), keep_pipeline=True)
+    return runner(cfg.s, cfg.p, cfg.c, cfg.numerics(),
+                  keep_pipeline=keep_pipeline)
 
 
 def cmd_index(cfg: RunConfig) -> int:
-    data = _run_verdict(cfg)
-    res = data.result
+    # counts only: no eigenvectors, no Krein forms
+    res = _run_verdict(cfg, keep_pipeline=False)
     payload = asdict(res)
     payload["diagnostics"] = list(res.diagnostics)
     write_json(os.path.join(cfg.out, "index.json"), payload)
     print(f"K_Ham={res.K_direct} verdict={res.verdict}")
-    return _exit_code(data.wave)
+    return EXIT_ACCURACY if vd.TRUNCATION_NOTE in res.diagnostics else EXIT_OK
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -281,7 +282,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    data = _run_verdict(cfg)
+    data = _run_verdict(cfg, keep_pipeline=True)
     rows = spc.spectrum_rows(data.eigensystem, data.classification)
     if cfg.format == "json":
         path = write_json_rows(os.path.join(cfg.out, "spectrum.json"),

@@ -29,7 +29,9 @@ pairs: it is similar to D A, so it has the same nu and noise unit.
 Every lambda is real, imaginary or zero, and the pair +-lambda shares one
 eigenvector column, held as the real pair (x, u) of (x, lambda u): each
 column is classified once, from its nu, and one evaluator gives every
-Krein form in real arithmetic.
+Krein form in real arithmetic.  A count reads nu alone: the solve without
+vectors takes the eigenvalues of T only, and has the same noise band,
+layout and zero bucket.
 """
 
 from __future__ import annotations
@@ -288,8 +290,8 @@ class HamiltonianEigensystem:
     weights: np.ndarray              # W on the (cos, sin) pairs: 2*pi*xi_k for D
     scale: float                     # max |lambda|
     zero_floor: float                # |lambda| <= zero_floor counts as zero
-    x: np.ndarray                    # cosine parts
-    u: np.ndarray                    # sine parts over lambda
+    x: np.ndarray | None             # cosine parts, None for counts only
+    u: np.ndarray | None             # sine parts over lambda, or None
     column: np.ndarray               # column of x and u for each eigenvalue
     nu: np.ndarray                   # -lambda^2 of each column
 
@@ -344,20 +346,20 @@ def _odd_factor(eig: SymmetricSpectrum, weights: np.ndarray,
 
 def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
                             zero_floor: float,
-                            weights: np.ndarray | None = None
-                            ) -> HamiltonianEigensystem:
-    """Eigenvalues, sorted by (imag, real), and eigenvectors of the
-    restricted skew product with the weights W on the (cos, sin) pairs,
-    given the symmetric spectrum eig of A; |lambda| <= zero_floor counts
-    as zero.  Weights None are D's, 2*pi*xi_k, for D A; unit weights give
-    the J S of the sandwich.
+                            weights: np.ndarray | None = None,
+                            vectors: bool = True) -> HamiltonianEigensystem:
+    """Eigenvalues, sorted by (imag, real), and eigenvectors if vectors
+    (else x and u are None) of the restricted skew product with the
+    weights W on the (cos, sin) pairs, given the symmetric spectrum eig of
+    A; |lambda| <= zero_floor counts as zero.  Weights None are D's,
+    2*pi*xi_k, for D A; unit weights give the J S of the sandwich.
 
     With W A_sin W = R R^T, lambda^2 = -nu for the eigenpairs (nu, z) of
     T = R^T A_cos R, and x = R z.  y = lambda u solves -W A_sin y =
     lambda x, u = -A_sin^+ W^-1 x plus the kernel share that W A_cos x =
     lambda y fixes (dividing W A_cos x by lambda would amplify the error
-    of x by scale / |lambda|).  Real roots are refined by the two-sided
-    Rayleigh quotient.
+    of x by scale / |lambda|).  With vectors, real roots are refined by
+    the two-sided Rayleigh quotient; without, nu are T's eigenvalues.
 
     nu carries an absolute error of about one noise unit eps max|nu|, so
     lambda about eps max|nu| / |lambda|.  A nu within NOISE_BAND units of
@@ -369,8 +371,10 @@ def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
     weights = d_weights if weights is None else weights
     r, w, kernel = _odd_factor(eig, weights, P.label)
     # divide and conquer: faster than the default here, for an n^2 workspace
-    nu, z = scipy.linalg.eigh(r.T @ (a_cos @ r), overwrite_a=True,
-                              check_finite=False, driver="evd")
+    found = scipy.linalg.eigh(r.T @ (a_cos @ r), eigvals_only=not vectors,
+                              overwrite_a=True, check_finite=False,
+                              driver="evd")
+    nu, z = found if vectors else (found, None)
     top = float(np.max(np.abs(nu), initial=0.0))
     noise, scale = float(np.finfo(float).eps) * top, float(np.sqrt(top))
     # the distance to the nearer of +-zero_floor^2; where the zero bucket is
@@ -383,23 +387,27 @@ def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
             f"noise units (eps max|nu| = {noise:.2e}) from +-zero_floor^2 = "
             f"{zero_floor ** 2:.6e}; its class cannot be read on this grid")
     k, t = kernel.shape[1], nu.size
-    # one zero column past the last, for the kernel pair
-    z = np.hstack([z, np.zeros((t, 1))])
-    x = r @ z
-    r /= weights[:, None]
-    r /= w
-    u = r @ z  # V_+ diag(w_+)^(-1/2) z
-    del r, z
-    u *= -1.0
-    share = (a_cos @ (weights[:, None] * kernel)).T @ x[:, :t]
-    u[:, :t] -= kernel @ (share / nu)
-    # A (x, -y) is a left eigenvector for a real lambda, so the two-sided
-    # Rayleigh quotient's error is quadratic in that of the vectors
-    real = np.nonzero(nu < -zero_floor ** 2)[0]
-    lam, xr, ur = np.sqrt(-nu[real]), x[:, real], u[:, real]
-    ax, au = a_cos @ xr, a_sin @ ur
-    nu[real] = -(2.0 * lam * np.sum(ax * weights[:, None] * au, axis=0) / (
-        np.sum(xr * ax, axis=0) - lam ** 2 * np.sum(ur * au, axis=0))) ** 2
+    x = u = None
+    if vectors:
+        # one zero column past the last, for the kernel pair
+        z = np.hstack([z, np.zeros((t, 1))])
+        x = r @ z
+        r /= weights[:, None]
+        r /= w
+        u = r @ z  # V_+ diag(w_+)^(-1/2) z
+        del r, z
+        u *= -1.0
+        share = (a_cos @ (weights[:, None] * kernel)).T @ x[:, :t]
+        u[:, :t] -= kernel @ (share / nu)
+        # A (x, -y) is a left eigenvector for a real lambda, so the
+        # two-sided Rayleigh quotient's error is quadratic in that of the
+        # vectors
+        real = np.nonzero(nu < -zero_floor ** 2)[0]
+        lam, xr, ur = np.sqrt(-nu[real]), x[:, real], u[:, real]
+        ax, au = a_cos @ xr, a_sin @ ur
+        nu[real] = -(2.0 * lam * np.sum(ax * weights[:, None] * au, axis=0)
+                     / (np.sum(xr * ax, axis=0)
+                        - lam ** 2 * np.sum(ur * au, axis=0))) ** 2
     # a generalized-kernel pair splits by about one noise unit, to the real
     # or the imaginary axis by a rounding that changes with the BLAS thread
     # count: a zero-bucket nu below one unit goes on the imaginary axis
@@ -451,10 +459,6 @@ class KreinClassification:
     sig_tol: float
     classes: tuple                # one label per eigenvalue (sorted order)
     form_values: np.ndarray       # Krein form value, nan off the imaginary axis
-
-    @property
-    def k_direct(self) -> int:
-        return self.k_r + self.k_i_minus
 
 
 def _cluster_indices(values: np.ndarray, gap: float) -> list:

@@ -2,8 +2,7 @@
 
 One pipeline serves every row of the model table (waves.MODELS): ground-
 state solve, wave solve at speed c, linearize, inertia counts, constrained
-quantity, direct Hamiltonian spectrum with Krein classification.  The
-index identity
+quantity, direct Hamiltonian spectrum.  The index identity
 
     K_Ham = n(L) - (1 if d/dc <U_c, U_c> > 0 else 0)        (KdV)
     K_Ham = n(L0) - (1 if d/dc <(I+M) U_c, U_c> > 0 else 0) (BBM)
@@ -12,6 +11,11 @@ is then asserted against the directly counted k_r + k_c + k_i^-; a
 mismatch is a hard error (the identity is a theorem, so disagreement
 means the numerics are broken, not the wave).  k_c, the count of complex
 eigenvalues, is 0: the spectrum comes from lambda^2 = -nu with nu real.
+Every imaginary eigenvalue has the Krein form 2 nu > 0, so k_i^- is 0 and
+k_r, the real columns, is read from the eigenvalues alone.  A run that
+keeps its pipeline (spectrum, self-check) also computes the eigenvectors
+and the Krein classes, and a class count that differs from k_r, or a
+negative signature, is a theory-consistency failure.
 
 Wave families with |slope| inside the degeneracy band (the p = 2s
 borderline, where the generalized kernel grows) are reported DEGENERATE
@@ -38,6 +42,9 @@ DEGENERATE = "DEGENERATE"
 
 # |slope| <= band_rel * <U,U>/c declares the family degenerate
 DEGENERACY_BAND_REL = 1e-3
+
+# the diagnostic of a wave whose tails do not fit the box
+TRUNCATION_NOTE = "wave carries a truncation warning on this box"
 
 
 def default_grid(s: float) -> tuple[int, float]:
@@ -106,42 +113,31 @@ class PipelineData:
 
 
 def _resolve_verdict(n_L: int, slope: float, slope_ref: float, band: float,
-                     cls: spc.KreinClassification, label: str,
-                     check_reference_sign: bool):
-    """Common index/verdict logic; returns (K_formula, verdict, notes)."""
+                     k_r: int, label: str, check_reference_sign: bool):
+    """Common index/verdict logic for the direct count K_Ham = k_r (k_c and
+    k_i^- are 0); returns (K_formula, verdict, notes)."""
     notes = []
     degenerate = abs(slope) <= band or abs(slope_ref) <= band
     if degenerate:
         notes.append(f"degenerate: |slope| within band {band:.2e} "
                      f"(numerical {slope:+.3e}, reference {slope_ref:+.3e})")
-        return cls.k_direct, DEGENERATE, notes
+        return k_r, DEGENERATE, notes
     if (slope > 0) != (slope_ref > 0):
         msg = (f"slope sign unresolved for {label}: numerical {slope:+.3e} "
                f"vs reference {slope_ref:+.3e}")
         if check_reference_sign:
             raise TheoryConsistencyError(msg)
         notes.append(msg + "; reporting DEGENERATE")
-        return cls.k_direct, DEGENERATE, notes
+        return k_r, DEGENERATE, notes
     K_formula = n_L - (1 if slope > 0 else 0)
-    if K_formula != cls.k_direct:
+    if K_formula != k_r:
         raise TheoryConsistencyError(
             f"index identity violated for {label}: formula gives {K_formula}, "
-            f"direct count gives {cls.k_direct} "
-            f"(k_r={cls.k_r}, k_i-={cls.k_i_minus})")
-    if K_formula % 2 == 1 and cls.k_r < 1:
+            f"direct count k_r gives {k_r}")
+    if K_formula % 2 == 1 and k_r < 1:
         raise TheoryConsistencyError(
             f"parity violated for {label}: odd index {K_formula} with k_r=0")
-    if K_formula == 0:
-        verdict = STABLE
-    elif K_formula % 2 == 1 or cls.k_r > 0:
-        verdict = UNSTABLE
-    else:
-        verdict = STABLE
-        notes.append("even index carried entirely by negative-signature "
-                     "imaginary eigenvalues; no unstable mode detected")
-    if cls.indeterminate:
-        notes.append(f"{len(cls.indeterminate)} indeterminate Krein form value(s)")
-    return K_formula, verdict, notes
+    return K_formula, UNSTABLE if K_formula > 0 else STABLE, notes
 
 
 def kdv_verdict(s: float, p: float, c: float,
@@ -211,21 +207,33 @@ def _verdict(model: wv.Model, s: float, p: float, c: float,
 
     floor = spc.gkernel_floor(grid, L.multiplier_symbol * weight ** 2)
     ham = spc.hamiltonian_eigensystem(
-        A, eig, zero_floor=spc.GKERNEL_FRACTION * floor)
-    cls = spc.classify_krein(ham)
+        A, eig, zero_floor=spc.GKERNEL_FRACTION * floor, vectors=keep_pipeline)
+    # x = R z with |z| = 1 gives x^T A_cos x = nu and u^T A_sin u = 1, so
+    # the Krein form of lambda = i sqrt(nu) is nu + |lambda|^2 = 2 nu > 0:
+    # k_i^- = 0, and the direct count is the number of real columns
+    k_r = int(np.count_nonzero(ham.split()[0]))
     K_formula, verdict, notes = _resolve_verdict(
-        n_L, slope, slope_ref, band, cls, L.label,
+        n_L, slope, slope_ref, band, k_r, L.label,
         check_reference_sign=model.reference_sign_raises)
+    if keep_pipeline:
+        cls = spc.classify_krein(ham)
+        if (cls.k_r, cls.k_i_minus) != (k_r, 0):
+            raise TheoryConsistencyError(
+                f"Krein classes of {L.label} give k_r={cls.k_r}, k_i-="
+                f"{cls.k_i_minus}; the counts give k_r={k_r}, k_i-=0")
+        if cls.indeterminate:
+            notes.append(f"{len(cls.indeterminate)} indeterminate Krein "
+                         f"form value(s)")
     notes += slope_notes
     if U.truncation_warning:
-        notes.append("wave carries a truncation warning on this box")
+        notes.append(TRUNCATION_NOTE)
 
     result = KreinIndexResult(
         s=s, p=p, c=c, model=model.name, n_L=n_L, d=d, slope=slope,
         slope_reference=slope_ref, K_formula=K_formula,
         # lambda^2 = -nu with nu real: no lambda is complex
-        k_r=cls.k_r, k_c=0, k_i_minus=cls.k_i_minus,
-        K_direct=cls.k_direct, verdict=verdict, diagnostics=tuple(notes))
+        k_r=k_r, k_c=0, k_i_minus=0, K_direct=k_r, verdict=verdict,
+        diagnostics=tuple(notes))
     if keep_pipeline:
         return PipelineData(grid, U, L, A, ham, cls, result)
     return result
@@ -353,7 +361,7 @@ def _gkdv_case(p_exp: float, expected_K: int) -> CheckReport:
                 # J S: the solve of D A with unit weights
                 sand = spc.hamiltonian_eigensystem(
                     S, eig, data.eigensystem.zero_floor,
-                    np.ones(S.blocks[1].shape[0])).eigenvalues
+                    np.ones(S.blocks[1].shape[0]), vectors=False).eigenvalues
             else:
                 values[eps] = spc.constrained_quantity_sandwiched(
                     data.matrix, psi0, eps, eig)

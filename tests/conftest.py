@@ -1,3 +1,4 @@
+import sys
 import warnings
 from contextlib import contextmanager
 
@@ -61,10 +62,23 @@ def kernel_dim(spectrum: spc.SymmetricSpectrum) -> int:
                for w in spectrum.values)
 
 
-def eigensystem(A: op.ParityBlocks, zero_floor: float):
+def eigensystem(A: op.ParityBlocks, zero_floor: float, vectors: bool = True):
     """The Hamiltonian eigensystem of A, from A's symmetric spectrum."""
     return spc.hamiltonian_eigensystem(A, spc.symmetric_spectrum(A),
-                                       zero_floor)
+                                       zero_floor, vectors=vectors)
+
+
+def count_calls(monkeypatch, fn, calls) -> None:
+    """Count the calls of fn in calls[fn.__name__], under every name that
+    binds it in a module of the package."""
+    def counted(*args, **kw):
+        calls[fn.__name__] += 1
+        return fn(*args, **kw)
+    for modname, module in list(sys.modules.items()):
+        if modname == "hkindex" or modname.startswith("hkindex."):
+            for name, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, name, counted)
 
 
 @contextmanager

@@ -7,8 +7,13 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hkindex import cli
+from hkindex import spectra as spc
+from hkindex import verdicts as vd
+
+from conftest import count_calls
 
 
 def run(argv, capsys=None):
@@ -165,6 +170,77 @@ def test_truncation_warning_sets_exit_code(tmp_path, capsys, command, output,
                 "--out", str(tmp_path)]) == code
     assert "verdict=STABLE" in capsys.readouterr().out
     assert (tmp_path / output).exists()
+    if command == "index":
+        # index reads the warning from the verdict's diagnostics
+        diagnostics = json.load(open(tmp_path / output))["diagnostics"]
+        assert (vd.TRUNCATION_NOTE in diagnostics) == (code == 2)
+
+
+# fkdv s = 2 on n = 512: p = 5 has one real pair, p = 2 none
+SMALL_GKDV = ["--model", "fkdv", "--s", "2", "--c", "1", "--n", "512",
+              "--half-length", "30"]
+T_ORDER = 512 // 2 - 2        # order of T = R^T A_cos R
+ODD_ORDER = 512 // 2 - 1      # order of the odd block, which builds R
+
+
+class TestCountingPath:
+    """index and sweep take their counts from the eigenvalues of T; only
+    spectrum computes eigenvectors and Krein forms."""
+
+    @staticmethod
+    def spy(monkeypatch) -> tuple:
+        calls = dict.fromkeys(["hamiltonian_eigensystem", "classify_krein"], 0)
+        for fn in (spc.hamiltonian_eigensystem, spc.classify_krein):
+            count_calls(monkeypatch, fn, calls)
+        with_vectors = []
+
+        def eigh(a, *args, _fn=scipy.linalg.eigh, **kw):
+            if not kw.get("eigvals_only", False):
+                with_vectors.append(a.shape[0])
+            return _fn(a, *args, **kw)
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+        return calls, with_vectors
+
+    def test_index_reads_counts_only(self, tmp_path, capsys, monkeypatch):
+        calls, with_vectors = self.spy(monkeypatch)
+        assert run(["index", *SMALL_GKDV, "--p", "5",
+                    "--out", str(tmp_path)]) == 0
+        assert "K_Ham=1 verdict=UNSTABLE" in capsys.readouterr().out
+        assert calls == {"hamiltonian_eigensystem": 1, "classify_krein": 0}
+        assert with_vectors == [ODD_ORDER]
+
+    def test_sweep_reads_counts_only(self, tmp_path, capsys, monkeypatch):
+        calls, with_vectors = self.spy(monkeypatch)
+        assert run(["sweep", *SMALL_GKDV, "--axis", "p", "--from", "2",
+                    "--to", "5", "--steps", "2", "--out", str(tmp_path)]) == 0
+        assert calls == {"hamiltonian_eigensystem": 2, "classify_krein": 0}
+        assert with_vectors == [ODD_ORDER] * 2
+
+    def test_spectrum_makes_one_solve_with_vectors(self, tmp_path, capsys,
+                                                  monkeypatch):
+        calls, with_vectors = self.spy(monkeypatch)
+        assert run(["spectrum", *SMALL_GKDV, "--p", "5",
+                    "--out", str(tmp_path)]) == 0
+        assert calls == {"hamiltonian_eigensystem": 1, "classify_krein": 1}
+        assert with_vectors.count(T_ORDER) == 1
+
+    def test_classes_are_checked_against_the_counts(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # negated forms give every imaginary column a negative signature:
+        # spectrum classifies and refuses, index does not classify
+        plain = tmp_path / "plain"
+        assert run(["index", *SMALL_GKDV, "--p", "5",
+                    "--out", str(plain)]) == 0
+        forms = spc._krein_forms
+        monkeypatch.setattr(spc, "_krein_forms", lambda *a: -forms(*a))
+        assert run(["spectrum", *SMALL_GKDV, "--p", "5",
+                    "--out", str(tmp_path / "spectrum")]) == 3
+        assert "theory-consistency failure" in capsys.readouterr().err
+        patched = tmp_path / "patched"
+        assert run(["index", *SMALL_GKDV, "--p", "5",
+                    "--out", str(patched)]) == 0
+        assert (patched / "index.json").read_bytes() == \
+            (plain / "index.json").read_bytes()
 
 
 class TestSpectrumCommand:

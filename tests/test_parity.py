@@ -39,6 +39,7 @@ from dense_reference import (dense_congruence, dense_hamiltonian_eigenvalues,
 REGRESSION_CASES = [(wv.FKDV, 2.0, 2.0, 1.0), (wv.FKDV, 2.0, 5.0, 1.0),
                     (wv.FBBM, 2.0, 2.0, 2.0)]
 SMALL = vd.NumericsConfig(n=512, half_length=30.0)
+EPS = float(np.finfo(float).eps)
 
 
 def nearest_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -67,6 +68,29 @@ def assert_same_counts_and_classes(cls, ref) -> None:
     assert np.count_nonzero(zero) == np.count_nonzero(ref_zero)
     assert np.array_equal(classes[~zero], ref_classes[~ref_zero])
     assert (cls.k_r, 0, cls.k_i_minus) == (ref.k_r, ref.k_c, ref.k_i_minus)
+
+
+def column_counts(ham) -> tuple:
+    """(real, imaginary, zero-bucket) column counts."""
+    real, imag = ham.split()
+    return tuple(int(np.count_nonzero(m)) for m in (real, imag, ~(real | imag)))
+
+
+def assert_counts_only_agrees(P: op.ParityBlocks, eig, zero_floor: float):
+    """The eigenvalue-only solve of P has the column counts, the
+    generalized kernel and, where the classes are decided (|nu| <= 1e-4
+    max|nu|), the nu within 2 noise units of the solve with vectors, whose
+    Krein classification finds no negative signature."""
+    full = spc.hamiltonian_eigensystem(P, eig, zero_floor)
+    counts = spc.hamiltonian_eigensystem(P, eig, zero_floor, vectors=False)
+    assert counts.x is None and counts.u is None
+    assert column_counts(counts) == column_counts(full)
+    assert spc.generalized_kernel_dim(counts) == \
+        spc.generalized_kernel_dim(full)
+    top = float(np.max(np.abs(full.nu)))
+    small = np.abs(full.nu) <= 1e-4 * top
+    assert np.all(np.abs(counts.nu[small] - full.nu[small]) <= 2.0 * EPS * top)
+    assert spc.classify_krein(full).k_i_minus == 0
 
 
 def assert_matches_oracle(ham, cls, oracle):
@@ -284,6 +308,12 @@ class TestRealKreinForms:
         assert peak <= 3 * ham.x.nbytes
 
 
+def test_counts_only_solve_agrees(spied_pipeline):
+    _, data, _ = spied_pipeline
+    assert_counts_only_agrees(data.matrix, spc.symmetric_spectrum(data.matrix),
+                              data.eigensystem.zero_floor)
+
+
 class TestSandwichReformulation:
     def test_j_s_has_the_classes_of_d_a(self, spied_pipeline):
         # the reformulated problem J S, the sandwich |d|^(1/2) A |d|^(1/2)
@@ -446,9 +476,6 @@ def prescribed_nu(nu: list) -> op.ParityBlocks:
     return op.ParityBlocks((even, np.eye(len(nu))), grid, "prescribed")
 
 
-EPS = float(np.finfo(float).eps)
-
-
 class TestFallbackSelection:
     """Inputs at the edges of the one Hamiltonian route: zero floors
     against the squaring noise, indefinite odd blocks, and nu near a
@@ -492,29 +519,35 @@ class TestFallbackSelection:
 
     def test_sub_noise_roots_reported_on_the_imaginary_axis(self):
         # max|nu| = 1, so the noise unit is eps; zero_floor^2 = 1e-2.  Only
-        # -eps/2, in the zero bucket and below one unit, moves
+        # -eps/2, in the zero bucket and below one unit, moves, with or
+        # without vectors
         nu = [-0.5, -3.0 * EPS, -0.5 * EPS, 0.5 * EPS, 0.25, 0.75, 1.0]
-        eigs = eigensystem(prescribed_nu(nu), 0.1).eigenvalues
-        real = eigs[eigs.imag == 0.0].real
-        assert np.allclose(real, [-np.sqrt(0.5), -np.sqrt(3.0 * EPS),
-                                  np.sqrt(3.0 * EPS), np.sqrt(0.5)],
-                           rtol=1e-12, atol=0.0)
-        imag = eigs[eigs.imag != 0.0]
-        assert np.all(imag.real == 0.0) and not np.any(np.signbit(imag.real))
-        assert np.count_nonzero(np.isclose(
-            np.abs(imag), np.sqrt(0.5 * EPS), rtol=1e-12, atol=0.0)) == 4
-        # with a zero bucket narrower than one unit, the sign of a
-        # sub-noise nu would decide its class: refused instead
-        with pytest.raises(UnresolvedEigenvalueError, match="noise units"):
-            eigensystem(prescribed_nu(nu), 1e-10)
+        for vectors in (True, False):
+            eigs = eigensystem(prescribed_nu(nu), 0.1, vectors).eigenvalues
+            real = eigs[eigs.imag == 0.0].real
+            assert np.allclose(real, [-np.sqrt(0.5), -np.sqrt(3.0 * EPS),
+                                      np.sqrt(3.0 * EPS), np.sqrt(0.5)],
+                               rtol=1e-12, atol=0.0)
+            imag = eigs[eigs.imag != 0.0]
+            assert np.all(imag.real == 0.0)
+            assert not np.any(np.signbit(imag.real))
+            assert np.count_nonzero(np.isclose(
+                np.abs(imag), np.sqrt(0.5 * EPS), rtol=1e-12, atol=0.0)) == 4
+            # with a zero bucket narrower than one unit, the sign of a
+            # sub-noise nu would decide its class: refused instead
+            with pytest.raises(UnresolvedEigenvalueError, match="noise units"):
+                eigensystem(prescribed_nu(nu), 1e-10, vectors)
 
     def test_nu_inside_the_band_raises(self):
         # zero_floor^2 = 1e-2 and max|nu| = 1: NOISE_BAND eps either side
-        # of +-1e-2 is refused
+        # of +-1e-2 is refused, with or without vectors
         for near in (1e-2 - 3.0 * EPS, -1e-2 + 5.0 * EPS):
-            with pytest.raises(UnresolvedEigenvalueError,
-                               match=r"lambda\^2 = .* lies [2-5]\.\d\d noise"):
-                eigensystem(prescribed_nu([-0.5, near, 0.25, 1.0]), 0.1)
+            for vectors in (True, False):
+                with pytest.raises(UnresolvedEigenvalueError,
+                                   match=r"lambda\^2 = .* lies [2-5]\.\d\d "
+                                         r"noise"):
+                    eigensystem(prescribed_nu([-0.5, near, 0.25, 1.0]), 0.1,
+                                vectors)
         ham = eigensystem(prescribed_nu([-0.5, 1e-2 + 11.0 * EPS, 1.0]), 0.1)
         assert spc.classify_krein(ham).classes.count(spc.CLASS_IMAG_POS) == 4
 
@@ -536,7 +569,7 @@ class TestFinerGrids:
                                     full_order(data.matrix, ham.zero_floor))
         band = vd.DEGENERACY_BAND_REL * wv.squared_norm(data.wave)
         _, verdict, _ = vd._resolve_verdict(
-            res.n_L, res.slope, res.slope_reference, band, ref,
+            res.n_L, res.slope, res.slope_reference, band, ref.k_r,
             data.matrix.label, check_reference_sign=True)
         assert verdict == res.verdict
 
@@ -597,6 +630,7 @@ def test_block_hamiltonian_spectrum_equals_dense(L):
         return
     ham = eigensystem(A, 20.0 * noise)
     assert nearest_distance(ham.eigenvalues, dense) <= 10.0 * noise
+    assert_counts_only_agrees(A, spc.symmetric_spectrum(A), 20.0 * noise)
     assert_same_counts_and_classes(
         spc.classify_krein(ham),
         reference_classification(full_order(A, 20.0 * noise)))

@@ -236,7 +236,7 @@ class TestClassifyKrein:
         floor = 2.0 * eigensystem(A, 0.0).scale
         cls = spc.classify_krein(eigensystem(A, floor))
         assert all(c == spc.CLASS_ZERO for c in cls.classes)
-        assert cls.k_direct == 0
+        assert (cls.k_r, cls.k_i_minus) == (0, 0)
 
 
 @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=30),

@@ -1,5 +1,4 @@
 import gc
-import sys
 import tracemalloc
 
 import numpy as np
@@ -9,7 +8,7 @@ import scipy.linalg
 from hkindex import verdicts as vd
 from hkindex import waves as wv
 
-from conftest import quiet
+from conftest import count_calls, quiet
 
 
 class TestKdvVerdict:
@@ -207,9 +206,9 @@ class TestSelfCheck:
                 return _fn(a, *args, **kw)
             monkeypatch.setattr(scipy.linalg, name, recorded)
         # eigenvectors: the odd block of L and of each sandwich, T of the
-        # verdict and of J S, and the even block of each eps > 0 sandwich,
-        # whose near-zero eigenvalue sends its constrained solve to the
-        # eigenvector path
+        # verdict (J S reads eigenvalues only), and the even block of each
+        # eps > 0 sandwich, whose near-zero eigenvalue sends its
+        # constrained solve to the eigenvector path
         with_vectors = []
 
         def eigh(a, *args, _fn=scipy.linalg.eigh, **kw):
@@ -224,17 +223,4 @@ class TestSelfCheck:
         assert orders == []
         n = vd.default_grid(2.0)[0]
         assert sorted(with_vectors) == \
-            [n // 2 - 2] * 2 + [n // 2 - 1] * 5 + [n // 2 + 1] * 3
-
-
-def count_calls(monkeypatch, fn, calls) -> None:
-    """Count the calls of fn in calls[fn.__name__], under every name that
-    binds it in a module of the package."""
-    def counted(*args, **kw):
-        calls[fn.__name__] += 1
-        return fn(*args, **kw)
-    for modname, module in list(sys.modules.items()):
-        if modname == "hkindex" or modname.startswith("hkindex."):
-            for name, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, name, counted)
+            [n // 2 - 2] + [n // 2 - 1] * 5 + [n // 2 + 1] * 3
