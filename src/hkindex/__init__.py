@@ -23,7 +23,7 @@ from .spectra import (BbmSlope, HamiltonianEigensystem, KreinClassification,
                       SymmetricSpectrum, bbm_slope, classify_krein,
                       constrained_quantity, constrained_quantity_sandwiched,
                       generalized_kernel_dim, hamiltonian_eigensystem,
-                      slope_analytic, symmetric_spectrum)
+                      negative_count, slope_analytic, symmetric_spectrum)
 from .verdicts import (DEGENERATE, STABLE, UNSTABLE, CheckReport,
                        KreinIndexResult, NumericsConfig, SweepResult,
                        bbm_verdict, default_grid, kdv_verdict, self_check,

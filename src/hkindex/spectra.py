@@ -4,13 +4,15 @@ Every function takes the parity blocks of a symmetric matrix
 (operators.ParityBlocks, built by assemble or a congruence) or a result
 derived from them.  They feed three kinds of quantities:
 
-* inertia-style counts n(.) and kernels, from one symmetric eigensolve
-  per block, eigenvalues only except for the odd block of a spectrum the
-  Hamiltonian route reads;
+* inertia counts n(.), by Sylvester's law from Bunch-Kaufman LDL^T
+  factors of shifted blocks: the zero tolerance ZERO_TOL_REL max|w| is
+  bracketed by max|a_ii| and the 1-norm, and a count is taken where both
+  ends of the bracket give it, from the eigenvalues otherwise; a spectrum
+  the Hamiltonian route reads has the odd block's eigenpairs as well;
 * the constrained quantity <L^-1 w, w> with w the decaying antiderivative
-  of the kernel generator, via a spectral pseudo-inverse: one symmetric
-  linear solve per block that has no eigenvalue near zero, the block's
-  eigenpairs otherwise;
+  of the kernel generator, via a spectral pseudo-inverse: the even
+  block's own LDL^T factor solves where no eigenvalue lies near zero, the
+  block's eigenpairs otherwise;
 * the spectrum of the Hamiltonian product (d/dx) L on the subspace where
   the derivative is invertible (zero mode and Nyquist column removed),
   with Krein-signature classification of the imaginary eigenvalues.
@@ -90,37 +92,118 @@ def sym_eig(block: np.ndarray, vectors: bool) -> tuple:
     return scipy.linalg.eigh(block, eigvals_only=True), None
 
 
+def _ldl(block: np.ndarray, shift: float, out: np.ndarray) -> tuple:
+    """(LDL^T, ipiv): the Bunch-Kaufman factor of block + shift I, computed
+    in out, a Fortran-ordered array of the block's shape.  Upper storage
+    with the blocked workspace reproduces scipy.linalg.solve(assume_a=
+    "sym") bit for bit; LAPACK's default workspace runs unblocked, about
+    three times slower at order 1025."""
+    n = block.shape[0]
+    out[...] = block
+    out.flat[::n + 1] += shift
+    ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(
+        out, lower=0, lwork=int(scipy.linalg.lapack.dsytrf_lwork(n)[0]),
+        overwrite_a=1)
+    return ldu, ipiv
+
+
+def _negatives(ldu: np.ndarray, ipiv: np.ndarray) -> int:
+    """Negative eigenvalues of the factored matrix, by Sylvester's law
+    those of D: the negative 1x1 pivots and, for each 2x2 pivot (two rows
+    with the same negative ipiv), its negative eigenvalues."""
+    d = ldu.diagonal()
+    two = np.nonzero(ipiv < 0)[0][0::2]
+    single = np.ones(d.size, dtype=bool)
+    single[two] = single[two + 1] = False
+    mid = 0.5 * (d[two] + d[two + 1])
+    radius = np.hypot(0.5 * (d[two] - d[two + 1]), ldu[two, two + 1])
+    return int(np.count_nonzero(d[single] < 0)
+               + np.count_nonzero(mid - radius < 0)
+               + np.count_nonzero(mid + radius < 0))
+
+
+def _bracket(blocks: tuple) -> tuple:
+    """ZERO_TOL_REL times the ends of the bracket of max|w| over the
+    symmetric blocks: max|a_ii|, a Rayleigh quotient, and the 1-norm,
+    which bounds the 2-norm of a symmetric matrix."""
+    low = max(float(np.max(np.abs(b.diagonal()))) for b in blocks)
+    high = max(float(np.linalg.norm(b, 1)) for b in blocks)
+    return ZERO_TOL_REL * low, ZERO_TOL_REL * high
+
+
+def _exact_count(values) -> tuple:
+    """(zero_tol, negative count) from the eigenvalues of both blocks."""
+    tol = ZERO_TOL_REL * max(float(np.max(np.abs(w))) for w in values)
+    return tol, sum(int(np.count_nonzero(w < -tol)) for w in values)
+
+
+def negative_count(P: ParityBlocks) -> int:
+    """n(P) = #{w < -zero_tol}, zero_tol = ZERO_TOL_REL max|w| over both
+    blocks, without the spectrum: #{w < -z} is the negative count of the
+    LDL^T factor of each block + z I, taken at both ends z of the bracket
+    of zero_tol (_bracket).  Where the ends give different counts, an
+    eigenvalue lies between them and the eigenvalues decide."""
+    low, high = _bracket(P.blocks)
+    counts = []
+    for block in P.blocks:
+        out = np.empty_like(block, order="F")
+        counts.append([_negatives(*_ldl(block, z, out)) for z in (low, high)])
+    if all(at_low == at_high for at_low, at_high in counts):
+        return sum(at_low for at_low, _ in counts)
+    return _exact_count([sym_eig(block, vectors=False)[0]
+                         for block in P.blocks])[1]
+
+
 @dataclass(frozen=True, eq=False)
 class SymmetricSpectrum:
-    """Eigenvalues of the even and odd blocks, the odd block's eigenvectors
-    (None when only the inertia is read), and the blocks themselves, which
-    the constrained solve reads where it has no vectors.  The zero
-    tolerance is global, ZERO_TOL_REL * max|w| over both blocks."""
-    values: tuple                    # ascending eigenvalues of each block
-    odd_vectors: np.ndarray | None   # odd eigenvector columns, or None
+    """The odd block's eigenpairs, which the Hamiltonian route builds on,
+    and the even block's LDL^T factor, which gives the even inertia and
+    the constrained solve.  Every decision at the zero tolerance
+    ZERO_TOL_REL max|w| over both blocks is made at both ends of its
+    bracket, so zero_tol decides as the exact value does.  Where the ends
+    disagree, or an even eigenvalue lies within 1e3 zero_tol, the even
+    eigenpairs are computed and zero_tol is exact; the even block keeps
+    its eigenvectors instead of its factor where the constrained solve
+    reads them."""
+    values: tuple                    # (even eigenvalues or None, odd ones)
+    odd_vectors: np.ndarray          # odd eigenvector columns
+    even_vectors: np.ndarray | None  # even ones, where they replace factor
+    factor: tuple | None             # (LDL^T, ipiv) of the even block
     zero_tol: float
-    blocks: tuple                    # the (even, odd) blocks themselves
-
-    @property
-    def negative_count(self) -> int:
-        return sum(int(np.count_nonzero(w < -self.zero_tol)) for w in self.values)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """The eigenvalues of both blocks, ascending."""
-        return np.sort(np.concatenate(self.values))
+    negative_count: int
 
 
-def symmetric_spectrum(P: ParityBlocks,
-                       odd_vectors: bool = True) -> SymmetricSpectrum:
-    """Inertia and eigenvalues of a symmetric matrix, one eigh per parity
-    block, with the odd block's eigenvectors if odd_vectors: the symmetric
-    Hamiltonian route builds on them, counts read nothing else."""
-    even, _ = sym_eig(P.blocks[0], vectors=False)
-    odd, vecs = sym_eig(P.blocks[1], odd_vectors)
-    zero_tol = ZERO_TOL_REL * max(float(np.max(np.abs(even))),
-                                  float(np.max(np.abs(odd))))
-    return SymmetricSpectrum((even, odd), vecs, zero_tol, P.blocks)
+def symmetric_spectrum(P: ParityBlocks) -> SymmetricSpectrum:
+    """Inertia of a symmetric matrix, the odd block's eigenpairs and the
+    even block's factor.
+
+    The odd block's max|w| joins both ends of the even block's bracket
+    (_bracket).  Equal counts of the even block -+ 1e3 z_high I put no even
+    eigenvalue within 1e3 zero_tol, so the factor of the block itself gives
+    its count and solves; one work array holds each shifted factor and
+    then the kept one.  Where the shifted counts differ, or an odd |w| lies
+    between the ends of the bracket of zero_tol or of 1e3 zero_tol, the
+    even eigenvalues decide, with their vectors where the counts differ."""
+    odd, odd_vectors = sym_eig(P.blocks[1], vectors=True)
+    block = P.blocks[0]
+    top = ZERO_TOL_REL * float(np.max(np.abs(odd)))
+    low, high = (max(top, z) for z in _bracket((block,)))
+    out = np.empty_like(block, order="F")
+    gap = {_negatives(*_ldl(block, z, out)) for z in (-1e3 * high, 1e3 * high)}
+    size = np.abs(odd)
+    if len(gap) == 1 and not np.any(
+            ((size >= low) & (size <= high))
+            | ((size >= 1e3 * low) & (size <= 1e3 * high))):
+        factor = _ldl(block, 0.0, out)
+        count = _negatives(*factor) + int(np.count_nonzero(odd < -high))
+        return SymmetricSpectrum((None, odd), odd_vectors, None, factor, high,
+                                 count)
+    even, vectors = sym_eig(block, vectors=len(gap) > 1)
+    (tol, count), factor = _exact_count((even, odd)), None
+    if np.min(np.abs(even)) >= 1e3 * tol:
+        factor, vectors = _ldl(block, 0.0, out), None
+    return SymmetricSpectrum((even, odd), odd_vectors, vectors, factor, tol,
+                             count)
 
 
 def _anchor_to_edge(grid, values: np.ndarray) -> np.ndarray:
@@ -147,21 +230,19 @@ def _pseudo_solve_quadratic(eig: SymmetricSpectrum, rhs: tuple,
     own share of an even right-hand side can be pure round-off.  A reached
     kernel direction violates the Fredholm condition; a reached kept
     direction with |lambda| < 1e3 zero_tol makes the solve near-singular.
-    A block without eigenvectors and with no eigenvalue below 1e3 zero_tol
-    can do neither, so its share is one symmetric linear solve; any other
-    block without eigenvectors has its eigenpairs computed here.
+    The even block can do neither where it has no eigenvalue below 1e3
+    zero_tol, so its share is one solve with its LDL^T factor; otherwise
+    it has its eigenpairs.
     """
     tol = eig.zero_tol
     rhs_norm = float(np.linalg.norm(np.concatenate(rhs)))
     total, worst, near_singular = 0.0, 0.0, False
-    for block, w, v, part in zip(eig.blocks, eig.values,
-                                 (None, eig.odd_vectors), rhs):
-        if v is None and np.min(np.abs(w)) >= 1e3 * tol:
-            total += float(part @ scipy.linalg.solve(
-                block, part, assume_a="sym", check_finite=False))
-            continue
+    for w, v, part in zip(eig.values, (eig.even_vectors, eig.odd_vectors),
+                          rhs):
         if v is None:
-            w, v = sym_eig(block, vectors=True)
+            total += float(part @ scipy.linalg.lapack.dsytrs(
+                *eig.factor, part)[0])
+            continue
         proj = v.T @ part
         reached = np.abs(proj) > 1e-6 * rhs_norm
         kernel = np.abs(w) <= tol

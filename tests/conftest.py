@@ -56,12 +56,6 @@ def apply(L: op.LinOperator, f: sp.RealField) -> sp.RealField:
     return sp.RealField(f.grid, out + L.potential * f.values)
 
 
-def kernel_dim(spectrum: spc.SymmetricSpectrum) -> int:
-    """Eigenvalues of both blocks within the zero tolerance."""
-    return sum(int(np.count_nonzero(np.abs(w) <= spectrum.zero_tol))
-               for w in spectrum.values)
-
-
 def eigensystem(A: op.ParityBlocks, zero_floor: float, vectors: bool = True):
     """The Hamiltonian eigensystem of A, from A's symmetric spectrum."""
     return spc.hamiltonian_eigensystem(A, spc.symmetric_spectrum(A),

@@ -2,9 +2,10 @@
 
 The real-Fourier basis as an n x n matrix of samples, an operator
 assembled as h phi^T (V phi) plus its multiplier diagonal, congruences by
-an even multiplier on the full matrix, one full-order eigh, the
-constrained quantity from each block's eigenvectors, the
-full-order restricted D A and J S formed from the dense entries, the
+an even multiplier on the full matrix, one full-order eigh, the inertia
+from each block's eigenvalues, the constrained quantity from each
+block's eigenvectors, the full-order restricted D A and J S formed from
+the dense entries, the
 Hamiltonian eigensystem from one eig of full order (the oracle of the
 symmetric route of spectra), the Krein forms in complex arithmetic on
 whole eigenvectors, and the classification of a general complex
@@ -104,6 +105,18 @@ def dense_inertia(a: np.ndarray):
     tol = spc.ZERO_TOL_REL * float(np.max(np.abs(w)))
     return (int(np.count_nonzero(w < -tol)),
             int(np.count_nonzero(np.abs(w) <= tol)), (w, v, tol))
+
+
+def block_inertia(P: op.ParityBlocks) -> tuple:
+    """(negative count, kernel dimension, zero tolerance, eigenvalues) from
+    one eigvalsh per parity block, the zero tolerance ZERO_TOL_REL max|w|
+    over both blocks: the oracle of the LDL^T counts of spectra.  The
+    eigenvalues of both blocks are returned ascending."""
+    w = np.sort(np.concatenate([scipy.linalg.eigh(block, eigvals_only=True)
+                                for block in P.blocks]))
+    tol = spc.ZERO_TOL_REL * float(np.max(np.abs(w)))
+    return (int(np.count_nonzero(w < -tol)),
+            int(np.count_nonzero(np.abs(w) <= tol)), tol, w)
 
 
 def eigenvector_pseudo_quadratic(blocks: tuple, zero_tol: float,

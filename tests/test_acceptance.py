@@ -154,12 +154,11 @@ def test_criterion_05_sandwich_equivalences(pipeline22, pipeline25, grid40):
     problems = []
     for name, (L, expected) in cases.items():
         A = op.assemble(L)
-        n_plain = spc.symmetric_spectrum(A, odd_vectors=False).negative_count
+        n_plain = spc.negative_count(A)
         if n_plain != expected:
             problems.append(f"{name}: n(L)={n_plain}")
         for eps in (0.0, 1e-3, 1e-2, 1e-1):
-            n_sand = spc.symmetric_spectrum(
-                op.sandwich(A, eps), odd_vectors=False).negative_count
+            n_sand = spc.negative_count(op.sandwich(A, eps))
             if n_sand != expected:
                 problems.append(f"{name}: n(eps={eps:g})={n_sand}")
     report(5, "sandwich count equalities n(L) = n(Ls) = n(Ls_eps)",

@@ -179,50 +179,66 @@ def test_truncation_warning_sets_exit_code(tmp_path, capsys, command, output,
 # fkdv s = 2 on n = 512: p = 5 has one real pair, p = 2 none
 SMALL_GKDV = ["--model", "fkdv", "--s", "2", "--c", "1", "--n", "512",
               "--half-length", "30"]
+SMALL_FBBM = ["--model", "fbbm", "--s", "1.5", "--p", "1", "--c", "1.5",
+              "--n", "512", "--half-length", "100"]
 T_ORDER = 512 // 2 - 2        # order of T = R^T A_cos R
 ODD_ORDER = 512 // 2 - 1      # order of the odd block, which builds R
+EVEN_ORDER = 512 // 2 + 1     # order of the even block
 
 
 class TestCountingPath:
     """index and sweep take their counts from the eigenvalues of T; only
-    spectrum computes eigenvectors and Krein forms."""
+    spectrum computes eigenvectors and Krein forms.  Every even block, and
+    both blocks of fBBM's L0, are counted by LDL^T factors."""
 
     @staticmethod
     def spy(monkeypatch) -> tuple:
         calls = dict.fromkeys(["hamiltonian_eigensystem", "classify_krein"], 0)
         for fn in (spc.hamiltonian_eigensystem, spc.classify_krein):
             count_calls(monkeypatch, fn, calls)
-        with_vectors = []
+        eighs = []
 
         def eigh(a, *args, _fn=scipy.linalg.eigh, **kw):
-            if not kw.get("eigvals_only", False):
-                with_vectors.append(a.shape[0])
+            eighs.append((a.shape[0], not kw.get("eigvals_only", False)))
             return _fn(a, *args, **kw)
         monkeypatch.setattr(scipy.linalg, "eigh", eigh)
-        return calls, with_vectors
+        return calls, eighs
 
     def test_index_reads_counts_only(self, tmp_path, capsys, monkeypatch):
-        calls, with_vectors = self.spy(monkeypatch)
+        # one eigh with vectors on the odd block, one without on T, none
+        # on the even block
+        calls, eighs = self.spy(monkeypatch)
         assert run(["index", *SMALL_GKDV, "--p", "5",
                     "--out", str(tmp_path)]) == 0
         assert "K_Ham=1 verdict=UNSTABLE" in capsys.readouterr().out
         assert calls == {"hamiltonian_eigensystem": 1, "classify_krein": 0}
-        assert with_vectors == [ODD_ORDER]
+        assert eighs == [(ODD_ORDER, True), (T_ORDER, False)]
+
+    def test_bbm_index_solves_the_odd_block_of_s_only(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # n(L0) is read from factors: the one block eigh is on the odd
+        # block of S, with vectors, and T is solved once
+        calls, eighs = self.spy(monkeypatch)
+        assert run(["index", *SMALL_FBBM, "--out", str(tmp_path)]) == 0
+        assert "verdict=STABLE" in capsys.readouterr().out
+        assert calls == {"hamiltonian_eigensystem": 1, "classify_krein": 0}
+        assert eighs == [(ODD_ORDER, True), (T_ORDER, False)]
 
     def test_sweep_reads_counts_only(self, tmp_path, capsys, monkeypatch):
-        calls, with_vectors = self.spy(monkeypatch)
+        calls, eighs = self.spy(monkeypatch)
         assert run(["sweep", *SMALL_GKDV, "--axis", "p", "--from", "2",
                     "--to", "5", "--steps", "2", "--out", str(tmp_path)]) == 0
         assert calls == {"hamiltonian_eigensystem": 2, "classify_krein": 0}
-        assert with_vectors == [ODD_ORDER] * 2
+        assert eighs == [(ODD_ORDER, True), (T_ORDER, False)] * 2
 
     def test_spectrum_makes_one_solve_with_vectors(self, tmp_path, capsys,
                                                   monkeypatch):
-        calls, with_vectors = self.spy(monkeypatch)
+        calls, eighs = self.spy(monkeypatch)
         assert run(["spectrum", *SMALL_GKDV, "--p", "5",
                     "--out", str(tmp_path)]) == 0
         assert calls == {"hamiltonian_eigensystem": 1, "classify_krein": 1}
-        assert with_vectors.count(T_ORDER) == 1
+        assert eighs.count((T_ORDER, True)) == 1
+        assert not any(order == EVEN_ORDER for order, _ in eighs)
 
     def test_classes_are_checked_against_the_counts(self, tmp_path, capsys,
                                                    monkeypatch):
@@ -421,4 +437,4 @@ def test_readme_library_example_runs():
     out = subprocess.run(
         [sys.executable, "-c", example], capture_output=True, text=True,
         check=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src"))).stdout
-    assert "1 [-3." in out and "STABLE" in out
+    assert out.startswith("1\nTrue\n") and "STABLE" in out

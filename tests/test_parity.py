@@ -28,9 +28,10 @@ from hkindex.errors import (FredholmViolationError, TheoryConsistencyError,
                             UnresolvedEigenvalueError)
 from hkindex.spectral import TWO_PI
 
-from conftest import diagonal_on_grid, eigensystem, kernel_dim, quiet
-from dense_reference import (dense_congruence, dense_hamiltonian_eigenvalues,
-                             dense_inertia, dense_matrix,
+from conftest import diagonal_on_grid, eigensystem, quiet
+from dense_reference import (block_inertia, dense_congruence,
+                             dense_hamiltonian_eigenvalues, dense_inertia,
+                             dense_matrix,
                              dense_sandwich_hamiltonian_eigenvalues,
                              eigenvector_pseudo_quadratic, full_order,
                              interleave, reference_classification,
@@ -149,7 +150,7 @@ class TestAgainstDensePath:
         n_neg, kernel, (w, v, tol) = dense_inertia(dense_factor(model, data))
         report = spc.symmetric_spectrum(data.matrix)
         assert data.result.n_L == report.negative_count == n_neg
-        assert kernel_dim(report) == kernel
+        assert block_inertia(data.matrix)[:2] == (n_neg, kernel)
         proj = v.T @ interleave(constrained_rhs(model, data))
         kept = np.abs(w) > tol
         d_dense = float(np.sum(proj[kept] ** 2 / w[kept]))
@@ -203,12 +204,13 @@ INDEX_CASES = [(wv.FKDV, 2.0, 2.0, 1.0, 30.0), (wv.FKDV, 2.0, 5.0, 1.0, 30.0),
                 ids=lambda c: "-".join(map(str, c[:4])))
 def spied_pipeline(request):
     """(model, pipeline, eigh calls): every scipy.linalg.eigh call of one
-    verdict, as (matrix, keyword arguments)."""
+    verdict, as (matrix, further positional arguments, keyword
+    arguments)."""
     model, s, p, c, half_length = request.param
     calls = []
 
     def spy(a, *args, _eigh=scipy.linalg.eigh, **kw):
-        calls.append((a, kw))
+        calls.append((a, args, kw))
         return _eigh(a, *args, **kw)
 
     with pytest.MonkeyPatch.context() as mp, quiet():
@@ -235,22 +237,37 @@ def assert_same_classification(cls, ref) -> None:
 class TestEvenBlockSolve:
     def test_matches_the_eigenvector_path(self, spied_pipeline):
         model, data, _ = spied_pipeline
-        eig = spc.symmetric_spectrum(data.matrix)
         reference = eigenvector_pseudo_quadratic(
-            data.matrix.blocks, eig.zero_tol, constrained_rhs(model, data))
+            data.matrix.blocks, block_inertia(data.matrix)[2],
+            constrained_rhs(model, data))
         assert data.result.d == pytest.approx(reference, rel=1e-10, abs=0.0)
 
     def test_eigenvectors_of_the_odd_block_only(self, spied_pipeline):
-        # one eigh with vectors on a parity block (the odd one, which
-        # builds R) and one on T; the even block is read for eigenvalues
+        # one eigh on a parity block, with vectors, on the odd one, which
+        # builds R, and one on T; the even block, and both blocks of L0 for
+        # fBBM, are counted by LDL^T factors.  A Gram pencil of the Krein
+        # forms passes its second matrix as a positional argument
         _, data, calls = spied_pipeline
-        even, odd = data.matrix.blocks
-        with_vectors = [(a, kw) for a, kw in calls
-                        if not kw.get("eigvals_only", False)]
-        assert len(with_vectors) == 2
-        assert with_vectors[0][0] is odd
-        assert with_vectors[1][1].get("driver") == "evd"
-        assert any(a is even and kw.get("eigvals_only") for a, kw in calls)
+        blocks = [(a, kw) for a, args, kw in calls
+                  if not args and kw.get("driver") != "evd"]
+        assert len(blocks) == 1
+        assert blocks[0][0] is data.matrix.blocks[1]
+        assert not blocks[0][1].get("eigvals_only", False)
+        assert sum(kw.get("driver") == "evd" for _, _, kw in calls) == 1
+
+    def test_even_factor_is_freed_before_the_hamiltonian_solve(
+            self, monkeypatch):
+        # the even block's factor serves the constrained solve only
+        seen = []
+        solve = spc.hamiltonian_eigensystem
+
+        def spy(P, eig, *args, **kw):
+            seen.append((eig.factor, eig.even_vectors))
+            return solve(P, eig, *args, **kw)
+        monkeypatch.setattr(spc, "hamiltonian_eigensystem", spy)
+        with quiet():
+            vd.kdv_verdict(2.0, 2.0, 1.0, SMALL)
+        assert seen == [(None, None)]
 
 
 def repeated_imaginary_pair() -> op.ParityBlocks:
@@ -429,16 +446,24 @@ class TestPseudoSolve:
         with pytest.raises(FredholmViolationError):
             spc._pseudo_solve_quadratic(eig, parity_rhs(rhs), "diag")
 
-    def test_eigenvalues_only_spectrum_gives_the_same_d(self, small_pipeline):
-        # the odd block of an eigenvalues-only spectrum takes the
-        # solve-or-eigenpairs rule of the even block
+    def test_bracket_fallback_gives_the_same_d(self, small_pipeline,
+                                               monkeypatch):
+        # a high end of 1e8 times the bracket's puts every even eigenvalue
+        # between the shifted counts: the even eigenvalues are computed,
+        # zero_tol is exact, and the factor solves as before
         model, data = small_pipeline
-        rhs = constrained_rhs(model, data)
-        bare = spc.symmetric_spectrum(data.matrix, odd_vectors=False)
-        assert bare.odd_vectors is None
+        bracket = spc._bracket
+        monkeypatch.setattr(spc, "_bracket", lambda blocks: (
+            bracket(blocks)[0], 1e8 * bracket(blocks)[1]))
+        eig = spc.symmetric_spectrum(data.matrix)
+        n_neg, _, tol, _ = block_inertia(data.matrix)
+        assert eig.values[0] is not None and eig.even_vectors is None
+        assert eig.zero_tol == pytest.approx(tol, rel=1e-12)
+        assert eig.negative_count == n_neg
         with quiet():
-            d = spc._pseudo_solve_quadratic(bare, rhs, data.matrix.label)
-        assert d == pytest.approx(data.result.d, rel=1e-10, abs=0.0)
+            d = spc._pseudo_solve_quadratic(eig, constrained_rhs(model, data),
+                                            data.matrix.label)
+        assert d == data.result.d
 
     def test_near_singular_warning_needs_a_reached_direction(self):
         # first cosine (index 1) kept but near-singular: 5e-8 against the
@@ -446,6 +471,7 @@ class TestPseudoSolve:
         diag = np.ones(8)
         diag[1] = 5e-8
         eig = spc.symmetric_spectrum(diagonal_on_grid(diag))
+        assert eig.even_vectors is not None and eig.factor is None
         rhs = np.zeros(8)
         rhs[3] = 1.0
         with warnings.catch_warnings():
@@ -611,8 +637,10 @@ def test_assembled_blocks_equal_the_basis_matrix(L):
 @given(even_operators())
 def test_block_inertia_equals_full_inertia(L):
     n_neg, kernel, _ = dense_inertia(dense_matrix(L))
-    report = spc.symmetric_spectrum(op.assemble(L))
-    assert (report.negative_count, kernel_dim(report)) == (n_neg, kernel)
+    A = op.assemble(L)
+    assert block_inertia(A)[:2] == (n_neg, kernel)
+    assert spc.negative_count(A) == n_neg
+    assert spc.symmetric_spectrum(A).negative_count == n_neg
 
 
 @given(even_operators())
@@ -656,3 +684,91 @@ def test_sandwich_hamiltonian_spectrum_equals_dense(L):
         return
     half = spc.hamiltonian_eigensystem(S, eig, 20.0 * noise, unit)
     assert nearest_distance(half.eigenvalues, dense) <= 10.0 * noise
+
+
+def rotated_blocks(even: list, odd: list, seed: int) -> op.ParityBlocks:
+    """Parity blocks Q diag(w) Q^T with the given eigenvalues w and random
+    orthogonal Q, on a grid of len(even) + len(odd) points."""
+    rng = np.random.default_rng(seed)
+
+    def block(w):
+        q, _ = np.linalg.qr(rng.standard_normal((len(w), len(w))))
+        a = (q * np.array(w)) @ q.T
+        return 0.5 * (a + a.T)
+    return op.ParityBlocks((block(even), block(odd)),
+                           sp.make_grid(len(even) + len(odd), 2.0), "rotated")
+
+
+@st.composite
+def random_parity_blocks(draw):
+    """Parity blocks on n <= 32 points whose eigenvalues mix order one,
+    the scale of the zero tolerance, and exact zeros."""
+    n = draw(st.sampled_from([8, 16, 32]))
+    w = draw(st.lists(st.one_of(st.floats(-1.0, 1.0), st.floats(-1e-7, 1e-7),
+                                st.just(0.0)), min_size=n, max_size=n))
+    return rotated_blocks(w[:n // 2 + 1], w[n // 2 + 1:],
+                          draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@given(random_parity_blocks())
+def test_ldl_count_equals_the_eigenvalue_count(P):
+    n_neg = block_inertia(P)[0]
+    assert spc.negative_count(P) == n_neg
+    assert spc.symmetric_spectrum(P).negative_count == n_neg
+
+
+def test_ldl_count_on_the_index_cases(spied_pipeline):
+    _, data, _ = spied_pipeline
+    n_neg = block_inertia(data.matrix)[0]
+    assert data.result.n_L == spc.negative_count(data.matrix) == n_neg
+    assert spc.symmetric_spectrum(data.matrix).negative_count == n_neg
+
+
+def dominant_even_blocks(placed: float, in_odd: bool, seed: int):
+    """16 points: an even block with the eigenvalue 100, which sets max|w|
+    and both ends of the bracket, and 7 of order one, an odd block of
+    order 0.01 to 0.1, and one eigenvalue placed in the given block."""
+    rng = np.random.default_rng(seed)
+    even = [100.0, *(rng.choice([-1.0, 1.0], 7) * rng.uniform(0.1, 1.0, 7))]
+    odd = list(rng.uniform(0.01, 0.1, 6))
+    (odd if in_odd else even).append(placed)
+    return rotated_blocks(even + [0.5] * in_odd, odd + [0.05] * (not in_odd),
+                          seed)
+
+
+@given(st.floats(0.01, 0.99), st.booleans(), st.integers(0, 1000))
+def test_eigenvalue_inside_the_bracket_takes_the_fallback(t, in_odd, seed):
+    # an eigenvalue in [-z_high, -z_low] counts or not by where the exact
+    # zero_tol falls: both routes compute the eigenvalues and count as the
+    # oracle does
+    low, high = spc._bracket(dominant_even_blocks(0.0, in_odd, seed).blocks)
+    P = dominant_even_blocks(-low * (high / low) ** t, in_odd, seed)
+    assert spc._bracket(P.blocks) == pytest.approx((low, high), rel=1e-6)
+    n_neg, _, tol, _ = block_inertia(P)
+    calls = []
+    sym_eig = spc.sym_eig
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spc, "sym_eig", lambda a, vectors: calls.append(vectors)
+                   or sym_eig(a, vectors))
+        assert spc.negative_count(P) == n_neg
+        assert calls == [False, False]
+        eig = spc.symmetric_spectrum(P)
+    assert eig.values[0] is not None
+    assert eig.zero_tol == pytest.approx(tol, rel=1e-12)
+    assert eig.negative_count == n_neg
+
+
+@given(st.floats(2.0, 500.0), st.sampled_from([-1.0, 1.0]),
+       st.integers(0, 1000))
+def test_near_singular_even_block_takes_the_eigenpairs(c, sign, seed):
+    # an even eigenvalue kept, but within 1e3 zero_tol, is solved on the
+    # even eigenpairs and warns when the right-hand side reaches it
+    P = dominant_even_blocks(sign * c * 1e-6, False, seed)
+    eig = spc.symmetric_spectrum(P)
+    assert eig.even_vectors is not None and eig.factor is None
+    rhs = parity_rhs(np.random.default_rng(seed).standard_normal(16))
+    with pytest.warns(UserWarning, match="near-singular"):
+        d = spc._pseudo_solve_quadratic(eig, rhs, "near-singular")
+    reference = eigenvector_pseudo_quadratic(P.blocks, block_inertia(P)[2],
+                                             rhs)
+    assert d == pytest.approx(reference, rel=1e-10)

@@ -11,29 +11,34 @@ from hkindex import spectral as sp
 from hkindex import waves as wv
 from hkindex.errors import FredholmViolationError
 
-from conftest import diagonal_on_grid, eigensystem, kernel_dim, quiet
-from dense_reference import from_coords
+from conftest import diagonal_on_grid, eigensystem, quiet
+from dense_reference import block_inertia, from_coords
 
 
 class TestSymmetricSpectrum:
     def test_identity_matrix(self):
-        rep = spc.symmetric_spectrum(diagonal_on_grid(np.ones(8)))
-        assert rep.negative_count == 0
-        assert kernel_dim(rep) == 0
-        assert np.array_equal(rep.eigenvalues, np.ones(8))
+        P = diagonal_on_grid(np.ones(8))
+        rep = spc.symmetric_spectrum(P)
+        assert rep.negative_count == spc.negative_count(P) == 0
+        # the factor certified the even block: no even eigenvalues
+        assert rep.values[0] is None and rep.factor is not None
+        assert np.array_equal(rep.values[1], np.ones(3))
 
     def test_small_diagonal(self):
-        rep = spc.symmetric_spectrum(
-            diagonal_on_grid([-1.0, 0.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
-        assert rep.negative_count == 1
-        assert kernel_dim(rep) == 1
+        # the even block holds -1 and 0: its shifted counts differ, so its
+        # eigenpairs decide, with the exact zero tolerance
+        P = diagonal_on_grid([-1.0, 0.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        rep = spc.symmetric_spectrum(P)
+        assert rep.negative_count == spc.negative_count(P) == 1
+        assert block_inertia(P)[:2] == (1, 1)
         assert rep.zero_tol == pytest.approx(2e-8)
-        assert rep.eigenvalues[:2].tolist() == [-1.0, 0.0]
+        assert rep.values[0][:2].tolist() == [-1.0, 0.0]
+        assert rep.even_vectors is not None and rep.factor is None
 
     def test_kdv_kernel_vector_aligned_with_derivative(self, pipeline22):
         rep = spc.symmetric_spectrum(pipeline22.matrix)
         assert rep.negative_count == 1
-        assert kernel_dim(rep) == 1
+        assert block_inertia(pipeline22.matrix)[1] == 1
         dq = sp.apply_multiplier(
             sp.derivative_multiplier(pipeline22.grid),
             pipeline22.wave.as_field()).values
@@ -41,19 +46,22 @@ class TestSymmetricSpectrum:
         w, v = rep.values[1], rep.odd_vectors
         (i,) = np.nonzero(np.abs(w) <= rep.zero_tol)[0]
         kv = from_coords(pipeline22.grid,
-                         (np.zeros(rep.values[0].size), v[:, i]))
+                         (np.zeros(pipeline22.matrix.blocks[0].shape[0]),
+                          v[:, i]))
         cosine = abs(np.dot(kv, dq)) / (np.linalg.norm(kv) * np.linalg.norm(dq))
         assert cosine >= 1.0 - 1e-6
 
-    def test_eigenvalues_only_keeps_the_counts(self, pipeline22):
-        full = spc.symmetric_spectrum(pipeline22.matrix)
-        rep = spc.symmetric_spectrum(pipeline22.matrix, odd_vectors=False)
-        assert rep.odd_vectors is None
-        assert (rep.negative_count, kernel_dim(rep)) == \
-            (full.negative_count, kernel_dim(full))
-        assert rep.zero_tol == pytest.approx(full.zero_tol, rel=1e-12)
-        assert np.max(np.abs(rep.eigenvalues - full.eigenvalues)) \
-            <= 1e-10 * np.max(np.abs(full.eigenvalues))
+    def test_factor_counts_match_the_eigenvalues(self, pipeline22):
+        # the LDL^T counts and the certified zero tolerance decide as the
+        # eigenvalues and the exact tolerance do
+        P = pipeline22.matrix
+        n_neg, kernel, tol, _ = block_inertia(P)
+        rep = spc.symmetric_spectrum(P)
+        assert rep.values[0] is None
+        assert rep.negative_count == spc.negative_count(P) == n_neg
+        assert tol <= rep.zero_tol <= 1.01 * tol
+        assert np.count_nonzero(np.abs(rep.values[1]) <= rep.zero_tol) \
+            == kernel
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ import scipy.linalg
 
 from hkindex import verdicts as vd
 from hkindex import waves as wv
+from hkindex.errors import TheoryConsistencyError
 
 from conftest import count_calls, quiet
 
@@ -60,6 +61,13 @@ class TestKdvVerdict:
         res = pipeline25.result
         assert res.K_formula % 2 == 1
         assert res.k_r >= 1
+
+    def test_odd_index_without_a_real_mode_is_refused(self):
+        # n(L) = 2 with a positive slope gives the odd index 2 - 1 = 1; with
+        # k_r = 0 the identity check refuses it, which is the parity check
+        with pytest.raises(TheoryConsistencyError, match="index identity"):
+            vd._resolve_verdict(2, 1.0, 1.0, 1e-3, 0, "odd",
+                                check_reference_sign=True)
 
 
 class TestBbmVerdict:
@@ -207,8 +215,9 @@ class TestSelfCheck:
             monkeypatch.setattr(scipy.linalg, name, recorded)
         # eigenvectors: the odd block of L and of each sandwich, T of the
         # verdict (J S reads eigenvalues only), and the even block of each
-        # eps > 0 sandwich, whose near-zero eigenvalue sends its
-        # constrained solve to the eigenvector path
+        # sandwich, whose eigenvalue within 1e3 zero_tol (0 at eps = 0)
+        # sends its constrained solve to the eigenvector path; L's even
+        # block is factored only
         with_vectors = []
 
         def eigh(a, *args, _fn=scipy.linalg.eigh, **kw):
@@ -223,4 +232,4 @@ class TestSelfCheck:
         assert orders == []
         n = vd.default_grid(2.0)[0]
         assert sorted(with_vectors) == \
-            [n // 2 - 2] + [n // 2 - 1] * 5 + [n // 2 + 1] * 3
+            [n // 2 - 2] + [n // 2 - 1] * 5 + [n // 2 + 1] * 4
