@@ -7,12 +7,15 @@ derived from them.  They feed three kinds of quantities:
 * inertia counts n(.), by Sylvester's law from Bunch-Kaufman LDL^T
   factors of shifted blocks: the zero tolerance ZERO_TOL_REL max|w| is
   bracketed by max|a_ii| and the 1-norm, and a count is taken where both
-  ends of the bracket give it, from the eigenvalues otherwise; a spectrum
-  the Hamiltonian route reads has the odd block's eigenpairs as well;
+  ends of the bracket give it, from the eigenvalues otherwise; in a
+  spectrum, the odd block's few eigenvalues below 1e3 zero_tol (the
+  kernel Q' and any near-singular one) come as certified Ritz pairs from
+  inverse iteration with the factor of the shifted block;
 * the constrained quantity <L^-1 w, w> with w the decaying antiderivative
   of the kernel generator, via a spectral pseudo-inverse: the even
   block's own LDL^T factor solves where no eigenvalue lies near zero, the
-  block's eigenpairs otherwise;
+  block's eigenpairs otherwise, and the odd block's Cholesky factor with
+  the kernel deflated;
 * the spectrum of the Hamiltonian product (d/dx) L on the subspace where
   the derivative is invertible (zero mode and Nyquist column removed),
   with Krein-signature classification of the imaginary eigenvalues.
@@ -22,8 +25,11 @@ with 2x2 rotation blocks 2*pi*xi_k [[0, -1], [1, 0]] on each (cos, sin)
 pair, so it maps the cosines to the sines.  A Hamiltonian spectrum has one
 route: the odd block is positive semidefinite, as it is for every ground
 state, so lambda^2 = -nu for the eigenvalues nu of one symmetric matrix
-of order n/2-1 minus the odd kernel, built on the odd block's eigenpairs.
-An indefinite odd block raises TheoryConsistencyError.  nu carries an
+of order n/2-1 minus the odd kernel, formed from the odd block's
+Cholesky factor, with one Householder reflector per deflated kernel
+direction, by two triangular products.  A counting verdict therefore
+makes one eigensolve, of that matrix, and none of a parity block.  An
+indefinite odd block raises TheoryConsistencyError.  nu carries an
 absolute error of about one noise unit eps max|nu|; a nu within
 NOISE_BAND units of a threshold that decides its class raises
 UnresolvedEigenvalueError.  J S is the same solve with unit weights on the
@@ -72,8 +78,8 @@ GKERNEL_FRACTION = 0.75
 # half-width, in noise units eps max|nu|, of the band around the
 # thresholds +-zero_floor^2 in which a Hamiltonian nu = -lambda^2 is refused.
 # Against the full-order eigenvalues at s = 2, the error of nu is at most
-# 1.1 units where |nu| <= 1e-4 max|nu| (grids (1024, 10) to (2048, 80)),
-# and the nu nearest a threshold lies 12.6 units out at (4096, 80), p = 2.
+# 1.12 units where |nu| <= 1e-4 max|nu| (grids (1024, 10) to (2048, 80)),
+# and the nu nearest a threshold lies 12.7 units out at (4096, 80), p = 2.
 NOISE_BAND = 10.0
 
 # edge fraction used to pin the antiderivative to its decaying branch
@@ -131,12 +137,6 @@ def _bracket(blocks: tuple) -> tuple:
     return ZERO_TOL_REL * low, ZERO_TOL_REL * high
 
 
-def _exact_count(values) -> tuple:
-    """(zero_tol, negative count) from the eigenvalues of both blocks."""
-    tol = ZERO_TOL_REL * max(float(np.max(np.abs(w))) for w in values)
-    return tol, sum(int(np.count_nonzero(w < -tol)) for w in values)
-
-
 def negative_count(P: ParityBlocks) -> int:
     """n(P) = #{w < -zero_tol}, zero_tol = ZERO_TOL_REL max|w| over both
     blocks, without the spectrum: #{w < -z} is the negative count of the
@@ -150,60 +150,166 @@ def negative_count(P: ParityBlocks) -> int:
         counts.append([_negatives(*_ldl(block, z, out)) for z in (low, high)])
     if all(at_low == at_high for at_low, at_high in counts):
         return sum(at_low for at_low, _ in counts)
-    return _exact_count([sym_eig(block, vectors=False)[0]
-                         for block in P.blocks])[1]
+    values = [sym_eig(block, vectors=False)[0] for block in P.blocks]
+    tol = ZERO_TOL_REL * max(float(np.max(np.abs(w))) for w in values)
+    return sum(int(np.count_nonzero(w < -tol)) for w in values)
+
+
+def _decide(groups: list, spans: list) -> list | None:
+    """The side of zero_tol of each eigenvalue w +- eps, for each group
+    (w, eps): 0 below -1e3 zero_tol, 1 below -zero_tol, 2 within zero_tol
+    (the kernel), 3 below 1e3 zero_tol (near-singular), 4 beyond.  None
+    unless each interval lies on one side at both ends of the bracket of
+    zero_tol that the blocks' spans give; every zero_tol between them then
+    puts it on the same side."""
+    def side(v, tol):
+        return ((v >= -1e3 * tol).astype(int) + (v >= -tol) + (v > tol)
+                + (v >= 1e3 * tol))
+    ends = [max(span[i] for span in spans) for i in (0, 1)]
+    sides = []
+    for w, eps in groups:
+        at = [side(w + d, tol) for d in (-eps, eps) for tol in ends]
+        if not all(np.array_equal(at[0], a) for a in at[1:]):
+            return None
+        sides.append(at[0])
+    return sides
+
+
+# inverse iteration on the odd block: a ground state's kernel takes two to
+# four steps from the constant start; more than _INVERSE_COLUMNS
+# eigenvalues below the shift, as the sandwich |d|^(1/2) L |d|^(1/2) has
+# in its near-singular band, go to the eigenpairs
+_INVERSE_STEPS = 10
+_INVERSE_COLUMNS = 4
+
+
+def _inverse_iteration(block: np.ndarray, factor: tuple, count: int,
+                       shift: float, spans: list) -> tuple | None:
+    """(w, x, eps): count Ritz pairs of block from inverse iteration with
+    the LDL^T factor of block - shift I, started from a constant column
+    (and seeded random ones past it).  With x orthonormal, count
+    eigenvalues lie within eps = ||block x - x diag(w)||_F of the w
+    (Kahan), so where every w + eps lies below the shift, they are the
+    count eigenvalues that the factor puts there.  None unless that holds,
+    and their sides (_decide) are certified, within _INVERSE_STEPS."""
+    if count == 0:
+        return np.zeros(0), np.zeros((block.shape[0], 0)), 0.0
+    x = np.random.default_rng(0).standard_normal((block.shape[0], count))
+    x[:, 0] = 1.0
+    for _ in range(_INVERSE_STEPS * (count <= _INVERSE_COLUMNS)):
+        x = np.linalg.qr(scipy.linalg.lapack.dsytrs(*factor, x)[0])[0]
+        h = x.T @ (block @ x)
+        w, turn = np.linalg.eigh(0.5 * (h + h.T))
+        x = x @ turn
+        eps = float(np.linalg.norm(block @ x - x * w))
+        if np.all(w + eps < shift) and _decide([(w, eps)], spans) is not None:
+            return w, x, eps
+    return None
+
+
+def _deflated_cholesky(block: np.ndarray, kernel: np.ndarray,
+                       out: np.ndarray) -> tuple | None:
+    """(C, kernel, qr, tau): the Cholesky factor C C^T of block + sigma K
+    K^T, K the orthonormal kernel columns, computed in out, and the
+    Householder reflectors H (LAPACK's qr, tau) of C^-1 K.  Where K spans
+    the kernel, block = C (I - P) C^T with P the projector onto span
+    C^-1 K = H[:, :k], so block = (C H E)(C H E)^T with E the last columns
+    of I.  None where the shifted block is not positive definite."""
+    out[...] = block
+    sigma = 1e-3 * float(np.max(np.abs(block.diagonal()))) or 1.0
+    if kernel.shape[1]:
+        scipy.linalg.blas.dsyrk(sigma, kernel, beta=1.0, c=out, lower=1,
+                                overwrite_c=1)
+    c, info = scipy.linalg.lapack.dpotrf(out, lower=1, overwrite_a=1)
+    if info:
+        return None
+    g = scipy.linalg.lapack.dtrtrs(c, kernel, lower=1)[0]
+    return (c, kernel, *scipy.linalg.lapack.dgeqrf(g)[:2])
+
+
+def _reflect(fac: tuple, a: np.ndarray, side: str, trans: str) -> np.ndarray:
+    """H a, H^T a, a H or a H^T (side "L"/"R", trans "N"/"T") for the
+    reflectors H of a deflated Cholesky factor, in place where a is
+    Fortran-ordered."""
+    _, kernel, qr, tau = fac
+    if not kernel.shape[1]:
+        return a
+    return scipy.linalg.lapack.dormqr(side, trans, qr, tau, a, max(a.shape),
+                                      overwrite_c=1)[0]
 
 
 @dataclass(frozen=True, eq=False)
 class SymmetricSpectrum:
-    """The odd block's eigenpairs, which the Hamiltonian route builds on,
-    and the even block's LDL^T factor, which gives the even inertia and
-    the constrained solve.  Every decision at the zero tolerance
-    ZERO_TOL_REL max|w| over both blocks is made at both ends of its
-    bracket, so zero_tol decides as the exact value does.  Where the ends
-    disagree, or an even eigenvalue lies within 1e3 zero_tol, the even
-    eigenpairs are computed and zero_tol is exact; the even block keeps
-    its eigenvectors instead of its factor where the constrained solve
-    reads them."""
-    values: tuple                    # (even eigenvalues or None, odd ones)
-    odd_vectors: np.ndarray          # odd eigenvector columns
-    even_vectors: np.ndarray | None  # even ones, where they replace factor
+    """Inertia of a symmetric matrix, with what its solves read: the even
+    block's LDL^T factor, or its eigenvalues where one lies within 1e3
+    zero_tol (the constrained solve then takes its eigenvectors), and the
+    odd block's eigenpairs below 1e3 z_high with the deflated Cholesky
+    factor (_deflated_cholesky) that builds the Hamiltonian route.  Every
+    decision at the zero tolerance ZERO_TOL_REL max|w| over both blocks is
+    made at both ends of its bracket, so zero_tol decides as the exact
+    value does."""
+    even: np.ndarray                 # the even block
+    even_values: np.ndarray | None   # its eigenvalues, where they decided
     factor: tuple | None             # (LDL^T, ipiv) of the even block
+    odd_low: tuple                   # (w, x): odd eigenpairs below 1e3 z_high
+    odd_factor: tuple | None         # (C, kernel, qr, tau); None: indefinite
     zero_tol: float
     negative_count: int
 
 
 def symmetric_spectrum(P: ParityBlocks) -> SymmetricSpectrum:
-    """Inertia of a symmetric matrix, the odd block's eigenpairs and the
-    even block's factor.
+    """Inertia of a symmetric matrix, and the factors its solves read.
 
-    The odd block's max|w| joins both ends of the even block's bracket
-    (_bracket).  Equal counts of the even block -+ 1e3 z_high I put no even
-    eigenvalue within 1e3 zero_tol, so the factor of the block itself gives
-    its count and solves; one work array holds each shifted factor and
-    then the kept one.  Where the shifted counts differ, or an odd |w| lies
-    between the ends of the bracket of zero_tol or of 1e3 zero_tol, the
-    even eigenvalues decide, with their vectors where the counts differ."""
-    odd, odd_vectors = sym_eig(P.blocks[1], vectors=True)
-    block = P.blocks[0]
-    top = ZERO_TOL_REL * float(np.max(np.abs(odd)))
-    low, high = (max(top, z) for z in _bracket((block,)))
-    out = np.empty_like(block, order="F")
-    gap = {_negatives(*_ldl(block, z, out)) for z in (-1e3 * high, 1e3 * high)}
-    size = np.abs(odd)
-    if len(gap) == 1 and not np.any(
-            ((size >= low) & (size <= high))
-            | ((size >= 1e3 * low) & (size <= 1e3 * high))):
-        factor = _ldl(block, 0.0, out)
-        count = _negatives(*factor) + int(np.count_nonzero(odd < -high))
-        return SymmetricSpectrum((None, odd), odd_vectors, None, factor, high,
-                                 count)
-    even, vectors = sym_eig(block, vectors=len(gap) > 1)
-    (tol, count), factor = _exact_count((even, odd)), None
-    if np.min(np.abs(even)) >= 1e3 * tol:
-        factor, vectors = _ldl(block, 0.0, out), None
-    return SymmetricSpectrum((even, odd), odd_vectors, vectors, factor, tol,
-                             count)
+    Each block brackets its max|w| by max|a_ii| and its 1-norm (_bracket),
+    and z_high, the upper end of zero_tol, sets the shift 1e3 z_high.
+    Equal counts of the even block -+ the shift put no even eigenvalue
+    within 1e3 zero_tol, so the factor of the block itself gives its count
+    and solves; one work array holds each shifted factor and then the kept
+    one.  The factor of the odd block - the shift counts its eigenvalues
+    below the shift, and inverse iteration with it gives them as certified
+    Ritz pairs: the kernel, kept near-singular ones and negative ones.
+    Where the shifted counts differ, the even eigenvalues are computed;
+    where inverse iteration does not certify the Ritz pairs, or a
+    decision differs between the ends of the bracket, the even eigenvalues
+    and the odd eigenpairs make zero_tol exact, and the odd eigenpairs
+    decide in place of the Ritz pairs.  Without a negative odd eigenvalue,
+    the odd block's Cholesky factor deflates the kernel."""
+    even, odd = P.blocks
+    spans = [list(_bracket((block,))) for block in P.blocks]
+    shift = 1e3 * max(high for _, high in spans)
+    out = np.empty_like(even, order="F")
+    gap = {_negatives(*_ldl(even, z, out)) for z in (-shift, shift)}
+    work = np.empty_like(odd, order="F")
+    factor = _ldl(odd, -shift, work)
+    low = _inverse_iteration(odd, factor, _negatives(*factor), shift, spans)
+    even_values = None
+
+    def decide() -> list | None:
+        nonlocal even_values
+        if even_values is None:
+            even_values = sym_eig(even, vectors=False)[0]
+            spans[0] = [ZERO_TOL_REL * float(np.max(np.abs(even_values)))] * 2
+        return _decide([(low[0], low[2]), (even_values, 0.0)], spans)
+    sides = None
+    if low is not None:
+        sides = decide() if len(gap) > 1 else _decide([(low[0], low[2])],
+                                                      spans)
+    if sides is None:
+        # the odd eigenpairs decide, at the exact zero_tol
+        values, vectors = sym_eig(odd, vectors=True)
+        below = values < shift
+        low = values[below], vectors[:, below], 0.0
+        spans[1] = [ZERO_TOL_REL * float(np.max(np.abs(values)))] * 2
+        sides = decide()
+    count = sum(int(np.count_nonzero(side <= 1)) for side in sides)
+    factor = None
+    if even_values is None or np.all((sides[1] == 0) | (sides[1] == 4)):
+        factor = _ldl(even, 0.0, out)
+        count += _negatives(*factor) if even_values is None else 0
+    odd_factor = None if np.any(sides[0] <= 1) else _deflated_cholesky(
+        odd, low[1][:, sides[0] == 2], work)
+    return SymmetricSpectrum(even, even_values, factor, low[:2], odd_factor,
+                             max(high for _, high in spans), count)
 
 
 def _anchor_to_edge(grid, values: np.ndarray) -> np.ndarray:
@@ -232,25 +338,38 @@ def _pseudo_solve_quadratic(eig: SymmetricSpectrum, rhs: tuple,
     direction with |lambda| < 1e3 zero_tol makes the solve near-singular.
     The even block can do neither where it has no eigenvalue below 1e3
     zero_tol, so its share is one solve with its LDL^T factor; otherwise
-    it has its eigenpairs.
+    its eigenvectors are computed here.  Every odd direction of either
+    kind is among the odd block's low eigenpairs, and its share is
+    |(C H)^-1 b|^2 without the deflated coordinates, b the odd share
+    without its kernel component.
     """
     tol = eig.zero_tol
     rhs_norm = float(np.linalg.norm(np.concatenate(rhs)))
-    total, worst, near_singular = 0.0, 0.0, False
-    for w, v, part in zip(eig.values, (eig.even_vectors, eig.odd_vectors),
-                          rhs):
-        if v is None:
-            total += float(part @ scipy.linalg.lapack.dsytrs(
-                *eig.factor, part)[0])
-            continue
+    even, odd = rhs
+    groups = [(*eig.odd_low, odd)]
+    if eig.factor is None:
+        # the eigenvalues that decided the classes pick the kept directions
+        w, v = sym_eig(eig.even, vectors=True)
+        groups.append((eig.even_values, v, even))
+        proj, kept = v.T @ even, np.abs(eig.even_values) > tol
+        total = float(np.sum(proj[kept] ** 2 / w[kept]))
+    else:
+        total = float(even @ scipy.linalg.lapack.dsytrs(*eig.factor, even)[0])
+    fac = _odd_factor(eig, label)
+    c, kernel = fac[:2]
+    y = scipy.linalg.lapack.dtrtrs(c, odd - kernel @ (kernel.T @ odd),
+                                   lower=1)[0]
+    y = _reflect(fac, y[:, None], "L", "T")[kernel.shape[1]:]
+    total += float(np.sum(y ** 2))
+    worst, near_singular = 0.0, False
+    for w, v, part in groups:
         proj = v.T @ part
         reached = np.abs(proj) > 1e-6 * rhs_norm
-        kernel = np.abs(w) <= tol
-        if np.any(kernel & reached):
-            worst = max(worst, float(np.max(np.abs(proj[kernel & reached]))))
-        kept = ~kernel
-        near_singular |= bool(np.any(kept & reached & (np.abs(w) < 1e3 * tol)))
-        total += float(np.sum(proj[kept] ** 2 / w[kept]))
+        zero = np.abs(w) <= tol
+        if np.any(zero & reached):
+            worst = max(worst, float(np.max(np.abs(proj[zero & reached]))))
+        near_singular |= bool(np.any(~zero & reached
+                                     & (np.abs(w) < 1e3 * tol)))
     if worst > 0.0:
         raise FredholmViolationError(
             f"right-hand side is not orthogonal to the kernel of {label!r} "
@@ -406,23 +525,17 @@ def _sorted(eigs: np.ndarray) -> np.ndarray:
     return np.lexsort((eigs.real, eigs.imag))
 
 
-def _odd_factor(eig: SymmetricSpectrum, weights: np.ndarray,
-                label: str) -> tuple:
-    """(R, w_+, V_0): W A_sin W = R R^T with R = W V_+ diag(sqrt(w_+)) over
-    the odd eigenpairs above the zero tolerance, V_0 the kernel that R
-    deflates.  A ground state's odd block, and every even congruence of
-    it, is positive semidefinite with the kernel Q' (Frank and Lenzmann,
-    Acta Math. 210, 2013): a negative eigenvalue there is a theory failure.
-    """
-    w, v = eig.values[1], eig.odd_vectors
-    if np.any(w < -eig.zero_tol):
+def _odd_factor(eig: SymmetricSpectrum, label: str) -> tuple:
+    """The deflated Cholesky factor (C, kernel, qr, tau) of the odd block.
+    A ground state's odd block, and every even congruence of it, is
+    positive semidefinite with the kernel Q' (Frank and Lenzmann, Acta
+    Math. 210, 2013): a negative eigenvalue there is a theory failure."""
+    if eig.odd_factor is None:
+        w = eig.odd_low[0]
         raise TheoryConsistencyError(
             f"the odd block of {label!r} has the eigenvalue {w[0]:.3e} below "
             f"-zero_tol = {-eig.zero_tol:.3e}: it is not positive semidefinite")
-    kept = w > eig.zero_tol
-    r = v[:, kept] * weights[:, None]
-    r *= np.sqrt(w[kept])
-    return r, w[kept], v[:, ~kept]
+    return eig.odd_factor
 
 
 def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
@@ -435,12 +548,15 @@ def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
     A; |lambda| <= zero_floor counts as zero.  Weights None are D's,
     2*pi*xi_k, for D A; unit weights give the J S of the sandwich.
 
-    With W A_sin W = R R^T, lambda^2 = -nu for the eigenpairs (nu, z) of
-    T = R^T A_cos R, and x = R z.  y = lambda u solves -W A_sin y =
-    lambda x, u = -A_sin^+ W^-1 x plus the kernel share that W A_cos x =
-    lambda y fixes (dividing W A_cos x by lambda would amplify the error
-    of x by scale / |lambda|).  With vectors, real roots are refined by
-    the two-sided Rayleigh quotient; without, nu are T's eigenvalues.
+    The odd block's deflated Cholesky factor gives A_sin = (C H E)(C H E)^T
+    (_deflated_cholesky), so W A_sin W = R R^T with R = W C H E, and
+    lambda^2 = -nu for the eigenpairs (nu, z) of T = R^T A_cos R, which
+    two triangular products and the reflectors form; x = R z.  y = lambda
+    u solves -W A_sin y = lambda x: u = -C^-T H E z plus the kernel share
+    that W A_cos x = lambda y fixes (dividing W A_cos x by lambda would
+    amplify the error of x by scale / |lambda|).  With vectors, real roots
+    are refined by the two-sided Rayleigh quotient; without, nu are T's
+    eigenvalues.
 
     nu carries an absolute error of about one noise unit eps max|nu|, so
     lambda about eps max|nu| / |lambda|.  A nu within NOISE_BAND units of
@@ -450,11 +566,21 @@ def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
     TheoryConsistencyError."""
     a_cos, a_sin, d_weights = _factor(P)
     weights = d_weights if weights is None else weights
-    r, w, kernel = _odd_factor(eig, weights, P.label)
+    fac = _odd_factor(eig, P.label)
+    c, kernel = fac[:2]
+    k = kernel.shape[1]
+    t_mat = np.array(a_cos, order="F")
+    t_mat *= weights[:, None]
+    t_mat *= weights
+    blas = scipy.linalg.blas
+    t_mat = blas.dtrmm(1.0, c, t_mat, side=1, lower=1, overwrite_b=1)
+    t_mat = blas.dtrmm(1.0, c, t_mat, lower=1, trans_a=1, overwrite_b=1)
+    t_mat = _reflect(fac, _reflect(fac, t_mat, "L", "T"), "R", "N")[k:, k:]
     # divide and conquer: faster than the default here, for an n^2 workspace
-    found = scipy.linalg.eigh(r.T @ (a_cos @ r), eigvals_only=not vectors,
+    found = scipy.linalg.eigh(t_mat, eigvals_only=not vectors,
                               overwrite_a=True, check_finite=False,
                               driver="evd")
+    del t_mat
     nu, z = found if vectors else (found, None)
     top = float(np.max(np.abs(nu), initial=0.0))
     noise, scale = float(np.finfo(float).eps) * top, float(np.sqrt(top))
@@ -467,17 +593,17 @@ def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
             f"{P.label!r}: lambda^2 = {-nu[i]:.6e} lies {gap[i] / noise:.2f} "
             f"noise units (eps max|nu| = {noise:.2e}) from +-zero_floor^2 = "
             f"{zero_floor ** 2:.6e}; its class cannot be read on this grid")
-    k, t = kernel.shape[1], nu.size
+    t = nu.size
     x = u = None
     if vectors:
-        # one zero column past the last, for the kernel pair
-        z = np.hstack([z, np.zeros((t, 1))])
-        x = r @ z
-        r /= weights[:, None]
-        r /= w
-        u = r @ z  # V_+ diag(w_+)^(-1/2) z
-        del r, z
-        u *= -1.0
+        # E z, with one zero column past the last for the kernel pair
+        u = np.zeros((t + k, t + 1), order="F")
+        u[k:, :t] = z
+        del z
+        u = _reflect(fac, u, "L", "N")
+        x = blas.dtrmm(1.0, c, u, lower=1)
+        x *= weights[:, None]
+        u = blas.dtrsm(-1.0, c, u, lower=1, trans_a=1, overwrite_b=1)
         share = (a_cos @ (weights[:, None] * kernel)).T @ x[:, :t]
         u[:, :t] -= kernel @ (share / nu)
         # A (x, -y) is a left eigenvector for a real lambda, so the

@@ -202,7 +202,7 @@ def _verdict(model: wv.Model, s: float, p: float, c: float,
     slope = -2.0 * d
     # the even block has made its one solve: free its factor before the
     # Hamiltonian solve, where the memory peaks
-    eig = replace(eig, factor=None, even_vectors=None)
+    eig = replace(eig, factor=None)
 
     slope_ref, slope_notes = _reference_slope(model, wave, Q, c)
     band = DEGENERACY_BAND_REL * wv.squared_norm(U) / c

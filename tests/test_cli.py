@@ -182,14 +182,16 @@ SMALL_GKDV = ["--model", "fkdv", "--s", "2", "--c", "1", "--n", "512",
 SMALL_FBBM = ["--model", "fbbm", "--s", "1.5", "--p", "1", "--c", "1.5",
               "--n", "512", "--half-length", "100"]
 T_ORDER = 512 // 2 - 2        # order of T = R^T A_cos R
-ODD_ORDER = 512 // 2 - 1      # order of the odd block, which builds R
+ODD_ORDER = 512 // 2 - 1      # order of the odd block
 EVEN_ORDER = 512 // 2 + 1     # order of the even block
 
 
 class TestCountingPath:
     """index and sweep take their counts from the eigenvalues of T; only
-    spectrum computes eigenvectors and Krein forms.  Every even block, and
-    both blocks of fBBM's L0, are counted by LDL^T factors."""
+    spectrum computes eigenvectors and Krein forms.  No parity block has
+    an eigh: every even block, and both blocks of fBBM's L0, are counted
+    by LDL^T factors, and the odd block by an LDL^T factor whose inverse
+    iteration certifies its low eigenpairs, then factored by Cholesky."""
 
     @staticmethod
     def spy(monkeypatch) -> tuple:
@@ -205,31 +207,30 @@ class TestCountingPath:
         return calls, eighs
 
     def test_index_reads_counts_only(self, tmp_path, capsys, monkeypatch):
-        # one eigh with vectors on the odd block, one without on T, none
-        # on the even block
+        # one eigh, without vectors, on T; none on a parity block
         calls, eighs = self.spy(monkeypatch)
         assert run(["index", *SMALL_GKDV, "--p", "5",
                     "--out", str(tmp_path)]) == 0
         assert "K_Ham=1 verdict=UNSTABLE" in capsys.readouterr().out
         assert calls == {"hamiltonian_eigensystem": 1, "classify_krein": 0}
-        assert eighs == [(ODD_ORDER, True), (T_ORDER, False)]
+        assert eighs == [(T_ORDER, False)]
 
     def test_bbm_index_solves_the_odd_block_of_s_only(self, tmp_path, capsys,
                                                      monkeypatch):
-        # n(L0) is read from factors: the one block eigh is on the odd
-        # block of S, with vectors, and T is solved once
+        # n(L0) is read from factors, the odd block of S is factored
+        # (inverse iteration, then Cholesky), and T is solved once
         calls, eighs = self.spy(monkeypatch)
         assert run(["index", *SMALL_FBBM, "--out", str(tmp_path)]) == 0
         assert "verdict=STABLE" in capsys.readouterr().out
         assert calls == {"hamiltonian_eigensystem": 1, "classify_krein": 0}
-        assert eighs == [(ODD_ORDER, True), (T_ORDER, False)]
+        assert eighs == [(T_ORDER, False)]
 
     def test_sweep_reads_counts_only(self, tmp_path, capsys, monkeypatch):
         calls, eighs = self.spy(monkeypatch)
         assert run(["sweep", *SMALL_GKDV, "--axis", "p", "--from", "2",
                     "--to", "5", "--steps", "2", "--out", str(tmp_path)]) == 0
         assert calls == {"hamiltonian_eigensystem": 2, "classify_krein": 0}
-        assert eighs == [(ODD_ORDER, True), (T_ORDER, False)] * 2
+        assert eighs == [(T_ORDER, False)] * 2
 
     def test_spectrum_makes_one_solve_with_vectors(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -238,7 +239,8 @@ class TestCountingPath:
                     "--out", str(tmp_path)]) == 0
         assert calls == {"hamiltonian_eigensystem": 1, "classify_krein": 1}
         assert eighs.count((T_ORDER, True)) == 1
-        assert not any(order == EVEN_ORDER for order, _ in eighs)
+        assert not any(order in (EVEN_ORDER, ODD_ORDER)
+                       for order, _ in eighs)
 
     def test_classes_are_checked_against_the_counts(self, tmp_path, capsys,
                                                    monkeypatch):

@@ -20,20 +20,22 @@ class TestSymmetricSpectrum:
         P = diagonal_on_grid(np.ones(8))
         rep = spc.symmetric_spectrum(P)
         assert rep.negative_count == spc.negative_count(P) == 0
-        # the factor certified the even block: no even eigenvalues
-        assert rep.values[0] is None and rep.factor is not None
-        assert np.array_equal(rep.values[1], np.ones(3))
+        # the factors certified both blocks: no eigenvalues, no odd one
+        # below the shift, and the odd Cholesky factor is I
+        assert rep.even_values is None and rep.factor is not None
+        assert rep.odd_low[0].size == 0
+        assert np.array_equal(np.tril(rep.odd_factor[0]), np.eye(3))
 
     def test_small_diagonal(self):
         # the even block holds -1 and 0: its shifted counts differ, so its
-        # eigenpairs decide, with the exact zero tolerance
+        # eigenvalues decide, with the exact zero tolerance
         P = diagonal_on_grid([-1.0, 0.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0])
         rep = spc.symmetric_spectrum(P)
         assert rep.negative_count == spc.negative_count(P) == 1
         assert block_inertia(P)[:2] == (1, 1)
         assert rep.zero_tol == pytest.approx(2e-8)
-        assert rep.values[0][:2].tolist() == [-1.0, 0.0]
-        assert rep.even_vectors is not None and rep.factor is None
+        assert rep.even_values[:2].tolist() == [-1.0, 0.0]
+        assert rep.factor is None
 
     def test_kdv_kernel_vector_aligned_with_derivative(self, pipeline22):
         rep = spc.symmetric_spectrum(pipeline22.matrix)
@@ -42,9 +44,11 @@ class TestSymmetricSpectrum:
         dq = sp.apply_multiplier(
             sp.derivative_multiplier(pipeline22.grid),
             pipeline22.wave.as_field()).values
-        # the kernel lies in the odd block, as dQ is odd
-        w, v = rep.values[1], rep.odd_vectors
+        # the kernel lies in the odd block, as dQ is odd: the one certified
+        # Ritz vector below the shift, which the Cholesky factor deflates
+        w, v = rep.odd_low
         (i,) = np.nonzero(np.abs(w) <= rep.zero_tol)[0]
+        assert np.array_equal(rep.odd_factor[1], v[:, [i]])
         kv = from_coords(pipeline22.grid,
                          (np.zeros(pipeline22.matrix.blocks[0].shape[0]),
                           v[:, i]))
@@ -52,15 +56,15 @@ class TestSymmetricSpectrum:
         assert cosine >= 1.0 - 1e-6
 
     def test_factor_counts_match_the_eigenvalues(self, pipeline22):
-        # the LDL^T counts and the certified zero tolerance decide as the
-        # eigenvalues and the exact tolerance do
+        # the LDL^T counts, the certified Ritz values and zero tolerance
+        # decide as the eigenvalues and the exact tolerance do
         P = pipeline22.matrix
         n_neg, kernel, tol, _ = block_inertia(P)
         rep = spc.symmetric_spectrum(P)
-        assert rep.values[0] is None
+        assert rep.even_values is None
         assert rep.negative_count == spc.negative_count(P) == n_neg
         assert tol <= rep.zero_tol <= 1.01 * tol
-        assert np.count_nonzero(np.abs(rep.values[1]) <= rep.zero_tol) \
+        assert np.count_nonzero(np.abs(rep.odd_low[0]) <= rep.zero_tol) \
             == kernel
 
 

@@ -213,16 +213,18 @@ class TestSelfCheck:
                 orders.append(a.shape[0])
                 return _fn(a, *args, **kw)
             monkeypatch.setattr(scipy.linalg, name, recorded)
-        # eigenvectors: the odd block of L and of each sandwich, T of the
-        # verdict (J S reads eigenvalues only), and the even block of each
-        # sandwich, whose eigenvalue within 1e3 zero_tol (0 at eps = 0)
-        # sends its constrained solve to the eigenvector path; L's even
-        # block is factored only
-        with_vectors = []
+        # eigh: T of the verdict with vectors and of J S without; the odd
+        # block of each sandwich, where |d|^(1/2) puts more than
+        # _INVERSE_COLUMNS eigenvalues below the shift, with vectors; and
+        # the even block of each sandwich, whose eigenvalue within 1e3
+        # zero_tol (0 at eps = 0) makes its eigenvalues decide, once
+        # without vectors and, for the eps > 0 sandwiches, once with
+        # vectors in the constrained solve (the eps = 0 sandwich feeds
+        # none).  L's blocks are factored only
+        eighs = []
 
         def eigh(a, *args, _fn=scipy.linalg.eigh, **kw):
-            if not kw.get("eigvals_only", False):
-                with_vectors.append(a.shape[0])
+            eighs.append((a.shape[0], not kw.get("eigvals_only", False)))
             return _fn(a, *args, **kw)
         monkeypatch.setattr(scipy.linalg, "eigh", eigh)
         report = vd.self_check("gkdv-p2")
@@ -231,5 +233,6 @@ class TestSelfCheck:
                          "sandwich": 4, "symmetric_spectrum": 5}
         assert orders == []
         n = vd.default_grid(2.0)[0]
-        assert sorted(with_vectors) == \
-            [n // 2 - 2] + [n // 2 - 1] * 5 + [n // 2 + 1] * 4
+        assert sorted(eighs) == sorted(
+            [(n // 2 - 2, True), (n // 2 - 2, False)] + [(n // 2 - 1, True)] * 4
+            + [(n // 2 + 1, False)] * 4 + [(n // 2 + 1, True)] * 3)
