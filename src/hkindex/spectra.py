@@ -29,11 +29,12 @@ of order n/2-1 minus the odd kernel, formed from the odd block's
 Cholesky factor, with one Householder reflector per deflated kernel
 direction, by two triangular products.  A counting verdict therefore
 makes one eigensolve, of that matrix, and none of a parity block.  An
-indefinite odd block raises TheoryConsistencyError.  nu carries an
-absolute error of about one noise unit eps max|nu|; a nu within
-NOISE_BAND units of a threshold that decides its class raises
-UnresolvedEigenvalueError.  J S is the same solve with unit weights on the
-pairs: it is similar to D A, so it has the same nu and noise unit.
+indefinite odd block raises TheoryConsistencyError.  The error of nu
+measured at most 1.45 noise units eps max|nu| on operators, 4.7 on
+random blocks; a nu within NOISE_BAND = 10 units of a threshold that
+decides its class raises UnresolvedEigenvalueError.  J S is the same
+solve with unit weights on the pairs: it is similar to D A, so it has
+the same nu and noise unit.
 Every lambda is real, imaginary or zero, and the pair +-lambda shares one
 eigenvector column, held as the real pair (x, u) of (x, lambda u): each
 column is classified once, from its nu, and one evaluator gives every
@@ -185,25 +186,23 @@ _INVERSE_COLUMNS = 4
 
 def _inverse_iteration(block: np.ndarray, factor: tuple, count: int,
                        shift: float, spans: list) -> tuple | None:
-    """(w, x, eps): count Ritz pairs of block from inverse iteration with
-    the LDL^T factor of block - shift I, started from a constant column
-    (and seeded random ones past it).  With x orthonormal, count
+    """(w, x, eps, sides): count Ritz pairs of block from inverse iteration
+    with the LDL^T factor of block - shift I, started from a constant
+    column (and seeded random ones past it).  With x orthonormal, count
     eigenvalues lie within eps = ||block x - x diag(w)||_F of the w
     (Kahan), so where every w + eps lies below the shift, they are the
     count eigenvalues that the factor puts there.  None unless that holds,
     and their sides (_decide) are certified, within _INVERSE_STEPS."""
-    if count == 0:
-        return np.zeros(0), np.zeros((block.shape[0], 0)), 0.0
     x = np.random.default_rng(0).standard_normal((block.shape[0], count))
-    x[:, 0] = 1.0
+    x[:, :1] = 1.0
     for _ in range(_INVERSE_STEPS * (count <= _INVERSE_COLUMNS)):
         x = np.linalg.qr(scipy.linalg.lapack.dsytrs(*factor, x)[0])[0]
         h = x.T @ (block @ x)
         w, turn = np.linalg.eigh(0.5 * (h + h.T))
         x = x @ turn
         eps = float(np.linalg.norm(block @ x - x * w))
-        if np.all(w + eps < shift) and _decide([(w, eps)], spans) is not None:
-            return w, x, eps
+        if np.all(w + eps < shift) and (sides := _decide([(w, eps)], spans)):
+            return w, x, eps, sides
     return None
 
 
@@ -241,15 +240,13 @@ def _reflect(fac: tuple, a: np.ndarray, side: str, trans: str) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SymmetricSpectrum:
     """Inertia of a symmetric matrix, with what its solves read: the even
-    block's LDL^T factor, or its eigenvalues where one lies within 1e3
-    zero_tol (the constrained solve then takes its eigenvectors), and the
-    odd block's eigenpairs below 1e3 z_high with the deflated Cholesky
-    factor (_deflated_cholesky) that builds the Hamiltonian route.  Every
-    decision at the zero tolerance ZERO_TOL_REL max|w| over both blocks is
-    made at both ends of its bracket, so zero_tol decides as the exact
-    value does."""
-    even: np.ndarray                 # the even block
-    even_values: np.ndarray | None   # its eigenvalues, where they decided
+    block's LDL^T factor, or its eigenpairs where one eigenvalue lies
+    within 1e3 zero_tol, and the odd block's eigenpairs below 1e3 z_high
+    with the deflated Cholesky factor (_deflated_cholesky) that builds the
+    Hamiltonian route.  Every decision at the zero tolerance ZERO_TOL_REL
+    max|w| over both blocks is made at both ends of its bracket, so
+    zero_tol decides as the exact value does."""
+    even_pairs: tuple | None         # even (w, v), where w decided
     factor: tuple | None             # (LDL^T, ipiv) of the even block
     odd_low: tuple                   # (w, x): odd eigenpairs below 1e3 z_high
     odd_factor: tuple | None         # (C, kernel, qr, tau); None: indefinite
@@ -268,10 +265,10 @@ def symmetric_spectrum(P: ParityBlocks) -> SymmetricSpectrum:
     one.  The factor of the odd block - the shift counts its eigenvalues
     below the shift, and inverse iteration with it gives them as certified
     Ritz pairs: the kernel, kept near-singular ones and negative ones.
-    Where the shifted counts differ, the even eigenvalues are computed;
-    where inverse iteration does not certify the Ritz pairs, or a
-    decision differs between the ends of the bracket, the even eigenvalues
-    and the odd eigenpairs make zero_tol exact, and the odd eigenpairs
+    Where the shifted counts differ, or the Ritz pairs are not certified,
+    the even eigenpairs are computed, once, and make the even span exact;
+    where the Ritz pairs are not certified, or a decision differs between
+    the ends of the bracket, the odd eigenpairs make zero_tol exact and
     decide in place of the Ritz pairs.  Without a negative odd eigenvalue,
     the odd block's Cholesky factor deflates the kernel."""
     even, odd = P.blocks
@@ -282,33 +279,28 @@ def symmetric_spectrum(P: ParityBlocks) -> SymmetricSpectrum:
     work = np.empty_like(odd, order="F")
     factor = _ldl(odd, -shift, work)
     low = _inverse_iteration(odd, factor, _negatives(*factor), shift, spans)
-    even_values = None
-
-    def decide() -> list | None:
-        nonlocal even_values
-        if even_values is None:
-            even_values = sym_eig(even, vectors=False)[0]
-            spans[0] = [ZERO_TOL_REL * float(np.max(np.abs(even_values)))] * 2
-        return _decide([(low[0], low[2]), (even_values, 0.0)], spans)
-    sides = None
-    if low is not None:
-        sides = decide() if len(gap) > 1 else _decide([(low[0], low[2])],
-                                                      spans)
+    sides = None if low is None else low[3]
+    even_pairs = None
+    if low is None or len(gap) > 1:
+        even_pairs = sym_eig(even, vectors=True)
+        spans[0] = [ZERO_TOL_REL * float(np.max(np.abs(even_pairs[0])))] * 2
+        if low is not None:
+            sides = _decide([(low[0], low[2]), (even_pairs[0], 0.0)], spans)
     if sides is None:
         # the odd eigenpairs decide, at the exact zero_tol
         values, vectors = sym_eig(odd, vectors=True)
         below = values < shift
-        low = values[below], vectors[:, below], 0.0
+        low = values[below], vectors[:, below]
         spans[1] = [ZERO_TOL_REL * float(np.max(np.abs(values)))] * 2
-        sides = decide()
+        sides = _decide([(low[0], 0.0), (even_pairs[0], 0.0)], spans)
     count = sum(int(np.count_nonzero(side <= 1)) for side in sides)
     factor = None
-    if even_values is None or np.all((sides[1] == 0) | (sides[1] == 4)):
+    if even_pairs is None or np.all((sides[1] == 0) | (sides[1] == 4)):
         factor = _ldl(even, 0.0, out)
-        count += _negatives(*factor) if even_values is None else 0
+        count += _negatives(*factor) if even_pairs is None else 0
     odd_factor = None if np.any(sides[0] <= 1) else _deflated_cholesky(
         odd, low[1][:, sides[0] == 2], work)
-    return SymmetricSpectrum(even, even_values, factor, low[:2], odd_factor,
+    return SymmetricSpectrum(even_pairs, factor, low[:2], odd_factor,
                              max(high for _, high in spans), count)
 
 
@@ -338,7 +330,7 @@ def _pseudo_solve_quadratic(eig: SymmetricSpectrum, rhs: tuple,
     direction with |lambda| < 1e3 zero_tol makes the solve near-singular.
     The even block can do neither where it has no eigenvalue below 1e3
     zero_tol, so its share is one solve with its LDL^T factor; otherwise
-    its eigenvectors are computed here.  Every odd direction of either
+    the eigenpairs that decided give it.  Every odd direction of either
     kind is among the odd block's low eigenpairs, and its share is
     |(C H)^-1 b|^2 without the deflated coordinates, b the odd share
     without its kernel component.
@@ -346,12 +338,11 @@ def _pseudo_solve_quadratic(eig: SymmetricSpectrum, rhs: tuple,
     tol = eig.zero_tol
     rhs_norm = float(np.linalg.norm(np.concatenate(rhs)))
     even, odd = rhs
-    groups = [(*eig.odd_low, odd)]
+    groups = [(eig.odd_low[0], eig.odd_low[1].T @ odd)]
     if eig.factor is None:
-        # the eigenvalues that decided the classes pick the kept directions
-        w, v = sym_eig(eig.even, vectors=True)
-        groups.append((eig.even_values, v, even))
-        proj, kept = v.T @ even, np.abs(eig.even_values) > tol
+        w, v = eig.even_pairs
+        proj, kept = v.T @ even, np.abs(w) > tol
+        groups.append((w, proj))
         total = float(np.sum(proj[kept] ** 2 / w[kept]))
     else:
         total = float(even @ scipy.linalg.lapack.dsytrs(*eig.factor, even)[0])
@@ -362,8 +353,7 @@ def _pseudo_solve_quadratic(eig: SymmetricSpectrum, rhs: tuple,
     y = _reflect(fac, y[:, None], "L", "T")[kernel.shape[1]:]
     total += float(np.sum(y ** 2))
     worst, near_singular = 0.0, False
-    for w, v, part in groups:
-        proj = v.T @ part
+    for w, proj in groups:
         reached = np.abs(proj) > 1e-6 * rhs_norm
         zero = np.abs(w) <= tol
         if np.any(zero & reached):
@@ -556,14 +546,19 @@ def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
     that W A_cos x = lambda y fixes (dividing W A_cos x by lambda would
     amplify the error of x by scale / |lambda|).  With vectors, real roots
     are refined by the two-sided Rayleigh quotient; without, nu are T's
-    eigenvalues.
+    eigenvalues.  The vectors are those of the product with the odd kernel
+    deflated, and the quotient on the undeflated A_sin restores, to first
+    order, the kernel components that T drops: a real root near the
+    generalized kernel needs them, as its u lies almost wholly on the
+    kernel.  At fkdv (2, 4.1, 1), n = 2048, lambda is 1.0e-9 from the dense
+    two-sided reference 0.0472719683, and 8.8e-8 with the deflated A_sin.
 
-    nu carries an absolute error of about one noise unit eps max|nu|, so
-    lambda about eps max|nu| / |lambda|.  A nu within NOISE_BAND units of
-    +-zero_floor^2, where its class would change, raises
-    UnresolvedEigenvalueError; a zero-bucket nu below one unit goes on the
-    imaginary axis.  An indefinite odd block raises
-    TheoryConsistencyError."""
+    The error of nu measured at most 1.45 noise units eps max|nu| on
+    operators, 4.7 on random blocks, and that of lambda is that of nu
+    over 2 |lambda|.  A nu within NOISE_BAND units of +-zero_floor^2,
+    where its class would change, raises UnresolvedEigenvalueError; a
+    zero-bucket nu below one unit goes on the imaginary axis.  An
+    indefinite odd block raises TheoryConsistencyError."""
     a_cos, a_sin, d_weights = _factor(P)
     weights = d_weights if weights is None else weights
     fac = _odd_factor(eig, P.label)

@@ -15,8 +15,11 @@ from hkindex import waves as wv
 from dense_reference import split_parity
 
 
-# property tests run the same bounded set of examples on every run, so
-# there is no example database to keep
+# property tests run a bounded, derandomized set of examples, so there is
+# no example database to keep.  The set is the same on every run only for
+# one Hypothesis version (pinned in pyproject.toml) and unchanged numeric
+# literals in src/ and tests/: Hypothesis draws some of its floats from
+# the literals of local modules
 settings.register_profile("hkindex", derandomize=True, deadline=None,
                           max_examples=40, database=None)
 settings.load_profile("hkindex")
@@ -73,6 +76,18 @@ def count_calls(monkeypatch, fn, calls) -> None:
             for name, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, name, counted)
+
+
+@contextmanager
+def sym_eig_calls():
+    """The (order, vectors) of every spectra.sym_eig call in the block:
+    the eigendecompositions of parity blocks."""
+    calls = []
+    sym_eig = spc.sym_eig
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spc, "sym_eig", lambda a, vectors: calls.append(
+            (a.shape[0], vectors)) or sym_eig(a, vectors))
+        yield calls
 
 
 @contextmanager

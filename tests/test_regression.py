@@ -1,11 +1,16 @@
-"""Pinned verdict records: every index.json field of three small runs.
+"""Pinned outputs: every index.json field of three small runs, and the
+Krein stage's spectrum.csv of one.
 
 Integers and strings must match exactly; floats to 1e-9 relative, which
-holds across BLAS builds and thread counts.
+holds across BLAS builds and thread counts, except the small imaginary
+eigenvalues and their Krein forms, which carry the error of the squaring
+lambda^2 = -nu (see test_spectrum_rows_are_pinned).
 """
 
+import csv
 import json
 
+import numpy as np
 import pytest
 
 from hkindex import cli
@@ -47,3 +52,45 @@ def test_index_record_is_pinned(case, tmp_path, capsys):
             assert got[key] == pytest.approx(value, rel=1e-9, abs=0.0), key
         else:
             assert got[key] == value, key
+
+
+# spectrum --model fkdv --s 2 --p 5 --c 1 --n 512 --half-length 30, whose
+# rows sort by (imag, real): 253 imaginary rows below the real axis, the
+# real pair around the zero pair, and their 253 mirrors
+SPECTRUM_CLASSES = (["IMAG_POS_SIG"] * 253
+                    + ["REAL_NEG", "ZERO", "ZERO", "REAL_POS"]
+                    + ["IMAG_POS_SIG"] * 253)
+REAL_ROOT = 0.6345077199928726
+# (imag, krein_form_value) of the three smallest positive imaginary parts
+SMALL_IMAGINARY = [(0.12877250200832963, 0.009491341327047058),
+                   (0.26859953525239516, 0.04038299640454217),
+                   (0.429907815589739, 0.1027250217086299)]
+
+
+def test_spectrum_rows_are_pinned(tmp_path, capsys):
+    # the class column exactly, the real rows to 1e-9 relative, and the
+    # three smallest imaginary rows: lambda^2 within 2 noise units eps
+    # max|lambda|^2, the bound the index cases hold against the full-order
+    # oracle, and the forms to 1e-6 relative.  Between 1 and 2 BLAS
+    # threads these moved by 3.4e-8 and 1.8e-7 relative, the real root by
+    # 1e-14
+    code = cli.main(["spectrum", "--model", "fkdv", "--s", "2", "--p", "5",
+                     "--c", "1", "--n", "512", "--half-length", "30",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    with open(tmp_path / "spectrum.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [row["class"] for row in rows] == SPECTRUM_CLASSES
+    real = [row for row in rows if row["class"].startswith("REAL")]
+    assert [row["im"] for row in real] == ["0.0", "0.0"]
+    assert [row["krein_form_value"] for row in real] == ["nan", "nan"]
+    assert [float(row["re"]) for row in real] == pytest.approx(
+        [-REAL_ROOT, REAL_ROOT], rel=1e-9, abs=0.0)
+    im = np.array([float(row["im"]) for row in rows])
+    noise = float(np.finfo(float).eps) * float(np.max(im)) ** 2
+    small = [rows[i] for i in np.nonzero(im > 0.0)[0][:3]]
+    for row, (lam, form) in zip(small, SMALL_IMAGINARY):
+        assert float(row["re"]) == 0.0
+        assert abs(float(row["im"]) ** 2 - lam ** 2) <= 2.0 * noise
+        assert float(row["krein_form_value"]) == pytest.approx(
+            form, rel=1e-6, abs=0.0)
