@@ -181,15 +181,6 @@ def _evenness_defect(values: np.ndarray) -> float:
     return float(np.max(np.abs(values - reflected))) / scale
 
 
-def _residual(grid: SpectralGrid, values: np.ndarray, s: float, p: float,
-              a: float, b: float) -> np.ndarray:
-    """a |d|^s U + b U - U^(p+1) at the samples U = values."""
-    m = fractional_derivative_multiplier(grid, s)
-    disp = apply_multiplier(m, RealField(grid, values)).values
-    return a * disp + b * values - clamped_power(
-        values, p + 1.0, float(np.max(np.abs(values))))
-
-
 def _finalize(grid, values, s, p, c, model, residual, tol, notes=()) -> WaveProfile:
     res_norm = float(np.max(np.abs(residual)))
     bval = _boundary_value(grid, values)
@@ -203,7 +194,7 @@ def _finalize(grid, values, s, p, c, model, residual, tol, notes=()) -> WaveProf
 
 
 def _petviashvili(s: float, p: float, a: float, b: float, grid: SpectralGrid,
-                  opts: SolverOptions) -> tuple[np.ndarray, float, tuple]:
+                  opts: SolverOptions) -> tuple[np.ndarray, float, tuple, np.ndarray]:
     """Fixed-point iteration for a |d|^s U + b U - U^(p+1) = 0.
 
     U_{k+1} = S_k^gamma (a |d|^s + b)^{-1} U_k^{p+1} with the stabilizing
@@ -211,20 +202,23 @@ def _petviashvili(s: float, p: float, a: float, b: float, grid: SpectralGrid,
     gamma = (p+1)/p; the peak is recentered to x = 0 after every step.
     The Gaussian seed has width SEED_WIDTH (a/b)^(1/s), the image of the
     ground-state seed under the scaling U(x) = b^(1/p) Q((b/a)^(1/s) x)
-    (the iteration does not see the seed's amplitude).
+    (the iteration does not see the seed's amplitude).  Returns the
+    samples, the last factor, the notes and the residual at the samples.
     """
     gamma = (p + 1.0) / p
-    denom = a * fractional_symbol(grid, s) + b
+    sym = fractional_symbol(grid, s)
+    denom = a * sym + b
+    sym = sym.astype(complex)
     width = SEED_WIDTH * (a / b) ** (1.0 / s)
     u = np.exp(-((grid.nodes / width) ** 2))
+    u_hat = np.fft.fft(u)
+    nonlin, clamped = _power_with_clamp_note(u, p + 1.0)
     notes: tuple = ()
     last_res = math.inf
     factor = math.nan
     for _ in range(opts.max_iters):
-        nonlin, clamped = _power_with_clamp_note(u, p + 1.0)
         if clamped and "clamp: negative tail mass exceeded 1e-10" not in notes:
             notes = notes + ("clamp: negative tail mass exceeded 1e-10",)
-        u_hat = np.fft.fft(u)
         lin_inner = grid.spacing * float(np.real(np.vdot(u_hat, denom * u_hat))) / grid.n
         rhs_inner = grid.spacing * float(np.dot(nonlin, u))
         if rhs_inner <= 0:
@@ -233,10 +227,13 @@ def _petviashvili(s: float, p: float, a: float, b: float, grid: SpectralGrid,
         factor = lin_inner / rhs_inner
         u = factor ** gamma * np.fft.ifft(np.fft.fft(nonlin) / denom).real
         u = np.roll(u, grid.n // 2 - int(np.argmax(u)))
-        residual = _residual(grid, u, s, p, a, b)
+        # the residual's U^(p+1) is the next step's nonlinearity
+        u_hat = np.fft.fft(u)
+        nonlin, clamped = _power_with_clamp_note(u, p + 1.0)
+        residual = a * np.fft.ifft(sym * u_hat).real + b * u - nonlin
         last_res = float(np.max(np.abs(residual)))
         if last_res <= opts.tol:
-            return u, factor, notes
+            return u, factor, notes, residual
     raise ConvergenceError(
         f"Petviashvili did not reach tol={opts.tol:g} in {opts.max_iters} "
         f"iterations (last residual {last_res:.3e})",
@@ -271,9 +268,8 @@ def _solve(grid: SpectralGrid, s: float, p: float, c: float, model: str,
     _check_exponents(s, p)
     opts = (opts or SolverOptions()).resolve(s, p)
     a, b = coefficients
-    values, factor, notes = _petviashvili(s, p, a, b, grid, opts)
+    values, factor, notes, residual = _petviashvili(s, p, a, b, grid, opts)
     _check_shape_invariants(values, factor)
-    residual = _residual(grid, values, s, p, a, b)
     return _finalize(grid, values, s, p, c, model, residual, opts.tol, notes)
 
 

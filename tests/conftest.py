@@ -12,7 +12,7 @@ from hkindex import spectral as sp
 from hkindex import verdicts as vd
 from hkindex import waves as wv
 
-from dense_reference import split_parity
+from dense_reference import _residual, split_parity
 
 
 # property tests run a bounded, derandomized set of examples, so there is
@@ -49,7 +49,7 @@ def sech_profile(grid, p: float, c: float) -> wv.WaveProfile:
     x = grid.nodes
     amp = (c * (p + 2.0) / 2.0) ** (1.0 / p)
     values = amp * (1.0 / np.cosh(0.5 * p * np.sqrt(c) * x)) ** (2.0 / p)
-    residual = wv._residual(grid, values, 2.0, p, 1.0, c)
+    residual = _residual(grid, values, 2.0, p, 1.0, c)
     return wv._finalize(grid, values, 2.0, p, c, wv.FKDV, residual, tol=1e-10)
 
 

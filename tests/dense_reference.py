@@ -9,13 +9,16 @@ the dense entries, the
 Hamiltonian eigensystem from one eig of full order (the oracle of the
 symmetric route of spectra), the Krein forms in complex arithmetic on
 whole eigenvectors, and the classification of a general complex
-spectrum, one eigenvalue at a time, with a COMPLEX class and k_c.  Dense
+spectrum, one eigenvalue at a time, with a COMPLEX class and k_c.  The
+Petviashvili loop with five complex transforms per step and a residual
+that builds its own multiplier is the oracle of waves._petviashvili.  Dense
 matrices are plain arrays in the interleaved basis order of operators;
 split_parity turns one into the ParityBlocks the package works on, and
 from_coords is the inverse of operators.to_coords.  All of them cost
 O(n^3) or O(n^2) memory and run in the tests only.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -24,7 +27,12 @@ import scipy.linalg
 
 from hkindex import operators as op
 from hkindex import spectra as spc
-from hkindex.spectral import TWO_PI
+from hkindex.errors import ConvergenceError
+from hkindex.spectral import (TWO_PI, RealField, SpectralGrid, apply_multiplier,
+                              fractional_derivative_multiplier,
+                              fractional_symbol)
+from hkindex.waves import (SEED_WIDTH, SolverOptions, _power_with_clamp_note,
+                           clamped_power)
 
 
 def real_fourier_basis(grid) -> np.ndarray:
@@ -308,3 +316,53 @@ def dense_sandwich_hamiltonian_eigenvalues(s: np.ndarray, grid) -> np.ndarray:
     """Eigenvalues of the full-order restricted J S for a dense S."""
     return scipy.linalg.eigvals(
         dense_restricted_product(s, grid, np.ones(grid.n // 2 - 1)))
+
+
+def _residual(grid: SpectralGrid, values: np.ndarray, s: float, p: float,
+              a: float, b: float) -> np.ndarray:
+    """a |d|^s U + b U - U^(p+1) at the samples U = values."""
+    m = fractional_derivative_multiplier(grid, s)
+    disp = apply_multiplier(m, RealField(grid, values)).values
+    return a * disp + b * values - clamped_power(
+        values, p + 1.0, float(np.max(np.abs(values))))
+
+
+def _petviashvili(s: float, p: float, a: float, b: float, grid: SpectralGrid,
+                  opts: SolverOptions) -> tuple[np.ndarray, float, tuple]:
+    """Fixed-point iteration for a |d|^s U + b U - U^(p+1) = 0.
+
+    U_{k+1} = S_k^gamma (a |d|^s + b)^{-1} U_k^{p+1} with the stabilizing
+    factor S_k = <(a |d|^s + b) U_k, U_k> / <U_k^{p+1}, U_k> and
+    gamma = (p+1)/p; the peak is recentered to x = 0 after every step.
+    The Gaussian seed has width SEED_WIDTH (a/b)^(1/s), the image of the
+    ground-state seed under the scaling U(x) = b^(1/p) Q((b/a)^(1/s) x)
+    (the iteration does not see the seed's amplitude).
+    """
+    gamma = (p + 1.0) / p
+    denom = a * fractional_symbol(grid, s) + b
+    width = SEED_WIDTH * (a / b) ** (1.0 / s)
+    u = np.exp(-((grid.nodes / width) ** 2))
+    notes: tuple = ()
+    last_res = math.inf
+    factor = math.nan
+    for _ in range(opts.max_iters):
+        nonlin, clamped = _power_with_clamp_note(u, p + 1.0)
+        if clamped and "clamp: negative tail mass exceeded 1e-10" not in notes:
+            notes = notes + ("clamp: negative tail mass exceeded 1e-10",)
+        u_hat = np.fft.fft(u)
+        lin_inner = grid.spacing * float(np.real(np.vdot(u_hat, denom * u_hat))) / grid.n
+        rhs_inner = grid.spacing * float(np.dot(nonlin, u))
+        if rhs_inner <= 0:
+            raise ConvergenceError("Petviashvili factor lost positivity",
+                                   last_residual=last_res)
+        factor = lin_inner / rhs_inner
+        u = factor ** gamma * np.fft.ifft(np.fft.fft(nonlin) / denom).real
+        u = np.roll(u, grid.n // 2 - int(np.argmax(u)))
+        residual = _residual(grid, u, s, p, a, b)
+        last_res = float(np.max(np.abs(residual)))
+        if last_res <= opts.tol:
+            return u, factor, notes
+    raise ConvergenceError(
+        f"Petviashvili did not reach tol={opts.tol:g} in {opts.max_iters} "
+        f"iterations (last residual {last_res:.3e})",
+        last_residual=last_res)

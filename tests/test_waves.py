@@ -60,7 +60,7 @@ class TestGroundState:
 
     def test_stabilizing_factor_settles_at_one(self, grid40):
         opts = wv.SolverOptions().resolve(2.0, 2.0)
-        _, factor, _ = wv._petviashvili(2.0, 2.0, 1.0, 1.0, grid40, opts)
+        _, factor, _, _ = wv._petviashvili(2.0, 2.0, 1.0, 1.0, grid40, opts)
         assert abs(factor - 1.0) <= 1e-8
 
 
