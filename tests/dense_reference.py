@@ -14,8 +14,8 @@ Petviashvili loop with five complex transforms per step and a residual
 that builds its own multiplier is the oracle of waves._petviashvili.  Dense
 matrices are plain arrays in the interleaved basis order of operators;
 split_parity turns one into the ParityBlocks the package works on, and
-from_coords is the inverse of operators.to_coords.  All of them cost
-O(n^3) or O(n^2) memory and run in the tests only.
+from_coords is the inverse of operators.to_coords.  The dense ones cost
+O(n^3) or O(n^2) memory, and all of them run in the tests only.
 """
 
 import math

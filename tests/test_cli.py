@@ -87,6 +87,39 @@ class TestSolveWave:
         assert meta["truncation_warning"] is True
 
 
+def recomputed_residual(out_dir, model, s, p, c) -> tuple:
+    """max |a |d|^s U + b U - U^(p+1)| of wave.csv by a complex FFT, the
+    profile's peak, and wave.json."""
+    meta = json.load(open(out_dir / "wave.json"))
+    u = np.loadtxt(out_dir / "wave.csv", delimiter=",", skiprows=1)[:, 1]
+    n = u.size
+    h = 2.0 * meta["grid"]["half_length"] / n
+    sym = (2.0 * np.pi * np.abs(np.fft.fftfreq(n, d=h))) ** s
+    disp = np.fft.ifft(sym * np.fft.fft(u)).real
+    a, b = (1.0, c) if model == "fkdv" else (c, c - 1.0)
+    peak = float(np.max(u))
+    power = u ** (p + 1.0) if float(p).is_integer() else \
+        np.maximum(u, 1e-14 * np.max(np.abs(u))) ** (p + 1.0)
+    return float(np.max(np.abs(a * disp + b * u - power))), peak, meta
+
+
+@pytest.mark.parametrize("model, s, p, c, code", [
+    ("fkdv", 1.5, 2.0, 1.0, 0), ("fbbm", 0.6, 1.2, 2.0, 2),
+    ("fbbm", 2.0, 3.0, 2.0, 0)], ids=["fkdv", "fbbm-truncated", "fbbm-s2"])
+def test_reported_residual_is_recomputed_from_the_file(tmp_path, capsys, model,
+                                                        s, p, c, code):
+    # the bound of the benchmark's output check: 1e-6 relative + 1e-13 peak
+    assert run(["solve-wave", "--model", model, "--s", str(s), "--p", str(p),
+                "--c", str(c), "--out", str(tmp_path)]) == code
+    residual, peak, meta = recomputed_residual(tmp_path, model, s, p, c)
+    reported = meta["residual_norm"]
+    assert abs(residual - reported) <= 1e-6 * reported + 1e-13 * peak
+    assert residual <= meta["residual_tol"]
+    assert meta["truncation_warning"] == (code == 2)
+    if code == 2:
+        assert meta["grid"]["n"] == 4096
+
+
 class TestIndex:
     def test_unstable_line(self, tmp_path, capsys):
         code = run(["index", "--model", "fkdv", "--s", "2", "--p", "5",

@@ -1,13 +1,18 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import dense_reference as ref
 from hkindex import spectral as sp
+from hkindex import verdicts as vd
 from hkindex import waves as wv
 from hkindex.errors import ConvergenceError
 
 from conftest import sech_profile
+
+CLAMP_NOTE = "clamp: negative tail mass exceeded 1e-10"
 
 
 class TestGroundState:
@@ -62,6 +67,102 @@ class TestGroundState:
         opts = wv.SolverOptions().resolve(2.0, 2.0)
         _, factor, _, _ = wv._petviashvili(2.0, 2.0, 1.0, 1.0, grid40, opts)
         assert abs(factor - 1.0) <= 1e-8
+
+
+def oracle_steps(s, p, a, b, grid, opts) -> tuple:
+    """The wave, factor and notes of the reference loop, and its number of
+    steps (one residual per step)."""
+    steps = []
+    residual = ref._residual
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ref, "_residual",
+                   lambda *args: steps.append(1) or residual(*args))
+        values, factor, notes = ref._petviashvili(s, p, a, b, grid, opts)
+    return values, factor, notes, len(steps)
+
+
+def loop_inputs(model, s, p, c, grid=None) -> tuple:
+    """(s, p, a, b, grid, opts) of the wave of speed c of the named model."""
+    a, b = wv.MODELS[model].coefficients(c)
+    grid = grid or sp.make_grid(*vd.default_grid(s))
+    return s, p, a, b, grid, wv.SolverOptions().resolve(s, p)
+
+
+# fKdV and fBBM; s = 0.6 on n = 4096, s = 1 and s = 2; integer and
+# non-integer p; c != 1; and the two clamped solves on (128, 40)
+LOOP_CASES = [
+    (wv.FKDV, 0.6, 1.2, 1.0, None), (wv.FBBM, 0.6, 1.0, 2.0, None),
+    (wv.FKDV, 1.0, 1.0, 1.7, None), (wv.FBBM, 1.0, 3.0, 2.0, None),
+    (wv.FKDV, 2.0, 3.0, 0.5, None), (wv.FBBM, 2.0, 0.8, 1.5, None),
+    (wv.FBBM, 2.0, 3.0, 2.0, None),
+    (wv.FKDV, 2.0, 0.8, 1.0, (128, 40.0)), (wv.FBBM, 2.0, 1.2, 2.0, (128, 40.0)),
+]
+
+
+class TestPetviashviliLoop:
+    @pytest.mark.parametrize("model, s, p, c, grid", LOOP_CASES,
+                             ids=[f"{m}-s{s:g}-p{p:g}-c{c:g}" + ("-clamp" if g else "")
+                                  for m, s, p, c, g in LOOP_CASES])
+    def test_loop_matches_the_reference_loop(self, model, s, p, c, grid):
+        # the same steps and notes as the loop with five complex transforms
+        # per step, the same wave to round-off, and a residual that a complex
+        # FFT recomputes from the returned samples to 1e-13 peak
+        s, p, a, b, grid, opts = loop_inputs(model, s, p, c,
+                                             grid and sp.make_grid(*grid))
+        expected, factor, notes, steps = oracle_steps(s, p, a, b, grid, opts)
+        values, got_factor, got_notes, residual = wv._petviashvili(
+            s, p, a, b, grid, opts)
+        peak = float(np.max(values))
+        assert got_notes == notes
+        assert abs(got_factor - factor) <= 1e-12
+        assert np.max(np.abs(values - expected)) <= 1e-12 * peak
+        assert np.max(np.abs(residual)) <= opts.tol
+        assert np.max(np.abs(ref._residual(grid, expected, s, p, a, b))) <= opts.tol
+        recomputed = ref._residual(grid, values, s, p, a, b)
+        assert np.max(np.abs(residual - recomputed)) <= 1e-13 * peak
+        wv._petviashvili(s, p, a, b, grid, replace(opts, max_iters=steps))
+        with pytest.raises(ConvergenceError):
+            wv._petviashvili(s, p, a, b, grid, replace(opts, max_iters=steps - 1))
+
+    def test_nonconvergence_message_matches_the_reference_loop(self):
+        *inputs, opts = loop_inputs(wv.FBBM, 1.5, 1.2, 2.0)
+        errors = []
+        for loop in (ref._petviashvili, wv._petviashvili):
+            with pytest.raises(ConvergenceError) as err:
+                loop(*inputs, replace(opts, max_iters=2))
+            errors.append(err.value)
+        prefix = "Petviashvili did not reach tol=1e-08 in 2 iterations (last residual"
+        assert all(str(e).startswith(prefix) for e in errors)
+        assert errors[1].last_residual == pytest.approx(errors[0].last_residual,
+                                                        rel=1e-10)
+
+    @pytest.mark.parametrize("model, p, c", [(wv.FKDV, 0.8, 1.0), (wv.FBBM, 1.2, 2.0)])
+    def test_clamp_note(self, model, p, c):
+        # on a coarse box the tails of a non-integer power fall below the floor
+        u = wv.solve_traveling_wave(model, 2.0, p, c, sp.make_grid(128, 40.0))
+        assert CLAMP_NOTE in u.notes
+        assert wv.solve_traveling_wave(model, 2.0, p, c,
+                                       sp.make_grid(1024, 40.0)).notes == ()
+
+    def test_transforms_per_step(self, monkeypatch):
+        # a solve of N steps: one rfft/irfft pair per update, one fft/ifft
+        # pair per residual (and one for the seed), no Multiplier
+        args = loop_inputs(wv.FBBM, 1.0, 1.2, 2.0)
+        steps = oracle_steps(*args)[-1]
+        calls = dict.fromkeys(["rfft", "irfft", "fft", "ifft", "Multiplier"], 0)
+
+        def counted(name, fn):
+            def call(*a, **kw):
+                calls[name] += 1
+                return fn(*a, **kw)
+            return call
+        for name in ("rfft", "irfft", "fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        monkeypatch.setattr(sp.Multiplier, "__post_init__", counted(
+            "Multiplier", sp.Multiplier.__post_init__))
+        wv._petviashvili(*args)
+        assert calls == {"rfft": steps, "irfft": steps, "fft": steps + 1,
+                         "ifft": steps + 1, "Multiplier": 0}
 
 
 class TestKdvWave:
