@@ -6,9 +6,10 @@ overrides defaults.  Output files are written atomically with
 shortest-round-trip float formatting, so identical configurations produce
 byte-identical files.
 
-Exit codes: 0 success, 1 numerical failure, 2 accuracy warning,
-3 theory-consistency failure, 64 usage error.  A sweep exits 3 if any
-point failed a theory-consistency check, else 1 if any point failed.
+Exit codes: 0 success, 1 numerical failure or an output that cannot be
+written, 2 accuracy warning, 3 theory-consistency failure, 64 usage
+error.  A sweep exits 3 if any point failed a theory-consistency check,
+else 1 if any point failed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -50,6 +51,8 @@ SETTINGS = {"model": str, "s": float, "p": float, "c": float, "n": int,
             "case": str}
 CHOICES = {"model": [*wv.MODELS, SCHRODINGER], "format": ["csv", "json"],
            "axis": [vd.AXIS_P, vd.AXIS_C, vd.AXIS_S]}
+# the value of a setting that neither a flag nor the config file gives
+DEFAULTS = {"model": wv.FKDV, "out": ".", "format": "csv"}
 
 
 class UsageError(Exception):
@@ -60,32 +63,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    model: str = wv.FKDV
-    s: float | None = None
-    p: float | None = None
-    c: float | None = None
-    n: int | None = None
-    half_length: float | None = None
-    tol: float | None = None
-    out: str = "."
-    format: str = "csv"
-    axis: str | None = None
-    start: float | None = None
-    stop: float | None = None
-    steps: int | None = None
-    case: str | None = None
-
-    def numerics(self) -> vd.NumericsConfig:
-        return vd.NumericsConfig(n=self.n, half_length=self.half_length,
-                                 solver_tol=self.tol)
-
-    def grid(self) -> sp.SpectralGrid:
-        return self.numerics().grid_for(self.s if self.s is not None else 2.0)
 
 
 def build_parser() -> _Parser:
@@ -131,9 +108,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def load_config(args: argparse.Namespace) -> RunConfig:
-    """Merge CLI flags over the JSON config file over defaults; UsageError
-    for a malformed file or a value the grid or the solver rejects."""
+def load_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The command and each of SETTINGS: flag over config file over DEFAULTS
+    over None; UsageError for a malformed file or a value the grid or the
+    solver rejects."""
     file_values = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -145,16 +123,14 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}")
         _check_config(file_values)
-    cfg = RunConfig(command=args.command)
+    cfg = argparse.Namespace(command=args.command)
     for key in SETTINGS:
         value = getattr(args, key, None)
-        if value is None:
-            value = file_values.get(key)
-        if value is not None:
-            setattr(cfg, key, value)
+        setattr(cfg, key, file_values.get(key, DEFAULTS.get(key))
+                if value is None else value)
     try:
-        cfg.grid()
-        cfg.numerics().solver_options()
+        _grid(cfg)
+        _numerics(cfg).solver_options()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return cfg
@@ -180,62 +156,76 @@ def _check_config(values) -> None:
                              f"{', '.join(CHOICES[key])}, got {value!r}")
 
 
-def _require(cfg: RunConfig, *names) -> None:
+def _numerics(cfg) -> vd.NumericsConfig:
+    return vd.NumericsConfig(n=cfg.n, half_length=cfg.half_length,
+                             solver_tol=cfg.tol)
+
+
+def _grid(cfg) -> sp.SpectralGrid:
+    return _numerics(cfg).grid_for(cfg.s if cfg.s is not None else 2.0)
+
+
+def _require(cfg, *names) -> None:
     for name in names:
         if getattr(cfg, name) is None:
             raise UsageError(f"missing required parameter --{name.replace('_', '-')}")
 
 
-def validate_wave_params(cfg: RunConfig) -> None:
-    """Verdict preconditions, checked up front (exit 1 on violation)."""
+def validate_wave_params(cfg) -> None:
+    """A wave model and s, p are given (else a usage error), and c defaults
+    to the model's speed.  The ranges of s, p and c are the solver's to
+    check: it raises ValueError (exit 1), naming the speed first."""
     if cfg.model not in wv.MODELS:
         raise UsageError("this command supports --model fkdv or fbbm")
     _require(cfg, "s", "p")
-    wv._check_exponents(cfg.s, cfg.p)
-    model = wv.MODELS[cfg.model]
     if cfg.c is None:
-        cfg.c = model.default_speed
-    model.check_speed(cfg.c)
+        cfg.c = wv.MODELS[cfg.model].default_speed
 
 
-def _solve_wave(cfg: RunConfig) -> wv.WaveProfile:
-    return wv.solve_traveling_wave(cfg.model, cfg.s, cfg.p, cfg.c, cfg.grid(),
-                                   cfg.numerics().solver_options())
+def _solve_wave(cfg) -> wv.WaveProfile:
+    return wv.solve_traveling_wave(cfg.model, cfg.s, cfg.p, cfg.c, _grid(cfg),
+                                   _numerics(cfg).solver_options())
 
 
-def _exit_code(wave: wv.WaveProfile) -> int:
+def _accuracy_exit(result: vd.KreinIndexResult) -> int:
     """Accuracy warning when the wave's tails do not fit the box."""
-    return EXIT_ACCURACY if wave.truncation_warning else EXIT_OK
+    return EXIT_ACCURACY if vd.TRUNCATION_NOTE in result.diagnostics else EXIT_OK
 
 
-def cmd_solve_wave(cfg: RunConfig) -> int:
+def _write_table(cfg, name: str, header: list, rows: list) -> str:
+    """The rows under header as <out>/<name>.csv or .json, by --format."""
+    write = write_json_rows if cfg.format == "json" else write_csv
+    return write(os.path.join(cfg.out, f"{name}.{cfg.format}"), header, rows)
+
+
+def cmd_solve_wave(cfg) -> int:
     validate_wave_params(cfg)
     profile = _solve_wave(cfg)
     csv_path, json_path = wv.save_profile(
         profile, os.path.join(cfg.out, "wave.csv"))
     print(f"wrote {csv_path} and {json_path} "
           f"(residual {profile.residual_norm:.3e})")
-    return _exit_code(profile)
+    return EXIT_ACCURACY if profile.truncation_warning else EXIT_OK
 
 
-def _run_verdict(cfg: RunConfig, keep_pipeline: bool):
+def _run_verdict(cfg, keep_pipeline: bool):
     validate_wave_params(cfg)
     runner = getattr(vd, f"{wv.MODELS[cfg.model].kind}_verdict")
-    return runner(cfg.s, cfg.p, cfg.c, cfg.numerics(),
+    return runner(cfg.s, cfg.p, cfg.c, _numerics(cfg),
                   keep_pipeline=keep_pipeline)
 
 
-def cmd_index(cfg: RunConfig) -> int:
+def cmd_index(cfg) -> int:
     # counts only: no eigenvectors, no Krein forms
     res = _run_verdict(cfg, keep_pipeline=False)
     payload = asdict(res)
     payload["diagnostics"] = list(res.diagnostics)
     write_json(os.path.join(cfg.out, "index.json"), payload)
     print(f"K_Ham={res.K_direct} verdict={res.verdict}")
-    return EXIT_ACCURACY if vd.TRUNCATION_NOTE in res.diagnostics else EXIT_OK
+    return _accuracy_exit(res)
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg) -> int:
     _require(cfg, "axis", "start", "stop", "steps")
     if cfg.steps < 1:
         raise UsageError(f"--steps must be at least 1, got {cfg.steps}")
@@ -250,7 +240,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     fixed[cfg.axis] = 0.0  # overwritten per sweep point
     result = vd.sweep(cfg.axis, cfg.start, cfg.stop, cfg.steps,
                       s=fixed["s"], p=fixed["p"], c=fixed["c"],
-                      model=cfg.model, numerics=cfg.numerics())
+                      model=cfg.model, numerics=_numerics(cfg))
     rows = []
     failed = [pt for pt in result.points if pt.result is None]
     for pt in result.points:
@@ -262,11 +252,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         else:
             rows.append((pt.s, pt.p, pt.c, cfg.model, -1, float("nan"), -1,
                          -1, -1, -1, "ERROR", pt.error.replace(",", ";")))
-    if cfg.format == "json":
-        path = write_json_rows(os.path.join(cfg.out, "sweep.json"),
-                               SWEEP_HEADER, rows)
-    else:
-        path = write_csv(os.path.join(cfg.out, "sweep.csv"), SWEEP_HEADER, rows)
+    path = _write_table(cfg, "sweep", SWEEP_HEADER, rows)
     if result.flip_bracket is not None:
         lo, hi = result.flip_bracket
         print(f"flip in ({lo:g}, {hi:g})")
@@ -281,25 +267,20 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_NUMERICAL if failed else EXIT_OK
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg) -> int:
     data = _run_verdict(cfg, keep_pipeline=True)
-    rows = spc.spectrum_rows(data.eigensystem, data.classification)
-    if cfg.format == "json":
-        path = write_json_rows(os.path.join(cfg.out, "spectrum.json"),
-                               SPECTRUM_HEADER, rows)
-    else:
-        path = write_csv(os.path.join(cfg.out, "spectrum.csv"),
-                         SPECTRUM_HEADER, rows)
+    path = _write_table(cfg, "spectrum", SPECTRUM_HEADER, spc.spectrum_rows(
+        data.eigensystem, data.classification))
     print(f"K_Ham={data.result.K_direct} verdict={data.result.verdict}")
     print(f"wrote {path}")
-    return _exit_code(data.wave)
+    return _accuracy_exit(data.result)
 
 
-def cmd_dump_operator(cfg: RunConfig) -> int:
+def cmd_dump_operator(cfg) -> int:
     if cfg.model == SCHRODINGER:
         if cfg.c is None:
             cfg.c = 0.5
-        grid = cfg.grid()
+        grid = _grid(cfg)
         V = sp.RealField(grid, 2.0 / np.cosh(grid.nodes) ** 2)
         operator = op.schrodinger_operator(V, cfg.c)
     else:
@@ -315,7 +296,7 @@ def cmd_dump_operator(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_self_check(cfg: RunConfig) -> int:
+def cmd_self_check(cfg) -> int:
     if cfg.case is None:
         raise UsageError("missing required parameter --case")
     try:
@@ -354,7 +335,8 @@ def main(argv=None) -> int:
     except TheoryConsistencyError as exc:
         print(f"theory-consistency failure: {exc}", file=sys.stderr)
         return EXIT_THEORY
-    except (ValueError, ConvergenceError, FredholmViolationError) as exc:
+    except (ValueError, ConvergenceError, FredholmViolationError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -1,8 +1,10 @@
 """Deterministic, atomic file output helpers.
 
-Floats are written with the shortest decimal that round-trips (Python's
-repr), so identical inputs produce byte-identical files.  Writes go to a
-temporary file in the target directory followed by an atomic rename.
+Floats are written with the shortest decimal that round-trips (str of a
+Python or NumPy float is its repr), so identical inputs produce
+byte-identical files.  Writes go to a temporary file in the target
+directory, given the mode of a freshly created file, followed by an
+atomic rename.
 """
 
 from __future__ import annotations
@@ -11,10 +13,6 @@ import json
 import math
 import os
 import tempfile
-
-
-def format_float(x) -> str:
-    return repr(float(x))
 
 
 def atomic_write_text(path, text: str) -> str:
@@ -29,10 +27,13 @@ def _atomic_write(path, data, mode: str) -> str:
     path = str(path)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
+    umask = os.umask(0)   # mkstemp makes 0600; a new file gets 0666 & ~umask
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, mode) as fh:
             fh.write(data)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -43,15 +44,7 @@ def _atomic_write(path, data, mode: str) -> str:
 
 def write_csv(path, header: list, rows: list) -> str:
     """CSV with '.' decimals, ',' separators, mandatory header row."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(format_float(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
     return atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -154,9 +154,10 @@ def bbm_verdict(s: float, p: float, c: float,
 
 
 def _reference_slope(model: wv.Model, wave, Q: wv.WaveProfile, c: float):
-    """(reference slope, notes): the scaling law, or the closed form checked
-    against a centered finite difference of the wave family."""
-    if model.slope_reference == wv.SCALING_LAW:
+    """(reference slope, notes): the scaling law, or for a weighted row the
+    closed form checked against a centered finite difference of the wave
+    family."""
+    if not model.weighted:
         return spc.slope_analytic(Q.s, Q.p, c, wv.squared_norm(Q)), []
     dc = min(0.01, (c - model.speed_floor) / 10.0)
     slopes = spc.bbm_slope(lambda cc: wave(Q, cc), c, dc, Q)
@@ -216,7 +217,7 @@ def _verdict(model: wv.Model, s: float, p: float, c: float,
     k_r = int(np.count_nonzero(ham.split()[0]))
     K_formula, verdict, notes = _resolve_verdict(
         n_L, slope, slope_ref, band, k_r, L.label,
-        check_reference_sign=model.reference_sign_raises)
+        check_reference_sign=model.weighted)
     if keep_pipeline:
         cls = spc.classify_krein(ham)
         if (cls.k_r, cls.k_i_minus) != (k_r, 0):

@@ -31,10 +31,6 @@ FKDV = "fkdv"
 FBBM = "fbbm"
 NORMALIZED = "normalized"
 
-# slope references of the index formula
-SCALING_LAW = "scaling-law"    # spectra.slope_analytic
-CLOSED_FORM = "closed-form"    # spectra.bbm_slope
-
 
 @dataclass(frozen=True)
 class Model:
@@ -51,9 +47,9 @@ class Model:
     coefficients: Callable[[float], tuple]  # c -> (a(c), b(c))
     speed_floor: float           # waves exist for c > speed_floor
     default_speed: float
-    weighted: bool               # (I+M)^-1 J L becomes J (W L W), W = (I+M)^(-1/2)
-    slope_reference: str         # SCALING_LAW or CLOSED_FORM
-    reference_sign_raises: bool  # a slope-sign clash with the reference raises
+    # (I+M)^-1 J L becomes J (W L W), W = (I+M)^(-1/2); the slope reference
+    # is then the closed form of <(I+M)U,U>, and a sign clash with it raises
+    weighted: bool
 
     def check_speed(self, c: float) -> None:
         if not self.speed_floor < c < math.inf:
@@ -63,11 +59,9 @@ class Model:
 
 MODELS = {
     FKDV: Model(FKDV, "kdv", lambda c: (1.0, c), speed_floor=0.0,
-                default_speed=1.0, weighted=False, slope_reference=SCALING_LAW,
-                reference_sign_raises=False),
+                default_speed=1.0, weighted=False),
     FBBM: Model(FBBM, "bbm", lambda c: (c, c - 1.0), speed_floor=1.0,
-                default_speed=2.0, weighted=True, slope_reference=CLOSED_FORM,
-                reference_sign_raises=True),
+                default_speed=2.0, weighted=True),
 }
 
 # boundary_value / peak above this taints the profile with a truncation flag

@@ -12,6 +12,7 @@ import scipy.linalg
 from hkindex import cli
 from hkindex import spectra as spc
 from hkindex import verdicts as vd
+from hkindex.io_utils import write_csv
 
 from conftest import count_calls
 
@@ -63,6 +64,17 @@ class TestSolveWave:
         assert code == 1
         assert "need a finite c > 0, got inf" in capsys.readouterr().err
         assert not (tmp_path / "wave.csv").exists()
+
+    @pytest.mark.parametrize("command", ["solve-wave", "index"])
+    def test_speed_is_named_before_the_exponents(self, tmp_path, capsys,
+                                                 command):
+        # the solver's own checks run, speed first: s = 3 and c = 0.5 are
+        # both out of range for fBBM
+        code = run([command, "--model", "fbbm", "--s", "3", "--p", "2",
+                    "--c", "0.5", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: fbbm waves need a finite c > 1, got 0.5\n"
 
     def test_p_below_half_exits_1(self, tmp_path, capsys):
         # the Petviashvili exponent (p+1)/p leaves (1, 3): a numerical
@@ -118,6 +130,45 @@ def test_reported_residual_is_recomputed_from_the_file(tmp_path, capsys, model,
     assert meta["truncation_warning"] == (code == 2)
     if code == 2:
         assert meta["grid"]["n"] == 4096
+
+
+SMALL_WAVE = ["--model", "fkdv", "--s", "2", "--p", "2", "--c", "1", "--n",
+              "256", "--half-length", "30"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_output_files_get_the_mode_of_a_new_file(tmp_path, capsys, umask,
+                                                 mode):
+    old = os.umask(umask)
+    try:
+        assert run(["solve-wave", *SMALL_WAVE, "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    for name in ("wave.csv", "wave.json"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode
+
+
+@pytest.mark.parametrize("command", ["solve-wave", "index"])
+def test_unwritable_output_is_one_error_line(tmp_path, capsys, command):
+    # --out below a regular file: os.makedirs raises NotADirectoryError
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    assert run([command, *SMALL_WAVE, "--out", str(blocker / "x")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and \
+        captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == "kept"
+
+
+def test_csv_cells_are_repr_for_floats_and_str_otherwise(tmp_path):
+    floats = [1e16, 1e-5, -0.0, float("nan"), float("inf"), 0.1]
+    rows = [(3, "REAL_POS", *floats), (-1, "ok", *map(np.float64, floats))]
+    write_csv(tmp_path / "t.csv", ["i", "label", *"abcdef"], rows)
+    line = "1e+16,1e-05,-0.0,nan,inf,0.1"
+    assert (tmp_path / "t.csv").read_bytes() == (
+        f"i,label,a,b,c,d,e,f\n3,REAL_POS,{line}\n-1,ok,{line}\n").encode()
 
 
 class TestIndex:
