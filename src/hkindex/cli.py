@@ -171,14 +171,15 @@ def _require(cfg, *names) -> None:
             raise UsageError(f"missing required parameter --{name.replace('_', '-')}")
 
 
-def validate_wave_params(cfg) -> None:
+def validate_wave_params(cfg, axis: str | None = None) -> None:
     """A wave model and s, p are given (else a usage error), and c defaults
-    to the model's speed.  The ranges of s, p and c are the solver's to
-    check: it raises ValueError (exit 1), naming the speed first."""
+    to the model's speed; a sweep's axis is neither required nor
+    defaulted.  The ranges of s, p and c are the solver's to check: it
+    raises ValueError (exit 1), naming the speed first."""
     if cfg.model not in wv.MODELS:
         raise UsageError("this command supports --model fkdv or fbbm")
-    _require(cfg, "s", "p")
-    if cfg.c is None:
+    _require(cfg, *(name for name in ("s", "p") if name != axis))
+    if cfg.c is None and axis != vd.AXIS_C:
         cfg.c = wv.MODELS[cfg.model].default_speed
 
 
@@ -229,14 +230,8 @@ def cmd_sweep(cfg) -> int:
     _require(cfg, "axis", "start", "stop", "steps")
     if cfg.steps < 1:
         raise UsageError(f"--steps must be at least 1, got {cfg.steps}")
-    if cfg.model not in wv.MODELS:
-        raise UsageError("sweep supports --model fkdv or fbbm")
+    validate_wave_params(cfg, axis=cfg.axis)
     fixed = {"s": cfg.s, "p": cfg.p, "c": cfg.c}
-    if fixed["c"] is None and cfg.axis != "c":
-        fixed["c"] = wv.MODELS[cfg.model].default_speed
-    for name in ("s", "p", "c"):
-        if name != cfg.axis and fixed[name] is None:
-            raise UsageError(f"missing required parameter --{name}")
     fixed[cfg.axis] = 0.0  # overwritten per sweep point
     result = vd.sweep(cfg.axis, cfg.start, cfg.stop, cfg.steps,
                       s=fixed["s"], p=fixed["p"], c=fixed["c"],

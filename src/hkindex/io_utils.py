@@ -4,7 +4,8 @@ Floats are written with the shortest decimal that round-trips (str of a
 Python or NumPy float is its repr), so identical inputs produce
 byte-identical files.  Writes go to a temporary file in the target
 directory, given the mode of a freshly created file, followed by an
-atomic rename.
+atomic rename; the files of one output are all written before the first
+rename.
 """
 
 from __future__ import annotations
@@ -16,36 +17,56 @@ import tempfile
 
 
 def atomic_write_text(path, text: str) -> str:
-    return _atomic_write(path, text, "w")
+    return atomic_write_files({path: text})[0]
 
 
 def atomic_write_bytes(path, payload: bytes) -> str:
-    return _atomic_write(path, payload, "wb")
+    return atomic_write_files({path: payload})[0]
 
 
-def _atomic_write(path, data, mode: str) -> str:
-    path = str(path)
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
+def atomic_write_files(files: dict) -> list:
+    """Write each path: data (str or bytes) of files, and return the paths.
+
+    Every temporary file is written before the first rename, and the
+    renames follow the order of files.  On a failure the temporary files
+    not yet renamed are removed, so a failed write replaces no file and a
+    failed rename leaves the files after it untouched.  The OSError of a
+    rename names its target, not the temporary file.
+    """
     umask = os.umask(0)   # mkstemp makes 0600; a new file gets 0666 & ~umask
     os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    pending = {}
     try:
-        with os.fdopen(fd, mode) as fh:
-            fh.write(data)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
+        for path, data in files.items():
+            path = str(path)
+            directory = os.path.dirname(path) or "."
+            os.makedirs(directory, exist_ok=True)
+            fd, pending[path] = tempfile.mkstemp(dir=directory, prefix=".tmp-",
+                                                 suffix="~")
+            with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+                fh.write(data)
+            os.chmod(pending[path], 0o666 & ~umask)
+        for path in list(pending):
+            try:
+                os.replace(pending[path], path)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+            del pending[path]
+    finally:
+        for tmp in pending.values():
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return [str(path) for path in files]
+
+
+def csv_text(header: list, rows) -> str:
+    """CSV with '.' decimals, ',' separators, mandatory header row."""
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def write_csv(path, header: list, rows: list) -> str:
-    """CSV with '.' decimals, ',' separators, mandatory header row."""
-    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+    return atomic_write_text(path, csv_text(header, rows))
 
 
 def write_json(path, payload) -> str:

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, ModelMismatchError
-from .io_utils import atomic_write_text, write_csv
+from .io_utils import atomic_write_files, csv_text
 from .spectral import (RealField, SpectralGrid, apply_multiplier,
                        fractional_derivative_multiplier, fractional_symbol,
                        inner_product)
@@ -85,6 +85,11 @@ def default_tol(s: float) -> float:
 
 # width of the Gaussian that seeds the Petviashvili iteration
 SEED_WIDTH = 2.0
+
+# type-II Anderson mixing of the Petviashvili map: the number of
+# differences in its least-squares fit, and the plain steps before it
+ANDERSON_DEPTH = 3
+ANDERSON_START = 10
 
 
 @dataclass(frozen=True)
@@ -189,22 +194,32 @@ def _finalize(grid, values, s, p, c, model, residual, tol, notes=()) -> WaveProf
 
 def _petviashvili(s: float, p: float, a: float, b: float, grid: SpectralGrid,
                   opts: SolverOptions) -> tuple[np.ndarray, float, tuple, np.ndarray]:
-    """Fixed-point iteration for a |d|^s U + b U - U^(p+1) = 0.
+    """Anderson-accelerated fixed-point iteration for
+    a |d|^s U + b U - U^(p+1) = 0.
 
-    U_{k+1} = S_k^gamma (a |d|^s + b)^{-1} U_k^{p+1} with the stabilizing
-    factor S_k = <(a |d|^s + b) U_k, U_k> / <U_k^{p+1}, U_k> and
-    gamma = (p+1)/p; the peak is recentered to x = 0 after every step.
+    The Petviashvili map is G(U) = S^gamma (a |d|^s + b)^{-1} U^{p+1} with
+    the stabilizing factor S = <(a |d|^s + b) U, U> / <U^{p+1}, U> and
+    gamma = (p+1)/p.  The first ANDERSON_START steps iterate it plainly,
+    U_{k+1} = G(U_k).  From then on each step takes the type-II Anderson
+    mix of depth ANDERSON_DEPTH: with F_k = G(U_k) - U_k and the
+    differences dF, dG of the last ANDERSON_DEPTH + 1 steps,
+    U_{k+1} = G(U_k) - dG g, where g minimizes |F_k - dF g| (Anderson,
+    J. ACM 12, 1965; Walker and Ni, SIAM J. Numer. Anal. 49, 2011; for
+    the Petviashvili map, Alvarez and Duran, Math. Comput. Simul., 2016).
+    The peak is recentered to x = 0 after every step, and a nonzero shift
+    clears the mixing history, whose samples it would no longer match.
     The Gaussian seed has width SEED_WIDTH (a/b)^(1/s), the image of the
     ground-state seed under the scaling U(x) = b^(1/p) Q((b/a)^(1/s) x)
     (the iteration does not see the seed's amplitude).
 
-    A step makes two transform pairs: rfft/irfft for the update, fft/ifft
-    for a |d|^s U at the new samples.  That and U^(p+1) give the residual
-    and the next step's factor, whose inner products are taken in physical
-    space (discrete Parseval) so that no spectrum needs weights.  A real
-    pair would do for the residual, but at s = 2 its round-off differs
-    from an fft/ifft recomputation from the samples by more than 1e-13 peak.
-    Returns the samples, the last factor, the notes and that residual.
+    A step makes two transform pairs: rfft/irfft for G, fft/ifft for
+    a |d|^s U at the new samples.  That and U^(p+1) give the residual and
+    the factor of the new samples, whose inner products are taken in
+    physical space (discrete Parseval) so that no spectrum needs weights.
+    A real pair would do for the residual, but at s = 2 its round-off
+    differs from an fft/ifft recomputation from the samples by more than
+    1e-13 peak.  Returns the samples, their factor (which settles at 1 on
+    a solution), the notes and their residual.
     """
     gamma = (p + 1.0) / p
     sym = fractional_symbol(grid, s)
@@ -213,29 +228,52 @@ def _petviashvili(s: float, p: float, a: float, b: float, grid: SpectralGrid,
     u = np.exp(-((grid.nodes / width) ** 2))
     lin = a * np.fft.ifft(sym * np.fft.fft(u)).real + b * u
     nonlin, clamped = _power_with_clamp_note(u, p + 1.0)
+    history: list = []  # (G(U_k) - U_k, G(U_k)) of the last steps, oldest first
     notes: tuple = ()
     last_res = math.inf
-    for _ in range(opts.max_iters):
+    for step in range(opts.max_iters):
         if clamped and "clamp: negative tail mass exceeded 1e-10" not in notes:
             notes = notes + ("clamp: negative tail mass exceeded 1e-10",)
-        lin_inner = grid.spacing * float(np.dot(lin, u))
-        rhs_inner = grid.spacing * float(np.dot(nonlin, u))
+        lin_inner, rhs_inner = float(np.dot(lin, u)), float(np.dot(nonlin, u))
         if rhs_inner <= 0:
             raise ConvergenceError("Petviashvili factor lost positivity",
                                    last_residual=last_res)
-        factor = lin_inner / rhs_inner
-        u = factor ** gamma * np.fft.irfft(np.fft.rfft(nonlin) / denom, grid.n)
-        u = np.roll(u, grid.n // 2 - int(np.argmax(u)))
+        mapped = (lin_inner / rhs_inner) ** gamma * np.fft.irfft(
+            np.fft.rfft(nonlin) / denom, grid.n)
+        history = history[-ANDERSON_DEPTH:] + [(mapped - u, mapped)]
+        u = mapped if step < ANDERSON_START else _anderson_mix(history)
+        shift = grid.n // 2 - int(np.argmax(u))
+        if shift:
+            u = np.roll(u, shift)
+            history = []
         lin = a * np.fft.ifft(sym * np.fft.fft(u)).real + b * u
         nonlin, clamped = _power_with_clamp_note(u, p + 1.0)
         residual = lin - nonlin
         last_res = float(np.max(np.abs(residual)))
         if last_res <= opts.tol:
+            factor = float(np.dot(lin, u)) / float(np.dot(nonlin, u))
             return u, factor, notes, residual
     raise ConvergenceError(
         f"Petviashvili did not reach tol={opts.tol:g} in {opts.max_iters} "
         f"iterations (last residual {last_res:.3e})",
         last_residual=last_res)
+
+
+def _anderson_mix(history: list) -> np.ndarray:
+    """G(U_k) - dG g with g the least-squares fit of F_k by dF, over the
+    (F, G) pairs of history; G(U_k) itself while history holds one pair.
+
+    g solves the normal equations, of order at most ANDERSON_DEPTH, by
+    lstsq, which drops the directions of nearly dependent differences.
+    A fit of the n x depth matrix of differences itself takes the same
+    steps on the wave table at twice the cost of the fit.
+    """
+    if len(history) < 2:
+        return history[-1][1]
+    f, g = (np.array(part) for part in zip(*history))
+    df = np.diff(f, axis=0)
+    coef = np.linalg.lstsq(df @ df.T, df @ f[-1], rcond=None)[0]
+    return g[-1] - coef @ np.diff(g, axis=0)
 
 
 def solve_ground_state(s: float, p: float, grid: SpectralGrid,
@@ -343,10 +381,13 @@ def squared_norm(profile: WaveProfile) -> float:
 
 
 def save_profile(profile: WaveProfile, csv_path) -> tuple:
-    """Write (x, U) CSV plus a JSON metadata sidecar next to it."""
+    """Write (x, U) CSV plus a JSON metadata sidecar next to it.  Both
+    files are written before either replaces its target, the sidecar
+    first, so a failure leaves no new CSV beside a stale sidecar."""
     csv_path = str(csv_path)
-    write_csv(csv_path, ["x", "U"],
-              zip(profile.grid.nodes.tolist(), profile.values.tolist()))
     json_path = csv_path[:-4] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
-    atomic_write_text(json_path, json.dumps(profile.metadata(), indent=2) + "\n")
+    atomic_write_files({
+        json_path: json.dumps(profile.metadata(), indent=2) + "\n",
+        csv_path: csv_text(["x", "U"], zip(profile.grid.nodes.tolist(),
+                                           profile.values.tolist()))})
     return csv_path, json_path

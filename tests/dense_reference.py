@@ -10,8 +10,9 @@ Hamiltonian eigensystem from one eig of full order (the oracle of the
 symmetric route of spectra), the Krein forms in complex arithmetic on
 whole eigenvectors, and the classification of a general complex
 spectrum, one eigenvalue at a time, with a COMPLEX class and k_c.  The
-Petviashvili loop with five complex transforms per step and a residual
-that builds its own multiplier is the oracle of waves._petviashvili.  Dense
+plain Petviashvili loop, without mixing, with five complex transforms
+per step and a residual that builds its own multiplier is the oracle of
+waves._petviashvili.  Dense
 matrices are plain arrays in the interleaved basis order of operators;
 split_parity turns one into the ParityBlocks the package works on, and
 from_coords is the inverse of operators.to_coords.  The dense ones cost

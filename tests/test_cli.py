@@ -162,6 +162,18 @@ def test_unwritable_output_is_one_error_line(tmp_path, capsys, command):
     assert blocker.read_text() == "kept"
 
 
+def test_failed_sidecar_leaves_no_new_profile(tmp_path, capsys):
+    # a directory named wave.json: its rename fails after both temporary
+    # files are written, and neither file is left behind
+    (tmp_path / "wave.json").mkdir()
+    assert run(["solve-wave", *SMALL_WAVE, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / "wave.json") in err and ".tmp-" not in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["wave.json"]
+    assert list((tmp_path / "wave.json").iterdir()) == []
+
+
 def test_csv_cells_are_repr_for_floats_and_str_otherwise(tmp_path):
     floats = [1e16, 1e-5, -0.0, float("nan"), float("inf"), 0.1]
     rows = [(3, "REAL_POS", *floats), (-1, "ok", *map(np.float64, floats))]
@@ -236,6 +248,22 @@ class TestSweepCommand:
         code = run(["sweep", "--model", "fkdv", "--s", "2", "--p", "2",
                     "--out", str(tmp_path)])
         assert code == 64
+
+    @pytest.mark.parametrize("args, message", [
+        (["--model", "schrodinger", "--s", "2", "--p", "2"],
+         "this command supports --model fkdv or fbbm"),
+        (["--model", "fbbm", "--p", "2"], "missing required parameter --s"),
+    ], ids=["model", "missing-s"])
+    def test_wave_parameters_are_checked_as_by_index(self, tmp_path, capsys,
+                                                     args, message):
+        # a sweep over c, without --c, gets the usage errors of index
+        sweep = ["sweep", "--axis", "c", "--from", "1.5", "--to", "2",
+                 "--steps", "2"]
+        for argv in (sweep, ["index"]):
+            assert run([*argv, *args, "--out", str(tmp_path)]) == 64
+            assert capsys.readouterr().err.endswith(
+                f"usage error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 # s = 1.5, p = 2 is STABLE; its algebraic tails do not fit a box of

@@ -81,6 +81,18 @@ def oracle_steps(s, p, a, b, grid, opts) -> tuple:
     return values, factor, notes, len(steps)
 
 
+def loop_steps(*args) -> tuple:
+    """The wave, factor, notes and residual of waves._petviashvili, and its
+    number of steps (one rfft per step)."""
+    steps = []
+    rfft = np.fft.rfft
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.fft, "rfft",
+                   lambda *a, **kw: steps.append(1) or rfft(*a, **kw))
+        result = wv._petviashvili(*args)
+    return *result, len(steps)
+
+
 def loop_inputs(model, s, p, c, grid=None) -> tuple:
     """(s, p, a, b, grid, opts) of the wave of speed c of the named model."""
     a, b = wv.MODELS[model].coefficients(c)
@@ -98,31 +110,59 @@ LOOP_CASES = [
     (wv.FKDV, 2.0, 0.8, 1.0, (128, 40.0)), (wv.FBBM, 2.0, 1.2, 2.0, (128, 40.0)),
 ]
 
+# Each loop stops at a residual of at most tol, so the two residuals differ
+# by at most 2 tol, and the waves by the inverse linearization
+# (a |d|^s + b - (p+1) U^p)^-1 of that difference.  Its kernel U' is odd,
+# so it is bounded on the even waves; on LOOP_CASES it amplifies the 2 tol
+# by at most 0.9 (fbbm s=0.6 p=1 c=2), and the bound allows 5.
+WAVE_GAP_IN_TOL = 5.0 * 2.0
+
+
+@pytest.fixture(scope="module")
+def both_loops():
+    """Both loops on a case of LOOP_CASES, each case solved once:
+    (inputs, oracle_steps, loop_steps)."""
+    runs = {}
+
+    def run(case):
+        if case not in runs:
+            model, s, p, c, grid = case
+            inputs = loop_inputs(model, s, p, c, grid and sp.make_grid(*grid))
+            runs[case] = inputs, oracle_steps(*inputs), loop_steps(*inputs)
+        return runs[case]
+    return run
+
 
 class TestPetviashviliLoop:
-    @pytest.mark.parametrize("model, s, p, c, grid", LOOP_CASES,
+    @pytest.mark.parametrize("case", LOOP_CASES,
                              ids=[f"{m}-s{s:g}-p{p:g}-c{c:g}" + ("-clamp" if g else "")
                                   for m, s, p, c, g in LOOP_CASES])
-    def test_loop_matches_the_reference_loop(self, model, s, p, c, grid):
-        # the same steps and notes as the loop with five complex transforms
-        # per step, the same wave to round-off, and a residual that a complex
-        # FFT recomputes from the returned samples to 1e-13 peak
-        s, p, a, b, grid, opts = loop_inputs(model, s, p, c,
-                                             grid and sp.make_grid(*grid))
-        expected, factor, notes, steps = oracle_steps(s, p, a, b, grid, opts)
-        values, got_factor, got_notes, residual = wv._petviashvili(
-            s, p, a, b, grid, opts)
+    def test_loop_matches_the_reference_loop(self, both_loops, case):
+        # the notes of the plain loop with five complex transforms per step,
+        # a wave within WAVE_GAP_IN_TOL tol of its wave, in fewer steps, and
+        # a residual that a complex FFT recomputes from the returned samples
+        # to 1e-13 peak
+        inputs, oracle, loop = both_loops(case)
+        s, p, a, b, grid, opts = inputs
+        expected, _, notes, reference_steps = oracle
+        values, factor, got_notes, residual, steps = loop
         peak = float(np.max(values))
         assert got_notes == notes
-        assert abs(got_factor - factor) <= 1e-12
-        assert np.max(np.abs(values - expected)) <= 1e-12 * peak
+        assert abs(factor - 1.0) <= 1e-6
+        assert np.max(np.abs(values - expected)) <= WAVE_GAP_IN_TOL * opts.tol
         assert np.max(np.abs(residual)) <= opts.tol
         assert np.max(np.abs(ref._residual(grid, expected, s, p, a, b))) <= opts.tol
         recomputed = ref._residual(grid, values, s, p, a, b)
         assert np.max(np.abs(residual - recomputed)) <= 1e-13 * peak
+        assert steps < reference_steps
         wv._petviashvili(s, p, a, b, grid, replace(opts, max_iters=steps))
         with pytest.raises(ConvergenceError):
             wv._petviashvili(s, p, a, b, grid, replace(opts, max_iters=steps - 1))
+
+    def test_at_most_half_the_steps_of_the_reference_loop(self, both_loops):
+        oracle_total = sum(both_loops(case)[1][-1] for case in LOOP_CASES)
+        loop_total = sum(both_loops(case)[2][-1] for case in LOOP_CASES)
+        assert loop_total <= oracle_total / 2
 
     def test_nonconvergence_message_matches_the_reference_loop(self):
         *inputs, opts = loop_inputs(wv.FBBM, 1.5, 1.2, 2.0)
@@ -145,10 +185,12 @@ class TestPetviashviliLoop:
                                        sp.make_grid(1024, 40.0)).notes == ()
 
     def test_transforms_per_step(self, monkeypatch):
-        # a solve of N steps: one rfft/irfft pair per update, one fft/ifft
-        # pair per residual (and one for the seed), no Multiplier
-        args = loop_inputs(wv.FBBM, 1.0, 1.2, 2.0)
-        steps = oracle_steps(*args)[-1]
+        # a solve of N steps: one rfft/irfft pair per map evaluation, one
+        # fft/ifft pair per residual (and one for the seed), no Multiplier
+        *inputs, opts = args = loop_inputs(wv.FBBM, 1.0, 1.2, 2.0)
+        steps = loop_steps(*args)[-1]
+        with pytest.raises(ConvergenceError):
+            wv._petviashvili(*inputs, replace(opts, max_iters=steps - 1))
         calls = dict.fromkeys(["rfft", "irfft", "fft", "ifft", "Multiplier"], 0)
 
         def counted(name, fn):
