@@ -3,21 +3,18 @@ solitary waves: spectral collocation, Petviashvili wave solves, linearized
 operator assembly, Krein-signature spectra, and index-vs-spectrum verdicts."""
 
 from .errors import (ConvergenceError, FredholmViolationError,
-                     GridMismatchError, ModelMismatchError,
-                     NonIntegrableInputError, TheoryConsistencyError,
-                     UnresolvedEigenvalueError)
+                     GridMismatchError, NonIntegrableInputError,
+                     TheoryConsistencyError, UnresolvedEigenvalueError)
 from .spectral import (Multiplier, RealField, SpectralGrid,
                        antiderivative_multiplier, apply_multiplier,
                        derivative_multiplier, fourier_pairing,
                        fractional_derivative_multiplier, hilbert_multiplier,
                        inner_product, make_grid,
                        regularized_quarter_root_multiplier, transform)
-from .waves import (FBBM, FKDV, NORMALIZED, SolverOptions, WaveProfile,
-                    bbm_wave, bo_profile, kdv_wave, p_max,
-                    save_profile, solve_ground_state, solve_traveling_wave,
-                    squared_norm)
-from .operators import (LinOperator, ParityBlocks, assemble,
-                        bbm_linearization, bbm_symmetrize, kdv_linearization,
+from .waves import (FBBM, FKDV, SolverOptions, WaveProfile, bo_profile,
+                    p_max, save_profile, solve_ground_state,
+                    solve_traveling_wave, squared_norm)
+from .operators import (LinOperator, ParityBlocks, assemble, linearization,
                         sandwich, save_matrix, schrodinger_operator)
 from .spectra import (BbmSlope, HamiltonianEigensystem, KreinClassification,
                       SymmetricSpectrum, bbm_slope, classify_krein,
@@ -26,7 +23,6 @@ from .spectra import (BbmSlope, HamiltonianEigensystem, KreinClassification,
                       negative_count, slope_analytic, symmetric_spectrum)
 from .verdicts import (DEGENERATE, STABLE, UNSTABLE, CheckReport,
                        KreinIndexResult, NumericsConfig, SweepResult,
-                       bbm_verdict, default_grid, kdv_verdict, self_check,
-                       sweep)
+                       default_grid, self_check, sweep, verdict)
 
 __version__ = "0.1.0"

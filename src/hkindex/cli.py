@@ -211,9 +211,8 @@ def cmd_solve_wave(cfg) -> int:
 
 def _run_verdict(cfg, keep_pipeline: bool):
     validate_wave_params(cfg)
-    runner = getattr(vd, f"{wv.MODELS[cfg.model].kind}_verdict")
-    return runner(cfg.s, cfg.p, cfg.c, _numerics(cfg),
-                  keep_pipeline=keep_pipeline)
+    return vd.verdict(cfg.model, cfg.s, cfg.p, cfg.c, _numerics(cfg),
+                      keep_pipeline=keep_pipeline)
 
 
 def cmd_index(cfg) -> int:
@@ -250,7 +249,7 @@ def cmd_sweep(cfg) -> int:
     path = _write_table(cfg, "sweep", SWEEP_HEADER, rows)
     if result.flip_bracket is not None:
         lo, hi = result.flip_bracket
-        print(f"flip in ({lo:g}, {hi:g})")
+        print(f"flip in ({lo:g}, {hi:g}): {' -> '.join(result.flip_verdicts)}")
     else:
         print("no verdict flip in range")
     print(f"wrote {path}")
@@ -280,9 +279,7 @@ def cmd_dump_operator(cfg) -> int:
         operator = op.schrodinger_operator(V, cfg.c)
     else:
         validate_wave_params(cfg)
-        profile = _solve_wave(cfg)
-        kind = wv.MODELS[cfg.model].kind
-        operator = getattr(op, f"{kind}_linearization")(profile)
+        operator = op.linearization(_solve_wave(cfg))
     # the blocks coupling the parities are written as zeros
     matrix = op.assemble(operator)
     bin_path, json_path = op.save_matrix(

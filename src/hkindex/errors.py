@@ -17,10 +17,6 @@ class ConvergenceError(RuntimeError):
         self.last_residual = last_residual
 
 
-class ModelMismatchError(ValueError):
-    """A wave profile with the wrong model tag was passed to an operator builder."""
-
-
 class FredholmViolationError(ValueError):
     """The right-hand side of a constrained solve is not orthogonal to the kernel."""
 

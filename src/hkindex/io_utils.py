@@ -20,10 +20,6 @@ def atomic_write_text(path, text: str) -> str:
     return atomic_write_files({path: text})[0]
 
 
-def atomic_write_bytes(path, payload: bytes) -> str:
-    return atomic_write_files({path: payload})[0]
-
-
 def atomic_write_files(files: dict) -> list:
     """Write each path: data (str or bytes) of files, and return the paths.
 
@@ -69,10 +65,13 @@ def write_csv(path, header: list, rows: list) -> str:
     return atomic_write_text(path, csv_text(header, rows))
 
 
-def write_json(path, payload) -> str:
+def json_text(payload) -> str:
     """Strict JSON: a NaN or infinite float raises ValueError."""
-    return atomic_write_text(path, json.dumps(
-        payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def write_json(path, payload) -> str:
+    return atomic_write_text(path, json_text(payload))
 
 
 def write_json_rows(path, header: list, rows: list) -> str:

@@ -37,12 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import hankel, toeplitz
 
-from .errors import ModelMismatchError
-from .io_utils import atomic_write_bytes, write_json
+from .io_utils import atomic_write_files, json_text
 from .spectral import (RealField, SpectralGrid, fractional_symbol,
                        regularized_quarter_root_multiplier)
-from .waves import (FBBM, FKDV, MODELS, NORMALIZED, Model, WaveProfile,
-                    clamped_power)
+from .waves import MODELS, WaveProfile, clamped_power
 
 SYMMETRY_TOL = 1e-10
 
@@ -148,8 +146,6 @@ class LinOperator:
     multiplier_symbol: np.ndarray
     potential: np.ndarray
     label: str
-    kind: str = "custom"
-    s: float | None = None
 
     def __post_init__(self):
         sym = np.asarray(self.multiplier_symbol, dtype=float)
@@ -192,32 +188,16 @@ def assemble(op: LinOperator) -> ParityBlocks:
     return P
 
 
-def kdv_linearization(U: WaveProfile) -> LinOperator:
-    """L_c = |d|^s + c - (p+1) U_c^p about an fKdV wave (or normalized Q,
-    the fKdV wave of speed 1)."""
-    return _linearization(MODELS[FKDV], U, accepted=(FKDV, NORMALIZED))
-
-
-def bbm_linearization(U: WaveProfile) -> LinOperator:
-    """L_0 = c|d|^s + (c-1) - (p+1) U_c^p about an fBBM wave."""
-    return _linearization(MODELS[FBBM], U, accepted=(FBBM,))
-
-
-def _linearization(model: Model, U: WaveProfile, accepted: tuple) -> LinOperator:
-    """a(c) |d|^s + b(c) - (p+1) U^p with (a, b) = model.coefficients(c)."""
-    if U.model not in accepted:
-        raise ModelMismatchError(
-            f"{model.kind}_linearization needs a profile of model "
-            f"{' or '.join(accepted)}, got {U.model!r}")
-    if not U.c > model.speed_floor:
-        raise ModelMismatchError(
-            f"{model.kind}_linearization needs c > {model.speed_floor:g}")
+def linearization(U: WaveProfile) -> LinOperator:
+    """a(c) |d|^s + b(c) - (p+1) U^p about the wave U, with
+    (a, b) = coefficients(c) of its row of MODELS."""
+    model = MODELS[U.model]
+    model.check_speed(U.c)
     a, b = model.coefficients(U.c)
     sym = a * fractional_symbol(U.grid, U.s) + b
     pot = -(U.p + 1.0) * clamped_power(U.values, U.p, U.peak)
     return LinOperator(U.grid, sym, pot,
-                       label=f"{model.kind}-lin(s={U.s:g},p={U.p:g},c={U.c:g})",
-                       kind=model.kind, s=U.s)
+                       label=f"{model.kind}-lin(s={U.s:g},p={U.p:g},c={U.c:g})")
 
 
 def schrodinger_operator(V: RealField, c: float) -> LinOperator:
@@ -230,9 +210,7 @@ def schrodinger_operator(V: RealField, c: float) -> LinOperator:
         warnings.warn("Schroedinger potential decays slowly on this box",
                       stacklevel=2)
     sym = fractional_symbol(V.grid, 2.0) + c
-    return LinOperator(V.grid, sym, -V.values,
-                       label=f"schrodinger(c={c:g})", kind="schrodinger",
-                       s=2.0)
+    return LinOperator(V.grid, sym, -V.values, label=f"schrodinger(c={c:g})")
 
 
 def sandwich(A: ParityBlocks, eps: float) -> ParityBlocks:
@@ -248,15 +226,6 @@ def sandwich(A: ParityBlocks, eps: float) -> ParityBlocks:
 def symmetrizing_weight(grid: SpectralGrid, s: float) -> np.ndarray:
     """Symbol of (I+M)^(-1/2), M = |d|^s, in the grid's fftfreq layout."""
     return (1.0 + fractional_symbol(grid, s)) ** -0.5
-
-
-def bbm_symmetrize(L0: LinOperator, A: ParityBlocks) -> ParityBlocks:
-    """(I+M)^(-1/2) L0 (I+M)^(-1/2) with M = |d|^s, from A = assemble(L0)."""
-    if L0.kind != MODELS[FBBM].kind:
-        raise ModelMismatchError("bbm_symmetrize expects a BBM linearization")
-    if L0.s is None:
-        raise ValueError("operator does not carry its dispersion exponent")
-    return congruence(A, symmetrizing_weight(A.grid, L0.s), "bbm-sym")
 
 
 def congruence(A: ParityBlocks, symbol: np.ndarray, name: str) -> ParityBlocks:
@@ -276,15 +245,19 @@ def congruence(A: ParityBlocks, symbol: np.ndarray, name: str) -> ParityBlocks:
 
 def save_matrix(P: ParityBlocks, bin_path) -> tuple:
     """Raw row-major float64 dump of P.dense() plus a JSON header (order,
-    label, grid) beside it, the .bin suffix replaced by .json."""
+    label, grid) beside it, the .bin suffix replaced by .json; both files
+    are written before either replaces its target."""
     entries = P.dense()
     if not np.all(np.isfinite(entries)):
         raise ValueError(f"matrix {P.label!r} has non-finite entries")
     bin_path = str(bin_path)
-    atomic_write_bytes(bin_path, np.ascontiguousarray(entries, dtype="<f8").tobytes())
     json_path = (bin_path[:-4] if bin_path.endswith(".bin") else bin_path) + ".json"
-    write_json(json_path, {"order": P.order, "label": P.label,
-                           "dtype": "float64-le", "layout": "row-major",
-                           "grid": {"n": P.grid.n,
-                                    "half_length": P.grid.half_length}})
+    # the header is renamed into place first, so a failure leaves no new
+    # matrix without it
+    atomic_write_files({
+        json_path: json_text({"order": P.order, "label": P.label,
+                              "dtype": "float64-le", "layout": "row-major",
+                              "grid": {"n": P.grid.n,
+                                       "half_length": P.grid.half_length}}),
+        bin_path: np.ascontiguousarray(entries, dtype="<f8").tobytes()})
     return bin_path, json_path

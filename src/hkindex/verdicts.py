@@ -139,28 +139,16 @@ def _resolve_verdict(n_L: int, slope: float, slope_ref: float, band: float,
     return K_formula, UNSTABLE if K_formula > 0 else STABLE, notes
 
 
-def kdv_verdict(s: float, p: float, c: float,
-                numerics: NumericsConfig | None = None,
-                keep_pipeline: bool = False):
-    """Full stability pipeline for the fractional KdV wave of speed c."""
-    return _verdict(wv.MODELS[wv.FKDV], s, p, c, numerics, keep_pipeline)
-
-
-def bbm_verdict(s: float, p: float, c: float,
-                numerics: NumericsConfig | None = None,
-                keep_pipeline: bool = False):
-    """Full stability pipeline for the fractional BBM wave of speed c > 1."""
-    return _verdict(wv.MODELS[wv.FBBM], s, p, c, numerics, keep_pipeline)
-
-
-def _reference_slope(model: wv.Model, wave, Q: wv.WaveProfile, c: float):
+def _reference_slope(model: wv.Model, Q: wv.WaveProfile, c: float,
+                     opts: wv.SolverOptions):
     """(reference slope, notes): the scaling law, or for a weighted row the
     closed form checked against a centered finite difference of the wave
     family."""
     if not model.weighted:
         return spc.slope_analytic(Q.s, Q.p, c, wv.squared_norm(Q)), []
     dc = min(0.01, (c - model.speed_floor) / 10.0)
-    slopes = spc.bbm_slope(lambda cc: wave(Q, cc), c, dc, Q)
+    slopes = spc.bbm_slope(lambda cc: wv.solve_traveling_wave(
+        model.name, Q.s, Q.p, cc, Q.grid, opts), c, dc, Q)
     notes = []
     if slopes.step_warning:
         notes.append(
@@ -169,31 +157,36 @@ def _reference_slope(model: wv.Model, wave, Q: wv.WaveProfile, c: float):
     return slopes.closed_form, notes
 
 
-def _verdict(model: wv.Model, s: float, p: float, c: float,
-             numerics: NumericsConfig | None, keep_pipeline: bool):
-    """The verdict pipeline for one row of the model table."""
-    model.check_speed(c)
+def verdict(model: str, s: float, p: float, c: float,
+            numerics: NumericsConfig | None = None,
+            keep_pipeline: bool = False):
+    """Full stability pipeline for the wave of speed c of the named row of
+    the model table."""
+    row = wv.MODELS[model]
+    row.check_speed(c)
     cfg = numerics or NumericsConfig()
     grid = cfg.grid_for(s)
-    Q = wv.solve_ground_state(s, p, grid, cfg.solver_options())
-    wave = getattr(wv, f"{model.kind}_wave")
-    U = wave(Q, c)
-    L = getattr(op, f"{model.kind}_linearization")(U)
+    opts = cfg.solver_options()
+    Q = wv.solve_ground_state(s, p, grid, opts)
+    # Q is the fKdV wave of speed 1
+    U = Q if (row.name, c) == (Q.model, Q.c) else wv.solve_traveling_wave(
+        row.name, s, p, c, grid, opts)
+    L = op.linearization(U)
     A = op.assemble(L)
     psi0 = sp.apply_multiplier(sp.derivative_multiplier(grid), U.as_field())
     weight = np.ones(grid.n)
-    if model.weighted:
+    if row.weighted:
         # S = W L W with W = (I+M)^(-1/2) is congruent to L, so the two
         # negative counts agree (Sylvester).  psi0 for S is W^-1 dU; its
         # antiderivative is W^-1 U, so the constrained quantity reproduces
         # -1/2 d/dc <(I+M) U_c, U_c>.
         n_L = spc.negative_count(A)
         weight = op.symmetrizing_weight(grid, s)
-        A = op.bbm_symmetrize(L, A)
+        A = op.congruence(A, weight, "bbm-sym")
         psi0 = sp.apply_multiplier(
             sp.Multiplier(grid, 1.0 / weight, symbol_name="sqrt(I+M)"), psi0)
     eig = spc.symmetric_spectrum(A)
-    if not model.weighted:
+    if not row.weighted:
         n_L = eig.negative_count
     elif eig.negative_count != n_L:
         raise TheoryConsistencyError(
@@ -205,7 +198,7 @@ def _verdict(model: wv.Model, s: float, p: float, c: float,
     # Hamiltonian solve, where the memory peaks
     eig = replace(eig, factor=None)
 
-    slope_ref, slope_notes = _reference_slope(model, wave, Q, c)
+    slope_ref, slope_notes = _reference_slope(row, Q, c, opts)
     band = DEGENERACY_BAND_REL * wv.squared_norm(U) / c
 
     floor = spc.gkernel_floor(grid, L.multiplier_symbol * weight ** 2)
@@ -215,9 +208,9 @@ def _verdict(model: wv.Model, s: float, p: float, c: float,
     # the Krein form of lambda = i sqrt(nu) is nu + |lambda|^2 = 2 nu > 0:
     # k_i^- = 0, and the direct count is the number of real columns
     k_r = int(np.count_nonzero(ham.split()[0]))
-    K_formula, verdict, notes = _resolve_verdict(
+    K_formula, decision, notes = _resolve_verdict(
         n_L, slope, slope_ref, band, k_r, L.label,
-        check_reference_sign=model.weighted)
+        check_reference_sign=row.weighted)
     if keep_pipeline:
         cls = spc.classify_krein(ham)
         if (cls.k_r, cls.k_i_minus) != (k_r, 0):
@@ -232,10 +225,10 @@ def _verdict(model: wv.Model, s: float, p: float, c: float,
         notes.append(TRUNCATION_NOTE)
 
     result = KreinIndexResult(
-        s=s, p=p, c=c, model=model.name, n_L=n_L, d=d, slope=slope,
+        s=s, p=p, c=c, model=row.name, n_L=n_L, d=d, slope=slope,
         slope_reference=slope_ref, K_formula=K_formula,
         # lambda^2 = -nu with nu real: no lambda is complex
-        k_r=k_r, k_c=0, k_i_minus=0, K_direct=k_r, verdict=verdict,
+        k_r=k_r, k_c=0, k_i_minus=0, K_direct=k_r, verdict=decision,
         diagnostics=tuple(notes))
     if keep_pipeline:
         return PipelineData(grid, U, L, A, ham, cls, result)
@@ -259,7 +252,11 @@ class SweepPoint:
 class SweepResult:
     axis: str
     points: tuple
-    flip_bracket: tuple | None   # (last stable value, first unstable value)
+    # the first change between STABLE and UNSTABLE along the axis, with
+    # DEGENERATE and failed points allowed between: (value before, value
+    # after) in axis order, and the verdicts at those values
+    flip_bracket: tuple | None
+    flip_verdicts: tuple | None
 
 
 def sweep(axis: str, start: float, stop: float, steps: int,
@@ -268,9 +265,9 @@ def sweep(axis: str, start: float, stop: float, steps: int,
     """Run the verdict pipeline along one parameter axis.
 
     Points that fail numerically or break a theory check are recorded and
-    skipped; any other exception propagates.  The flip bracket is the pair
-    (last STABLE value, first UNSTABLE value) along the axis, with any
-    DEGENERATE points allowed in between.  Fewer than one step is an error.
+    skipped; any other exception propagates.  The flip bracket is the
+    first change between STABLE and UNSTABLE along the axis, either way.
+    Fewer than one step is an error.
     """
     if axis not in (AXIS_P, AXIS_C, AXIS_S):
         raise ValueError(f"unknown sweep axis {axis!r}")
@@ -279,14 +276,13 @@ def sweep(axis: str, start: float, stop: float, steps: int,
     if steps < 1:
         raise ValueError(f"a sweep needs at least 1 step, got {steps}")
     values = np.linspace(start, stop, steps)
-    # looked up at call time, so a patched module attribute applies
-    runner = globals()[f"{wv.MODELS[model].kind}_verdict"]
     points = []
     for value in values:
         params = {"s": s, "p": p, "c": c}
         params[axis] = float(value)
         try:
-            res = runner(params["s"], params["p"], params["c"], numerics)
+            res = verdict(model, params["s"], params["p"], params["c"],
+                          numerics)
             points.append(SweepPoint(params["s"], params["p"], params["c"], res))
         except (ValueError, ConvergenceError, TheoryConsistencyError) as exc:
             # failures are data, the sweep continues
@@ -294,17 +290,14 @@ def sweep(axis: str, start: float, stop: float, steps: int,
                 params["s"], params["p"], params["c"], None,
                 error=f"{type(exc).__name__}: {exc}",
                 theory_violation=isinstance(exc, TheoryConsistencyError)))
-    verdicts = [pt.result.verdict if pt.result else None for pt in points]
-    bracket = None
-    first_unstable = next((i for i, v in enumerate(verdicts) if v == UNSTABLE), None)
-    if first_unstable is not None:
-        stable_before = [i for i in range(first_unstable)
-                         if verdicts[i] == STABLE]
-        if stable_before:
-            lo = getattr(points[stable_before[-1]], axis)
-            hi = getattr(points[first_unstable], axis)
-            bracket = (lo, hi)
-    return SweepResult(axis=axis, points=tuple(points), flip_bracket=bracket)
+    decided = [pt for pt in points
+               if pt.result and pt.result.verdict in (STABLE, UNSTABLE)]
+    flip = next(((a, b) for a, b in zip(decided, decided[1:])
+                 if a.result.verdict != b.result.verdict), None)
+    return SweepResult(
+        axis=axis, points=tuple(points),
+        flip_bracket=flip and tuple(getattr(pt, axis) for pt in flip),
+        flip_verdicts=flip and tuple(pt.result.verdict for pt in flip))
 
 
 @dataclass(frozen=True)
@@ -344,7 +337,7 @@ def _gkdv_case(p_exp: float, expected_K: int) -> CheckReport:
     entries = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        data = kdv_verdict(2.0, p_exp, 1.0, keep_pipeline=True)
+        data = verdict(wv.FKDV, 2.0, p_exp, 1.0, keep_pipeline=True)
         res = data.result
         entries.append(CheckEntry(
             f"K_formula == K_direct == {expected_K}",
@@ -445,10 +438,10 @@ def _bo_case() -> CheckReport:
     entries = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        data = kdv_verdict(1.0, 1.0, 1.0, keep_pipeline=True)
+        data = verdict(wv.FKDV, 1.0, 1.0, 1.0, keep_pipeline=True)
         res = data.result
         entries.append(CheckEntry(
-            "kdv_verdict(1,1,1): STABLE with K_Ham == 0",
+            "fkdv verdict(1,1,1): STABLE with K_Ham == 0",
             res.verdict == STABLE and res.K_direct == 0,
             f"verdict={res.verdict}, K={res.K_direct}"))
         dim = spc.generalized_kernel_dim(data.eigensystem)

@@ -6,10 +6,10 @@ computed by Petviashvili iteration.  A traveling wave of speed c solves
     a(c) |d|^s U + b(c) U - U^(p+1) = 0,   (a, b) = (1, c) for fKdV,
                                            (a, b) = (c, c-1) for fBBM,
 
-and is computed by the same iteration at its own (a, b), on the grid of Q.
-On the line U_c(x) = b^(1/p) Q((b/a)^(1/s) x); the iteration's seed is
-scaled the same way.  Closed-form reference: the Benjamin-Ono
-Lorentzian.
+and is computed by the same iteration at its own (a, b); Q is the fKdV
+wave of speed 1.  On the line U_c(x) = b^(1/p) Q((b/a)^(1/s) x); the
+iteration's seed is scaled the same way.  Closed-form reference: the
+Benjamin-Ono Lorentzian.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, ModelMismatchError
+from .errors import ConvergenceError
 from .io_utils import atomic_write_files, csv_text
 from .spectral import (RealField, SpectralGrid, apply_multiplier,
                        fractional_derivative_multiplier, fractional_symbol,
@@ -29,17 +29,14 @@ from .spectral import (RealField, SpectralGrid, apply_multiplier,
 
 FKDV = "fkdv"
 FBBM = "fbbm"
-NORMALIZED = "normalized"
 
 
 @dataclass(frozen=True)
 class Model:
     """One row of the model table: everything model-specific in a verdict.
 
-    kind names the public functions that serve the model,
-    waves.<kind>_wave, operators.<kind>_linearization and
-    verdicts.<kind>_verdict.  Callers look them up by name when they run,
-    so wrappers or patches installed on those module attributes apply.
+    kind is the prefix of the linearization's label, kdv-lin(...) or
+    bbm-lin(...), which dumped headers and error messages carry.
     """
 
     name: str
@@ -278,35 +275,29 @@ def _anderson_mix(history: list) -> np.ndarray:
 
 def solve_ground_state(s: float, p: float, grid: SpectralGrid,
                        opts: SolverOptions | None = None) -> WaveProfile:
-    """Ground state Q of |d|^s Q + Q - Q^(p+1) = 0, centered at x = 0.
+    """Ground state Q of |d|^s Q + Q - Q^(p+1) = 0, centered at x = 0: the
+    fKdV wave of speed 1.
 
     Requires 0 < s <= 2 and 0 < p < p_max(s).
     """
-    return _solve(grid, s, p, 1.0, NORMALIZED, (1.0, 1.0), opts)
+    return solve_traveling_wave(FKDV, s, p, 1.0, grid, opts)
 
 
 def solve_traveling_wave(model: str, s: float, p: float, c: float,
                          grid: SpectralGrid,
                          opts: SolverOptions | None = None) -> WaveProfile:
-    """The wave of speed c of the named row of MODELS, solved at its own
-    (a, b) = coefficients(c) on grid, with the exponent window and the
-    tolerance default of solve_ground_state; no ground state is solved."""
+    """The even positive wave of speed c of the named row of MODELS, the
+    solution of a |d|^s U + b U - U^(p+1) = 0 at (a, b) = coefficients(c)
+    on grid, after checking the speed and the exponents and resolving the
+    tolerance."""
     row = MODELS[model]
     row.check_speed(c)
-    return _solve(grid, s, p, c, row.name, row.coefficients(c), opts)
-
-
-def _solve(grid: SpectralGrid, s: float, p: float, c: float, model: str,
-           coefficients: tuple, opts: SolverOptions | None) -> WaveProfile:
-    """The even positive solution of a |d|^s U + b U - U^(p+1) = 0 with
-    (a, b) = coefficients, labelled with the speed c and the model name,
-    after checking the exponents and resolving the tolerance."""
     _check_exponents(s, p)
     opts = (opts or SolverOptions()).resolve(s, p)
-    a, b = coefficients
+    a, b = row.coefficients(c)
     values, factor, notes, residual = _petviashvili(s, p, a, b, grid, opts)
     _check_shape_invariants(values, factor)
-    return _finalize(grid, values, s, p, c, model, residual, opts.tol, notes)
+    return _finalize(grid, values, s, p, c, row.name, residual, opts.tol, notes)
 
 
 def _check_exponents(s: float, p: float) -> None:
@@ -328,28 +319,6 @@ def _check_shape_invariants(values: np.ndarray, factor: float) -> None:
     if abs(factor - 1.0) > 1e-6:
         raise ConvergenceError(
             f"stabilizing factor {factor} did not settle at 1")
-
-
-def kdv_wave(Q: WaveProfile, c: float) -> WaveProfile:
-    """The fKdV wave of speed c > 0 on the grid of the normalized state Q."""
-    return _traveling_wave(MODELS[FKDV], Q, c)
-
-
-def bbm_wave(Q: WaveProfile, c: float) -> WaveProfile:
-    """The fBBM wave of speed c > 1 on the grid of the normalized state Q."""
-    return _traveling_wave(MODELS[FBBM], Q, c)
-
-
-def _traveling_wave(model: Model, Q: WaveProfile, c: float) -> WaveProfile:
-    """The wave with Q's grid, exponents and tolerance; at
-    (a, b) = (1, 1) the wave is Q."""
-    if Q.model != NORMALIZED:
-        raise ModelMismatchError(
-            f"{model.kind}_wave expects the normalized ground state")
-    if model.coefficients(c) == (1.0, 1.0):
-        return replace(Q, values=Q.values.copy(), c=c, model=model.name)
-    return solve_traveling_wave(model.name, Q.s, Q.p, c, Q.grid,
-                                SolverOptions(tol=Q.residual_tol))
 
 
 def bo_profile(grid: SpectralGrid, c: float) -> WaveProfile:

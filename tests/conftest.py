@@ -53,6 +53,15 @@ def sech_profile(grid, p: float, c: float) -> wv.WaveProfile:
     return wv._finalize(grid, values, 2.0, p, c, wv.FKDV, residual, tol=1e-10)
 
 
+def wave(model: str, Q: wv.WaveProfile, c: float) -> wv.WaveProfile:
+    """The wave of speed c of the named model on the grid of the ground
+    state Q, with Q's exponents and tolerance; Q itself for fKdV at c = 1."""
+    if (model, c) == (Q.model, Q.c):
+        return Q
+    return wv.solve_traveling_wave(model, Q.s, Q.p, c, Q.grid,
+                                   wv.SolverOptions(tol=Q.residual_tol))
+
+
 def apply(L: op.LinOperator, f: sp.RealField) -> sp.RealField:
     """L f = m(|d|) f + V f, through the FFT."""
     out = np.fft.ifft(L.multiplier_symbol * np.fft.fft(f.values)).real
@@ -125,10 +134,10 @@ def q25(grid40):
 @pytest.fixture(scope="session")
 def pipeline22():
     with quiet():
-        return vd.kdv_verdict(2.0, 2.0, 1.0, keep_pipeline=True)
+        return vd.verdict(wv.FKDV, 2.0, 2.0, 1.0, keep_pipeline=True)
 
 
 @pytest.fixture(scope="session")
 def pipeline25():
     with quiet():
-        return vd.kdv_verdict(2.0, 5.0, 1.0, keep_pipeline=True)
+        return vd.verdict(wv.FKDV, 2.0, 5.0, 1.0, keep_pipeline=True)

@@ -30,7 +30,7 @@ def report(num, name, ok, detail=""):
 def dichotomy():
     """Criterion 2 verdicts: p in {1, 2, 3} stable, {4.5, 5} unstable."""
     with quiet():
-        return {p: vd.kdv_verdict(2.0, p, 1.0)
+        return {p: vd.verdict(wv.FKDV, 2.0, p, 1.0)
                 for p in (1.0, 2.0, 3.0, 4.5, 5.0)}
 
 
@@ -54,7 +54,7 @@ def fractional_sweeps():
 @pytest.fixture(scope="module")
 def bbm_cases():
     with quiet():
-        return {(s, p, c): vd.bbm_verdict(s, p, c)
+        return {(s, p, c): vd.verdict(wv.FBBM, s, p, c)
                 for (s, p, c) in ((2.0, 2.0, 2.0), (2.0, 4.0, 2.0),
                                   (1.0, 2.0, 2.0), (1.5, 1.0, 1.5))}
 
@@ -185,7 +185,7 @@ def test_criterion_07_generalized_kernel(pipeline22):
     grid = sp.make_grid(2048, 50.0)
     q = wv.solve_ground_state(1.0, 2.0, grid,
                               wv.SolverOptions(tol=1e-11, max_iters=2000))
-    L = op.kdv_linearization(wv.kdv_wave(q, 1.0))
+    L = op.linearization(q)
     # the pipeline's zero floor: a fraction of the box's first mode
     floor = spc.GKERNEL_FRACTION * spc.gkernel_floor(grid, L.multiplier_symbol)
     dim_borderline = spc.generalized_kernel_dim(
@@ -199,7 +199,7 @@ def test_criterion_08_benjamin_ono(grid_s1):
     bo = wv.bo_profile(sp.make_grid(4096, 400.0), 1.0)
     norm_err = abs(wv.squared_norm(bo) - 8.0 * np.pi) / (8.0 * np.pi)
     with quiet():
-        res = vd.kdv_verdict(1.0, 1.0, 1.0)
+        res = vd.verdict(wv.FKDV, 1.0, 1.0, 1.0)
     ok = norm_err <= 0.01 and res.verdict == vd.STABLE and res.K_direct == 0
     report(8, "Benjamin-Ono reference: 8 pi norm and stable verdict", ok,
            f"norm err {norm_err:.2e}, verdict {res.verdict}, K={res.K_direct}")

@@ -212,7 +212,7 @@ class TestIndex:
         def boom(*args, **kwargs):
             raise TheoryConsistencyError("index identity violated (test)")
 
-        monkeypatch.setattr(cli.vd, "kdv_verdict", boom)
+        monkeypatch.setattr(cli.vd, "verdict", boom)
         code = run(["index", "--model", "fkdv", "--s", "2", "--p", "2",
                     "--c", "1", "--out", str(tmp_path)])
         assert code == 3
@@ -236,7 +236,7 @@ class TestSweepCommand:
         def boom(*args, **kwargs):
             raise TheoryConsistencyError("index identity violated (test)")
 
-        monkeypatch.setattr(cli.vd, "kdv_verdict", boom)
+        monkeypatch.setattr(cli.vd, "verdict", boom)
         code = run(["sweep", "--model", "fkdv", "--axis", "p", "--from", "2",
                     "--to", "3", "--steps", "2", "--s", "2", "--c", "1",
                     "--out", str(tmp_path)])
@@ -248,6 +248,21 @@ class TestSweepCommand:
         code = run(["sweep", "--model", "fkdv", "--s", "2", "--p", "2",
                     "--out", str(tmp_path)])
         assert code == 64
+
+    @pytest.mark.parametrize("args, line", [
+        (["--model", "fbbm", "--axis", "c", "--from", "1.06", "--to", "1.14",
+          "--steps", "2", "--s", "2", "--p", "5"],
+         "flip in (1.06, 1.14): UNSTABLE -> STABLE"),
+        (["--model", "fkdv", "--axis", "p", "--from", "4.5", "--to", "3.5",
+          "--steps", "3", "--s", "2", "--c", "1"],
+         "flip in (4.5, 3.5): UNSTABLE -> STABLE"),
+    ], ids=["fbbm-c-up", "fkdv-p-down"])
+    def test_unstable_to_stable_flip_is_bracketed(self, tmp_path, capsys,
+                                                  args, line):
+        # the bracket is the first STABLE/UNSTABLE change in the sweep's
+        # order, whichever way it goes; a DEGENERATE point may lie between
+        assert run(["sweep", *args, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == line
 
     @pytest.mark.parametrize("args, message", [
         (["--model", "schrodinger", "--s", "2", "--p", "2"],
@@ -457,6 +472,22 @@ class TestDumpOperator:
         header = json.load(open(tmp_path / "operator.json"))
         data = np.fromfile(tmp_path / "operator.bin", dtype="<f8")
         assert data.size == header["order"] ** 2
+
+
+    def test_failed_header_leaves_no_new_matrix(self, tmp_path, capsys):
+        # a directory named operator.json: its rename fails after both
+        # temporary files are written, and neither file is left behind
+        (tmp_path / "operator.json").mkdir()
+        code = run(["dump-operator", "--model", "fkdv", "--s", "2", "--p", "2",
+                    "--n", "256", "--half-length", "30",
+                    "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path / "operator.json") in err and ".tmp-" not in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "operator.json"]
+        assert list((tmp_path / "operator.json").iterdir()) == []
 
 
 class TestConfigFile:

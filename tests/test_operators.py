@@ -9,16 +9,20 @@ from hkindex import operators as op
 from hkindex import spectra as spc
 from hkindex import spectral as sp
 from hkindex import waves as wv
-from hkindex.errors import ModelMismatchError
 
-from conftest import apply, quiet
+from conftest import apply, quiet, wave
 from dense_reference import (block_inertia, dense_congruence, dense_matrix,
                              from_coords, interleave, real_fourier_basis)
 
 
-def make_identity_operator(grid, kind="custom", s=None):
+def make_identity_operator(grid):
     return op.LinOperator(grid, np.ones(grid.n), np.zeros(grid.n),
-                          label="identity", kind=kind, s=s)
+                          label="identity")
+
+
+def symmetrize(A, s):
+    """(I+M)^(-1/2) A (I+M)^(-1/2), M = |d|^s, as the fBBM verdict forms it."""
+    return op.congruence(A, op.symmetrizing_weight(A.grid, s), "bbm-sym")
 
 
 class TestBasis:
@@ -45,58 +49,48 @@ class TestBasis:
 
 class TestKdvLinearization:
     def test_translational_kernel(self, grid40, q22):
-        u = wv.kdv_wave(q22, 1.0)
-        L = op.kdv_linearization(u)
-        dq = sp.apply_multiplier(sp.derivative_multiplier(grid40), u.as_field())
+        L = op.linearization(q22)
+        dq = sp.apply_multiplier(sp.derivative_multiplier(grid40), q22.as_field())
         assert np.max(np.abs(apply(L, dq).values)) <= 1e-7
 
     def test_action_on_wave_is_minus_p_power(self, grid40, q22):
-        u = wv.kdv_wave(q22, 1.0)
-        L = op.kdv_linearization(u)
+        u = q22
+        L = op.linearization(q22)
         lhs = apply(L, u.as_field()).values
         rhs = -u.p * u.values ** (u.p + 1.0)
         assert np.max(np.abs(lhs - rhs)) <= 1e-7
 
     def test_far_field_potential_decays(self, grid40, q22):
-        L = op.kdv_linearization(wv.kdv_wave(q22, 1.0))
+        L = op.linearization(q22)
         outer = np.abs(grid40.nodes) >= 0.95 * grid40.half_length
         assert np.max(np.abs(L.potential[outer])) <= 1e-6
 
-    def test_model_mismatch_rejected(self, q22):
-        bbm = wv.bbm_wave(q22, 2.0)
-        with pytest.raises(ModelMismatchError):
-            op.kdv_linearization(bbm)
-
     def test_assembled_matrix_is_symmetric(self, grid40, q22):
         # assemble and every congruence build exactly symmetric blocks
-        A = op.assemble(op.kdv_linearization(wv.kdv_wave(q22, 1.0)))
-        L0 = op.bbm_linearization(wv.bbm_wave(q22, 2.0))
+        A = op.assemble(op.linearization(q22))
+        L0 = op.linearization(wave(wv.FBBM, q22, 2.0))
         for P in (A, op.sandwich(A, 0.0), op.sandwich(A, 1e-2),
-                  op.bbm_symmetrize(L0, op.assemble(L0))):
+                  symmetrize(op.assemble(L0), 2.0)):
             assert all(np.array_equal(block, block.T) for block in P.blocks)
 
 
 class TestBbmLinearization:
     def test_translational_kernel(self, grid40, q22):
-        u = wv.bbm_wave(q22, 2.0)
-        L0 = op.bbm_linearization(u)
+        u = wave(wv.FBBM, q22, 2.0)
+        L0 = op.linearization(u)
         du = sp.apply_multiplier(sp.derivative_multiplier(grid40), u.as_field())
         rel = np.max(np.abs(apply(L0, du).values)) / np.max(np.abs(du.values))
         assert rel <= 1e-6
 
     def test_multiplier_floor_is_c_minus_one(self, q22):
-        u = wv.bbm_wave(q22, 2.0)
-        L0 = op.bbm_linearization(u)
+        u = wave(wv.FBBM, q22, 2.0)
+        L0 = op.linearization(u)
         assert np.min(L0.multiplier_symbol) == pytest.approx(1.0)
 
     def test_zero_mode_value_example(self, grid40):
         q = wv.solve_ground_state(2.0, 1.0, grid40)
-        L0 = op.bbm_linearization(wv.bbm_wave(q, 2.0))
+        L0 = op.linearization(wave(wv.FBBM, q, 2.0))
         assert L0.multiplier_symbol[0] == pytest.approx(1.0)
-
-    def test_kdv_profile_rejected(self, q22):
-        with pytest.raises(ModelMismatchError):
-            op.bbm_linearization(wv.kdv_wave(q22, 1.0))
 
 
 class TestSandwich:
@@ -108,13 +102,13 @@ class TestSandwich:
         assert np.max(np.abs(S.dense() - np.diag(expected))) <= 1e-12
 
     def test_negative_count_preserved(self, grid40, q22):
-        A = op.assemble(op.kdv_linearization(wv.kdv_wave(q22, 1.0)))
+        A = op.assemble(op.linearization(q22))
         n_plain = spc.symmetric_spectrum(A).negative_count
         n_sand = spc.symmetric_spectrum(op.sandwich(A, 0.0)).negative_count
         assert n_plain == n_sand == 1
 
     def test_kernel_vector_annihilated(self, grid40, q22):
-        L = op.kdv_linearization(wv.kdv_wave(q22, 1.0))
+        L = op.linearization(q22)
         S = op.sandwich(op.assemble(L), 0.0).dense()
         dq = sp.apply_multiplier(sp.derivative_multiplier(grid40), q22.as_field())
         xi = grid40.wavenumbers
@@ -133,7 +127,7 @@ class TestSandwich:
         c = 0.7
         sym = np.abs(2 * np.pi * grid_small.wavenumbers) ** 2 + c
         L0 = op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
-                            label="const-coeff", kind="custom")
+                            label="const-coeff")
         A = op.assemble(L0)
         for eps in (1e-3, 1e-2, 1e-1):
             S = op.sandwich(A, eps)
@@ -146,14 +140,14 @@ class TestBbmSymmetrize:
         s = 1.5
         sym = 1.0 + np.abs(2 * np.pi * grid_small.wavenumbers) ** s
         L0 = op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
-                            label="I+M", kind="bbm", s=s)
-        S = op.bbm_symmetrize(L0, op.assemble(L0))
+                            label="I+M")
+        S = symmetrize(op.assemble(L0), s)
         assert np.max(np.abs(S.dense() - np.eye(grid_small.n))) <= 1e-12
 
     def test_kernel_vector_annihilated(self, grid40, q22):
-        u = wv.bbm_wave(q22, 2.0)
-        L0 = op.bbm_linearization(u)
-        S = op.bbm_symmetrize(L0, op.assemble(L0)).dense()
+        u = wave(wv.FBBM, q22, 2.0)
+        L0 = op.linearization(u)
+        S = symmetrize(op.assemble(L0), u.s).dense()
         du = sp.apply_multiplier(sp.derivative_multiplier(grid40), u.as_field())
         sqrt_im = sp.Multiplier(
             grid40, (1.0 + np.abs(2 * np.pi * grid40.wavenumbers) ** u.s) ** 0.5,
@@ -165,16 +159,11 @@ class TestBbmSymmetrize:
         assert rel <= 1e-6
 
     def test_negative_count_preserved(self, grid40, q22):
-        L0 = op.bbm_linearization(wv.bbm_wave(q22, 2.0))
+        L0 = op.linearization(wave(wv.FBBM, q22, 2.0))
         A = op.assemble(L0)
         n0 = spc.negative_count(A)
-        ns = spc.symmetric_spectrum(op.bbm_symmetrize(L0, A)).negative_count
+        ns = spc.symmetric_spectrum(symmetrize(A, 2.0)).negative_count
         assert n0 == ns == 1
-
-    def test_kdv_operator_rejected(self, grid40, q22):
-        L = op.kdv_linearization(wv.kdv_wave(q22, 1.0))
-        with pytest.raises(ModelMismatchError):
-            op.bbm_symmetrize(L, op.assemble(L))
 
 
 class TestSchrodinger:
@@ -235,12 +224,12 @@ def _oracle_case(name, grid):
     if name == "fbbm-sym":
         with quiet():
             q = wv.solve_ground_state(1.5, 1.0, grid)
-            L0 = op.bbm_linearization(wv.bbm_wave(q, 1.5))
+            L0 = op.linearization(wave(wv.FBBM, q, 1.5))
         weight = op.symmetrizing_weight(grid, 1.5)
-        return (op.bbm_symmetrize(L0, op.assemble(L0)),
+        return (op.congruence(op.assemble(L0), weight, "bbm-sym"),
                 dense_congruence(dense_matrix(L0), grid, weight))
     p = 5.0 if name == "fkdv-p5" else 2.0
-    L = op.kdv_linearization(wv.kdv_wave(wv.solve_ground_state(2.0, p, grid), 1.0))
+    L = op.linearization(wv.solve_ground_state(2.0, p, grid))
     if not name.startswith("sandwich"):
         return op.assemble(L), dense_matrix(L)
     eps = float(name.split("=")[1])

@@ -170,8 +170,7 @@ def assert_factor_route_matches_the_oracle(P: op.ParityBlocks) -> None:
 def small_pipeline(request):
     model, s, p, c = request.param
     with quiet():
-        data = getattr(vd, f"{wv.MODELS[model].kind}_verdict")(
-            s, p, c, SMALL, keep_pipeline=True)
+        data = vd.verdict(model, s, p, c, SMALL, keep_pipeline=True)
     return wv.MODELS[model], data
 
 
@@ -238,7 +237,7 @@ class TestAgainstDensePath:
         # The root of T alone is about 1e-6 off; the two-sided Rayleigh
         # quotient brings it to about 1e-8
         with quiet():
-            data = vd.kdv_verdict(2.0, 4.1, 1.0, keep_pipeline=True)
+            data = vd.verdict(wv.FKDV, 2.0, 4.1, 1.0, keep_pipeline=True)
         ham, cls = data.eigensystem, data.classification
         dense = full_order(data.matrix, ham.zero_floor)
         dense_cls = reference_classification(dense)
@@ -270,8 +269,8 @@ def spied_pipeline(request):
 
     with pytest.MonkeyPatch.context() as mp, quiet():
         mp.setattr(scipy.linalg, "eigh", spy)
-        data = getattr(vd, f"{wv.MODELS[model].kind}_verdict")(
-            s, p, c, vd.NumericsConfig(n=512, half_length=half_length),
+        data = vd.verdict(
+            model, s, p, c, vd.NumericsConfig(n=512, half_length=half_length),
             keep_pipeline=True)
     return wv.MODELS[model], data, calls
 
@@ -323,7 +322,7 @@ class TestEvenBlockSolve:
             return solve(P, eig, *args, **kw)
         monkeypatch.setattr(spc, "hamiltonian_eigensystem", spy)
         with quiet():
-            vd.kdv_verdict(2.0, 2.0, 1.0, SMALL)
+            vd.verdict(wv.FKDV, 2.0, 2.0, 1.0, SMALL)
         assert seen == [None]
 
 
@@ -349,7 +348,7 @@ def test_no_case_reaches_the_fallback(model, s, p, c):
     with pytest.MonkeyPatch.context() as mp, quiet(), \
             sym_eig_calls() as calls:
         mp.setattr(spc, "symmetric_spectrum", spied)
-        getattr(vd, f"{wv.MODELS[model].kind}_verdict")(s, p, c)
+        vd.verdict(model, s, p, c)
     assert calls == []
     assert [w.size for w in low] == [1]
 
@@ -396,7 +395,7 @@ class TestRealKreinForms:
         # the complex path held x, y, A_cos x and A_sin y for every
         # eigenvalue in the upper half, about 8 n/2 x n/2 real arrays;
         # the real forms go _COLUMN_BLOCK columns at a time
-        L = op.kdv_linearization(wv.kdv_wave(q22, 1.0))
+        L = op.linearization(q22)
         floor = spc.gkernel_floor(q22.grid, L.multiplier_symbol)
         ham = eigensystem(op.assemble(L), spc.GKERNEL_FRACTION * floor)
         assert not np.iscomplexobj(ham.x) and q22.grid.n == 1024
@@ -449,7 +448,7 @@ def positive_operator() -> op.ParityBlocks:
     grid = sp.make_grid(256, 30.0)
     sym = np.abs(2 * np.pi * grid.wavenumbers) ** 2 + 1.0
     return op.assemble(op.LinOperator(grid, sym, np.zeros(grid.n),
-                                      label="positive", kind="custom"))
+                                      label="positive"))
 
 
 def pair_blocks(cos_diag: list, sin_block) -> tuple:
@@ -506,7 +505,7 @@ class TestFullOrderKreinForms:
     @pytest.mark.parametrize("p", [2.0, 5.0])
     def test_verdicts_match_the_oracle(self, p):
         with quiet():
-            data = vd.kdv_verdict(2.0, p, 1.0, SMALL, keep_pipeline=True)
+            data = vd.verdict(wv.FKDV, 2.0, p, 1.0, SMALL, keep_pipeline=True)
         oracle = full_order(data.matrix, data.eigensystem.zero_floor)
         assert_matches_oracle(data.eigensystem, data.classification, oracle)
 
@@ -586,7 +585,7 @@ class TestPseudoSolve:
         # but an even right-hand side never reaches it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = vd.bbm_verdict(1.5, 1.0, 1.5,
+            res = vd.verdict(wv.FBBM, 1.5, 1.0, 1.5,
                                  vd.NumericsConfig(n=512, half_length=100.0))
         assert res.K_direct == 0
 
@@ -686,7 +685,7 @@ class TestFinerGrids:
     @pytest.mark.parametrize("p, n, half_length", FINE_GRIDS)
     def test_verdict_matches_the_oracle(self, p, n, half_length):
         with quiet():
-            data = vd.kdv_verdict(2.0, p, 1.0, vd.NumericsConfig(
+            data = vd.verdict(wv.FKDV, 2.0, p, 1.0, vd.NumericsConfig(
                 n=n, half_length=half_length), keep_pipeline=True)
         ham, res = data.eigensystem, data.result
         assert 10.0 * np.sqrt(EPS) * ham.scale > ham.zero_floor
@@ -701,7 +700,7 @@ class TestFinerGrids:
     @pytest.mark.slow
     def test_unstable_eigenvalue_on_the_doubled_grid(self):
         with quiet():
-            data = vd.kdv_verdict(2.0, 4.1, 1.0, vd.NumericsConfig(
+            data = vd.verdict(wv.FKDV, 2.0, 4.1, 1.0, vd.NumericsConfig(
                 n=4096, half_length=80.0), keep_pipeline=True)
         res = data.result
         assert res.verdict == vd.UNSTABLE
@@ -726,7 +725,7 @@ def even_operators(draw):
         with quiet():
             wave = sech_profile(grid, draw(st.floats(1.0, 3.0)),
                                 draw(st.floats(0.5, 2.0)))
-        return op.kdv_linearization(wave)
+        return op.linearization(wave)
     n = draw(st.sampled_from([8, 16, 32, 64]))
     grid = sp.make_grid(n, draw(st.floats(2.0, 20.0)))
     s = draw(st.floats(0.5, 2.0))

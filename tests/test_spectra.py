@@ -11,7 +11,8 @@ from hkindex import spectral as sp
 from hkindex import waves as wv
 from hkindex.errors import FredholmViolationError
 
-from conftest import diagonal_on_grid, eigensystem, quiet, sym_eig_calls
+from conftest import (diagonal_on_grid, eigensystem, quiet, sym_eig_calls,
+                      wave)
 from dense_reference import block_inertia, from_coords
 
 
@@ -95,7 +96,7 @@ class TestConstrainedQuantity:
     def test_borderline_family_value_is_small(self):
         grid = sp.make_grid(2048, 100.0)
         q = wv.solve_ground_state(1.0, 2.0, grid)
-        A = op.assemble(op.kdv_linearization(wv.kdv_wave(q, 1.0)))
+        A = op.assemble(op.linearization(q))
         psi0 = sp.apply_multiplier(sp.derivative_multiplier(grid), q.as_field())
         with quiet():
             d = spc.constrained_quantity(A, psi0, spc.symmetric_spectrum(A))
@@ -137,14 +138,14 @@ class TestSlopeAnalytic:
 
 class TestBbmSlope:
     def test_fd_and_closed_form_agree(self, q22):
-        res = spc.bbm_slope(lambda c: wv.bbm_wave(q22, c), 2.0, 0.01, q22)
+        res = spc.bbm_slope(lambda c: wave(wv.FBBM, q22, c), 2.0, 0.01, q22)
         assert res.finite_difference > 0
         assert res.closed_form > 0
         assert not res.step_warning
 
     @pytest.mark.parametrize("c", [1.5, 2.0, 3.0])
     def test_closed_form_matches_finite_difference_off_c2(self, q22, c):
-        res = spc.bbm_slope(lambda cc: wv.bbm_wave(q22, cc), c, 0.01, q22)
+        res = spc.bbm_slope(lambda cc: wave(wv.FBBM, q22, cc), c, 0.01, q22)
         # the centred difference is accurate to O(dc^2) ~ 1e-5 relative
         assert res.closed_form == pytest.approx(res.finite_difference, rel=1e-4)
 
@@ -156,7 +157,7 @@ class TestBbmSlope:
         qq = sp.inner_product(qf, qf)
         hq = sp.inner_product(half, half)
         c = 2.0
-        res = spc.bbm_slope(lambda cc: wv.bbm_wave(q, cc), c, 0.01, q)
+        res = spc.bbm_slope(lambda cc: wave(wv.FBBM, q, cc), c, 0.01, q)
         # at s=1 the bracket reduces to c(2c-p)<Q,Q> + 2c(c-1)<|d|^(1/2)Q, .>
         reduced = (c - 1.0) ** (2.0 / q.p - 1.0 / q.s - 1.0) * c ** (1.0 / q.s - 2.0) \
             * (c * (2.0 * c - q.p) * qq + 2.0 * c * (c - 1.0) * hq) / q.p
@@ -164,13 +165,13 @@ class TestBbmSlope:
 
     def test_s2_p4_bracket_positive(self, grid40):
         q = wv.solve_ground_state(2.0, 4.0, grid40)
-        res = spc.bbm_slope(lambda cc: wv.bbm_wave(q, cc), 2.0, 0.01, q)
+        res = spc.bbm_slope(lambda cc: wave(wv.FBBM, q, cc), 2.0, 0.01, q)
         assert res.closed_form > 0
         assert res.finite_difference > 0
 
     def test_step_leaving_range_rejected(self, q22):
         with pytest.raises(ValueError):
-            spc.bbm_slope(lambda cc: wv.bbm_wave(q22, cc), 1.05, 0.1, q22)
+            spc.bbm_slope(lambda cc: wave(wv.FBBM, q22, cc), 1.05, 0.1, q22)
 
 
 class TestHamiltonianSpectrum:
@@ -237,7 +238,7 @@ class TestClassifyKrein:
         # multiplier-only operator: A positive definite on the subspace
         sym = np.abs(2 * np.pi * grid_small.wavenumbers) ** 2 + 1.0
         L = op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
-                           label="positive", kind="custom")
+                           label="positive")
         ham = eigensystem(op.assemble(L), 0.0)
         cls = spc.classify_krein(ham)
         assert cls.k_i_minus == 0
@@ -252,7 +253,7 @@ class TestClassifyKrein:
     def test_zero_floor_absorbs_small_eigenvalues(self, grid_small):
         sym = np.abs(2 * np.pi * grid_small.wavenumbers) ** 2 + 1.0
         L = op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
-                           label="positive", kind="custom")
+                           label="positive")
         A = op.assemble(L)
         floor = 2.0 * eigensystem(A, 0.0).scale
         cls = spc.classify_krein(eigensystem(A, floor))
@@ -289,14 +290,14 @@ class TestGeneralizedKernel:
     def test_invertible_product_has_dimension_zero(self, grid_small):
         sym = np.abs(2 * np.pi * grid_small.wavenumbers) ** 2 + 0.5
         L = op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
-                           label="V=0", kind="custom")
+                           label="V=0")
         assert spc.generalized_kernel_dim(kernel_eigensystem(L)) == 0
 
     def test_borderline_family_at_least_three(self):
         grid = sp.make_grid(2048, 50.0)
         q = wv.solve_ground_state(1.0, 2.0, grid,
                                   wv.SolverOptions(tol=1e-11, max_iters=2000))
-        L = op.kdv_linearization(wv.kdv_wave(q, 1.0))
+        L = op.linearization(q)
         assert spc.generalized_kernel_dim(kernel_eigensystem(L)) >= 3
 
 

@@ -30,16 +30,16 @@ class TestKdvVerdict:
 
     def test_degenerate_borderline(self):
         with quiet():
-            res = vd.kdv_verdict(1.0, 2.0, 1.0)
+            res = vd.verdict(wv.FKDV, 1.0, 2.0, 1.0)
         assert res.verdict == vd.DEGENERATE
 
     def test_invalid_speed_rejected(self):
         with pytest.raises(ValueError):
-            vd.kdv_verdict(2.0, 2.0, -1.0)
+            vd.verdict(wv.FKDV, 2.0, 2.0, -1.0)
 
     def test_scale_robustness(self, pipeline22):
         with quiet():
-            res2 = vd.kdv_verdict(2.0, 2.0, 2.0)
+            res2 = vd.verdict(wv.FKDV, 2.0, 2.0, 2.0)
         res1 = pipeline22.result
         assert (res1.n_L, res1.K_formula) == (res2.n_L, res2.K_formula)
         assert res2.verdict == vd.STABLE
@@ -53,7 +53,7 @@ class TestKdvVerdict:
         # each wave is solved at its own speed, so its linearization is
         # taken about a solution of the equation on the box
         with quiet():
-            res = vd.kdv_verdict(s, p, c)
+            res = vd.verdict(wv.FKDV, s, p, c)
         assert res.verdict == verdict
         assert res.K_formula == res.K_direct == res.k_r == k_r
 
@@ -73,7 +73,7 @@ class TestKdvVerdict:
 class TestBbmVerdict:
     def test_stable_classical_case(self):
         with quiet():
-            res = vd.bbm_verdict(2.0, 2.0, 2.0)
+            res = vd.verdict(wv.FBBM, 2.0, 2.0, 2.0)
         assert res.verdict == vd.STABLE
         assert res.n_L == 1
         assert res.K_formula == res.K_direct == 0
@@ -81,13 +81,13 @@ class TestBbmVerdict:
 
     def test_bracket_test_s1(self):
         with quiet():
-            res = vd.bbm_verdict(1.0, 2.0, 2.0)
+            res = vd.verdict(wv.FBBM, 1.0, 2.0, 2.0)
         assert res.verdict == vd.STABLE
         assert res.slope_reference > 0
 
     def test_unit_speed_rejected(self):
         with pytest.raises(ValueError):
-            vd.bbm_verdict(2.0, 2.0, 1.0)
+            vd.verdict(wv.FBBM, 2.0, 2.0, 1.0)
 
 
 class TestSweep:
@@ -113,7 +113,7 @@ class TestSweep:
         def broken(*args, **kwargs):
             raise TypeError("not a numerical failure")
 
-        monkeypatch.setattr(vd, "kdv_verdict", broken)
+        monkeypatch.setattr(vd, "verdict", broken)
         with pytest.raises(TypeError):
             vd.sweep("p", 2.0, 3.0, 2, s=2.0, p=0.0, c=1.0)
 
@@ -121,16 +121,17 @@ class TestSweep:
         # no eigensystem outlives its point: the traced peak after ten
         # points is within 10 % of the peak after two
         small = vd.NumericsConfig(n=256, half_length=30.0)
-        verdict, peaks = vd.kdv_verdict, []
+        verdict, peaks = vd.verdict, []
 
         def recorded(*args):
             res = verdict(*args)
             peaks.append(tracemalloc.get_traced_memory()[1])
             return res
 
-        monkeypatch.setattr(vd, "kdv_verdict", recorded)
+        monkeypatch.setattr(vd, "verdict", recorded)
         with quiet():
-            verdict(2.0, 2.0, 1.0, small)  # first calls may fill caches
+            # first calls may fill caches
+            verdict(wv.FKDV, 2.0, 2.0, 1.0, small)
             gc.collect()
             tracemalloc.start()
             try:
@@ -180,6 +181,26 @@ class TestSweep:
         assert all(v == vd.STABLE for v in verdicts[:first_unstable - 1]
                    if v != vd.DEGENERATE)
         assert all(v == vd.UNSTABLE for v in verdicts[first_unstable:])
+
+
+@pytest.mark.parametrize("model, s, p, c, solves", [
+    (wv.FKDV, 2.0, 2.0, 1.0, [(1.0, 1.0)]),
+    (wv.FKDV, 2.0, 2.0, 2.0, [(1.0, 1.0), (1.0, 2.0)]),
+    (wv.FBBM, 1.5, 1.0, 1.5, [(1.0, 1.0), (1.5, 0.5), (1.51, 0.51),
+                              (1.49, 0.49)]),
+], ids=["fkdv-c1", "fkdv-c2", "fbbm"])
+def test_wave_solves_per_verdict(monkeypatch, model, s, p, c, solves):
+    # the ground state, then the wave unless it is the ground state, then
+    # the finite-difference family of a weighted row: (a, b) of each solve
+    calls, petviashvili = [], wv._petviashvili
+
+    def spied(s, p, a, b, grid, opts):
+        calls.append((round(a, 12), round(b, 12)))
+        return petviashvili(s, p, a, b, grid, opts)
+    monkeypatch.setattr(wv, "_petviashvili", spied)
+    with quiet():
+        vd.verdict(model, s, p, c, vd.NumericsConfig(n=512, half_length=40.0))
+    assert calls == solves
 
 
 class TestSelfCheck:

@@ -10,7 +10,7 @@ from hkindex import verdicts as vd
 from hkindex import waves as wv
 from hkindex.errors import ConvergenceError
 
-from conftest import sech_profile
+from conftest import sech_profile, wave
 
 CLAMP_NOTE = "clamp: negative tail mass exceeded 1e-10"
 
@@ -19,7 +19,7 @@ class TestGroundState:
     def test_s2_p2_matches_sqrt2_sech(self, grid40, q22):
         exact = np.sqrt(2.0) / np.cosh(grid40.nodes)
         assert np.max(np.abs(q22.values - exact)) <= 1e-8
-        assert q22.model == wv.NORMALIZED
+        assert (q22.model, q22.c) == (wv.FKDV, 1.0)
         assert q22.c == 1.0
         assert q22.residual_norm <= 1e-10
 
@@ -209,33 +209,33 @@ class TestPetviashviliLoop:
 
 class TestKdvWave:
     def test_speed_one_is_identity(self, q22):
-        u = wv.kdv_wave(q22, 1.0)
+        u = wave(wv.FKDV, q22, 1.0)
         assert u.model == wv.FKDV
         assert np.array_equal(u.values, q22.values)
 
     def test_norm_scaling_law(self, q22):
         c = 4.0
-        u = wv.kdv_wave(q22, c)
+        u = wave(wv.FKDV, q22, c)
         expected = c ** (2.0 / q22.p - 1.0 / q22.s) * wv.squared_norm(q22)
         assert wv.squared_norm(u) == pytest.approx(expected, rel=1e-6)
 
     def test_peak_scaling_example(self, q22):
-        u = wv.kdv_wave(q22, 4.0)
+        u = wave(wv.FKDV, q22, 4.0)
         assert u.peak == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
 
     def test_residual_within_solver_tol(self, q22):
-        u = wv.kdv_wave(q22, 2.0)
+        u = wave(wv.FKDV, q22, 2.0)
         assert u.residual_norm <= q22.residual_tol
         assert not u.truncation_warning
 
     def test_nonpositive_speed_rejected(self, q22):
         with pytest.raises(ValueError):
-            wv.kdv_wave(q22, 0.0)
+            wave(wv.FKDV, q22, 0.0)
 
     @pytest.mark.parametrize("p, c", [(2.0, 2.0), (3.0, 0.5)])
     def test_matches_sech_soliton(self, grid40, p, c):
         q = wv.solve_ground_state(2.0, p, grid40)
-        u = wv.kdv_wave(q, c)
+        u = wave(wv.FKDV, q, c)
         exact = sech_profile(grid40, p, c)
         assert np.max(np.abs(u.values - exact.values)) <= 1e-10 * exact.peak
 
@@ -243,7 +243,7 @@ class TestKdvWave:
         # |d|U + cU - U^2 = 0 is solved by half the Lorentzian; the
         # periodic box differs from the line by O(1/(c l)^2)
         c = 2.0
-        u = wv.kdv_wave(wv.solve_ground_state(1.0, 1.0, grid_s1), c)
+        u = wave(wv.FKDV, wv.solve_ground_state(1.0, 1.0, grid_s1), c)
         half_bo = wv.bo_profile(grid_s1, c).values / 2.0
         assert np.max(np.abs(u.values - half_bo)) <= 2e-4 * u.peak
         assert u.peak == pytest.approx(2.0 * c, rel=2e-4)
@@ -252,20 +252,20 @@ class TestKdvWave:
 class TestBbmWave:
     def test_peak_scaling_near_unit_speed(self, q22):
         # at c = 1.01 the wave is 10x wider than Q and does not fit the box
-        assert wv.bbm_wave(q22, 1.01).truncation_warning
+        assert wave(wv.FBBM, q22, 1.01).truncation_warning
         c = 1.1
-        u = wv.bbm_wave(q22, c)
+        u = wave(wv.FBBM, q22, c)
         assert not u.truncation_warning
         assert u.peak == pytest.approx((c - 1.0) ** 0.5 * q22.peak, rel=1e-6)
 
     def test_residual_at_speed_two(self, q22):
-        u = wv.bbm_wave(q22, 2.0)
+        u = wave(wv.FBBM, q22, 2.0)
         assert u.model == wv.FBBM
         assert u.residual_norm <= 1e-7
 
     def test_unit_speed_rejected(self, q22):
         with pytest.raises(ValueError):
-            wv.bbm_wave(q22, 1.0)
+            wave(wv.FBBM, q22, 1.0)
 
 
 class TestSolveTravelingWave:
@@ -274,7 +274,7 @@ class TestSolveTravelingWave:
     def test_same_wave_as_from_the_ground_state(self, grid40, q22, model, c):
         # no ground state is solved, yet every field of the profile agrees
         u = wv.solve_traveling_wave(model, 2.0, 2.0, c, grid40)
-        ref = getattr(wv, f"{wv.MODELS[model].kind}_wave")(q22, c)
+        ref = wave(model, q22, c)
         assert np.array_equal(u.values, ref.values)
         assert u.metadata() == ref.metadata()
 
