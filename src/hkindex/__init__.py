@@ -3,14 +3,12 @@ solitary waves: spectral collocation, Petviashvili wave solves, linearized
 operator assembly, Krein-signature spectra, and index-vs-spectrum verdicts."""
 
 from .errors import (ConvergenceError, FredholmViolationError,
-                     GridMismatchError, NonIntegrableInputError,
-                     TheoryConsistencyError, UnresolvedEigenvalueError)
-from .spectral import (Multiplier, RealField, SpectralGrid,
-                       antiderivative_multiplier, apply_multiplier,
-                       derivative_multiplier, fourier_pairing,
-                       fractional_derivative_multiplier, hilbert_multiplier,
-                       inner_product, make_grid,
-                       regularized_quarter_root_multiplier, transform)
+                     NonIntegrableInputError, TheoryConsistencyError,
+                     UnresolvedEigenvalueError)
+from .spectral import (SpectralGrid, antiderivative, antiderivative_symbol,
+                       apply, derivative_symbol, fourier_pairing,
+                       fractional_symbol, hilbert_symbol, inner_product,
+                       make_grid, quarter_root_symbol, transform)
 from .waves import (FBBM, FKDV, SolverOptions, WaveProfile, bo_profile,
                     p_max, save_profile, solve_ground_state,
                     solve_traveling_wave, squared_norm)

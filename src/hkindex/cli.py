@@ -275,8 +275,8 @@ def cmd_dump_operator(cfg) -> int:
         if cfg.c is None:
             cfg.c = 0.5
         grid = _grid(cfg)
-        V = sp.RealField(grid, 2.0 / np.cosh(grid.nodes) ** 2)
-        operator = op.schrodinger_operator(V, cfg.c)
+        operator = op.schrodinger_operator(
+            grid, 2.0 / np.cosh(grid.nodes) ** 2, cfg.c)
     else:
         validate_wave_params(cfg)
         operator = op.linearization(_solve_wave(cfg))

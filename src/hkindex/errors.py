@@ -1,12 +1,8 @@
 """Exception types shared across the toolkit."""
 
 
-class GridMismatchError(ValueError):
-    """Two fields or operators live on different collocation grids."""
-
-
 class NonIntegrableInputError(ValueError):
-    """A mean-zero-only operator was applied to a field with nonzero mean."""
+    """The antiderivative was applied to a field with nonzero mean."""
 
 
 class ConvergenceError(RuntimeError):

@@ -55,14 +55,15 @@ def atomic_write_files(files: dict) -> list:
     return [str(path) for path in files]
 
 
-def csv_text(header: list, rows) -> str:
-    """CSV with '.' decimals, ',' separators, mandatory header row."""
-    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+def csv_text(header: list, columns) -> str:
+    """CSV with '.' decimals, ',' separators, mandatory header row, from
+    the table's columns: one map(str, ...) per column, one join per row."""
+    rows = zip(*(map(str, column) for column in columns))
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
 def write_csv(path, header: list, rows: list) -> str:
-    return atomic_write_text(path, csv_text(header, rows))
+    return atomic_write_text(path, csv_text(header, zip(*rows)))
 
 
 def json_text(payload) -> str:

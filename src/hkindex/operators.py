@@ -38,8 +38,7 @@ import numpy as np
 from scipy.linalg import hankel, toeplitz
 
 from .io_utils import atomic_write_files, json_text
-from .spectral import (RealField, SpectralGrid, fractional_symbol,
-                       regularized_quarter_root_multiplier)
+from .spectral import SpectralGrid, fractional_symbol, quarter_root_symbol
 from .waves import MODELS, WaveProfile, clamped_power
 
 SYMMETRY_TOL = 1e-10
@@ -200,17 +199,18 @@ def linearization(U: WaveProfile) -> LinOperator:
                        label=f"{model.kind}-lin(s={U.s:g},p={U.p:g},c={U.c:g})")
 
 
-def schrodinger_operator(V: RealField, c: float) -> LinOperator:
-    """L = -d^2/dx^2 + c - V for a decaying potential V."""
+def schrodinger_operator(grid: SpectralGrid, V: np.ndarray,
+                         c: float) -> LinOperator:
+    """L = -d^2/dx^2 + c - V for a decaying potential V sampled on grid."""
     if not c > 0:
         raise ValueError(f"spectral shift c must be positive, got {c}")
-    vmax = float(np.max(np.abs(V.values)))
-    outer = np.abs(V.grid.nodes) >= 0.95 * V.grid.half_length
-    if vmax > 0 and float(np.max(np.abs(V.values[outer]))) > 1e-6 * vmax:
+    vmax = float(np.max(np.abs(V)))
+    outer = np.abs(grid.nodes) >= 0.95 * grid.half_length
+    if vmax > 0 and float(np.max(np.abs(V[outer]))) > 1e-6 * vmax:
         warnings.warn("Schroedinger potential decays slowly on this box",
                       stacklevel=2)
-    sym = fractional_symbol(V.grid, 2.0) + c
-    return LinOperator(V.grid, sym, -V.values, label=f"schrodinger(c={c:g})")
+    sym = fractional_symbol(grid, 2.0) + c
+    return LinOperator(grid, sym, -V, label=f"schrodinger(c={c:g})")
 
 
 def sandwich(A: ParityBlocks, eps: float) -> ParityBlocks:
@@ -219,8 +219,8 @@ def sandwich(A: ParityBlocks, eps: float) -> ParityBlocks:
     eps = 0 gives |d|^(1/2) L |d|^(1/2); its zero-mode row and column
     vanish structurally.
     """
-    quarter = regularized_quarter_root_multiplier(A.grid, eps).symbol_values.real
-    return congruence(A, quarter, f"sandwich(eps={eps:g})")
+    return congruence(A, quarter_root_symbol(A.grid, eps),
+                      f"sandwich(eps={eps:g})")
 
 
 def symmetrizing_weight(grid: SpectralGrid, s: float) -> np.ndarray:

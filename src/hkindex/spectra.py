@@ -54,10 +54,8 @@ import scipy.linalg
 from .errors import (FredholmViolationError, TheoryConsistencyError,
                      UnresolvedEigenvalueError)
 from .operators import ParityBlocks, pair_frequencies, to_coords
-from .spectral import (TWO_PI, Multiplier, RealField, SpectralGrid,
-                       antiderivative_multiplier, apply_multiplier,
-                       fractional_derivative_multiplier, inner_product,
-                       regularized_quarter_root_multiplier)
+from .spectral import (TWO_PI, SpectralGrid, antiderivative, apply,
+                       fractional_symbol, inner_product, quarter_root_symbol)
 
 # defaults from the tolerance policy: scale-relative thresholds survive
 # rescaling of the wave speed.  Imaginary eigenvalues within IM_TOL_REL *
@@ -313,9 +311,8 @@ def _anchor_to_edge(grid, values: np.ndarray) -> np.ndarray:
     return values - float(np.mean(values[edge]))
 
 
-def _decaying_antiderivative(psi0: RealField) -> RealField:
-    w = apply_multiplier(antiderivative_multiplier(psi0.grid), psi0)
-    return RealField(psi0.grid, _anchor_to_edge(psi0.grid, w.values))
+def _decaying_antiderivative(grid, psi0: np.ndarray) -> np.ndarray:
+    return _anchor_to_edge(grid, antiderivative(grid, psi0))
 
 
 def _pseudo_solve_quadratic(eig: SymmetricSpectrum, rhs: tuple,
@@ -370,7 +367,7 @@ def _pseudo_solve_quadratic(eig: SymmetricSpectrum, rhs: tuple,
     return total
 
 
-def constrained_quantity(A: ParityBlocks, psi0: RealField,
+def constrained_quantity(A: ParityBlocks, psi0: np.ndarray,
                          eig: SymmetricSpectrum) -> float:
     """<L^-1 (d^-1 psi0), d^-1 psi0> via the spectral pseudo-inverse, from
     the symmetric spectrum eig of A = assemble(L).
@@ -379,11 +376,11 @@ def constrained_quantity(A: ParityBlocks, psi0: RealField,
     the numerically computed kernel directions and verifies the Fredholm
     compatibility of the right-hand side first.
     """
-    rhs = _decaying_antiderivative(psi0)
-    return _pseudo_solve_quadratic(eig, to_coords(A.grid, rhs.values), A.label)
+    rhs = _decaying_antiderivative(A.grid, psi0)
+    return _pseudo_solve_quadratic(eig, to_coords(A.grid, rhs), A.label)
 
 
-def constrained_quantity_sandwiched(A: ParityBlocks, psi0: RealField,
+def constrained_quantity_sandwiched(A: ParityBlocks, psi0: np.ndarray,
                                     eps: float, eig: SymmetricSpectrum) -> float:
     """The same quantity computed through the regularized sandwich of the
     assembled operator A = assemble(L), from the symmetric spectrum eig of
@@ -396,16 +393,13 @@ def constrained_quantity_sandwiched(A: ParityBlocks, psi0: RealField,
     """
     grid = A.grid
     xi = grid.wavenumbers
-    quarter = regularized_quarter_root_multiplier(grid, eps).symbol_values.real
+    quarter = quarter_root_symbol(grid, eps)
     sym = np.zeros(grid.n, dtype=complex)
     nz = quarter > 0
     # |d| d^-1 has symbol i*sign(xi); zero mode and Nyquist are dropped
     sym[nz] = 1j * np.sign(xi[nz]) / quarter[nz]
     sym[grid.nyquist_index] = 0.0
-    m = Multiplier(grid, sym, symbol_name=f"reg-quarter-inv-J(eps={eps:g})",
-                   adjointness="skew")
-    g = apply_multiplier(m, psi0)
-    return _pseudo_solve_quadratic(eig, to_coords(grid, g.values),
+    return _pseudo_solve_quadratic(eig, to_coords(grid, apply(sym, psi0)),
                                    f"sandwich(eps={eps:g})[{A.label}]")
 
 
@@ -440,19 +434,17 @@ def bbm_slope(u_family, c: float, dc: float, normalized) -> BbmSlope:
         raise ValueError("finite-difference stencil leaves the range c > 1")
 
     def energy_pairing(profile) -> float:
-        f = profile.as_field()
-        half = apply_multiplier(
-            fractional_derivative_multiplier(profile.grid, profile.s / 2.0), f)
-        return inner_product(f, f) + inner_product(half, half)
+        grid, f = profile.grid, profile.values
+        half = apply(fractional_symbol(grid, profile.s / 2.0), f)
+        return inner_product(grid, f, f) + inner_product(grid, half, half)
 
     fd = (energy_pairing(u_family(c + dc)) - energy_pairing(u_family(c - dc))) / (2.0 * dc)
 
     s, p = normalized.s, normalized.p
-    qf = normalized.as_field()
-    half_q = apply_multiplier(
-        fractional_derivative_multiplier(normalized.grid, s / 2.0), qf)
-    qq = inner_product(qf, qf)
-    hq = inner_product(half_q, half_q)
+    grid, qf = normalized.grid, normalized.values
+    half_q = apply(fractional_symbol(grid, s / 2.0), qf)
+    qq = inner_product(grid, qf, qf)
+    hq = inner_product(grid, half_q, half_q)
     bracket = c * (2.0 * s * c - p) * qq \
         + (c - 1.0) * (2.0 * s * c + (s - 1.0) * p) * hq
     closed = (c - 1.0) ** (2.0 / p - 1.0 / s - 1.0) * c ** (1.0 / s - 2.0) \

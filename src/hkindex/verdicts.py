@@ -173,7 +173,7 @@ def verdict(model: str, s: float, p: float, c: float,
         row.name, s, p, c, grid, opts)
     L = op.linearization(U)
     A = op.assemble(L)
-    psi0 = sp.apply_multiplier(sp.derivative_multiplier(grid), U.as_field())
+    psi0 = sp.apply(sp.derivative_symbol(grid), U.values)
     weight = np.ones(grid.n)
     if row.weighted:
         # S = W L W with W = (I+M)^(-1/2) is congruent to L, so the two
@@ -183,8 +183,7 @@ def verdict(model: str, s: float, p: float, c: float,
         n_L = spc.negative_count(A)
         weight = op.symmetrizing_weight(grid, s)
         A = op.congruence(A, weight, "bbm-sym")
-        psi0 = sp.apply_multiplier(
-            sp.Multiplier(grid, 1.0 / weight, symbol_name="sqrt(I+M)"), psi0)
+        psi0 = sp.apply(1.0 / weight, psi0)
     eig = spc.symmetric_spectrum(A)
     if not row.weighted:
         n_L = eig.negative_count
@@ -344,8 +343,7 @@ def _gkdv_case(p_exp: float, expected_K: int) -> CheckReport:
             res.K_formula == res.K_direct == expected_K,
             f"K_formula={res.K_formula}, K_direct={res.K_direct}"))
         entries.append(CheckEntry("n(L) == 1", res.n_L == 1, f"n={res.n_L}"))
-        psi0 = sp.apply_multiplier(
-            sp.derivative_multiplier(data.grid), data.wave.as_field())
+        psi0 = sp.apply(sp.derivative_symbol(data.grid), data.wave.values)
         # data.matrix is L itself (fKdV); each sandwich serves two checks
         values = {}
         for eps in SANDWICH_EPS:
@@ -384,42 +382,42 @@ def _gkdv_case(p_exp: float, expected_K: int) -> CheckReport:
 def _identity_entry(grid) -> CheckEntry:
     rng = np.random.default_rng(7)
     worst = 0.0
-    J = sp.hilbert_multiplier(grid)
-    D = sp.derivative_multiplier(grid)
-    Ai = sp.antiderivative_multiplier(grid)
-    absd = sp.fractional_derivative_multiplier(grid, 1.0)
+    J = sp.hilbert_symbol(grid)
+    D = sp.derivative_symbol(grid)
+    absd = sp.fractional_symbol(grid, 1.0)
     for _ in range(20):
         f = _mean_zero_field(rng, grid)
-        scale = float(np.max(np.abs(f.values)))
-        jj = sp.apply_multiplier(J, sp.apply_multiplier(J, f))
-        worst = max(worst, float(np.max(np.abs(jj.values + f.values))) / scale)
-        d1 = sp.apply_multiplier(D, f)
-        d2 = sp.apply_multiplier(J, sp.apply_multiplier(absd, f))
-        worst = max(worst, float(np.max(np.abs(d1.values - d2.values)))
-                    / max(1e-300, float(np.max(np.abs(d1.values)))))
-        rt = sp.apply_multiplier(D, sp.apply_multiplier(Ai, f))
-        worst = max(worst, float(np.max(np.abs(rt.values - f.values))) / scale)
+        scale = float(np.max(np.abs(f)))
+        jj = sp.apply(J, sp.apply(J, f))
+        worst = max(worst, float(np.max(np.abs(jj + f))) / scale)
+        d1 = sp.apply(D, f)
+        d2 = sp.apply(J, sp.apply(absd, f))
+        worst = max(worst, float(np.max(np.abs(d1 - d2)))
+                    / max(1e-300, float(np.max(np.abs(d1)))))
+        rt = sp.apply(D, sp.antiderivative(grid, f))
+        worst = max(worst, float(np.max(np.abs(rt - f))) / scale)
         g = _mean_zero_field(rng, grid)
-        lhs = sp.inner_product(f, g)
-        rhs = sp.fourier_pairing(grid, sp.transform(f), sp.transform(g))
+        lhs = sp.inner_product(grid, f, g)
+        rhs = sp.fourier_pairing(grid, sp.transform(grid, f),
+                                 sp.transform(grid, g))
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
     return CheckEntry("operator identities (J^2, J|d|, inverse pair, Parseval)",
                       worst <= 1e-10, f"worst relative defect {worst:.2e}")
 
 
-def _mean_zero_field(rng, grid) -> sp.RealField:
+def _mean_zero_field(rng, grid) -> np.ndarray:
     """A random field with no mean and no Nyquist content."""
     coeff = np.fft.fft(rng.standard_normal(grid.n))
     coeff[0] = 0.0
     coeff[grid.nyquist_index] = 0.0
-    return sp.RealField(grid, np.fft.ifft(coeff).real)
+    return np.fft.ifft(coeff).real
 
 
 def _schrodinger_case() -> CheckReport:
     entries = []
     grid = sp.make_grid(1024, 40.0)
-    V = sp.RealField(grid, 2.0 / np.cosh(grid.nodes) ** 2)
-    A = op.assemble(op.schrodinger_operator(V, 0.5))
+    V = 2.0 / np.cosh(grid.nodes) ** 2
+    A = op.assemble(op.schrodinger_operator(grid, V, 0.5))
     n_L = spc.negative_count(A)
     entries.append(CheckEntry("n(L) == 1 for -d2 + 1/2 - 2 sech^2",
                               n_L == 1, f"n={n_L}"))

@@ -23,9 +23,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .io_utils import atomic_write_files, csv_text
-from .spectral import (RealField, SpectralGrid, apply_multiplier,
-                       fractional_derivative_multiplier, fractional_symbol,
-                       inner_product)
+from .spectral import SpectralGrid, apply, fractional_symbol, inner_product
 
 FKDV = "fkdv"
 FBBM = "fbbm"
@@ -125,9 +123,6 @@ class WaveProfile:
     @property
     def peak(self) -> float:
         return float(np.max(self.values))
-
-    def as_field(self) -> RealField:
-        return RealField(self.grid, self.values)
 
     def metadata(self) -> dict:
         return {
@@ -334,8 +329,7 @@ def bo_profile(grid: SpectralGrid, c: float) -> WaveProfile:
         raise ValueError(f"wave speed must be positive, got {c}")
     x = grid.nodes
     values = 4.0 * c / (1.0 + (c * x) ** 2)
-    m = fractional_derivative_multiplier(grid, 1.0)
-    disp = apply_multiplier(m, RealField(grid, values)).values
+    disp = apply(fractional_symbol(grid, 1.0), values)
     residual = disp + c * values - 0.5 * values ** 2
     res_norm = float(np.max(np.abs(residual)))
     return _finalize(grid, values, 1.0, 1.0, c, FKDV, residual,
@@ -345,8 +339,7 @@ def bo_profile(grid: SpectralGrid, c: float) -> WaveProfile:
 
 def squared_norm(profile: WaveProfile) -> float:
     """<U, U> on the periodic box."""
-    f = profile.as_field()
-    return inner_product(f, f)
+    return inner_product(profile.grid, profile.values, profile.values)
 
 
 def save_profile(profile: WaveProfile, csv_path) -> tuple:
@@ -357,6 +350,6 @@ def save_profile(profile: WaveProfile, csv_path) -> tuple:
     json_path = csv_path[:-4] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
     atomic_write_files({
         json_path: json.dumps(profile.metadata(), indent=2) + "\n",
-        csv_path: csv_text(["x", "U"], zip(profile.grid.nodes.tolist(),
-                                           profile.values.tolist()))})
+        csv_path: csv_text(["x", "U"], (profile.grid.nodes.tolist(),
+                                        profile.values.tolist()))})
     return csv_path, json_path

@@ -31,7 +31,7 @@ def random_mean_zero(grid, rng):
     coeff = np.fft.fft(rng.standard_normal(grid.n))
     coeff[0] = 0.0
     coeff[grid.n // 2] = 0.0
-    return sp.RealField(grid, np.fft.ifft(coeff).real)
+    return np.fft.ifft(coeff).real
 
 
 def diagonal_on_grid(diag) -> op.ParityBlocks:
@@ -62,10 +62,9 @@ def wave(model: str, Q: wv.WaveProfile, c: float) -> wv.WaveProfile:
                                    wv.SolverOptions(tol=Q.residual_tol))
 
 
-def apply(L: op.LinOperator, f: sp.RealField) -> sp.RealField:
+def apply(L: op.LinOperator, f: np.ndarray) -> np.ndarray:
     """L f = m(|d|) f + V f, through the FFT."""
-    out = np.fft.ifft(L.multiplier_symbol * np.fft.fft(f.values)).real
-    return sp.RealField(f.grid, out + L.potential * f.values)
+    return sp.apply(L.multiplier_symbol, f) + L.potential * f
 
 
 def eigensystem(A: op.ParityBlocks, zero_floor: float, vectors: bool = True):

@@ -29,9 +29,7 @@ import scipy.linalg
 from hkindex import operators as op
 from hkindex import spectra as spc
 from hkindex.errors import ConvergenceError
-from hkindex.spectral import (TWO_PI, RealField, SpectralGrid, apply_multiplier,
-                              fractional_derivative_multiplier,
-                              fractional_symbol)
+from hkindex.spectral import TWO_PI, SpectralGrid, apply, fractional_symbol
 from hkindex.waves import (SEED_WIDTH, SolverOptions, _power_with_clamp_note,
                            clamped_power)
 
@@ -322,8 +320,7 @@ def dense_sandwich_hamiltonian_eigenvalues(s: np.ndarray, grid) -> np.ndarray:
 def _residual(grid: SpectralGrid, values: np.ndarray, s: float, p: float,
               a: float, b: float) -> np.ndarray:
     """a |d|^s U + b U - U^(p+1) at the samples U = values."""
-    m = fractional_derivative_multiplier(grid, s)
-    disp = apply_multiplier(m, RealField(grid, values)).values
+    disp = apply(fractional_symbol(grid, s), values)
     return a * disp + b * values - clamped_power(
         values, p + 1.0, float(np.max(np.abs(values))))
 

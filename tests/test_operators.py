@@ -50,13 +50,13 @@ class TestBasis:
 class TestKdvLinearization:
     def test_translational_kernel(self, grid40, q22):
         L = op.linearization(q22)
-        dq = sp.apply_multiplier(sp.derivative_multiplier(grid40), q22.as_field())
-        assert np.max(np.abs(apply(L, dq).values)) <= 1e-7
+        dq = sp.apply(sp.derivative_symbol(grid40), q22.values)
+        assert np.max(np.abs(apply(L, dq))) <= 1e-7
 
     def test_action_on_wave_is_minus_p_power(self, grid40, q22):
         u = q22
         L = op.linearization(q22)
-        lhs = apply(L, u.as_field()).values
+        lhs = apply(L, u.values)
         rhs = -u.p * u.values ** (u.p + 1.0)
         assert np.max(np.abs(lhs - rhs)) <= 1e-7
 
@@ -78,8 +78,8 @@ class TestBbmLinearization:
     def test_translational_kernel(self, grid40, q22):
         u = wave(wv.FBBM, q22, 2.0)
         L0 = op.linearization(u)
-        du = sp.apply_multiplier(sp.derivative_multiplier(grid40), u.as_field())
-        rel = np.max(np.abs(apply(L0, du).values)) / np.max(np.abs(du.values))
+        du = sp.apply(sp.derivative_symbol(grid40), u.values)
+        rel = np.max(np.abs(apply(L0, du))) / np.max(np.abs(du))
         assert rel <= 1e-6
 
     def test_multiplier_floor_is_c_minus_one(self, q22):
@@ -110,14 +110,13 @@ class TestSandwich:
     def test_kernel_vector_annihilated(self, grid40, q22):
         L = op.linearization(q22)
         S = op.sandwich(op.assemble(L), 0.0).dense()
-        dq = sp.apply_multiplier(sp.derivative_multiplier(grid40), q22.as_field())
+        dq = sp.apply(sp.derivative_symbol(grid40), q22.values)
         xi = grid40.wavenumbers
         halfinv = np.zeros(grid40.n)
         nz = np.abs(xi) > 0
         halfinv[nz] = (2 * np.pi * np.abs(xi[nz])) ** -0.5
-        kv = sp.apply_multiplier(
-            sp.Multiplier(grid40, halfinv, "|d|^-1/2"), dq)
-        coords = interleave(op.to_coords(grid40, kv.values))
+        kv = sp.apply(halfinv, dq)
+        coords = interleave(op.to_coords(grid40, kv))
         rel = np.linalg.norm(S @ coords) / (
             np.linalg.norm(S, 1) * np.linalg.norm(coords))
         assert rel <= 1e-6
@@ -148,12 +147,10 @@ class TestBbmSymmetrize:
         u = wave(wv.FBBM, q22, 2.0)
         L0 = op.linearization(u)
         S = symmetrize(op.assemble(L0), u.s).dense()
-        du = sp.apply_multiplier(sp.derivative_multiplier(grid40), u.as_field())
-        sqrt_im = sp.Multiplier(
-            grid40, (1.0 + np.abs(2 * np.pi * grid40.wavenumbers) ** u.s) ** 0.5,
-            "sqrt(I+M)")
-        kv = sp.apply_multiplier(sqrt_im, du)
-        coords = interleave(op.to_coords(grid40, kv.values))
+        du = sp.apply(sp.derivative_symbol(grid40), u.values)
+        sqrt_im = (1.0 + np.abs(2 * np.pi * grid40.wavenumbers) ** u.s) ** 0.5
+        kv = sp.apply(sqrt_im, du)
+        coords = interleave(op.to_coords(grid40, kv))
         rel = np.linalg.norm(S @ coords) / (
             np.linalg.norm(S, 1) * np.linalg.norm(coords))
         assert rel <= 1e-6
@@ -168,27 +165,27 @@ class TestBbmSymmetrize:
 
 class TestSchrodinger:
     def test_zero_potential_is_positive(self, grid_small):
-        V = sp.RealField(grid_small, np.zeros(grid_small.n))
-        A = op.assemble(op.schrodinger_operator(V, 0.5))
+        V = np.zeros(grid_small.n)
+        A = op.assemble(op.schrodinger_operator(grid_small, V, 0.5))
         assert spc.negative_count(A) == 0
         assert block_inertia(A)[3][0] >= 0.5 - 1e-12
 
     def test_reflectionless_well_has_one_bound_state(self, grid40):
-        V = sp.RealField(grid40, 2.0 / np.cosh(grid40.nodes) ** 2)
-        L = op.schrodinger_operator(V, 0.5)
+        V = 2.0 / np.cosh(grid40.nodes) ** 2
+        L = op.schrodinger_operator(grid40, V, 0.5)
         A = op.assemble(L)
         assert spc.negative_count(A) == 1
         assert block_inertia(A)[3][0] == pytest.approx(-0.5, abs=1e-6)
 
     def test_sandwich_preserves_count(self, grid40):
-        V = sp.RealField(grid40, 2.0 / np.cosh(grid40.nodes) ** 2)
-        A = op.assemble(op.schrodinger_operator(V, 0.5))
+        V = 2.0 / np.cosh(grid40.nodes) ** 2
+        A = op.assemble(op.schrodinger_operator(grid40, V, 0.5))
         assert spc.negative_count(op.sandwich(A, 0.0)) == 1
 
     def test_slow_decay_warns(self, grid_small):
-        V = sp.RealField(grid_small, 1.0 / (1.0 + grid_small.nodes ** 2))
+        V = 1.0 / (1.0 + grid_small.nodes ** 2)
         with pytest.warns(UserWarning, match="decays slowly"):
-            op.schrodinger_operator(V, 1.0)
+            op.schrodinger_operator(grid_small, V, 1.0)
 
 
 class TestMatrixDump:
@@ -218,8 +215,8 @@ def _oracle_case(name, grid):
     """(blocks from assemble and congruence, the same matrix through the
     basis matrix) for one operator of the pipeline."""
     if name == "schrodinger":
-        V = sp.RealField(grid, 2.0 / np.cosh(grid.nodes) ** 2)
-        L = op.schrodinger_operator(V, 0.5)
+        V = 2.0 / np.cosh(grid.nodes) ** 2
+        L = op.schrodinger_operator(grid, V, 0.5)
         return op.assemble(L), dense_matrix(L)
     if name == "fbbm-sym":
         with quiet():
@@ -233,7 +230,7 @@ def _oracle_case(name, grid):
     if not name.startswith("sandwich"):
         return op.assemble(L), dense_matrix(L)
     eps = float(name.split("=")[1])
-    quarter = sp.regularized_quarter_root_multiplier(grid, eps).symbol_values.real
+    quarter = sp.quarter_root_symbol(grid, eps)
     return (op.sandwich(op.assemble(L), eps),
             dense_congruence(dense_matrix(L), grid, quarter))
 
@@ -278,9 +275,9 @@ class TestFftAssembly:
         # after a congruence
         grid = ORACLE_GRIDS[256]
         x = grid.nodes
-        V = sp.RealField(grid, 2.0 / np.cosh(x) ** 2 + 1e-3 * x * np.exp(-x ** 2))
-        L = op.schrodinger_operator(V, 0.5)
-        quarter = sp.regularized_quarter_root_multiplier(grid, 0.0).symbol_values.real
+        V = 2.0 / np.cosh(x) ** 2 + 1e-3 * x * np.exp(-x ** 2)
+        L = op.schrodinger_operator(grid, V, 0.5)
+        quarter = sp.quarter_root_symbol(grid, 0.0)
         dense = dense_matrix(L)
         sandwiched = dense_congruence(dense, grid, quarter)
         even, odd = op.parity_index(grid.n)
@@ -302,9 +299,9 @@ class TestFftAssembly:
     def test_assembly_keeps_no_state_per_grid(self):
         def run(n, l):
             grid = sp.make_grid(n, l)
-            V = sp.RealField(grid, 2.0 / np.cosh(grid.nodes) ** 2)
-            A = op.assemble(op.schrodinger_operator(V, 0.5))
-            op.to_coords(grid, V.values)
+            V = 2.0 / np.cosh(grid.nodes) ** 2
+            A = op.assemble(op.schrodinger_operator(grid, V, 0.5))
+            op.to_coords(grid, V)
             return A.order
 
         run(64, 10.0)  # first calls may import and cache module state

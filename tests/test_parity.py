@@ -188,14 +188,11 @@ def dense_factor(model, data) -> np.ndarray:
 def constrained_rhs(model, data) -> tuple:
     """The (even, odd) coordinates of the constrained solve's right-hand
     side, the decaying antiderivative of psi0 (weighted for fBBM)."""
-    psi0 = sp.apply_multiplier(sp.derivative_multiplier(data.grid),
-                               data.wave.as_field())
+    psi0 = sp.apply(sp.derivative_symbol(data.grid), data.wave.values)
     if model.weighted:
         weight = op.symmetrizing_weight(data.grid, data.wave.s)
-        psi0 = sp.apply_multiplier(
-            sp.Multiplier(data.grid, 1.0 / weight, "sqrt(I+M)"), psi0)
-    rhs = spc._decaying_antiderivative(psi0)
-    return op.to_coords(data.grid, rhs.values)
+        psi0 = sp.apply(1.0 / weight, psi0)
+    return op.to_coords(data.grid, spc._decaying_antiderivative(data.grid, psi0))
 
 
 class TestAgainstDensePath:
@@ -515,7 +512,7 @@ class TestParityGuard:
         x = grid_small.nodes
         even = 2.0 / np.cosh(x) ** 2
         L = op.schrodinger_operator(
-            sp.RealField(grid_small, even + 1e-6 * x * np.exp(-x ** 2)), 0.5)
+            grid_small, even + 1e-6 * x * np.exp(-x ** 2), 0.5)
         with pytest.raises(ValueError, match="even and odd"):
             op.assemble(L)
 
@@ -792,10 +789,9 @@ def test_sandwich_hamiltonian_spectrum_equals_dense(L):
     # sandwich formed on the dense matrix, its odd kernel deflated, where
     # the odd block is positive semidefinite; a theory-consistency failure
     # where it is not
-    quarter = sp.regularized_quarter_root_multiplier(L.grid, 0.0)
+    quarter = sp.quarter_root_symbol(L.grid, 0.0)
     dense = dense_sandwich_hamiltonian_eigenvalues(odd_kernel_deflated(
-        split_parity(dense_congruence(dense_matrix(L), L.grid,
-                                      quarter.symbol_values.real),
+        split_parity(dense_congruence(dense_matrix(L), L.grid, quarter),
                      L.grid)).dense(), L.grid)
     scale = float(np.max(np.abs(dense)))
     noise = np.sqrt(np.finfo(float).eps) * scale

@@ -50,9 +50,8 @@ class TestSymmetricSpectrum:
         rep = spc.symmetric_spectrum(pipeline22.matrix)
         assert rep.negative_count == 1
         assert block_inertia(pipeline22.matrix)[1] == 1
-        dq = sp.apply_multiplier(
-            sp.derivative_multiplier(pipeline22.grid),
-            pipeline22.wave.as_field()).values
+        dq = sp.apply(sp.derivative_symbol(pipeline22.grid),
+                      pipeline22.wave.values)
         # the kernel lies in the odd block, as dQ is odd: the one certified
         # Ritz vector below the shift, which the Cholesky factor deflates
         w, v = rep.odd_low
@@ -97,23 +96,22 @@ class TestConstrainedQuantity:
         grid = sp.make_grid(2048, 100.0)
         q = wv.solve_ground_state(1.0, 2.0, grid)
         A = op.assemble(op.linearization(q))
-        psi0 = sp.apply_multiplier(sp.derivative_multiplier(grid), q.as_field())
+        psi0 = sp.apply(sp.derivative_symbol(grid), q.values)
         with quiet():
             d = spc.constrained_quantity(A, psi0, spc.symmetric_spectrum(A))
         assert abs(d) <= 1e-3
 
     def test_nonzero_mean_psi0_rejected(self, pipeline22, spectrum22):
         from hkindex.errors import NonIntegrableInputError
-        psi0 = sp.RealField(pipeline22.grid, pipeline22.wave.values)
+        psi0 = pipeline22.wave.values
         with pytest.raises(NonIntegrableInputError):
             spc.constrained_quantity(pipeline22.matrix, psi0, spectrum22)
 
     def test_fredholm_violation_detected(self, pipeline22, spectrum22):
         # an even mean-zero psi0 has an odd antiderivative, overlapping the
         # odd kernel vector dQ
-        grid = pipeline22.grid
         values = pipeline22.wave.values
-        psi0 = sp.RealField(grid, values - np.mean(values))
+        psi0 = values - np.mean(values)
         with pytest.raises(FredholmViolationError):
             with quiet():
                 spc.constrained_quantity(pipeline22.matrix, psi0, spectrum22)
@@ -151,11 +149,9 @@ class TestBbmSlope:
 
     def test_s1_reduction_drops_s_minus_one_terms(self, grid_s1):
         q = wv.solve_ground_state(1.0, 2.0, grid_s1)
-        qf = q.as_field()
-        half = sp.apply_multiplier(
-            sp.fractional_derivative_multiplier(grid_s1, 0.5), qf)
-        qq = sp.inner_product(qf, qf)
-        hq = sp.inner_product(half, half)
+        half = sp.apply(sp.fractional_symbol(grid_s1, 0.5), q.values)
+        qq = sp.inner_product(grid_s1, q.values, q.values)
+        hq = sp.inner_product(grid_s1, half, half)
         c = 2.0
         res = spc.bbm_slope(lambda cc: wave(wv.FBBM, q, cc), c, 0.01, q)
         # at s=1 the bracket reduces to c(2c-p)<Q,Q> + 2c(c-1)<|d|^(1/2)Q, .>
@@ -303,9 +299,8 @@ class TestGeneralizedKernel:
 
 class TestEpsilonChain:
     def test_sign_stable_and_converging(self, pipeline22):
-        psi0 = sp.apply_multiplier(
-            sp.derivative_multiplier(pipeline22.grid),
-            pipeline22.wave.as_field())
+        psi0 = sp.apply(sp.derivative_symbol(pipeline22.grid),
+                        pipeline22.wave.values)
         with quiet():
             values = [spc.constrained_quantity_sandwiched(
                 pipeline22.matrix, psi0, eps, spc.symmetric_spectrum(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hkindex import spectral as sp
-from hkindex.errors import GridMismatchError, NonIntegrableInputError
+from hkindex.errors import NonIntegrableInputError
 
 from conftest import random_mean_zero
 
@@ -45,182 +45,198 @@ class TestMakeGrid:
 
 class TestFractionalDerivative:
     def test_order_zero_is_identity(self, grid_small):
-        m = sp.fractional_derivative_multiplier(grid_small, 0.0)
-        assert np.allclose(m.symbol_values, 1.0)
+        assert np.allclose(sp.fractional_symbol(grid_small, 0.0), 1.0)
 
     def test_sine_is_eigenfunction(self, grid_small):
         g = grid_small
         k0 = 5
         xi0 = k0 / (2 * g.half_length)
-        f = sp.RealField(g, np.sin(2 * np.pi * xi0 * g.nodes))
-        out = sp.apply_multiplier(sp.fractional_derivative_multiplier(g, 2.0), f)
-        assert np.allclose(out.values, (2 * np.pi * xi0) ** 2 * f.values,
+        f = np.sin(2 * np.pi * xi0 * g.nodes)
+        out = sp.apply(sp.fractional_symbol(g, 2.0), f)
+        assert np.allclose(out, (2 * np.pi * xi0) ** 2 * f,
                            rtol=0, atol=1e-12 * (2 * np.pi * xi0) ** 2)
 
     def test_semigroup_split_on_sech(self):
         g = sp.make_grid(512, 40.0)
-        f = sp.RealField(g, 1.0 / np.cosh(g.nodes))
-        whole = sp.apply_multiplier(sp.fractional_derivative_multiplier(g, 1.0), f)
-        half = sp.apply_multiplier(sp.fractional_derivative_multiplier(g, 0.5), f)
-        lhs = sp.inner_product(whole, f)
-        rhs = sp.inner_product(half, half)
+        f = 1.0 / np.cosh(g.nodes)
+        whole = sp.apply(sp.fractional_symbol(g, 1.0), f)
+        half = sp.apply(sp.fractional_symbol(g, 0.5), f)
+        lhs = sp.inner_product(g, whole, f)
+        rhs = sp.inner_product(g, half, half)
         assert lhs > 0
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
     def test_negative_order_rejected(self, grid_small):
         with pytest.raises(ValueError):
-            sp.fractional_derivative_multiplier(grid_small, -0.5)
+            sp.fractional_symbol(grid_small, -0.5)
 
     def test_composition_matches_sum_of_orders(self, grid_small):
         rng = np.random.default_rng(3)
         a, b = 0.7, 0.9
-        ma = sp.fractional_derivative_multiplier(grid_small, a)
-        mb = sp.fractional_derivative_multiplier(grid_small, b)
-        mab = sp.fractional_derivative_multiplier(grid_small, a + b)
+        ma = sp.fractional_symbol(grid_small, a)
+        mb = sp.fractional_symbol(grid_small, b)
+        mab = sp.fractional_symbol(grid_small, a + b)
         for _ in range(10):
             f = random_mean_zero(grid_small, rng)
-            two = sp.apply_multiplier(mb, sp.apply_multiplier(ma, f))
-            one = sp.apply_multiplier(mab, f)
-            scale = np.max(np.abs(one.values))
-            assert np.max(np.abs(two.values - one.values)) <= 1e-10 * scale
+            two = sp.apply(mb, sp.apply(ma, f))
+            one = sp.apply(mab, f)
+            scale = np.max(np.abs(one))
+            assert np.max(np.abs(two - one)) <= 1e-10 * scale
 
 
 class TestHilbert:
     def test_square_is_minus_identity_on_mean_zero(self, grid_small):
         rng = np.random.default_rng(11)
-        J = sp.hilbert_multiplier(grid_small)
+        J = sp.hilbert_symbol(grid_small)
         f = random_mean_zero(grid_small, rng)
-        jj = sp.apply_multiplier(J, sp.apply_multiplier(J, f))
-        assert np.max(np.abs(jj.values + f.values)) <= 1e-12 * np.max(np.abs(f.values))
+        jj = sp.apply(J, sp.apply(J, f))
+        assert np.max(np.abs(jj + f)) <= 1e-12 * np.max(np.abs(f))
 
     def test_cosine_maps_to_sine(self, grid_small):
         g = grid_small
         xi0 = 3 / (2 * g.half_length)
-        f = sp.RealField(g, np.cos(2 * np.pi * xi0 * g.nodes))
-        out = sp.apply_multiplier(sp.hilbert_multiplier(g), f)
-        assert np.allclose(out.values, np.sin(2 * np.pi * xi0 * g.nodes),
-                           atol=1e-12)
+        out = sp.apply(sp.hilbert_symbol(g), np.cos(2 * np.pi * xi0 * g.nodes))
+        assert np.allclose(out, np.sin(2 * np.pi * xi0 * g.nodes), atol=1e-12)
 
     def test_constant_maps_to_zero(self, grid_small):
-        f = sp.RealField(grid_small, np.ones(grid_small.n))
-        out = sp.apply_multiplier(sp.hilbert_multiplier(grid_small), f)
-        assert np.max(np.abs(out.values)) <= 1e-14
+        out = sp.apply(sp.hilbert_symbol(grid_small), np.ones(grid_small.n))
+        assert np.max(np.abs(out)) <= 1e-14
 
     def test_skew_adjoint(self, grid_small):
         rng = np.random.default_rng(5)
-        J = sp.hilbert_multiplier(grid_small)
+        J = sp.hilbert_symbol(grid_small)
         f = random_mean_zero(grid_small, rng)
         g = random_mean_zero(grid_small, rng)
-        lhs = sp.inner_product(sp.apply_multiplier(J, f), g)
-        rhs = sp.inner_product(f, sp.apply_multiplier(J, g))
+        lhs = sp.inner_product(grid_small, sp.apply(J, f), g)
+        rhs = sp.inner_product(grid_small, f, sp.apply(J, g))
         assert abs(lhs + rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
 class TestAntiderivative:
     def test_inverse_pair_on_mean_zero(self, grid_small):
         rng = np.random.default_rng(1)
-        D = sp.derivative_multiplier(grid_small)
-        Ai = sp.antiderivative_multiplier(grid_small)
+        D = sp.derivative_symbol(grid_small)
         f = random_mean_zero(grid_small, rng)
-        back = sp.apply_multiplier(D, sp.apply_multiplier(Ai, f))
-        assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+        back = sp.apply(D, sp.antiderivative(grid_small, f))
+        assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
 
     def test_skew_symmetry_pairing_vanishes(self, grid_small):
         rng = np.random.default_rng(2)
-        Ai = sp.antiderivative_multiplier(grid_small)
         f = random_mean_zero(grid_small, rng)
-        val = sp.inner_product(sp.apply_multiplier(Ai, f), f)
-        assert abs(val) <= 1e-12 * sp.inner_product(f, f)
+        val = sp.inner_product(grid_small, sp.antiderivative(grid_small, f), f)
+        assert abs(val) <= 1e-12 * sp.inner_product(grid_small, f, f)
 
     def test_constant_rejected(self, grid_small):
-        f = sp.RealField(grid_small, np.ones(grid_small.n))
         with pytest.raises(NonIntegrableInputError):
-            sp.apply_multiplier(sp.antiderivative_multiplier(grid_small), f)
+            sp.antiderivative(grid_small, np.ones(grid_small.n))
 
 
 class TestQuarterRoot:
     def test_eps_zero_matches_half_derivative(self, grid_small):
-        r0 = sp.regularized_quarter_root_multiplier(grid_small, 0.0)
-        half = sp.fractional_derivative_multiplier(grid_small, 0.5)
-        assert np.allclose(r0.symbol_values, half.symbol_values)
+        assert np.allclose(sp.quarter_root_symbol(grid_small, 0.0),
+                           sp.fractional_symbol(grid_small, 0.5))
 
     def test_zero_mode_at_eps_one(self, grid_small):
-        r = sp.regularized_quarter_root_multiplier(grid_small, 1.0)
-        assert r.symbol_values[0] == pytest.approx(1.0)
+        assert sp.quarter_root_symbol(grid_small, 1.0)[0] == pytest.approx(1.0)
 
     def test_monotone_in_frequency(self, grid_small):
         for eps in (0.0, 0.3, 1.0):
-            r = sp.regularized_quarter_root_multiplier(grid_small, eps)
             order = np.argsort(np.abs(grid_small.wavenumbers))
-            vals = r.symbol_values.real[order]
+            vals = sp.quarter_root_symbol(grid_small, eps)[order]
             assert np.all(np.diff(vals) >= -1e-15)
+
+
+SYMBOL_GRIDS = [(8, 4.0), (64, 10.0), (256, 30.0)]
+EVEN_SYMBOLS = {
+    "|d|^0": lambda g: sp.fractional_symbol(g, 0.0),
+    "|d|^0.6": lambda g: sp.fractional_symbol(g, 0.6),
+    "|d|^2": lambda g: sp.fractional_symbol(g, 2.0),
+    "quarter-root-eps=0": lambda g: sp.quarter_root_symbol(g, 0.0),
+    "quarter-root-eps=0.3": lambda g: sp.quarter_root_symbol(g, 0.3),
+}
+ODD_SYMBOLS = {"J": sp.hilbert_symbol, "d": sp.derivative_symbol,
+               "d^-1": sp.antiderivative_symbol}
+
+
+class TestSymbols:
+    """Each symbol in fftfreq layout, where index k pairs with n - k:
+    Hermitian, m(-xi) = conj m(xi), so apply() may keep the real part."""
+
+    @staticmethod
+    def reflected(sym):
+        return sym[np.r_[0, len(sym) - 1:0:-1]]
+
+    @pytest.mark.parametrize("n, l", SYMBOL_GRIDS)
+    @pytest.mark.parametrize("name", sorted(EVEN_SYMBOLS))
+    def test_real_and_even(self, name, n, l):
+        sym = EVEN_SYMBOLS[name](sp.make_grid(n, l))
+        assert sym.shape == (n,) and sym.dtype == float
+        assert np.array_equal(self.reflected(sym), np.conj(sym))
+        assert np.array_equal(self.reflected(sym), sym)
+
+    @pytest.mark.parametrize("n, l", SYMBOL_GRIDS)
+    @pytest.mark.parametrize("name", sorted(ODD_SYMBOLS))
+    def test_imaginary_and_odd_without_zero_and_nyquist_modes(self, name, n, l):
+        sym = ODD_SYMBOLS[name](sp.make_grid(n, l))
+        assert sym.shape == (n,) and sym.dtype == complex
+        assert np.array_equal(self.reflected(sym), np.conj(sym))
+        assert np.all(sym.real == 0.0)
+        assert np.array_equal(self.reflected(sym), -sym)
+        assert sym[0] == 0.0 and sym[n // 2] == 0.0
+        assert np.all(sym[np.r_[1:n // 2, n // 2 + 1:n]] != 0.0)
 
 
 class TestInnerProduct:
     def test_definiteness(self, grid_small):
         rng = np.random.default_rng(9)
-        f = sp.RealField(grid_small, rng.standard_normal(grid_small.n))
-        assert sp.inner_product(f, f) > 0
-        zero = sp.RealField(grid_small, np.zeros(grid_small.n))
-        assert sp.inner_product(zero, zero) == 0.0
+        f = rng.standard_normal(grid_small.n)
+        assert sp.inner_product(grid_small, f, f) > 0
+        zero = np.zeros(grid_small.n)
+        assert sp.inner_product(grid_small, zero, zero) == 0.0
 
     def test_constant_measures_domain(self):
         g = sp.make_grid(64, 4.0)
-        one = sp.RealField(g, np.ones(64))
-        assert sp.inner_product(one, one) == pytest.approx(8.0)
+        one = np.ones(64)
+        assert sp.inner_product(g, one, one) == pytest.approx(8.0)
 
     def test_parseval(self, grid_small):
         rng = np.random.default_rng(4)
         f = random_mean_zero(grid_small, rng)
         g = random_mean_zero(grid_small, rng)
-        lhs = sp.inner_product(f, g)
-        rhs = sp.fourier_pairing(grid_small, sp.transform(f), sp.transform(g))
+        lhs = sp.inner_product(grid_small, f, g)
+        rhs = sp.fourier_pairing(grid_small, sp.transform(grid_small, f),
+                                 sp.transform(grid_small, g))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
-
-    def test_grid_mismatch_rejected(self, grid_small, grid40):
-        f = sp.RealField(grid_small, np.zeros(grid_small.n))
-        g = sp.RealField(grid40, np.zeros(grid40.n))
-        with pytest.raises(GridMismatchError):
-            sp.inner_product(f, g)
 
 
 class TestTransformRoundTrip:
     def test_round_trip(self, grid_small):
         rng = np.random.default_rng(8)
-        f = sp.RealField(grid_small, rng.standard_normal(grid_small.n))
-        back = inverse_transform(grid_small, sp.transform(f))
-        assert np.max(np.abs(back - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+        f = rng.standard_normal(grid_small.n)
+        back = inverse_transform(grid_small, sp.transform(grid_small, f))
+        assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
 
     def test_centered_even_profile_has_real_spectrum(self, grid_small):
-        f = sp.RealField(grid_small, np.exp(-grid_small.nodes ** 2))
-        coeffs = sp.transform(f)
+        coeffs = sp.transform(grid_small, np.exp(-grid_small.nodes ** 2))
         assert np.max(np.abs(coeffs.imag)) <= 1e-12 * np.max(np.abs(coeffs.real))
 
 
 class TestAdjointness:
     def test_real_multiplier_self_adjoint(self, grid_small):
         rng = np.random.default_rng(6)
-        m = sp.fractional_derivative_multiplier(grid_small, 1.3)
+        m = sp.fractional_symbol(grid_small, 1.3)
         f = random_mean_zero(grid_small, rng)
         g = random_mean_zero(grid_small, rng)
-        lhs = sp.inner_product(sp.apply_multiplier(m, f), g)
-        rhs = sp.inner_product(f, sp.apply_multiplier(m, g))
+        lhs = sp.inner_product(grid_small, sp.apply(m, f), g)
+        rhs = sp.inner_product(grid_small, f, sp.apply(m, g))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
     def test_hilbert_factorization(self, grid_small):
         rng = np.random.default_rng(10)
-        J = sp.hilbert_multiplier(grid_small)
-        D = sp.derivative_multiplier(grid_small)
-        absd = sp.fractional_derivative_multiplier(grid_small, 1.0)
+        J = sp.hilbert_symbol(grid_small)
+        D = sp.derivative_symbol(grid_small)
+        absd = sp.fractional_symbol(grid_small, 1.0)
         f = random_mean_zero(grid_small, rng)
-        lhs = sp.apply_multiplier(D, f)
-        rhs = sp.apply_multiplier(J, sp.apply_multiplier(absd, f))
-        assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-12 * np.max(np.abs(lhs.values))
-
-    def test_skew_multiplier_validation(self, grid_small):
-        with pytest.raises(ValueError):
-            sp.Multiplier(grid_small, np.ones(grid_small.n), "bad",
-                          adjointness="skew")
-        with pytest.raises(ValueError):
-            sp.Multiplier(grid_small, 1j * np.ones(grid_small.n), "bad",
-                          adjointness="self")
+        lhs = sp.apply(D, f)
+        rhs = sp.apply(J, sp.apply(absd, f))
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))

@@ -208,12 +208,10 @@ class TestSelfCheck:
         with pytest.raises(KeyError):
             vd.self_check("nope")
 
-    def test_schrodinger_case_passes(self):
-        report = vd.self_check("schrodinger-sech2")
-        assert report.passed, [e for e in report.entries if not e.passed]
-
-    def test_bo_case_passes(self):
-        report = vd.self_check("bo")
+    @pytest.mark.parametrize("case", sorted(vd.SELF_CHECK_CASES))
+    def test_case_passes(self, case):
+        report = vd.self_check(case)
+        assert report.case == case
         assert report.passed, [e for e in report.entries if not e.passed]
 
     def test_gkdv_case_reuses_the_pipeline_spectrum(self, monkeypatch):
