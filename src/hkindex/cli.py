@@ -27,8 +27,7 @@ from . import spectra as spc
 from . import spectral as sp
 from . import verdicts as vd
 from . import waves as wv
-from .errors import (ConvergenceError, FredholmViolationError,
-                     TheoryConsistencyError)
+from .errors import ConvergenceError, TheoryConsistencyError
 from .io_utils import write_csv, write_json, write_json_rows
 
 EXIT_OK = 0
@@ -327,8 +326,7 @@ def main(argv=None) -> int:
     except TheoryConsistencyError as exc:
         print(f"theory-consistency failure: {exc}", file=sys.stderr)
         return EXIT_THEORY
-    except (ValueError, ConvergenceError, FredholmViolationError,
-            OSError) as exc:
+    except (ValueError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -12,10 +12,9 @@ derived from them.  They feed three kinds of quantities:
   kernel Q' and any near-singular one) come as certified Ritz pairs from
   inverse iteration with the factor of the shifted block;
 * the constrained quantity <L^-1 w, w> with w the decaying antiderivative
-  of the kernel generator, via a spectral pseudo-inverse: the even
-  block's own LDL^T factor solves where no eigenvalue lies near zero, the
-  block's eigenpairs otherwise, and the odd block's Cholesky factor with
-  the kernel deflated;
+  of the kernel generator, via a spectral pseudo-inverse: one solve with
+  the even block's own LDL^T factor, and one with the odd block's
+  Cholesky factor with the kernel deflated;
 * the spectrum of the Hamiltonian product (d/dx) L on the subspace where
   the derivative is invertible (zero mode and Nyquist column removed),
   with Krein-signature classification of the imaginary eigenvalues.
@@ -55,7 +54,8 @@ from .errors import (FredholmViolationError, TheoryConsistencyError,
                      UnresolvedEigenvalueError)
 from .operators import ParityBlocks, pair_frequencies, to_coords
 from .spectral import (TWO_PI, SpectralGrid, antiderivative, apply,
-                       fractional_symbol, inner_product, quarter_root_symbol)
+                       fractional_symbol, hilbert_symbol, inner_product,
+                       quarter_root_symbol)
 
 # defaults from the tolerance policy: scale-relative thresholds survive
 # rescaling of the wave speed.  Imaginary eigenvalues within IM_TOL_REL *
@@ -238,13 +238,13 @@ def _reflect(fac: tuple, a: np.ndarray, side: str, trans: str) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SymmetricSpectrum:
     """Inertia of a symmetric matrix, with what its solves read: the even
-    block's LDL^T factor, or its eigenpairs where one eigenvalue lies
-    within 1e3 zero_tol, and the odd block's eigenpairs below 1e3 z_high
-    with the deflated Cholesky factor (_deflated_cholesky) that builds the
-    Hamiltonian route.  Every decision at the zero tolerance ZERO_TOL_REL
-    max|w| over both blocks is made at both ends of its bracket, so
-    zero_tol decides as the exact value does."""
-    even_pairs: tuple | None         # even (w, v), where w decided
+    block's LDL^T factor, with its eigenvalues where they decided, and the
+    odd block's eigenpairs below 1e3 z_high with the deflated Cholesky
+    factor (_deflated_cholesky) that builds the Hamiltonian route.  Every
+    decision at the zero tolerance ZERO_TOL_REL max|w| over both blocks is
+    made at both ends of its bracket, so zero_tol decides as the exact
+    value does."""
+    even_values: np.ndarray | None   # even eigenvalues, where they decided
     factor: tuple | None             # (LDL^T, ipiv) of the even block
     odd_low: tuple                   # (w, x): odd eigenpairs below 1e3 z_high
     odd_factor: tuple | None         # (C, kernel, qr, tau); None: indefinite
@@ -258,17 +258,19 @@ def symmetric_spectrum(P: ParityBlocks) -> SymmetricSpectrum:
     Each block brackets its max|w| by max|a_ii| and its 1-norm (_bracket),
     and z_high, the upper end of zero_tol, sets the shift 1e3 z_high.
     Equal counts of the even block -+ the shift put no even eigenvalue
-    within 1e3 zero_tol, so the factor of the block itself gives its count
-    and solves; one work array holds each shifted factor and then the kept
-    one.  The factor of the odd block - the shift counts its eigenvalues
-    below the shift, and inverse iteration with it gives them as certified
-    Ritz pairs: the kernel, kept near-singular ones and negative ones.
-    Where the shifted counts differ, or the Ritz pairs are not certified,
-    the even eigenpairs are computed, once, and make the even span exact;
-    where the Ritz pairs are not certified, or a decision differs between
-    the ends of the bracket, the odd eigenpairs make zero_tol exact and
-    decide in place of the Ritz pairs.  Without a negative odd eigenvalue,
-    the odd block's Cholesky factor deflates the kernel."""
+    within 1e3 zero_tol, so the factor of the block itself gives its
+    count; that factor is kept for the solves in every case, and one work
+    array holds each shifted factor and then the kept one.  The factor of
+    the odd block - the shift counts its eigenvalues below the shift, and
+    inverse iteration with it gives them as certified Ritz pairs: the
+    kernel, kept near-singular ones and negative ones.  Where the shifted
+    counts differ, or the Ritz pairs are not certified, the even
+    eigenvalues, without vectors, decide in place of the factor and make
+    the even span exact; where the Ritz pairs are not certified, or a
+    decision differs between the ends of the bracket, the odd eigenpairs
+    make zero_tol exact and decide in place of the Ritz pairs.  Without a
+    negative odd eigenvalue, the odd block's Cholesky factor deflates the
+    kernel."""
     even, odd = P.blocks
     spans = [list(_bracket((block,))) for block in P.blocks]
     shift = 1e3 * max(high for _, high in spans)
@@ -278,27 +280,25 @@ def symmetric_spectrum(P: ParityBlocks) -> SymmetricSpectrum:
     factor = _ldl(odd, -shift, work)
     low = _inverse_iteration(odd, factor, _negatives(*factor), shift, spans)
     sides = None if low is None else low[3]
-    even_pairs = None
+    even_values = None
     if low is None or len(gap) > 1:
-        even_pairs = sym_eig(even, vectors=True)
-        spans[0] = [ZERO_TOL_REL * float(np.max(np.abs(even_pairs[0])))] * 2
+        even_values = sym_eig(even, vectors=False)[0]
+        spans[0] = [ZERO_TOL_REL * float(np.max(np.abs(even_values)))] * 2
         if low is not None:
-            sides = _decide([(low[0], low[2]), (even_pairs[0], 0.0)], spans)
+            sides = _decide([(low[0], low[2]), (even_values, 0.0)], spans)
     if sides is None:
         # the odd eigenpairs decide, at the exact zero_tol
         values, vectors = sym_eig(odd, vectors=True)
         below = values < shift
         low = values[below], vectors[:, below]
         spans[1] = [ZERO_TOL_REL * float(np.max(np.abs(values)))] * 2
-        sides = _decide([(low[0], 0.0), (even_pairs[0], 0.0)], spans)
+        sides = _decide([(low[0], 0.0), (even_values, 0.0)], spans)
     count = sum(int(np.count_nonzero(side <= 1)) for side in sides)
-    factor = None
-    if even_pairs is None or np.all((sides[1] == 0) | (sides[1] == 4)):
-        factor = _ldl(even, 0.0, out)
-        count += _negatives(*factor) if even_pairs is None else 0
+    factor = _ldl(even, 0.0, out)
+    count += _negatives(*factor) if even_values is None else 0
     odd_factor = None if np.any(sides[0] <= 1) else _deflated_cholesky(
         odd, low[1][:, sides[0] == 2], work)
-    return SymmetricSpectrum(even_pairs, factor, low[:2], odd_factor,
+    return SymmetricSpectrum(even_values, factor, low[:2], odd_factor,
                              max(high for _, high in spans), count)
 
 
@@ -320,48 +320,45 @@ def _pseudo_solve_quadratic(eig: SymmetricSpectrum, rhs: tuple,
     """<A^+ rhs, rhs> with eigendirections |lambda| <= zero_tol dropped,
     for the right-hand side given by its (even, odd) coordinates.
 
-    A direction is reached by the right-hand side when its overlap exceeds
+    The even share is one solve with the even block's LDL^T factor.  A
+    ground state's kernel is odd (Frank and Lenzmann, Acta Math. 210,
+    2013), so an even eigenvalue within zero_tol is a theory failure, and
+    a kept one below 1e3 zero_tol makes the solve near-singular.  An odd
+    direction is reached by the right-hand side when its overlap exceeds
     1e-6 ||rhs||, with the norm of the whole right-hand side: a block's
     own share of an even right-hand side can be pure round-off.  A reached
     kernel direction violates the Fredholm condition; a reached kept
     direction with |lambda| < 1e3 zero_tol makes the solve near-singular.
-    The even block can do neither where it has no eigenvalue below 1e3
-    zero_tol, so its share is one solve with its LDL^T factor; otherwise
-    the eigenpairs that decided give it.  Every odd direction of either
-    kind is among the odd block's low eigenpairs, and its share is
-    |(C H)^-1 b|^2 without the deflated coordinates, b the odd share
-    without its kernel component.
+    Every odd direction of either kind is among the odd block's low
+    eigenpairs, and its share is |(C H)^-1 b|^2 without the deflated
+    coordinates, b the odd share without its kernel component.
     """
     tol = eig.zero_tol
-    rhs_norm = float(np.linalg.norm(np.concatenate(rhs)))
     even, odd = rhs
-    groups = [(eig.odd_low[0], eig.odd_low[1].T @ odd)]
-    if eig.factor is None:
-        w, v = eig.even_pairs
-        proj, kept = v.T @ even, np.abs(w) > tol
-        groups.append((w, proj))
-        total = float(np.sum(proj[kept] ** 2 / w[kept]))
-    else:
-        total = float(even @ scipy.linalg.lapack.dsytrs(*eig.factor, even)[0])
+    # without its eigenvalues, the even block has none below 1e3 zero_tol
+    size = np.inf if eig.even_values is None else np.abs(eig.even_values)
+    if np.any(size <= tol):
+        raise TheoryConsistencyError(
+            f"the even block of {label!r} has an eigenvalue within zero_tol "
+            f"= {tol:.3e}: a ground state's kernel is odd")
+    near_singular = bool(np.any(size < 1e3 * tol))
+    total = float(even @ scipy.linalg.lapack.dsytrs(*eig.factor, even)[0])
     fac = _odd_factor(eig, label)
     c, kernel = fac[:2]
     y = scipy.linalg.lapack.dtrtrs(c, odd - kernel @ (kernel.T @ odd),
                                    lower=1)[0]
     y = _reflect(fac, y[:, None], "L", "T")[kernel.shape[1]:]
     total += float(np.sum(y ** 2))
-    worst, near_singular = 0.0, False
-    for w, proj in groups:
-        reached = np.abs(proj) > 1e-6 * rhs_norm
-        zero = np.abs(w) <= tol
-        if np.any(zero & reached):
-            worst = max(worst, float(np.max(np.abs(proj[zero & reached]))))
-        near_singular |= bool(np.any(~zero & reached
-                                     & (np.abs(w) < 1e3 * tol)))
-    if worst > 0.0:
+    w, x = eig.odd_low
+    proj = np.abs(x.T @ odd)
+    rhs_norm = float(np.linalg.norm(np.concatenate(rhs)))
+    reached, zero = proj > 1e-6 * rhs_norm, np.abs(w) <= tol
+    if np.any(zero & reached):
         raise FredholmViolationError(
             f"right-hand side is not orthogonal to the kernel of {label!r} "
-            f"(relative overlap {worst / max(rhs_norm, 1e-300):.2e})")
-    if near_singular:
+            f"(relative overlap "
+            f"{np.max(proj[zero & reached]) / max(rhs_norm, 1e-300):.2e})")
+    if near_singular or np.any(~zero & reached & (np.abs(w) < 1e3 * tol)):
         warnings.warn(f"near-singular constrained solve for {label!r}",
                       stacklevel=3)
     return total
@@ -392,13 +389,11 @@ def constrained_quantity_sandwiched(A: ParityBlocks, psi0: np.ndarray,
     which is how the eps-independence of the index is checked.
     """
     grid = A.grid
-    xi = grid.wavenumbers
     quarter = quarter_root_symbol(grid, eps)
-    sym = np.zeros(grid.n, dtype=complex)
-    nz = quarter > 0
-    # |d| d^-1 has symbol i*sign(xi); zero mode and Nyquist are dropped
-    sym[nz] = 1j * np.sign(xi[nz]) / quarter[nz]
-    sym[grid.nyquist_index] = 0.0
+    # |d| d^-1 = -J on mean-zero fields; J is 0 on the zero mode, where
+    # the quarter root vanishes at eps = 0
+    sym = np.divide(-hilbert_symbol(grid), quarter, where=quarter > 0,
+                    out=np.zeros(grid.n, dtype=complex))
     return _pseudo_solve_quadratic(eig, to_coords(grid, apply(sym, psi0)),
                                    f"sandwich(eps={eps:g})[{A.label}]")
 

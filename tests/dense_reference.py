@@ -4,9 +4,9 @@ The real-Fourier basis as an n x n matrix of samples, an operator
 assembled as h phi^T (V phi) plus its multiplier diagonal, congruences by
 an even multiplier on the full matrix, one full-order eigh, the inertia
 from each block's eigenvalues, the constrained quantity from each
-block's eigenvectors, the full-order restricted D A and J S formed from
-the dense entries, the
-Hamiltonian eigensystem from one eig of full order (the oracle of the
+block's eigenvectors, and exactly, by Gaussian elimination in rational
+arithmetic, for one block, the full-order restricted D A and J S formed
+from the dense entries, the Hamiltonian eigensystem from one eig of full order (the oracle of the
 symmetric route of spectra), the Krein forms in complex arithmetic on
 whole eigenvectors, and the classification of a general complex
 spectrum, one eigenvalue at a time, with a COMPLEX class and k_c.  The
@@ -22,6 +22,7 @@ O(n^3) or O(n^2) memory, and all of them run in the tests only.
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -137,6 +138,26 @@ def eigenvector_pseudo_quadratic(blocks: tuple, zero_tol: float,
         kept = np.abs(w) > zero_tol
         total += float(np.sum(proj[kept] ** 2 / w[kept]))
     return total
+
+
+def exact_quadratic(block: np.ndarray, rhs: np.ndarray) -> Fraction:
+    """<block^-1 rhs, rhs> exactly for the float entries of a nonsingular
+    block and right-hand side: Gaussian elimination on fractions.Fraction,
+    each column pivoting on its first nonzero entry."""
+    n = rhs.size
+    rows = [[Fraction(float(v)) for v in row] + [Fraction(float(b))]
+            for row, b in zip(block, rhs)]
+    for k in range(n):
+        pivot = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        for row in rows[k + 1:]:
+            f = row[k] / rows[k][k]
+            row[k:] = [v - f * p for v, p in zip(row[k:], rows[k][k:])]
+    x = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        x[k] = (rows[k][n] - sum(rows[k][j] * x[j] for j in range(k + 1, n))) \
+            / rows[k][k]
+    return sum(Fraction(float(b)) * v for b, v in zip(rhs, x))
 
 
 def dense_restricted_product(a: np.ndarray, grid,

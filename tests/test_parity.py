@@ -12,6 +12,7 @@ NOISE_BAND noise units eps max|nu| of a threshold that decides a class.
 
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,9 +35,9 @@ from dense_reference import (block_inertia, dense_congruence,
                              dense_hamiltonian_eigenvalues, dense_inertia,
                              dense_matrix,
                              dense_sandwich_hamiltonian_eigenvalues,
-                             eigenvector_pseudo_quadratic, full_order,
-                             interleave, reference_classification,
-                             split_parity)
+                             eigenvector_pseudo_quadratic, exact_quadratic,
+                             full_order, interleave,
+                             reference_classification, split_parity)
 
 REGRESSION_CASES = [(wv.FKDV, 2.0, 2.0, 1.0), (wv.FKDV, 2.0, 5.0, 1.0),
                     (wv.FBBM, 2.0, 2.0, 2.0)]
@@ -541,9 +542,9 @@ class TestPseudoSolve:
     def test_bracket_fallback_gives_the_same_d(self, small_pipeline,
                                                monkeypatch):
         # a high end of 1e8 times the bracket's puts every eigenvalue
-        # between the shifted counts and inside the bracket: the even and
-        # the odd eigenpairs are computed, once each, zero_tol is exact,
-        # and the factors solve as before
+        # between the shifted counts and inside the bracket: the even
+        # eigenvalues and the odd eigenpairs are computed, once each,
+        # zero_tol is exact, and the factors solve as before
         model, data = small_pipeline
         bracket = spc._bracket
         monkeypatch.setattr(spc, "_bracket", lambda blocks: (
@@ -553,27 +554,33 @@ class TestPseudoSolve:
             d = spc._pseudo_solve_quadratic(eig, constrained_rhs(model, data),
                                             data.matrix.label)
         n = data.grid.n
-        assert sorted(calls) == [(n // 2 - 1, True), (n // 2 + 1, True)]
+        assert sorted(calls) == [(n // 2 - 1, True), (n // 2 + 1, False)]
         n_neg, _, tol, _ = block_inertia(data.matrix)
-        assert eig.even_pairs is not None and eig.factor is not None
+        assert eig.even_values is not None and eig.factor is not None
         assert eig.zero_tol == pytest.approx(tol, rel=1e-12)
         assert eig.negative_count == n_neg
         assert d == data.result.d
 
-    def test_near_singular_warning_needs_a_reached_direction(self):
-        # first cosine (index 1) kept but near-singular: 5e-8 against the
-        # zero tolerance 1e-8
-        diag = np.ones(8)
-        diag[1] = 5e-8
-        eig = spc.symmetric_spectrum(diagonal_on_grid(diag))
-        assert eig.even_pairs is not None and eig.factor is None
+    def test_near_singular_warning_even_always_odd_when_reached(self):
+        # a kept eigenvalue 5e-8 against the zero tolerance 1e-8: on the
+        # first cosine (index 1) it warns whatever the right-hand side, as
+        # the even block keeps no vectors to measure reach; on the first
+        # sine (index 2) only where the right-hand side reaches it
+        even, odd = np.ones(8), np.ones(8)
+        even[1] = odd[2] = 5e-8
         rhs = np.zeros(8)
         rhs[3] = 1.0
+        eig = spc.symmetric_spectrum(diagonal_on_grid(even))
+        assert eig.even_values is not None
+        with pytest.warns(UserWarning, match="near-singular"):
+            assert spc._pseudo_solve_quadratic(
+                eig, parity_rhs(rhs), "diag") == 1.0
+        eig = spc.symmetric_spectrum(diagonal_on_grid(odd))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert spc._pseudo_solve_quadratic(
                 eig, parity_rhs(rhs), "diag") == 1.0
-        rhs[1] = 1.0
+        rhs[2] = 1.0
         with pytest.warns(UserWarning, match="near-singular"):
             spc._pseudo_solve_quadratic(eig, parity_rhs(rhs), "diag")
 
@@ -903,8 +910,8 @@ def test_eigenvalue_inside_the_bracket_takes_the_fallback(t, in_odd,
     # block sets z_high; a placed odd one, or an odd block that sets
     # z_high, brings the odd eigenpairs in place of the Ritz pairs.  The
     # Hamiltonian spectrum matches the oracle's, or the odd block is
-    # indefinite.  Each block is eigendecomposed at most once, with its
-    # vectors
+    # indefinite.  Each block is eigendecomposed at most once, the even
+    # one without vectors
     def blocks(placed):
         return dominant_blocks(placed, in_odd, odd_dominant, seed)
     low, high = spc._bracket(blocks(0.0).blocks)
@@ -917,26 +924,35 @@ def test_eigenvalue_inside_the_bracket_takes_the_fallback(t, in_odd,
     with sym_eig_calls() as calls:
         eig = spc.symmetric_spectrum(P)
     assert sorted(calls) == \
-        [(7, True)] * (in_odd or odd_dominant) + [(9, True)]
+        [(7, True)] * (in_odd or odd_dominant) + [(9, False)]
     assert eig.zero_tol == pytest.approx(tol, rel=1e-12)
     assert eig.negative_count == n_neg
     assert_factor_route_matches_the_oracle(P)
 
 
+@example(20.0, 1.0, 33)
+@example(20.0, 1.0, 233)
 @given(st.floats(2.0, 500.0), st.sampled_from([-1.0, 1.0]),
        st.integers(0, 1000))
-def test_near_singular_even_block_takes_the_eigenpairs(c, sign, seed):
-    # an even eigenvalue kept, but within 1e3 zero_tol, is solved on the
-    # even eigenpairs that decided, computed once, and warns when the
-    # right-hand side reaches it
+def test_parity_shares_match_the_exact_solve(c, sign, seed):
+    # an even eigenvalue kept, but within 1e3 zero_tol: its eigenvalues,
+    # computed once without vectors, decide, the even block's LDL^T
+    # factor still solves, and every solve warns, as no even vector is
+    # left to measure reach.  Each parity share, its right-hand side
+    # alone, against the exact solve on the float entries: the even one
+    # within eps cond(E) of it (measured at most 0.068 of that, at
+    # seed 33), the odd one, by Cholesky, within the textbook order times
+    # that (at most 1.36 eps cond(O), at seed 233)
     P = dominant_blocks(sign * c * 1e-6, False, False, seed)
     rhs = parity_rhs(np.random.default_rng(seed).standard_normal(16))
-    with sym_eig_calls() as calls, \
-            pytest.warns(UserWarning, match="near-singular"):
+    with sym_eig_calls() as calls:
         eig = spc.symmetric_spectrum(P)
-        d = spc._pseudo_solve_quadratic(eig, rhs, "near-singular")
-    assert calls == [(9, True)]
-    assert eig.even_pairs is not None and eig.factor is None
-    reference = eigenvector_pseudo_quadratic(P.blocks, block_inertia(P)[2],
-                                             rhs)
-    assert d == pytest.approx(reference, rel=1e-10)
+    assert calls == [(9, False)]
+    for i, (block, order) in enumerate(zip(P.blocks, (1, 7))):
+        share = tuple(part if j == i else np.zeros_like(part)
+                      for j, part in enumerate(rhs))
+        with pytest.warns(UserWarning, match="near-singular"):
+            d = spc._pseudo_solve_quadratic(eig, share, "near-singular")
+        exact = exact_quadratic(block, rhs[i])
+        assert abs(Fraction(d) - exact) <= \
+            order * EPS * np.linalg.cond(block) * abs(exact)

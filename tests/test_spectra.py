@@ -9,7 +9,7 @@ from hkindex import operators as op
 from hkindex import spectra as spc
 from hkindex import spectral as sp
 from hkindex import waves as wv
-from hkindex.errors import FredholmViolationError
+from hkindex.errors import FredholmViolationError, TheoryConsistencyError
 
 from conftest import (diagonal_on_grid, eigensystem, quiet, sym_eig_calls,
                       wave)
@@ -25,26 +25,28 @@ class TestSymmetricSpectrum:
         # the factors certified both blocks: no eigendecomposition, no odd
         # eigenvalue below the shift, and the odd Cholesky factor is I
         assert calls == []
-        assert rep.even_pairs is None and rep.factor is not None
+        assert rep.even_values is None and rep.factor is not None
         assert rep.odd_low[0].size == 0
         assert np.array_equal(np.tril(rep.odd_factor[0]), np.eye(3))
 
     def test_small_diagonal(self):
         # the even block holds -1 and 0: its shifted counts differ, so its
-        # eigenvalues decide, with the exact zero tolerance.  Its eigenpairs
-        # are computed once, and the constrained solve reads them
+        # eigenvalues, computed once without vectors, decide with the
+        # exact zero tolerance.  A ground state's kernel is odd, so a
+        # constrained solve on an even eigenvalue within zero_tol is a
+        # theory failure
         P = diagonal_on_grid([-1.0, 0.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0])
         with sym_eig_calls() as calls:
             rep = spc.symmetric_spectrum(P)
-            # the second cosine, of eigenvalue 1
-            rhs = (np.array([0.0, 0.0, 1.0, 0.0, 0.0]), np.zeros(3))
-            assert spc._pseudo_solve_quadratic(rep, rhs, "diag") == 1.0
-        assert calls == [(5, True)]
+        assert calls == [(5, False)]
         assert rep.negative_count == spc.negative_count(P) == 1
         assert block_inertia(P)[:2] == (1, 1)
         assert rep.zero_tol == pytest.approx(2e-8)
-        assert rep.even_pairs[0][:2].tolist() == [-1.0, 0.0]
-        assert rep.factor is None
+        assert rep.even_values[:2].tolist() == [-1.0, 0.0]
+        # the second cosine, of eigenvalue 1
+        rhs = (np.array([0.0, 0.0, 1.0, 0.0, 0.0]), np.zeros(3))
+        with pytest.raises(TheoryConsistencyError, match="even block"):
+            spc._pseudo_solve_quadratic(rep, rhs, "diag")
 
     def test_kdv_kernel_vector_aligned_with_derivative(self, pipeline22):
         rep = spc.symmetric_spectrum(pipeline22.matrix)
@@ -70,7 +72,7 @@ class TestSymmetricSpectrum:
         n_neg, kernel, tol, _ = block_inertia(P)
         with sym_eig_calls() as calls:
             rep = spc.symmetric_spectrum(P)
-        assert calls == [] and rep.even_pairs is None
+        assert calls == [] and rep.even_values is None
         assert rep.negative_count == spc.negative_count(P) == n_neg
         assert tol <= rep.zero_tol <= 1.01 * tol
         assert np.count_nonzero(np.abs(rep.odd_low[0]) <= rep.zero_tol) \

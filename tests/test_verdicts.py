@@ -236,9 +236,9 @@ class TestSelfCheck:
         # block of each sandwich, where |d|^(1/2) puts more than
         # _INVERSE_COLUMNS eigenvalues below the shift, with vectors; and
         # the even block of each sandwich, whose eigenvalue within 1e3
-        # zero_tol (0 at eps = 0) makes its eigenvalues decide, once with
-        # vectors, which the constrained solve reads.  L's blocks are
-        # factored only, and no block is eigendecomposed twice
+        # zero_tol (0 at eps = 0) makes its eigenvalues decide, once
+        # without vectors: its factor solves.  L's blocks are factored
+        # only, and no block is eigendecomposed twice
         eighs = []
 
         def eigh(a, *args, _fn=scipy.linalg.eigh, **kw):
@@ -253,4 +253,4 @@ class TestSelfCheck:
         n = vd.default_grid(2.0)[0]
         assert sorted(eighs) == sorted(
             [(n // 2 - 2, True), (n // 2 - 2, False)] + [(n // 2 - 1, True)] * 4
-            + [(n // 2 + 1, True)] * 4)
+            + [(n // 2 + 1, False)] * 4)
