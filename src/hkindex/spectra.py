@@ -24,22 +24,22 @@ with 2x2 rotation blocks 2*pi*xi_k [[0, -1], [1, 0]] on each (cos, sin)
 pair, so it maps the cosines to the sines.  A Hamiltonian spectrum has one
 route: the odd block is positive semidefinite, as it is for every ground
 state, so lambda^2 = -nu for the eigenvalues nu of one symmetric matrix
-of order n/2-1 minus the odd kernel, formed from the odd block's
+of order n/2-1 minus the odd kernel, T, formed from the odd block's
 Cholesky factor, with one Householder reflector per deflated kernel
-direction, by two triangular products.  A counting verdict therefore
-makes one eigensolve, of that matrix, and none of a parity block.  An
-indefinite odd block raises TheoryConsistencyError.  The error of nu
-measured at most 1.45 noise units eps max|nu| on operators, 4.7 on
-random blocks; a nu within NOISE_BAND = 10 units of a threshold that
-decides its class raises UnresolvedEigenvalueError.  J S is the same
-solve with unit weights on the pairs: it is similar to D A, so it has
-the same nu and noise unit.
+direction, by two triangular products.  An indefinite odd block raises
+TheoryConsistencyError.  The error of nu measured at most 1.45 noise
+units eps max|nu| on operators, 4.7 on random blocks; a nu within
+NOISE_BAND = 10 units of a threshold that decides its class raises
+UnresolvedEigenvalueError.  J S is the same solve with unit weights on
+the pairs: it is similar to D A, so it has the same nu and noise unit.
 Every lambda is real, imaginary or zero, and the pair +-lambda shares one
 eigenvector column, held as the real pair (x, u) of (x, lambda u): each
 column is classified once, from its nu, and one evaluator gives every
-Krein form in real arithmetic.  A count reads nu alone: the solve without
-vectors takes the eigenvalues of T only, and has the same noise band,
-layout and zero bucket.
+Krein form in real arithmetic.  A counting verdict reads only k_r, the
+number of nu < -zero_floor^2, and takes it as an inertia count of T, by
+two LDL^T factors at the ends of a noise band; it makes no eigensolve,
+unless a nu lies in that band.  The solve without vectors takes the
+eigenvalues of T only, with the same noise band, layout and zero bucket.
 """
 
 from __future__ import annotations
@@ -245,7 +245,8 @@ class SymmetricSpectrum:
     made at both ends of its bracket, so zero_tol decides as the exact
     value does."""
     even_values: np.ndarray | None   # even eigenvalues, where they decided
-    factor: tuple | None             # (LDL^T, ipiv) of the even block
+    factor: tuple | None             # (LDL^T, ipiv) of the even block;
+                                     # None: singular, or freed
     odd_low: tuple                   # (w, x): odd eigenpairs below 1e3 z_high
     odd_factor: tuple | None         # (C, kernel, qr, tau); None: indefinite
     zero_tol: float
@@ -259,9 +260,11 @@ def symmetric_spectrum(P: ParityBlocks) -> SymmetricSpectrum:
     and z_high, the upper end of zero_tol, sets the shift 1e3 z_high.
     Equal counts of the even block -+ the shift put no even eigenvalue
     within 1e3 zero_tol, so the factor of the block itself gives its
-    count; that factor is kept for the solves in every case, and one work
-    array holds each shifted factor and then the kept one.  The factor of
-    the odd block - the shift counts its eigenvalues below the shift, and
+    count; that factor is kept for the solves, and one work array holds
+    each shifted factor and then the kept one.  An even eigenvalue within
+    zero_tol makes the block singular, and no solve reads its factor
+    (_pseudo_solve_quadratic refuses first): it is not taken.  The factor
+    of the odd block - the shift counts its eigenvalues below the shift, and
     inverse iteration with it gives them as certified Ritz pairs: the
     kernel, kept near-singular ones and negative ones.  Where the shifted
     counts differ, or the Ritz pairs are not certified, the even
@@ -294,12 +297,14 @@ def symmetric_spectrum(P: ParityBlocks) -> SymmetricSpectrum:
         spans[1] = [ZERO_TOL_REL * float(np.max(np.abs(values)))] * 2
         sides = _decide([(low[0], 0.0), (even_values, 0.0)], spans)
     count = sum(int(np.count_nonzero(side <= 1)) for side in sides)
-    factor = _ldl(even, 0.0, out)
+    zero_tol = max(high for _, high in spans)
+    factor = None if even_values is not None and np.any(
+        np.abs(even_values) <= zero_tol) else _ldl(even, 0.0, out)
     count += _negatives(*factor) if even_values is None else 0
     odd_factor = None if np.any(sides[0] <= 1) else _deflated_cholesky(
         odd, low[1][:, sides[0] == 2], work)
     return SymmetricSpectrum(even_values, factor, low[:2], odd_factor,
-                             max(high for _, high in spans), count)
+                             zero_tol, count)
 
 
 def _anchor_to_edge(grid, values: np.ndarray) -> np.ndarray:
@@ -515,6 +520,46 @@ def _odd_factor(eig: SymmetricSpectrum, label: str) -> tuple:
     return eig.odd_factor
 
 
+def _restricted_t(P: ParityBlocks, eig: SymmetricSpectrum,
+                  weights: np.ndarray) -> tuple:
+    """(T, fac): T = R^T A_cos R, R = W C H E, by two triangular products
+    and the reflectors H of the odd block's deflated Cholesky factor fac =
+    (C, kernel, qr, tau) (_odd_factor); E drops the deflated columns."""
+    fac = _odd_factor(eig, P.label)
+    c, kernel = fac[:2]
+    k = kernel.shape[1]
+    t_mat = np.array(P.blocks[0][1:-1, 1:-1], order="F")
+    t_mat *= weights[:, None]
+    t_mat *= weights
+    blas = scipy.linalg.blas
+    t_mat = blas.dtrmm(1.0, c, t_mat, side=1, lower=1, overwrite_b=1)
+    t_mat = blas.dtrmm(1.0, c, t_mat, lower=1, trans_a=1, overwrite_b=1)
+    return _reflect(fac, _reflect(fac, t_mat, "L", "T"), "R", "N")[k:, k:], fac
+
+
+def real_pair_count(P: ParityBlocks, eig: SymmetricSpectrum,
+                    zero_floor: float) -> int:
+    """k_r = #{nu < -zero_floor^2} of the restricted D A, without its
+    spectrum: by Sylvester's law the negative count of the LDL^T factor of
+    T + zero_floor^2 I (_restricted_t), taken in one work array at both
+    ends of the band NOISE_BAND eps ||T||_1 around the shift.  As ||T||_1
+    >= max|nu|, the band holds hamiltonian_eigensystem's refusal band
+    around -zero_floor^2; where the ends differ, a nu lies in it, and that
+    solve without vectors decides or refuses.  A nu near +zero_floor^2 is
+    not refused: it decides zero against imaginary, and neither counts."""
+    t_mat = _restricted_t(P, eig, _factor(P)[2])[0]
+    band = NOISE_BAND * float(np.finfo(float).eps) * float(
+        np.linalg.norm(t_mat, 1))
+    out = np.empty_like(t_mat, order="F")
+    counts = {_negatives(*_ldl(t_mat, zero_floor ** 2 + z, out))
+              for z in (-band, band)}
+    if len(counts) == 1:
+        return counts.pop()
+    del t_mat, out
+    ham = hamiltonian_eigensystem(P, eig, zero_floor, vectors=False)
+    return int(np.count_nonzero(ham.split()[0]))
+
+
 def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
                             zero_floor: float,
                             weights: np.ndarray | None = None,
@@ -548,16 +593,9 @@ def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
     indefinite odd block raises TheoryConsistencyError."""
     a_cos, a_sin, d_weights = _factor(P)
     weights = d_weights if weights is None else weights
-    fac = _odd_factor(eig, P.label)
+    t_mat, fac = _restricted_t(P, eig, weights)
     c, kernel = fac[:2]
     k = kernel.shape[1]
-    t_mat = np.array(a_cos, order="F")
-    t_mat *= weights[:, None]
-    t_mat *= weights
-    blas = scipy.linalg.blas
-    t_mat = blas.dtrmm(1.0, c, t_mat, side=1, lower=1, overwrite_b=1)
-    t_mat = blas.dtrmm(1.0, c, t_mat, lower=1, trans_a=1, overwrite_b=1)
-    t_mat = _reflect(fac, _reflect(fac, t_mat, "L", "T"), "R", "N")[k:, k:]
     # divide and conquer: faster than the default here, for an n^2 workspace
     found = scipy.linalg.eigh(t_mat, eigvals_only=not vectors,
                               overwrite_a=True, check_finite=False,
@@ -583,6 +621,7 @@ def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
         u[k:, :t] = z
         del z
         u = _reflect(fac, u, "L", "N")
+        blas = scipy.linalg.blas
         x = blas.dtrmm(1.0, c, u, lower=1)
         x *= weights[:, None]
         u = blas.dtrsm(-1.0, c, u, lower=1, trans_a=1, overwrite_b=1)

@@ -12,10 +12,13 @@ mismatch is a hard error (the identity is a theorem, so disagreement
 means the numerics are broken, not the wave).  k_c, the count of complex
 eigenvalues, is 0: the spectrum comes from lambda^2 = -nu with nu real.
 Every imaginary eigenvalue has the Krein form 2 nu > 0, so k_i^- is 0 and
-k_r, the real columns, is read from the eigenvalues alone.  A run that
-keeps its pipeline (spectrum, self-check) also computes the eigenvectors
-and the Krein classes, and a class count that differs from k_r, or a
-negative signature, is a theory-consistency failure.
+k_r is the number of nu < -zero_floor^2.  A counting verdict (index,
+sweep) takes that number by inertia, from LDL^T factors
+(spectra.real_pair_count), and the eigenvalues only where a nu lies near
+-zero_floor^2.  A run that keeps its pipeline (spectrum, self-check)
+computes the eigenvalues, the eigenvectors and the Krein classes, and a
+class count that differs from k_r, or a negative signature, is a
+theory-consistency failure.
 
 Wave families with |slope| inside the degeneracy band (the p = 2s
 borderline, where the generalized kernel grows) are reported DEGENERATE
@@ -193,20 +196,23 @@ def verdict(model: str, s: float, p: float, c: float,
             f"n(sym)={eig.negative_count}")
     d = spc.constrained_quantity(A, psi0, eig)
     slope = -2.0 * d
-    # the even block has made its one solve: free its factor before the
-    # Hamiltonian solve, where the memory peaks
+    # the even block has made its one solve: free its factor before T is
+    # formed, where the memory peaks
     eig = replace(eig, factor=None)
 
     slope_ref, slope_notes = _reference_slope(row, Q, c, opts)
     band = DEGENERACY_BAND_REL * wv.squared_norm(U) / c
 
-    floor = spc.gkernel_floor(grid, L.multiplier_symbol * weight ** 2)
-    ham = spc.hamiltonian_eigensystem(
-        A, eig, zero_floor=spc.GKERNEL_FRACTION * floor, vectors=keep_pipeline)
+    floor = spc.GKERNEL_FRACTION * spc.gkernel_floor(
+        grid, L.multiplier_symbol * weight ** 2)
     # x = R z with |z| = 1 gives x^T A_cos x = nu and u^T A_sin u = 1, so
     # the Krein form of lambda = i sqrt(nu) is nu + |lambda|^2 = 2 nu > 0:
     # k_i^- = 0, and the direct count is the number of real columns
-    k_r = int(np.count_nonzero(ham.split()[0]))
+    if keep_pipeline:
+        ham = spc.hamiltonian_eigensystem(A, eig, zero_floor=floor)
+        k_r = int(np.count_nonzero(ham.split()[0]))
+    else:
+        k_r = spc.real_pair_count(A, eig, floor)
     K_formula, decision, notes = _resolve_verdict(
         n_L, slope, slope_ref, band, k_r, L.label,
         check_reference_sign=row.weighted)

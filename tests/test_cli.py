@@ -12,6 +12,7 @@ import scipy.linalg
 from hkindex import cli
 from hkindex import spectra as spc
 from hkindex import verdicts as vd
+from hkindex.errors import UnresolvedEigenvalueError
 from hkindex.io_utils import write_csv
 
 from conftest import count_calls
@@ -314,11 +315,12 @@ EVEN_ORDER = 512 // 2 + 1     # order of the even block
 
 
 class TestCountingPath:
-    """index and sweep take their counts from the eigenvalues of T; only
-    spectrum computes eigenvectors and Krein forms.  No parity block has
-    an eigh: every even block, and both blocks of fBBM's L0, are counted
-    by LDL^T factors, and the odd block by an LDL^T factor whose inverse
-    iteration certifies its low eigenpairs, then factored by Cholesky."""
+    """index and sweep take k_r from two LDL^T factors of T, and make no
+    eigensolve; only spectrum computes eigenvalues, eigenvectors and Krein
+    forms.  No parity block has an eigh: every even block, and both blocks
+    of fBBM's L0, are counted by LDL^T factors, and the odd block by an
+    LDL^T factor whose inverse iteration certifies its low eigenpairs,
+    then factored by Cholesky."""
 
     @staticmethod
     def spy(monkeypatch) -> tuple:
@@ -334,30 +336,31 @@ class TestCountingPath:
         return calls, eighs
 
     def test_index_reads_counts_only(self, tmp_path, capsys, monkeypatch):
-        # one eigh, without vectors, on T; none on a parity block
+        # no eigh: T is counted by its factors, and no parity block is
+        # eigendecomposed
         calls, eighs = self.spy(monkeypatch)
         assert run(["index", *SMALL_GKDV, "--p", "5",
                     "--out", str(tmp_path)]) == 0
         assert "K_Ham=1 verdict=UNSTABLE" in capsys.readouterr().out
-        assert calls == {"hamiltonian_eigensystem": 1, "classify_krein": 0}
-        assert eighs == [(T_ORDER, False)]
+        assert calls == {"hamiltonian_eigensystem": 0, "classify_krein": 0}
+        assert eighs == []
 
     def test_bbm_index_solves_the_odd_block_of_s_only(self, tmp_path, capsys,
                                                      monkeypatch):
         # n(L0) is read from factors, the odd block of S is factored
-        # (inverse iteration, then Cholesky), and T is solved once
+        # (inverse iteration, then Cholesky), and T is counted by factors
         calls, eighs = self.spy(monkeypatch)
         assert run(["index", *SMALL_FBBM, "--out", str(tmp_path)]) == 0
         assert "verdict=STABLE" in capsys.readouterr().out
-        assert calls == {"hamiltonian_eigensystem": 1, "classify_krein": 0}
-        assert eighs == [(T_ORDER, False)]
+        assert calls == {"hamiltonian_eigensystem": 0, "classify_krein": 0}
+        assert eighs == []
 
     def test_sweep_reads_counts_only(self, tmp_path, capsys, monkeypatch):
         calls, eighs = self.spy(monkeypatch)
         assert run(["sweep", *SMALL_GKDV, "--axis", "p", "--from", "2",
                     "--to", "5", "--steps", "2", "--out", str(tmp_path)]) == 0
-        assert calls == {"hamiltonian_eigensystem": 2, "classify_krein": 0}
-        assert eighs == [(T_ORDER, False)] * 2
+        assert calls == {"hamiltonian_eigensystem": 0, "classify_krein": 0}
+        assert eighs == []
 
     def test_spectrum_makes_one_solve_with_vectors(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -386,6 +389,62 @@ class TestCountingPath:
                     "--out", str(patched)]) == 0
         assert (patched / "index.json").read_bytes() == \
             (plain / "index.json").read_bytes()
+
+
+@pytest.mark.slow
+class TestCountsOnTheFineGrid:
+    """s = 2 on (4096, 60), where the noise unit eps max|nu| is large
+    against zero_floor^2.  A counting verdict refuses only a nu near
+    -zero_floor^2, the threshold of k_r: p = 2 and 5 have none and answer
+    with the default grid's counts, by the factors of T alone; p = 4.1 has
+    one and is refused by the eigenvalues of T.  spectrum classifies every
+    nu, and refuses p = 2 for its nu near +zero_floor^2."""
+    FINE = ["--model", "fkdv", "--s", "2", "--c", "1", "--n", "4096",
+            "--half-length", "60"]
+
+    @pytest.mark.parametrize("p, k_r, verdict", [
+        ("2", 0, "STABLE"), ("5", 1, "UNSTABLE")])
+    def test_counting_verdict_answers(self, tmp_path, capsys, monkeypatch,
+                                      p, k_r, verdict):
+        calls = {"hamiltonian_eigensystem": 0}
+        count_calls(monkeypatch, spc.hamiltonian_eigensystem, calls)
+        assert run(["index", *self.FINE, "--p", p,
+                    "--out", str(tmp_path)]) == 0
+        assert f"verdict={verdict}" in capsys.readouterr().out
+        assert calls == {"hamiltonian_eigensystem": 0}
+        result = json.loads((tmp_path / "index.json").read_text())
+        assert (result["n_L"], result["k_r"], result["K_formula"]) == \
+            (1, k_r, k_r)
+
+    def test_nu_near_the_real_threshold_is_refused(self, tmp_path, capsys,
+                                                   monkeypatch):
+        refusals, solve = [], spc.hamiltonian_eigensystem
+
+        def spy(*args, **kw):
+            try:
+                return solve(*args, **kw)
+            except UnresolvedEigenvalueError as exc:
+                refusals.append(str(exc))
+                raise
+        monkeypatch.setattr(spc, "hamiltonian_eigensystem", spy)
+        assert run(["index", *self.FINE, "--p", "4.1",
+                    "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {refusals[0]}\n"
+        assert len(refusals) == 1
+        # lambda^2 > 0: a real pair near the threshold of k_r
+        assert re.fullmatch(
+            r"'kdv-lin\(s=2,p=4\.1,c=1\)': lambda\^2 = 2\.\d{6}e-03 lies "
+            r"\d\.\d\d noise units \(eps max\|nu\| = 3\.37e-04\) from "
+            r"\+-zero_floor\^2 = 1\.550593e-03; its class cannot be read on "
+            r"this grid", refusals[0])
+        assert not (tmp_path / "index.json").exists()
+
+    def test_spectrum_refuses_the_imaginary_threshold(self, tmp_path, capsys):
+        assert run(["spectrum", *self.FINE, "--p", "2",
+                    "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"lambda\^2 = -2\.\d{6}e-03 lies \d\.\d\d noise "
+                         r"units", err)
 
 
 class TestSpectrumCommand:

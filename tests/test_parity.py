@@ -29,8 +29,8 @@ from hkindex.errors import (FredholmViolationError, TheoryConsistencyError,
                             UnresolvedEigenvalueError)
 from hkindex.spectral import TWO_PI
 
-from conftest import (diagonal_on_grid, eigensystem, quiet, sech_profile,
-                      sym_eig_calls)
+from conftest import (count_calls, diagonal_on_grid, eigensystem, quiet,
+                      sech_profile, sym_eig_calls)
 from dense_reference import (block_inertia, dense_congruence,
                              dense_hamiltonian_eigenvalues, dense_inertia,
                              dense_matrix,
@@ -313,12 +313,12 @@ class TestEvenBlockSolve:
             self, monkeypatch):
         # the even block's factor serves the constrained solve only
         seen = []
-        solve = spc.hamiltonian_eigensystem
+        count = spc.real_pair_count
 
         def spy(P, eig, *args, **kw):
             seen.append(eig.factor)
-            return solve(P, eig, *args, **kw)
-        monkeypatch.setattr(spc, "hamiltonian_eigensystem", spy)
+            return count(P, eig, *args, **kw)
+        monkeypatch.setattr(spc, "real_pair_count", spy)
         with quiet():
             vd.verdict(wv.FKDV, 2.0, 2.0, 1.0, SMALL)
         assert seen == [None]
@@ -336,18 +336,24 @@ DEFAULT_GRID_CASES = [
 def test_no_case_reaches_the_fallback(model, s, p, c):
     # the bracket decides every count and class of a counting verdict:
     # no parity block takes an eigensolve, and the odd block's kernel (or,
-    # at s = 0.6, its one near-singular eigenvalue) is a certified Ritz pair
-    low, spectrum = [], spc.symmetric_spectrum
+    # at s = 0.6, its one near-singular eigenvalue) is a certified Ritz pair.
+    # The two factors of T agree on k_r, so nothing takes an eigh
+    low, spectrum, eighs = [], spc.symmetric_spectrum, []
 
     def spied(P):
         eig = spectrum(P)
         low.append(eig.odd_low[0])
         return eig
+
+    def eigh(a, *args, _eigh=scipy.linalg.eigh, **kw):
+        eighs.append(a.shape)
+        return _eigh(a, *args, **kw)
     with pytest.MonkeyPatch.context() as mp, quiet(), \
             sym_eig_calls() as calls:
         mp.setattr(spc, "symmetric_spectrum", spied)
+        mp.setattr(scipy.linalg, "eigh", eigh)
         vd.verdict(model, s, p, c)
-    assert calls == []
+    assert calls == eighs == []
     assert [w.size for w in low] == [1]
 
 
@@ -678,6 +684,85 @@ class TestFallbackSelection:
                                 vectors)
         ham = eigensystem(prescribed_nu([-0.5, 1e-2 + 11.0 * EPS, 1.0]), 0.1)
         assert spc.classify_krein(ham).classes.count(spc.CLASS_IMAG_POS) == 4
+
+
+def counted_or_refused(count) -> int | str:
+    """The count, or the message of its UnresolvedEigenvalueError."""
+    try:
+        return count()
+    except UnresolvedEigenvalueError as exc:
+        return str(exc)
+
+
+def eigenvalue_count(P: op.ParityBlocks, eig, zero_floor: float) -> int:
+    """k_r from the eigenvalues of T: the real columns of the solve
+    without vectors."""
+    ham = spc.hamiltonian_eigensystem(P, eig, zero_floor, vectors=False)
+    return int(np.count_nonzero(ham.split()[0]))
+
+
+def test_real_pair_count_on_the_index_cases(spied_pipeline):
+    _, data, _ = spied_pipeline
+    eig = spc.symmetric_spectrum(data.matrix)
+    floor = data.eigensystem.zero_floor
+    assert spc.real_pair_count(data.matrix, eig, floor) \
+        == eigenvalue_count(data.matrix, eig, floor) == data.result.k_r
+
+
+# nu of order one, and nu within 40 noise units eps of either threshold
+# +-zero_floor^2 = +-1e-2; the appended 1 sets max|nu| = ||T||_1
+NEAR_THRESHOLDS = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.tuples(st.sampled_from([-1e-2, 1e-2]), st.integers(-40, 40)).map(
+        lambda t: t[0] + t[1] * EPS))
+
+
+class TestRealPairCount:
+    """k_r from two LDL^T factors of T, against the eigenvalues of T: the
+    same count where no nu lies in the band around -zero_floor^2, and
+    otherwise the eigenvalues' answer or refusal."""
+
+    @given(st.lists(NEAR_THRESHOLDS, min_size=2, max_size=12))
+    def test_equals_the_eigenvalue_count(self, nu):
+        P = prescribed_nu(nu + [1.0])
+        eig = spc.symmetric_spectrum(P)
+        got = counted_or_refused(lambda: spc.real_pair_count(P, eig, 0.1))
+        want = counted_or_refused(lambda: eigenvalue_count(P, eig, 0.1))
+        # max|nu| = 1, so the band of -zero_floor^2 is NOISE_BAND eps wide
+        near_real = any(abs(v + 0.1 ** 2) < (spc.NOISE_BAND - 0.5) * EPS
+                        for v in nu)
+        if near_real or isinstance(got, str):
+            assert isinstance(want, str) and got == want
+        else:
+            # where the eigenvalues refuse, a nu lies near +zero_floor^2
+            assert got == sum(v < -0.1 ** 2 for v in nu)
+            assert isinstance(want, str) or want == got
+
+    def test_nu_near_the_real_threshold_is_refused(self, monkeypatch):
+        # both factors at once cannot tell the side of -zero_floor^2: the
+        # eigenvalues decide, and refuse as the solve without vectors does
+        P = prescribed_nu([-0.5, -1e-2 + 5.0 * EPS, 0.25, 1.0])
+        eig = spc.symmetric_spectrum(P)
+        with pytest.raises(UnresolvedEigenvalueError) as plain:
+            eigenvalue_count(P, eig, 0.1)
+        calls = {"hamiltonian_eigensystem": 0}
+        count_calls(monkeypatch, spc.hamiltonian_eigensystem, calls)
+        with pytest.raises(UnresolvedEigenvalueError) as refused:
+            spc.real_pair_count(P, eig, 0.1)
+        assert calls == {"hamiltonian_eigensystem": 1}
+        assert str(refused.value) == str(plain.value)
+
+    def test_nu_near_the_imaginary_threshold_is_counted(self, monkeypatch):
+        # +zero_floor^2 separates zero from imaginary, and neither is
+        # counted: the count answers where the eigenvalues refuse
+        P = prescribed_nu([-0.5, 1e-2 - 3.0 * EPS, 0.25, 1.0])
+        eig = spc.symmetric_spectrum(P)
+        with pytest.raises(UnresolvedEigenvalueError, match="noise units"):
+            eigenvalue_count(P, eig, 0.1)
+        calls = {"hamiltonian_eigensystem": 0}
+        count_calls(monkeypatch, spc.hamiltonian_eigensystem, calls)
+        assert spc.real_pair_count(P, eig, 0.1) == 1
+        assert calls == {"hamiltonian_eigensystem": 0}
 
 
 # s = 2 grids finer than the default spacing, on which the squaring noise

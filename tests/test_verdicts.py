@@ -237,18 +237,30 @@ class TestSelfCheck:
         # _INVERSE_COLUMNS eigenvalues below the shift, with vectors; and
         # the even block of each sandwich, whose eigenvalue within 1e3
         # zero_tol (0 at eps = 0) makes its eigenvalues decide, once
-        # without vectors: its factor solves.  L's blocks are factored
-        # only, and no block is eigendecomposed twice
+        # without vectors: at eps > 0 its factor solves.  L's blocks are
+        # factored only, and no block is eigendecomposed twice
         eighs = []
 
         def eigh(a, *args, _fn=scipy.linalg.eigh, **kw):
             eighs.append((a.shape[0], not kw.get("eigvals_only", False)))
             return _fn(a, *args, **kw)
         monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+        # the eps = 0 sandwich's even block is singular (its zero mode) and
+        # makes no solve: it keeps no factor
+        factored = []
+        spectrum = vd.spc.symmetric_spectrum
+
+        def spied(P):
+            eig = spectrum(P)
+            factored.append((P.label, eig.factor is not None))
+            return eig
+        monkeypatch.setattr(vd.spc, "symmetric_spectrum", spied)
         report = vd.self_check("gkdv-p2")
         assert report.passed, [e for e in report.entries if not e.passed]
         assert calls == {"assemble": 1, "hamiltonian_eigensystem": 2,
                          "sandwich": 4, "symmetric_spectrum": 5}
+        assert [has for _, has in factored] == [True, False, True, True, True]
+        assert factored[1][0].startswith("sandwich(eps=0)")
         assert orders == []
         n = vd.default_grid(2.0)[0]
         assert sorted(eighs) == sorted(
