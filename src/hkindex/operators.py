@@ -105,17 +105,29 @@ def _max_abs(a: np.ndarray) -> float:
     return max(float(a.max()), -float(a.min()))
 
 
-def _cross_block(coupling: tuple) -> np.ndarray:
-    """The block coupling the even modes a (rows) to the odd modes b,
-    r_even[a] (S_{a+b} - S_{a-b}) r_odd[b] / 2: S_{a+b} is a Hankel matrix
-    in S, S_{a-b} a Toeplitz one."""
+# rows per chunk of the block coupling the parities, never formed whole
+_CROSS_ROWS = 64
+
+
+def _cross_max(coupling: tuple) -> float:
+    """max|cross| of the block coupling the even modes a (rows) to the odd
+    modes b, r_even[a] (S_{a+b} - S_{a-b}) r_odd[b] / 2, _CROSS_ROWS rows
+    at a time: row a of S_{a+b} is S_{a+1} .. S_{a+m-1}, a window of S, and
+    row a of S_{a-b} one of S_q, q = m-1 .. -(m-1), with S_{-q} = -S_q."""
     s, r_even, r_odd = coupling
     m = r_even.size - 1
-    cross = hankel(s[1:m + 2], s[m + 1:2 * m]) \
-        - toeplitz(np.r_[-s[1], s[:m]], -s[1:m])
-    cross *= 0.5 * r_even[:, None]
-    cross *= r_odd
-    return cross
+    window = np.lib.stride_tricks.sliding_window_view
+    plus = window(s[1:2 * m], m - 1)
+    minus = window(np.r_[s[m - 1::-1], -s[1:m]], m - 1)[::-1]
+    half = 0.5 * r_even
+    ends = []
+    for a in range(0, m + 1, _CROSS_ROWS):
+        rows = slice(a, a + _CROSS_ROWS)
+        cross = plus[rows] - minus[rows]
+        cross *= half[rows, None]
+        cross *= r_odd
+        ends += [cross.max(), cross.min()]
+    return _max_abs(np.array(ends))
 
 
 def _check_coupling(P: ParityBlocks) -> None:
@@ -124,7 +136,7 @@ def _check_coupling(P: ParityBlocks) -> None:
     asymmetry already accepted."""
     if P.coupling is None:
         return
-    cross = _max_abs(_cross_block(P.coupling))
+    cross = _cross_max(P.coupling)
     scale = max(cross, *(_max_abs(b) for b in P.blocks))
     if cross > SYMMETRY_TOL * scale:
         raise ValueError(
@@ -232,13 +244,16 @@ def congruence(A: ParityBlocks, symbol: np.ndarray, name: str) -> ParityBlocks:
     """R A R for the even multiplier R with the given fftfreq-layout symbol."""
     m = A.grid.n // 2
     r_even, r_odd = symbol[:m + 1], symbol[1:m]
-    blocks = tuple(block * np.outer(r, r)
-                   for block, r in zip(A.blocks, (r_even, r_odd)))
+    blocks = []
+    for block, r in zip(A.blocks, (r_even, r_odd)):
+        # a_ij (r_i r_j), formed in the outer product: no third matrix
+        blocks.append(np.outer(r, r))
+        blocks[-1] *= block
     coupling = None
     if A.coupling is not None:
         s, c_even, c_odd = A.coupling
         coupling = (s, c_even * r_even, c_odd * r_odd)
-    out = ParityBlocks(blocks, A.grid, f"{name}[{A.label}]", coupling)
+    out = ParityBlocks(tuple(blocks), A.grid, f"{name}[{A.label}]", coupling)
     _check_coupling(out)
     return out
 

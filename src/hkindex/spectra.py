@@ -143,9 +143,11 @@ def negative_count(P: ParityBlocks) -> int:
     of zero_tol (_bracket).  Where the ends give different counts, an
     eigenvalue lies between them and the eigenvalues decide."""
     low, high = _bracket(P.blocks)
+    # one work array, a Fortran-ordered view of its head for each block
+    work = np.empty(max(block.size for block in P.blocks))
     counts = []
     for block in P.blocks:
-        out = np.empty_like(block, order="F")
+        out = work[:block.size].reshape(block.shape, order="F")
         counts.append([_negatives(*_ldl(block, z, out)) for z in (low, high)])
     if all(at_low == at_high for at_low, at_high in counts):
         return sum(at_low for at_low, _ in counts)
@@ -497,10 +499,9 @@ class HamiltonianEigensystem:
         return x, lam * u, self.a_cos @ x, lam * (self.a_sin @ u)
 
 
-def _factor(P: ParityBlocks) -> tuple:
-    """(A_cos, A_sin, W): the restricted blocks and the weights of D."""
-    return (P.blocks[0][1:-1, 1:-1], P.blocks[1],
-            TWO_PI * pair_frequencies(P.grid))
+def _d_weights(grid: SpectralGrid) -> np.ndarray:
+    """W of D on the (cos, sin) pairs, 2*pi*xi_k."""
+    return TWO_PI * pair_frequencies(grid)
 
 
 def _sorted(eigs: np.ndarray) -> np.ndarray:
@@ -520,34 +521,62 @@ def _odd_factor(eig: SymmetricSpectrum, label: str) -> tuple:
     return eig.odd_factor
 
 
-def _restricted_t(P: ParityBlocks, eig: SymmetricSpectrum,
-                  weights: np.ndarray) -> tuple:
-    """(T, fac): T = R^T A_cos R, R = W C H E, by two triangular products
-    and the reflectors H of the odd block's deflated Cholesky factor fac =
-    (C, kernel, qr, tau) (_odd_factor); E drops the deflated columns."""
-    fac = _odd_factor(eig, P.label)
+def _restricted_t(even: np.ndarray, fac: tuple,
+                  weights: np.ndarray) -> np.ndarray:
+    """T = R^T A_cos R, R = W C H E, A_cos the even block without its
+    constant and Nyquist rows and columns, by two triangular products and
+    the reflectors H of the odd block's deflated Cholesky factor fac = (C,
+    kernel, qr, tau) (_odd_factor); E drops the deflated columns."""
     c, kernel = fac[:2]
     k = kernel.shape[1]
-    t_mat = np.array(P.blocks[0][1:-1, 1:-1], order="F")
+    t_mat = np.array(even[1:-1, 1:-1], order="F")
     t_mat *= weights[:, None]
     t_mat *= weights
     blas = scipy.linalg.blas
     t_mat = blas.dtrmm(1.0, c, t_mat, side=1, lower=1, overwrite_b=1)
     t_mat = blas.dtrmm(1.0, c, t_mat, lower=1, trans_a=1, overwrite_b=1)
-    return _reflect(fac, _reflect(fac, t_mat, "L", "T"), "R", "N")[k:, k:], fac
+    return _reflect(fac, _reflect(fac, t_mat, "L", "T"), "R", "N")[k:, k:]
 
 
-def real_pair_count(P: ParityBlocks, eig: SymmetricSpectrum,
-                    zero_floor: float) -> int:
+def _t_spectrum(t_mat: np.ndarray, zero_floor: float, label: str,
+                vectors: bool) -> tuple:
+    """(nu, z, max|nu|): the eigenvalues of T, overwritten, and its
+    eigenvectors if vectors (else None); UnresolvedEigenvalueError for a
+    nu within NOISE_BAND noise units eps max|nu| of +-zero_floor^2."""
+    # divide and conquer: faster than the default here, for an n^2 workspace
+    found = scipy.linalg.eigh(t_mat, eigvals_only=not vectors,
+                              overwrite_a=True, check_finite=False,
+                              driver="evd")
+    nu, z = found if vectors else (found, None)
+    top = float(np.max(np.abs(nu), initial=0.0))
+    noise = float(np.finfo(float).eps) * top
+    # the distance to the nearer of +-zero_floor^2; where the zero bucket is
+    # narrower than the band, the band also covers the threshold 0
+    gap = np.abs(np.abs(nu) - zero_floor ** 2)
+    if np.any(gap <= NOISE_BAND * noise):
+        i = int(np.argmin(gap))
+        raise UnresolvedEigenvalueError(
+            f"{label!r}: lambda^2 = {-nu[i]:.6e} lies {gap[i] / noise:.2f} "
+            f"noise units (eps max|nu| = {noise:.2e}) from +-zero_floor^2 = "
+            f"{zero_floor ** 2:.6e}; its class cannot be read on this grid")
+    return nu, z, top
+
+
+def real_pair_count(even: np.ndarray, eig: SymmetricSpectrum,
+                    zero_floor: float, grid: SpectralGrid,
+                    label: str) -> int:
     """k_r = #{nu < -zero_floor^2} of the restricted D A, without its
-    spectrum: by Sylvester's law the negative count of the LDL^T factor of
-    T + zero_floor^2 I (_restricted_t), taken in one work array at both
-    ends of the band NOISE_BAND eps ||T||_1 around the shift.  As ||T||_1
-    >= max|nu|, the band holds hamiltonian_eigensystem's refusal band
-    around -zero_floor^2; where the ends differ, a nu lies in it, and that
-    solve without vectors decides or refuses.  A nu near +zero_floor^2 is
-    not refused: it decides zero against imaginary, and neither counts."""
-    t_mat = _restricted_t(P, eig, _factor(P)[2])[0]
+    spectrum, for the matrix labelled label on grid with the even block
+    even and the symmetric spectrum eig: T (_restricted_t) reads no odd
+    block.  By Sylvester's law k_r is the negative count of the LDL^T
+    factor of T + zero_floor^2 I, taken in one work array at both ends of
+    the band NOISE_BAND eps ||T||_1 around the shift.  As ||T||_1 >=
+    max|nu|, the band holds the refusal band of _t_spectrum around
+    -zero_floor^2; where the ends differ, a nu lies in it, and the
+    eigenvalues of the T in hand decide or refuse.  A nu near
+    +zero_floor^2 is not refused: it decides zero against imaginary, and
+    neither counts."""
+    t_mat = _restricted_t(even, _odd_factor(eig, label), _d_weights(grid))
     band = NOISE_BAND * float(np.finfo(float).eps) * float(
         np.linalg.norm(t_mat, 1))
     out = np.empty_like(t_mat, order="F")
@@ -555,9 +584,9 @@ def real_pair_count(P: ParityBlocks, eig: SymmetricSpectrum,
               for z in (-band, band)}
     if len(counts) == 1:
         return counts.pop()
-    del t_mat, out
-    ham = hamiltonian_eigensystem(P, eig, zero_floor, vectors=False)
-    return int(np.count_nonzero(ham.split()[0]))
+    del out
+    nu = _t_spectrum(t_mat, zero_floor, label, vectors=False)[0]
+    return int(np.count_nonzero(nu < -zero_floor ** 2))
 
 
 def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
@@ -591,28 +620,14 @@ def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
     where its class would change, raises UnresolvedEigenvalueError; a
     zero-bucket nu below one unit goes on the imaginary axis.  An
     indefinite odd block raises TheoryConsistencyError."""
-    a_cos, a_sin, d_weights = _factor(P)
-    weights = d_weights if weights is None else weights
-    t_mat, fac = _restricted_t(P, eig, weights)
+    a_cos, a_sin = P.blocks[0][1:-1, 1:-1], P.blocks[1]
+    weights = _d_weights(P.grid) if weights is None else weights
+    fac = _odd_factor(eig, P.label)
     c, kernel = fac[:2]
     k = kernel.shape[1]
-    # divide and conquer: faster than the default here, for an n^2 workspace
-    found = scipy.linalg.eigh(t_mat, eigvals_only=not vectors,
-                              overwrite_a=True, check_finite=False,
-                              driver="evd")
-    del t_mat
-    nu, z = found if vectors else (found, None)
-    top = float(np.max(np.abs(nu), initial=0.0))
+    nu, z, top = _t_spectrum(_restricted_t(P.blocks[0], fac, weights),
+                             zero_floor, P.label, vectors)
     noise, scale = float(np.finfo(float).eps) * top, float(np.sqrt(top))
-    # the distance to the nearer of +-zero_floor^2; where the zero bucket is
-    # narrower than the band, the band also covers the threshold 0
-    gap = np.abs(np.abs(nu) - zero_floor ** 2)
-    if np.any(gap <= NOISE_BAND * noise):
-        i = int(np.argmin(gap))
-        raise UnresolvedEigenvalueError(
-            f"{P.label!r}: lambda^2 = {-nu[i]:.6e} lies {gap[i] / noise:.2f} "
-            f"noise units (eps max|nu| = {noise:.2e}) from +-zero_floor^2 = "
-            f"{zero_floor ** 2:.6e}; its class cannot be read on this grid")
     t = nu.size
     x = u = None
     if vectors:

@@ -15,10 +15,15 @@ Every imaginary eigenvalue has the Krein form 2 nu > 0, so k_i^- is 0 and
 k_r is the number of nu < -zero_floor^2.  A counting verdict (index,
 sweep) takes that number by inertia, from LDL^T factors
 (spectra.real_pair_count), and the eigenvalues only where a nu lies near
--zero_floor^2.  A run that keeps its pipeline (spectrum, self-check)
-computes the eigenvalues, the eigenvectors and the Krein classes, and a
-class count that differs from k_r, or a negative signature, is a
-theory-consistency failure.
+-zero_floor^2.  It frees each matrix once read: the even block's factor
+after the constrained solve, and the odd block, which has made its
+solves, before T is formed.  So it holds at most four matrices of order
+about n/2 at once: the two blocks with their two factors (or, on the
+weighted row, L0's blocks with their congruence), then the even block,
+the odd block's Cholesky factor, T and T's factor.  A run that keeps its
+pipeline (spectrum, self-check) computes the eigenvalues, the
+eigenvectors and the Krein classes, and a class count that differs from
+k_r, or a negative signature, is a theory-consistency failure.
 
 Wave families with |slope| inside the degeneracy band (the p = 2s
 borderline, where the generalized kernel grows) are reported DEGENERATE
@@ -212,7 +217,11 @@ def verdict(model: str, s: float, p: float, c: float,
         ham = spc.hamiltonian_eigensystem(A, eig, zero_floor=floor)
         k_r = int(np.count_nonzero(ham.split()[0]))
     else:
-        k_r = spc.real_pair_count(A, eig, floor)
+        # T reads the even block only: free the odd block, whose solves
+        # are made, before T is formed, as the even factor above
+        even, label = A.blocks[0], A.label
+        del A
+        k_r = spc.real_pair_count(even, eig, floor, grid, label)
     K_formula, decision, notes = _resolve_verdict(
         n_L, slope, slope_ref, band, k_r, L.label,
         check_reference_sign=row.weighted)

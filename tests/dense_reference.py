@@ -2,7 +2,8 @@
 
 The real-Fourier basis as an n x n matrix of samples, an operator
 assembled as h phi^T (V phi) plus its multiplier diagonal, congruences by
-an even multiplier on the full matrix, one full-order eigh, the inertia
+an even multiplier on the full matrix, the whole block coupling the
+parities from the S_q of a ParityBlocks, one full-order eigh, the inertia
 from each block's eigenvalues, the constrained quantity from each
 block's eigenvectors, and exactly, by Gaussian elimination in rational
 arithmetic, for one block, the full-order restricted D A and J S formed
@@ -26,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import hankel, toeplitz
 
 from hkindex import operators as op
 from hkindex import spectra as spc
@@ -105,6 +107,20 @@ def dense_congruence(a: np.ndarray, grid, symbol: np.ndarray) -> np.ndarray:
     r = on_basis(grid, symbol)
     out = r[:, None] * a * r[None, :]
     return 0.5 * (out + out.T)
+
+
+def cross_block(coupling: tuple) -> np.ndarray:
+    """The block coupling the even modes a (rows) to the odd modes b,
+    r_even[a] (S_{a+b} - S_{a-b}) r_odd[b] / 2, whole: S_{a+b} is a Hankel
+    matrix in S, S_{a-b} a Toeplitz one (operators._cross_max takes its
+    maximum a few rows at a time)."""
+    s, r_even, r_odd = coupling
+    m = r_even.size - 1
+    cross = hankel(s[1:m + 2], s[m + 1:2 * m]) \
+        - toeplitz(np.r_[-s[1], s[:m]], -s[1:m])
+    cross *= 0.5 * r_even[:, None]
+    cross *= r_odd
+    return cross
 
 
 def dense_inertia(a: np.ndarray):
@@ -201,7 +217,8 @@ def full_order(P: op.ParityBlocks, zero_floor: float) -> FullOrderEigensystem:
     the imaginary axis, i |lambda| times the sign of its imaginary part,
     or of its real part when that is zero.  Its Krein forms are complex:
     classify it by reference_classification."""
-    a_cos, a_sin, weights = spc._factor(P)
+    a_cos, a_sin = P.blocks[0][1:-1, 1:-1], P.blocks[1]
+    weights = spc._d_weights(P.grid)
     da = dense_restricted_product(P.dense(), P.grid, weights)
     eigs, v = scipy.linalg.eig(da, overwrite_a=True, check_finite=False)
     scale = float(np.max(np.abs(eigs), initial=0.0))

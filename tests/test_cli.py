@@ -406,19 +406,21 @@ class TestCountsOnTheFineGrid:
         ("2", 0, "STABLE"), ("5", 1, "UNSTABLE")])
     def test_counting_verdict_answers(self, tmp_path, capsys, monkeypatch,
                                       p, k_r, verdict):
-        calls = {"hamiltonian_eigensystem": 0}
+        calls = {"hamiltonian_eigensystem": 0, "_t_spectrum": 0}
         count_calls(monkeypatch, spc.hamiltonian_eigensystem, calls)
+        count_calls(monkeypatch, spc._t_spectrum, calls)
         assert run(["index", *self.FINE, "--p", p,
                     "--out", str(tmp_path)]) == 0
         assert f"verdict={verdict}" in capsys.readouterr().out
-        assert calls == {"hamiltonian_eigensystem": 0}
+        assert calls == {"hamiltonian_eigensystem": 0, "_t_spectrum": 0}
         result = json.loads((tmp_path / "index.json").read_text())
         assert (result["n_L"], result["k_r"], result["K_formula"]) == \
             (1, k_r, k_r)
 
     def test_nu_near_the_real_threshold_is_refused(self, tmp_path, capsys,
                                                    monkeypatch):
-        refusals, solve = [], spc.hamiltonian_eigensystem
+        # the eigenvalues of the T in hand refuse: T is formed once
+        refusals, solve = [], spc._t_spectrum
 
         def spy(*args, **kw):
             try:
@@ -426,11 +428,14 @@ class TestCountsOnTheFineGrid:
             except UnresolvedEigenvalueError as exc:
                 refusals.append(str(exc))
                 raise
-        monkeypatch.setattr(spc, "hamiltonian_eigensystem", spy)
+        monkeypatch.setattr(spc, "_t_spectrum", spy)
+        calls = {"_restricted_t": 0}
+        count_calls(monkeypatch, spc._restricted_t, calls)
         assert run(["index", *self.FINE, "--p", "4.1",
                     "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {refusals[0]}\n"
         assert len(refusals) == 1
+        assert calls == {"_restricted_t": 1}
         # lambda^2 > 0: a real pair near the threshold of k_r
         assert re.fullmatch(
             r"'kdv-lin\(s=2,p=4\.1,c=1\)': lambda\^2 = 2\.\d{6}e-03 lies "

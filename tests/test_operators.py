@@ -11,8 +11,9 @@ from hkindex import spectral as sp
 from hkindex import waves as wv
 
 from conftest import apply, quiet, wave
-from dense_reference import (block_inertia, dense_congruence, dense_matrix,
-                             from_coords, interleave, real_fourier_basis)
+from dense_reference import (block_inertia, cross_block, dense_congruence,
+                             dense_matrix, from_coords, interleave,
+                             real_fourier_basis)
 
 
 def make_identity_operator(grid):
@@ -210,6 +211,10 @@ class TestMatrixDump:
 
 ORACLE_GRIDS = {256: sp.make_grid(256, 15.0), 512: sp.make_grid(512, 30.0)}
 
+# (n, l) of the bitwise checks of the chunked products: a small grid, the
+# s >= 2 default and the s < 0.7 one
+BITWISE_GRIDS = [(256, 30.0), (2048, 80.0), (4096, 50.0)]
+
 
 def _oracle_case(name, grid):
     """(blocks from assemble and congruence, the same matrix through the
@@ -289,12 +294,42 @@ class TestFftAssembly:
         monkeypatch.undo()
         for blocks, ref in ((A, dense), (S, sandwiched)):
             cross = ref[np.ix_(even, odd)]
-            assert np.max(np.abs(op._cross_block(blocks.coupling) - cross)) \
+            assert np.max(np.abs(cross_block(blocks.coupling) - cross)) \
                 <= 1e-13 * np.max(np.abs(ref))
             # a congruence checks the cross block again
             ratio = np.max(np.abs(cross)) / np.max(np.abs(ref))
             with pytest.raises(ValueError, match=f"cross block {ratio:.2e}"):
                 op.congruence(blocks, np.ones(grid.n), "unit")
+
+    @pytest.mark.parametrize("n, l", BITWISE_GRIDS)
+    def test_congruence_is_the_outer_product_scaling(self, n, l):
+        # each entry is a_ij (r_i r_j), bit for bit, for the BBM weight and
+        # the eps = 0 sandwich
+        grid = sp.make_grid(n, l)
+        A = op.assemble(op.schrodinger_operator(
+            grid, 2.0 / np.cosh(grid.nodes) ** 2, 0.5))
+        for S, symbol in ((symmetrize(A, 1.5),
+                           op.symmetrizing_weight(grid, 1.5)),
+                          (op.sandwich(A, 0.0),
+                           sp.quarter_root_symbol(grid, 0.0))):
+            for block, got, r in zip(A.blocks, S.blocks,
+                                     (symbol[:n // 2 + 1], symbol[1:n // 2])):
+                assert np.array_equal(got, block * np.outer(r, r))
+
+    @pytest.mark.parametrize("n, l", BITWISE_GRIDS)
+    def test_coupling_maximum_is_the_whole_blocks(self, n, l, monkeypatch):
+        # the chunked maximum equals that of the whole cross block, on the
+        # round-off of an even potential, on a congruence of it, and on an
+        # odd perturbation past the guard
+        grid = sp.make_grid(n, l)
+        x = grid.nodes
+        monkeypatch.setattr(op, "SYMMETRY_TOL", 1.0)
+        for V in (2.0 / np.cosh(x) ** 2,
+                  2.0 / np.cosh(x) ** 2 + 1e-3 * x * np.exp(-x ** 2)):
+            A = op.assemble(op.schrodinger_operator(grid, V, 0.5))
+            for P in (A, op.sandwich(A, 0.0)):
+                whole = float(np.max(np.abs(cross_block(P.coupling))))
+                assert op._cross_max(P.coupling) == whole > 0.0
 
     def test_assembly_keeps_no_state_per_grid(self):
         def run(n, l):

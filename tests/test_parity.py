@@ -701,11 +701,16 @@ def eigenvalue_count(P: op.ParityBlocks, eig, zero_floor: float) -> int:
     return int(np.count_nonzero(ham.split()[0]))
 
 
+def real_pair_count(P: op.ParityBlocks, eig, zero_floor: float) -> int:
+    """spectra.real_pair_count on the even block of P."""
+    return spc.real_pair_count(P.blocks[0], eig, zero_floor, P.grid, P.label)
+
+
 def test_real_pair_count_on_the_index_cases(spied_pipeline):
     _, data, _ = spied_pipeline
     eig = spc.symmetric_spectrum(data.matrix)
     floor = data.eigensystem.zero_floor
-    assert spc.real_pair_count(data.matrix, eig, floor) \
+    assert real_pair_count(data.matrix, eig, floor) \
         == eigenvalue_count(data.matrix, eig, floor) == data.result.k_r
 
 
@@ -726,7 +731,7 @@ class TestRealPairCount:
     def test_equals_the_eigenvalue_count(self, nu):
         P = prescribed_nu(nu + [1.0])
         eig = spc.symmetric_spectrum(P)
-        got = counted_or_refused(lambda: spc.real_pair_count(P, eig, 0.1))
+        got = counted_or_refused(lambda: real_pair_count(P, eig, 0.1))
         want = counted_or_refused(lambda: eigenvalue_count(P, eig, 0.1))
         # max|nu| = 1, so the band of -zero_floor^2 is NOISE_BAND eps wide
         near_real = any(abs(v + 0.1 ** 2) < (spc.NOISE_BAND - 0.5) * EPS
@@ -745,11 +750,13 @@ class TestRealPairCount:
         eig = spc.symmetric_spectrum(P)
         with pytest.raises(UnresolvedEigenvalueError) as plain:
             eigenvalue_count(P, eig, 0.1)
-        calls = {"hamiltonian_eigensystem": 0}
-        count_calls(monkeypatch, spc.hamiltonian_eigensystem, calls)
+        # on the T in hand: T is formed once
+        calls = {"_restricted_t": 0, "_t_spectrum": 0}
+        count_calls(monkeypatch, spc._restricted_t, calls)
+        count_calls(monkeypatch, spc._t_spectrum, calls)
         with pytest.raises(UnresolvedEigenvalueError) as refused:
-            spc.real_pair_count(P, eig, 0.1)
-        assert calls == {"hamiltonian_eigensystem": 1}
+            real_pair_count(P, eig, 0.1)
+        assert calls == {"_restricted_t": 1, "_t_spectrum": 1}
         assert str(refused.value) == str(plain.value)
 
     def test_nu_near_the_imaginary_threshold_is_counted(self, monkeypatch):
@@ -759,10 +766,10 @@ class TestRealPairCount:
         eig = spc.symmetric_spectrum(P)
         with pytest.raises(UnresolvedEigenvalueError, match="noise units"):
             eigenvalue_count(P, eig, 0.1)
-        calls = {"hamiltonian_eigensystem": 0}
-        count_calls(monkeypatch, spc.hamiltonian_eigensystem, calls)
-        assert spc.real_pair_count(P, eig, 0.1) == 1
-        assert calls == {"hamiltonian_eigensystem": 0}
+        calls = {"_t_spectrum": 0}
+        count_calls(monkeypatch, spc._t_spectrum, calls)
+        assert real_pair_count(P, eig, 0.1) == 1
+        assert calls == {"_t_spectrum": 0}
 
 
 # s = 2 grids finer than the default spacing, on which the squaring noise

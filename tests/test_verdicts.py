@@ -203,6 +203,26 @@ def test_wave_solves_per_verdict(monkeypatch, model, s, p, c, solves):
     assert calls == solves
 
 
+class TestCountingMemory:
+    @pytest.mark.parametrize("model, s, p, c", [
+        (wv.FKDV, 2.0, 5.0, 1.0), (wv.FBBM, 1.5, 1.0, 1.5)])
+    def test_peak_holds_four_half_order_matrices(self, model, s, p, c):
+        # both parity blocks while they are built, scaled and factored,
+        # then the even block, the odd factor, T and T's factor: at most
+        # four matrices of the even block's order n/2 + 1 at once
+        n, _ = vd.default_grid(s)
+        with quiet():
+            vd.verdict(model, s, p, c)  # first calls may fill caches
+            gc.collect()
+            tracemalloc.start()
+            try:
+                vd.verdict(model, s, p, c)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 4.25 * 8 * (n // 2 + 1) ** 2
+
+
 class TestSelfCheck:
     def test_unknown_case(self):
         with pytest.raises(KeyError):
