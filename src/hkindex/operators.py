@@ -240,15 +240,20 @@ def symmetrizing_weight(grid: SpectralGrid, s: float) -> np.ndarray:
     return (1.0 + fractional_symbol(grid, s)) ** -0.5
 
 
-def congruence(A: ParityBlocks, symbol: np.ndarray, name: str) -> ParityBlocks:
-    """R A R for the even multiplier R with the given fftfreq-layout symbol."""
+def congruence(A: ParityBlocks, symbol: np.ndarray, name: str,
+               overwrite: bool = False) -> ParityBlocks:
+    """R A R for the even multiplier R with the given fftfreq-layout
+    symbol; with overwrite, in A's own blocks."""
     m = A.grid.n // 2
     r_even, r_odd = symbol[:m + 1], symbol[1:m]
     blocks = []
     for block, r in zip(A.blocks, (r_even, r_odd)):
-        # a_ij (r_i r_j), formed in the outer product: no third matrix
-        blocks.append(np.outer(r, r))
-        blocks[-1] *= block
+        # a_ij (r_i r_j), formed in the outer product or, with overwrite,
+        # in the block; the outer product goes before the next is made
+        scale = np.outer(r, r)
+        blocks.append(np.multiply(block, scale,
+                                  out=block if overwrite else scale))
+        del scale
     coupling = None
     if A.coupling is not None:
         s, c_even, c_odd = A.coupling

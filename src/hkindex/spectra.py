@@ -7,10 +7,11 @@ derived from them.  They feed three kinds of quantities:
 * inertia counts n(.), by Sylvester's law from Bunch-Kaufman LDL^T
   factors of shifted blocks: the zero tolerance ZERO_TOL_REL max|w| is
   bracketed by max|a_ii| and the 1-norm, and a count is taken where both
-  ends of the bracket give it, from the eigenvalues otherwise; in a
-  spectrum, the odd block's few eigenvalues below 1e3 zero_tol (the
-  kernel Q' and any near-singular one) come as certified Ritz pairs from
-  inverse iteration with the factor of the shifted block;
+  ends of the bracket give it (the second only where a certificate does
+  not, _counts), from the eigenvalues otherwise; in a spectrum, the odd
+  block's few eigenvalues below 1e3 zero_tol (the kernel Q' and any
+  near-singular one) come as certified Ritz pairs from inverse iteration
+  with the factor of the shifted block;
 * the constrained quantity <L^-1 w, w> with w the decaying antiderivative
   of the kernel generator, via a spectral pseudo-inverse: one solve with
   the even block's own LDL^T factor, and one with the odd block's
@@ -37,7 +38,7 @@ eigenvector column, held as the real pair (x, u) of (x, lambda u): each
 column is classified once, from its nu, and one evaluator gives every
 Krein form in real arithmetic.  A counting verdict reads only k_r, the
 number of nu < -zero_floor^2, and takes it as an inertia count of T, by
-two LDL^T factors at the ends of a noise band; it makes no eigensolve,
+LDL^T factors at the ends of a noise band; it makes no eigensolve,
 unless a nu lies in that band.  The solve without vectors takes the
 eigenvalues of T only, with the same noise band, layout and zero bucket.
 """
@@ -97,13 +98,14 @@ def sym_eig(block: np.ndarray, vectors: bool) -> tuple:
     return scipy.linalg.eigh(block, eigvals_only=True), None
 
 
-def _ldl(block: np.ndarray, shift: float, out: np.ndarray) -> tuple:
+def _ldl(block: np.ndarray, shift: float, work: np.ndarray) -> tuple:
     """(LDL^T, ipiv): the Bunch-Kaufman factor of block + shift I, computed
-    in out, a Fortran-ordered array of the block's shape.  Upper storage
-    with the blocked workspace reproduces scipy.linalg.solve(assume_a=
-    "sym") bit for bit; LAPACK's default workspace runs unblocked, about
-    three times slower at order 1025."""
+    in a Fortran-ordered view of the head of the 1-D array work.  Upper
+    storage with the blocked workspace reproduces scipy.linalg.solve(
+    assume_a="sym") bit for bit; LAPACK's default workspace runs unblocked,
+    about three times slower at order 1025."""
     n = block.shape[0]
+    out = work[:block.size].reshape(block.shape, order="F")
     out[...] = block
     out.flat[::n + 1] += shift
     ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(
@@ -136,19 +138,32 @@ def _bracket(blocks: tuple) -> tuple:
     return ZERO_TOL_REL * low, ZERO_TOL_REL * high
 
 
-def negative_count(P: ParityBlocks) -> int:
+def _counts(block: np.ndarray, ends: tuple, work: np.ndarray,
+            probe: np.ndarray | None = None, norm: float = 0.0) -> tuple:
+    """#{w < -z} at the ends z0 <= z1 of a bracket, from LDL^T factors in
+    work (_ldl), at z1 unless the count at z0 settles it: 0, or 1 where
+    the probe's Rayleigh quotient rho, plus the rounding allowance 2 order
+    eps norm, norm >= ||block||_1, lies below -z1, as lambda_min <= rho
+    (Courant-Fischer)."""
+    first = _negatives(*_ldl(block, ends[0], work))
+    rho = np.inf if probe is None else (probe @ (block @ probe)) / (
+        probe @ probe) + 2.0 * block.shape[0] * np.finfo(float).eps * norm
+    if first == 0 or first == 1 and rho < -ends[1]:
+        return first, first
+    return first, _negatives(*_ldl(block, ends[1], work))
+
+
+def negative_count(P: ParityBlocks, probe: np.ndarray | None = None) -> int:
     """n(P) = #{w < -zero_tol}, zero_tol = ZERO_TOL_REL max|w| over both
     blocks, without the spectrum: #{w < -z} is the negative count of the
-    LDL^T factor of each block + z I, taken at both ends z of the bracket
-    of zero_tol (_bracket).  Where the ends give different counts, an
-    eigenvalue lies between them and the eigenvalues decide."""
+    LDL^T factor of each block + z I, at both ends z of the bracket of
+    zero_tol (_bracket), the high end where no certificate settles it
+    (_counts, with probe, a negative direction, for the even block).
+    Where the ends give different counts, the eigenvalues decide."""
     low, high = _bracket(P.blocks)
-    # one work array, a Fortran-ordered view of its head for each block
     work = np.empty(max(block.size for block in P.blocks))
-    counts = []
-    for block in P.blocks:
-        out = work[:block.size].reshape(block.shape, order="F")
-        counts.append([_negatives(*_ldl(block, z, out)) for z in (low, high)])
+    counts = [_counts(block, (low, high), work, v, high / ZERO_TOL_REL)
+              for block, v in zip(P.blocks, (probe, None))]
     if all(at_low == at_high for at_low, at_high in counts):
         return sum(at_low for at_low, _ in counts)
     values = [sym_eig(block, vectors=False)[0] for block in P.blocks]
@@ -207,15 +222,16 @@ def _inverse_iteration(block: np.ndarray, factor: tuple, count: int,
 
 
 def _deflated_cholesky(block: np.ndarray, kernel: np.ndarray,
-                       out: np.ndarray) -> tuple | None:
+                       overwrite: bool = False) -> tuple | None:
     """(C, kernel, qr, tau): the Cholesky factor C C^T of block + sigma K
-    K^T, K the orthonormal kernel columns, computed in out, and the
-    Householder reflectors H (LAPACK's qr, tau) of C^-1 K.  Where K spans
-    the kernel, block = C (I - P) C^T with P the projector onto span
-    C^-1 K = H[:, :k], so block = (C H E)(C H E)^T with E the last columns
-    of I.  None where the shifted block is not positive definite."""
-    out[...] = block
+    K^T, K the orthonormal kernel columns, in the block with overwrite,
+    and the Householder reflectors H (LAPACK's qr, tau) of C^-1 K.  Where
+    K spans the kernel, block = C (I - P) C^T with P the projector onto
+    span C^-1 K = H[:, :k], so block = (C H E)(C H E)^T with E the last
+    columns of I.  None where the shifted block is not positive definite."""
     sigma = 1e-3 * float(np.max(np.abs(block.diagonal()))) or 1.0
+    # an exactly symmetric block's transpose: Fortran order, same entries
+    out = block.T if overwrite else np.array(block, order="F")
     if kernel.shape[1]:
         scipy.linalg.blas.dsyrk(sigma, kernel, beta=1.0, c=out, lower=1,
                                 overwrite_c=1)
@@ -255,7 +271,8 @@ class SymmetricSpectrum:
     negative_count: int
 
 
-def symmetric_spectrum(P: ParityBlocks) -> SymmetricSpectrum:
+def symmetric_spectrum(P: ParityBlocks, probe: np.ndarray | None = None,
+                       overwrite_odd: bool = False) -> SymmetricSpectrum:
     """Inertia of a symmetric matrix, and the factors its solves read.
 
     Each block brackets its max|w| by max|a_ii| and its 1-norm (_bracket),
@@ -263,25 +280,26 @@ def symmetric_spectrum(P: ParityBlocks) -> SymmetricSpectrum:
     Equal counts of the even block -+ the shift put no even eigenvalue
     within 1e3 zero_tol, so the factor of the block itself gives its
     count; that factor is kept for the solves, and one work array holds
-    each shifted factor and then the kept one.  An even eigenvalue within
-    zero_tol makes the block singular, and no solve reads its factor
-    (_pseudo_solve_quadratic refuses first): it is not taken.  The factor
-    of the odd block - the shift counts its eigenvalues below the shift, and
-    inverse iteration with it gives them as certified Ritz pairs: the
-    kernel, kept near-singular ones and negative ones.  Where the shifted
-    counts differ, or the Ritz pairs are not certified, the even
-    eigenvalues, without vectors, decide in place of the factor and make
-    the even span exact; where the Ritz pairs are not certified, or a
-    decision differs between the ends of the bracket, the odd eigenpairs
-    make zero_tol exact and decide in place of the Ritz pairs.  Without a
-    negative odd eigenvalue, the odd block's Cholesky factor deflates the
-    kernel."""
+    each shifted factor (the block + the shift where probe or a count of
+    0 does not settle it, _counts) and then the kept one.  An even
+    eigenvalue within zero_tol makes the block singular, and no solve
+    reads its factor (_pseudo_solve_quadratic refuses first): it is not
+    taken.  The factor of the odd block - the shift counts its eigenvalues
+    below the shift, and inverse iteration with it gives them as certified
+    Ritz pairs: the kernel, kept near-singular ones and negative ones.
+    Where the shifted counts differ, or the Ritz pairs are not certified,
+    the even eigenvalues, without vectors, decide in place of the factor
+    and make the even span exact; where the Ritz pairs are not certified,
+    or a decision differs between the ends of the bracket, the odd
+    eigenpairs make zero_tol exact and decide in place of the Ritz pairs.
+    Without a negative odd eigenvalue, the odd block's Cholesky factor
+    deflates the kernel, in the block's own memory with overwrite_odd."""
     even, odd = P.blocks
     spans = [list(_bracket((block,))) for block in P.blocks]
     shift = 1e3 * max(high for _, high in spans)
-    out = np.empty_like(even, order="F")
-    gap = {_negatives(*_ldl(even, z, out)) for z in (-shift, shift)}
-    work = np.empty_like(odd, order="F")
+    work = np.empty(max(block.size for block in P.blocks))
+    gap = set(_counts(even, (-shift, shift), work, probe,
+                      spans[0][1] / ZERO_TOL_REL))
     factor = _ldl(odd, -shift, work)
     low = _inverse_iteration(odd, factor, _negatives(*factor), shift, spans)
     sides = None if low is None else low[3]
@@ -301,10 +319,10 @@ def symmetric_spectrum(P: ParityBlocks) -> SymmetricSpectrum:
     count = sum(int(np.count_nonzero(side <= 1)) for side in sides)
     zero_tol = max(high for _, high in spans)
     factor = None if even_values is not None and np.any(
-        np.abs(even_values) <= zero_tol) else _ldl(even, 0.0, out)
+        np.abs(even_values) <= zero_tol) else _ldl(even, 0.0, work)
     count += _negatives(*factor) if even_values is None else 0
     odd_factor = None if np.any(sides[0] <= 1) else _deflated_cholesky(
-        odd, low[1][:, sides[0] == 2], work)
+        odd, low[1][:, sides[0] == 2], overwrite_odd)
     return SymmetricSpectrum(even_values, factor, low[:2], odd_factor,
                              zero_tol, count)
 
@@ -562,29 +580,29 @@ def _t_spectrum(t_mat: np.ndarray, zero_floor: float, label: str,
     return nu, z, top
 
 
-def real_pair_count(even: np.ndarray, eig: SymmetricSpectrum,
-                    zero_floor: float, grid: SpectralGrid,
-                    label: str) -> int:
+def t_matrix(even: np.ndarray, eig: SymmetricSpectrum, grid: SpectralGrid,
+             label: str) -> np.ndarray:
+    """T (_restricted_t) of D A from its even block and its spectrum eig."""
+    return _restricted_t(even, _odd_factor(eig, label), _d_weights(grid))
+
+
+def real_pair_count(t_mat: np.ndarray, zero_floor: float, label: str) -> int:
     """k_r = #{nu < -zero_floor^2} of the restricted D A, without its
-    spectrum, for the matrix labelled label on grid with the even block
-    even and the symmetric spectrum eig: T (_restricted_t) reads no odd
-    block.  By Sylvester's law k_r is the negative count of the LDL^T
-    factor of T + zero_floor^2 I, taken in one work array at both ends of
-    the band NOISE_BAND eps ||T||_1 around the shift.  As ||T||_1 >=
-    max|nu|, the band holds the refusal band of _t_spectrum around
-    -zero_floor^2; where the ends differ, a nu lies in it, and the
-    eigenvalues of the T in hand decide or refuse.  A nu near
-    +zero_floor^2 is not refused: it decides zero against imaginary, and
-    neither counts."""
-    t_mat = _restricted_t(even, _odd_factor(eig, label), _d_weights(grid))
+    spectrum, from its T (t_matrix).  By Sylvester's law k_r is the
+    negative count of the LDL^T factor of T + zero_floor^2 I, taken in one
+    work array at the ends of the band NOISE_BAND eps ||T||_1 around the
+    shift (_counts).  As ||T||_1 >= max|nu|, the band holds the refusal
+    band of _t_spectrum around -zero_floor^2; where the ends differ, a nu
+    lies in it, and the eigenvalues of the T in hand decide or refuse.  A
+    nu near +zero_floor^2 is not refused: it decides zero against
+    imaginary, and neither counts."""
     band = NOISE_BAND * float(np.finfo(float).eps) * float(
         np.linalg.norm(t_mat, 1))
-    out = np.empty_like(t_mat, order="F")
-    counts = {_negatives(*_ldl(t_mat, zero_floor ** 2 + z, out))
-              for z in (-band, band)}
+    work, shift = np.empty(t_mat.size), zero_floor ** 2
+    counts = set(_counts(t_mat, (shift - band, shift + band), work))
     if len(counts) == 1:
         return counts.pop()
-    del out
+    del work
     nu = _t_spectrum(t_mat, zero_floor, label, vectors=False)[0]
     return int(np.count_nonzero(nu < -zero_floor ** 2))
 

@@ -15,15 +15,16 @@ Every imaginary eigenvalue has the Krein form 2 nu > 0, so k_i^- is 0 and
 k_r is the number of nu < -zero_floor^2.  A counting verdict (index,
 sweep) takes that number by inertia, from LDL^T factors
 (spectra.real_pair_count), and the eigenvalues only where a nu lies near
--zero_floor^2.  It frees each matrix once read: the even block's factor
-after the constrained solve, and the odd block, which has made its
-solves, before T is formed.  So it holds at most four matrices of order
-about n/2 at once: the two blocks with their two factors (or, on the
-weighted row, L0's blocks with their congruence), then the even block,
-the odd block's Cholesky factor, T and T's factor.  A run that keeps its
-pipeline (spectrum, self-check) computes the eigenvalues, the
-eigenvectors and the Krein classes, and a class count that differs from
-k_r, or a negative signature, is a theory-consistency failure.
+-zero_floor^2; a count of 0, or the wave, which certifies n(L) = 1,
+saves the second factor of a count.  It forms each matrix in memory it
+reads no more and frees each once read, so it holds at most three
+matrices of order about n/2 at once: the two blocks (on the weighted
+row, L0's scaled into S's) and one work array for their factors, the odd
+block's Cholesky factor formed in that block, then the even block, that
+factor and T.  A run that keeps its pipeline (spectrum, self-check)
+computes the eigenvalues, the eigenvectors and the Krein classes, and a
+class count that differs from k_r, or a negative signature, is a
+theory-consistency failure.
 
 Wave families with |slope| inside the degeneracy band (the p = 2s
 borderline, where the generalized kernel grows) are reported DEGENERATE
@@ -182,17 +183,22 @@ def verdict(model: str, s: float, p: float, c: float,
     L = op.linearization(U)
     A = op.assemble(L)
     psi0 = sp.apply(sp.derivative_symbol(grid), U.values)
+    # <L U, U> = -p <U^(p+1), U> < 0 (Weinstein, CPAM 39, 1986): the wave
+    # probes n(L) = 1 (Frank and Lenzmann, Acta Math. 210, 2013)
+    probe = op.to_coords(grid, U.values)[0]
     weight = np.ones(grid.n)
     if row.weighted:
         # S = W L W with W = (I+M)^(-1/2) is congruent to L, so the two
         # negative counts agree (Sylvester).  psi0 for S is W^-1 dU; its
         # antiderivative is W^-1 U, so the constrained quantity reproduces
-        # -1/2 d/dc <(I+M) U_c, U_c>.
-        n_L = spc.negative_count(A)
+        # -1/2 d/dc <(I+M) U_c, U_c>.  (u/r)^T S (u/r) = u^T L u
+        n_L = spc.negative_count(A, probe)
         weight = op.symmetrizing_weight(grid, s)
-        A = op.congruence(A, weight, "bbm-sym")
+        A = op.congruence(A, weight, "bbm-sym", overwrite=True)
+        probe = probe / weight[:grid.n // 2 + 1]
         psi0 = sp.apply(1.0 / weight, psi0)
-    eig = spc.symmetric_spectrum(A)
+    # a counting verdict reads the odd block no more: its factor takes it
+    eig = spc.symmetric_spectrum(A, probe, overwrite_odd=not keep_pipeline)
     if not row.weighted:
         n_L = eig.negative_count
     elif eig.negative_count != n_L:
@@ -217,11 +223,11 @@ def verdict(model: str, s: float, p: float, c: float,
         ham = spc.hamiltonian_eigensystem(A, eig, zero_floor=floor)
         k_r = int(np.count_nonzero(ham.split()[0]))
     else:
-        # T reads the even block only: free the odd block, whose solves
-        # are made, before T is formed, as the even factor above
-        even, label = A.blocks[0], A.label
-        del A
-        k_r = spc.real_pair_count(even, eig, floor, grid, label)
+        # T reads the even block and the odd block's Cholesky factor: both
+        # are freed once T is formed, before T is factored
+        t_mat, label = spc.t_matrix(A.blocks[0], eig, grid, A.label), A.label
+        del A, eig
+        k_r = spc.real_pair_count(t_mat, floor, label)
     K_formula, decision, notes = _resolve_verdict(
         n_L, slope, slope_ref, band, k_r, L.label,
         check_reference_sign=row.weighted)

@@ -12,12 +12,13 @@ NOISE_BAND noise units eps max|nu| of a threshold that decides a class.
 
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from hkindex import operators as op
@@ -313,12 +314,12 @@ class TestEvenBlockSolve:
             self, monkeypatch):
         # the even block's factor serves the constrained solve only
         seen = []
-        count = spc.real_pair_count
+        form = spc.t_matrix
 
-        def spy(P, eig, *args, **kw):
+        def spy(even, eig, *args, **kw):
             seen.append(eig.factor)
-            return count(P, eig, *args, **kw)
-        monkeypatch.setattr(spc, "real_pair_count", spy)
+            return form(even, eig, *args, **kw)
+        monkeypatch.setattr(spc, "t_matrix", spy)
         with quiet():
             vd.verdict(wv.FKDV, 2.0, 2.0, 1.0, SMALL)
         assert seen == [None]
@@ -340,8 +341,8 @@ def test_no_case_reaches_the_fallback(model, s, p, c):
     # The two factors of T agree on k_r, so nothing takes an eigh
     low, spectrum, eighs = [], spc.symmetric_spectrum, []
 
-    def spied(P):
-        eig = spectrum(P)
+    def spied(P, *args, **kw):
+        eig = spectrum(P, *args, **kw)
         low.append(eig.odd_low[0])
         return eig
 
@@ -702,8 +703,9 @@ def eigenvalue_count(P: op.ParityBlocks, eig, zero_floor: float) -> int:
 
 
 def real_pair_count(P: op.ParityBlocks, eig, zero_floor: float) -> int:
-    """spectra.real_pair_count on the even block of P."""
-    return spc.real_pair_count(P.blocks[0], eig, zero_floor, P.grid, P.label)
+    """spectra.real_pair_count on the T of P."""
+    return spc.real_pair_count(spc.t_matrix(P.blocks[0], eig, P.grid, P.label),
+                               zero_floor, P.label)
 
 
 def test_real_pair_count_on_the_index_cases(spied_pipeline):
@@ -742,6 +744,23 @@ class TestRealPairCount:
             # where the eigenvalues refuse, a nu lies near +zero_floor^2
             assert got == sum(v < -0.1 ** 2 for v in nu)
             assert isinstance(want, str) or want == got
+
+    @given(st.lists(NEAR_THRESHOLDS, min_size=2, max_size=12))
+    def test_second_factor_unless_the_first_count_is_zero(self, nu):
+        # the factor at zero_floor^2 - band counts the nu below
+        # -zero_floor^2 + band: 0 settles the other end, T has no probe,
+        # and any other count takes the second factor
+        edge = -0.1 ** 2 + spc.NOISE_BAND * EPS
+        assume(all(abs(v - edge) > 0.5 * EPS for v in nu))
+        P = prescribed_nu(nu + [1.0])
+        eig = spc.symmetric_spectrum(P)
+        t_mat = spc.t_matrix(P.blocks[0], eig, P.grid, P.label)
+        with ldl_calls() as calls:
+            got = counted_or_refused(
+                lambda: spc.real_pair_count(t_mat, 0.1, P.label))
+        first = sum(v < edge for v in nu)
+        assert len(calls) == 1 + (first > 0)
+        assert first or got == 0
 
     def test_nu_near_the_real_threshold_is_refused(self, monkeypatch):
         # both factors at once cannot tell the side of -zero_floor^2: the
@@ -975,6 +994,163 @@ def test_ldl_count_on_the_index_cases(spied_pipeline):
     n_neg = block_inertia(data.matrix)[0]
     assert data.result.n_L == spc.negative_count(data.matrix) == n_neg
     assert spc.symmetric_spectrum(data.matrix).negative_count == n_neg
+
+
+@contextmanager
+def ldl_calls():
+    """The (order, shift) of every spectra._ldl call in the block."""
+    calls, ldl = [], spc._ldl
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spc, "_ldl", lambda block, shift, out: calls.append(
+            (block.shape[0], shift)) or ldl(block, shift, out))
+        yield calls
+
+
+# INDEX_CASES on their grids, and atlas points on their default grids;
+# fbbm (1, 3, 2) is an exit-3 point of the atlas
+CERTIFIED_CASES = [
+    *[(m, s, p, c, vd.NumericsConfig(n=512, half_length=half_length))
+      for m, s, p, c, half_length in INDEX_CASES],
+    (wv.FKDV, 1.5, 2.0, 1.0, None), (wv.FKDV, 0.75, 1.5, 1.0, None),
+    (wv.FBBM, 2.0, 4.0, 2.0, None), (wv.FBBM, 1.0, 3.0, 2.0, None)]
+
+
+@pytest.mark.parametrize(
+    "model, s, p, c, numerics", CERTIFIED_CASES,
+    ids=lambda v: "default" if v is None else f"n{v.n}-l{v.half_length:g}"
+    if isinstance(v, vd.NumericsConfig) else str(v))
+def test_one_factor_counts_equal_both_factors(monkeypatch, model, s, p, c,
+                                              numerics):
+    # every pair of counts of a counting verdict, where a count of 0 or the
+    # wave's Rayleigh quotient settles the second, is what the factors at
+    # both ends and the eigenvalues give
+    seen, counts = [], spc._counts
+
+    def spy(block, ends, *args):
+        got = counts(block, ends, *args)
+        work = np.empty(block.size)
+        w = scipy.linalg.eigvalsh(block)
+        seen.append((got, tuple(spc._negatives(*spc._ldl(block, z, work))
+                                for z in ends),
+                     tuple(int(np.count_nonzero(w < -z)) for z in ends)))
+        return got
+    monkeypatch.setattr(spc, "_counts", spy)
+    with quiet():
+        try:
+            vd.verdict(model, s, p, c, numerics)
+        except TheoryConsistencyError:
+            assert (model, s, p, c) == (wv.FBBM, 1.0, 3.0, 2.0)
+    # L0's two blocks for a weighted row, then the even block and T
+    assert len(seen) == 2 + 2 * wv.MODELS[model].weighted
+    assert all(got == factors == values for got, factors, values in seen)
+
+
+@pytest.mark.parametrize("model, s, p, c, factors", [
+    (wv.FKDV, 2.0, 2.0, 1.0, 4), (wv.FKDV, 2.0, 5.0, 1.0, 5),
+    (wv.FBBM, 1.5, 1.0, 1.5, 6)])
+def test_ldl_factors_of_the_benchmark_verdicts(model, s, p, c, factors):
+    # one factor per count where the wave certifies n(L) = 1 or a count is
+    # 0, with the even block's factor at 0 and the odd block's at the
+    # shift; the second factor of T where k_r = 1
+    with quiet(), ldl_calls() as calls:
+        vd.verdict(model, s, p, c)
+    assert len(calls) == factors
+
+
+def test_without_a_probe_a_count_of_one_takes_both_factors():
+    grid = sp.make_grid(512, 30.0)
+    Q = wv.solve_ground_state(2.0, 2.0, grid)
+    A = op.assemble(op.linearization(Q))
+    probe = op.to_coords(grid, Q.values)[0]
+    for count in (spc.negative_count, spc.symmetric_spectrum):
+        factors = []
+        for given_probe in (None, probe):
+            with ldl_calls() as calls:
+                count(A, given_probe)
+            # the even block's factors at the ends of its bracket
+            factors.append([z for order, z in calls
+                            if order == grid.n // 2 + 1 and z != 0.0])
+        assert [len(z) for z in factors] == [2, 1]
+        assert factors[1] == factors[0][:1]
+
+
+def probed_blocks(placed: list, mix: float, seed: int) -> tuple:
+    """(P, probe, rho): on 16 points, the even block Q diag(w) Q^T with w
+    the placed eigenvalues, 0.5 filling and 100, which sets both brackets,
+    and the odd block 0.05 I; the probe Q c, with c^2 = 1 - 10^-mix on the
+    lowest eigenvalue's column and 10^-mix on a 0.5's, and its exact
+    Rayleigh quotient rho."""
+    w = np.array(sorted(placed) + [0.5] * (8 - len(placed)) + [100.0])
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((9, 9)))[0]
+    even = (q * w) @ q.T
+    c = np.zeros(9)
+    c[0], c[-2] = np.sqrt(1.0 - 10.0 ** -mix), np.sqrt(10.0 ** -mix)
+    P = op.ParityBlocks((0.5 * (even + even.T), 0.05 * np.eye(7)),
+                        sp.make_grid(16, 2.0), "probed")
+    return P, q @ c, float(c ** 2 @ w)
+
+
+def count_ends(P: op.ParityBlocks, target: str) -> tuple:
+    """The ends (z0, z1) at which target counts the even block:
+    negative_count at the bracket of zero_tol, symmetric_spectrum at -+
+    the shift 1e3 z_high."""
+    if target == "negative_count":
+        return spc._bracket(P.blocks)
+    shift = 1e3 * max(spc._bracket((block,))[1] for block in P.blocks)
+    return -shift, shift
+
+
+def test_rounding_allowance_of_the_quotient():
+    # diag(-1, 1, ..., 1) and its eigenvector of -1: rho = -1 exactly, and
+    # the allowance is 2 * 9 eps ||block||_1 = 4.0e-15.  A rho below the
+    # upper end by less than that takes the second factor
+    block, probe = np.diag([-1.0] + [1.0] * 8), np.eye(9)[0]
+    for gap, factors in ((1e-14, 1), (1e-15, 2)):
+        with ldl_calls() as calls:
+            counts = spc._counts(block, (0.5, 1.0 - gap), np.empty(81),
+                                 probe, 1.0)
+        assert counts == (1, 1) and len(calls) == factors
+
+
+# an eigenvalue -z (1 + u) near either end z of the bracket, or one below
+# both ends
+PLACED = st.one_of(
+    st.tuples(st.sampled_from([0, 1]), st.floats(-0.5, 0.5)),
+    st.just("deep"))
+
+
+@example("negative_count", [(1, 0.3)], 12.0, 1)
+@example("negative_count", [(1, 0.3)], 6.0, 1)
+@example("negative_count", [(1, 0.3), "deep"], 12.0, 1)
+@example("symmetric_spectrum", ["deep"], 3.0, 2)
+@example("symmetric_spectrum", ["deep"], 0.5, 2)
+@example("symmetric_spectrum", ["deep", (1, 0.2)], 12.0, 2)
+@given(st.sampled_from(["negative_count", "symmetric_spectrum"]),
+       st.lists(PLACED, max_size=3), st.floats(0.0, 12.0),
+       st.integers(0, 1000))
+def test_second_factor_unless_certified(target, placed, mix, seed):
+    # the probe certifies a first count of 1 where its Rayleigh quotient
+    # lies below the other end; a probe above it, or a count of 2, takes
+    # the second factor.  Either way the count is the oracle's
+    z0, z1 = count_ends(probed_blocks([0.0] * len(placed), 0.0, seed)[0],
+                        target)
+    ends = {0: z0, 1: z1}
+    P, probe, rho = probed_blocks(
+        [-0.05 if v == "deep" else -ends[v[0]] * (1.0 + v[1])
+         for v in placed], mix, seed)
+    z0, z1 = count_ends(P, target)
+    w = np.linalg.eigvalsh(P.blocks[0])
+    # the eigenvalues and rho are off both ends by more than rounding
+    assume(np.min(np.abs(np.add.outer(w, [z0, z1]))) > 1e-9
+           and min(abs(rho + z0), abs(rho + z1)) > 1e-9)
+    first = int(np.count_nonzero(w < -z0))
+    settled = first == 0 or (first == 1 and rho < -z1)
+    with ldl_calls() as calls:
+        count = spc.negative_count(P, probe) if target == "negative_count" \
+            else spc.symmetric_spectrum(P, probe).negative_count
+    assert count == block_inertia(P)[0]
+    assert [z for order, z in calls if order == 9 and z != 0.0] == \
+        ([z0] if settled else [z0, z1])
 
 
 def dominant_blocks(placed: float, in_odd: bool, odd_dominant: bool,

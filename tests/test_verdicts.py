@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from hkindex import operators as op
+from hkindex import spectra as spc
+from hkindex import spectral as sp
 from hkindex import verdicts as vd
 from hkindex import waves as wv
 from hkindex.errors import TheoryConsistencyError
@@ -206,10 +209,11 @@ def test_wave_solves_per_verdict(monkeypatch, model, s, p, c, solves):
 class TestCountingMemory:
     @pytest.mark.parametrize("model, s, p, c", [
         (wv.FKDV, 2.0, 5.0, 1.0), (wv.FBBM, 1.5, 1.0, 1.5)])
-    def test_peak_holds_four_half_order_matrices(self, model, s, p, c):
-        # both parity blocks while they are built, scaled and factored,
-        # then the even block, the odd factor, T and T's factor: at most
-        # four matrices of the even block's order n/2 + 1 at once
+    def test_peak_holds_three_half_order_matrices(self, model, s, p, c):
+        # both parity blocks and one work array for their factors, the odd
+        # block's Cholesky factor in its own memory, then the even block,
+        # that factor and T, and last T and its factor: at most three
+        # matrices of the even block's order n/2 + 1 at once
         n, _ = vd.default_grid(s)
         with quiet():
             vd.verdict(model, s, p, c)  # first calls may fill caches
@@ -220,7 +224,28 @@ class TestCountingMemory:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak <= 4.25 * 8 * (n // 2 + 1) ** 2
+        assert peak <= 3.25 * 8 * (n // 2 + 1) ** 2
+
+    @pytest.mark.parametrize("n, half_length", [
+        (256, 30.0), (2048, 80.0), (4096, 50.0)])
+    def test_in_place_products_equal_the_copies(self, n, half_length):
+        # index forms S in L0's blocks and the odd Cholesky factor in S's
+        # odd block, spectrum both in new arrays: they read the same C
+        grid = sp.make_grid(n, half_length)
+        with quiet():
+            U = wv.solve_traveling_wave(wv.FBBM, 1.5, 1.0, 1.5, grid)
+        weight = op.symmetrizing_weight(grid, 1.5)
+        A = op.assemble(op.linearization(U))
+        S = op.congruence(A, weight, "bbm-sym")
+        in_place = op.congruence(A, weight, "bbm-sym", overwrite=True)
+        assert all(in_place.blocks[i] is A.blocks[i] for i in (0, 1))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(S.blocks, in_place.blocks))
+        copied = spc.symmetric_spectrum(S).odd_factor
+        eig = spc.symmetric_spectrum(in_place, overwrite_odd=True)
+        assert np.shares_memory(eig.odd_factor[0], in_place.blocks[1])
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(copied, eig.odd_factor))
 
 
 class TestSelfCheck:
@@ -270,8 +295,8 @@ class TestSelfCheck:
         factored = []
         spectrum = vd.spc.symmetric_spectrum
 
-        def spied(P):
-            eig = spectrum(P)
+        def spied(P, *args, **kw):
+            eig = spectrum(P, *args, **kw)
             factored.append((P.label, eig.factor is not None))
             return eig
         monkeypatch.setattr(vd.spc, "symmetric_spectrum", spied)
