@@ -25,8 +25,9 @@ the trapezoid sums
 
 one FFT of V.  Since cos a cos b = (cos(a-b) + cos(a+b))/2, each block is
 a Toeplitz-plus-Hankel matrix in C_q, exactly symmetric as built; the
-block coupling the parities is formed from S_q, which an even V leaves at
-round-off, and is only checked.
+block coupling the parities is made of S_q, which an even V leaves at
+round-off.  It is dropped, and only a bound on its entries is kept and
+checked.
 """
 
 from __future__ import annotations
@@ -77,16 +78,16 @@ class ParityBlocks:
     """A symmetric matrix in the real-Fourier basis of a grid as its
     diagonal blocks (even, odd) over the parity layout.
 
-    coupling, when set, is (S, r_even, r_odd) with S_q, q = 0 .. n, from
-    the FFT of the potential (S_{-q} = -S_q): the dropped block coupling
-    the parities is r_even[a] (S_{a+b} - S_{a-b}) r_odd[b] / 2 over the
-    even modes a and the odd modes b, kept so that a congruence checks it
-    again.
+    coupling is a bound c >= max|cross| on the dropped block coupling the
+    parities, r_even[a] (S_{a+b} - S_{a-b}) r_odd[b] / 2 over the even
+    modes a and the odd modes b, with S_q from the FFT of the potential
+    and r the mode norms, scaled by every congruence since; 0.0 for
+    blocks built without one.
     """
     blocks: tuple
     grid: SpectralGrid
     label: str = ""
-    coupling: tuple | None = None
+    coupling: float = 0.0
 
     @property
     def order(self) -> int:
@@ -105,43 +106,15 @@ def _max_abs(a: np.ndarray) -> float:
     return max(float(a.max()), -float(a.min()))
 
 
-# rows per chunk of the block coupling the parities, never formed whole
-_CROSS_ROWS = 64
-
-
-def _cross_max(coupling: tuple) -> float:
-    """max|cross| of the block coupling the even modes a (rows) to the odd
-    modes b, r_even[a] (S_{a+b} - S_{a-b}) r_odd[b] / 2, _CROSS_ROWS rows
-    at a time: row a of S_{a+b} is S_{a+1} .. S_{a+m-1}, a window of S, and
-    row a of S_{a-b} one of S_q, q = m-1 .. -(m-1), with S_{-q} = -S_q."""
-    s, r_even, r_odd = coupling
-    m = r_even.size - 1
-    window = np.lib.stride_tricks.sliding_window_view
-    plus = window(s[1:2 * m], m - 1)
-    minus = window(np.r_[s[m - 1::-1], -s[1:m]], m - 1)[::-1]
-    half = 0.5 * r_even
-    ends = []
-    for a in range(0, m + 1, _CROSS_ROWS):
-        rows = slice(a, a + _CROSS_ROWS)
-        cross = plus[rows] - minus[rows]
-        cross *= half[rows, None]
-        cross *= r_odd
-        ends += [cross.max(), cross.min()]
-    return _max_abs(np.array(ends))
-
-
 def _check_coupling(P: ParityBlocks) -> None:
     """Raise unless the block coupling the parities is at most SYMMETRY_TOL
-    relative to max|A|: dropping it moves an eigenvalue no more than the
-    asymmetry already accepted."""
-    if P.coupling is None:
-        return
-    cross = _cross_max(P.coupling)
-    scale = max(cross, *(_max_abs(b) for b in P.blocks))
-    if cross > SYMMETRY_TOL * scale:
+    relative to max|A|, by its bound P.coupling: dropping it moves an
+    eigenvalue no more than the asymmetry already accepted."""
+    scale = max(P.coupling, *(_max_abs(b) for b in P.blocks))
+    if P.coupling > SYMMETRY_TOL * scale:
         raise ValueError(
             f"matrix {P.label!r} couples the even and odd modes "
-            f"(relative cross block {cross / scale:.2e}): the "
+            f"(relative cross block up to {P.coupling / scale:.2e}): the "
             f"linearization is not about an even wave")
 
 
@@ -192,9 +165,10 @@ def assemble(op: LinOperator) -> ParityBlocks:
     odd *= 0.5 / grid.half_length
     even[np.diag_indices_from(even)] += op.multiplier_symbol[:m + 1]
     odd[np.diag_indices_from(odd)] += op.multiplier_symbol[1:m]
-    nu = _mode_norms(grid)
+    # |r_even[a] (S_{a+b} - S_{a-b}) r_odd[b] / 2| <= max|S| / l, as no
+    # mode norm exceeds 1/sqrt(l)
     P = ParityBlocks((even, odd), grid, op.label,
-                     coupling=(g.imag, nu, np.full(m - 1, nu[1])))
+                     coupling=_max_abs(g.imag) / grid.half_length)
     _check_coupling(P)
     return P
 
@@ -243,7 +217,9 @@ def symmetrizing_weight(grid: SpectralGrid, s: float) -> np.ndarray:
 def congruence(A: ParityBlocks, symbol: np.ndarray, name: str,
                overwrite: bool = False) -> ParityBlocks:
     """R A R for the even multiplier R with the given fftfreq-layout
-    symbol; with overwrite, in A's own blocks."""
+    symbol; with overwrite, in A's own blocks.  Each entry of the block
+    coupling the parities is scaled by one r_even[a] r_odd[b], its bound
+    by max|r_even| max|r_odd|."""
     m = A.grid.n // 2
     r_even, r_odd = symbol[:m + 1], symbol[1:m]
     blocks = []
@@ -254,11 +230,8 @@ def congruence(A: ParityBlocks, symbol: np.ndarray, name: str,
         blocks.append(np.multiply(block, scale,
                                   out=block if overwrite else scale))
         del scale
-    coupling = None
-    if A.coupling is not None:
-        s, c_even, c_odd = A.coupling
-        coupling = (s, c_even * r_even, c_odd * r_odd)
-    out = ParityBlocks(tuple(blocks), A.grid, f"{name}[{A.label}]", coupling)
+    out = ParityBlocks(tuple(blocks), A.grid, f"{name}[{A.label}]",
+                       A.coupling * _max_abs(r_even) * _max_abs(r_odd))
     _check_coupling(out)
     return out
 

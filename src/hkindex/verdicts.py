@@ -22,9 +22,9 @@ matrices of order about n/2 at once: the two blocks (on the weighted
 row, L0's scaled into S's) and one work array for their factors, the odd
 block's Cholesky factor formed in that block, then the even block, that
 factor and T.  A run that keeps its pipeline (spectrum, self-check)
-computes the eigenvalues, the eigenvectors and the Krein classes, and a
-class count that differs from k_r, or a negative signature, is a
-theory-consistency failure.
+computes the eigenvalues, the eigenvectors and the Krein classes, and
+takes k_r from the real columns the classes are read from; a negative
+signature is a theory-consistency failure.
 
 Wave families with |slope| inside the degeneracy band (the p = 2s
 borderline, where the generalized kernel grows) are reported DEGENERATE
@@ -233,10 +233,10 @@ def verdict(model: str, s: float, p: float, c: float,
         check_reference_sign=row.weighted)
     if keep_pipeline:
         cls = spc.classify_krein(ham)
-        if (cls.k_r, cls.k_i_minus) != (k_r, 0):
+        if cls.k_i_minus != 0:
             raise TheoryConsistencyError(
-                f"Krein classes of {L.label} give k_r={cls.k_r}, k_i-="
-                f"{cls.k_i_minus}; the counts give k_r={k_r}, k_i-=0")
+                f"Krein classes of {L.label} give k_i-={cls.k_i_minus}; "
+                f"the counts give k_i-=0")
         if cls.indeterminate:
             notes.append(f"{len(cls.indeterminate)} indeterminate Krein "
                          f"form value(s)")

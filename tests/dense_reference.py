@@ -3,8 +3,8 @@
 The real-Fourier basis as an n x n matrix of samples, an operator
 assembled as h phi^T (V phi) plus its multiplier diagonal, congruences by
 an even multiplier on the full matrix, the whole block coupling the
-parities from the S_q of a ParityBlocks, one full-order eigh, the inertia
-from each block's eigenvalues, the constrained quantity from each
+parities from the S_q of an operator's potential, one full-order eigh,
+the inertia from each block's eigenvalues, the constrained quantity from each
 block's eigenvectors, and exactly, by Gaussian elimination in rational
 arithmetic, for one block, the full-order restricted D A and J S formed
 from the dense entries, the Hamiltonian eigensystem from one eig of full order (the oracle of the
@@ -109,13 +109,22 @@ def dense_congruence(a: np.ndarray, grid, symbol: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def cross_block(coupling: tuple) -> np.ndarray:
-    """The block coupling the even modes a (rows) to the odd modes b,
-    r_even[a] (S_{a+b} - S_{a-b}) r_odd[b] / 2, whole: S_{a+b} is a Hankel
-    matrix in S, S_{a-b} a Toeplitz one (operators._cross_max takes its
-    maximum a few rows at a time)."""
-    s, r_even, r_odd = coupling
-    m = r_even.size - 1
+def cross_block(L: op.LinOperator, *symbols) -> np.ndarray:
+    """The block coupling the even modes a (rows) to the odd modes b of L,
+    after a congruence by each even multiplier whose fftfreq-layout symbol
+    is given: r_even[a] (S_{a+b} - S_{a-b}) r_odd[b] / 2, whole, with
+    C_q + i S_q the trapezoid sums of L's potential and r the mode norms
+    times the symbols.  S_{a+b} is a Hankel matrix in S, S_{a-b} a
+    Toeplitz one."""
+    grid = L.grid
+    m = grid.n // 2
+    s = grid.spacing * grid.n * np.fft.ifft(L.potential)
+    s[1::2] *= -1.0
+    s = np.append(s, s[0]).imag
+    nu = op._mode_norms(grid)
+    r_even, r_odd = nu, np.full(m - 1, nu[1])
+    for symbol in symbols:
+        r_even, r_odd = r_even * symbol[:m + 1], r_odd * symbol[1:m]
     cross = hankel(s[1:m + 2], s[m + 1:2 * m]) \
         - toeplitz(np.r_[-s[1], s[:m]], -s[1:m])
     cross *= 0.5 * r_even[:, None]

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hkindex import operators as op
 from hkindex import spectra as spc
@@ -215,6 +217,14 @@ ORACLE_GRIDS = {256: sp.make_grid(256, 15.0), 512: sp.make_grid(512, 30.0)}
 # s >= 2 default and the s < 0.7 one
 BITWISE_GRIDS = [(256, 30.0), (2048, 80.0), (4096, 50.0)]
 
+# how far the coupling bound may lie above max|cross|.  Without a
+# congruence at most sqrt(2) times: the row of the constant mode reaches
+# max|S| / (sqrt(2) l).  A congruence's symbol need not peak where S does,
+# and two lie furthest apart, as the BBM weight peaks at xi = 0 and the
+# quarter root at the Nyquist mode.  Measured on the grids of the test: at
+# most 1.24, 1.77, 9.12 and 326.
+COUPLING_SLACK = {"A": 2, "sandwich": 4, "bbm": 16, "bbm-sandwich": 1024}
+
 
 def _oracle_case(name, grid):
     """(blocks from assemble and congruence, the same matrix through the
@@ -274,10 +284,10 @@ class TestFftAssembly:
         assert np.max(np.abs(interleave(back) - coords)) \
             <= 1e-12 * np.max(np.abs(coords))
 
-    def test_guard_reads_the_cross_block_of_the_basis_matrix(self, monkeypatch):
-        # an odd perturbation: the cross block formed from S_q, and the
-        # guard's ratio max|cross| / max|A|, are the dense matrix's, also
-        # after a congruence
+    def test_guard_raises_on_an_odd_perturbation(self, monkeypatch):
+        # an odd perturbation: the cross block formed from S_q is the
+        # dense matrix's, the bound covers it, also after a congruence, and
+        # the guard refuses it at the default SYMMETRY_TOL
         grid = ORACLE_GRIDS[256]
         x = grid.nodes
         V = 2.0 / np.cosh(x) ** 2 + 1e-3 * x * np.exp(-x ** 2)
@@ -292,13 +302,14 @@ class TestFftAssembly:
         A = op.assemble(L)
         S = op.sandwich(A, 0.0)
         monkeypatch.undo()
-        for blocks, ref in ((A, dense), (S, sandwiched)):
+        for blocks, ref, symbols in ((A, dense, ()),
+                                     (S, sandwiched, (quarter,))):
             cross = ref[np.ix_(even, odd)]
-            assert np.max(np.abs(cross_block(blocks.coupling) - cross)) \
+            assert np.max(np.abs(cross_block(L, *symbols) - cross)) \
                 <= 1e-13 * np.max(np.abs(ref))
-            # a congruence checks the cross block again
-            ratio = np.max(np.abs(cross)) / np.max(np.abs(ref))
-            with pytest.raises(ValueError, match=f"cross block {ratio:.2e}"):
+            assert blocks.coupling >= np.max(np.abs(cross))
+            # a congruence checks the bound again
+            with pytest.raises(ValueError, match="relative cross block up to"):
                 op.congruence(blocks, np.ones(grid.n), "unit")
 
     @pytest.mark.parametrize("n, l", BITWISE_GRIDS)
@@ -316,20 +327,30 @@ class TestFftAssembly:
                                      (symbol[:n // 2 + 1], symbol[1:n // 2])):
                 assert np.array_equal(got, block * np.outer(r, r))
 
-    @pytest.mark.parametrize("n, l", BITWISE_GRIDS)
-    def test_coupling_maximum_is_the_whole_blocks(self, n, l, monkeypatch):
-        # the chunked maximum equals that of the whole cross block, on the
-        # round-off of an even potential, on a congruence of it, and on an
-        # odd perturbation past the guard
+    @pytest.mark.parametrize("n, l", BITWISE_GRIDS + [
+        (n, grid.half_length) for n, grid in sorted(ORACLE_GRIDS.items())])
+    def test_coupling_bound_covers_the_whole_cross_block(self, n, l,
+                                                         monkeypatch):
+        # the bound is at least max|cross| and within COUPLING_SLACK of it,
+        # on the round-off of an even potential and on an odd perturbation
+        # past the guard, for A, its eps = 0 sandwich, the BBM S = W A W
+        # and the sandwich of S
         grid = sp.make_grid(n, l)
         x = grid.nodes
+        weight = op.symmetrizing_weight(grid, 1.5)
+        quarter = sp.quarter_root_symbol(grid, 0.0)
         monkeypatch.setattr(op, "SYMMETRY_TOL", 1.0)
         for V in (2.0 / np.cosh(x) ** 2,
                   2.0 / np.cosh(x) ** 2 + 1e-3 * x * np.exp(-x ** 2)):
-            A = op.assemble(op.schrodinger_operator(grid, V, 0.5))
-            for P in (A, op.sandwich(A, 0.0)):
-                whole = float(np.max(np.abs(cross_block(P.coupling))))
-                assert op._cross_max(P.coupling) == whole > 0.0
+            L = op.schrodinger_operator(grid, V, 0.5)
+            A = op.assemble(L)
+            S = op.congruence(A, weight, "bbm-sym")
+            for name, P, symbols in (
+                    ("A", A, ()), ("sandwich", op.sandwich(A, 0.0), (quarter,)),
+                    ("bbm", S, (weight,)),
+                    ("bbm-sandwich", op.sandwich(S, 0.0), (weight, quarter))):
+                exact = float(np.max(np.abs(cross_block(L, *symbols))))
+                assert exact <= P.coupling <= COUPLING_SLACK[name] * exact, name
 
     def test_assembly_keeps_no_state_per_grid(self):
         def run(n, l):
@@ -353,3 +374,35 @@ class TestFftAssembly:
         assert orders == [256, 512, 1024]
         # a cached n x n basis would keep 8 n^2 bytes per grid (8 MB at 1024)
         assert left <= 64 * 1024
+
+
+@st.composite
+def perturbed_wells(draw):
+    """(L, symbols): -d^2 + 1/2 - V on n <= 256 points, V an even sech^2
+    well plus an odd perturbation of amplitude 0 to 1e-3, and one or two
+    symbols of congruences, each the BBM weight or the quarter root."""
+    grid = sp.make_grid(draw(st.sampled_from([64, 128, 256])),
+                        draw(st.floats(10.0, 30.0)))
+    x = grid.nodes
+    V = draw(st.floats(0.5, 4.0)) / np.cosh(x / draw(st.floats(0.5, 2.0))) ** 2
+    V += draw(st.floats(0.0, 1e-3)) * x * np.exp(-x ** 2)
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=2))
+    symbols = [op.symmetrizing_weight(grid, draw(st.floats(0.5, 2.0)))
+               if weight else sp.quarter_root_symbol(grid, draw(
+                   st.floats(0.0, 0.1))) for weight in kinds]
+    with quiet():
+        return op.schrodinger_operator(grid, V, 0.5), symbols
+
+
+@given(perturbed_wells())
+def test_coupling_bound_is_at_least_the_cross_block(case):
+    # the guard may only be stricter than the exact maximum: after
+    # assemble and after each congruence
+    L, symbols = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(op, "SYMMETRY_TOL", 1.0)
+        P = op.assemble(L)
+        for k in range(len(symbols) + 1):
+            assert P.coupling >= np.max(np.abs(cross_block(L, *symbols[:k])))
+            if k < len(symbols):
+                P = op.congruence(P, symbols[k], "drawn")

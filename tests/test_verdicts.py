@@ -72,6 +72,17 @@ class TestKdvVerdict:
             vd._resolve_verdict(2, 1.0, 1.0, 1e-3, 0, "odd",
                                 check_reference_sign=True)
 
+    def test_slopes_of_opposite_sign_are_refused_or_degenerate(self):
+        # no atlas point reaches this branch: the numerical and reference
+        # slopes agree in sign wherever both lie outside the band
+        with pytest.raises(TheoryConsistencyError, match="sign unresolved"):
+            vd._resolve_verdict(1, 1.0, -1.0, 1e-3, 0, "split",
+                                check_reference_sign=True)
+        K, verdict, notes = vd._resolve_verdict(
+            1, 1.0, -1.0, 1e-3, 0, "split", check_reference_sign=False)
+        assert (K, verdict) == (0, vd.DEGENERATE)
+        assert "reporting DEGENERATE" in notes[0]
+
 
 class TestBbmVerdict:
     def test_stable_classical_case(self):
