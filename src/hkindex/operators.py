@@ -27,22 +27,25 @@ one FFT of V.  Since cos a cos b = (cos(a-b) + cos(a+b))/2, each block is
 a Toeplitz-plus-Hankel matrix in C_q, exactly symmetric as built; the
 block coupling the parities is made of S_q, which an even V leaves at
 round-off.  It is dropped, and only a bound on its entries is kept and
-checked.
+checked.  OperatorBlocks assembles each block anew where it is read, with
+no temporary of its order.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import hankel, toeplitz
 
 from .io_utils import atomic_write_files, json_text
 from .spectral import SpectralGrid, fractional_symbol, quarter_root_symbol
 from .waves import MODELS, WaveProfile, clamped_power
 
 SYMMETRY_TOL = 1e-10
+
+# rows of a block per outer product in a congruence
+_ROWS = 64
 
 
 def parity_index(n: int) -> tuple:
@@ -89,6 +92,15 @@ class ParityBlocks:
     label: str = ""
     coupling: float = 0.0
 
+    def block(self, parity: int) -> np.ndarray:
+        """The even (0) or the odd (1) block itself."""
+        return self.blocks[parity]
+
+    def cos_block(self) -> np.ndarray:
+        """A_cos, the even block without its constant and Nyquist rows and
+        columns, in a new Fortran-ordered array."""
+        return np.array(self.blocks[0][1:-1, 1:-1], order="F")
+
     @property
     def order(self) -> int:
         return sum(block.shape[0] for block in self.blocks)
@@ -106,16 +118,26 @@ def _max_abs(a: np.ndarray) -> float:
     return max(float(a.max()), -float(a.min()))
 
 
-def _check_coupling(P: ParityBlocks) -> None:
+def _check_coupling(P, block_max: float) -> None:
     """Raise unless the block coupling the parities is at most SYMMETRY_TOL
-    relative to max|A|, by its bound P.coupling: dropping it moves an
-    eigenvalue no more than the asymmetry already accepted."""
-    scale = max(P.coupling, *(_max_abs(b) for b in P.blocks))
+    relative to max|A| (block_max over both blocks), by its bound
+    P.coupling: dropping it moves an eigenvalue no more than the asymmetry
+    already accepted."""
+    scale = max(P.coupling, block_max)
     if P.coupling > SYMMETRY_TOL * scale:
         raise ValueError(
             f"matrix {P.label!r} couples the even and odd modes "
             f"(relative cross block up to {P.coupling / scale:.2e}): the "
             f"linearization is not about an even wave")
+
+
+def _scale(block: np.ndarray, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a_ij (r_i r_j) in out, the outer product formed _ROWS rows at a
+    time."""
+    for i in range(0, r.size, _ROWS):
+        np.multiply(block[i:i + _ROWS], np.outer(r[i:i + _ROWS], r),
+                    out=out[i:i + _ROWS])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,34 +165,79 @@ class LinOperator:
         object.__setattr__(self, "potential", pot)
 
 
-def assemble(op: LinOperator) -> ParityBlocks:
-    """The parity blocks of op in the real-Fourier basis, from one FFT of
-    its potential; ValueError if the potential couples the parities."""
-    grid = op.grid
-    m = grid.n // 2
-    # G_q = h sum_j V_j exp(2i pi xi_q x_j), q = 0 .. n (n-periodic in q)
-    g = grid.spacing * grid.n * np.fft.ifft(op.potential)
+def _fourier_potential(op: LinOperator) -> np.ndarray:
+    """G_q = h sum_j V_j exp(2i pi xi_q x_j), q = 0 .. n (n-periodic in q)."""
+    g = op.grid.spacing * op.grid.n * np.fft.ifft(op.potential)
     g[1::2] *= -1.0
-    g = np.append(g, g[0])
-    c = g.real
-    # nu_a nu_b (C_|a-b| + C_a+b) / 2 on the even modes a, b = 0 .. m,
-    # scaled in place by rows and columns alike so that the block stays
-    # exactly symmetric
-    even = toeplitz(c[:m + 1]) + hankel(c[:m + 1], c[m:])
-    even *= 0.5 / grid.half_length
-    even[[0, -1]] *= np.sqrt(0.5)
-    even[:, [0, -1]] *= np.sqrt(0.5)
-    # (C_|a-b| - C_a+b) / (2l) on the odd modes a, b = 1 .. m-1
-    odd = toeplitz(c[:m - 1]) - hankel(c[2:m + 1], c[m:2 * m - 1])
-    odd *= 0.5 / grid.half_length
-    even[np.diag_indices_from(even)] += op.multiplier_symbol[:m + 1]
-    odd[np.diag_indices_from(odd)] += op.multiplier_symbol[1:m]
+    return np.append(g, g[0])
+
+
+def assemble_block(op: LinOperator, parity: int, weight=None,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """The even (parity 0) or odd (1) block of R op R, R the even
+    multiplier with the fftfreq-layout symbol weight (I if None), or A_cos
+    (2), the even block without its constant and Nyquist rows and columns,
+    in out (a new array if None), from strided views of C = Re G."""
+    c, m = _fourier_potential(op).real, op.grid.n // 2
+    # nu_a nu_b (C_|a-b| +- C_a+b) / 2 on the modes a, b = first .. first
+    # + k - 1: + on the cosines, - on the sines
+    first, k = (0, m + 1) if parity == 0 else (1, m - 1)
+    out = np.empty((k, k)) if out is None else out
+    window = np.lib.stride_tricks.sliding_window_view
+    (np.subtract if parity == 1 else np.add)(
+        window(np.r_[c[k - 1:0:-1], c[:k]], k)[::-1],
+        window(c[2 * first:], k)[:k], out=out)
+    out *= 0.5 / op.grid.half_length
+    if parity == 0:
+        # by rows and columns alike, so that it stays exactly symmetric
+        out[[0, -1]] *= np.sqrt(0.5)
+        out[:, [0, -1]] *= np.sqrt(0.5)
+    out[np.diag_indices_from(out)] += op.multiplier_symbol[first:first + k]
+    return out if weight is None else _scale(out, weight[first:first + k], out)
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorBlocks:
+    """The parity blocks of R op R (assemble_block), each assembled anew by
+    block(parity) and owned by the caller, who may overwrite it; the
+    coupling guard runs once both parities have been assembled."""
+    op: LinOperator
+    weight: np.ndarray | None
+    label: str
+    coupling: float
+    _block_max: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def grid(self) -> SpectralGrid:
+        return self.op.grid
+
+    def block(self, parity: int) -> np.ndarray:
+        out = assemble_block(self.op, parity, self.weight)
+        self._block_max[parity] = _max_abs(out)
+        if len(self._block_max) == 2:
+            _check_coupling(self, max(self._block_max.values()))
+        return out
+
+    def cos_block(self) -> np.ndarray:
+        m = self.grid.n // 2
+        out = np.empty((m - 1, m - 1), order="F")
+        # exactly symmetric: assembled in its transpose
+        assemble_block(self.op, 2, self.weight, out.T)
+        return out
+
+
+def assemble(op: LinOperator, on_demand: bool = False
+             ) -> ParityBlocks | OperatorBlocks:
+    """The parity blocks of op in the real-Fourier basis, from one FFT of
+    its potential, as ParityBlocks or, on_demand, OperatorBlocks;
+    ValueError, once both parities are assembled, if the potential couples
+    them."""
     # |r_even[a] (S_{a+b} - S_{a-b}) r_odd[b] / 2| <= max|S| / l, as no
     # mode norm exceeds 1/sqrt(l)
-    P = ParityBlocks((even, odd), grid, op.label,
-                     coupling=_max_abs(g.imag) / grid.half_length)
-    _check_coupling(P)
-    return P
+    P = OperatorBlocks(op, None, op.label, _max_abs(
+        _fourier_potential(op).imag) / op.grid.half_length)
+    return P if on_demand else ParityBlocks(
+        (P.block(0), P.block(1)), op.grid, op.label, P.coupling)
 
 
 def linearization(U: WaveProfile) -> LinOperator:
@@ -214,25 +281,23 @@ def symmetrizing_weight(grid: SpectralGrid, s: float) -> np.ndarray:
     return (1.0 + fractional_symbol(grid, s)) ** -0.5
 
 
-def congruence(A: ParityBlocks, symbol: np.ndarray, name: str,
-               overwrite: bool = False) -> ParityBlocks:
+def congruence(A, symbol: np.ndarray, name: str):
     """R A R for the even multiplier R with the given fftfreq-layout
-    symbol; with overwrite, in A's own blocks.  Each entry of the block
-    coupling the parities is scaled by one r_even[a] r_odd[b], its bound
-    by max|r_even| max|r_odd|."""
+    symbol, in new blocks, or of an OperatorBlocks, the OperatorBlocks
+    that assembles them scaled.  Each entry of the block coupling the
+    parities is scaled by one r_even[a] r_odd[b], its bound by
+    max|r_even| max|r_odd|."""
     m = A.grid.n // 2
     r_even, r_odd = symbol[:m + 1], symbol[1:m]
-    blocks = []
-    for block, r in zip(A.blocks, (r_even, r_odd)):
-        # a_ij (r_i r_j), formed in the outer product or, with overwrite,
-        # in the block; the outer product goes before the next is made
-        scale = np.outer(r, r)
-        blocks.append(np.multiply(block, scale,
-                                  out=block if overwrite else scale))
-        del scale
-    out = ParityBlocks(tuple(blocks), A.grid, f"{name}[{A.label}]",
-                       A.coupling * _max_abs(r_even) * _max_abs(r_odd))
-    _check_coupling(out)
+    label = f"{name}[{A.label}]"
+    coupling = A.coupling * _max_abs(r_even) * _max_abs(r_odd)
+    if isinstance(A, OperatorBlocks):
+        return OperatorBlocks(A.op, symbol if A.weight is None
+                              else A.weight * symbol, label, coupling)
+    out = ParityBlocks(tuple(_scale(block, r, np.empty_like(block)) for
+                             block, r in zip(A.blocks, (r_even, r_odd))),
+                       A.grid, label, coupling)
+    _check_coupling(out, max(_max_abs(block) for block in out.blocks))
     return out
 
 

@@ -1,14 +1,17 @@
 """Eigenvalue computations for the stability pipeline.
 
-Every function takes the parity blocks of a symmetric matrix
-(operators.ParityBlocks, built by assemble or a congruence) or a result
-derived from them.  They feed three kinds of quantities:
+Every function takes the parity blocks of a symmetric matrix, held
+(operators.ParityBlocks) or assembled where read (operators.OperatorBlocks,
+a counting verdict's: see symmetric_spectrum for the two matrices of order
+n/2 it holds at once), or a result derived from them.  They feed three
+kinds of quantities:
 
 * inertia counts n(.), by Sylvester's law from Bunch-Kaufman LDL^T
-  factors of shifted blocks: the zero tolerance ZERO_TOL_REL max|w| is
-  bracketed by max|a_ii| and the 1-norm, and a count is taken where both
-  ends of the bracket give it (the second only where a certificate does
-  not, _counts), from the eigenvalues otherwise; in a spectrum, the odd
+  factors of shifted blocks, or for the even block of an OperatorBlocks
+  from the wave's core (core_count): the zero tolerance ZERO_TOL_REL
+  max|w| is bracketed by max|a_ii| and the 1-norm, and a count is taken
+  where both ends of the bracket give it (the second only where a
+  certificate does not, _counts), from the eigenvalues otherwise; the odd
   block's few eigenvalues below 1e3 zero_tol (the kernel Q' and any
   near-singular one) come as certified Ritz pairs from inverse iteration
   with the factor of the shifted block;
@@ -53,7 +56,8 @@ import scipy.linalg
 
 from .errors import (FredholmViolationError, TheoryConsistencyError,
                      UnresolvedEigenvalueError)
-from .operators import ParityBlocks, pair_frequencies, to_coords
+from .operators import (OperatorBlocks, ParityBlocks, pair_frequencies,
+                        to_coords)
 from .spectral import (TWO_PI, SpectralGrid, antiderivative, apply,
                        fractional_symbol, hilbert_symbol, inner_product,
                        quarter_root_symbol)
@@ -89,6 +93,13 @@ ANCHOR_FRACTION = 0.02
 # temporaries to n x _COLUMN_BLOCK instead of n x n
 _COLUMN_BLOCK = 256
 
+# rows of a block per sum in its 1-norm
+_NORM_ROWS = 64
+
+# the wave's core: the grid points where v = -V exceeds CORE_FRACTION
+# times the floor of the multiplier
+CORE_FRACTION = 0.01
+
 
 def sym_eig(block: np.ndarray, vectors: bool) -> tuple:
     """Ascending eigenvalues of one parity block, and their eigenvector
@@ -100,13 +111,17 @@ def sym_eig(block: np.ndarray, vectors: bool) -> tuple:
 
 def _ldl(block: np.ndarray, shift: float, work: np.ndarray) -> tuple:
     """(LDL^T, ipiv): the Bunch-Kaufman factor of block + shift I, computed
-    in a Fortran-ordered view of the head of the 1-D array work.  Upper
-    storage with the blocked workspace reproduces scipy.linalg.solve(
+    in a Fortran-ordered view of the head of the 1-D array work, or of the
+    exactly symmetric block itself (its transpose) if work is the block.
+    Upper storage with the blocked workspace reproduces scipy.linalg.solve(
     assume_a="sym") bit for bit; LAPACK's default workspace runs unblocked,
     about three times slower at order 1025."""
     n = block.shape[0]
-    out = work[:block.size].reshape(block.shape, order="F")
-    out[...] = block
+    if work is block:
+        out = block.T
+    else:
+        out = work[:block.size].reshape(block.shape, order="F")
+        out[...] = block
     out.flat[::n + 1] += shift
     ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(
         out, lower=0, lwork=int(scipy.linalg.lapack.dsytrf_lwork(n)[0]),
@@ -129,22 +144,71 @@ def _negatives(ldu: np.ndarray, ipiv: np.ndarray) -> int:
                + np.count_nonzero(mid + radius < 0))
 
 
+def _one_norm(block: np.ndarray) -> float:
+    """np.linalg.norm(block, 1) of a C-ordered block bit for bit, its column
+    sums added in the same order, _NORM_ROWS rows at a time: no |block|
+    of its order."""
+    total = np.zeros(block.shape[1])
+    for i in range(0, block.shape[0], _NORM_ROWS):
+        rows = np.abs(block[i:i + _NORM_ROWS])
+        rows[0] += total
+        np.sum(rows, axis=0, out=total)
+    return float(np.max(total, initial=0.0))
+
+
 def _bracket(blocks: tuple) -> tuple:
     """ZERO_TOL_REL times the ends of the bracket of max|w| over the
     symmetric blocks: max|a_ii|, a Rayleigh quotient, and the 1-norm,
     which bounds the 2-norm of a symmetric matrix."""
     low = max(float(np.max(np.abs(b.diagonal()))) for b in blocks)
-    high = max(float(np.linalg.norm(b, 1)) for b in blocks)
+    high = max(_one_norm(b) for b in blocks)
     return ZERO_TOL_REL * low, ZERO_TOL_REL * high
 
 
-def _counts(block: np.ndarray, ends: tuple, work: np.ndarray,
+def core_count(P: OperatorBlocks, ends: tuple) -> int | None:
+    """#{w < -z} of the even block of P at every z of the bracket [z0, z1],
+    from the wave's core, or None where the core does not settle it.
+
+    On the grid op = F^-1 mu F - v, and the even block is op on the even
+    grid functions, where v acts by its even part (mirror points j and
+    n - j merged, j = 0 .. n/2).  With R the weight, block + z I is
+    congruent to h - v, h = mu + z / r^2; where h > 0, its negative count
+    N(h) is the number of eigenvalues above 1 of sqrt(v) G sqrt(v)
+    (Birman-Schwinger), G the even part (c_|j-k| + c_j+k) s_j s_k, s =
+    1/sqrt(2) at j = 0, n/2, of the circulant of c = ifft(1 / h), kept on
+    the core S = {v > delta}, delta = CORE_FRACTION min(mu).  Off S, -beta
+    <= v <= delta, so N(h_z1 + beta) <= #{w < -z1} <= #{w < -z0} <=
+    N(h_z0 - delta) (Weyl): outer ends that agree give every count."""
+    n, m = P.grid.n, P.grid.n // 2
+    j = np.arange(m + 1)
+    v = -0.5 * (P.op.potential[j] + P.op.potential[(n - j) % n])
+    mu = P.op.multiplier_symbol
+    delta = CORE_FRACTION * float(np.min(mu))
+    core = np.nonzero(v > delta)[0]
+    beta = max(0.0, -float(np.min(np.delete(v, core), initial=0.0)))
+    root = np.sqrt(v[core]) * np.where((core == 0) | (core == m),
+                                       np.sqrt(0.5), 1.0)
+    inverse = 1.0 if P.weight is None else P.weight ** -2.0
+    counts = set()
+    for h in (mu + ends[1] * inverse + beta, mu + ends[0] * inverse - delta):
+        if not (core.size and np.all(h > 0)):
+            return None
+        c = np.fft.ifft(1.0 / h).real
+        c = np.append(c, c[0])
+        k = c[np.abs(core[:, None] - core)] + c[core[:, None] + core]
+        counts.add(_negatives(*scipy.linalg.lapack.dsytrf(
+            np.eye(core.size) - k * np.outer(root, root))[:2]))
+    return counts.pop() if len(counts) == 1 else None
+
+
+def _counts(block: np.ndarray, ends: tuple,
             probe: np.ndarray | None = None, norm: float = 0.0) -> tuple:
     """#{w < -z} at the ends z0 <= z1 of a bracket, from LDL^T factors in
-    work (_ldl), at z1 unless the count at z0 settles it: 0, or 1 where
-    the probe's Rayleigh quotient rho, plus the rounding allowance 2 order
-    eps norm, norm >= ||block||_1, lies below -z1, as lambda_min <= rho
-    (Courant-Fischer)."""
+    one work array (_ldl), at z1 unless the count at z0 settles it: 0, or
+    1 where the probe's Rayleigh quotient rho, plus the rounding allowance
+    2 order eps norm, norm >= ||block||_1, lies below -z1, as lambda_min
+    <= rho (Courant-Fischer)."""
+    work = np.empty(block.size)
     first = _negatives(*_ldl(block, ends[0], work))
     rho = np.inf if probe is None else (probe @ (block @ probe)) / (
         probe @ probe) + 2.0 * block.shape[0] * np.finfo(float).eps * norm
@@ -153,20 +217,23 @@ def _counts(block: np.ndarray, ends: tuple, work: np.ndarray,
     return first, _negatives(*_ldl(block, ends[1], work))
 
 
-def negative_count(P: ParityBlocks, probe: np.ndarray | None = None) -> int:
+def negative_count(P, probe: np.ndarray | None = None) -> int:
     """n(P) = #{w < -zero_tol}, zero_tol = ZERO_TOL_REL max|w| over both
     blocks, without the spectrum: #{w < -z} is the negative count of the
     LDL^T factor of each block + z I, at both ends z of the bracket of
     zero_tol (_bracket), the high end where no certificate settles it
-    (_counts, with probe, a negative direction, for the even block).
-    Where the ends give different counts, the eigenvalues decide."""
-    low, high = _bracket(P.blocks)
-    work = np.empty(max(block.size for block in P.blocks))
-    counts = [_counts(block, (low, high), work, v, high / ZERO_TOL_REL)
-              for block, v in zip(P.blocks, (probe, None))]
+    (_counts, with probe, a negative direction, for the even block), or
+    for the even block of an OperatorBlocks, from the wave's core where
+    it settles both (core_count).  Where the ends give different counts,
+    the eigenvalues decide."""
+    odd = P.block(1)
+    ends = _bracket((P.block(0), odd))
+    certified = core_count(P, ends) if isinstance(P, OperatorBlocks) else None
+    counts = [(certified, certified) if certified is not None else _counts(
+        P.block(0), ends, probe, ends[1] / ZERO_TOL_REL), _counts(odd, ends)]
     if all(at_low == at_high for at_low, at_high in counts):
         return sum(at_low for at_low, _ in counts)
-    values = [sym_eig(block, vectors=False)[0] for block in P.blocks]
+    values = [sym_eig(P.block(i), vectors=False)[0] for i in (0, 1)]
     tol = ZERO_TOL_REL * max(float(np.max(np.abs(w))) for w in values)
     return sum(int(np.count_nonzero(w < -tol)) for w in values)
 
@@ -271,41 +338,48 @@ class SymmetricSpectrum:
     negative_count: int
 
 
-def symmetric_spectrum(P: ParityBlocks, probe: np.ndarray | None = None,
-                       overwrite_odd: bool = False) -> SymmetricSpectrum:
+def symmetric_spectrum(P, probe: np.ndarray | None = None
+                       ) -> SymmetricSpectrum:
     """Inertia of a symmetric matrix, and the factors its solves read.
 
     Each block brackets its max|w| by max|a_ii| and its 1-norm (_bracket),
     and z_high, the upper end of zero_tol, sets the shift 1e3 z_high.
     Equal counts of the even block -+ the shift put no even eigenvalue
     within 1e3 zero_tol, so the factor of the block itself gives its
-    count; that factor is kept for the solves, and one work array holds
-    each shifted factor (the block + the shift where probe or a count of
-    0 does not settle it, _counts) and then the kept one.  An even
-    eigenvalue within zero_tol makes the block singular, and no solve
-    reads its factor (_pseudo_solve_quadratic refuses first): it is not
-    taken.  The factor of the odd block - the shift counts its eigenvalues
-    below the shift, and inverse iteration with it gives them as certified
-    Ritz pairs: the kernel, kept near-singular ones and negative ones.
-    Where the shifted counts differ, or the Ritz pairs are not certified,
-    the even eigenvalues, without vectors, decide in place of the factor
-    and make the even span exact; where the Ritz pairs are not certified,
-    or a decision differs between the ends of the bracket, the odd
-    eigenpairs make zero_tol exact and decide in place of the Ritz pairs.
-    Without a negative odd eigenvalue, the odd block's Cholesky factor
-    deflates the kernel, in the block's own memory with overwrite_odd."""
-    even, odd = P.blocks
-    spans = [list(_bracket((block,))) for block in P.blocks]
+    count; that factor is kept for the solves.  The shifted counts come
+    from factors (the block + the shift where probe or a count of 0 does
+    not settle it, _counts) or, for an OperatorBlocks, from the wave's
+    core where it settles them (core_count).  An even eigenvalue within
+    zero_tol makes the block singular, and no solve reads its factor
+    (_pseudo_solve_quadratic refuses first): it is not taken.  The factor
+    of the odd block - the shift counts its eigenvalues below the shift,
+    and inverse iteration with it gives them as certified Ritz pairs: the
+    kernel, kept near-singular ones and negative ones.  Where the shifted
+    counts differ, or the Ritz pairs are not certified, the even
+    eigenvalues, without vectors, decide in place of the factor and make
+    the even span exact; where the Ritz pairs are not certified, or a
+    decision differs between the ends of the bracket, the odd eigenpairs
+    make zero_tol exact and decide in place of the Ritz pairs.  Without a
+    negative odd eigenvalue, the odd block's Cholesky factor deflates the
+    kernel.  An OperatorBlocks' blocks are the caller's: the even one is
+    assembled for its span, and again for the kept factor, taken in its
+    memory once the odd block's shifted factor is freed; the Cholesky
+    factor is taken in the odd block's.  It then holds these two."""
+    on_demand = isinstance(P, OperatorBlocks)
+    spans = [list(_bracket((P.block(0),)))]
+    odd = P.block(1)
+    spans.append(list(_bracket((odd,))))
     shift = 1e3 * max(high for _, high in spans)
-    work = np.empty(max(block.size for block in P.blocks))
-    gap = set(_counts(even, (-shift, shift), work, probe,
-                      spans[0][1] / ZERO_TOL_REL))
-    factor = _ldl(odd, -shift, work)
+    certified = core_count(P, (-shift, shift)) if on_demand else None
+    gap = {certified} if certified is not None else set(_counts(
+        P.block(0), (-shift, shift), probe, spans[0][1] / ZERO_TOL_REL))
+    factor = _ldl(odd, -shift, np.empty(odd.size))
     low = _inverse_iteration(odd, factor, _negatives(*factor), shift, spans)
+    del factor
     sides = None if low is None else low[3]
     even_values = None
     if low is None or len(gap) > 1:
-        even_values = sym_eig(even, vectors=False)[0]
+        even_values = sym_eig(P.block(0), vectors=False)[0]
         spans[0] = [ZERO_TOL_REL * float(np.max(np.abs(even_values)))] * 2
         if low is not None:
             sides = _decide([(low[0], low[2]), (even_values, 0.0)], spans)
@@ -318,11 +392,13 @@ def symmetric_spectrum(P: ParityBlocks, probe: np.ndarray | None = None,
         sides = _decide([(low[0], 0.0), (even_values, 0.0)], spans)
     count = sum(int(np.count_nonzero(side <= 1)) for side in sides)
     zero_tol = max(high for _, high in spans)
-    factor = None if even_values is not None and np.any(
-        np.abs(even_values) <= zero_tol) else _ldl(even, 0.0, work)
+    factor = None
+    if even_values is None or not np.any(np.abs(even_values) <= zero_tol):
+        even = P.block(0)
+        factor = _ldl(even, 0.0, even if on_demand else np.empty(even.size))
     count += _negatives(*factor) if even_values is None else 0
     odd_factor = None if np.any(sides[0] <= 1) else _deflated_cholesky(
-        odd, low[1][:, sides[0] == 2], overwrite_odd)
+        odd, low[1][:, sides[0] == 2], on_demand)
     return SymmetricSpectrum(even_values, factor, low[:2], odd_factor,
                              zero_tol, count)
 
@@ -539,15 +615,15 @@ def _odd_factor(eig: SymmetricSpectrum, label: str) -> tuple:
     return eig.odd_factor
 
 
-def _restricted_t(even: np.ndarray, fac: tuple,
+def _restricted_t(t_mat: np.ndarray, fac: tuple,
                   weights: np.ndarray) -> np.ndarray:
-    """T = R^T A_cos R, R = W C H E, A_cos the even block without its
-    constant and Nyquist rows and columns, by two triangular products and
-    the reflectors H of the odd block's deflated Cholesky factor fac = (C,
-    kernel, qr, tau) (_odd_factor); E drops the deflated columns."""
+    """T = R^T A_cos R, R = W C H E, formed in t_mat, a Fortran-ordered
+    A_cos (the even block without its constant and Nyquist rows and
+    columns), by two triangular products and the reflectors H of the odd
+    block's deflated Cholesky factor fac = (C, kernel, qr, tau)
+    (_odd_factor); E drops the deflated columns."""
     c, kernel = fac[:2]
     k = kernel.shape[1]
-    t_mat = np.array(even[1:-1, 1:-1], order="F")
     t_mat *= weights[:, None]
     t_mat *= weights
     blas = scipy.linalg.blas
@@ -580,10 +656,11 @@ def _t_spectrum(t_mat: np.ndarray, zero_floor: float, label: str,
     return nu, z, top
 
 
-def t_matrix(even: np.ndarray, eig: SymmetricSpectrum, grid: SpectralGrid,
-             label: str) -> np.ndarray:
-    """T (_restricted_t) of D A from its even block and its spectrum eig."""
-    return _restricted_t(even, _odd_factor(eig, label), _d_weights(grid))
+def t_matrix(P, eig: SymmetricSpectrum) -> np.ndarray:
+    """T (_restricted_t) of D A, formed in the A_cos of A's parity blocks P
+    (ParityBlocks or OperatorBlocks), from A's spectrum eig."""
+    return _restricted_t(P.cos_block(), _odd_factor(eig, P.label),
+                         _d_weights(P.grid))
 
 
 def real_pair_count(t_mat: np.ndarray, zero_floor: float, label: str) -> int:
@@ -598,11 +675,10 @@ def real_pair_count(t_mat: np.ndarray, zero_floor: float, label: str) -> int:
     imaginary, and neither counts."""
     band = NOISE_BAND * float(np.finfo(float).eps) * float(
         np.linalg.norm(t_mat, 1))
-    work, shift = np.empty(t_mat.size), zero_floor ** 2
-    counts = set(_counts(t_mat, (shift - band, shift + band), work))
+    shift = zero_floor ** 2
+    counts = set(_counts(t_mat, (shift - band, shift + band)))
     if len(counts) == 1:
         return counts.pop()
-    del work
     nu = _t_spectrum(t_mat, zero_floor, label, vectors=False)[0]
     return int(np.count_nonzero(nu < -zero_floor ** 2))
 
@@ -643,7 +719,7 @@ def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
     fac = _odd_factor(eig, P.label)
     c, kernel = fac[:2]
     k = kernel.shape[1]
-    nu, z, top = _t_spectrum(_restricted_t(P.blocks[0], fac, weights),
+    nu, z, top = _t_spectrum(_restricted_t(P.cos_block(), fac, weights),
                              zero_floor, P.label, vectors)
     noise, scale = float(np.finfo(float).eps) * top, float(np.sqrt(top))
     t = nu.size

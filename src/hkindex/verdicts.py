@@ -15,16 +15,19 @@ Every imaginary eigenvalue has the Krein form 2 nu > 0, so k_i^- is 0 and
 k_r is the number of nu < -zero_floor^2.  A counting verdict (index,
 sweep) takes that number by inertia, from LDL^T factors
 (spectra.real_pair_count), and the eigenvalues only where a nu lies near
--zero_floor^2; a count of 0, or the wave, which certifies n(L) = 1,
-saves the second factor of a count.  It forms each matrix in memory it
-reads no more and frees each once read, so it holds at most three
-matrices of order about n/2 at once: the two blocks (on the weighted
-row, L0's scaled into S's) and one work array for their factors, the odd
-block's Cholesky factor formed in that block, then the even block, that
-factor and T.  A run that keeps its pipeline (spectrum, self-check)
-computes the eigenvalues, the eigenvectors and the Krein classes, and
-takes k_r from the real columns the classes are read from; a negative
-signature is a theory-consistency failure.
+-zero_floor^2; a count of 0 saves the second factor of a count.  Its
+even counts come from the wave's core where that settles them
+(spectra.core_count).  It assembles each block where it is read
+(operators.OperatorBlocks) and factors it in its own memory, so it holds
+at most two matrices of order about n/2 at once: the odd block and the
+work array of its shifted factor, then its Cholesky factor and the even
+block's LDL^T factor, then the Cholesky factor and T, and last T and T's
+factor.  A run that keeps its pipeline (spectrum, self-check) counts on
+the dense blocks, where the wave, which certifies n(L) = 1, saves the
+second factor of an even count; it computes the eigenvalues, the
+eigenvectors and the Krein classes, and takes k_r from the real columns
+the classes are read from; a negative signature is a theory-consistency
+failure.
 
 Wave families with |slope| inside the degeneracy band (the p = 2s
 borderline, where the generalized kernel grows) are reported DEGENERATE
@@ -181,7 +184,8 @@ def verdict(model: str, s: float, p: float, c: float,
     U = Q if (row.name, c) == (Q.model, Q.c) else wv.solve_traveling_wave(
         row.name, s, p, c, grid, opts)
     L = op.linearization(U)
-    A = op.assemble(L)
+    # a counting verdict assembles each block where it is read
+    A = op.assemble(L, on_demand=not keep_pipeline)
     psi0 = sp.apply(sp.derivative_symbol(grid), U.values)
     # <L U, U> = -p <U^(p+1), U> < 0 (Weinstein, CPAM 39, 1986): the wave
     # probes n(L) = 1 (Frank and Lenzmann, Acta Math. 210, 2013)
@@ -194,11 +198,10 @@ def verdict(model: str, s: float, p: float, c: float,
         # -1/2 d/dc <(I+M) U_c, U_c>.  (u/r)^T S (u/r) = u^T L u
         n_L = spc.negative_count(A, probe)
         weight = op.symmetrizing_weight(grid, s)
-        A = op.congruence(A, weight, "bbm-sym", overwrite=True)
+        A = op.congruence(A, weight, "bbm-sym")
         probe = probe / weight[:grid.n // 2 + 1]
         psi0 = sp.apply(1.0 / weight, psi0)
-    # a counting verdict reads the odd block no more: its factor takes it
-    eig = spc.symmetric_spectrum(A, probe, overwrite_odd=not keep_pipeline)
+    eig = spc.symmetric_spectrum(A, probe)
     if not row.weighted:
         n_L = eig.negative_count
     elif eig.negative_count != n_L:
@@ -223,11 +226,11 @@ def verdict(model: str, s: float, p: float, c: float,
         ham = spc.hamiltonian_eigensystem(A, eig, zero_floor=floor)
         k_r = int(np.count_nonzero(ham.split()[0]))
     else:
-        # T reads the even block and the odd block's Cholesky factor: both
-        # are freed once T is formed, before T is factored
-        t_mat, label = spc.t_matrix(A.blocks[0], eig, grid, A.label), A.label
-        del A, eig
-        k_r = spc.real_pair_count(t_mat, floor, label)
+        # T is formed in a new A_cos from the odd block's Cholesky factor,
+        # which is freed before T is factored
+        t_mat = spc.t_matrix(A, eig)
+        del eig
+        k_r = spc.real_pair_count(t_mat, floor, A.label)
     K_formula, decision, notes = _resolve_verdict(
         n_L, slope, slope_ref, band, k_r, L.label,
         check_reference_sign=row.weighted)

@@ -316,9 +316,9 @@ class TestEvenBlockSolve:
         seen = []
         form = spc.t_matrix
 
-        def spy(even, eig, *args, **kw):
+        def spy(P, eig):
             seen.append(eig.factor)
-            return form(even, eig, *args, **kw)
+            return form(P, eig)
         monkeypatch.setattr(spc, "t_matrix", spy)
         with quiet():
             vd.verdict(wv.FKDV, 2.0, 2.0, 1.0, SMALL)
@@ -704,7 +704,7 @@ def eigenvalue_count(P: op.ParityBlocks, eig, zero_floor: float) -> int:
 
 def real_pair_count(P: op.ParityBlocks, eig, zero_floor: float) -> int:
     """spectra.real_pair_count on the T of P."""
-    return spc.real_pair_count(spc.t_matrix(P.blocks[0], eig, P.grid, P.label),
+    return spc.real_pair_count(spc.t_matrix(P, eig),
                                zero_floor, P.label)
 
 
@@ -754,7 +754,7 @@ class TestRealPairCount:
         assume(all(abs(v - edge) > 0.5 * EPS for v in nu))
         P = prescribed_nu(nu + [1.0])
         eig = spc.symmetric_spectrum(P)
-        t_mat = spc.t_matrix(P.blocks[0], eig, P.grid, P.label)
+        t_mat = spc.t_matrix(P, eig)
         with ldl_calls() as calls:
             got = counted_or_refused(
                 lambda: spc.real_pair_count(t_mat, 0.1, P.label))
@@ -1040,18 +1040,78 @@ def test_one_factor_counts_equal_both_factors(monkeypatch, model, s, p, c,
             vd.verdict(model, s, p, c, numerics)
         except TheoryConsistencyError:
             assert (model, s, p, c) == (wv.FBBM, 1.0, 3.0, 2.0)
-    # L0's two blocks for a weighted row, then the even block and T
-    assert len(seen) == 2 + 2 * wv.MODELS[model].weighted
+    # L0's odd block for a weighted row, then T: the even counts come from
+    # the wave's core (test_core_counts_equal_the_dense_counts)
+    assert len(seen) == 1 + wv.MODELS[model].weighted
     assert all(got == factors == values for got, factors, values in seen)
 
 
+# CERTIFIED_CASES, the benchmark items, and fkdv (0.6, 1.2, 1), whose
+# default grid has n = 4096
+CORE_CASES = [*CERTIFIED_CASES, (wv.FKDV, 2.0, 2.0, 1.0, None),
+              (wv.FKDV, 2.0, 5.0, 1.0, None), (wv.FBBM, 1.5, 1.0, 1.5, None),
+              (wv.FKDV, 0.6, 1.2, 1.0, None)]
+
+
+@pytest.mark.parametrize(
+    "model, s, p, c, numerics", CORE_CASES,
+    ids=lambda v: "default" if v is None else f"n{v.n}-l{v.half_length:g}"
+    if isinstance(v, vd.NumericsConfig) else str(v))
+def test_core_counts_equal_the_dense_counts(model, s, p, c, numerics):
+    # #{w < -z} of the even block at both ends of the bracket of zero_tol
+    # and of the gap -+ 1e3 z_high, for L and for the weighted S: the core
+    # settles each, with the count of the dense block's eigenvalues
+    grid = (numerics or vd.NumericsConfig()).grid_for(s)
+    with quiet():
+        U = wv.solve_traveling_wave(model, s, p, c, grid)
+    L = op.linearization(U)
+    sources = [op.assemble(L, on_demand=True)]
+    if wv.MODELS[model].weighted:
+        sources.append(op.congruence(
+            sources[0], op.symmetrizing_weight(grid, s), "bbm-sym"))
+    for P in sources:
+        blocks = (P.block(0), P.block(1))
+        w = scipy.linalg.eigvalsh(blocks[0])
+        shift = 1e3 * max(spc._bracket((block,))[1] for block in blocks)
+        for ends in (spc._bracket(blocks), (-shift, shift)):
+            assert spc.core_count(P, ends) \
+                == int(np.count_nonzero(w < -ends[0])) \
+                == int(np.count_nonzero(w < -ends[1]))
+
+
+@pytest.mark.parametrize("model, s, p, c, half_length",
+                         [(wv.FKDV, 1.0, 1.0, 1.0, 30.0), INDEX_CASES[3]])
+def test_weyl_ends_apart_take_the_dense_counts(monkeypatch, model, s, p, c,
+                                               half_length):
+    # delta = 0.9 min(mu) lies above the gap between 0 and the next even
+    # eigenvalue of L (0.61 for the Benjamin-Ono wave, 0.35 for this BBM
+    # one, where min(mu) = 1 and 0.5): the core's outer ends differ, each
+    # count it leaves falls back to the even block's factors, and the
+    # verdict is the same
+    numerics = vd.NumericsConfig(n=512, half_length=half_length)
+    with quiet():
+        want = vd.verdict(model, s, p, c, numerics)
+    settled, core = [], spc.core_count
+    monkeypatch.setattr(spc, "CORE_FRACTION", 0.9)
+    monkeypatch.setattr(spc, "core_count", lambda P, ends: settled.append(
+        core(P, ends)) or settled[-1])
+    with quiet(), ldl_calls() as calls:
+        got = vd.verdict(model, s, p, c, numerics)
+    assert got == want
+    # the gap, and for a weighted row n(L0) first
+    assert settled == [None] * (1 + wv.MODELS[model].weighted)
+    assert len([z for order, z in calls
+                if order == 512 // 2 + 1 and z != 0.0]) >= len(settled)
+
+
 @pytest.mark.parametrize("model, s, p, c, factors", [
-    (wv.FKDV, 2.0, 2.0, 1.0, 4), (wv.FKDV, 2.0, 5.0, 1.0, 5),
-    (wv.FBBM, 1.5, 1.0, 1.5, 6)])
+    (wv.FKDV, 2.0, 2.0, 1.0, 3), (wv.FKDV, 2.0, 5.0, 1.0, 4),
+    (wv.FBBM, 1.5, 1.0, 1.5, 4)])
 def test_ldl_factors_of_the_benchmark_verdicts(model, s, p, c, factors):
-    # one factor per count where the wave certifies n(L) = 1 or a count is
-    # 0, with the even block's factor at 0 and the odd block's at the
-    # shift; the second factor of T where k_r = 1
+    # the even counts come from the wave's core: the even block's factor
+    # at 0, the odd block's at the shift and, for a weighted row, L0's odd
+    # block's at the low end, where its count of 0 settles the high end;
+    # T's, and its second factor where k_r = 1
     with quiet(), ldl_calls() as calls:
         vd.verdict(model, s, p, c)
     assert len(calls) == factors
@@ -1107,8 +1167,7 @@ def test_rounding_allowance_of_the_quotient():
     block, probe = np.diag([-1.0] + [1.0] * 8), np.eye(9)[0]
     for gap, factors in ((1e-14, 1), (1e-15, 2)):
         with ldl_calls() as calls:
-            counts = spc._counts(block, (0.5, 1.0 - gap), np.empty(81),
-                                 probe, 1.0)
+            counts = spc._counts(block, (0.5, 1.0 - gap), probe, 1.0)
         assert counts == (1, 1) and len(calls) == factors
 
 

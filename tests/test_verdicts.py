@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -217,46 +218,103 @@ def test_wave_solves_per_verdict(monkeypatch, model, s, p, c, solves):
     assert calls == solves
 
 
+# the stages of a counting verdict whose peaks are traced one by one: the
+# assembly of a block, the counts and solves, and T
+COUNTING_STAGES = [(op.OperatorBlocks, "block"), (spc, "negative_count"),
+                   (op, "congruence"), (spc, "symmetric_spectrum"),
+                   (spc, "constrained_quantity"), (spc, "t_matrix"),
+                   (spc, "real_pair_count")]
+
+
 class TestCountingMemory:
     @pytest.mark.parametrize("model, s, p, c", [
         (wv.FKDV, 2.0, 5.0, 1.0), (wv.FBBM, 1.5, 1.0, 1.5)])
-    def test_peak_holds_three_half_order_matrices(self, model, s, p, c):
-        # both parity blocks and one work array for their factors, the odd
-        # block's Cholesky factor in its own memory, then the even block,
-        # that factor and T, and last T and its factor: at most three
-        # matrices of the even block's order n/2 + 1 at once
+    def test_peak_holds_two_half_order_matrices(self, model, s, p, c,
+                                                monkeypatch):
+        # the even block for its span, then the odd block and one work
+        # array for its shifted factor, then the odd block's Cholesky
+        # factor in its own memory and the even block's factor in the even
+        # block's, then that Cholesky factor and T, and last T and its
+        # factor: at most two matrices of the even block's order n/2 + 1 at
+        # once, in every stage
         n, _ = vd.default_grid(s)
+        block = 8 * (n // 2 + 1) ** 2
         with quiet():
             vd.verdict(model, s, p, c)  # first calls may fill caches
-            gc.collect()
-            tracemalloc.start()
-            try:
+        peaks, running = {}, [0]
+
+        def traced(name, fn):
+            def stage(*args, **kw):
+                # the peak so far is the enclosing stage's
+                running[-1] = max(running[-1],
+                                  tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+                running.append(0)
+                try:
+                    return fn(*args, **kw)
+                finally:
+                    peak = max(running.pop(),
+                               tracemalloc.get_traced_memory()[1])
+                    peaks[name] = max(peaks.get(name, 0), peak)
+                    running[-1] = max(running[-1], peak)
+                    tracemalloc.reset_peak()
+            return stage
+        for owner, name in COUNTING_STAGES:
+            monkeypatch.setattr(owner, name,
+                                traced(name, getattr(owner, name)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with quiet():
                 vd.verdict(model, s, p, c)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peak <= 3.25 * 8 * (n // 2 + 1) ** 2
+            peak = max(running[0], tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert {"block", "symmetric_spectrum", "constrained_quantity",
+                "t_matrix", "real_pair_count"} <= set(peaks)
+        assert {name: round(got / block, 2) for name, got in peaks.items()
+                if got > 2.25 * block} == {}
+        assert peak <= 2.25 * block
 
     @pytest.mark.parametrize("n, half_length", [
         (256, 30.0), (2048, 80.0), (4096, 50.0)])
     def test_in_place_products_equal_the_copies(self, n, half_length):
-        # index forms S in L0's blocks and the odd Cholesky factor in S's
-        # odd block, spectrum both in new arrays: they read the same C
+        # spectrum scales L0's blocks into S's and factors copies; index
+        # assembles S's blocks scaled, one at a time, and factors each in
+        # its own memory: the same entries and the same factors
         grid = sp.make_grid(n, half_length)
         with quiet():
             U = wv.solve_traveling_wave(wv.FBBM, 1.5, 1.0, 1.5, grid)
         weight = op.symmetrizing_weight(grid, 1.5)
-        A = op.assemble(op.linearization(U))
-        S = op.congruence(A, weight, "bbm-sym")
-        in_place = op.congruence(A, weight, "bbm-sym", overwrite=True)
-        assert all(in_place.blocks[i] is A.blocks[i] for i in (0, 1))
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(S.blocks, in_place.blocks))
-        copied = spc.symmetric_spectrum(S).odd_factor
-        eig = spc.symmetric_spectrum(in_place, overwrite_odd=True)
-        assert np.shares_memory(eig.odd_factor[0], in_place.blocks[1])
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(copied, eig.odd_factor))
+        L = op.linearization(U)
+        S = op.congruence(op.assemble(L), weight, "bbm-sym")
+        source = op.congruence(op.assemble(L, on_demand=True), weight,
+                               "bbm-sym")
+        assert source.label == S.label
+        assert source.coupling == S.coupling
+        assert all(np.array_equal(source.block(i), S.blocks[i])
+                   for i in (0, 1))
+        assert np.array_equal(source.cos_block(), S.cos_block())
+        copied = spc.symmetric_spectrum(S)
+        with ldl_targets() as targets:
+            eig = spc.symmetric_spectrum(source)
+        # the odd block's shifted factor in a work array, the even block's
+        # factor in that block
+        assert targets == [False, True]
+        for a, b in ((copied.factor, eig.factor),
+                     (copied.odd_factor, eig.odd_factor)):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@contextmanager
+def ldl_targets():
+    """Whether each spectra._ldl call in the block factors its block in
+    the block's own memory."""
+    targets, ldl = [], spc._ldl
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spc, "_ldl", lambda block, shift, work: targets.append(
+            work is block) or ldl(block, shift, work))
+        yield targets
 
 
 class TestSelfCheck:
