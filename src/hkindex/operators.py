@@ -13,13 +13,12 @@ acts by 2x2 rotation blocks on each (cos, sin) pair.  The basis is
 orthonormal for the trapezoid inner product, so coordinate dot products
 equal L2 pairings.
 
-Every wave is even, so an operator is assembled as its two parity blocks
-(ParityBlocks, the only matrix type of the package): the even block over
-the constant, the cosines and the Nyquist cosine (modes k = 0 .. n/2) and
-the odd block over the sines (k = 1 .. n/2-1).  Coordinates come in the
-same layout, one vector per parity; the interleaved order above is only
-the layout of a dumped matrix.  A pointwise potential V enters through
-the trapezoid sums
+Every wave is even, so an operator is assembled as its two parity blocks:
+the even block over the constant, the cosines and the Nyquist cosine
+(modes k = 0 .. n/2) and the odd block over the sines (k = 1 .. n/2-1).
+Coordinates come in the same layout, one vector per parity; the
+interleaved order above is only the layout of a dumped matrix.  A
+pointwise potential V enters through the trapezoid sums
 
     C_q + i S_q = h sum_j V_j exp(2i pi xi_q x_j),
 
@@ -27,8 +26,10 @@ one FFT of V.  Since cos a cos b = (cos(a-b) + cos(a+b))/2, each block is
 a Toeplitz-plus-Hankel matrix in C_q, exactly symmetric as built; the
 block coupling the parities is made of S_q, which an even V leaves at
 round-off.  It is dropped, and only a bound on its entries is kept and
-checked.  OperatorBlocks assembles each block anew where it is read, with
-no temporary of its order.
+checked.  Each block(parity) is a new array its caller owns:
+OperatorBlocks, which every verdict reads, assembles it where it is read,
+with no temporary of its order; ParityBlocks holds both blocks, for the
+dense gates and the dumped matrix.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ class ParityBlocks:
     coupling: float = 0.0
 
     def block(self, parity: int) -> np.ndarray:
-        """The even (0) or the odd (1) block itself."""
-        return self.blocks[parity]
+        """A copy of the even (0) or the odd (1) block."""
+        return self.blocks[parity].copy()
 
     def cos_block(self) -> np.ndarray:
         """A_cos, the even block without its constant and Nyquist rows and
@@ -104,6 +105,15 @@ class ParityBlocks:
     @property
     def order(self) -> int:
         return sum(block.shape[0] for block in self.blocks)
+
+    def scaled(self, symbol: np.ndarray, label: str, coupling: float):
+        """R P R in new blocks (congruence)."""
+        r = symbol[:self.grid.n // 2 + 1], symbol[1:self.grid.n // 2]
+        out = ParityBlocks(tuple(_scale(b, ri, np.empty_like(b)) for b, ri
+                                 in zip(self.blocks, r)), self.grid, label,
+                           coupling)
+        _check_coupling(out, max(map(_max_abs, out.blocks)))
+        return out
 
     def dense(self) -> np.ndarray:
         """The full matrix in the interleaved basis order, with zeros
@@ -218,6 +228,11 @@ class OperatorBlocks:
             _check_coupling(self, max(self._block_max.values()))
         return out
 
+    def scaled(self, symbol: np.ndarray, label: str, coupling: float):
+        """The OperatorBlocks of R op R (congruence)."""
+        return OperatorBlocks(self.op, symbol if self.weight is None
+                              else self.weight * symbol, label, coupling)
+
     def cos_block(self) -> np.ndarray:
         m = self.grid.n // 2
         out = np.empty((m - 1, m - 1), order="F")
@@ -226,18 +241,21 @@ class OperatorBlocks:
         return out
 
 
-def assemble(op: LinOperator, on_demand: bool = False
-             ) -> ParityBlocks | OperatorBlocks:
-    """The parity blocks of op in the real-Fourier basis, from one FFT of
-    its potential, as ParityBlocks or, on_demand, OperatorBlocks;
-    ValueError, once both parities are assembled, if the potential couples
-    them."""
+def operator_blocks(op: LinOperator) -> OperatorBlocks:
+    """The parity blocks of op in the real-Fourier basis, each assembled
+    where it is read from one FFT of its potential; ValueError, once both
+    parities are assembled, if the potential couples them."""
     # |r_even[a] (S_{a+b} - S_{a-b}) r_odd[b] / 2| <= max|S| / l, as no
     # mode norm exceeds 1/sqrt(l)
-    P = OperatorBlocks(op, None, op.label, _max_abs(
+    return OperatorBlocks(op, None, op.label, _max_abs(
         _fourier_potential(op).imag) / op.grid.half_length)
-    return P if on_demand else ParityBlocks(
-        (P.block(0), P.block(1)), op.grid, op.label, P.coupling)
+
+
+def assemble(op: LinOperator) -> ParityBlocks:
+    """The parity blocks of op (operator_blocks), held."""
+    P = operator_blocks(op)
+    return ParityBlocks((P.block(0), P.block(1)), op.grid, op.label,
+                        P.coupling)
 
 
 def linearization(U: WaveProfile) -> LinOperator:
@@ -283,22 +301,12 @@ def symmetrizing_weight(grid: SpectralGrid, s: float) -> np.ndarray:
 
 def congruence(A, symbol: np.ndarray, name: str):
     """R A R for the even multiplier R with the given fftfreq-layout
-    symbol, in new blocks, or of an OperatorBlocks, the OperatorBlocks
-    that assembles them scaled.  Each entry of the block coupling the
-    parities is scaled by one r_even[a] r_odd[b], its bound by
-    max|r_even| max|r_odd|."""
+    symbol, of the same type as A (its scaled method).  Each entry of the
+    block coupling the parities is scaled by one r_even[a] r_odd[b], its
+    bound by max|r_even| max|r_odd|."""
     m = A.grid.n // 2
-    r_even, r_odd = symbol[:m + 1], symbol[1:m]
-    label = f"{name}[{A.label}]"
-    coupling = A.coupling * _max_abs(r_even) * _max_abs(r_odd)
-    if isinstance(A, OperatorBlocks):
-        return OperatorBlocks(A.op, symbol if A.weight is None
-                              else A.weight * symbol, label, coupling)
-    out = ParityBlocks(tuple(_scale(block, r, np.empty_like(block)) for
-                             block, r in zip(A.blocks, (r_even, r_odd))),
-                       A.grid, label, coupling)
-    _check_coupling(out, max(_max_abs(block) for block in out.blocks))
-    return out
+    return A.scaled(symbol, f"{name}[{A.label}]", A.coupling
+                    * _max_abs(symbol[:m + 1]) * _max_abs(symbol[1:m]))
 
 
 def save_matrix(P: ParityBlocks, bin_path) -> tuple:

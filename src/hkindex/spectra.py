@@ -1,20 +1,21 @@
 """Eigenvalue computations for the stability pipeline.
 
-Every function takes the parity blocks of a symmetric matrix, held
-(operators.ParityBlocks) or assembled where read (operators.OperatorBlocks,
-a counting verdict's: see symmetric_spectrum for the two matrices of order
-n/2 it holds at once), or a result derived from them.  They feed three
-kinds of quantities:
+Every function takes the parity blocks of a symmetric matrix, assembled
+where read (operators.OperatorBlocks, a verdict's: see symmetric_spectrum
+for the two matrices of order n/2 it holds at once) or held
+(operators.ParityBlocks, the dense gates'), and factors each block, an
+array of its own, in place; or it takes a result derived from them.  They
+feed three kinds of quantities:
 
 * inertia counts n(.), by Sylvester's law from Bunch-Kaufman LDL^T
   factors of shifted blocks, or for the even block of an OperatorBlocks
   from the wave's core (core_count): the zero tolerance ZERO_TOL_REL
   max|w| is bracketed by max|a_ii| and the 1-norm, and a count is taken
-  where both ends of the bracket give it (the second only where a
-  certificate does not, _counts), from the eigenvalues otherwise; the odd
-  block's few eigenvalues below 1e3 zero_tol (the kernel Q' and any
-  near-singular one) come as certified Ritz pairs from inverse iteration
-  with the factor of the shifted block;
+  where both ends of the bracket give it (the second only where the first
+  is not 0, _counts), from the eigenvalues otherwise; the odd block's few
+  eigenvalues below 1e3 zero_tol (the kernel Q' and any near-singular
+  one) come as certified Ritz pairs from inverse iteration with the
+  factor of the shifted block;
 * the constrained quantity <L^-1 w, w> with w the decaying antiderivative
   of the kernel generator, via a spectral pseudo-inverse: one solve with
   the even block's own LDL^T factor, and one with the odd block's
@@ -56,8 +57,7 @@ import scipy.linalg
 
 from .errors import (FredholmViolationError, TheoryConsistencyError,
                      UnresolvedEigenvalueError)
-from .operators import (OperatorBlocks, ParityBlocks, pair_frequencies,
-                        to_coords)
+from .operators import OperatorBlocks, pair_frequencies, to_coords
 from .spectral import (TWO_PI, SpectralGrid, antiderivative, apply,
                        fractional_symbol, hilbert_symbol, inner_product,
                        quarter_root_symbol)
@@ -165,9 +165,10 @@ def _bracket(blocks: tuple) -> tuple:
     return ZERO_TOL_REL * low, ZERO_TOL_REL * high
 
 
-def core_count(P: OperatorBlocks, ends: tuple) -> int | None:
+def core_count(P, ends: tuple) -> int | None:
     """#{w < -z} of the even block of P at every z of the bracket [z0, z1],
-    from the wave's core, or None where the core does not settle it.
+    from the wave's core; None where the core does not settle it, where P
+    holds its blocks (ParityBlocks) and where its weight has a zero.
 
     On the grid op = F^-1 mu F - v, and the even block is op on the even
     grid functions, where v acts by its even part (mirror points j and
@@ -179,6 +180,9 @@ def core_count(P: OperatorBlocks, ends: tuple) -> int | None:
     the core S = {v > delta}, delta = CORE_FRACTION min(mu).  Off S, -beta
     <= v <= delta, so N(h_z1 + beta) <= #{w < -z1} <= #{w < -z0} <=
     N(h_z0 - delta) (Weyl): outer ends that agree give every count."""
+    if not isinstance(P, OperatorBlocks) or (
+            P.weight is not None and not np.all(P.weight)):
+        return None
     n, m = P.grid.n, P.grid.n // 2
     j = np.arange(m + 1)
     v = -0.5 * (P.op.potential[j] + P.op.potential[(n - j) % n])
@@ -201,36 +205,34 @@ def core_count(P: OperatorBlocks, ends: tuple) -> int | None:
     return counts.pop() if len(counts) == 1 else None
 
 
-def _counts(block: np.ndarray, ends: tuple,
-            probe: np.ndarray | None = None, norm: float = 0.0) -> tuple:
+def _counts(block: np.ndarray, ends: tuple) -> tuple:
     """#{w < -z} at the ends z0 <= z1 of a bracket, from LDL^T factors in
-    one work array (_ldl), at z1 unless the count at z0 settles it: 0, or
-    1 where the probe's Rayleigh quotient rho, plus the rounding allowance
-    2 order eps norm, norm >= ||block||_1, lies below -z1, as lambda_min
-    <= rho (Courant-Fischer)."""
+    one work array (_ldl), at z1 unless the count at z0 is 0, which
+    settles it."""
     work = np.empty(block.size)
     first = _negatives(*_ldl(block, ends[0], work))
-    rho = np.inf if probe is None else (probe @ (block @ probe)) / (
-        probe @ probe) + 2.0 * block.shape[0] * np.finfo(float).eps * norm
-    if first == 0 or first == 1 and rho < -ends[1]:
+    if first == 0:
         return first, first
     return first, _negatives(*_ldl(block, ends[1], work))
 
 
-def negative_count(P, probe: np.ndarray | None = None) -> int:
+def _even_counts(P, ends: tuple) -> tuple:
+    """The even block's counts at the ends of a bracket: from the wave's
+    core where it settles them (core_count), else from factors."""
+    core = core_count(P, ends)
+    return _counts(P.block(0), ends) if core is None else (core, core)
+
+
+def negative_count(P) -> int:
     """n(P) = #{w < -zero_tol}, zero_tol = ZERO_TOL_REL max|w| over both
     blocks, without the spectrum: #{w < -z} is the negative count of the
     LDL^T factor of each block + z I, at both ends z of the bracket of
-    zero_tol (_bracket), the high end where no certificate settles it
-    (_counts, with probe, a negative direction, for the even block), or
-    for the even block of an OperatorBlocks, from the wave's core where
-    it settles both (core_count).  Where the ends give different counts,
-    the eigenvalues decide."""
+    zero_tol (_bracket, _counts), or for the even block, from the wave's
+    core where it settles both (_even_counts).  Where the ends give
+    different counts, the eigenvalues decide."""
     odd = P.block(1)
     ends = _bracket((P.block(0), odd))
-    certified = core_count(P, ends) if isinstance(P, OperatorBlocks) else None
-    counts = [(certified, certified) if certified is not None else _counts(
-        P.block(0), ends, probe, ends[1] / ZERO_TOL_REL), _counts(odd, ends)]
+    counts = [_even_counts(P, ends), _counts(odd, ends)]
     if all(at_low == at_high for at_low, at_high in counts):
         return sum(at_low for at_low, _ in counts)
     values = [sym_eig(P.block(i), vectors=False)[0] for i in (0, 1)]
@@ -288,21 +290,19 @@ def _inverse_iteration(block: np.ndarray, factor: tuple, count: int,
     return None
 
 
-def _deflated_cholesky(block: np.ndarray, kernel: np.ndarray,
-                       overwrite: bool = False) -> tuple | None:
+def _deflated_cholesky(block: np.ndarray, kernel: np.ndarray) -> tuple | None:
     """(C, kernel, qr, tau): the Cholesky factor C C^T of block + sigma K
-    K^T, K the orthonormal kernel columns, in the block with overwrite,
-    and the Householder reflectors H (LAPACK's qr, tau) of C^-1 K.  Where
+    K^T, K the orthonormal kernel columns, in the block, and the
+    Householder reflectors H (LAPACK's qr, tau) of C^-1 K.  Where
     K spans the kernel, block = C (I - P) C^T with P the projector onto
     span C^-1 K = H[:, :k], so block = (C H E)(C H E)^T with E the last
     columns of I.  None where the shifted block is not positive definite."""
     sigma = 1e-3 * float(np.max(np.abs(block.diagonal()))) or 1.0
-    # an exactly symmetric block's transpose: Fortran order, same entries
-    out = block.T if overwrite else np.array(block, order="F")
+    # in the exactly symmetric block's transpose: Fortran order, same entries
     if kernel.shape[1]:
-        scipy.linalg.blas.dsyrk(sigma, kernel, beta=1.0, c=out, lower=1,
+        scipy.linalg.blas.dsyrk(sigma, kernel, beta=1.0, c=block.T, lower=1,
                                 overwrite_c=1)
-    c, info = scipy.linalg.lapack.dpotrf(out, lower=1, overwrite_a=1)
+    c, info = scipy.linalg.lapack.dpotrf(block.T, lower=1, overwrite_a=1)
     if info:
         return None
     g = scipy.linalg.lapack.dtrtrs(c, kernel, lower=1)[0]
@@ -338,8 +338,7 @@ class SymmetricSpectrum:
     negative_count: int
 
 
-def symmetric_spectrum(P, probe: np.ndarray | None = None
-                       ) -> SymmetricSpectrum:
+def symmetric_spectrum(P) -> SymmetricSpectrum:
     """Inertia of a symmetric matrix, and the factors its solves read.
 
     Each block brackets its max|w| by max|a_ii| and its 1-norm (_bracket),
@@ -347,32 +346,26 @@ def symmetric_spectrum(P, probe: np.ndarray | None = None
     Equal counts of the even block -+ the shift put no even eigenvalue
     within 1e3 zero_tol, so the factor of the block itself gives its
     count; that factor is kept for the solves.  The shifted counts come
-    from factors (the block + the shift where probe or a count of 0 does
-    not settle it, _counts) or, for an OperatorBlocks, from the wave's
-    core where it settles them (core_count).  An even eigenvalue within
-    zero_tol makes the block singular, and no solve reads its factor
-    (_pseudo_solve_quadratic refuses first): it is not taken.  The factor
-    of the odd block - the shift counts its eigenvalues below the shift,
-    and inverse iteration with it gives them as certified Ritz pairs: the
-    kernel, kept near-singular ones and negative ones.  Where the shifted
-    counts differ, or the Ritz pairs are not certified, the even
-    eigenvalues, without vectors, decide in place of the factor and make
-    the even span exact; where the Ritz pairs are not certified, or a
-    decision differs between the ends of the bracket, the odd eigenpairs
-    make zero_tol exact and decide in place of the Ritz pairs.  Without a
-    negative odd eigenvalue, the odd block's Cholesky factor deflates the
-    kernel.  An OperatorBlocks' blocks are the caller's: the even one is
-    assembled for its span, and again for the kept factor, taken in its
-    memory once the odd block's shifted factor is freed; the Cholesky
-    factor is taken in the odd block's.  It then holds these two."""
-    on_demand = isinstance(P, OperatorBlocks)
+    from the wave's core where it settles them, else from factors
+    (_even_counts).  An even eigenvalue within zero_tol makes the block
+    singular, and no solve reads its factor (_pseudo_solve_quadratic
+    refuses first): it is not taken.  The factor of the odd block - the
+    shift counts its eigenvalues below the shift, and inverse iteration
+    with it gives them as certified Ritz pairs: the kernel, kept
+    near-singular ones and negative ones.  Where the shifted counts
+    differ, or the Ritz pairs are not certified, the even eigenvalues,
+    without vectors, decide in place of the factor and make the even span
+    exact; where the Ritz pairs are not certified, or a decision differs
+    between the ends of the bracket, the odd eigenpairs make zero_tol
+    exact and decide in place of the Ritz pairs.  Without a negative odd
+    eigenvalue, the odd block's Cholesky factor, taken in the odd block,
+    deflates the kernel; the kept factor is taken in the even block, read
+    again once the odd block's shifted factor is freed."""
     spans = [list(_bracket((P.block(0),)))]
     odd = P.block(1)
     spans.append(list(_bracket((odd,))))
     shift = 1e3 * max(high for _, high in spans)
-    certified = core_count(P, (-shift, shift)) if on_demand else None
-    gap = {certified} if certified is not None else set(_counts(
-        P.block(0), (-shift, shift), probe, spans[0][1] / ZERO_TOL_REL))
+    gap = set(_even_counts(P, (-shift, shift)))
     factor = _ldl(odd, -shift, np.empty(odd.size))
     low = _inverse_iteration(odd, factor, _negatives(*factor), shift, spans)
     del factor
@@ -395,10 +388,10 @@ def symmetric_spectrum(P, probe: np.ndarray | None = None
     factor = None
     if even_values is None or not np.any(np.abs(even_values) <= zero_tol):
         even = P.block(0)
-        factor = _ldl(even, 0.0, even if on_demand else np.empty(even.size))
+        factor = _ldl(even, 0.0, even)
     count += _negatives(*factor) if even_values is None else 0
     odd_factor = None if np.any(sides[0] <= 1) else _deflated_cholesky(
-        odd, low[1][:, sides[0] == 2], on_demand)
+        odd, low[1][:, sides[0] == 2])
     return SymmetricSpectrum(even_values, factor, low[:2], odd_factor,
                              zero_tol, count)
 
@@ -465,10 +458,10 @@ def _pseudo_solve_quadratic(eig: SymmetricSpectrum, rhs: tuple,
     return total
 
 
-def constrained_quantity(A: ParityBlocks, psi0: np.ndarray,
+def constrained_quantity(A, psi0: np.ndarray,
                          eig: SymmetricSpectrum) -> float:
     """<L^-1 (d^-1 psi0), d^-1 psi0> via the spectral pseudo-inverse, from
-    the symmetric spectrum eig of A = assemble(L).
+    the symmetric spectrum eig of A, the parity blocks of L.
 
     The antiderivative is pinned to its decaying branch; the solve drops
     the numerically computed kernel directions and verifies the Fredholm
@@ -478,10 +471,10 @@ def constrained_quantity(A: ParityBlocks, psi0: np.ndarray,
     return _pseudo_solve_quadratic(eig, to_coords(A.grid, rhs), A.label)
 
 
-def constrained_quantity_sandwiched(A: ParityBlocks, psi0: np.ndarray,
+def constrained_quantity_sandwiched(A, psi0: np.ndarray,
                                     eps: float, eig: SymmetricSpectrum) -> float:
     """The same quantity computed through the regularized sandwich of the
-    assembled operator A = assemble(L), from the symmetric spectrum eig of
+    parity blocks A of L, from the symmetric spectrum eig of
     sandwich(A, eps),
 
         <(Lsand_eps)^-1 g_eps, g_eps>,
@@ -657,8 +650,8 @@ def _t_spectrum(t_mat: np.ndarray, zero_floor: float, label: str,
 
 
 def t_matrix(P, eig: SymmetricSpectrum) -> np.ndarray:
-    """T (_restricted_t) of D A, formed in the A_cos of A's parity blocks P
-    (ParityBlocks or OperatorBlocks), from A's spectrum eig."""
+    """T (_restricted_t) of D A, formed in the A_cos of A's parity blocks P,
+    from A's spectrum eig."""
     return _restricted_t(P.cos_block(), _odd_factor(eig, P.label),
                          _d_weights(P.grid))
 
@@ -683,7 +676,7 @@ def real_pair_count(t_mat: np.ndarray, zero_floor: float, label: str) -> int:
     return int(np.count_nonzero(nu < -zero_floor ** 2))
 
 
-def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
+def hamiltonian_eigensystem(P, eig: SymmetricSpectrum,
                             zero_floor: float,
                             weights: np.ndarray | None = None,
                             vectors: bool = True) -> HamiltonianEigensystem:
@@ -714,7 +707,7 @@ def hamiltonian_eigensystem(P: ParityBlocks, eig: SymmetricSpectrum,
     where its class would change, raises UnresolvedEigenvalueError; a
     zero-bucket nu below one unit goes on the imaginary axis.  An
     indefinite odd block raises TheoryConsistencyError."""
-    a_cos, a_sin = P.blocks[0][1:-1, 1:-1], P.blocks[1]
+    a_cos, a_sin = P.block(0)[1:-1, 1:-1], P.block(1)
     weights = _d_weights(P.grid) if weights is None else weights
     fac = _odd_factor(eig, P.label)
     c, kernel = fac[:2]

@@ -11,23 +11,23 @@ is then asserted against the directly counted k_r + k_c + k_i^-; a
 mismatch is a hard error (the identity is a theorem, so disagreement
 means the numerics are broken, not the wave).  k_c, the count of complex
 eigenvalues, is 0: the spectrum comes from lambda^2 = -nu with nu real.
-Every imaginary eigenvalue has the Krein form 2 nu > 0, so k_i^- is 0 and
-k_r is the number of nu < -zero_floor^2.  A counting verdict (index,
-sweep) takes that number by inertia, from LDL^T factors
+Every imaginary eigenvalue has the Krein form 2 nu > 0, so k_i^- is 0
+and k_r is the number of nu < -zero_floor^2.  Every verdict reads one
+kind of blocks, each assembled where it is read
+(operators.OperatorBlocks) and factored in its own memory; the even
+counts come from the wave's core where that settles them
+(spectra.core_count), and a count of 0 saves the second factor of a
+count.  Runs differ only in the source of k_r.  A counting verdict
+(index, sweep) takes it by inertia, from LDL^T factors of T
 (spectra.real_pair_count), and the eigenvalues only where a nu lies near
--zero_floor^2; a count of 0 saves the second factor of a count.  Its
-even counts come from the wave's core where that settles them
-(spectra.core_count).  It assembles each block where it is read
-(operators.OperatorBlocks) and factors it in its own memory, so it holds
-at most two matrices of order about n/2 at once: the odd block and the
-work array of its shifted factor, then its Cholesky factor and the even
-block's LDL^T factor, then the Cholesky factor and T, and last T and T's
-factor.  A run that keeps its pipeline (spectrum, self-check) counts on
-the dense blocks, where the wave, which certifies n(L) = 1, saves the
-second factor of an even count; it computes the eigenvalues, the
-eigenvectors and the Krein classes, and takes k_r from the real columns
-the classes are read from; a negative signature is a theory-consistency
-failure.
+-zero_floor^2, so it holds at most two matrices of order about n/2 at
+once: the odd block and the work array of its shifted factor, then its
+Cholesky factor and the even block's LDL^T factor, then the Cholesky
+factor and T, and last T and T's factor.  A run that keeps its pipeline
+(spectrum, self-check) counts the real columns of the eigenvectors that
+the Krein classes are read from, and holds A_cos and A_sin for them
+beside the Cholesky factor, T and its eigenvectors; a negative signature
+is a theory-consistency failure.
 
 Wave families with |slope| inside the degeneracy band (the p = 2s
 borderline, where the generalized kernel grows) are reported DEGENERATE
@@ -118,7 +118,7 @@ class PipelineData:
     grid: sp.SpectralGrid
     wave: wv.WaveProfile
     operator: op.LinOperator
-    matrix: op.ParityBlocks      # the symmetric factor fed to D (.)
+    matrix: op.OperatorBlocks    # the symmetric factor fed to D (.)
     eigensystem: spc.HamiltonianEigensystem
     classification: spc.KreinClassification
     result: KreinIndexResult
@@ -184,24 +184,19 @@ def verdict(model: str, s: float, p: float, c: float,
     U = Q if (row.name, c) == (Q.model, Q.c) else wv.solve_traveling_wave(
         row.name, s, p, c, grid, opts)
     L = op.linearization(U)
-    # a counting verdict assembles each block where it is read
-    A = op.assemble(L, on_demand=not keep_pipeline)
+    A = op.operator_blocks(L)
     psi0 = sp.apply(sp.derivative_symbol(grid), U.values)
-    # <L U, U> = -p <U^(p+1), U> < 0 (Weinstein, CPAM 39, 1986): the wave
-    # probes n(L) = 1 (Frank and Lenzmann, Acta Math. 210, 2013)
-    probe = op.to_coords(grid, U.values)[0]
     weight = np.ones(grid.n)
     if row.weighted:
         # S = W L W with W = (I+M)^(-1/2) is congruent to L, so the two
         # negative counts agree (Sylvester).  psi0 for S is W^-1 dU; its
         # antiderivative is W^-1 U, so the constrained quantity reproduces
         # -1/2 d/dc <(I+M) U_c, U_c>.  (u/r)^T S (u/r) = u^T L u
-        n_L = spc.negative_count(A, probe)
+        n_L = spc.negative_count(A)
         weight = op.symmetrizing_weight(grid, s)
         A = op.congruence(A, weight, "bbm-sym")
-        probe = probe / weight[:grid.n // 2 + 1]
         psi0 = sp.apply(1.0 / weight, psi0)
-    eig = spc.symmetric_spectrum(A, probe)
+    eig = spc.symmetric_spectrum(A)
     if not row.weighted:
         n_L = eig.negative_count
     elif eig.negative_count != n_L:
@@ -378,7 +373,7 @@ def _gkdv_case(p_exp: float, expected_K: int) -> CheckReport:
                 # J S: the solve of D A with unit weights
                 sand = spc.hamiltonian_eigensystem(
                     S, eig, data.eigensystem.zero_floor,
-                    np.ones(S.blocks[1].shape[0]), vectors=False).eigenvalues
+                    np.ones(data.grid.n // 2 - 1), vectors=False).eigenvalues
             else:
                 values[eps] = spc.constrained_quantity_sandwiched(
                     data.matrix, psi0, eps, eig)
@@ -446,7 +441,7 @@ def _schrodinger_case() -> CheckReport:
     entries.append(CheckEntry("n(L) == 1 for -d2 + 1/2 - 2 sech^2",
                               n_L == 1, f"n={n_L}"))
     # the ground state sech is even: one values-only solve of the even block
-    lowest = float(spc.sym_eig(A.blocks[0], vectors=False)[0][0])
+    lowest = float(spc.sym_eig(A.block(0), vectors=False)[0][0])
     entries.append(CheckEntry(
         "lowest eigenvalue at c - 1 = -0.5", abs(lowest + 0.5) <= 1e-6,
         f"lambda_min={lowest:.8f}"))

@@ -15,7 +15,7 @@ plain Petviashvili loop, without mixing, with five complex transforms
 per step and a residual that builds its own multiplier is the oracle of
 waves._petviashvili.  Dense
 matrices are plain arrays in the interleaved basis order of operators;
-split_parity turns one into the ParityBlocks the package works on, and
+split_parity turns one into the held ParityBlocks of the dense gates, and
 from_coords is the inverse of operators.to_coords.  The dense ones cost
 O(n^3) or O(n^2) memory, and all of them run in the tests only.
 """
@@ -140,13 +140,19 @@ def dense_inertia(a: np.ndarray):
             int(np.count_nonzero(np.abs(w) <= tol)), (w, v, tol))
 
 
-def block_inertia(P: op.ParityBlocks) -> tuple:
+def blocks_of(P) -> tuple:
+    """The (even, odd) blocks of P, ParityBlocks or OperatorBlocks, in
+    arrays of their own."""
+    return P.block(0), P.block(1)
+
+
+def block_inertia(P) -> tuple:
     """(negative count, kernel dimension, zero tolerance, eigenvalues) from
     one eigvalsh per parity block, the zero tolerance ZERO_TOL_REL max|w|
     over both blocks: the oracle of the LDL^T counts of spectra.  The
     eigenvalues of both blocks are returned ascending."""
     w = np.sort(np.concatenate([scipy.linalg.eigh(block, eigvals_only=True)
-                                for block in P.blocks]))
+                                for block in blocks_of(P)]))
     tol = spc.ZERO_TOL_REL * float(np.max(np.abs(w)))
     return (int(np.count_nonzero(w < -tol)),
             int(np.count_nonzero(np.abs(w) <= tol)), tol, w)
@@ -219,16 +225,18 @@ class FullOrderEigensystem:
     column: np.ndarray               # column of x and u for each eigenvalue
 
 
-def full_order(P: op.ParityBlocks, zero_floor: float) -> FullOrderEigensystem:
+def full_order(P, zero_floor: float) -> FullOrderEigensystem:
     """The eigensystem of the restricted D A from one eig of full order:
     the sine rows divided by lambda in place (u unread in the zero
     bucket).  A zero-bucket eigenvalue below sqrt(eps) max|lambda| goes on
     the imaginary axis, i |lambda| times the sign of its imaginary part,
     or of its real part when that is zero.  Its Krein forms are complex:
     classify it by reference_classification."""
-    a_cos, a_sin = P.blocks[0][1:-1, 1:-1], P.blocks[1]
+    even, a_sin = blocks_of(P)
+    a_cos = even[1:-1, 1:-1]
     weights = spc._d_weights(P.grid)
-    da = dense_restricted_product(P.dense(), P.grid, weights)
+    da = dense_restricted_product(
+        op.ParityBlocks((even, a_sin), P.grid).dense(), P.grid, weights)
     eigs, v = scipy.linalg.eig(da, overwrite_a=True, check_finite=False)
     scale = float(np.max(np.abs(eigs), initial=0.0))
     moved = np.abs(eigs) <= min(np.sqrt(np.finfo(float).eps) * scale,

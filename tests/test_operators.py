@@ -13,9 +13,9 @@ from hkindex import spectral as sp
 from hkindex import waves as wv
 
 from conftest import apply, quiet, wave
-from dense_reference import (block_inertia, cross_block, dense_congruence,
-                             dense_matrix, from_coords, interleave,
-                             real_fourier_basis)
+from dense_reference import (block_inertia, blocks_of, cross_block,
+                             dense_congruence, dense_matrix, from_coords,
+                             interleave, real_fourier_basis)
 
 
 def make_identity_operator(grid):
@@ -74,7 +74,8 @@ class TestKdvLinearization:
         L0 = op.linearization(wave(wv.FBBM, q22, 2.0))
         for P in (A, op.sandwich(A, 0.0), op.sandwich(A, 1e-2),
                   symmetrize(op.assemble(L0), 2.0)):
-            assert all(np.array_equal(block, block.T) for block in P.blocks)
+            assert all(np.array_equal(block, block.T)
+                       for block in blocks_of(P))
 
 
 class TestBbmLinearization:
@@ -262,7 +263,8 @@ class TestFftAssembly:
                                       "sandwich-eps=0.01"])
     def test_blocks_match_the_basis_matrix(self, name, n):
         blocks, dense = _oracle_case(name, ORACLE_GRIDS[n])
-        assert [b.shape[0] for b in blocks.blocks] == [n // 2 + 1, n // 2 - 1]
+        assert [b.shape[0] for b in blocks_of(blocks)] == \
+            [n // 2 + 1, n // 2 - 1]
         # the dense cross block, dropped by the blocks, is round-off too
         assert _relative_mismatch(blocks, dense) <= 1e-13
 
@@ -323,7 +325,7 @@ class TestFftAssembly:
                            op.symmetrizing_weight(grid, 1.5)),
                           (op.sandwich(A, 0.0),
                            sp.quarter_root_symbol(grid, 0.0))):
-            for block, got, r in zip(A.blocks, S.blocks,
+            for block, got, r in zip(blocks_of(A), blocks_of(S),
                                      (symbol[:n // 2 + 1], symbol[1:n // 2])):
                 assert np.array_equal(got, block * np.outer(r, r))
 

@@ -32,13 +32,14 @@ from hkindex.spectral import TWO_PI
 
 from conftest import (count_calls, diagonal_on_grid, eigensystem, quiet,
                       sech_profile, sym_eig_calls)
-from dense_reference import (block_inertia, dense_congruence,
+from dense_reference import (block_inertia, blocks_of, dense_congruence,
                              dense_hamiltonian_eigenvalues, dense_inertia,
                              dense_matrix,
                              dense_sandwich_hamiltonian_eigenvalues,
                              eigenvector_pseudo_quadratic, exact_quadratic,
                              full_order, interleave,
                              reference_classification, split_parity)
+from test_atlas import ATLAS
 
 REGRESSION_CASES = [(wv.FKDV, 2.0, 2.0, 1.0), (wv.FKDV, 2.0, 5.0, 1.0),
                     (wv.FBBM, 2.0, 2.0, 2.0)]
@@ -56,7 +57,7 @@ def indefinite_odd_block(P: op.ParityBlocks) -> bool:
     """The odd block has an eigenvalue below -zero_tol, by the oracle's
     eigenvalues and exact tolerance."""
     tol = block_inertia(P)[2]
-    return bool(scipy.linalg.eigvalsh(P.blocks[1])[0] < -tol)
+    return bool(scipy.linalg.eigvalsh(P.block(1))[0] < -tol)
 
 
 def assert_same_counts_and_classes(cls, ref) -> None:
@@ -121,10 +122,11 @@ def odd_kernel_deflated(P: op.ParityBlocks) -> op.ParityBlocks:
     oracle's eigenpairs and exact tolerance: the operator whose D A the
     factor route solves, as it drops the odd kernel by design."""
     tol = block_inertia(P)[2]
-    w, v = scipy.linalg.eigh(P.blocks[1])
+    odd = P.block(1)
+    w, v = scipy.linalg.eigh(odd)
     kernel = np.abs(w) <= tol
-    odd = P.blocks[1] - (v[:, kernel] * w[kernel]) @ v[:, kernel].T
-    return op.ParityBlocks((P.blocks[0], 0.5 * (odd + odd.T)), P.grid,
+    odd -= (v[:, kernel] * w[kernel]) @ v[:, kernel].T
+    return op.ParityBlocks((P.block(0), 0.5 * (odd + odd.T)), P.grid,
                            P.label)
 
 
@@ -247,10 +249,12 @@ class TestAgainstDensePath:
         assert abs(got[0] - want[0]) <= 1e-7 * abs(want[0])
 
 
-# (model, s, p, c, half_length) at n = 512: the p = 4.1 box is the
-# smallest whose zero floor stays below the unstable eigenvalue
-INDEX_CASES = [(wv.FKDV, 2.0, 2.0, 1.0, 30.0), (wv.FKDV, 2.0, 5.0, 1.0, 30.0),
-               (wv.FKDV, 2.0, 4.1, 1.0, 56.0), (wv.FBBM, 1.5, 1.0, 1.5, 100.0)]
+# (model, s, p, c, half_length) of the atlas's records at n = 512: fkdv
+# (2, 2, 1) and (2, 5, 1) on l = 30, (2, 4.1, 1) on the smallest box whose
+# zero floor stays below the unstable eigenvalue, and fbbm (1.5, 1, 1.5)
+INDEX_CASES = [(point["model"], point["s"], point["p"], point["c"],
+                point["half_length"])
+               for point in ATLAS["points"] if point.get("n") == 512]
 
 
 @pytest.fixture(scope="module", params=INDEX_CASES,
@@ -291,7 +295,7 @@ class TestEvenBlockSolve:
     def test_matches_the_eigenvector_path(self, spied_pipeline):
         model, data, _ = spied_pipeline
         reference = eigenvector_pseudo_quadratic(
-            data.matrix.blocks, block_inertia(data.matrix)[2],
+            blocks_of(data.matrix), block_inertia(data.matrix)[2],
             constrained_rhs(model, data))
         assert data.result.d == pytest.approx(reference, rel=1e-10, abs=0.0)
 
@@ -307,7 +311,7 @@ class TestEvenBlockSolve:
                     if not args and kw.get("driver") != "evd"]
         assert sum(kw.get("driver") == "evd" for _, _, kw in calls) == 1
         w, x = spc.symmetric_spectrum(data.matrix).odd_low
-        assert x.shape == (data.matrix.blocks[1].shape[0], w.size) \
+        assert x.shape == (data.grid.n // 2 - 1, w.size) \
             and w.size == 1
 
     def test_even_factor_is_freed_before_the_hamiltonian_solve(
@@ -440,7 +444,7 @@ class TestSandwichReformulation:
         S = op.sandwich(data.matrix, 0.0)
         ham = spc.hamiltonian_eigensystem(
             S, spc.symmetric_spectrum(S), data.eigensystem.zero_floor,
-            np.ones(S.blocks[1].shape[0]))
+            np.ones(S.grid.n // 2 - 1))
         cls, ref = spc.classify_krein(ham), data.classification
         assert cls.classes == ref.classes
         assert (cls.k_r, cls.k_i_minus) == (ref.k_r, ref.k_i_minus)
@@ -748,8 +752,8 @@ class TestRealPairCount:
     @given(st.lists(NEAR_THRESHOLDS, min_size=2, max_size=12))
     def test_second_factor_unless_the_first_count_is_zero(self, nu):
         # the factor at zero_floor^2 - band counts the nu below
-        # -zero_floor^2 + band: 0 settles the other end, T has no probe,
-        # and any other count takes the second factor
+        # -zero_floor^2 + band: 0 settles the other end, and any other
+        # count takes the second factor
         edge = -0.1 ** 2 + spc.NOISE_BAND * EPS
         assume(all(abs(v - edge) > 0.5 * EPS for v in nu))
         P = prescribed_nu(nu + [1.0])
@@ -915,7 +919,7 @@ def test_sandwich_hamiltonian_spectrum_equals_dense(L):
     noise = np.sqrt(np.finfo(float).eps) * scale
     S = op.sandwich(op.assemble(L), 0.0)
     eig = spc.symmetric_spectrum(S)
-    unit = np.ones(S.blocks[1].shape[0])
+    unit = np.ones(S.grid.n // 2 - 1)
     if indefinite_odd_block(S):
         with pytest.raises(TheoryConsistencyError, match="odd block"):
             spc.hamiltonian_eigensystem(S, eig, 20.0 * noise, unit)
@@ -1021,13 +1025,13 @@ CERTIFIED_CASES = [
     if isinstance(v, vd.NumericsConfig) else str(v))
 def test_one_factor_counts_equal_both_factors(monkeypatch, model, s, p, c,
                                               numerics):
-    # every pair of counts of a counting verdict, where a count of 0 or the
-    # wave's Rayleigh quotient settles the second, is what the factors at
-    # both ends and the eigenvalues give
+    # every pair of counts of a counting verdict, where a count of 0
+    # settles the second, is what the factors at both ends and the
+    # eigenvalues give
     seen, counts = [], spc._counts
 
-    def spy(block, ends, *args):
-        got = counts(block, ends, *args)
+    def spy(block, ends):
+        got = counts(block, ends)
         work = np.empty(block.size)
         w = scipy.linalg.eigvalsh(block)
         seen.append((got, tuple(spc._negatives(*spc._ldl(block, z, work))
@@ -1065,7 +1069,7 @@ def test_core_counts_equal_the_dense_counts(model, s, p, c, numerics):
     with quiet():
         U = wv.solve_traveling_wave(model, s, p, c, grid)
     L = op.linearization(U)
-    sources = [op.assemble(L, on_demand=True)]
+    sources = [op.operator_blocks(L)]
     if wv.MODELS[model].weighted:
         sources.append(op.congruence(
             sources[0], op.symmetrizing_weight(grid, s), "bbm-sym"))
@@ -1077,6 +1081,20 @@ def test_core_counts_equal_the_dense_counts(model, s, p, c, numerics):
             assert spc.core_count(P, ends) \
                 == int(np.count_nonzero(w < -ends[0])) \
                 == int(np.count_nonzero(w < -ends[1]))
+
+
+def test_a_vanishing_weight_takes_the_dense_counts():
+    # the eps = 0 sandwich's weight is 0 on the zero mode, where the core
+    # route's congruence is singular: the core declines it, with no
+    # division by zero, and the even block's factors count
+    grid = sp.make_grid(512, 30.0)
+    with quiet():
+        L = op.linearization(wv.solve_ground_state(2.0, 2.0, grid))
+    S = op.sandwich(op.operator_blocks(L), 0.0)
+    with np.errstate(divide="raise"), ldl_calls() as calls:
+        assert spc.core_count(S, spc._bracket(blocks_of(S))) is None
+        assert spc.negative_count(S) == block_inertia(S)[0] == 1
+    assert any(order == grid.n // 2 + 1 for order, _ in calls)
 
 
 @pytest.mark.parametrize("model, s, p, c, half_length",
@@ -1117,101 +1135,6 @@ def test_ldl_factors_of_the_benchmark_verdicts(model, s, p, c, factors):
     assert len(calls) == factors
 
 
-def test_without_a_probe_a_count_of_one_takes_both_factors():
-    grid = sp.make_grid(512, 30.0)
-    Q = wv.solve_ground_state(2.0, 2.0, grid)
-    A = op.assemble(op.linearization(Q))
-    probe = op.to_coords(grid, Q.values)[0]
-    for count in (spc.negative_count, spc.symmetric_spectrum):
-        factors = []
-        for given_probe in (None, probe):
-            with ldl_calls() as calls:
-                count(A, given_probe)
-            # the even block's factors at the ends of its bracket
-            factors.append([z for order, z in calls
-                            if order == grid.n // 2 + 1 and z != 0.0])
-        assert [len(z) for z in factors] == [2, 1]
-        assert factors[1] == factors[0][:1]
-
-
-def probed_blocks(placed: list, mix: float, seed: int) -> tuple:
-    """(P, probe, rho): on 16 points, the even block Q diag(w) Q^T with w
-    the placed eigenvalues, 0.5 filling and 100, which sets both brackets,
-    and the odd block 0.05 I; the probe Q c, with c^2 = 1 - 10^-mix on the
-    lowest eigenvalue's column and 10^-mix on a 0.5's, and its exact
-    Rayleigh quotient rho."""
-    w = np.array(sorted(placed) + [0.5] * (8 - len(placed)) + [100.0])
-    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((9, 9)))[0]
-    even = (q * w) @ q.T
-    c = np.zeros(9)
-    c[0], c[-2] = np.sqrt(1.0 - 10.0 ** -mix), np.sqrt(10.0 ** -mix)
-    P = op.ParityBlocks((0.5 * (even + even.T), 0.05 * np.eye(7)),
-                        sp.make_grid(16, 2.0), "probed")
-    return P, q @ c, float(c ** 2 @ w)
-
-
-def count_ends(P: op.ParityBlocks, target: str) -> tuple:
-    """The ends (z0, z1) at which target counts the even block:
-    negative_count at the bracket of zero_tol, symmetric_spectrum at -+
-    the shift 1e3 z_high."""
-    if target == "negative_count":
-        return spc._bracket(P.blocks)
-    shift = 1e3 * max(spc._bracket((block,))[1] for block in P.blocks)
-    return -shift, shift
-
-
-def test_rounding_allowance_of_the_quotient():
-    # diag(-1, 1, ..., 1) and its eigenvector of -1: rho = -1 exactly, and
-    # the allowance is 2 * 9 eps ||block||_1 = 4.0e-15.  A rho below the
-    # upper end by less than that takes the second factor
-    block, probe = np.diag([-1.0] + [1.0] * 8), np.eye(9)[0]
-    for gap, factors in ((1e-14, 1), (1e-15, 2)):
-        with ldl_calls() as calls:
-            counts = spc._counts(block, (0.5, 1.0 - gap), probe, 1.0)
-        assert counts == (1, 1) and len(calls) == factors
-
-
-# an eigenvalue -z (1 + u) near either end z of the bracket, or one below
-# both ends
-PLACED = st.one_of(
-    st.tuples(st.sampled_from([0, 1]), st.floats(-0.5, 0.5)),
-    st.just("deep"))
-
-
-@example("negative_count", [(1, 0.3)], 12.0, 1)
-@example("negative_count", [(1, 0.3)], 6.0, 1)
-@example("negative_count", [(1, 0.3), "deep"], 12.0, 1)
-@example("symmetric_spectrum", ["deep"], 3.0, 2)
-@example("symmetric_spectrum", ["deep"], 0.5, 2)
-@example("symmetric_spectrum", ["deep", (1, 0.2)], 12.0, 2)
-@given(st.sampled_from(["negative_count", "symmetric_spectrum"]),
-       st.lists(PLACED, max_size=3), st.floats(0.0, 12.0),
-       st.integers(0, 1000))
-def test_second_factor_unless_certified(target, placed, mix, seed):
-    # the probe certifies a first count of 1 where its Rayleigh quotient
-    # lies below the other end; a probe above it, or a count of 2, takes
-    # the second factor.  Either way the count is the oracle's
-    z0, z1 = count_ends(probed_blocks([0.0] * len(placed), 0.0, seed)[0],
-                        target)
-    ends = {0: z0, 1: z1}
-    P, probe, rho = probed_blocks(
-        [-0.05 if v == "deep" else -ends[v[0]] * (1.0 + v[1])
-         for v in placed], mix, seed)
-    z0, z1 = count_ends(P, target)
-    w = np.linalg.eigvalsh(P.blocks[0])
-    # the eigenvalues and rho are off both ends by more than rounding
-    assume(np.min(np.abs(np.add.outer(w, [z0, z1]))) > 1e-9
-           and min(abs(rho + z0), abs(rho + z1)) > 1e-9)
-    first = int(np.count_nonzero(w < -z0))
-    settled = first == 0 or (first == 1 and rho < -z1)
-    with ldl_calls() as calls:
-        count = spc.negative_count(P, probe) if target == "negative_count" \
-            else spc.symmetric_spectrum(P, probe).negative_count
-    assert count == block_inertia(P)[0]
-    assert [z for order, z in calls if order == 9 and z != 0.0] == \
-        ([z0] if settled else [z0, z1])
-
-
 def dominant_blocks(placed: float, in_odd: bool, odd_dominant: bool,
                     seed: int) -> op.ParityBlocks:
     """16 points: the eigenvalue 100, which sets max|w| and both ends of
@@ -1241,9 +1164,9 @@ def test_eigenvalue_inside_the_bracket_takes_the_fallback(t, in_odd,
     # one without vectors
     def blocks(placed):
         return dominant_blocks(placed, in_odd, odd_dominant, seed)
-    low, high = spc._bracket(blocks(0.0).blocks)
+    low, high = spc._bracket(blocks_of(blocks(0.0)))
     P = blocks(-low * (high / low) ** t)
-    assert spc._bracket(P.blocks) == pytest.approx((low, high), rel=1e-6)
+    assert spc._bracket(blocks_of(P)) == pytest.approx((low, high), rel=1e-6)
     n_neg, _, tol, _ = block_inertia(P)
     with sym_eig_calls() as calls:
         assert spc.negative_count(P) == n_neg
@@ -1275,7 +1198,7 @@ def test_parity_shares_match_the_exact_solve(c, sign, seed):
     with sym_eig_calls() as calls:
         eig = spc.symmetric_spectrum(P)
     assert calls == [(9, False)]
-    for i, (block, order) in enumerate(zip(P.blocks, (1, 7))):
+    for i, (block, order) in enumerate(zip(blocks_of(P), (1, 7))):
         share = tuple(part if j == i else np.zeros_like(part)
                       for j, part in enumerate(rhs))
         with pytest.warns(UserWarning, match="near-singular"):

@@ -60,7 +60,7 @@ class TestSymmetricSpectrum:
         (i,) = np.nonzero(np.abs(w) <= rep.zero_tol)[0]
         assert np.array_equal(rep.odd_factor[1], v[:, [i]])
         kv = from_coords(pipeline22.grid,
-                         (np.zeros(pipeline22.matrix.blocks[0].shape[0]),
+                         (np.zeros(pipeline22.grid.n // 2 + 1),
                           v[:, i]))
         cosine = abs(np.dot(kv, dq)) / (np.linalg.norm(kv) * np.linalg.norm(dq))
         assert cosine >= 1.0 - 1e-6
@@ -214,7 +214,7 @@ class TestHamiltonianSpectrum:
         ham = pipeline22.eigensystem
         sand = spc.hamiltonian_eigensystem(
             S, spc.symmetric_spectrum(S), ham.zero_floor,
-            np.ones(S.blocks[1].shape[0])).eigenvalues
+            np.ones(S.grid.n // 2 - 1)).eigenvalues
         cut = 1e-3 * ham.scale
         a = ham.eigenvalues[np.abs(ham.eigenvalues) > cut]
         b = sand[np.abs(sand) > cut]

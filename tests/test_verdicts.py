@@ -279,28 +279,31 @@ class TestCountingMemory:
     @pytest.mark.parametrize("n, half_length", [
         (256, 30.0), (2048, 80.0), (4096, 50.0)])
     def test_in_place_products_equal_the_copies(self, n, half_length):
-        # spectrum scales L0's blocks into S's and factors copies; index
-        # assembles S's blocks scaled, one at a time, and factors each in
-        # its own memory: the same entries and the same factors
+        # the held blocks of the dense gates scale L0's blocks into S's;
+        # a verdict assembles S's blocks scaled, one at a time.  Both
+        # factor each block in its own memory: the same entries and the
+        # same factors
         grid = sp.make_grid(n, half_length)
         with quiet():
             U = wv.solve_traveling_wave(wv.FBBM, 1.5, 1.0, 1.5, grid)
         weight = op.symmetrizing_weight(grid, 1.5)
         L = op.linearization(U)
         S = op.congruence(op.assemble(L), weight, "bbm-sym")
-        source = op.congruence(op.assemble(L, on_demand=True), weight,
-                               "bbm-sym")
+        source = op.congruence(op.operator_blocks(L), weight, "bbm-sym")
         assert source.label == S.label
         assert source.coupling == S.coupling
-        assert all(np.array_equal(source.block(i), S.blocks[i])
+        assert all(np.array_equal(source.block(i), S.block(i))
                    for i in (0, 1))
         assert np.array_equal(source.cos_block(), S.cos_block())
-        copied = spc.symmetric_spectrum(S)
+        with ldl_targets() as held:
+            copied = spc.symmetric_spectrum(S)
         with ldl_targets() as targets:
             eig = spc.symmetric_spectrum(source)
         # the odd block's shifted factor in a work array, the even block's
-        # factor in that block
+        # factor in that block; held blocks take their gap count from
+        # factors in a work array too, not from the wave's core
         assert targets == [False, True]
+        assert held[-2:] == targets and not any(held[:-2])
         for a, b in ((copied.factor, eig.factor),
                      (copied.odd_factor, eig.odd_factor)):
             assert all(np.array_equal(x, y) for x, y in zip(a, b))
@@ -333,9 +336,9 @@ class TestSelfCheck:
         # and each sandwich and its spectrum serve every check that reads
         # them: one assembly, two Hamiltonian solves (D L and J S), four
         # sandwiches and their four spectra besides L's own
-        calls = dict.fromkeys(["assemble", "hamiltonian_eigensystem",
+        calls = dict.fromkeys(["operator_blocks", "hamiltonian_eigensystem",
                                "sandwich", "symmetric_spectrum"], 0)
-        for fn in (vd.op.assemble, vd.spc.hamiltonian_eigensystem,
+        for fn in (vd.op.operator_blocks, vd.spc.hamiltonian_eigensystem,
                    vd.op.sandwich, vd.spc.symmetric_spectrum):
             count_calls(monkeypatch, fn, calls)
         # no nonsymmetric eigensolve: the D A of the verdict and the J S of
@@ -371,7 +374,7 @@ class TestSelfCheck:
         monkeypatch.setattr(vd.spc, "symmetric_spectrum", spied)
         report = vd.self_check("gkdv-p2")
         assert report.passed, [e for e in report.entries if not e.passed]
-        assert calls == {"assemble": 1, "hamiltonian_eigensystem": 2,
+        assert calls == {"operator_blocks": 1, "hamiltonian_eigensystem": 2,
                          "sandwich": 4, "symmetric_spectrum": 5}
         assert [has for _, has in factored] == [True, False, True, True, True]
         assert factored[1][0].startswith("sandwich(eps=0)")
