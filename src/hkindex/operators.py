@@ -77,6 +77,15 @@ def to_coords(grid: SpectralGrid, values: np.ndarray) -> tuple:
     return f.real.copy(), -f[1:-1].imag
 
 
+def from_coords(grid: SpectralGrid, even: np.ndarray,
+                odd: np.ndarray) -> np.ndarray:
+    """The grid samples whose coordinates (to_coords) are (even, odd)."""
+    f = np.asarray(even, dtype=complex).copy()
+    f[1:-1] -= 1j * np.asarray(odd)
+    f[1::2] *= -1.0
+    return np.fft.irfft(f / (grid.spacing * _mode_norms(grid)), grid.n)
+
+
 @dataclass(frozen=True, eq=False)
 class ParityBlocks:
     """A symmetric matrix in the real-Fourier basis of a grid as its
@@ -101,6 +110,10 @@ class ParityBlocks:
         """A_cos, the even block without its constant and Nyquist rows and
         columns, in a new Fortran-ordered array."""
         return np.array(self.blocks[0][1:-1, 1:-1], order="F")
+
+    def span(self, parity: int) -> tuple:
+        """span of the even (0) or the odd (1) block."""
+        return span(self.blocks[parity])
 
     @property
     def order(self) -> int:
@@ -150,6 +163,30 @@ def _scale(block: np.ndarray, r: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def span(block: np.ndarray) -> tuple:
+    """(max|a_ii|, max|a_ij|, ||A||_1) of a square array (_span)."""
+    return _span((i, block[i:i + _ROWS])
+                 for i in range(0, block.shape[0], _ROWS))
+
+
+def _span(rows) -> tuple:
+    """(max|a_ii|, max|a_ij|, ||A||_1) of a square matrix A given as
+    (first row, rows) pairs of _ROWS rows each, in order: the 1-norm is
+    np.linalg.norm(A, 1) of the C-ordered A bit for bit, its column sums
+    added in the same order, and no |A| of its order is formed."""
+    diag = top = 0.0
+    total = None
+    for first, part in rows:
+        a = np.abs(part)
+        at = np.arange(a.shape[0])
+        diag = max(diag, float(np.max(a[at, first + at])))
+        top = max(top, float(np.max(a)))
+        total = np.zeros(a.shape[1]) if total is None else total
+        a[0] += total
+        np.sum(a, axis=0, out=total)
+    return diag, top, float(np.max(total, initial=0.0))
+
+
 @dataclass(frozen=True, eq=False)
 class LinOperator:
     """Fourier multiplier plus pointwise potential, L = m(|d|) + V(x).
@@ -188,22 +225,43 @@ def assemble_block(op: LinOperator, parity: int, weight=None,
     multiplier with the fftfreq-layout symbol weight (I if None), or A_cos
     (2), the even block without its constant and Nyquist rows and columns,
     in out (a new array if None), from strided views of C = Re G."""
-    c, m = _fourier_potential(op).real, op.grid.n // 2
+    c = _fourier_potential(op).real
+    k = _block_order(op, parity)
+    out = np.empty((k, k)) if out is None else out
+    _block_rows(op, c, parity, 0, k, out)
+    return out if weight is None else _scale(out, _block_symbol(
+        op, parity, weight), out)
+
+
+def _block_order(op: LinOperator, parity: int) -> int:
+    return op.grid.n // 2 + 1 if parity == 0 else op.grid.n // 2 - 1
+
+
+def _block_symbol(op: LinOperator, parity: int, symbol: np.ndarray):
+    """The entries of an fftfreq-layout symbol on the modes of a block."""
+    first = 0 if parity == 0 else 1
+    return symbol[first:first + _block_order(op, parity)]
+
+
+def _block_rows(op: LinOperator, c: np.ndarray, parity: int, start: int,
+                stop: int, out: np.ndarray) -> None:
+    """Rows start .. stop - 1 of the block of op (assemble_block, without
+    the weight) in out, from C = c, each entry as the whole block has it."""
     # nu_a nu_b (C_|a-b| +- C_a+b) / 2 on the modes a, b = first .. first
     # + k - 1: + on the cosines, - on the sines
-    first, k = (0, m + 1) if parity == 0 else (1, m - 1)
-    out = np.empty((k, k)) if out is None else out
+    first, k = (0 if parity == 0 else 1), _block_order(op, parity)
     window = np.lib.stride_tricks.sliding_window_view
     (np.subtract if parity == 1 else np.add)(
-        window(np.r_[c[k - 1:0:-1], c[:k]], k)[::-1],
-        window(c[2 * first:], k)[:k], out=out)
+        window(np.r_[c[k - 1:0:-1], c[:k]], k)[::-1][start:stop],
+        window(c[2 * first:], k)[start:stop], out=out)
     out *= 0.5 / op.grid.half_length
     if parity == 0:
         # by rows and columns alike, so that it stays exactly symmetric
-        out[[0, -1]] *= np.sqrt(0.5)
+        out[[i - start for i in (0, k - 1) if start <= i < stop]] *= \
+            np.sqrt(0.5)
         out[:, [0, -1]] *= np.sqrt(0.5)
-    out[np.diag_indices_from(out)] += op.multiplier_symbol[first:first + k]
-    return out if weight is None else _scale(out, weight[first:first + k], out)
+    at = np.arange(stop - start)
+    out[at, start + at] += op.multiplier_symbol[first + start:first + stop]
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,10 +281,34 @@ class OperatorBlocks:
 
     def block(self, parity: int) -> np.ndarray:
         out = assemble_block(self.op, parity, self.weight)
-        self._block_max[parity] = _max_abs(out)
+        self._record(parity, _max_abs(out))
+        return out
+
+    def span(self, parity: int) -> tuple:
+        """(max|a_ii|, max|a_ij|, ||A||_1) of block(parity) (_span), its
+        rows assembled _ROWS at a time; the coupling guard counts it as
+        assembled."""
+        c = _fourier_potential(self.op).real
+        k = _block_order(self.op, parity)
+        r = None if self.weight is None else _block_symbol(
+            self.op, parity, self.weight)
+
+        def rows():
+            out = np.empty((_ROWS, k))
+            for i in range(0, k, _ROWS):
+                part = out[:min(_ROWS, k - i)]
+                _block_rows(self.op, c, parity, i, i + part.shape[0], part)
+                if r is not None:
+                    np.multiply(part, np.outer(r[i:i + _ROWS], r), out=part)
+                yield i, part
+        span = _span(rows())
+        self._record(parity, span[1])
+        return span
+
+    def _record(self, parity: int, block_max: float) -> None:
+        self._block_max[parity] = block_max
         if len(self._block_max) == 2:
             _check_coupling(self, max(self._block_max.values()))
-        return out
 
     def scaled(self, symbol: np.ndarray, label: str, coupling: float):
         """The OperatorBlocks of R op R (congruence)."""

@@ -16,9 +16,17 @@ and k_r is the number of nu < -zero_floor^2.  Every verdict reads one
 kind of blocks, each assembled where it is read
 (operators.OperatorBlocks) and factored in its own memory; the even
 counts come from the wave's core where that settles them
-(spectra.core_count), and a count of 0 saves the second factor of a
+(cores.core_count), and a count of 0 saves the second factor of a
 count.  Runs differ only in the source of k_r.  A counting verdict
-(index, sweep) takes it by inertia, from LDL^T factors of T
+(index, sweep) of an unweighted row first tries the wave's round-off
+core (cores.core_counts): n(L), d and k_r come from certified
+matrices of order at most m_e + m_o + 2 there (505, against n/2 + 1 =
+1025, at fkdv (2, 2, 1) on the default grid).  It assembles no block,
+only each block's span, 64 rows at a time, and holds no matrix of order
+n/2: on the s = 2 benchmark items its traced peak, the wave solve's
+included, is 0.21 of one even block at p = 5 and 0.64 at p = 2.  Where a
+certificate fails, and for the weighted row, the dense route runs from
+the start: it takes k_r by inertia, from LDL^T factors of T
 (spectra.real_pair_count), and the eigenvalues only where a nu lies near
 -zero_floor^2, so it holds at most two matrices of order about n/2 at
 once: the odd block and the work array of its shifted factor, then its
@@ -42,6 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import cores
 from . import operators as op
 from . import spectra as spc
 from . import spectral as sp
@@ -196,31 +205,38 @@ def verdict(model: str, s: float, p: float, c: float,
         weight = op.symmetrizing_weight(grid, s)
         A = op.congruence(A, weight, "bbm-sym")
         psi0 = sp.apply(1.0 / weight, psi0)
-    eig = spc.symmetric_spectrum(A)
-    if not row.weighted:
-        n_L = eig.negative_count
-    elif eig.negative_count != n_L:
-        raise TheoryConsistencyError(
-            f"symmetrization changed the negative count: n(L0)={n_L}, "
-            f"n(sym)={eig.negative_count}")
-    d = spc.constrained_quantity(A, psi0, eig)
+    floor = spc.GKERNEL_FRACTION * spc.gkernel_floor(
+        grid, L.multiplier_symbol * weight ** 2)
+    # a counting verdict of an unweighted row takes n_L, d and k_r from the
+    # wave's core where that certifies them
+    core = None if keep_pipeline or row.weighted else cores.core_counts(
+        A, psi0, floor)
+    if core is None:
+        eig = spc.symmetric_spectrum(A)
+        if not row.weighted:
+            n_L = eig.negative_count
+        elif eig.negative_count != n_L:
+            raise TheoryConsistencyError(
+                f"symmetrization changed the negative count: n(L0)={n_L}, "
+                f"n(sym)={eig.negative_count}")
+        d = spc.constrained_quantity(A, psi0, eig)
+        # the even block has made its one solve: free its factor before T
+        # is formed, where the memory peaks
+        eig = replace(eig, factor=None)
+    else:
+        n_L, d, k_r = core
     slope = -2.0 * d
-    # the even block has made its one solve: free its factor before T is
-    # formed, where the memory peaks
-    eig = replace(eig, factor=None)
 
     slope_ref, slope_notes = _reference_slope(row, Q, c, opts)
     band = DEGENERACY_BAND_REL * wv.squared_norm(U) / c
 
-    floor = spc.GKERNEL_FRACTION * spc.gkernel_floor(
-        grid, L.multiplier_symbol * weight ** 2)
     # x = R z with |z| = 1 gives x^T A_cos x = nu and u^T A_sin u = 1, so
     # the Krein form of lambda = i sqrt(nu) is nu + |lambda|^2 = 2 nu > 0:
     # k_i^- = 0, and the direct count is the number of real columns
     if keep_pipeline:
         ham = spc.hamiltonian_eigensystem(A, eig, zero_floor=floor)
         k_r = int(np.count_nonzero(ham.split()[0]))
-    else:
+    elif core is None:
         # T is formed in a new A_cos from the odd block's Cholesky factor,
         # which is freed before T is factored
         t_mat = spc.t_matrix(A, eig)

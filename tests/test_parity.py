@@ -21,6 +21,7 @@ import scipy.linalg
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from hkindex import cores
 from hkindex import operators as op
 from hkindex import spectra as spc
 from hkindex import spectral as sp
@@ -339,10 +340,12 @@ DEFAULT_GRID_CASES = [
 
 @pytest.mark.parametrize("model, s, p, c", DEFAULT_GRID_CASES)
 def test_no_case_reaches_the_fallback(model, s, p, c):
-    # the bracket decides every count and class of a counting verdict:
-    # no parity block takes an eigensolve, and the odd block's kernel (or,
-    # at s = 0.6, its one near-singular eigenvalue) is a certified Ritz pair.
-    # The two factors of T agree on k_r, so nothing takes an eigh
+    # on the dense route, which runs wherever the wave's core declines
+    # (cores.core_counts; forced here), the bracket decides every count
+    # and class of a counting verdict: no parity block takes an
+    # eigensolve, and the odd block's kernel (or, at s = 0.6, its one
+    # near-singular eigenvalue) is a certified Ritz pair.  The two factors
+    # of T agree on k_r, so nothing takes an eigh
     low, spectrum, eighs = [], spc.symmetric_spectrum, []
 
     def spied(P, *args, **kw):
@@ -357,6 +360,7 @@ def test_no_case_reaches_the_fallback(model, s, p, c):
             sym_eig_calls() as calls:
         mp.setattr(spc, "symmetric_spectrum", spied)
         mp.setattr(scipy.linalg, "eigh", eigh)
+        mp.setattr(cores, "core_counts", lambda *args: None)
         vd.verdict(model, s, p, c)
     assert calls == eighs == []
     assert [w.size for w in low] == [1]
@@ -1025,8 +1029,9 @@ CERTIFIED_CASES = [
     if isinstance(v, vd.NumericsConfig) else str(v))
 def test_one_factor_counts_equal_both_factors(monkeypatch, model, s, p, c,
                                               numerics):
-    # every pair of counts of a counting verdict, where a count of 0
-    # settles the second, is what the factors at both ends and the
+    # every pair of counts of a counting verdict on the dense route
+    # (forced: the wave's core takes some of these points), where a count
+    # of 0 settles the second, is what the factors at both ends and the
     # eigenvalues give
     seen, counts = [], spc._counts
 
@@ -1039,6 +1044,7 @@ def test_one_factor_counts_equal_both_factors(monkeypatch, model, s, p, c,
                      tuple(int(np.count_nonzero(w < -z)) for z in ends)))
         return got
     monkeypatch.setattr(spc, "_counts", spy)
+    monkeypatch.setattr(cores, "core_counts", lambda *args: None)
     with quiet():
         try:
             vd.verdict(model, s, p, c, numerics)
@@ -1074,11 +1080,10 @@ def test_core_counts_equal_the_dense_counts(model, s, p, c, numerics):
         sources.append(op.congruence(
             sources[0], op.symmetrizing_weight(grid, s), "bbm-sym"))
     for P in sources:
-        blocks = (P.block(0), P.block(1))
-        w = scipy.linalg.eigvalsh(blocks[0])
-        shift = 1e3 * max(spc._bracket((block,))[1] for block in blocks)
-        for ends in (spc._bracket(blocks), (-shift, shift)):
-            assert spc.core_count(P, ends) \
+        w = scipy.linalg.eigvalsh(P.block(0))
+        bracket = spc._bracket([P.span(0), P.span(1)])
+        for ends in (bracket, (-1e3 * bracket[1], 1e3 * bracket[1])):
+            assert cores.core_count(P, ends) \
                 == int(np.count_nonzero(w < -ends[0])) \
                 == int(np.count_nonzero(w < -ends[1]))
 
@@ -1092,7 +1097,8 @@ def test_a_vanishing_weight_takes_the_dense_counts():
         L = op.linearization(wv.solve_ground_state(2.0, 2.0, grid))
     S = op.sandwich(op.operator_blocks(L), 0.0)
     with np.errstate(divide="raise"), ldl_calls() as calls:
-        assert spc.core_count(S, spc._bracket(blocks_of(S))) is None
+        assert cores.core_count(S, spc._bracket([S.span(0), S.span(1)])) \
+            is None
         assert spc.negative_count(S) == block_inertia(S)[0] == 1
     assert any(order == grid.n // 2 + 1 for order, _ in calls)
 
@@ -1109,9 +1115,9 @@ def test_weyl_ends_apart_take_the_dense_counts(monkeypatch, model, s, p, c,
     numerics = vd.NumericsConfig(n=512, half_length=half_length)
     with quiet():
         want = vd.verdict(model, s, p, c, numerics)
-    settled, core = [], spc.core_count
-    monkeypatch.setattr(spc, "CORE_FRACTION", 0.9)
-    monkeypatch.setattr(spc, "core_count", lambda P, ends: settled.append(
+    settled, core = [], cores.core_count
+    monkeypatch.setattr(cores, "CORE_FRACTION", 0.9)
+    monkeypatch.setattr(cores, "core_count", lambda P, ends: settled.append(
         core(P, ends)) or settled[-1])
     with quiet(), ldl_calls() as calls:
         got = vd.verdict(model, s, p, c, numerics)
@@ -1122,16 +1128,43 @@ def test_weyl_ends_apart_take_the_dense_counts(monkeypatch, model, s, p, c,
                 if order == 512 // 2 + 1 and z != 0.0]) >= len(settled)
 
 
+@contextmanager
+def dense_kernel_orders():
+    """The order of every dsytrf, dpotrf and dtrmm call in the block: its
+    largest array argument's."""
+    orders = []
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in ((scipy.linalg.lapack, "dsytrf"),
+                             (scipy.linalg.lapack, "dpotrf"),
+                             (scipy.linalg.blas, "dtrmm")):
+            def spy(*args, _fn=getattr(module, name), **kw):
+                orders.append(max(a.shape[0] for a in args
+                                  if isinstance(a, np.ndarray)))
+                return _fn(*args, **kw)
+            mp.setattr(module, name, spy)
+        yield orders
+
+
 @pytest.mark.parametrize("model, s, p, c, factors", [
     (wv.FKDV, 2.0, 2.0, 1.0, 3), (wv.FKDV, 2.0, 5.0, 1.0, 4),
     (wv.FBBM, 1.5, 1.0, 1.5, 4)])
-def test_ldl_factors_of_the_benchmark_verdicts(model, s, p, c, factors):
-    # the even counts come from the wave's core: the even block's factor
-    # at 0, the odd block's at the shift and, for a weighted row, L0's odd
-    # block's at the low end, where its count of 0 settles the high end;
-    # T's, and its second factor where k_r = 1
-    with quiet(), ldl_calls() as calls:
+def test_ldl_factors_of_the_benchmark_verdicts(monkeypatch, model, s, p, c,
+                                               factors):
+    # the fKdV items take n(L), d and k_r from the wave's core: no LDL^T
+    # factor, Cholesky factor or triangular product of order n/2 - 2 or
+    # more.  On the dense route, which fBBM takes, the even counts come
+    # from the wave's core: the even block's factor at 0, the odd block's
+    # at the shift and, for a weighted row, L0's odd block's at the low
+    # end, where its count of 0 settles the high end; T's, and its second
+    # factor where k_r = 1
+    n, _ = vd.default_grid(s)
+    with quiet(), ldl_calls() as calls, dense_kernel_orders() as orders:
         vd.verdict(model, s, p, c)
+    if model == wv.FKDV:
+        assert calls == [] and max(orders) < n // 2 - 2
+        monkeypatch.setattr(cores, "core_counts", lambda *args: None)
+        with quiet(), ldl_calls() as calls:
+            vd.verdict(model, s, p, c)
     assert len(calls) == factors
 
 
@@ -1164,9 +1197,11 @@ def test_eigenvalue_inside_the_bracket_takes_the_fallback(t, in_odd,
     # one without vectors
     def blocks(placed):
         return dominant_blocks(placed, in_odd, odd_dominant, seed)
-    low, high = spc._bracket(blocks_of(blocks(0.0)))
+    def bracket(P):
+        return spc._bracket([P.span(0), P.span(1)])
+    low, high = bracket(blocks(0.0))
     P = blocks(-low * (high / low) ** t)
-    assert spc._bracket(blocks_of(P)) == pytest.approx((low, high), rel=1e-6)
+    assert bracket(P) == pytest.approx((low, high), rel=1e-6)
     n_neg, _, tol, _ = block_inertia(P)
     with sym_eig_calls() as calls:
         assert spc.negative_count(P) == n_neg

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from hkindex import cores
 from hkindex import operators as op
 from hkindex import spectra as spc
 from hkindex import spectral as sp
@@ -219,11 +220,47 @@ def test_wave_solves_per_verdict(monkeypatch, model, s, p, c, solves):
 
 
 # the stages of a counting verdict whose peaks are traced one by one: the
-# assembly of a block, the counts and solves, and T
-COUNTING_STAGES = [(op.OperatorBlocks, "block"), (spc, "negative_count"),
-                   (op, "congruence"), (spc, "symmetric_spectrum"),
-                   (spc, "constrained_quantity"), (spc, "t_matrix"),
-                   (spc, "real_pair_count")]
+# assembly of a block or of its span, the counts and solves, and T, or the
+# counts and solves on the wave's core
+COUNTING_STAGES = [(op.OperatorBlocks, "block"), (op.OperatorBlocks, "span"),
+                   (spc, "negative_count"), (op, "congruence"),
+                   (spc, "symmetric_spectrum"), (spc, "constrained_quantity"),
+                   (spc, "t_matrix"), (spc, "real_pair_count"),
+                   (cores, "core_counts")]
+
+
+def traced_peaks(monkeypatch, model, s, p, c) -> tuple:
+    """({stage: peak}, peak) of the traced memory of one verdict, each
+    stage of COUNTING_STAGES traced on its own, after a first run that
+    may fill caches."""
+    with quiet():
+        vd.verdict(model, s, p, c)
+    peaks, running = {}, [0]
+
+    def traced(name, fn):
+        def stage(*args, **kw):
+            # the peak so far is the enclosing stage's
+            running[-1] = max(running[-1], tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            running.append(0)
+            try:
+                return fn(*args, **kw)
+            finally:
+                peak = max(running.pop(), tracemalloc.get_traced_memory()[1])
+                peaks[name] = max(peaks.get(name, 0), peak)
+                running[-1] = max(running[-1], peak)
+                tracemalloc.reset_peak()
+        return stage
+    for owner, name in COUNTING_STAGES:
+        monkeypatch.setattr(owner, name, traced(name, getattr(owner, name)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with quiet():
+            vd.verdict(model, s, p, c)
+        return peaks, max(running[0], tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
 
 
 class TestCountingMemory:
@@ -231,50 +268,35 @@ class TestCountingMemory:
         (wv.FKDV, 2.0, 5.0, 1.0), (wv.FBBM, 1.5, 1.0, 1.5)])
     def test_peak_holds_two_half_order_matrices(self, model, s, p, c,
                                                 monkeypatch):
-        # the even block for its span, then the odd block and one work
-        # array for its shifted factor, then the odd block's Cholesky
-        # factor in its own memory and the even block's factor in the even
-        # block's, then that Cholesky factor and T, and last T and its
-        # factor: at most two matrices of the even block's order n/2 + 1 at
-        # once, in every stage
+        # the dense route (forced for fKdV, whose core takes the point):
+        # the even block's span, then the odd block and one work array for
+        # its shifted factor, then the odd block's Cholesky factor in its
+        # own memory and the even block's factor in the even block's, then
+        # that Cholesky factor and T, and last T and its factor: at most two
+        # matrices of the even block's order n/2 + 1 at once, in every stage
         n, _ = vd.default_grid(s)
         block = 8 * (n // 2 + 1) ** 2
-        with quiet():
-            vd.verdict(model, s, p, c)  # first calls may fill caches
-        peaks, running = {}, [0]
-
-        def traced(name, fn):
-            def stage(*args, **kw):
-                # the peak so far is the enclosing stage's
-                running[-1] = max(running[-1],
-                                  tracemalloc.get_traced_memory()[1])
-                tracemalloc.reset_peak()
-                running.append(0)
-                try:
-                    return fn(*args, **kw)
-                finally:
-                    peak = max(running.pop(),
-                               tracemalloc.get_traced_memory()[1])
-                    peaks[name] = max(peaks.get(name, 0), peak)
-                    running[-1] = max(running[-1], peak)
-                    tracemalloc.reset_peak()
-            return stage
-        for owner, name in COUNTING_STAGES:
-            monkeypatch.setattr(owner, name,
-                                traced(name, getattr(owner, name)))
-        gc.collect()
-        tracemalloc.start()
-        try:
-            with quiet():
-                vd.verdict(model, s, p, c)
-            peak = max(running[0], tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert {"block", "symmetric_spectrum", "constrained_quantity",
+        monkeypatch.setattr(cores, "core_counts", lambda *args: None)
+        peaks, peak = traced_peaks(monkeypatch, model, s, p, c)
+        assert {"block", "span", "symmetric_spectrum", "constrained_quantity",
                 "t_matrix", "real_pair_count"} <= set(peaks)
         assert {name: round(got / block, 2) for name, got in peaks.items()
                 if got > 2.25 * block} == {}
         assert peak <= 2.25 * block
+
+    @pytest.mark.parametrize("p, bound", [(5.0, 0.25), (2.0, 0.75)])
+    def test_core_route_holds_no_half_order_matrix(self, monkeypatch, p,
+                                                   bound):
+        # the core route assembles no block, only spans 64 rows at a time,
+        # and its largest matrix is E, of order m_e + m_o + 2 (209 at p =
+        # 5, 505 at p = 2, of 1025): the verdict's traced peak, the wave
+        # solve's included, measured 0.21 and 0.64 of one even block
+        n, _ = vd.default_grid(2.0)
+        block = 8 * (n // 2 + 1) ** 2
+        peaks, peak = traced_peaks(monkeypatch, wv.FKDV, 2.0, p, 1.0)
+        assert {"span", "core_counts"} <= set(peaks)
+        assert not {"block", "symmetric_spectrum", "t_matrix"} & set(peaks)
+        assert peak <= bound * block
 
     @pytest.mark.parametrize("n, half_length", [
         (256, 30.0), (2048, 80.0), (4096, 50.0)])
