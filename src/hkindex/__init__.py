@@ -12,8 +12,9 @@ from .spectral import (SpectralGrid, antiderivative, antiderivative_symbol,
 from .waves import (FBBM, FKDV, SolverOptions, WaveProfile, bo_profile,
                     p_max, save_profile, solve_ground_state,
                     solve_traveling_wave, squared_norm)
-from .operators import (LinOperator, ParityBlocks, assemble, linearization,
-                        sandwich, save_matrix, schrodinger_operator)
+from .operators import (LinOperator, OperatorBlocks, linearization,
+                        operator_blocks, sandwich, save_matrix,
+                        schrodinger_operator)
 from .spectra import (BbmSlope, HamiltonianEigensystem, KreinClassification,
                       SymmetricSpectrum, bbm_slope, classify_krein,
                       constrained_quantity, constrained_quantity_sandwiched,

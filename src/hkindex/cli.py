@@ -282,10 +282,9 @@ def cmd_dump_operator(cfg) -> int:
         validate_wave_params(cfg)
         operator = op.linearization(_solve_wave(cfg))
     # the blocks coupling the parities are written as zeros
-    matrix = op.assemble(operator)
     bin_path, json_path = op.save_matrix(
-        matrix, os.path.join(cfg.out, "operator.bin"))
-    print(f"wrote {bin_path} and {json_path} (order {matrix.order})")
+        op.operator_blocks(operator), os.path.join(cfg.out, "operator.bin"))
+    print(f"wrote {bin_path} and {json_path} (order {operator.grid.n})")
     return EXIT_OK
 
 

@@ -84,20 +84,12 @@ def _gram(g: np.ndarray, a: _Core, b: _Core, sign: float,
     return out
 
 
-def _inertia(a: np.ndarray) -> tuple:
-    """(negative count, LDL^T factor) of a C-ordered, exactly symmetric
-    matrix, factored in place (in its transpose, the same entries in
-    Fortran order)."""
-    ldu, ipiv, _ = scipy.linalg.lapack.dsytrf(
-        a.T, lwork=int(scipy.linalg.lapack.dsytrf_lwork(a.shape[0])[0]),
-        overwrite_a=1)
-    return spc._negatives(ldu, ipiv), (ldu, ipiv)
-
-
 def core_count(P, ends: tuple) -> int | None:
     """#{w < -z} of the even block of P at every z of the bracket [z0, z1],
-    from the wave's core; None where the core does not settle it, where P
-    holds its blocks (ParityBlocks) and where its weight has a zero.
+    from the wave's core; None where the core does not settle it, where
+    P's weight has a zero, and where P is not an OperatorBlocks: the held
+    blocks of the tests' oracle have no operator to take a core from, and
+    this test keeps their even counts on the even block's factors.
 
     On the grid op = F^-1 mu F - v, and the even block is op on the even
     grid functions, where v acts by its even part (mirror points j and
@@ -121,8 +113,9 @@ def core_count(P, ends: tuple) -> int | None:
               mu + ends[0] * inverse - delta):
         if not (core.points.size and np.all(h > 0)):
             return None
-        counts.add(_inertia(np.eye(core.points.size) - _gram(
-            1.0 / h[:m + 1], core, core, 1.0))[0])
+        a = np.eye(core.points.size) - _gram(1.0 / h[:m + 1], core, core,
+                                             1.0)
+        counts.add(spc._negatives(*spc._ldl(a, 0.0, a)))
     return counts.pop() if len(counts) == 1 else None
 
 
@@ -134,7 +127,7 @@ def _core_values(P, core: _Core, even: np.ndarray,
 
 
 def _solve(factor: tuple, b: np.ndarray) -> np.ndarray:
-    """a^-1 b from the LDL^T factor of a (_inertia)."""
+    """a^-1 b from the LDL^T factor of a (spectra._ldl)."""
     return scipy.linalg.lapack.dsytrs(*factor, b)[0]
 
 
@@ -195,22 +188,23 @@ def core_counts(P, psi0: np.ndarray, zero_floor: float) -> tuple | None:
     z0, z1 = spc._bracket(spans)
     if not np.all(mu > 1e3 * z1 + cutoff):
         return None
-    counts = [_inertia(np.eye(m_o) - _gram(
-        1.0 / (mu - t), odd, odd, -1.0))[0]
-        for t in (-z0 + cutoff, z0 - odd.beta, 1e3 * z1 + cutoff)]
+    counts = []
+    for t in (-z0 + cutoff, z0 - odd.beta, 1e3 * z1 + cutoff):
+        a = np.eye(m_o) - _gram(1.0 / (mu - t), odd, odd, -1.0)
+        counts.append(spc._negatives(*spc._ldl(a, 0.0, a)))
     n_l = core_count(P, (-1e3 * z1, 1e3 * z1))
     if counts != [0, 1, 1] or n_l is None:
         return None
 
     # the kernel, by inverse iteration on the Birman-Schwinger matrix at 0
     mu_o = mu[1:m]
-    factor = _inertia(np.eye(m_o) - _gram(
-        1.0 / mu, odd, odd, -1.0))[1]
+    a = np.eye(m_o) - _gram(1.0 / mu, odd, odd, -1.0)
+    factor = spc._ldl(a, 0.0, a)
     y = np.ones(m_o)
     for _ in range(_KERNEL_STEPS):
         y = _solve(factor, y)
         y /= np.linalg.norm(y)
-    del factor
+    del factor, a
     f = np.zeros(grid.n)
     f[odd.points] = odd.roots * y
     f[-odd.points] = -f[odd.points]
@@ -238,8 +232,9 @@ def core_counts(P, psi0: np.ndarray, zero_floor: float) -> tuple | None:
     gamma = -y_gram(1.0 / mu_o)
     gamma[np.diag_indices(m_o)] += 1.0
     gamma[-1, -1] -= 1.0 / tau
-    n_gamma, gamma_factor = _inertia(gamma.copy())
-    if n_gamma != 1:
+    a = gamma.copy()
+    gamma_factor = spc._ldl(a, 0.0, a)
+    if spc._negatives(*gamma_factor) != 1:
         return None
 
     # d, by Woodbury
@@ -249,8 +244,9 @@ def core_counts(P, psi0: np.ndarray, zero_floor: float) -> tuple | None:
         return None
     u = rhs[0] / mu
     b = _core_values(P, even, u, np.zeros(m - 1))
-    d = float(rhs[0] @ u + b @ _solve(_inertia(
-        np.eye(m_e) - _gram(1.0 / mu, even, even, 1.0))[1], b))
+    a = np.eye(m_e) - _gram(1.0 / mu, even, even, 1.0)
+    d = float(rhs[0] @ u + b @ _solve(spc._ldl(a, 0.0, a), b))
+    del a
     share = rhs[1] - kernel * (kernel @ rhs[1])
     u = share / mu_o
     b = np.append(x_odd(u), kernel @ u)
@@ -284,7 +280,7 @@ def core_counts(P, psi0: np.ndarray, zero_floor: float) -> tuple | None:
         e[zs, xs] = e[xs, zs].T
         np.negative(y_gram(z * z * f_inv), out=e[zs, zs])
         e[zs, zs] -= gamma
-        k_r.add(_inertia(e)[0] - m_o - 1)
+        k_r.add(spc._negatives(*spc._ldl(e, 0.0, e)) - m_o - 1)
     if len(k_r) > 1:
         return None
     return n_l, d, k_r.pop()

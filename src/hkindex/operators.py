@@ -26,10 +26,9 @@ one FFT of V.  Since cos a cos b = (cos(a-b) + cos(a+b))/2, each block is
 a Toeplitz-plus-Hankel matrix in C_q, exactly symmetric as built; the
 block coupling the parities is made of S_q, which an even V leaves at
 round-off.  It is dropped, and only a bound on its entries is kept and
-checked.  Each block(parity) is a new array its caller owns:
-OperatorBlocks, which every verdict reads, assembles it where it is read,
-with no temporary of its order; ParityBlocks holds both blocks, for the
-dense gates and the dumped matrix.
+checked.  OperatorBlocks, the one blocks type, assembles each
+block(parity) where it is read, with no temporary of its order, in a new
+array its caller owns.
 """
 
 from __future__ import annotations
@@ -84,57 +83,6 @@ def from_coords(grid: SpectralGrid, even: np.ndarray,
     f[1:-1] -= 1j * np.asarray(odd)
     f[1::2] *= -1.0
     return np.fft.irfft(f / (grid.spacing * _mode_norms(grid)), grid.n)
-
-
-@dataclass(frozen=True, eq=False)
-class ParityBlocks:
-    """A symmetric matrix in the real-Fourier basis of a grid as its
-    diagonal blocks (even, odd) over the parity layout.
-
-    coupling is a bound c >= max|cross| on the dropped block coupling the
-    parities, r_even[a] (S_{a+b} - S_{a-b}) r_odd[b] / 2 over the even
-    modes a and the odd modes b, with S_q from the FFT of the potential
-    and r the mode norms, scaled by every congruence since; 0.0 for
-    blocks built without one.
-    """
-    blocks: tuple
-    grid: SpectralGrid
-    label: str = ""
-    coupling: float = 0.0
-
-    def block(self, parity: int) -> np.ndarray:
-        """A copy of the even (0) or the odd (1) block."""
-        return self.blocks[parity].copy()
-
-    def cos_block(self) -> np.ndarray:
-        """A_cos, the even block without its constant and Nyquist rows and
-        columns, in a new Fortran-ordered array."""
-        return np.array(self.blocks[0][1:-1, 1:-1], order="F")
-
-    def span(self, parity: int) -> tuple:
-        """span of the even (0) or the odd (1) block."""
-        return span(self.blocks[parity])
-
-    @property
-    def order(self) -> int:
-        return sum(block.shape[0] for block in self.blocks)
-
-    def scaled(self, symbol: np.ndarray, label: str, coupling: float):
-        """R P R in new blocks (congruence)."""
-        r = symbol[:self.grid.n // 2 + 1], symbol[1:self.grid.n // 2]
-        out = ParityBlocks(tuple(_scale(b, ri, np.empty_like(b)) for b, ri
-                                 in zip(self.blocks, r)), self.grid, label,
-                           coupling)
-        _check_coupling(out, max(map(_max_abs, out.blocks)))
-        return out
-
-    def dense(self) -> np.ndarray:
-        """The full matrix in the interleaved basis order, with zeros
-        coupling the parities."""
-        entries = np.zeros((self.order, self.order))
-        for idx, block in zip(parity_index(self.grid.n), self.blocks):
-            entries[np.ix_(idx, idx)] = block
-        return entries
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -333,13 +281,6 @@ def operator_blocks(op: LinOperator) -> OperatorBlocks:
         _fourier_potential(op).imag) / op.grid.half_length)
 
 
-def assemble(op: LinOperator) -> ParityBlocks:
-    """The parity blocks of op (operator_blocks), held."""
-    P = operator_blocks(op)
-    return ParityBlocks((P.block(0), P.block(1)), op.grid, op.label,
-                        P.coupling)
-
-
 def linearization(U: WaveProfile) -> LinOperator:
     """a(c) |d|^s + b(c) - (p+1) U^p about the wave U, with
     (a, b) = coefficients(c) of its row of MODELS."""
@@ -366,8 +307,9 @@ def schrodinger_operator(grid: SpectralGrid, V: np.ndarray,
     return LinOperator(grid, sym, -V, label=f"schrodinger(c={c:g})")
 
 
-def sandwich(A: ParityBlocks, eps: float) -> ParityBlocks:
-    """(-d^2 + eps^2)^(1/4) L (-d^2 + eps^2)^(1/4) from A = assemble(L).
+def sandwich(A: OperatorBlocks, eps: float) -> OperatorBlocks:
+    """(-d^2 + eps^2)^(1/4) L (-d^2 + eps^2)^(1/4) from the blocks A of
+    L (operator_blocks).
 
     eps = 0 gives |d|^(1/2) L |d|^(1/2); its zero-mode row and column
     vanish structurally.
@@ -391,11 +333,15 @@ def congruence(A, symbol: np.ndarray, name: str):
                     * _max_abs(symbol[:m + 1]) * _max_abs(symbol[1:m]))
 
 
-def save_matrix(P: ParityBlocks, bin_path) -> tuple:
-    """Raw row-major float64 dump of P.dense() plus a JSON header (order,
-    label, grid) beside it, the .bin suffix replaced by .json; both files
-    are written before either replaces its target."""
-    entries = P.dense()
+def save_matrix(P: OperatorBlocks, bin_path) -> tuple:
+    """Raw row-major float64 dump of the full matrix of P in the
+    interleaved basis order, zeros coupling the parities, plus a JSON
+    header (order, label, grid) beside it, the .bin suffix replaced by
+    .json; both files are written before either replaces its target."""
+    order = P.grid.n
+    entries = np.zeros((order, order))
+    for parity, idx in enumerate(parity_index(order)):
+        entries[np.ix_(idx, idx)] = P.block(parity)
     if not np.all(np.isfinite(entries)):
         raise ValueError(f"matrix {P.label!r} has non-finite entries")
     bin_path = str(bin_path)
@@ -403,7 +349,7 @@ def save_matrix(P: ParityBlocks, bin_path) -> tuple:
     # the header is renamed into place first, so a failure leaves no new
     # matrix without it
     atomic_write_files({
-        json_path: json_text({"order": P.order, "label": P.label,
+        json_path: json_text({"order": order, "label": P.label,
                               "dtype": "float64-le", "layout": "row-major",
                               "grid": {"n": P.grid.n,
                                        "half_length": P.grid.half_length}}),

@@ -1,16 +1,15 @@
 """Eigenvalue computations for the stability pipeline.
 
-Every function takes the parity blocks of a symmetric matrix, assembled
-where read (operators.OperatorBlocks, a verdict's: see symmetric_spectrum
-for the two matrices of order n/2 it holds at once) or held
-(operators.ParityBlocks, the dense gates'), and factors each block, an
-array of its own, in place; or it takes a result derived from them.  They
-feed three kinds of quantities:
+Every function takes the parity blocks of a symmetric matrix
+(operators.OperatorBlocks, each block assembled where it is read: see
+symmetric_spectrum for the two matrices of order n/2 it holds at once)
+and factors each block, an array of its own, in place; or it takes a
+result derived from them.  They feed three kinds of quantities:
 
 * inertia counts n(.), by Sylvester's law from Bunch-Kaufman LDL^T
-  factors of shifted blocks, or for the even block of an OperatorBlocks
-  from the wave's core (cores.core_count): the zero tolerance ZERO_TOL_REL
-  max|w| is bracketed by max|a_ii| and the 1-norm, and a count is taken
+  factors of shifted blocks, or for the even block from the wave's core
+  (cores.core_count): the zero tolerance ZERO_TOL_REL max|w| is
+  bracketed by max|a_ii| and the 1-norm, and a count is taken
   where both ends of the bracket give it (the second only where the first
   is not 0, _counts), from the eigenvalues otherwise; the odd block's few
   eigenvalues below 1e3 zero_tol (the kernel Q' and any near-singular

@@ -12,10 +12,11 @@ mismatch is a hard error (the identity is a theorem, so disagreement
 means the numerics are broken, not the wave).  k_c, the count of complex
 eigenvalues, is 0: the spectrum comes from lambda^2 = -nu with nu real.
 Every imaginary eigenvalue has the Krein form 2 nu > 0, so k_i^- is 0
-and k_r is the number of nu < -zero_floor^2.  Every verdict reads one
-kind of blocks, each assembled where it is read
-(operators.OperatorBlocks) and factored in its own memory; the even
-counts come from the wave's core where that settles them
+and k_r is the number of nu < -zero_floor^2.  Every verdict and
+self-check reads its operator through the one blocks type,
+operators.OperatorBlocks: each block is assembled where it is read and
+factored in its own memory; the even counts come from the wave's core
+where that settles them
 (cores.core_count), and a count of 0 saves the second factor of a
 count.  Runs differ only in the source of k_r.  A counting verdict
 (index, sweep) of an unweighted row first tries the wave's round-off
@@ -452,7 +453,7 @@ def _schrodinger_case() -> CheckReport:
     entries = []
     grid = sp.make_grid(1024, 40.0)
     V = 2.0 / np.cosh(grid.nodes) ** 2
-    A = op.assemble(op.schrodinger_operator(grid, V, 0.5))
+    A = op.operator_blocks(op.schrodinger_operator(grid, V, 0.5))
     n_L = spc.negative_count(A)
     entries.append(CheckEntry("n(L) == 1 for -d2 + 1/2 - 2 sech^2",
                               n_L == 1, f"n={n_L}"))

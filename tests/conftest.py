@@ -12,7 +12,7 @@ from hkindex import spectral as sp
 from hkindex import verdicts as vd
 from hkindex import waves as wv
 
-from dense_reference import _residual, split_parity
+from dense_reference import ParityBlocks, _residual, split_parity
 
 
 # property tests run a bounded, derandomized set of examples, so there is
@@ -34,7 +34,7 @@ def random_mean_zero(grid, rng):
     return np.fft.ifft(coeff).real
 
 
-def diagonal_on_grid(diag) -> op.ParityBlocks:
+def diagonal_on_grid(diag) -> ParityBlocks:
     """The parity blocks of diag(diag), in the interleaved basis order, on
     a grid of len(diag) points."""
     return split_parity(np.diag(diag), sp.make_grid(len(diag), 5.0))
@@ -67,7 +67,7 @@ def apply(L: op.LinOperator, f: np.ndarray) -> np.ndarray:
     return sp.apply(L.multiplier_symbol, f) + L.potential * f
 
 
-def eigensystem(A: op.ParityBlocks, zero_floor: float, vectors: bool = True):
+def eigensystem(A: ParityBlocks, zero_floor: float, vectors: bool = True):
     """The Hamiltonian eigensystem of A, from A's symmetric spectrum."""
     return spc.hamiltonian_eigensystem(A, spc.symmetric_spectrum(A),
                                        zero_floor, vectors=vectors)

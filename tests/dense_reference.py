@@ -17,9 +17,11 @@ plain Petviashvili loop, without mixing, with five complex transforms
 per step and a residual that builds its own multiplier is the oracle of
 waves._petviashvili.  Dense
 matrices are plain arrays in the interleaved basis order of operators;
-split_parity turns one into the held ParityBlocks of the dense gates, and
-from_coords is the inverse of operators.to_coords.  The dense ones cost
-O(n^3) or O(n^2) memory, and all of them run in the tests only.
+ParityBlocks holds both blocks of one, the oracle type of the dense gates
+and the random-block tests, built from an operator by assemble or from a
+dense matrix by split_parity, and from_coords is the inverse of
+operators.to_coords.  The dense ones cost O(n^3) or O(n^2) memory, and
+all of them run in the tests only.
 """
 
 import math
@@ -72,7 +74,69 @@ def interleave(coords: tuple) -> np.ndarray:
     return out
 
 
-def split_parity(entries: np.ndarray, grid, label: str = "") -> op.ParityBlocks:
+@dataclass(frozen=True, eq=False)
+class ParityBlocks:
+    """A symmetric matrix in the real-Fourier basis of a grid as its
+    diagonal blocks (even, odd) over the parity layout, held: the oracle
+    type of the random-block and dense-gate tests, read by spectra through
+    the interface of operators.OperatorBlocks.  cores.core_count declines
+    it, so its even counts come from the blocks' own factors.
+
+    coupling is a bound c >= max|cross| on the dropped block coupling the
+    parities, r_even[a] (S_{a+b} - S_{a-b}) r_odd[b] / 2 over the even
+    modes a and the odd modes b, with S_q from the FFT of the potential
+    and r the mode norms, scaled by every congruence since; 0.0 for
+    blocks built without one.
+    """
+    blocks: tuple
+    grid: SpectralGrid
+    label: str = ""
+    coupling: float = 0.0
+
+    def block(self, parity: int) -> np.ndarray:
+        """A copy of the even (0) or the odd (1) block."""
+        return self.blocks[parity].copy()
+
+    def cos_block(self) -> np.ndarray:
+        """A_cos, the even block without its constant and Nyquist rows and
+        columns, in a new Fortran-ordered array."""
+        return np.array(self.blocks[0][1:-1, 1:-1], order="F")
+
+    def span(self, parity: int) -> tuple:
+        """operators.span of the even (0) or the odd (1) block."""
+        return op.span(self.blocks[parity])
+
+    @property
+    def order(self) -> int:
+        return sum(block.shape[0] for block in self.blocks)
+
+    def scaled(self, symbol: np.ndarray, label: str, coupling: float):
+        """R P R in new blocks (operators.congruence)."""
+        r = symbol[:self.grid.n // 2 + 1], symbol[1:self.grid.n // 2]
+        out = ParityBlocks(tuple(op._scale(b, ri, np.empty_like(b))
+                                 for b, ri in zip(self.blocks, r)),
+                           self.grid, label, coupling)
+        op._check_coupling(out, max(map(op._max_abs, out.blocks)))
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The full matrix in the interleaved basis order, with zeros
+        coupling the parities."""
+        entries = np.zeros((self.order, self.order))
+        for idx, block in zip(op.parity_index(self.grid.n), self.blocks):
+            entries[np.ix_(idx, idx)] = block
+        return entries
+
+
+def assemble(L: op.LinOperator) -> ParityBlocks:
+    """The parity blocks of L (operators.operator_blocks), held;
+    ValueError if the potential couples the parities."""
+    P = op.operator_blocks(L)
+    return ParityBlocks((P.block(0), P.block(1)), L.grid, L.label,
+                        P.coupling)
+
+
+def split_parity(entries: np.ndarray, grid, label: str = "") -> ParityBlocks:
     """The parity blocks of a dense matrix, after asserting that it is
     symmetric and that the block coupling the parities is at most
     SYMMETRY_TOL relative to max|A|."""
@@ -80,8 +144,8 @@ def split_parity(entries: np.ndarray, grid, label: str = "") -> op.ParityBlocks:
     assert np.max(np.abs(entries - entries.T)) <= op.SYMMETRY_TOL * scale
     even, odd = op.parity_index(grid.n)
     assert np.max(np.abs(entries[np.ix_(even, odd)])) <= op.SYMMETRY_TOL * scale
-    return op.ParityBlocks((entries[np.ix_(even, even)],
-                            entries[np.ix_(odd, odd)]), grid, label)
+    return ParityBlocks((entries[np.ix_(even, even)],
+                         entries[np.ix_(odd, odd)]), grid, label)
 
 
 def on_basis(grid, symbol: np.ndarray) -> np.ndarray:
@@ -144,8 +208,8 @@ def dense_inertia(a: np.ndarray):
 
 
 def blocks_of(P) -> tuple:
-    """The (even, odd) blocks of P, ParityBlocks or OperatorBlocks, in
-    arrays of their own."""
+    """The (even, odd) blocks of P, ParityBlocks or
+    operators.OperatorBlocks, in arrays of their own."""
     return P.block(0), P.block(1)
 
 
@@ -248,7 +312,7 @@ def full_order(P, zero_floor: float,
     weights = spc._d_weights(P.grid)
     if odd_kernel_tol is None:
         da = dense_restricted_product(
-            op.ParityBlocks((even, a_sin), P.grid).dense(), P.grid, weights)
+            ParityBlocks((even, a_sin), P.grid).dense(), P.grid, weights)
     else:
         w, q = scipy.linalg.eigh(a_sin)
         w[np.abs(w) <= odd_kernel_tol] = 0.0

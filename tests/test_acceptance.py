@@ -15,6 +15,7 @@ from hkindex import verdicts as vd
 from hkindex import waves as wv
 
 from conftest import eigensystem, quiet, random_mean_zero, sech_profile
+from dense_reference import assemble
 
 
 def report(num, name, ok, detail=""):
@@ -153,7 +154,7 @@ def test_criterion_05_sandwich_equivalences(pipeline22, pipeline25, grid40):
     }
     problems = []
     for name, (L, expected) in cases.items():
-        A = op.assemble(L)
+        A = assemble(L)
         n_plain = spc.negative_count(A)
         if n_plain != expected:
             problems.append(f"{name}: n(L)={n_plain}")
@@ -189,7 +190,7 @@ def test_criterion_07_generalized_kernel(pipeline22):
     # the pipeline's zero floor: a fraction of the box's first mode
     floor = spc.GKERNEL_FRACTION * spc.gkernel_floor(grid, L.multiplier_symbol)
     dim_borderline = spc.generalized_kernel_dim(
-        eigensystem(op.assemble(L), floor))
+        eigensystem(assemble(L), floor))
     ok = dim_regular == 2 and dim_borderline >= 3
     report(7, "generalized kernel: 2 regular, >= 3 at the p = 2s borderline",
            ok, f"regular={dim_regular}, borderline={dim_borderline}")

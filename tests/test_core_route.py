@@ -28,6 +28,7 @@ from hkindex import waves as wv
 from hkindex.errors import FredholmViolationError
 
 from conftest import quiet
+from dense_reference import assemble
 from test_atlas import ATLAS
 
 EPS = float(np.finfo(float).eps)
@@ -81,19 +82,26 @@ def core_orders(P) -> tuple:
 
 @contextmanager
 def inertia_calls(change=None):
-    """(order, negative count) of every cores._inertia call in the
-    block; change(order, index among the calls of that order) is added
-    to the count each call returns."""
-    calls, inertia = [], cores._inertia
+    """(order, negative count) of every LDL^T factor (spectra._ldl) in the
+    block, the count None until spectra._negatives reads that factor;
+    change(order, index among the factors of that order) is added to the
+    count each spectra._negatives call returns."""
+    calls, ldl, negatives = [], spc._ldl, spc._negatives
 
-    def spy(a):
-        order = a.shape[0]
-        count, factor = inertia(a)
-        seen = sum(1 for o, _ in calls if o == order)
-        calls.append((order, count))
-        return count + (change(order, seen) if change else 0), factor
+    def ldl_spy(block, shift, work):
+        calls.append((block.shape[0], None))
+        return ldl(block, shift, work)
+
+    def negatives_spy(ldu, ipiv):
+        # every caller counts the factor it has just made
+        order, count = ldu.shape[0], negatives(ldu, ipiv)
+        assert calls[-1] == (order, None)
+        calls[-1] = order, count
+        seen = sum(1 for o, _ in calls[:-1] if o == order)
+        return count + (change(order, seen) if change else 0)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cores, "_inertia", spy)
+        mp.setattr(spc, "_ldl", ldl_spy)
+        mp.setattr(spc, "_negatives", negatives_spy)
         yield calls
 
 
@@ -156,7 +164,7 @@ def test_weighted_and_held_blocks_stay_dense():
     P = op.operator_blocks(L)
     S = op.congruence(P, op.symmetrizing_weight(P.grid, 2.0), "bbm-sym")
     assert cores.core_counts(S, psi0, floor) is None
-    assert cores.core_counts(op.assemble(L), psi0, floor) is None
+    assert cores.core_counts(assemble(L), psi0, floor) is None
     assert cores.core_counts(P, psi0, floor) is not None
 
 

@@ -13,9 +13,9 @@ from hkindex import spectral as sp
 from hkindex import waves as wv
 
 from conftest import apply, quiet, wave
-from dense_reference import (block_inertia, blocks_of, cross_block,
-                             dense_congruence, dense_matrix, from_coords,
-                             interleave, real_fourier_basis)
+from dense_reference import (assemble, block_inertia, blocks_of,
+                             cross_block, dense_congruence, dense_matrix,
+                             from_coords, interleave, real_fourier_basis)
 
 
 def make_identity_operator(grid):
@@ -70,10 +70,10 @@ class TestKdvLinearization:
 
     def test_assembled_matrix_is_symmetric(self, grid40, q22):
         # assemble and every congruence build exactly symmetric blocks
-        A = op.assemble(op.linearization(q22))
+        A = assemble(op.linearization(q22))
         L0 = op.linearization(wave(wv.FBBM, q22, 2.0))
         for P in (A, op.sandwich(A, 0.0), op.sandwich(A, 1e-2),
-                  symmetrize(op.assemble(L0), 2.0)):
+                  symmetrize(assemble(L0), 2.0)):
             assert all(np.array_equal(block, block.T)
                        for block in blocks_of(P))
 
@@ -99,21 +99,21 @@ class TestBbmLinearization:
 
 class TestSandwich:
     def test_identity_gives_abs_derivative(self, grid_small):
-        S = op.sandwich(op.assemble(make_identity_operator(grid_small)), 0.0)
+        S = op.sandwich(assemble(make_identity_operator(grid_small)), 0.0)
         # basis column j carries |xi| = ((j + 1) // 2) / (2l)
         k = (np.arange(grid_small.n) + 1) // 2
         expected = 2.0 * np.pi * k / (2.0 * grid_small.half_length)
         assert np.max(np.abs(S.dense() - np.diag(expected))) <= 1e-12
 
     def test_negative_count_preserved(self, grid40, q22):
-        A = op.assemble(op.linearization(q22))
+        A = assemble(op.linearization(q22))
         n_plain = spc.symmetric_spectrum(A).negative_count
         n_sand = spc.symmetric_spectrum(op.sandwich(A, 0.0)).negative_count
         assert n_plain == n_sand == 1
 
     def test_kernel_vector_annihilated(self, grid40, q22):
         L = op.linearization(q22)
-        S = op.sandwich(op.assemble(L), 0.0).dense()
+        S = op.sandwich(assemble(L), 0.0).dense()
         dq = sp.apply(sp.derivative_symbol(grid40), q22.values)
         xi = grid40.wavenumbers
         halfinv = np.zeros(grid40.n)
@@ -131,7 +131,7 @@ class TestSandwich:
         sym = np.abs(2 * np.pi * grid_small.wavenumbers) ** 2 + c
         L0 = op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
                             label="const-coeff")
-        A = op.assemble(L0)
+        A = assemble(L0)
         for eps in (1e-3, 1e-2, 1e-1):
             S = op.sandwich(A, eps)
             smallest = block_inertia(S)[3][0]
@@ -144,13 +144,13 @@ class TestBbmSymmetrize:
         sym = 1.0 + np.abs(2 * np.pi * grid_small.wavenumbers) ** s
         L0 = op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
                             label="I+M")
-        S = symmetrize(op.assemble(L0), s)
+        S = symmetrize(assemble(L0), s)
         assert np.max(np.abs(S.dense() - np.eye(grid_small.n))) <= 1e-12
 
     def test_kernel_vector_annihilated(self, grid40, q22):
         u = wave(wv.FBBM, q22, 2.0)
         L0 = op.linearization(u)
-        S = symmetrize(op.assemble(L0), u.s).dense()
+        S = symmetrize(assemble(L0), u.s).dense()
         du = sp.apply(sp.derivative_symbol(grid40), u.values)
         sqrt_im = (1.0 + np.abs(2 * np.pi * grid40.wavenumbers) ** u.s) ** 0.5
         kv = sp.apply(sqrt_im, du)
@@ -161,7 +161,7 @@ class TestBbmSymmetrize:
 
     def test_negative_count_preserved(self, grid40, q22):
         L0 = op.linearization(wave(wv.FBBM, q22, 2.0))
-        A = op.assemble(L0)
+        A = assemble(L0)
         n0 = spc.negative_count(A)
         ns = spc.symmetric_spectrum(symmetrize(A, 2.0)).negative_count
         assert n0 == ns == 1
@@ -170,20 +170,20 @@ class TestBbmSymmetrize:
 class TestSchrodinger:
     def test_zero_potential_is_positive(self, grid_small):
         V = np.zeros(grid_small.n)
-        A = op.assemble(op.schrodinger_operator(grid_small, V, 0.5))
+        A = assemble(op.schrodinger_operator(grid_small, V, 0.5))
         assert spc.negative_count(A) == 0
         assert block_inertia(A)[3][0] >= 0.5 - 1e-12
 
     def test_reflectionless_well_has_one_bound_state(self, grid40):
         V = 2.0 / np.cosh(grid40.nodes) ** 2
         L = op.schrodinger_operator(grid40, V, 0.5)
-        A = op.assemble(L)
+        A = assemble(L)
         assert spc.negative_count(A) == 1
         assert block_inertia(A)[3][0] == pytest.approx(-0.5, abs=1e-6)
 
     def test_sandwich_preserves_count(self, grid40):
         V = 2.0 / np.cosh(grid40.nodes) ** 2
-        A = op.assemble(op.schrodinger_operator(grid40, V, 0.5))
+        A = assemble(op.schrodinger_operator(grid40, V, 0.5))
         assert spc.negative_count(op.sandwich(A, 0.0)) == 1
 
     def test_slow_decay_warns(self, grid_small):
@@ -193,20 +193,27 @@ class TestSchrodinger:
 
 
 class TestMatrixDump:
-    def test_round_trip(self, tmp_path, grid_small):
-        A = op.assemble(make_identity_operator(grid_small))
-        bin_path, json_path = op.save_matrix(A, tmp_path / "operator.bin")
-        header = json.load(open(json_path))
-        assert header["order"] == grid_small.n
-        data = np.fromfile(bin_path, dtype="<f8").reshape(header["order"], -1)
-        assert np.array_equal(data, A.dense())
+    def test_round_trip(self, tmp_path, grid_small, q22):
+        # the identity, a wave's linearization and the Schroedinger
+        # operator, each read through its blocks: the header's order is n,
+        # and the matrix is the held oracle's dense() bit for bit
+        V = 2.0 / np.cosh(grid_small.nodes) ** 2
+        for i, L in enumerate((make_identity_operator(grid_small),
+                               op.linearization(q22),
+                               op.schrodinger_operator(grid_small, V, 0.5))):
+            bin_path, json_path = op.save_matrix(op.operator_blocks(L),
+                                                 tmp_path / f"{i}.bin")
+            header = json.load(open(json_path))
+            assert header["order"] == L.grid.n
+            with open(bin_path, "rb") as f:
+                assert f.read() == assemble(L).dense().astype("<f8").tobytes()
 
     def test_non_finite_entries_rejected(self, tmp_path, grid_small):
         L = make_identity_operator(grid_small)
         potential = L.potential.copy()
         potential[3] = np.nan
-        A = op.assemble(op.LinOperator(grid_small, L.multiplier_symbol,
-                                       potential, label="nan"))
+        A = assemble(op.LinOperator(grid_small, L.multiplier_symbol,
+                                    potential, label="nan"))
         with pytest.raises(ValueError, match="non-finite"):
             op.save_matrix(A, tmp_path / "operator.bin")
         assert not (tmp_path / "operator.bin").exists()
@@ -233,21 +240,21 @@ def _oracle_case(name, grid):
     if name == "schrodinger":
         V = 2.0 / np.cosh(grid.nodes) ** 2
         L = op.schrodinger_operator(grid, V, 0.5)
-        return op.assemble(L), dense_matrix(L)
+        return assemble(L), dense_matrix(L)
     if name == "fbbm-sym":
         with quiet():
             q = wv.solve_ground_state(1.5, 1.0, grid)
             L0 = op.linearization(wave(wv.FBBM, q, 1.5))
         weight = op.symmetrizing_weight(grid, 1.5)
-        return (op.congruence(op.assemble(L0), weight, "bbm-sym"),
+        return (op.congruence(assemble(L0), weight, "bbm-sym"),
                 dense_congruence(dense_matrix(L0), grid, weight))
     p = 5.0 if name == "fkdv-p5" else 2.0
     L = op.linearization(wv.solve_ground_state(2.0, p, grid))
     if not name.startswith("sandwich"):
-        return op.assemble(L), dense_matrix(L)
+        return assemble(L), dense_matrix(L)
     eps = float(name.split("=")[1])
     quarter = sp.quarter_root_symbol(grid, eps)
-    return (op.sandwich(op.assemble(L), eps),
+    return (op.sandwich(assemble(L), eps),
             dense_congruence(dense_matrix(L), grid, quarter))
 
 
@@ -299,9 +306,9 @@ class TestFftAssembly:
         sandwiched = dense_congruence(dense, grid, quarter)
         even, odd = op.parity_index(grid.n)
         with pytest.raises(ValueError, match="couples the even and odd modes"):
-            op.assemble(L)
+            assemble(L)
         monkeypatch.setattr(op, "SYMMETRY_TOL", 1.0)
-        A = op.assemble(L)
+        A = assemble(L)
         S = op.sandwich(A, 0.0)
         monkeypatch.undo()
         for blocks, ref, symbols in ((A, dense, ()),
@@ -319,7 +326,7 @@ class TestFftAssembly:
         # each entry is a_ij (r_i r_j), bit for bit, for the BBM weight and
         # the eps = 0 sandwich
         grid = sp.make_grid(n, l)
-        A = op.assemble(op.schrodinger_operator(
+        A = assemble(op.schrodinger_operator(
             grid, 2.0 / np.cosh(grid.nodes) ** 2, 0.5))
         for S, symbol in ((symmetrize(A, 1.5),
                            op.symmetrizing_weight(grid, 1.5)),
@@ -345,7 +352,7 @@ class TestFftAssembly:
         for V in (2.0 / np.cosh(x) ** 2,
                   2.0 / np.cosh(x) ** 2 + 1e-3 * x * np.exp(-x ** 2)):
             L = op.schrodinger_operator(grid, V, 0.5)
-            A = op.assemble(L)
+            A = assemble(L)
             S = op.congruence(A, weight, "bbm-sym")
             for name, P, symbols in (
                     ("A", A, ()), ("sandwich", op.sandwich(A, 0.0), (quarter,)),
@@ -358,7 +365,7 @@ class TestFftAssembly:
         def run(n, l):
             grid = sp.make_grid(n, l)
             V = 2.0 / np.cosh(grid.nodes) ** 2
-            A = op.assemble(op.schrodinger_operator(grid, V, 0.5))
+            A = assemble(op.schrodinger_operator(grid, V, 0.5))
             op.to_coords(grid, V)
             return A.order
 
@@ -403,7 +410,7 @@ def test_coupling_bound_is_at_least_the_cross_block(case):
     L, symbols = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(op, "SYMMETRY_TOL", 1.0)
-        P = op.assemble(L)
+        P = assemble(L)
         for k in range(len(symbols) + 1):
             assert P.coupling >= np.max(np.abs(cross_block(L, *symbols[:k])))
             if k < len(symbols):

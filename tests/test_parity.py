@@ -33,7 +33,8 @@ from hkindex.spectral import TWO_PI
 
 from conftest import (count_calls, diagonal_on_grid, eigensystem, quiet,
                       sech_profile, sym_eig_calls)
-from dense_reference import (block_inertia, blocks_of, dense_congruence,
+from dense_reference import (ParityBlocks, assemble, block_inertia,
+                             blocks_of, dense_congruence,
                              dense_hamiltonian_eigenvalues, dense_inertia,
                              dense_matrix,
                              dense_sandwich_hamiltonian_eigenvalues,
@@ -55,7 +56,7 @@ def nearest_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(gaps.min(axis=1).max(), gaps.min(axis=0).max()))
 
 
-def indefinite_odd_block(P: op.ParityBlocks) -> bool:
+def indefinite_odd_block(P: ParityBlocks) -> bool:
     """The odd block has an eigenvalue below -zero_tol, by the oracle's
     eigenvalues and exact tolerance."""
     tol = block_inertia(P)[2]
@@ -84,7 +85,7 @@ def column_counts(ham) -> tuple:
     return tuple(int(np.count_nonzero(m)) for m in (real, imag, ~(real | imag)))
 
 
-def assert_counts_only_agrees(P: op.ParityBlocks, eig, zero_floor: float,
+def assert_counts_only_agrees(P: ParityBlocks, eig, zero_floor: float,
                               units: float):
     """The eigenvalue-only solve of P has the column counts, the
     generalized kernel and, where the classes are decided (|nu| <= 1e-4
@@ -119,7 +120,7 @@ def assert_matches_oracle(ham, cls, oracle):
     return ref
 
 
-def odd_kernel_deflated(P: op.ParityBlocks) -> op.ParityBlocks:
+def odd_kernel_deflated(P: ParityBlocks) -> ParityBlocks:
     """P with the odd eigen-components |w| <= zero_tol removed, by the
     oracle's eigenpairs and exact tolerance: the operator whose D A the
     factor route solves, as it drops the odd kernel by design."""
@@ -128,8 +129,8 @@ def odd_kernel_deflated(P: op.ParityBlocks) -> op.ParityBlocks:
     w, v = scipy.linalg.eigh(odd)
     kernel = np.abs(w) <= tol
     odd -= (v[:, kernel] * w[kernel]) @ v[:, kernel].T
-    return op.ParityBlocks((P.block(0), 0.5 * (odd + odd.T)), P.grid,
-                           P.label)
+    return ParityBlocks((P.block(0), 0.5 * (odd + odd.T)), P.grid,
+                        P.label)
 
 
 def assert_small_nu_match(ham, reference: np.ndarray, units: float) -> None:
@@ -142,7 +143,7 @@ def assert_small_nu_match(ham, reference: np.ndarray, units: float) -> None:
     assert np.all(gaps.min(axis=1, initial=np.inf) <= units * EPS * top)
 
 
-def assert_factor_route_matches_the_oracle(P: op.ParityBlocks) -> None:
+def assert_factor_route_matches_the_oracle(P: ParityBlocks) -> None:
     """The factor route's Hamiltonian spectrum of P against the full-order
     oracle of P with its odd kernel deflated exactly, on the zero floor 20
     sqrt(eps) max|lambda|: the same counts and classes, and the small nu
@@ -366,7 +367,7 @@ def test_no_case_reaches_the_fallback(model, s, p, c):
     assert [w.size for w in low] == [1]
 
 
-def repeated_imaginary_pair() -> op.ParityBlocks:
+def repeated_imaginary_pair() -> ParityBlocks:
     """A_sin = I and W A_cos W with the eigenvalues 1, 2, 2, 3 .. 6 in a
     random basis: lambda = +-i sqrt(2) is a double pair on the symmetric
     route."""
@@ -376,7 +377,7 @@ def repeated_imaginary_pair() -> op.ParityBlocks:
     m = (q * np.array([1.0, 2.0, 2.0, 3.0, 4.0, 5.0, 6.0])) @ q.T
     even = np.eye(9)
     even[1:-1, 1:-1] = 0.5 * (m + m.T) / np.outer(weights, weights)
-    return op.ParityBlocks((even, np.eye(7)), grid, "repeated")
+    return ParityBlocks((even, np.eye(7)), grid, "repeated")
 
 
 class TestRealKreinForms:
@@ -410,7 +411,7 @@ class TestRealKreinForms:
         # the real forms go _COLUMN_BLOCK columns at a time
         L = op.linearization(q22)
         floor = spc.gkernel_floor(q22.grid, L.multiplier_symbol)
-        ham = eigensystem(op.assemble(L), spc.GKERNEL_FRACTION * floor)
+        ham = eigensystem(assemble(L), spc.GKERNEL_FRACTION * floor)
         assert not np.iscomplexobj(ham.x) and q22.grid.n == 1024
         tracemalloc.start()
         try:
@@ -456,12 +457,12 @@ class TestSandwichReformulation:
             cls.classes.count(spc.CLASS_ZERO)
 
 
-def positive_operator() -> op.ParityBlocks:
+def positive_operator() -> ParityBlocks:
     """|2 pi xi|^2 + 1 on 256 points: every eigenvalue of D A imaginary."""
     grid = sp.make_grid(256, 30.0)
     sym = np.abs(2 * np.pi * grid.wavenumbers) ** 2 + 1.0
-    return op.assemble(op.LinOperator(grid, sym, np.zeros(grid.n),
-                                      label="positive"))
+    return assemble(op.LinOperator(grid, sym, np.zeros(grid.n),
+                                   label="positive"))
 
 
 def pair_blocks(cos_diag: list, sin_block) -> tuple:
@@ -530,7 +531,7 @@ class TestParityGuard:
         L = op.schrodinger_operator(
             grid_small, even + 1e-6 * x * np.exp(-x ** 2), 0.5)
         with pytest.raises(ValueError, match="even and odd"):
-            op.assemble(L)
+            assemble(L)
 
 
 def parity_rhs(rhs: np.ndarray) -> tuple:
@@ -609,14 +610,14 @@ class TestPseudoSolve:
         assert res.K_direct == 0
 
 
-def prescribed_nu(nu: list) -> op.ParityBlocks:
+def prescribed_nu(nu: list) -> ParityBlocks:
     """A_sin = I and W A_cos W = diag(nu) on 2 len(nu) + 2 points: T is
     diag(nu) to rounding, so lambda^2 = -nu."""
     grid = sp.make_grid(2 * len(nu) + 2, 2.0)
     weights = TWO_PI * op.pair_frequencies(grid)
     even = np.eye(len(nu) + 2)
     even[1:-1, 1:-1] = np.diag(nu) / np.outer(weights, weights)
-    return op.ParityBlocks((even, np.eye(len(nu))), grid, "prescribed")
+    return ParityBlocks((even, np.eye(len(nu))), grid, "prescribed")
 
 
 class TestFallbackSelection:
@@ -703,14 +704,14 @@ def counted_or_refused(count) -> int | str:
         return str(exc)
 
 
-def eigenvalue_count(P: op.ParityBlocks, eig, zero_floor: float) -> int:
+def eigenvalue_count(P: ParityBlocks, eig, zero_floor: float) -> int:
     """k_r from the eigenvalues of T: the real columns of the solve
     without vectors."""
     ham = spc.hamiltonian_eigensystem(P, eig, zero_floor, vectors=False)
     return int(np.count_nonzero(ham.split()[0]))
 
 
-def real_pair_count(P: op.ParityBlocks, eig, zero_floor: float) -> int:
+def real_pair_count(P: ParityBlocks, eig, zero_floor: float) -> int:
     """spectra.real_pair_count on the T of P."""
     return spc.real_pair_count(spc.t_matrix(P, eig),
                                zero_floor, P.label)
@@ -862,14 +863,14 @@ def even_operators(draw):
 
 @given(even_operators())
 def test_assembled_blocks_equal_the_basis_matrix(L):
-    blocks, dense = op.assemble(L).dense(), dense_matrix(L)
+    blocks, dense = assemble(L).dense(), dense_matrix(L)
     assert np.max(np.abs(blocks - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 @given(even_operators())
 def test_block_inertia_equals_full_inertia(L):
     n_neg, kernel, _ = dense_inertia(dense_matrix(L))
-    A = op.assemble(L)
+    A = assemble(L)
     assert block_inertia(A)[:2] == (n_neg, kernel)
     assert spc.negative_count(A) == n_neg
     assert spc.symmetric_spectrum(A).negative_count == n_neg
@@ -896,7 +897,7 @@ def test_block_hamiltonian_spectrum_equals_dense(L):
     # theory-consistency failure.  The counts-only nu lie within
     # NOISE_BAND / 2 units of those with vectors, as on the random blocks:
     # 2.18 units on spread_operator
-    A = op.assemble(L)
+    A = assemble(L)
     assert_factor_route_matches_the_oracle(A)
     if indefinite_odd_block(A):
         return
@@ -921,7 +922,7 @@ def test_sandwich_hamiltonian_spectrum_equals_dense(L):
                      L.grid)).dense(), L.grid)
     scale = float(np.max(np.abs(dense)))
     noise = np.sqrt(np.finfo(float).eps) * scale
-    S = op.sandwich(op.assemble(L), 0.0)
+    S = op.sandwich(assemble(L), 0.0)
     eig = spc.symmetric_spectrum(S)
     unit = np.ones(S.grid.n // 2 - 1)
     if indefinite_odd_block(S):
@@ -932,7 +933,7 @@ def test_sandwich_hamiltonian_spectrum_equals_dense(L):
     assert nearest_distance(half.eigenvalues, dense) <= 10.0 * noise
 
 
-def rotated_blocks(even: list, odd: list, seed: int) -> op.ParityBlocks:
+def rotated_blocks(even: list, odd: list, seed: int) -> ParityBlocks:
     """Parity blocks Q diag(w) Q^T with the given eigenvalues w and random
     orthogonal Q, on a grid of len(even) + len(odd) points."""
     rng = np.random.default_rng(seed)
@@ -941,8 +942,8 @@ def rotated_blocks(even: list, odd: list, seed: int) -> op.ParityBlocks:
         q, _ = np.linalg.qr(rng.standard_normal((len(w), len(w))))
         a = (q * np.array(w)) @ q.T
         return 0.5 * (a + a.T)
-    return op.ParityBlocks((block(even), block(odd)),
-                           sp.make_grid(len(even) + len(odd), 2.0), "rotated")
+    return ParityBlocks((block(even), block(odd)),
+                        sp.make_grid(len(even) + len(odd), 2.0), "rotated")
 
 
 @st.composite
@@ -1006,7 +1007,8 @@ def test_ldl_count_on_the_index_cases(spied_pipeline):
 
 @contextmanager
 def ldl_calls():
-    """The (order, shift) of every spectra._ldl call in the block."""
+    """The (order, shift) of every spectra._ldl call in the block: the
+    factors of the dense route and of the wave's core."""
     calls, ldl = [], spc._ldl
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spc, "_ldl", lambda block, shift, out: calls.append(
@@ -1063,26 +1065,47 @@ CORE_CASES = [*CERTIFIED_CASES, (wv.FKDV, 2.0, 2.0, 1.0, None),
               (wv.FKDV, 0.6, 1.2, 1.0, None)]
 
 
+def schrodinger_sources() -> list:
+    """The blocks of the Schroedinger self-check case, -d^2 + 1/2 - 2
+    sech^2 on its grid, and their sandwiches at eps > 0."""
+    grid = sp.make_grid(1024, 40.0)
+    A = op.operator_blocks(op.schrodinger_operator(
+        grid, 2.0 / np.cosh(grid.nodes) ** 2, 0.5))
+    return [A, *(op.sandwich(A, eps) for eps in vd.SANDWICH_EPS if eps > 0)]
+
+
 @pytest.mark.parametrize(
-    "model, s, p, c, numerics", CORE_CASES,
+    "model, s, p, c, numerics",
+    [*CORE_CASES, pytest.param(None, None, None, None, None,
+                               id="schrodinger-sech2")],
     ids=lambda v: "default" if v is None else f"n{v.n}-l{v.half_length:g}"
     if isinstance(v, vd.NumericsConfig) else str(v))
 def test_core_counts_equal_the_dense_counts(model, s, p, c, numerics):
     # #{w < -z} of the even block at both ends of the bracket of zero_tol
-    # and of the gap -+ 1e3 z_high, for L and for the weighted S: the core
+    # and of the gap -+ 1e3 z_high, for L and for the weighted S, and for
+    # the Schroedinger operator and its eps > 0 sandwiches: the core
     # settles each, with the count of the dense block's eigenvalues
-    grid = (numerics or vd.NumericsConfig()).grid_for(s)
-    with quiet():
-        U = wv.solve_traveling_wave(model, s, p, c, grid)
-    L = op.linearization(U)
-    sources = [op.operator_blocks(L)]
-    if wv.MODELS[model].weighted:
-        sources.append(op.congruence(
-            sources[0], op.symmetrizing_weight(grid, s), "bbm-sym"))
+    if model is None:
+        sources = schrodinger_sources()
+    else:
+        grid = (numerics or vd.NumericsConfig()).grid_for(s)
+        with quiet():
+            U = wv.solve_traveling_wave(model, s, p, c, grid)
+        sources = [op.operator_blocks(op.linearization(U))]
+        if wv.MODELS[model].weighted:
+            sources.append(op.congruence(
+                sources[0], op.symmetrizing_weight(grid, s), "bbm-sym"))
     for P in sources:
         w = scipy.linalg.eigvalsh(P.block(0))
         bracket = spc._bracket([P.span(0), P.span(1)])
-        for ends in (bracket, (-1e3 * bracket[1], 1e3 * bracket[1])):
+        settled = [bracket, (-1e3 * bracket[1], 1e3 * bracket[1])]
+        if P.label.startswith("sandwich"):
+            # |d|^(1/2) puts even eigenvalues between -+ 1e3 z_high, so
+            # that is no gap, and the core declines it
+            gap = settled.pop()
+            assert len({int(np.count_nonzero(w < -z)) for z in gap}) > 1
+            assert cores.core_count(P, gap) is None
+        for ends in settled:
             assert cores.core_count(P, ends) \
                 == int(np.count_nonzero(w < -ends[0])) \
                 == int(np.count_nonzero(w < -ends[1]))
@@ -1156,20 +1179,24 @@ def test_ldl_factors_of_the_benchmark_verdicts(monkeypatch, model, s, p, c,
     # from the wave's core: the even block's factor at 0, the odd block's
     # at the shift and, for a weighted row, L0's odd block's at the low
     # end, where its count of 0 settles the high end; T's, and its second
-    # factor where k_r = 1
+    # factor where k_r = 1.  The wave's core factors only matrices of
+    # lower order
     n, _ = vd.default_grid(s)
+
+    def dense(calls):
+        return [call for call in calls if call[0] >= n // 2 - 2]
     with quiet(), ldl_calls() as calls, dense_kernel_orders() as orders:
         vd.verdict(model, s, p, c)
     if model == wv.FKDV:
-        assert calls == [] and max(orders) < n // 2 - 2
+        assert dense(calls) == [] and max(orders) < n // 2 - 2
         monkeypatch.setattr(cores, "core_counts", lambda *args: None)
         with quiet(), ldl_calls() as calls:
             vd.verdict(model, s, p, c)
-    assert len(calls) == factors
+    assert len(dense(calls)) == factors
 
 
 def dominant_blocks(placed: float, in_odd: bool, odd_dominant: bool,
-                    seed: int) -> op.ParityBlocks:
+                    seed: int) -> ParityBlocks:
     """16 points: the eigenvalue 100, which sets max|w| and both ends of
     the bracket, in the odd block or the even one, 7 of order one in the
     even block and 5 of order 0.01 to 0.1 in the odd one, one eigenvalue

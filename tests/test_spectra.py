@@ -13,7 +13,7 @@ from hkindex.errors import FredholmViolationError, TheoryConsistencyError
 
 from conftest import (diagonal_on_grid, eigensystem, quiet, sym_eig_calls,
                       wave)
-from dense_reference import block_inertia, from_coords
+from dense_reference import ParityBlocks, assemble, block_inertia, from_coords
 
 
 class TestSymmetricSpectrum:
@@ -97,7 +97,7 @@ class TestConstrainedQuantity:
     def test_borderline_family_value_is_small(self):
         grid = sp.make_grid(2048, 100.0)
         q = wv.solve_ground_state(1.0, 2.0, grid)
-        A = op.assemble(op.linearization(q))
+        A = assemble(op.linearization(q))
         psi0 = sp.apply(sp.derivative_symbol(grid), q.values)
         with quiet():
             d = spc.constrained_quantity(A, psi0, spc.symmetric_spectrum(A))
@@ -175,7 +175,7 @@ class TestBbmSlope:
 class TestHamiltonianSpectrum:
     def test_identity_gives_derivative_spectrum(self, grid_small):
         m = grid_small.n // 2
-        eye = op.ParityBlocks((np.eye(m + 1), np.eye(m - 1)), grid_small)
+        eye = ParityBlocks((np.eye(m + 1), np.eye(m - 1)), grid_small)
         eigs = spc.hamiltonian_eigensystem(
             eye, spc.symmetric_spectrum(eye), 0.0).eigenvalues
         expected = 2.0 * np.pi * op.pair_frequencies(grid_small)
@@ -237,7 +237,7 @@ class TestClassifyKrein:
         sym = np.abs(2 * np.pi * grid_small.wavenumbers) ** 2 + 1.0
         L = op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
                            label="positive")
-        ham = eigensystem(op.assemble(L), 0.0)
+        ham = eigensystem(assemble(L), 0.0)
         cls = spc.classify_krein(ham)
         assert cls.k_i_minus == 0
         assert cls.k_r == 0
@@ -252,7 +252,7 @@ class TestClassifyKrein:
         sym = np.abs(2 * np.pi * grid_small.wavenumbers) ** 2 + 1.0
         L = op.LinOperator(grid_small, sym, np.zeros(grid_small.n),
                            label="positive")
-        A = op.assemble(L)
+        A = assemble(L)
         floor = 2.0 * eigensystem(A, 0.0).scale
         cls = spc.classify_krein(eigensystem(A, floor))
         assert all(c == spc.CLASS_ZERO for c in cls.classes)
@@ -278,7 +278,7 @@ def kernel_eigensystem(L: op.LinOperator) -> spc.HamiltonianEigensystem:
     """The Hamiltonian eigensystem of a bare operator with the pipeline's
     zero floor, a fraction of the box's first dispersion mode."""
     floor = spc.gkernel_floor(L.grid, L.multiplier_symbol)
-    return eigensystem(op.assemble(L), spc.GKERNEL_FRACTION * floor)
+    return eigensystem(assemble(L), spc.GKERNEL_FRACTION * floor)
 
 
 class TestGeneralizedKernel:

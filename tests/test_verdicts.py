@@ -15,6 +15,7 @@ from hkindex import waves as wv
 from hkindex.errors import TheoryConsistencyError
 
 from conftest import count_calls, quiet
+from dense_reference import assemble
 
 
 class TestKdvVerdict:
@@ -310,7 +311,7 @@ class TestCountingMemory:
             U = wv.solve_traveling_wave(wv.FBBM, 1.5, 1.0, 1.5, grid)
         weight = op.symmetrizing_weight(grid, 1.5)
         L = op.linearization(U)
-        S = op.congruence(op.assemble(L), weight, "bbm-sym")
+        S = op.congruence(assemble(L), weight, "bbm-sym")
         source = op.congruence(op.operator_blocks(L), weight, "bbm-sym")
         assert source.label == S.label
         assert source.coupling == S.coupling
@@ -321,11 +322,16 @@ class TestCountingMemory:
             copied = spc.symmetric_spectrum(S)
         with ldl_targets() as targets:
             eig = spc.symmetric_spectrum(source)
-        # the odd block's shifted factor in a work array, the even block's
-        # factor in that block; held blocks take their gap count from
-        # factors in a work array too, not from the wave's core
-        assert targets == [False, True]
-        assert held[-2:] == targets and not any(held[:-2])
+        # the wave's core's factors of the even gap count, each in its own
+        # matrix; the odd block's shifted factor in a work array, the even
+        # block's factor in that block; held blocks take their gap count
+        # from factors in a work array too, not from the wave's core
+        m = n // 2
+        core, targets = targets[:-2], targets[-2:]
+        assert targets == [(m - 1, False), (m + 1, True)]
+        assert core and all(in_place for _, in_place in core)
+        assert held[-2:] == targets
+        assert not any(in_place for _, in_place in held[:-2])
         for a, b in ((copied.factor, eig.factor),
                      (copied.odd_factor, eig.odd_factor)):
             assert all(np.array_equal(x, y) for x, y in zip(a, b))
@@ -333,12 +339,12 @@ class TestCountingMemory:
 
 @contextmanager
 def ldl_targets():
-    """Whether each spectra._ldl call in the block factors its block in
-    the block's own memory."""
+    """The order of each spectra._ldl call in the block, and whether it
+    factors its block in the block's own memory."""
     targets, ldl = [], spc._ldl
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spc, "_ldl", lambda block, shift, work: targets.append(
-            work is block) or ldl(block, shift, work))
+            (block.shape[0], work is block)) or ldl(block, shift, work))
         yield targets
 
 
