@@ -238,6 +238,7 @@ def cmd_sweep(cfg) -> int:
                       model=cfg.model, numerics=_numerics(cfg))
     rows = []
     failed = [pt for pt in result.points if pt.result is None]
+    comma = "," if cfg.format == "json" else ";"  # csv_text does not quote
     for pt in result.points:
         if pt.result is not None:
             r = pt.result
@@ -246,7 +247,7 @@ def cmd_sweep(cfg) -> int:
                          "ok"))
         else:
             rows.append((pt.s, pt.p, pt.c, cfg.model, -1, float("nan"), -1,
-                         -1, -1, -1, "ERROR", pt.error.replace(",", ";")))
+                         -1, -1, -1, "ERROR", pt.error.replace(",", comma)))
     path = _write_table(cfg, "sweep", SWEEP_HEADER, rows)
     if result.flip_bracket is not None:
         lo, hi = result.flip_bracket

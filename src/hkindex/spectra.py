@@ -17,8 +17,9 @@ result derived from them.  They feed three kinds of quantities:
   factor of the shifted block;
 * the constrained quantity <L^-1 w, w> with w the decaying antiderivative
   of the kernel generator, via a spectral pseudo-inverse: one solve with
-  the even block's own LDL^T factor, and one with the odd block's
-  Cholesky factor with the kernel deflated;
+  the LDL^T factor of the even block, which the solve makes in the block
+  and drops, and one with the odd block's Cholesky factor with the kernel
+  deflated, which the spectrum keeps for the solve and for T;
 * the spectrum of the Hamiltonian product (d/dx) L on the subspace where
   the derivative is invertible (zero mode and Nyquist column removed),
   with Krein-signature classification of the imaginary eigenvalues.
@@ -102,14 +103,6 @@ ANCHOR_FRACTION = 0.02
 _COLUMN_BLOCK = 256
 
 
-def sym_eig(block: np.ndarray, vectors: bool) -> tuple:
-    """Ascending eigenvalues of one parity block, and their eigenvector
-    columns if asked (else None)."""
-    if vectors:
-        return scipy.linalg.eigh(block)
-    return scipy.linalg.eigh(block, eigvals_only=True), None
-
-
 def _ldl(block: np.ndarray, shift: float, work: np.ndarray) -> tuple:
     """(LDL^T, ipiv): the Bunch-Kaufman factor of block + shift I, computed
     in a Fortran-ordered view of the head of the 1-D array work, or of the
@@ -185,7 +178,8 @@ def negative_count(P) -> int:
     counts = [_even_counts(P, ends), _counts(odd, ends)]
     if all(at_low == at_high for at_low, at_high in counts):
         return sum(at_low for at_low, _ in counts)
-    values = [sym_eig(P.block(i), vectors=False)[0] for i in (0, 1)]
+    values = [scipy.linalg.eigh(P.block(i), eigvals_only=True)
+              for i in (0, 1)]
     tol = ZERO_TOL_REL * max(float(np.max(np.abs(w))) for w in values)
     return sum(int(np.count_nonzero(w < -tol)) for w in values)
 
@@ -272,15 +266,14 @@ def _reflect(fac: tuple, a: np.ndarray, side: str, trans: str) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SymmetricSpectrum:
     """Inertia of a symmetric matrix, with what its solves read: the even
-    block's LDL^T factor, with its eigenvalues where they decided, and the
-    odd block's eigenpairs below 1e3 z_high with the deflated Cholesky
-    factor (_deflated_cholesky) that builds the Hamiltonian route.  Every
-    decision at the zero tolerance ZERO_TOL_REL max|w| over both blocks is
-    made at both ends of its bracket, so zero_tol decides as the exact
-    value does."""
+    block's eigenvalues where they decided, and the odd block's eigenpairs
+    below 1e3 z_high with the deflated Cholesky factor (_deflated_cholesky)
+    that the odd solve and the Hamiltonian route share.  It keeps no factor
+    of the even block: the constrained solve makes its own
+    (_pseudo_solve_quadratic).  Every decision at the zero tolerance
+    ZERO_TOL_REL max|w| over both blocks is made at both ends of its
+    bracket, so zero_tol decides as the exact value does."""
     even_values: np.ndarray | None   # even eigenvalues, where they decided
-    factor: tuple | None             # (LDL^T, ipiv) of the even block;
-                                     # None: singular, or freed
     odd_low: tuple                   # (w, x): odd eigenpairs below 1e3 z_high
     odd_factor: tuple | None         # (C, kernel, qr, tau); None: indefinite
     zero_tol: float
@@ -288,30 +281,26 @@ class SymmetricSpectrum:
 
 
 def symmetric_spectrum(P) -> SymmetricSpectrum:
-    """Inertia of a symmetric matrix, and the factors its solves read.
+    """Inertia of a symmetric matrix, and the odd factor its solves read.
 
     Each block brackets its max|w| by max|a_ii| and its 1-norm (_bracket;
     the even block's read from its span, P.span, where it is not
     assembled), and z_high, the upper end of zero_tol, sets the shift 1e3
     z_high.
     Equal counts of the even block -+ the shift put no even eigenvalue
-    within 1e3 zero_tol, so the factor of the block itself gives its
-    count; that factor is kept for the solves.  The shifted counts come
-    from the wave's core where it settles them, else from factors
-    (_even_counts).  An even eigenvalue within zero_tol makes the block
-    singular, and no solve reads its factor (_pseudo_solve_quadratic
-    refuses first): it is not taken.  The factor of the odd block - the
-    shift counts its eigenvalues below the shift, and inverse iteration
-    with it gives them as certified Ritz pairs: the kernel, kept
+    within 1e3 zero_tol, so they are its count, and the block itself is
+    not factored.  The shifted counts come from the wave's core where it
+    settles them, else from factors (_even_counts).  The factor of the odd
+    block - the shift counts its eigenvalues below the shift, and inverse
+    iteration with it gives them as certified Ritz pairs: the kernel, kept
     near-singular ones and negative ones.  Where the shifted counts
     differ, or the Ritz pairs are not certified, the even eigenvalues,
-    without vectors, decide in place of the factor and make the even span
-    exact; where the Ritz pairs are not certified, or a decision differs
-    between the ends of the bracket, the odd eigenpairs make zero_tol
-    exact and decide in place of the Ritz pairs.  Without a negative odd
-    eigenvalue, the odd block's Cholesky factor, taken in the odd block,
-    deflates the kernel; the kept factor is taken in the even block, read
-    again once the odd block's shifted factor is freed."""
+    without vectors, decide in place of those counts and make the even
+    span exact; where the Ritz pairs are not certified, or a decision
+    differs between the ends of the bracket, the odd eigenpairs make
+    zero_tol exact and decide in place of the Ritz pairs.  Without a
+    negative odd eigenvalue, the odd block's Cholesky factor, taken in the
+    odd block once its shifted factor is freed, deflates the kernel."""
     spans = [list(_bracket([P.span(0)]))]
     odd = P.block(1)
     spans.append(list(_bracket([span(odd)])))
@@ -323,28 +312,23 @@ def symmetric_spectrum(P) -> SymmetricSpectrum:
     sides = None if low is None else low[3]
     even_values = None
     if low is None or len(gap) > 1:
-        even_values = sym_eig(P.block(0), vectors=False)[0]
+        even_values = scipy.linalg.eigh(P.block(0), eigvals_only=True)
         spans[0] = [ZERO_TOL_REL * float(np.max(np.abs(even_values)))] * 2
         if low is not None:
             sides = _decide([(low[0], low[2]), (even_values, 0.0)], spans)
     if sides is None:
         # the odd eigenpairs decide, at the exact zero_tol
-        values, vectors = sym_eig(odd, vectors=True)
+        values, vectors = scipy.linalg.eigh(odd)
         below = values < shift
         low = values[below], vectors[:, below]
         spans[1] = [ZERO_TOL_REL * float(np.max(np.abs(values)))] * 2
         sides = _decide([(low[0], 0.0), (even_values, 0.0)], spans)
     count = sum(int(np.count_nonzero(side <= 1)) for side in sides)
-    zero_tol = max(high for _, high in spans)
-    factor = None
-    if even_values is None or not np.any(np.abs(even_values) <= zero_tol):
-        even = P.block(0)
-        factor = _ldl(even, 0.0, even)
-    count += _negatives(*factor) if even_values is None else 0
+    count += gap.pop() if even_values is None else 0
     odd_factor = None if np.any(sides[0] <= 1) else _deflated_cholesky(
         odd, low[1][:, sides[0] == 2])
-    return SymmetricSpectrum(even_values, factor, low[:2], odd_factor,
-                             zero_tol, count)
+    return SymmetricSpectrum(even_values, low[:2], odd_factor,
+                             max(high for _, high in spans), count)
 
 
 def _anchor_to_edge(grid, values: np.ndarray) -> np.ndarray:
@@ -360,15 +344,16 @@ def _decaying_antiderivative(grid, psi0: np.ndarray) -> np.ndarray:
     return _anchor_to_edge(grid, antiderivative(grid, psi0))
 
 
-def _pseudo_solve_quadratic(eig: SymmetricSpectrum, rhs: tuple,
-                            label: str) -> float:
+def _pseudo_solve_quadratic(P, eig: SymmetricSpectrum, rhs: tuple) -> float:
     """<A^+ rhs, rhs> with eigendirections |lambda| <= zero_tol dropped,
     for the right-hand side given by its (even, odd) coordinates.
 
-    The even share is one solve with the even block's LDL^T factor.  A
-    ground state's kernel is odd (Frank and Lenzmann, Acta Math. 210,
-    2013), so an even eigenvalue within zero_tol is a theory failure, and
-    a kept one below 1e3 zero_tol makes the solve near-singular.  An odd
+    The even share is one solve with the LDL^T factor of P's even block,
+    assembled and factored in place after the theory check below, and
+    dropped on return.  A ground state's kernel is odd (Frank and
+    Lenzmann, Acta Math. 210, 2013), so an even eigenvalue within zero_tol
+    is a theory failure, and a kept one below 1e3 zero_tol makes the solve
+    near-singular.  An odd
     direction is reached by the right-hand side when its overlap exceeds
     1e-6 ||rhs||, with the norm of the whole right-hand side: a block's
     own share of an even right-hand side can be pure round-off.  A reached
@@ -378,7 +363,7 @@ def _pseudo_solve_quadratic(eig: SymmetricSpectrum, rhs: tuple,
     eigenpairs, and its share is |(C H)^-1 b|^2 without the deflated
     coordinates, b the odd share without its kernel component.
     """
-    tol = eig.zero_tol
+    tol, label = eig.zero_tol, P.label
     even, odd = rhs
     # without its eigenvalues, the even block has none below 1e3 zero_tol
     size = np.inf if eig.even_values is None else np.abs(eig.even_values)
@@ -387,7 +372,9 @@ def _pseudo_solve_quadratic(eig: SymmetricSpectrum, rhs: tuple,
             f"the even block of {label!r} has an eigenvalue within zero_tol "
             f"= {tol:.3e}: a ground state's kernel is odd")
     near_singular = bool(np.any(size < 1e3 * tol))
-    total = float(even @ scipy.linalg.lapack.dsytrs(*eig.factor, even)[0])
+    block = P.block(0)
+    total = float(even @ scipy.linalg.lapack.dsytrs(
+        *_ldl(block, 0.0, block), even)[0])
     fac = _odd_factor(eig, label)
     c, kernel = fac[:2]
     y = scipy.linalg.lapack.dtrtrs(c, odd - kernel @ (kernel.T @ odd),
@@ -419,28 +406,27 @@ def constrained_quantity(A, psi0: np.ndarray,
     compatibility of the right-hand side first.
     """
     rhs = _decaying_antiderivative(A.grid, psi0)
-    return _pseudo_solve_quadratic(eig, to_coords(A.grid, rhs), A.label)
+    return _pseudo_solve_quadratic(A, eig, to_coords(A.grid, rhs))
 
 
-def constrained_quantity_sandwiched(A, psi0: np.ndarray,
+def constrained_quantity_sandwiched(S, psi0: np.ndarray,
                                     eps: float, eig: SymmetricSpectrum) -> float:
-    """The same quantity computed through the regularized sandwich of the
-    parity blocks A of L, from the symmetric spectrum eig of
-    sandwich(A, eps),
+    """The same quantity computed through the regularized sandwich S =
+    sandwich(A, eps) of the parity blocks A of L, from the symmetric
+    spectrum eig of S,
 
         <(Lsand_eps)^-1 g_eps, g_eps>,
         g_eps = (-d^2+eps^2)^(-1/4) |d| d^-1 psi0,
 
     which is how the eps-independence of the index is checked.
     """
-    grid = A.grid
+    grid = S.grid
     quarter = quarter_root_symbol(grid, eps)
     # |d| d^-1 = -J on mean-zero fields; J is 0 on the zero mode, where
     # the quarter root vanishes at eps = 0
     sym = np.divide(-hilbert_symbol(grid), quarter, where=quarter > 0,
                     out=np.zeros(grid.n, dtype=complex))
-    return _pseudo_solve_quadratic(eig, to_coords(grid, apply(sym, psi0)),
-                                   f"sandwich(eps={eps:g})[{A.label}]")
+    return _pseudo_solve_quadratic(S, eig, to_coords(grid, apply(sym, psi0)))
 
 
 def slope_analytic(s: float, p: float, c: float, q_norm_sq: float) -> float:

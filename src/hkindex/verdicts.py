@@ -31,12 +31,13 @@ the start: it takes k_r by inertia, from LDL^T factors of T
 (spectra.real_pair_count), and the eigenvalues only where a nu lies near
 -zero_floor^2, so it holds at most two matrices of order about n/2 at
 once: the odd block and the work array of its shifted factor, then its
-Cholesky factor and the even block's LDL^T factor, then the Cholesky
-factor and T, and last T and T's factor.  A run that keeps its pipeline
-(spectrum, self-check) counts the real columns of the eigenvectors that
-the Krein classes are read from, and holds A_cos and A_sin for them
-beside the Cholesky factor, T and its eigenvectors; a negative signature
-is a theory-consistency failure.
+Cholesky factor and the even block, which the constrained solve
+assembles, factors in place and drops (spectra.constrained_quantity),
+then the Cholesky factor and T, and last T and T's factor.  A run that
+keeps its pipeline (spectrum, self-check) counts the real columns of the
+eigenvectors that the Krein classes are read from, and holds A_cos and
+A_sin for them beside the Cholesky factor, T and its eigenvectors; a
+negative signature is a theory-consistency failure.
 
 Wave families with |slope| inside the degeneracy band (the p = 2s
 borderline, where the generalized kernel grows) are reported DEGENERATE
@@ -47,9 +48,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import cores
 from . import operators as op
@@ -221,28 +223,24 @@ def verdict(model: str, s: float, p: float, c: float,
                 f"symmetrization changed the negative count: n(L0)={n_L}, "
                 f"n(sym)={eig.negative_count}")
         d = spc.constrained_quantity(A, psi0, eig)
-        # the even block has made its one solve: free its factor before T
-        # is formed, where the memory peaks
-        eig = replace(eig, factor=None)
+        # x = R z with |z| = 1 gives x^T A_cos x = nu and u^T A_sin u = 1, so
+        # the Krein form of lambda = i sqrt(nu) is nu + |lambda|^2 = 2 nu > 0:
+        # k_i^- = 0, and the direct count is the number of real columns
+        if keep_pipeline:
+            ham = spc.hamiltonian_eigensystem(A, eig, zero_floor=floor)
+            k_r = int(np.count_nonzero(ham.split()[0]))
+        else:
+            # T is formed in a new A_cos from the odd block's Cholesky
+            # factor, which is freed before T is factored
+            t_mat = spc.t_matrix(A, eig)
+            del eig
+            k_r = spc.real_pair_count(t_mat, floor, A.label)
     else:
         n_L, d, k_r = core
     slope = -2.0 * d
 
     slope_ref, slope_notes = _reference_slope(row, Q, c, opts)
     band = DEGENERACY_BAND_REL * wv.squared_norm(U) / c
-
-    # x = R z with |z| = 1 gives x^T A_cos x = nu and u^T A_sin u = 1, so
-    # the Krein form of lambda = i sqrt(nu) is nu + |lambda|^2 = 2 nu > 0:
-    # k_i^- = 0, and the direct count is the number of real columns
-    if keep_pipeline:
-        ham = spc.hamiltonian_eigensystem(A, eig, zero_floor=floor)
-        k_r = int(np.count_nonzero(ham.split()[0]))
-    elif core is None:
-        # T is formed in a new A_cos from the odd block's Cholesky factor,
-        # which is freed before T is factored
-        t_mat = spc.t_matrix(A, eig)
-        del eig
-        k_r = spc.real_pair_count(t_mat, floor, A.label)
     K_formula, decision, notes = _resolve_verdict(
         n_L, slope, slope_ref, band, k_r, L.label,
         check_reference_sign=row.weighted)
@@ -393,7 +391,7 @@ def _gkdv_case(p_exp: float, expected_K: int) -> CheckReport:
                     np.ones(data.grid.n // 2 - 1), vectors=False).eigenvalues
             else:
                 values[eps] = spc.constrained_quantity_sandwiched(
-                    data.matrix, psi0, eps, eig)
+                    S, psi0, eps, eig)
         dim = spc.generalized_kernel_dim(data.eigensystem)
         entries.append(CheckEntry("generalized kernel dim == 2", dim == 2,
                                   f"dim={dim}"))
@@ -458,7 +456,7 @@ def _schrodinger_case() -> CheckReport:
     entries.append(CheckEntry("n(L) == 1 for -d2 + 1/2 - 2 sech^2",
                               n_L == 1, f"n={n_L}"))
     # the ground state sech is even: one values-only solve of the even block
-    lowest = float(spc.sym_eig(A.block(0), vectors=False)[0][0])
+    lowest = float(scipy.linalg.eigh(A.block(0), eigvals_only=True)[0])
     entries.append(CheckEntry(
         "lowest eigenvalue at c - 1 = -0.5", abs(lowest + 0.5) <= 1e-6,
         f"lambda_min={lowest:.8f}"))

@@ -4,6 +4,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import settings
 
 from hkindex import operators as op
@@ -88,14 +89,27 @@ def count_calls(monkeypatch, fn, calls) -> None:
 
 @contextmanager
 def sym_eig_calls():
-    """The (order, vectors) of every spectra.sym_eig call in the block:
-    the eigendecompositions of parity blocks."""
+    """The (order, vectors) of every scipy.linalg.eigh call in the block:
+    within symmetric_spectrum and negative_count, the eigendecompositions
+    of parity blocks."""
     calls = []
-    sym_eig = spc.sym_eig
+    eigh = scipy.linalg.eigh
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spc, "sym_eig", lambda a, vectors: calls.append(
-            (a.shape[0], vectors)) or sym_eig(a, vectors))
+        mp.setattr(scipy.linalg, "eigh", lambda a, *args, **kw: calls.append(
+            (a.shape[0], not kw.get("eigvals_only", False)))
+            or eigh(a, *args, **kw))
         yield calls
+
+
+@contextmanager
+def ldl_targets():
+    """The order of each spectra._ldl call in the block, and whether it
+    factors its block in the block's own memory."""
+    targets, ldl = [], spc._ldl
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spc, "_ldl", lambda block, shift, work: targets.append(
+            (block.shape[0], work is block)) or ldl(block, shift, work))
+        yield targets
 
 
 @contextmanager

@@ -12,6 +12,7 @@ import scipy.linalg
 from hkindex import cli
 from hkindex import spectra as spc
 from hkindex import verdicts as vd
+from hkindex import waves as wv
 from hkindex.errors import UnresolvedEigenvalueError
 from hkindex.io_utils import write_csv
 
@@ -526,6 +527,11 @@ def test_json_tables_hold_null_for_non_finite_cells(tmp_path, capsys):
                 "--out", str(tmp_path)]) == 1
     (point,) = strict_json(tmp_path / "sweep.json")
     assert point["verdict"] == "ERROR" and point["slope"] is None
+    # the JSON status holds the error text verbatim, commas and all
+    with pytest.raises(ValueError) as err:
+        vd.verdict(wv.FKDV, 0.5, 3.0, 1.0)
+    assert "," in str(err.value)
+    assert point["status"] == f"ValueError: {err.value}"
 
 
 class TestDumpOperator:

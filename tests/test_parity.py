@@ -12,6 +12,7 @@ NOISE_BAND noise units eps max|nu| of a threshold that decides a class.
 
 import tracemalloc
 import warnings
+import weakref
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -31,8 +32,8 @@ from hkindex.errors import (FredholmViolationError, TheoryConsistencyError,
                             UnresolvedEigenvalueError)
 from hkindex.spectral import TWO_PI
 
-from conftest import (count_calls, diagonal_on_grid, eigensystem, quiet,
-                      sech_profile, sym_eig_calls)
+from conftest import (count_calls, diagonal_on_grid, eigensystem,
+                      ldl_targets, quiet, sech_profile, sym_eig_calls)
 from dense_reference import (ParityBlocks, assemble, block_inertia,
                              blocks_of, dense_congruence,
                              dense_hamiltonian_eigenvalues, dense_inertia,
@@ -318,17 +319,29 @@ class TestEvenBlockSolve:
 
     def test_even_factor_is_freed_before_the_hamiltonian_solve(
             self, monkeypatch):
-        # the even block's factor serves the constrained solve only
-        seen = []
-        form = spc.t_matrix
+        # the even block's factor serves the constrained solve only: no
+        # factor of the even block's order, in the block or in a work
+        # array, is alive where T is formed, by a counting verdict
+        # (t_matrix) or by one that keeps its pipeline
+        m = SMALL.n // 2
+        alive, seen, ldl = [], [], spc._ldl
 
-        def spy(P, eig):
-            seen.append(eig.factor)
-            return form(P, eig)
-        monkeypatch.setattr(spc, "t_matrix", spy)
+        def factor(block, shift, work):
+            out = ldl(block, shift, work)
+            if block.shape[0] == m + 1:
+                alive.extend(weakref.ref(a) for a in (block, work, *out))
+            return out
+        monkeypatch.setattr(spc, "_ldl", factor)
+        for name in ("t_matrix", "hamiltonian_eigensystem"):
+            def spy(*args, _fn=getattr(spc, name), **kw):
+                seen.append([ref for ref in alive if ref() is not None])
+                return _fn(*args, **kw)
+            monkeypatch.setattr(spc, name, spy)
+        monkeypatch.setattr(cores, "core_counts", lambda *args: None)
         with quiet():
-            vd.verdict(wv.FKDV, 2.0, 2.0, 1.0, SMALL)
-        assert seen == [None]
+            for keep in (False, True):
+                vd.verdict(wv.FKDV, 2.0, 2.0, 1.0, SMALL, keep_pipeline=keep)
+        assert alive and seen == [[], []]
 
 
 # every benchmark item and acceptance case, on its default grid
@@ -347,23 +360,18 @@ def test_no_case_reaches_the_fallback(model, s, p, c):
     # eigensolve, and the odd block's kernel (or, at s = 0.6, its one
     # near-singular eigenvalue) is a certified Ritz pair.  The two factors
     # of T agree on k_r, so nothing takes an eigh
-    low, spectrum, eighs = [], spc.symmetric_spectrum, []
+    low, spectrum = [], spc.symmetric_spectrum
 
     def spied(P, *args, **kw):
         eig = spectrum(P, *args, **kw)
         low.append(eig.odd_low[0])
         return eig
-
-    def eigh(a, *args, _eigh=scipy.linalg.eigh, **kw):
-        eighs.append(a.shape)
-        return _eigh(a, *args, **kw)
     with pytest.MonkeyPatch.context() as mp, quiet(), \
             sym_eig_calls() as calls:
         mp.setattr(spc, "symmetric_spectrum", spied)
-        mp.setattr(scipy.linalg, "eigh", eigh)
         mp.setattr(cores, "core_counts", lambda *args: None)
         vd.verdict(model, s, p, c)
-    assert calls == eighs == []
+    assert calls == []
     assert [w.size for w in low] == [1]
 
 
@@ -546,33 +554,37 @@ class TestPseudoSolve:
         # norm, though all of the odd block's own norm
         diag = np.ones(8)
         diag[2] = 0.0
-        eig = spc.symmetric_spectrum(diagonal_on_grid(diag))
+        P = diagonal_on_grid(diag)
+        eig = spc.symmetric_spectrum(P)
         rhs = np.zeros(8)
         rhs[1], rhs[2] = 1.0, 1e-7
-        assert spc._pseudo_solve_quadratic(eig, parity_rhs(rhs), "diag") == \
+        assert spc._pseudo_solve_quadratic(P, eig, parity_rhs(rhs)) == \
             pytest.approx(1.0, rel=1e-12)
         rhs[2] = 1e-5
         with pytest.raises(FredholmViolationError):
-            spc._pseudo_solve_quadratic(eig, parity_rhs(rhs), "diag")
+            spc._pseudo_solve_quadratic(P, eig, parity_rhs(rhs))
 
     def test_bracket_fallback_gives_the_same_d(self, small_pipeline,
                                                monkeypatch):
         # a high end of 1e8 times the bracket's puts every eigenvalue
         # between the shifted counts and inside the bracket: the even
         # eigenvalues and the odd eigenpairs are computed, once each,
-        # zero_tol is exact, and the factors solve as before
+        # zero_tol is exact, and the factors solve as before: the even
+        # block's, made by the solve in the block, and the odd Cholesky one
         model, data = small_pipeline
         bracket = spc._bracket
         monkeypatch.setattr(spc, "_bracket", lambda blocks: (
             bracket(blocks)[0], 1e8 * bracket(blocks)[1]))
         with sym_eig_calls() as calls, quiet():
             eig = spc.symmetric_spectrum(data.matrix)
-            d = spc._pseudo_solve_quadratic(eig, constrained_rhs(model, data),
-                                            data.matrix.label)
+            with ldl_targets() as targets:
+                d = spc._pseudo_solve_quadratic(
+                    data.matrix, eig, constrained_rhs(model, data))
         n = data.grid.n
         assert sorted(calls) == [(n // 2 - 1, True), (n // 2 + 1, False)]
         n_neg, _, tol, _ = block_inertia(data.matrix)
-        assert eig.even_values is not None and eig.factor is not None
+        assert eig.even_values is not None and eig.odd_factor is not None
+        assert targets == [(n // 2 + 1, True)]
         assert eig.zero_tol == pytest.approx(tol, rel=1e-12)
         assert eig.negative_count == n_neg
         assert d == data.result.d
@@ -586,19 +598,19 @@ class TestPseudoSolve:
         even[1] = odd[2] = 5e-8
         rhs = np.zeros(8)
         rhs[3] = 1.0
-        eig = spc.symmetric_spectrum(diagonal_on_grid(even))
+        P = diagonal_on_grid(even)
+        eig = spc.symmetric_spectrum(P)
         assert eig.even_values is not None
         with pytest.warns(UserWarning, match="near-singular"):
-            assert spc._pseudo_solve_quadratic(
-                eig, parity_rhs(rhs), "diag") == 1.0
-        eig = spc.symmetric_spectrum(diagonal_on_grid(odd))
+            assert spc._pseudo_solve_quadratic(P, eig, parity_rhs(rhs)) == 1.0
+        P = diagonal_on_grid(odd)
+        eig = spc.symmetric_spectrum(P)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert spc._pseudo_solve_quadratic(
-                eig, parity_rhs(rhs), "diag") == 1.0
+            assert spc._pseudo_solve_quadratic(P, eig, parity_rhs(rhs)) == 1.0
         rhs[2] = 1.0
         with pytest.warns(UserWarning, match="near-singular"):
-            spc._pseudo_solve_quadratic(eig, parity_rhs(rhs), "diag")
+            spc._pseudo_solve_quadratic(P, eig, parity_rhs(rhs))
 
     def test_bbm_translation_mode_does_not_warn(self):
         # the odd translation eigenvalue sits just above the zero tolerance
@@ -1264,7 +1276,7 @@ def test_parity_shares_match_the_exact_solve(c, sign, seed):
         share = tuple(part if j == i else np.zeros_like(part)
                       for j, part in enumerate(rhs))
         with pytest.warns(UserWarning, match="near-singular"):
-            d = spc._pseudo_solve_quadratic(eig, share, "near-singular")
+            d = spc._pseudo_solve_quadratic(P, eig, share)
         exact = exact_quadratic(block, rhs[i])
         assert abs(Fraction(d) - exact) <= \
             order * EPS * np.linalg.cond(block) * abs(exact)

@@ -11,8 +11,8 @@ from hkindex import spectral as sp
 from hkindex import waves as wv
 from hkindex.errors import FredholmViolationError, TheoryConsistencyError
 
-from conftest import (diagonal_on_grid, eigensystem, quiet, sym_eig_calls,
-                      wave)
+from conftest import (diagonal_on_grid, eigensystem, ldl_targets, quiet,
+                      sym_eig_calls, wave)
 from dense_reference import ParityBlocks, assemble, block_inertia, from_coords
 
 
@@ -23,18 +23,21 @@ class TestSymmetricSpectrum:
             rep = spc.symmetric_spectrum(P)
         assert rep.negative_count == spc.negative_count(P) == 0
         # the factors certified both blocks: no eigendecomposition, no odd
-        # eigenvalue below the shift, and the odd Cholesky factor is I
+        # eigenvalue below the shift, and the odd Cholesky factor is I; the
+        # solve factors the even block, I, itself: <I^-1 b, b> = |b|^2
         assert calls == []
-        assert rep.even_values is None and rep.factor is not None
+        assert rep.even_values is None
         assert rep.odd_low[0].size == 0
         assert np.array_equal(np.tril(rep.odd_factor[0]), np.eye(3))
+        rhs = (np.arange(5.0), np.arange(3.0))
+        assert spc._pseudo_solve_quadratic(P, rep, rhs) == 35.0
 
     def test_small_diagonal(self):
         # the even block holds -1 and 0: its shifted counts differ, so its
         # eigenvalues, computed once without vectors, decide with the
         # exact zero tolerance.  A ground state's kernel is odd, so a
         # constrained solve on an even eigenvalue within zero_tol is a
-        # theory failure
+        # theory failure, refused before the even block is factored
         P = diagonal_on_grid([-1.0, 0.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0])
         with sym_eig_calls() as calls:
             rep = spc.symmetric_spectrum(P)
@@ -45,8 +48,10 @@ class TestSymmetricSpectrum:
         assert rep.even_values[:2].tolist() == [-1.0, 0.0]
         # the second cosine, of eigenvalue 1
         rhs = (np.array([0.0, 0.0, 1.0, 0.0, 0.0]), np.zeros(3))
-        with pytest.raises(TheoryConsistencyError, match="even block"):
-            spc._pseudo_solve_quadratic(rep, rhs, "diag")
+        with ldl_targets() as targets, \
+                pytest.raises(TheoryConsistencyError, match="even block"):
+            spc._pseudo_solve_quadratic(P, rep, rhs)
+        assert targets == []
 
     def test_kdv_kernel_vector_aligned_with_derivative(self, pipeline22):
         rep = spc.symmetric_spectrum(pipeline22.matrix)
@@ -78,6 +83,19 @@ class TestSymmetricSpectrum:
         assert np.count_nonzero(np.abs(rep.odd_low[0]) <= rep.zero_tol) \
             == kernel
 
+    def test_certified_path_factors_no_even_block(self, pipeline22):
+        # the even count is the equal count of the even block -+ the
+        # shift: no factor of the even block's order is made, as the wave's
+        # core gives the shifted counts, and the odd block's shifted
+        # factor is the last
+        P = pipeline22.matrix
+        m = pipeline22.grid.n // 2
+        with ldl_targets() as targets:
+            rep = spc.symmetric_spectrum(P)
+        assert isinstance(P, op.OperatorBlocks) and rep.even_values is None
+        assert targets[-1] == (m - 1, False)
+        assert all(order != m + 1 for order, _ in targets)
+
 
 @pytest.fixture(scope="module")
 def spectrum22(pipeline22):
@@ -102,6 +120,17 @@ class TestConstrainedQuantity:
         with quiet():
             d = spc.constrained_quantity(A, psi0, spc.symmetric_spectrum(A))
         assert abs(d) <= 1e-3
+
+    def test_one_even_factor_in_the_assembled_block(self, pipeline22,
+                                                    spectrum22):
+        # the solve assembles the even block and factors it in place, once,
+        # with the same bits as the verdict's d
+        psi0 = sp.apply(sp.derivative_symbol(pipeline22.grid),
+                        pipeline22.wave.values)
+        with ldl_targets() as targets:
+            d = spc.constrained_quantity(pipeline22.matrix, psi0, spectrum22)
+        assert targets == [(pipeline22.grid.n // 2 + 1, True)]
+        assert d == pipeline22.result.d
 
     def test_nonzero_mean_psi0_rejected(self, pipeline22, spectrum22):
         from hkindex.errors import NonIntegrableInputError
@@ -303,10 +332,11 @@ class TestEpsilonChain:
     def test_sign_stable_and_converging(self, pipeline22):
         psi0 = sp.apply(sp.derivative_symbol(pipeline22.grid),
                         pipeline22.wave.values)
-        with quiet():
-            values = [spc.constrained_quantity_sandwiched(
-                pipeline22.matrix, psi0, eps, spc.symmetric_spectrum(
-                    op.sandwich(pipeline22.matrix, eps)))
-                for eps in (1e-1, 1e-2, 1e-3)]
+        values = []
+        for eps in (1e-1, 1e-2, 1e-3):
+            S = op.sandwich(pipeline22.matrix, eps)
+            with quiet():
+                values.append(spc.constrained_quantity_sandwiched(
+                    S, psi0, eps, spc.symmetric_spectrum(S)))
         assert all(v < 0 for v in values)
         assert abs(values[2] - values[1]) <= abs(values[1] - values[0])

@@ -1,6 +1,5 @@
 import gc
 import tracemalloc
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from hkindex import verdicts as vd
 from hkindex import waves as wv
 from hkindex.errors import TheoryConsistencyError
 
-from conftest import count_calls, quiet
+from conftest import count_calls, ldl_targets, quiet
 from dense_reference import assemble
 
 
@@ -301,7 +300,8 @@ class TestCountingMemory:
 
     @pytest.mark.parametrize("n, half_length", [
         (256, 30.0), (2048, 80.0), (4096, 50.0)])
-    def test_in_place_products_equal_the_copies(self, n, half_length):
+    def test_in_place_products_equal_the_copies(self, n, half_length,
+                                                monkeypatch):
         # the held blocks of the dense gates scale L0's blocks into S's;
         # a verdict assembles S's blocks scaled, one at a time.  Both
         # factor each block in its own memory: the same entries and the
@@ -323,29 +323,31 @@ class TestCountingMemory:
         with ldl_targets() as targets:
             eig = spc.symmetric_spectrum(source)
         # the wave's core's factors of the even gap count, each in its own
-        # matrix; the odd block's shifted factor in a work array, the even
-        # block's factor in that block; held blocks take their gap count
-        # from factors in a work array too, not from the wave's core
+        # matrix, then the odd block's shifted factor in a work array; held
+        # blocks take their gap count from factors in a work array too, not
+        # from the wave's core
         m = n // 2
-        core, targets = targets[:-2], targets[-2:]
-        assert targets == [(m - 1, False), (m + 1, True)]
+        core, last = targets[:-1], targets[-1]
+        assert last == held[-1] == (m - 1, False)
         assert core and all(in_place for _, in_place in core)
-        assert held[-2:] == targets
-        assert not any(in_place for _, in_place in held[:-2])
-        for a, b in ((copied.factor, eig.factor),
-                     (copied.odd_factor, eig.odd_factor)):
-            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert not any(in_place for _, in_place in held[:-1])
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(copied.odd_factor, eig.odd_factor))
+        # the constrained solve factors the even block in that block
+        factors, ldl = [], spc._ldl
 
-
-@contextmanager
-def ldl_targets():
-    """The order of each spectra._ldl call in the block, and whether it
-    factors its block in the block's own memory."""
-    targets, ldl = [], spc._ldl
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spc, "_ldl", lambda block, shift, work: targets.append(
-            (block.shape[0], work is block)) or ldl(block, shift, work))
-        yield targets
+        def kept(block, shift, work):
+            out = ldl(block, shift, work)
+            factors.append((block.shape[0], work is block,
+                            *(a.copy() for a in out)))
+            return out
+        monkeypatch.setattr(spc, "_ldl", kept)
+        rhs = (np.ones(m + 1), np.zeros(m - 1))
+        d = [spc._pseudo_solve_quadratic(P, e, rhs)
+             for P, e in ((S, copied), (source, eig))]
+        assert [f[:2] for f in factors] == [(m + 1, True)] * 2
+        assert all(np.array_equal(x, y) for x, y in zip(*factors))
+        assert d[0] == d[1]
 
 
 class TestSelfCheck:
@@ -382,7 +384,7 @@ class TestSelfCheck:
         # _INVERSE_COLUMNS eigenvalues below the shift, with vectors; and
         # the even block of each sandwich, whose eigenvalue within 1e3
         # zero_tol (0 at eps = 0) makes its eigenvalues decide, once
-        # without vectors: at eps > 0 its factor solves.  L's blocks are
+        # without vectors: at eps > 0 the solve factors it.  L's blocks are
         # factored only, and no block is eigendecomposed twice
         eighs = []
 
@@ -391,23 +393,27 @@ class TestSelfCheck:
             return _fn(a, *args, **kw)
         monkeypatch.setattr(scipy.linalg, "eigh", eigh)
         # the eps = 0 sandwich's even block is singular (its zero mode) and
-        # makes no solve: it keeps no factor
+        # makes no solve: its block is not factored.  Each other solve
+        # factors its own even block once, in that block
         factored = []
-        spectrum = vd.spc.symmetric_spectrum
+        solve = spc._pseudo_solve_quadratic
 
-        def spied(P, *args, **kw):
-            eig = spectrum(P, *args, **kw)
-            factored.append((P.label, eig.factor is not None))
-            return eig
-        monkeypatch.setattr(vd.spc, "symmetric_spectrum", spied)
+        def spied(P, *args):
+            with ldl_targets() as targets:
+                out = solve(P, *args)
+            factored.append((P.label, targets))
+            return out
+        monkeypatch.setattr(spc, "_pseudo_solve_quadratic", spied)
         report = vd.self_check("gkdv-p2")
         assert report.passed, [e for e in report.entries if not e.passed]
         assert calls == {"operator_blocks": 1, "hamiltonian_eigensystem": 2,
                          "sandwich": 4, "symmetric_spectrum": 5}
-        assert [has for _, has in factored] == [True, False, True, True, True]
-        assert factored[1][0].startswith("sandwich(eps=0)")
-        assert orders == []
         n = vd.default_grid(2.0)[0]
+        label = factored[0][0]
+        assert factored == [(label, [(n // 2 + 1, True)])] + [
+            (f"sandwich(eps={eps:g})[{label}]", [(n // 2 + 1, True)])
+            for eps in vd.SANDWICH_EPS[1:]]
+        assert orders == []
         assert sorted(eighs) == sorted(
             [(n // 2 - 2, True), (n // 2 - 2, False)] + [(n // 2 - 1, True)] * 4
             + [(n // 2 + 1, False)] * 4)
